@@ -14,7 +14,12 @@ abducer:
 * for every small subset ``V`` of the free variables (preferring fewer
   variables, i.e. "simpler explanations"), the candidate
   ``psi_V = forall (Vars \\ V). (P ==> phi)`` is computed by Fourier–Motzkin /
-  Shannon elimination;
+  Shannon elimination.  One :class:`repro.smt.qe.QuantifierEliminator` serves
+  all subsets of an obligation: the negated obligation is preprocessed and
+  converted to DNF once (as is any formula a boolean step produces), and
+  each subset runs its Fourier–Motzkin steps on those shared cubes.  The
+  eliminator lives for one :func:`abduce` call, and its results are
+  identical to eliminating each subset on its own (``tests/test_qe_reference.py``);
 * candidates are simplified and validated against conditions (1) and (2);
 * each surviving candidate is additionally *generalized* into atomic
   half-space predicates (e.g. a disequality ``x != -1`` contributes ``x >= 0``
@@ -37,7 +42,7 @@ from repro.logic.nnf import atoms_of
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, INT, Le, Lt, Ne, Not, Var
 from repro.smt.linear import linearize
-from repro.smt.qe import eliminate_forall
+from repro.smt.qe import QuantifierEliminator
 from repro.smt.solver import Solver
 
 
@@ -79,13 +84,14 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
         subsets: List[Tuple[Var, ...]] = []
     else:
         subsets = _variable_subsets(variables, max_kept_vars)[:max_subsets]
+    eliminator = QuantifierEliminator(obligation)
     for kept in subsets:
         eliminated = [var for var in variables if var not in kept]
         if not eliminated:
             candidate = simplify(obligation)
         else:
             try:
-                candidate = eliminate_forall(eliminated, obligation)
+                candidate = eliminator.forall(eliminated)
             except ValueError:
                 continue
         for psi in _split_candidate(candidate):

@@ -678,7 +678,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_explore(args) -> int:
     from repro.explore import explore_benchmark
-    from repro.explore.genmon import fuzz_pipeline
+    from repro.fuzz.generate import fuzz_pipeline
     from repro.explore.parallel import parallel_explore_benchmark
 
     if args.replay is not None:

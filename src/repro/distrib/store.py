@@ -43,6 +43,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -143,7 +144,7 @@ class CampaignStore:
                 conn = sqlite3.connect(self.path, timeout=self.busy_timeout,
                                        isolation_level=None)
                 conn.row_factory = sqlite3.Row
-                conn.execute("PRAGMA journal_mode=WAL")
+                self._enable_wal(conn)
                 conn.execute("PRAGMA synchronous=NORMAL")
                 conn.execute(
                     f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
@@ -151,6 +152,33 @@ class CampaignStore:
             self._conn = conn
             self._owner = owner
         return self._conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Put the store in WAL mode, waiting out a concurrent opener.
+
+        Switching the journal mode needs an exclusive lock, and SQLite
+        reports ``database is locked`` at once, without consulting the busy
+        handler, while another process holds any lock on the file — e.g. a
+        helper process and the campaign opening a fresh store together.
+        The switch is retried with backoff for up to the busy timeout, and
+        skipped once the file is already in WAL mode (the mode persists).
+        """
+        deadline = time.monotonic() + self.busy_timeout
+        delay = 0.001
+        while True:
+            try:
+                if conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal":
+                    return
+                if conn.execute("PRAGMA journal_mode=WAL").fetchone()[0] == "wal":
+                    return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            if time.monotonic() >= deadline:
+                raise sqlite3.OperationalError(
+                    f"could not switch {self.path} to WAL mode")
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     def close(self) -> None:
         """Close this process's connection (reopens lazily on next use).

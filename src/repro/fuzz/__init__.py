@@ -7,8 +7,8 @@ corpus of *interesting* monitors, mutates them structurally, and feeds the
 coverage every exploration run produces back into the next round of mutation —
 the AFL/libFuzzer loop instantiated over signal-placement inputs:
 
-* :mod:`repro.fuzz.generate` — the seeded monitor generators (migrated from
-  ``explore/genmon.py``) with per-entry derived seeds;
+* :mod:`repro.fuzz.generate` — the seeded monitor generators with per-entry
+  derived seeds;
 * :mod:`repro.fuzz.mutate`   — named, seeded structural mutation and
   crossover operators on monitor ASTs;
 * :mod:`repro.fuzz.coverage` — the multi-axis coverage map (scheduler-state

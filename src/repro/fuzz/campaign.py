@@ -356,6 +356,19 @@ def _entry_job(entry: CorpusEntry, config: FuzzConfig) -> dict:
 def run_campaign(config: FuzzConfig,
                  store: Optional[CorpusStore] = None) -> FuzzCampaignResult:
     """Run one deterministic coverage-guided campaign invocation."""
+    global _WORKER_PIPELINE
+    try:
+        return _run_campaign(config, store)
+    finally:
+        # Candidates evaluated in this process (``workers=1``, or this
+        # process's own share of a work queue) filled the worker pipeline's
+        # formula cache; release it with the campaign instead of pinning it
+        # for the life of the process.  Pool workers exit with theirs.
+        _WORKER_PIPELINE = None
+
+
+def _run_campaign(config: FuzzConfig,
+                  store: Optional[CorpusStore]) -> FuzzCampaignResult:
     if config.trace and not obs.tracer().enabled:
         # Open the flight recorder once and re-enter: the driver's own spans
         # and power-schedule counters land in this session, each candidate's

@@ -1,7 +1,7 @@
 """Seeded monitor generation: the corpus bootstrap and the random baseline.
 
-Migrated from ``explore/genmon.py`` (which keeps a thin shim) and reworked in
-two ways the fuzzing campaign depends on:
+The generators started as the exploration engine's random-monitor fuzzer and
+were reworked in two ways the fuzzing campaign depends on:
 
 * **independent derived seeds** — every corpus entry draws from its own RNG
   seeded by ``derive_seed(campaign_seed, index)`` (a stable blake2b digest,

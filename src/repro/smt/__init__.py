@@ -25,7 +25,12 @@ Architecture (classic lazy DPLL(T)):
 """
 
 from repro.smt.solver import Solver, SatResult, SatStatus, check_valid, check_sat, get_model
-from repro.smt.qe import eliminate_exists, eliminate_forall, QuantifierEliminationError
+from repro.smt.qe import (
+    QuantifierEliminationError,
+    QuantifierEliminator,
+    eliminate_exists,
+    eliminate_forall,
+)
 
 __all__ = [
     "Solver",
@@ -37,4 +42,5 @@ __all__ = [
     "eliminate_exists",
     "eliminate_forall",
     "QuantifierEliminationError",
+    "QuantifierEliminator",
 ]

@@ -5,6 +5,34 @@ existential quantifiers over integers by Fourier–Motzkin elimination on the
 DNF of the body.  Universal quantification is handled by duality
 (``∀x.φ = ¬∃x.¬φ``).
 
+Integer steps run in constraint space.  The body is preprocessed
+(:func:`repro.smt.preprocess.preprocess`) and converted to DNF once; a cube
+is then a tuple of literals, each either a :class:`Constraint` (a canonical
+``t <= 0`` atom) or a boolean literal (``b`` or ``!b``).  Each integer
+variable is eliminated from every cube directly on the constraints'
+:class:`LinExpr`, and between steps the cube list gets exactly the clean-up
+that rebuilding the disjunction, simplifying it and converting it back to
+DNF would apply: duplicate literals and cubes are dropped, a cube holding a
+false constraint or both ``b`` and ``!b`` is dropped, and an empty cube or
+two complementary single-literal cubes make the result ``true``.  Formulas
+are built only for a boolean step, which substitutes into a formula, and
+for the result.  Fourier–Motzkin never adds cubes, so the 4096-cube DNF
+budget (a :class:`ValueError` beyond it) binds only where a formula is
+converted: the body, and the result of a boolean step.
+
+**Output identity.**  The results are ``==`` to — and the errors of the same
+class as — those of the step-by-step formulation that rebuilds the formula
+after every variable and preprocesses and converts it again for the next
+one.  ``tests/test_qe_reference.py`` keeps that formulation as the
+reference and checks the two against each other on every elimination the
+abduction engine makes for several suite monitors and on generated mixed
+boolean/integer formulas.
+
+:class:`QuantifierEliminator` eliminates several variable sets from one
+formula and converts each formula it meets — the body, and the result of a
+boolean step shared by several variable sets — to DNF at most once for all
+of them; abduction uses one per obligation to try up to 16 variable subsets.
+
 Fourier–Motzkin over the integers is exact whenever the eliminated variable
 appears with coefficient ±1 in every constraint (the only case the monitor
 analyses produce, since guards and updates use unit coefficients).  When a
@@ -17,16 +45,23 @@ to raise instead.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
 from repro.logic.nnf import to_dnf_clauses
 from repro.logic.simplify import simplify
 from repro.logic.substitute import substitute
-from repro.logic.terms import BOOL, BoolConst, Expr, INT, Not, Var
+from repro.logic.terms import BOOL, And, BoolConst, Expr, IntConst, Le, Not, Or, Var
 from repro.smt.linear import Constraint, LinExpr
 from repro.smt.preprocess import atom_constraint, preprocess
+
+#: A cube literal: a canonical arithmetic atom as its constraint, or a
+#: boolean variable, possibly negated.
+Literal = Union[Constraint, Expr]
+Cube = Tuple[Literal, ...]
+#: A partial result: a formula, or a non-empty disjunction of non-empty cubes.
+State = Union[Expr, List[Cube]]
 
 
 class QuantifierEliminationError(ValueError):
@@ -35,20 +70,71 @@ class QuantifierEliminationError(ValueError):
 
 def eliminate_exists(variables: Sequence[Var], formula: Expr, *, strict: bool = False) -> Expr:
     """Compute a quantifier-free equivalent of ``exists variables. formula``."""
-    result = formula
-    for var in variables:
-        if var.var_sort is BOOL:
-            result = _eliminate_bool_exists(var, result)
-        else:
-            result = _eliminate_int_exists(var, result, strict=strict)
-    return simplify(result)
+    return QuantifierEliminator(formula, strict=strict).exists(variables)
 
 
 def eliminate_forall(variables: Sequence[Var], formula: Expr, *, strict: bool = False) -> Expr:
     """Compute a quantifier-free equivalent of ``forall variables. formula``."""
-    negated = build.lnot(formula)
-    eliminated = eliminate_exists(variables, negated, strict=strict)
-    return simplify(build.lnot(eliminated))
+    return QuantifierEliminator(formula, strict=strict).forall(variables)
+
+
+class QuantifierEliminator:
+    """Eliminates different variable sets from one formula.
+
+    The formula (for :meth:`exists`) or its negation (for :meth:`forall`)
+    and every formula a boolean step yields are converted to DNF at most
+    once; later calls reuse the cubes, or re-raise the conversion's
+    :class:`ValueError`.  The conversions live as long as the eliminator.
+    """
+
+    def __init__(self, formula: Expr, *, strict: bool = False) -> None:
+        self.formula = formula
+        self.strict = strict
+        self._negated: Optional[Expr] = None
+        self._converted: Dict[Expr, Union[State, ValueError]] = {}
+
+    def exists(self, variables: Sequence[Var]) -> Expr:
+        """A quantifier-free equivalent of ``exists variables. formula``."""
+        return self._exists(variables, self.formula)
+
+    def forall(self, variables: Sequence[Var]) -> Expr:
+        """A quantifier-free equivalent of ``forall variables. formula``."""
+        if self._negated is None:
+            self._negated = build.lnot(self.formula)
+        return simplify(build.lnot(self._exists(variables, self._negated)))
+
+    def _exists(self, variables: Sequence[Var], body: Expr) -> Expr:
+        state: State = body
+        for var in variables:
+            if var.var_sort is BOOL:
+                state = _eliminate_bool_exists(var, _formula(state))
+                continue
+            # A variable that does not occur leaves the result as it is,
+            # unsimplified and in its current literal order.
+            if isinstance(state, Expr):
+                if var not in free_vars(state):
+                    continue
+                cubes = self._convert(state)
+            else:
+                if not any(_mentions(cube, var.name) for cube in state):
+                    continue
+                cubes = _reconverted(state)
+            state = cubes if isinstance(cubes, Expr) else _project(
+                var.name, cubes, self.strict)
+        return simplify(_formula(state))
+
+    def _convert(self, formula: Expr) -> State:
+        converted = self._converted.get(formula)
+        if converted is None:
+            try:
+                converted = _convert(formula)
+            except ValueError as exc:
+                converted = exc
+            self._converted[formula] = converted
+        if isinstance(converted, ValueError):
+            # Drop the previous traceback: its frames hold the partial DNF.
+            raise converted.with_traceback(None)
+        return converted
 
 
 def _eliminate_bool_exists(var: Var, formula: Expr) -> Expr:
@@ -57,65 +143,143 @@ def _eliminate_bool_exists(var: Var, formula: Expr) -> Expr:
     return build.lor(simplify(true_case), simplify(false_case))
 
 
-def _eliminate_int_exists(var: Var, formula: Expr, *, strict: bool) -> Expr:
-    if var not in free_vars(formula):
-        return formula
+# ---------------------------------------------------------------------------
+# Formulas <-> cubes
+# ---------------------------------------------------------------------------
+
+
+def _convert(formula: Expr) -> State:
+    """Preprocess *formula* and convert it to cubes (or a constant)."""
     processed = preprocess(formula)
     if isinstance(processed, BoolConst):
         return processed
     cubes = to_dnf_clauses(processed)
-    eliminated_cubes: List[Expr] = []
+    # Cubes share their atoms; linearize each atom once.
+    literals: Dict[Expr, Literal] = {}
     for cube in cubes:
-        eliminated_cubes.append(_eliminate_from_cube(var, cube, strict=strict))
-    return build.lor(*eliminated_cubes)
+        for lit in cube:
+            if lit not in literals:
+                literals[lit] = _literal(lit)
+    return [tuple(literals[lit] for lit in cube) for cube in cubes]
 
 
-def _eliminate_from_cube(var: Var, cube: Tuple[Expr, ...], *, strict: bool) -> Expr:
-    """Fourier–Motzkin elimination of *var* from a conjunction of literals."""
-    constraints: List[Constraint] = []
-    other_literals: List[Expr] = []
-    for literal in cube:
-        if isinstance(literal, Not):
-            # After preprocessing only boolean variables appear negated.
-            other_literals.append(literal)
-            continue
-        constraint = atom_constraint(literal)
-        if constraint is None:
-            other_literals.append(literal)
-            continue
-        constraints.append(constraint)
+def _literal(literal: Expr) -> Literal:
+    if isinstance(literal, Not):
+        # After preprocessing only boolean variables appear negated.
+        return literal
+    constraint = atom_constraint(literal)
+    return literal if constraint is None else constraint
 
-    lowers: List[Tuple[int, LinExpr]] = []   # a*var >= rest  encoded as (a, rest)
-    uppers: List[Tuple[int, LinExpr]] = []   # a*var <= rest
-    unrelated: List[Constraint] = []
-    for constraint in constraints:
-        coef = constraint.expr.coefficient(var.name)
-        if coef == 0:
-            unrelated.append(constraint)
+
+def _formula(state: State) -> Expr:
+    """The formula ``build.lor`` of ``build.land``s would make of *state*."""
+    if isinstance(state, Expr):
+        return state
+    disjuncts = [_cube_formula(cube) for cube in state]
+    return disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
+
+
+def _cube_formula(cube: Cube) -> Expr:
+    literals = [Le(lit.expr.to_expr(), IntConst(0)) if isinstance(lit, Constraint) else lit
+                for lit in cube]
+    return literals[0] if len(literals) == 1 else And(tuple(literals))
+
+
+def _mentions(cube: Cube, name: str) -> bool:
+    return any(isinstance(lit, Constraint) and lit.expr.coefficient(name)
+               for lit in cube)
+
+
+def _reconverted(cubes: List[Cube]) -> State:
+    """What preprocessing the formula of *cubes* and converting it back yields.
+
+    The literals are already canonical, so of the preprocessing only
+    :func:`simplify` has an effect: it drops cubes holding both ``b`` and
+    ``!b``, and turns complementary single-literal cubes into ``true``.
+    """
+    survivors = [cube for cube in cubes if not _contradictory(cube)]
+    if not survivors:
+        return build.FALSE
+    units = {lit for cube in survivors if len(cube) == 1
+             for lit in cube if isinstance(lit, Expr)}
+    if any(build.lnot(unit) in units for unit in units):
+        return build.TRUE
+    return survivors
+
+
+def _contradictory(cube: Cube) -> bool:
+    booleans = {lit for lit in cube if isinstance(lit, Expr)}
+    return len(booleans) > 1 and any(build.lnot(lit) in booleans for lit in booleans)
+
+
+# ---------------------------------------------------------------------------
+# Fourier–Motzkin
+# ---------------------------------------------------------------------------
+
+
+def _project(name: str, cubes: Sequence[Cube], strict: bool) -> State:
+    """Eliminate the integer variable *name* from a disjunction of cubes."""
+    projected: Dict[Cube, None] = {}
+    true = False
+    for cube in cubes:
+        result = _project_cube(name, cube, strict)
+        if result is None:
             continue
-        rest = LinExpr.of(
-            {n: c for n, c in constraint.expr.coeffs if n != var.name},
-            constraint.expr.constant,
-        )
-        # constraint: coef*var + rest <= 0
-        if coef > 0:
-            # var <= -rest / coef
-            uppers.append((coef, rest.scale(-1)))
+        if result:
+            projected.setdefault(result)
         else:
-            # var >= rest / (-coef)
-            lowers.append((-coef, rest))
+            # Keep going: a later cube may still be inexact under ``strict``.
+            true = True
+    if true:
+        return build.TRUE
+    return list(projected) if projected else build.FALSE
+
+
+def _project_cube(name: str, cube: Cube, strict: bool) -> Optional[Cube]:
+    """Fourier–Motzkin elimination of *name* from one cube; None if false.
+
+    The result lists the constraints without *name*, then the boolean
+    literals, then the combination of every lower with every upper bound,
+    without duplicates.
+    """
+    unrelated: List[Literal] = []
+    booleans: List[Literal] = []
+    # A constraint a*var + rest <= 0 is a lower bound on var for a < 0 and
+    # an upper bound for a > 0; both are kept as (|a|, a*var + rest).
+    lowers: List[Tuple[int, LinExpr]] = []
+    uppers: List[Tuple[int, LinExpr]] = []
+    for literal in cube:
+        if not isinstance(literal, Constraint):
+            booleans.append(literal)
+            continue
+        coef = literal.expr.coefficient(name)
+        if coef == 0:
+            unrelated.append(literal)
+            continue
         if strict and abs(coef) != 1:
             raise QuantifierEliminationError(
-                f"non-unit coefficient {coef} for {var.name}; elimination would be inexact"
+                f"non-unit coefficient {coef} for {name}; elimination would be inexact"
             )
+        if coef > 0:
+            uppers.append((coef, literal.expr))
+        else:
+            lowers.append((-coef, literal.expr))
 
-    combined: List[Expr] = [c.to_formula() for c in unrelated]
-    combined.extend(other_literals)
-    for low_coef, low_rest in lowers:
-        for up_coef, up_rest in uppers:
-            # low_rest / low_coef <= var <= up_rest / up_coef
-            # ==> up_coef * low_rest <= low_coef * up_rest
-            lhs = low_rest.scale(up_coef)
-            rhs = up_rest.scale(low_coef)
-            combined.append(Constraint(lhs.sub(rhs)).to_formula())
-    return build.land(*combined) if combined else build.TRUE
+    combined: Dict[Literal, None] = dict.fromkeys(unrelated)
+    combined.update(dict.fromkeys(booleans))
+    for low_coef, low in lowers:
+        for up_coef, up in uppers:
+            # rest_low <= low_coef*var and up_coef*var <= -rest_up combine
+            # to up_coef*rest_low + low_coef*rest_up <= 0: the var terms of
+            # up_coef*low + low_coef*up cancel.
+            coeffs = {n: up_coef * c for n, c in low.coeffs if n != name}
+            for n, c in up.coeffs:
+                if n != name:
+                    coeffs[n] = coeffs.get(n, 0) + low_coef * c
+            bound = LinExpr.of(coeffs, up_coef * low.constant + low_coef * up.constant)
+            if bound.is_constant():
+                if bound.constant > 0:
+                    return None
+                continue
+            combined.setdefault(Constraint(bound))
+    return tuple(combined)

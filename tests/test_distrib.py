@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import pickle
 import sqlite3
+import threading
 import time
 from pathlib import Path
 
@@ -39,6 +40,10 @@ from repro.resilience import (
     JobFailure,
     injected,
 )
+
+
+#: The kill-and-resume sweeps rerun one small campaign dozens of times.
+pytestmark = pytest.mark.usefixtures("warm_worker_pipeline")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,40 @@ class TestCampaignStore:
             store.bind_campaign({"seed": 8})
         assert "different parameters" in str(err.value)
         store.close()
+
+    def test_concurrent_fresh_open(self, tmp_path):
+        """Openers that attach the moment a new store file appears race its
+        creator's switch to WAL mode, which SQLite refuses at once (no busy
+        handler) while any other connection holds a lock.  Every opener
+        must wait that out instead of failing with 'database is locked'."""
+        errors = []
+
+        def attach(path):
+            deadline = time.monotonic() + 30
+            while not path.exists():
+                if time.monotonic() > deadline:
+                    errors.append("the store file never appeared")
+                    return
+            try:
+                store = CampaignStore(path)
+                store.meta_get("campaign")
+                store.close()
+            except sqlite3.OperationalError as exc:
+                errors.append(str(exc))
+
+        for round_index in range(100):
+            path = tmp_path / f"s{round_index}.sqlite3"
+            openers = [threading.Thread(target=attach, args=(path,), daemon=True)
+                       for _ in range(3)]
+            for thread in openers:
+                thread.start()
+            creator = CampaignStore(path)
+            creator.bind_campaign({"seed": round_index})
+            creator.close()
+            for thread in openers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert errors == []
 
     def test_verify_flags_and_repair_drops_corrupt_rows(self, tmp_path):
         path = tmp_path / "s.sqlite3"

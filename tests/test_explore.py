@@ -24,7 +24,7 @@ from repro.explore import (
     replay_schedule,
     run_schedule,
 )
-from repro.explore.genmon import fuzz_pipeline, random_monitor
+from repro.fuzz.generate import fuzz_pipeline, random_monitor
 from repro.harness.saturation import expresso_result
 from repro.lang.ast import Skip
 from repro.placement.target import ExplicitCCR, ExplicitMethod

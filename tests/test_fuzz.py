@@ -295,6 +295,25 @@ class TestCampaign:
             assert (tmp_path / "a" / "entries" / name).read_bytes() \
                 == (tmp_path / "c" / "entries" / name).read_bytes()
 
+    def test_campaign_releases_the_in_process_worker_pipeline(self, tmp_path):
+        """Candidates evaluated in the campaign process must not pin their
+        pipeline's formula cache past the campaign; a second cold campaign
+        in the same process reproduces the first exactly."""
+        import repro.fuzz.campaign as campaign_module
+        from repro.distrib import DistribConfig
+
+        records = []
+        for name in ("first", "second"):
+            config = dataclasses.replace(_SMALL_CONFIG, distrib=DistribConfig(
+                store_path=str(tmp_path / f"{name}.sqlite3")))
+            result = run_campaign(config, CorpusStore(str(tmp_path / name)))
+            assert campaign_module._WORKER_PIPELINE is None
+            assert result.monitors > 0 and result.distrib is not None
+            record = result.to_dict()
+            record.pop("distrib")
+            records.append(record)
+        assert records[0] == records[1]
+
     def test_campaign_resumes_from_a_persisted_corpus(self, tmp_path):
         store = CorpusStore(str(tmp_path))
         first = run_campaign(_SMALL_CONFIG, store)

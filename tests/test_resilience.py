@@ -46,6 +46,9 @@ from repro.smt.cache import FormulaCache
 x = v("x")
 y = v("y")
 
+#: The kill-and-resume sweeps rerun one small campaign dozens of times.
+pytestmark = pytest.mark.usefixtures("warm_worker_pipeline")
+
 
 # ---------------------------------------------------------------------------
 # FaultPlan semantics
