@@ -21,6 +21,9 @@ abducer:
   eliminator lives for one :func:`abduce` call, and its results are
   identical to eliminating each subset on its own (``tests/test_qe_reference.py``);
 * candidates are simplified and validated against conditions (1) and (2);
+  the eliminator and every simplification rewrite through the solver's
+  preprocessing memo (:meth:`repro.smt.solver.Solver.rewrite_memo`), which
+  the validity queries on ``pre`` share;
 * each surviving candidate is additionally *generalized* into atomic
   half-space predicates (e.g. a disequality ``x != -1`` contributes ``x >= 0``
   and ``x <= -2``), because monitor invariants are usually inequalities; the
@@ -38,7 +41,8 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
-from repro.logic.nnf import atoms_of
+from repro.logic.memo import RewriteMemo
+from repro.logic.nnf import atoms_of, ordered_atoms
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, INT, Le, Lt, Ne, Not, Var
 from repro.smt.linear import linearize
@@ -72,6 +76,7 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
     while Algorithm 2 still filters the resulting candidates for soundness.
     """
     solver = solver or Solver()
+    memo = solver.rewrite_memo()
     obligation = build.implies(pre, goal)
     variables = sorted(free_vars(obligation), key=lambda var: var.name)
     candidates: List[Expr] = []
@@ -84,24 +89,24 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
         subsets: List[Tuple[Var, ...]] = []
     else:
         subsets = _variable_subsets(variables, max_kept_vars)[:max_subsets]
-    eliminator = QuantifierEliminator(obligation)
+    eliminator = QuantifierEliminator(obligation, memo=memo)
     for kept in subsets:
         eliminated = [var for var in variables if var not in kept]
         if not eliminated:
-            candidate = simplify(obligation)
+            candidate = simplify(obligation, memo)
         else:
             try:
                 candidate = eliminator.forall(eliminated)
             except ValueError:
                 continue
-        for psi in _split_candidate(candidate):
+        for psi in _split_candidate(candidate, memo):
             if _is_useful(psi, pre, goal, solver) and psi not in candidates:
                 candidates.append(psi)
         if len(candidates) >= max_candidates:
             break
 
     if len(atoms_of(obligation)) <= max_obligation_atoms:
-        for generalized in _generalize_atoms(candidates + [goal]):
+        for generalized in _generalize_atoms(candidates + [goal], memo):
             if len(candidates) >= max_candidates:
                 break
             if generalized not in candidates and _is_useful(generalized, pre, goal, solver):
@@ -126,9 +131,9 @@ def _variable_subsets(variables: Sequence[Var], max_kept_vars: int):
     return subsets
 
 
-def _split_candidate(candidate: Expr) -> List[Expr]:
+def _split_candidate(candidate: Expr, memo: RewriteMemo) -> List[Expr]:
     """Split a conjunction into conjuncts; drop trivial pieces."""
-    candidate = simplify(candidate)
+    candidate = simplify(candidate, memo)
     if isinstance(candidate, BoolConst):
         return []
     parts = list(build.conjuncts(candidate))
@@ -147,7 +152,7 @@ def _is_useful(psi: Expr, pre: Expr, goal: Expr, solver: Solver) -> bool:
     return solver.check_valid(build.implies(build.land(pre, psi), goal))
 
 
-def _generalize_atoms(sources: Sequence[Expr]) -> List[Expr]:
+def _generalize_atoms(sources: Sequence[Expr], memo: RewriteMemo) -> List[Expr]:
     """Mine inequality generalizations from the atoms of candidate formulas.
 
     A disequality ``t != c`` over the integers splits the line into the two
@@ -160,12 +165,14 @@ def _generalize_atoms(sources: Sequence[Expr]) -> List[Expr]:
     generalizations: List[Expr] = []
 
     def emit(expr: Expr) -> None:
-        expr = simplify(expr)
+        expr = simplify(expr, memo)
         if not isinstance(expr, BoolConst) and expr not in generalizations:
             generalizations.append(expr)
 
     for source in sources:
-        for atom in atoms_of(source):
+        # First-occurrence order: the candidate order, and so the inferred
+        # invariant's conjunct order, must not follow the hash seed.
+        for atom in ordered_atoms(source):
             if not isinstance(atom, (Eq, Ne, Le, Lt, Ge, Gt)):
                 continue
             try:

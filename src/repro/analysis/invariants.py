@@ -57,12 +57,13 @@ def infer_monitor_invariant(monitor: Monitor, triples: Sequence[HoareTriple],
     and by the ``unsigned`` field hints, which are added automatically here).
     """
     solver = solver or Solver()
+    memo = solver.rewrite_memo()
     shared_names = frozenset(monitor.field_names())
 
     pool: List[Expr] = []
 
     def add_candidate(candidate: Expr) -> None:
-        candidate = simplify(candidate)
+        candidate = simplify(candidate, memo)
         if isinstance(candidate, BoolConst):
             return
         if any(var.name not in shared_names for var in free_vars(candidate)):
@@ -127,5 +128,5 @@ def infer_monitor_invariant(monitor: Monitor, triples: Sequence[HoareTriple],
                 changed = True
         kept = surviving
 
-    invariant = simplify(build.land(*kept)) if kept else build.TRUE
+    invariant = simplify(build.land(*kept), memo) if kept else build.TRUE
     return InvariantInferenceResult(invariant, tuple(kept), tuple(pool), iterations)

@@ -27,30 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.logic import build
-from repro.logic.terms import (
-    Add,
-    And,
-    BoolConst,
-    Eq,
-    Expr,
-    Ge,
-    Gt,
-    Iff,
-    Implies,
-    INT,
-    IntConst,
-    Ite,
-    Le,
-    Lt,
-    Mul,
-    Ne,
-    Neg,
-    Not,
-    Or,
-    Sort,
-    Sub,
-    Var,
-)
+from repro.logic.terms import BoolConst, Expr, INT, IntConst, Sort, Var, rebuild
 from repro.lang.ast import (
     ArrayAssign,
     Assign,
@@ -132,7 +109,7 @@ def _scalarize_expr(expr: Expr, sizes: Dict[str, Tuple[int, Sort, Expr]]) -> Exp
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
     children = tuple(_scalarize_expr(child, sizes) for child in expr.children())
-    return _rebuild_expr(expr, children)
+    return rebuild(expr, children)
 
 
 def _scalarize_stmt(stmt: Stmt, sizes: Dict[str, Tuple[int, Sort, Expr]]) -> Stmt:
@@ -169,17 +146,3 @@ def _scalarize_stmt(stmt: Stmt, sizes: Dict[str, Tuple[int, Sort, Expr]]) -> Stm
         return While(_scalarize_expr(stmt.cond, sizes),
                      _scalarize_stmt(stmt.body, sizes), invariant)
     raise TypeError(f"cannot scalarize statement {type(stmt).__name__}")
-
-
-def _rebuild_expr(expr: Expr, children: Tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, (Add, And, Or)):
-        return type(expr)(tuple(children))
-    if isinstance(expr, (Sub, Mul, Eq, Ne, Lt, Le, Gt, Ge, Iff)):
-        return type(expr)(children[0], children[1])
-    if isinstance(expr, Implies):
-        return Implies(children[0], children[1])
-    if isinstance(expr, (Neg, Not)):
-        return type(expr)(children[0])
-    if isinstance(expr, Ite):
-        return Ite(children[0], children[1], children[2])
-    raise TypeError(f"cannot rebuild node {type(expr).__name__}")

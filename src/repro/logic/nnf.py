@@ -7,97 +7,114 @@ candidate predicates from clauses of the weakest precondition).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.logic import build
+from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
     And,
     BoolConst,
-    Eq,
     Exists,
     Expr,
     Forall,
-    Ge,
-    Gt,
     Iff,
     Implies,
     IntConst,
     Ite,
-    Le,
-    Lt,
-    Ne,
     Not,
     Or,
     Var,
     is_atom,
+    rebuild,
 )
 
 
-def eliminate_bool_ite(expr: Expr) -> Expr:
+def eliminate_bool_ite(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     """Rewrite boolean-sorted ``Ite`` nodes into pure boolean structure.
 
     Integer-sorted ``Ite`` nodes are left alone; they are handled by the
     solver's linearizer through case splitting.
     """
-    if isinstance(expr, Ite) and expr.then.sort.name == "BOOL":
-        cond = eliminate_bool_ite(expr.cond)
-        then = eliminate_bool_ite(expr.then)
-        orelse = eliminate_bool_ite(expr.orelse)
-        return build.lor(build.land(cond, then), build.land(build.lnot(cond), orelse))
+    return _eliminate_bool_ite(expr, memo.bool_ite if memo is not None else {})
+
+
+def _eliminate_bool_ite(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
-    children = tuple(eliminate_bool_ite(child) for child in expr.children())
-    return _rebuild(expr, children)
+    result = table.get(expr)
+    if result is None:
+        children = tuple(_eliminate_bool_ite(child, table) for child in expr.children())
+        if isinstance(expr, Ite) and expr.then.sort.name == "BOOL":
+            cond, then, orelse = children
+            result = build.lor(build.land(cond, then), build.land(build.lnot(cond), orelse))
+        else:
+            result = rebuild(expr, children)
+        table[expr] = result
+    return result
 
 
-def to_nnf(expr: Expr) -> Expr:
+def to_nnf(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     """Convert *expr* to negation normal form.
 
     Implications and bi-implications are expanded, and negations are pushed
     down to atoms (comparisons get flipped; boolean variables keep a ``Not``
     wrapper).  Quantifiers are preserved with dualization under negation.
+    Both steps are memoized per node in *memo*; without one, in tables that
+    live for this call.
     """
-    return _nnf(eliminate_bool_ite(expr), positive=True)
+    if memo is None:
+        memo = RewriteMemo()
+    return _nnf(eliminate_bool_ite(expr, memo), True, memo.nnf)
 
 
-def _nnf(expr: Expr, positive: bool) -> Expr:
+def _nnf(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
     if isinstance(expr, BoolConst):
         return BoolConst(expr.value if positive else not expr.value)
     if is_atom(expr):
         return expr if positive else build.lnot(expr)
+    key = (expr, positive)
+    result = table.get(key)
+    if result is None:
+        result = table[key] = _nnf_node(expr, positive, table)
+    return result
+
+
+def _nnf_node(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
     if isinstance(expr, Not):
-        return _nnf(expr.operand, not positive)
+        return _nnf(expr.operand, not positive, table)
     if isinstance(expr, And):
-        parts = [_nnf(arg, positive) for arg in expr.args]
+        parts = [_nnf(arg, positive, table) for arg in expr.args]
         return build.land(*parts) if positive else build.lor(*parts)
     if isinstance(expr, Or):
-        parts = [_nnf(arg, positive) for arg in expr.args]
+        parts = [_nnf(arg, positive, table) for arg in expr.args]
         return build.lor(*parts) if positive else build.land(*parts)
     if isinstance(expr, Implies):
-        return _nnf(build.lor(build.lnot(expr.antecedent), expr.consequent), positive)
+        return _nnf(build.lor(build.lnot(expr.antecedent), expr.consequent), positive, table)
     if isinstance(expr, Iff):
         expanded = build.lor(
             build.land(expr.left, expr.right),
             build.land(build.lnot(expr.left), build.lnot(expr.right)),
         )
-        return _nnf(expanded, positive)
+        return _nnf(expanded, positive, table)
     if isinstance(expr, Forall):
-        body = _nnf(expr.body, positive)
+        body = _nnf(expr.body, positive, table)
         return build.forall(expr.bound, body) if positive else build.exists(expr.bound, body)
     if isinstance(expr, Exists):
-        body = _nnf(expr.body, positive)
+        body = _nnf(expr.body, positive, table)
         return build.exists(expr.bound, body) if positive else build.forall(expr.bound, body)
     raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
 
 
-def to_dnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
+def to_dnf_clauses(expr: Expr, max_clauses: int = 4096,
+                   memo: Optional[RewriteMemo] = None) -> List[Tuple[Expr, ...]]:
     """Return the DNF of *expr* as a list of literal tuples (cubes).
 
     The input must be quantifier free.  A :class:`ValueError` is raised when
     the expansion would exceed *max_clauses* cubes, protecting the abduction
-    engine from exponential blow-up on pathological inputs.
+    engine from exponential blow-up on pathological inputs.  The NNF
+    conversion uses *memo* (see :func:`to_nnf`).
     """
-    nnf = to_nnf(expr)
+    nnf = to_nnf(expr, memo)
     cubes = _dnf(nnf, max_clauses)
     return [tuple(cube) for cube in cubes]
 
@@ -138,16 +155,25 @@ def to_cnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]
 
 def atoms_of(expr: Expr) -> FrozenSet[Expr]:
     """Collect the theory atoms / boolean variables occurring in *expr*."""
-    atoms: set[Expr] = set()
+    return frozenset(ordered_atoms(expr))
+
+
+def ordered_atoms(expr: Expr) -> List[Expr]:
+    """The atoms of :func:`atoms_of`, in order of first occurrence.
+
+    Unlike iterating the frozenset, this order does not depend on the
+    process's string hash seed.
+    """
+    atoms: Dict[Expr, None] = {}
     _atoms(expr, atoms)
-    return frozenset(atoms)
+    return list(atoms)
 
 
-def _atoms(expr: Expr, out: set[Expr]) -> None:
+def _atoms(expr: Expr, out: Dict[Expr, None]) -> None:
     if isinstance(expr, BoolConst):
         return
     if is_atom(expr):
-        out.add(expr)
+        out[expr] = None
         return
     for child in expr.children():
         _atoms(child, out)
@@ -164,10 +190,3 @@ def literal_polarity(literal: Expr) -> bool:
     """True for a positive literal, False for a negated one."""
     return not isinstance(literal, Not)
 
-
-def _rebuild(expr: Expr, children) -> Expr:
-    from repro.logic.substitute import _rebuild as rebuild_impl
-
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, children[0])
-    return rebuild_impl(expr, children)

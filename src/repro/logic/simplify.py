@@ -16,7 +16,10 @@ equivalence and is safe to call anywhere.
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 from repro.logic import build
+from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
     Add,
     And,
@@ -43,71 +46,55 @@ from repro.logic.terms import (
 )
 
 
-def simplify(expr: Expr) -> Expr:
-    """Return an equivalent, usually smaller, expression."""
-    return _simplify(expr)
+#: The smart constructor that re-applies to each node kind's simplified
+#: children (conjunctions, disjunctions and quantifiers are handled apart).
+_BUILDERS = {
+    Add: build.add, Sub: build.sub, Neg: build.neg, Mul: build.mul, Ite: build.ite,
+    Eq: build.eq, Ne: build.ne, Lt: build.lt, Le: build.le, Gt: build.gt, Ge: build.ge,
+    Not: build.lnot, Implies: build.implies, Iff: build.iff,
+}
 
 
-def _simplify(expr: Expr) -> Expr:
+def simplify(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
+    """Return an equivalent, usually smaller, expression.
+
+    Results are memoized per node in *memo* (see :mod:`repro.logic.memo`);
+    without one, in a table that lives for this call.
+    """
+    return _simplify(expr, memo.simplify if memo is not None else {})
+
+
+def _simplify(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
-    if isinstance(expr, Add):
-        return build.add(*[_simplify(arg) for arg in expr.args])
-    if isinstance(expr, Sub):
-        return build.sub(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Neg):
-        return build.neg(_simplify(expr.operand))
-    if isinstance(expr, Mul):
-        return build.mul(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ite):
-        return build.ite(_simplify(expr.cond), _simplify(expr.then), _simplify(expr.orelse))
-    if isinstance(expr, Eq):
-        return build.eq(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ne):
-        return build.ne(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Lt):
-        return build.lt(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Le):
-        return build.le(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Gt):
-        return build.gt(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ge):
-        return build.ge(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Not):
-        return build.lnot(_simplify(expr.operand))
+    result = table.get(expr)
+    if result is None:
+        result = table[expr] = _simplify_node(expr, table)
+    return result
+
+
+def _simplify_node(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
+    children = [_simplify(child, table) for child in expr.children()]
+    builder = _BUILDERS.get(type(expr))
+    if builder is not None:
+        return builder(*children)
     if isinstance(expr, And):
-        return _simplify_and(expr)
+        # p & !p -> false
+        return _complementary(build.land(*children), And, build.FALSE)
     if isinstance(expr, Or):
-        return _simplify_or(expr)
-    if isinstance(expr, Implies):
-        return build.implies(_simplify(expr.antecedent), _simplify(expr.consequent))
-    if isinstance(expr, Iff):
-        return build.iff(_simplify(expr.left), _simplify(expr.right))
+        return _complementary(build.lor(*children), Or, build.TRUE)
     if isinstance(expr, Forall):
-        return build.forall(expr.bound, _simplify(expr.body))
+        return build.forall(expr.bound, children[0])
     if isinstance(expr, Exists):
-        return build.exists(expr.bound, _simplify(expr.body))
+        return build.exists(expr.bound, children[0])
     raise TypeError(f"cannot simplify node {type(expr).__name__}")
 
 
-def _simplify_and(expr: And) -> Expr:
-    simplified = build.land(*[_simplify(arg) for arg in expr.args])
-    if not isinstance(simplified, And):
-        return simplified
-    # drop conjuncts whose negation is also present -> false, and detect p & !p
-    literals = set(simplified.args)
-    for lit in simplified.args:
-        if build.lnot(lit) in literals:
-            return build.FALSE
-    return simplified
-
-
-def _simplify_or(expr: Or) -> Expr:
-    simplified = build.lor(*[_simplify(arg) for arg in expr.args])
-    if not isinstance(simplified, Or):
-        return simplified
-    literals = set(simplified.args)
-    for lit in simplified.args:
-        if build.lnot(lit) in literals:
-            return build.TRUE
-    return simplified
+def _complementary(junction: Expr, kind: type, absorbing: Expr) -> Expr:
+    """*absorbing* if the *kind* node *junction* holds a literal and its
+    negation, else *junction*."""
+    if isinstance(junction, kind):
+        literals = set(junction.args)
+        if any(build.lnot(lit) in literals for lit in junction.args):
+            return absorbing
+    return junction

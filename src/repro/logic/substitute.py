@@ -6,30 +6,7 @@ import itertools
 from typing import Dict, Mapping
 
 from repro.logic.free_vars import free_vars
-from repro.logic.terms import (
-    Add,
-    And,
-    BoolConst,
-    Eq,
-    Exists,
-    Expr,
-    Forall,
-    Ge,
-    Gt,
-    Iff,
-    Implies,
-    IntConst,
-    Ite,
-    Le,
-    Lt,
-    Mul,
-    Ne,
-    Neg,
-    Not,
-    Or,
-    Sub,
-    Var,
-)
+from repro.logic.terms import BoolConst, Exists, Expr, Forall, IntConst, Var, rebuild
 
 
 def substitute(expr: Expr, mapping: Mapping[Var, Expr]) -> Expr:
@@ -71,7 +48,7 @@ def _subst(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
         return expr
     if isinstance(expr, (Forall, Exists)):
         return _subst_quantifier(expr, mapping)
-    return _rebuild(expr, tuple(_subst(child, mapping) for child in expr.children()))
+    return rebuild(expr, tuple(_subst(child, mapping) for child in expr.children()))
 
 
 def _subst_quantifier(expr, mapping: Dict[Var, Expr]) -> Expr:
@@ -93,18 +70,3 @@ def _subst_quantifier(expr, mapping: Dict[Var, Expr]) -> Expr:
     body = _subst(body, live)
     cls = type(expr)
     return cls(tuple(bound), body)
-
-
-def _rebuild(expr: Expr, new_children) -> Expr:
-    """Reconstruct *expr* with *new_children* in place of its children."""
-    if isinstance(expr, (Add, And, Or)):
-        return type(expr)(tuple(new_children))
-    if isinstance(expr, (Sub, Mul, Eq, Ne, Lt, Le, Gt, Ge, Iff)):
-        return type(expr)(new_children[0], new_children[1])
-    if isinstance(expr, Implies):
-        return Implies(new_children[0], new_children[1])
-    if isinstance(expr, (Neg, Not)):
-        return type(expr)(new_children[0])
-    if isinstance(expr, Ite):
-        return Ite(new_children[0], new_children[1], new_children[2])
-    raise TypeError(f"cannot rebuild node {type(expr).__name__}")

@@ -338,6 +338,22 @@ def is_atom(expr: Expr) -> bool:
     return False
 
 
+def rebuild(expr: Expr, children: Tuple[Expr, ...]) -> Expr:
+    """Reconstruct the inner node *expr* with *children* in place of its
+    ``children()``; a quantifier keeps its binders."""
+    if isinstance(expr, (Add, And, Or)):
+        return type(expr)(tuple(children))
+    if isinstance(expr, (Sub, Mul, _Comparison, Implies, Iff)):
+        return type(expr)(children[0], children[1])
+    if isinstance(expr, (Neg, Not)):
+        return type(expr)(children[0])
+    if isinstance(expr, Ite):
+        return Ite(children[0], children[1], children[2])
+    if isinstance(expr, (Forall, Exists)):
+        return type(expr)(expr.bound, children[0])
+    raise TypeError(f"cannot rebuild node {type(expr).__name__}")
+
+
 def walk(expr: Expr):
     """Yield *expr* and every sub-expression in pre-order."""
     stack = [expr]
@@ -345,9 +361,6 @@ def walk(expr: Expr):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
-        if isinstance(node, (Forall, Exists)):
-            # children() already yields the body; bound vars are not traversed.
-            pass
 
 
 def expr_size(expr: Expr) -> int:

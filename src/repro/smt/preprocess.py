@@ -13,41 +13,48 @@ This module rewrites arbitrary input formulas into that shape:
 * every comparison is normalized into non-strict ``<= 0`` constraints, which
   is exact for integers (``a < b`` becomes ``a - b + 1 <= 0``, ``a != b``
   becomes a disjunction of two strict sides).
+
+**Memoization.**  Every pass — :func:`~repro.logic.simplify.simplify`,
+:func:`rewrite_bool_equalities`, :func:`lift_int_ite`, the boolean-``ite``
+elimination and NNF of :func:`~repro.logic.nnf.to_nnf`, and
+:func:`normalize_atoms` — is a pure, bottom-up function of its input node,
+and records its result per node in a :class:`~repro.logic.memo.RewriteMemo`
+(one table per pass; NNF keyed by ``(node, polarity)``).  Keys compare by
+structural equality, so a memo hit is exactly the result the pass would
+compute: the output is identical with or without a memo, warm or cold.  The
+pipeline's queries overlap almost entirely (abduction asks ``pre && psi``
+and ``pre && psi ==> goal`` with one ``pre`` for every candidate), so a
+memo that outlives one query rewrites each shared subformula once.
+
+The memo's owner is the :class:`~repro.smt.solver.Solver`, which keeps one
+for its lifetime and clears it at a cap (see that module); abduction hands
+the same memo to its quantifier eliminator.  Called without a memo, the
+passes use a fresh one for that call.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional
 
 from repro.logic import build
+from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import to_nnf
 from repro.logic.simplify import simplify
 from repro.logic.terms import (
-    Add,
-    And,
     BOOL,
     BoolConst,
     Eq,
-    Exists,
     Expr,
-    Forall,
     Ge,
     Gt,
-    Iff,
-    Implies,
     INT,
     IntConst,
     Ite,
     Le,
     Lt,
-    Mul,
     Ne,
-    Neg,
-    Not,
-    Or,
-    Sub,
     Var,
-    is_atom,
+    rebuild,
     sort_of,
 )
 from repro.smt.linear import Constraint, LinExpr, linearize
@@ -55,38 +62,56 @@ from repro.smt.linear import Constraint, LinExpr, linearize
 _COMPARISONS = (Eq, Ne, Lt, Le, Gt, Ge)
 
 
-def rewrite_bool_equalities(expr: Expr) -> Expr:
+def rewrite_bool_equalities(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     """Rewrite ``Eq``/``Ne`` whose operands are boolean into ``Iff`` structure."""
+    return _rewrite_bool_equalities(expr, memo.bool_equalities if memo is not None else {})
+
+
+def _rewrite_bool_equalities(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
-    children = tuple(rewrite_bool_equalities(child) for child in expr.children())
-    if isinstance(expr, (Eq, Ne)) and sort_of(children[0]) is BOOL:
-        equiv = build.iff(children[0], children[1])
-        return equiv if isinstance(expr, Eq) else build.lnot(equiv)
-    return _rebuild(expr, children)
+    result = table.get(expr)
+    if result is None:
+        children = tuple(_rewrite_bool_equalities(child, table) for child in expr.children())
+        if isinstance(expr, (Eq, Ne)) and sort_of(children[0]) is BOOL:
+            equiv = build.iff(children[0], children[1])
+            result = equiv if isinstance(expr, Eq) else build.lnot(equiv)
+        else:
+            result = rebuild(expr, children)
+        table[expr] = result
+    return result
 
 
-def lift_int_ite(expr: Expr) -> Expr:
+def lift_int_ite(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     """Lift integer-sorted ``ite`` terms occurring inside atoms to case splits."""
+    return _lift_int_ite(expr, memo.int_ite if memo is not None else {})
+
+
+def _lift_int_ite(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
+    result = table.get(expr)
+    if result is None:
+        result = table[expr] = _lift_node(expr, table)
+    return result
+
+
+def _lift_node(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     if isinstance(expr, _COMPARISONS):
         found = _find_int_ite(expr)
         if found is None:
             return expr
-        cond, then, orelse = found.cond, found.then, found.orelse
-        then_atom = _replace_node(expr, found, then)
-        else_atom = _replace_node(expr, found, orelse)
-        return lift_int_ite(
+        cond = _lift_int_ite(found.cond, table)
+        then_atom = _replace_node(expr, found, found.then)
+        else_atom = _replace_node(expr, found, found.orelse)
+        return _lift_int_ite(
             build.lor(
-                build.land(lift_int_ite(cond), then_atom),
-                build.land(build.lnot(lift_int_ite(cond)), else_atom),
-            )
+                build.land(cond, then_atom),
+                build.land(build.lnot(cond), else_atom),
+            ),
+            table,
         )
-    children = tuple(lift_int_ite(child) for child in expr.children())
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, children[0])
-    return _rebuild(expr, children)
+    return rebuild(expr, tuple(_lift_int_ite(child, table) for child in expr.children()))
 
 
 def _find_int_ite(expr: Expr) -> Optional[Ite]:
@@ -104,29 +129,32 @@ def _replace_node(expr: Expr, target: Expr, replacement: Expr) -> Expr:
         return replacement
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
-    children = tuple(_replace_node(child, target, replacement) for child in expr.children())
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, children[0])
-    return _rebuild(expr, children)
+    return rebuild(expr, tuple(_replace_node(child, target, replacement)
+                               for child in expr.children()))
 
 
-def normalize_atoms(expr: Expr) -> Expr:
+def normalize_atoms(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     """Rewrite every arithmetic comparison into canonical ``t <= 0`` atoms.
 
     The output only contains boolean structure, boolean variables, and
     ``Le(linear-term, 0)`` atoms.  Comparisons whose difference folds to a
     constant become boolean constants.
     """
-    if isinstance(expr, BoolConst):
+    return _normalize_atoms(expr, memo.atoms if memo is not None else {})
+
+
+def _normalize_atoms(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
+    if isinstance(expr, (Var, BoolConst)):
         return expr
-    if isinstance(expr, Var):
-        return expr
-    if isinstance(expr, _COMPARISONS) and sort_of(expr.left) is INT:
-        return _normalize_comparison(expr)
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, normalize_atoms(expr.body))
-    children = tuple(normalize_atoms(child) for child in expr.children())
-    return _rebuild(expr, children)
+    result = table.get(expr)
+    if result is None:
+        if isinstance(expr, _COMPARISONS) and sort_of(expr.left) is INT:
+            result = _normalize_comparison(expr)
+        else:
+            result = rebuild(expr, tuple(_normalize_atoms(child, table)
+                                         for child in expr.children()))
+        table[expr] = result
+    return result
 
 
 def _le_zero(lin: LinExpr) -> Expr:
@@ -161,27 +189,18 @@ def atom_constraint(atom: Expr) -> Optional[Constraint]:
     return None
 
 
-def preprocess(expr: Expr) -> Expr:
-    """Full preprocessing pipeline used by the solver (quantifier-free input)."""
-    expr = simplify(expr)
-    expr = rewrite_bool_equalities(expr)
-    expr = lift_int_ite(expr)
-    expr = to_nnf(expr)
-    expr = normalize_atoms(expr)
-    return simplify(expr)
+def preprocess(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
+    """Full preprocessing pipeline used by the solver (quantifier-free input).
 
+    Every pass is memoized per node in *memo*; without one, in a fresh memo
+    that lives for this call.
+    """
+    if memo is None:
+        memo = RewriteMemo()
+    expr = simplify(expr, memo)
+    expr = rewrite_bool_equalities(expr, memo)
+    expr = lift_int_ite(expr, memo)
+    expr = to_nnf(expr, memo)
+    expr = normalize_atoms(expr, memo)
+    return simplify(expr, memo)
 
-def _rebuild(expr: Expr, children: Tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, (Add, And, Or)):
-        return type(expr)(tuple(children))
-    if isinstance(expr, (Sub, Mul, Eq, Ne, Lt, Le, Gt, Ge, Iff)):
-        return type(expr)(children[0], children[1])
-    if isinstance(expr, Implies):
-        return Implies(children[0], children[1])
-    if isinstance(expr, (Neg, Not)):
-        return type(expr)(children[0])
-    if isinstance(expr, Ite):
-        return Ite(children[0], children[1], children[2])
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, children[0])
-    raise TypeError(f"cannot rebuild node {type(expr).__name__}")

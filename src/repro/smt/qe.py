@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
+from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import to_dnf_clauses
 from repro.logic.simplify import simplify
 from repro.logic.substitute import substitute
@@ -85,11 +86,16 @@ class QuantifierEliminator:
     and every formula a boolean step yields are converted to DNF at most
     once; later calls reuse the cubes, or re-raise the conversion's
     :class:`ValueError`.  The conversions live as long as the eliminator.
+    Preprocessing, NNF and simplification go through *memo* (a solver's
+    :meth:`~repro.smt.solver.Solver.rewrite_memo`), or through a memo of
+    the eliminator's own.
     """
 
-    def __init__(self, formula: Expr, *, strict: bool = False) -> None:
+    def __init__(self, formula: Expr, *, strict: bool = False,
+                 memo: Optional[RewriteMemo] = None) -> None:
         self.formula = formula
         self.strict = strict
+        self.memo = memo if memo is not None else RewriteMemo()
         self._negated: Optional[Expr] = None
         self._converted: Dict[Expr, Union[State, ValueError]] = {}
 
@@ -101,13 +107,13 @@ class QuantifierEliminator:
         """A quantifier-free equivalent of ``forall variables. formula``."""
         if self._negated is None:
             self._negated = build.lnot(self.formula)
-        return simplify(build.lnot(self._exists(variables, self._negated)))
+        return simplify(build.lnot(self._exists(variables, self._negated)), self.memo)
 
     def _exists(self, variables: Sequence[Var], body: Expr) -> Expr:
         state: State = body
         for var in variables:
             if var.var_sort is BOOL:
-                state = _eliminate_bool_exists(var, _formula(state))
+                state = _eliminate_bool_exists(var, _formula(state), self.memo)
                 continue
             # A variable that does not occur leaves the result as it is,
             # unsimplified and in its current literal order.
@@ -121,13 +127,13 @@ class QuantifierEliminator:
                 cubes = _reconverted(state)
             state = cubes if isinstance(cubes, Expr) else _project(
                 var.name, cubes, self.strict)
-        return simplify(_formula(state))
+        return simplify(_formula(state), self.memo)
 
     def _convert(self, formula: Expr) -> State:
         converted = self._converted.get(formula)
         if converted is None:
             try:
-                converted = _convert(formula)
+                converted = _convert(formula, self.memo)
             except ValueError as exc:
                 converted = exc
             self._converted[formula] = converted
@@ -137,10 +143,10 @@ class QuantifierEliminator:
         return converted
 
 
-def _eliminate_bool_exists(var: Var, formula: Expr) -> Expr:
+def _eliminate_bool_exists(var: Var, formula: Expr, memo: RewriteMemo) -> Expr:
     true_case = substitute(formula, {var: build.TRUE})
     false_case = substitute(formula, {var: build.FALSE})
-    return build.lor(simplify(true_case), simplify(false_case))
+    return build.lor(simplify(true_case, memo), simplify(false_case, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +154,12 @@ def _eliminate_bool_exists(var: Var, formula: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _convert(formula: Expr) -> State:
+def _convert(formula: Expr, memo: RewriteMemo) -> State:
     """Preprocess *formula* and convert it to cubes (or a constant)."""
-    processed = preprocess(formula)
+    processed = preprocess(formula, memo)
     if isinstance(processed, BoolConst):
         return processed
-    cubes = to_dnf_clauses(processed)
+    cubes = to_dnf_clauses(processed, memo=memo)
     # Cubes share their atoms; linearize each atom once.
     literals: Dict[Expr, Literal] = {}
     for cube in cubes:

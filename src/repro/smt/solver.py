@@ -24,7 +24,18 @@ compilation pipeline:
 * an optional :class:`~repro.smt.cache.FormulaCache` memoizes whole query
   results (see that module for the canonicalization story);
 * conjunction-level theory verdicts are memoized as well, so re-enumerated
-  constraint sets skip branch-and-bound.
+  constraint sets skip branch-and-bound;
+* a :class:`~repro.logic.memo.RewriteMemo` memoizes every preprocessing
+  pass per node (see :mod:`repro.smt.preprocess`), together with the
+  "contains a quantifier" check, so a subformula shared by many queries is
+  rewritten once.  Abduction and invariant inference rewrite through the
+  same memo (:meth:`Solver.rewrite_memo`).  It lives as long as the solver
+  — one compile for a default :class:`~repro.placement.pipeline.ExpressoPipeline`
+  — and is cleared once it holds ``_REWRITE_MEMO_LIMIT`` entries, the
+  policy of the theory-verdict memo, which bounds long-lived solvers
+  (``ExpressoPipeline(solver=...)``, the commutativity checker's shared
+  one).  Every pass is a pure function of its node, so the memo changes
+  speed, never results.
 
 Unknown results (budget exhaustion) are reported explicitly so that callers
 can degrade conservatively; they never occur on the pipeline's own VCs.
@@ -47,8 +58,9 @@ from repro import obs
 from repro.logic import build
 from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.logic.free_vars import free_vars
+from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, BoolConst, Exists, Expr, Forall, INT, Var, is_atom, walk,
+    BOOL, BoolConst, Exists, Expr, Forall, INT, IntConst, Var, is_atom, walk,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
@@ -64,6 +76,8 @@ Model = Dict[str, Value]
 
 #: Cap on memoized theory-conjunction verdicts per solver.
 _THEORY_CACHE_LIMIT = 50_000
+#: Cap on preprocessing memo entries per solver (memo cleared past this point).
+_REWRITE_MEMO_LIMIT = 100_000
 #: Cap on retained theory lemmas (oldest half dropped past this point).
 _LEMMA_LIMIT = 5_000
 #: Sentinel distinguishing "theory said infeasible" from "not memoized".
@@ -129,6 +143,7 @@ class Solver:
         self._atom_table = AtomTable()
         self._theory_lemmas: List[Tuple[int, ...]] = []
         self._theory_verdicts: Dict[frozenset, object] = {}
+        self._rewrites = RewriteMemo()
 
     # -- public API ---------------------------------------------------------
 
@@ -155,10 +170,20 @@ class Solver:
         )
         return result
 
+    def rewrite_memo(self) -> RewriteMemo:
+        """This solver's preprocessing memo, for rewrites done on its behalf.
+
+        Cleared first once it holds ``_REWRITE_MEMO_LIMIT`` entries.
+        """
+        if len(self._rewrites) >= _REWRITE_MEMO_LIMIT:
+            self._rewrites.clear()
+        return self._rewrites
+
     def _check_sat(self, formula: Expr) -> SatResult:
         self.statistics["sat_queries"] += 1
         self.last_unknown = None
-        if _contains_quantifier(formula):
+        memo = self.rewrite_memo()
+        if _contains_quantifier(formula, memo.quantified):
             raise SolverError("check_sat expects a quantifier-free formula; "
                               "use repro.smt.qe to eliminate quantifiers first")
         if fault_check("solver.query") == "unknown":
@@ -170,7 +195,7 @@ class Solver:
             if entry is not None:
                 self.statistics["cache_hits"] += 1
                 return self._result_from_cache(formula, entry)
-        processed = preprocess(formula)
+        processed = preprocess(formula, memo)
         if self.cache is not None:
             entry = self.cache.lookup_canonical(formula, processed)
             if entry is not None:
@@ -262,6 +287,15 @@ class Solver:
             lemma for lemma in self._theory_lemmas
             if all(abs(literal) in atom_ids for literal in lemma)
         )
+        # Linearize each atom once, not once per theory iteration.
+        theory_atoms: List[Tuple[int, Constraint]] = []
+        bool_atoms: List[Tuple[str, int]] = []
+        for atom, var_id in query_atoms.items():
+            constraint = atom_constraint(atom)
+            if constraint is not None:
+                theory_atoms.append((var_id, constraint))
+            elif isinstance(atom, Var) and atom.var_sort is BOOL:
+                bool_atoms.append((atom.name, var_id))
 
         deadline = (time.monotonic() + self.timeout_seconds
                     if self.timeout_seconds is not None else None)
@@ -271,16 +305,11 @@ class Solver:
             assignment = sat_solver.solve()
             if assignment is None:
                 return SatResult(SatStatus.UNSAT), CachedResult(False)
-            constraints: List[Tuple[int, Constraint]] = []
-            bool_values: Dict[str, bool] = {}
-            for atom, var_id in query_atoms.items():
-                value = assignment.get(var_id, False)
-                constraint = atom_constraint(atom)
-                if constraint is not None:
-                    constraints.append((var_id if value else -var_id,
-                                        constraint if value else constraint.negate()))
-                elif isinstance(atom, Var) and atom.var_sort is BOOL:
-                    bool_values[atom.name] = value
+            constraints = [(var_id, constraint) if assignment.get(var_id, False)
+                           else (-var_id, constraint.negate())
+                           for var_id, constraint in theory_atoms]
+            bool_values = {name: assignment.get(var_id, False)
+                           for name, var_id in bool_atoms}
             self.statistics["theory_checks"] += 1
             try:
                 theory_model = self._theory_feasible([c for _, c in constraints])
@@ -355,10 +384,14 @@ class Solver:
         return core
 
 
-def _contains_quantifier(formula: Expr) -> bool:
-    if isinstance(formula, (Forall, Exists)):
-        return True
-    return any(_contains_quantifier(child) for child in formula.children())
+def _contains_quantifier(formula: Expr, table: Dict[Expr, bool]) -> bool:
+    if isinstance(formula, (Var, IntConst, BoolConst)):
+        return False
+    flag = table.get(formula)
+    if flag is None:
+        flag = table[formula] = isinstance(formula, (Forall, Exists)) or any(
+            _contains_quantifier(child, table) for child in formula.children())
+    return flag
 
 
 def _default_model(formula: Expr) -> Model:

@@ -1,6 +1,10 @@
 """Unit tests for the analysis layer: wp, Hoare triples, renaming, symbolic
 execution, commutativity, abduction, invariant inference, and alias analysis."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import (
@@ -351,6 +355,31 @@ class TestInvariantInference:
         )
         # x == 0 is not preserved by flip(); it must be filtered out.
         assert eq(v("x"), i(0)) not in result.kept_predicates
+
+    def test_invariants_do_not_depend_on_the_hash_seed(self):
+        """Candidate generation iterates atoms in first-occurrence order, so
+        the pool and the invariant's conjunct order are the same in every
+        process (both monitors used to swap ``readers >= 0`` and
+        ``readers + 1 >= 1`` between hash seeds)."""
+        script = (
+            "from repro.benchmarks_lib import get_benchmark\n"
+            "from repro.placement.pipeline import ExpressoPipeline\n"
+            "for name in ('Ticketed Readers-Writers', 'Readers-Writers'):\n"
+            "    details = ExpressoPipeline(lint=False).compile(\n"
+            "        get_benchmark(name).source).invariant_details\n"
+            "    print(repr(details.invariant))\n"
+            "    print(repr(details.candidate_pool))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                          check=True, capture_output=True,
+                                          text=True).stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestAliasAnalysis:
