@@ -11,7 +11,7 @@ are exactly the satisfying atom assignments of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.terms import And, BoolConst, Expr, Not, Or, Var, is_atom
 
@@ -55,20 +55,29 @@ class CnfEncodingError(ValueError):
     """Raised when the input formula is not in the expected NNF shape."""
 
 
-def encode(expr: Expr, table: AtomTable) -> List[Clause]:
+def encode(expr: Expr, table: AtomTable,
+           atoms: Optional[Dict[Expr, int]] = None) -> List[Clause]:
     """Encode an NNF formula into CNF clauses over *table*'s variables.
 
     The returned clause set asserts the formula.  Because the input is in NNF
     only the positive direction of each definition is required
     (Plaisted–Greenbaum), which keeps the encoding small.
+
+    When *atoms* is given, every atom the formula maps through
+    :meth:`AtomTable.var_for` is recorded there as ``atom -> variable``, in
+    first-visit order, left to right: the pre-order of
+    :func:`repro.logic.terms.walk` restricted to atoms.  Boolean constants
+    are not recorded; each gets a fresh, pinned variable instead.  The
+    solver uses the collected dict as the query's atom set.
     """
     clauses: List[Clause] = []
-    root = _encode(expr, table, clauses)
+    root = _encode(expr, table, clauses, {} if atoms is None else atoms)
     clauses.append((root,))
     return clauses
 
 
-def _encode(expr: Expr, table: AtomTable, clauses: List[Clause]) -> int:
+def _encode(expr: Expr, table: AtomTable, clauses: List[Clause],
+            atoms: Dict[Expr, int]) -> int:
     if isinstance(expr, BoolConst):
         # Encode constants with a fresh variable pinned to the right polarity;
         # the variable itself is the literal standing for the constant node.
@@ -76,14 +85,16 @@ def _encode(expr: Expr, table: AtomTable, clauses: List[Clause]) -> int:
         clauses.append((var,) if expr.value else (-var,))
         return var
     if is_atom(expr):
-        return table.var_for(expr)
+        var = atoms[expr] = table.var_for(expr)
+        return var
     if isinstance(expr, Not):
         operand = expr.operand
         if not is_atom(operand):
             raise CnfEncodingError("negation applied to a non-atom; input must be NNF")
-        return -table.var_for(operand)
+        var = atoms[operand] = table.var_for(operand)
+        return -var
     if isinstance(expr, (And, Or)):
-        literals = [_encode(arg, table, clauses) for arg in expr.args]
+        literals = [_encode(arg, table, clauses, atoms) for arg in expr.args]
         aux = table.fresh_var()
         if isinstance(expr, And):
             # aux -> lit_i  for every conjunct.

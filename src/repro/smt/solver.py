@@ -16,7 +16,12 @@ Instances are *reusable* across queries and designed to be shared by a whole
 compilation pipeline:
 
 * the :class:`~repro.smt.cnf.AtomTable` persists, so the same atom maps to
-  the same SAT variable in every query;
+  the same SAT variable in every query.  :func:`~repro.smt.cnf.encode`
+  collects each query's atoms as it maps them, and the solver keeps every
+  atom variable's theory form — its :class:`~repro.smt.linear.Constraint`
+  and that constraint's integer negation, or None for a boolean atom — next
+  to the table, for the solver's lifetime.  An atom is linearized and
+  negated once per solver, not once per query or theory iteration;
 * theory-conflict blocking clauses are valid lemmas over those persistent
   atom variables, so they are replayed into every later query's SAT instance
   — near-duplicate verification conditions stop rediscovering the same
@@ -38,7 +43,11 @@ compilation pipeline:
   speed, never results.
 
 Unknown results (budget exhaustion) are reported explicitly so that callers
-can degrade conservatively; they never occur on the pipeline's own VCs.
+can degrade conservatively; they never occur on the pipeline's own VCs.  A
+simplex that breaks its own invariant
+(:class:`~repro.smt.simplex.SimplexInvariantError`) also yields
+``UNKNOWN("theory")``, in the theory check and in core minimization alike,
+so a defect there can never pass for an UNSAT answer.
 Besides the iteration budget, ``timeout_seconds`` imposes a per-query
 wall-clock budget on the DPLL(T) loop: a pathological query then costs one
 UNKNOWN (counted under ``smt.timeouts``/``smt.unknown`` and flagged via
@@ -60,7 +69,7 @@ from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NA
 from repro.logic.free_vars import free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, BoolConst, Exists, Expr, Forall, INT, IntConst, Var, is_atom, walk,
+    BOOL, BoolConst, Exists, Expr, Forall, INT, IntConst, Var,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
@@ -69,7 +78,9 @@ from repro.smt.linear import Constraint
 from repro.resilience.faults import fault_check
 from repro.smt.preprocess import atom_constraint, preprocess
 from repro.smt.sat import SatSolver
-from repro.smt.simplex import rational_feasible, rational_infeasible_subset
+from repro.smt.simplex import (
+    SimplexInvariantError, rational_feasible, rational_infeasible_subset,
+)
 
 Value = Union[int, bool]
 Model = Dict[str, Value]
@@ -141,6 +152,9 @@ class Solver:
         self.statistics: LegacyStatsView = LegacyStatsView(
             self.metrics, names=SOLVER_METRIC_NAMES)
         self._atom_table = AtomTable()
+        #: Theory form of each atom variable of ``_atom_table``:
+        #: ``(constraint, negated constraint)``, or None for a boolean atom.
+        self._atom_forms: Dict[int, Optional[Tuple[Constraint, Constraint]]] = {}
         self._theory_lemmas: List[Tuple[int, ...]] = []
         self._theory_verdicts: Dict[frozenset, object] = {}
         self._rewrites = RewriteMemo()
@@ -268,16 +282,12 @@ class Solver:
                     CachedResult(True, {}, {})
             return SatResult(SatStatus.UNSAT), CachedResult(False)
 
-        table = self._atom_table
         sat_solver = SatSolver()
-        sat_solver.add_clauses(encode(processed, table))
         # Only atoms of *this* query feed the theory check: the persistent
         # table also holds atoms of earlier queries, whose (arbitrary) SAT
         # values must not be turned into constraints here.
         query_atoms: Dict[Expr, int] = {}
-        for node in walk(processed):
-            if is_atom(node) and not isinstance(node, BoolConst):
-                query_atoms[node] = table.var_for(node)
+        sat_solver.add_clauses(encode(processed, self._atom_table, query_atoms))
         # Replay only lemmas entirely over this query's atoms: a lemma
         # mentioning foreign atoms can never block an assignment here, it
         # would only bloat the instance (and, over a long session, make each
@@ -287,13 +297,18 @@ class Solver:
             lemma for lemma in self._theory_lemmas
             if all(abs(literal) in atom_ids for literal in lemma)
         )
-        # Linearize each atom once, not once per theory iteration.
-        theory_atoms: List[Tuple[int, Constraint]] = []
+        theory_atoms: List[Tuple[int, Constraint, Constraint]] = []
         bool_atoms: List[Tuple[str, int]] = []
+        atom_forms = self._atom_forms
         for atom, var_id in query_atoms.items():
-            constraint = atom_constraint(atom)
-            if constraint is not None:
-                theory_atoms.append((var_id, constraint))
+            if var_id in atom_forms:
+                forms = atom_forms[var_id]
+            else:
+                constraint = atom_constraint(atom)
+                forms = atom_forms[var_id] = None if constraint is None \
+                    else (constraint, constraint.negate())
+            if forms is not None:
+                theory_atoms.append((var_id, *forms))
             elif isinstance(atom, Var) and atom.var_sort is BOOL:
                 bool_atoms.append((atom.name, var_id))
 
@@ -305,21 +320,22 @@ class Solver:
             assignment = sat_solver.solve()
             if assignment is None:
                 return SatResult(SatStatus.UNSAT), CachedResult(False)
-            constraints = [(var_id, constraint) if assignment.get(var_id, False)
-                           else (-var_id, constraint.negate())
-                           for var_id, constraint in theory_atoms]
+            constraints = [(var_id, positive) if assignment.get(var_id, False)
+                           else (-var_id, negative)
+                           for var_id, positive, negative in theory_atoms]
             bool_values = {name: assignment.get(var_id, False)
                            for name, var_id in bool_atoms}
             self.statistics["theory_checks"] += 1
             try:
                 theory_model = self._theory_feasible([c for _, c in constraints])
-            except IntegerFeasibilityUnknown:
+                if theory_model is None:
+                    core = self._minimize_core(constraints)
+            except (IntegerFeasibilityUnknown, SimplexInvariantError):
                 return self._unknown("theory"), None
             if theory_model is not None:
                 model = _build_model(formula, theory_model, bool_values)
                 return SatResult(SatStatus.SAT, model), \
                     CachedResult(True, dict(theory_model), dict(bool_values))
-            core = self._minimize_core(constraints)
             lemma = tuple(-literal for literal, _ in core)
             sat_solver.add_clause(lemma)
             if len(self._theory_lemmas) >= _LEMMA_LIMIT:
