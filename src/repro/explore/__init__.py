@@ -46,6 +46,7 @@ from repro.explore.reduce import ddmin
 from repro.explore.scheduler import (
     CoopScheduler,
     Decision,
+    ProgramSymmetry,
     RunResult,
     SchedulerError,
     TraceEvent,
@@ -74,8 +75,8 @@ __all__ = [
     "MutationReport", "merge_results", "mutation_campaign",
     "parallel_explore_benchmark", "parallel_explore_class",
     "ddmin",
-    "CoopScheduler", "Decision", "RunResult", "SchedulerError", "TraceEvent",
-    "run_schedule",
+    "CoopScheduler", "Decision", "ProgramSymmetry", "RunResult", "SchedulerError",
+    "TraceEvent", "run_schedule",
     "DporStrategy", "FirstStrategy", "IndependenceRelation", "MethodFootprint",
     "PCTStrategy", "RandomStrategy", "ScheduleStrategy",
     "Strategy", "make_strategy",

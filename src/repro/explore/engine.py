@@ -46,7 +46,7 @@ from repro.codegen.python_gen import (
 )
 from repro.explore.oracle import OracleCache, OracleVerdict, check_run
 from repro.explore.reduce import ddmin
-from repro.explore.scheduler import Decision, RunResult, run_schedule
+from repro.explore.scheduler import Decision, ProgramSymmetry, RunResult, run_schedule
 from repro.explore.strategies import (
     DporStrategy,
     FirstStrategy,
@@ -225,6 +225,8 @@ class SegmentRefiner:
 
         Only the guard ran when the very next event is the granted thread's
         own wait — commits, signals and releases all produce events first.
+        *event_index* indexes ``run.events``, which for a fast-forwarded run
+        is its recorded suffix.
         """
         if not self.enabled:
             return None
@@ -633,6 +635,23 @@ def _minimize(monitor: Monitor, coop_class: type, programs,
     return minimized, result, verdict
 
 
+def _full_recording(coop_class: type, programs, run: RunResult) -> RunResult:
+    """*run* with every event recorded, re-run when it was fast-forwarded.
+
+    Replaying the full choice list under the run's own step count stops the
+    replay exactly where the run stopped: merge and sleep-set cuts happen
+    between segments, where the step limit is checked, and steps grow with
+    every segment.  Only the outcome, which a step-limited replay cannot
+    restate, is carried over.
+    """
+    if not run.prefix:
+        return run
+    full = run_schedule(coop_class(), programs, ScheduleStrategy(run.choices),
+                        max_steps=run.steps)
+    full.outcome = run.outcome
+    return full
+
+
 def _record_failure(outcome: ExplorationResult, monitor, coop_class, programs,
                     run: RunResult, verdict: OracleVerdict, strategy_name: str,
                     seed: Optional[int], max_steps: int, minimize: bool,
@@ -646,9 +665,9 @@ def _record_failure(outcome: ExplorationResult, monitor, coop_class, programs,
         witness_run, witness_verdict = min_run, min_verdict
     else:
         minimized = schedule
-        trace = render_trace(run, programs, verdict)
+        witness_run, witness_verdict = _full_recording(coop_class, programs, run), verdict
+        trace = render_trace(witness_run, programs, verdict)
         detail = verdict.detail
-        witness_run, witness_verdict = run, verdict
     witness_record = None
     if witness:
         explicit = getattr(coop_class, "_coop_explicit", None)
@@ -717,30 +736,30 @@ def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult
         [tuple(prefix) for prefix in reversed(dfs_prefixes)]
         if dfs_prefixes else [()])
     tracer = obs.tracer()
+    first = FirstStrategy()
     while stack and outcome.schedules_run < budget:
         prefix = stack.pop()
-        strategy = ScheduleStrategy(prefix, FirstStrategy())
         instance = coop_class()
         with tracer.span("schedule", cat="explore", depth=len(prefix)) as span:
-            run = run_schedule(instance, programs, strategy, max_steps,
-                               fingerprints=True, fingerprint_after=len(prefix))
+            run = run_schedule(instance, programs, first, max_steps,
+                               fingerprints=True, prefix=prefix)
             verdict = oracle.judge(run, instance)
             span.set(outcome=run.outcome, ok=verdict.ok, kind=verdict.kind or "")
         _tally(outcome, run, verdict)
-        # Decisions at positions < len(prefix) replay ancestor choices whose
-        # alternatives the ancestors already pushed; fresh positions start at
-        # len(prefix).  A fresh position whose pre-decision state was already
-        # visited roots a subtree explored elsewhere: stop expanding there.
-        # (Expansion happens before the failure check so that a failing first
-        # run still records its states and pending alternatives — `exhausted`
-        # must not claim full coverage after an early stop.)
+        # The replayed prefix's alternatives were pushed by the ancestors;
+        # the run records only its fresh decisions.  A fresh decision whose
+        # pre-decision state was already visited roots a subtree explored
+        # elsewhere: stop expanding there.  (Expansion happens before the
+        # failure check so that a failing first run still records its states
+        # and pending alternatives — `exhausted` must not claim full
+        # coverage after an early stop.)
         limit = len(run.decisions)
-        for position in range(len(prefix), len(run.decisions)):
-            fingerprint = run.decisions[position].fingerprint
+        for offset, decision in enumerate(run.decisions):
+            fingerprint = decision.fingerprint
             if fingerprint is None:
                 continue
             if fingerprint in seen:
-                limit = position
+                limit = offset
                 outcome.pruned += 1
                 if tracer.enabled:
                     tracer.instant("prune", cat="explore", provenance="visited")
@@ -748,11 +767,12 @@ def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult
                 break
             seen.add(fingerprint)
         choices = run.choices
-        for position in range(limit - 1, len(prefix) - 1, -1):
-            decision = run.decisions[position]
+        base = len(run.prefix)
+        for offset in range(limit - 1, -1, -1):
+            decision = run.decisions[offset]
             for alternative in range(len(decision.candidates)):
                 if alternative != decision.chosen:
-                    stack.append(choices[:position] + (alternative,))
+                    stack.append(choices[:base + offset] + (alternative,))
         if verdict.is_failure:
             _record_failure(outcome, monitor, coop_class, programs, run, verdict,
                             "dfs", None, max_steps, minimize, witness)
@@ -781,7 +801,8 @@ def _commutes_past(run: RunResult, decision: Decision, alternative: int,
     side is a pure wait entry (guard evaluation + sleep), and per method
     otherwise; the pending-side refinement is anchored at the decision state
     and stays valid along the scan because every independent executed
-    segment leaves the guard's fields untouched.
+    segment leaves the guard's fields untouched.  *decision* is one of the
+    run's fresh decisions, so the scan stays inside the recorded suffix.
     """
     tid = decision.candidates[alternative]
     method = decision.methods[alternative]
@@ -811,8 +832,7 @@ def _commutes_past(run: RunResult, decision: Decision, alternative: int,
     return False
 
 
-def _expand_dpor(run: RunResult, prefix: Tuple[int, ...],
-                 strategy: DporStrategy, stack: list,
+def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                  independence: IndependenceRelation,
                  outcome: ExplorationResult,
                  refiner: Optional[SegmentRefiner] = None,
@@ -820,10 +840,12 @@ def _expand_dpor(run: RunResult, prefix: Tuple[int, ...],
                  programs=None) -> None:
     """Push the non-redundant sibling prefixes of one DPOR run.
 
-    Children of each decision node are pushed so pops follow exploration
-    order (shallowest node first, ascending alternatives), and each sibling's
-    sleep set accumulates the siblings explored before it — the classic
-    sleep-set discipline adapted to the worklist DFS.
+    Only the run's fresh decisions are expanded: the replayed prefix's
+    siblings were pushed by the ancestors.  Children of each decision node
+    are pushed so pops follow exploration order (shallowest node first,
+    ascending alternatives), and each sibling's sleep set accumulates the
+    siblings explored before it — the classic sleep-set discipline adapted
+    to the worklist DFS.
 
     When the scheduler recorded symmetry classes (wake-order
     canonicalization), alternatives whose class matches the chosen candidate
@@ -831,15 +853,14 @@ def _expand_dpor(run: RunResult, prefix: Tuple[int, ...],
     an explored subtree under a thread-swap automorphism, so only one
     representative per class is branched.
     """
-    decisions = run.decisions
     sleeps = strategy.fresh_sleeps
     choices = run.choices
+    base = len(run.prefix)
     tracer = obs.tracer()
     entries: List[Tuple[Tuple[int, ...], frozenset]] = []
-    for offset, position in enumerate(range(len(prefix), len(decisions))):
-        decision = decisions[position]
+    for offset, decision in enumerate(run.decisions):
         node_sleep = sleeps[offset]
-        child_prefix = choices[:position]
+        child_prefix = choices[:base + offset]
         sym = decision.sym_classes
         explored_classes = {sym[decision.chosen]} if sym else None
         if decision.kind != "grant":
@@ -954,6 +975,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
     stack: List[Tuple[Tuple[int, ...], frozenset]] = (
         [(tuple(prefix), frozenset()) for prefix in reversed(dfs_prefixes)]
         if dfs_prefixes else [((), frozenset())])
+    symmetry_table = ProgramSymmetry(programs) if symmetry else None
 
     # When a run aborts as "merged", provenance records whether the covering
     # probe hit this shard's own visited set or a sibling's published states.
@@ -981,11 +1003,11 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
         if outcome.pruned + outcome.por_skipped >= work_cap:
             break
         prefix, sleep = stack.pop()
-        strategy = DporStrategy(prefix, sleep, independence, checker=checker)
+        strategy = DporStrategy(sleep, independence, checker=checker)
         instance = coop_class()
         run = run_schedule(instance, programs, strategy, max_steps,
-                           fingerprints=True, fingerprint_after=len(prefix),
-                           merge_probe=probe, symmetry=symmetry)
+                           fingerprints=True, prefix=prefix,
+                           merge_probe=probe, symmetry=symmetry_table)
         if run.outcome == "merged":
             outcome.pruned += 1
             if tracer.enabled:
@@ -1008,7 +1030,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                 span.set(outcome=run.outcome, ok=verdict.ok,
                          kind=verdict.kind or "")
             _tally(outcome, run, verdict)
-        _expand_dpor(run, prefix, strategy, stack, independence, outcome,
+        _expand_dpor(run, strategy, stack, independence, outcome,
                      refiner, values, programs)
         if verdict.is_failure:
             _record_failure(outcome, monitor, coop_class, programs, run, verdict,

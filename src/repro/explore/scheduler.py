@@ -31,10 +31,14 @@ Three hot-path refinements keep systematic exploration cheap:
   only recomputed for threads that actually advanced since the previous
   fingerprint (between two grant decisions exactly one thread runs), so a
   fingerprint costs one frame walk instead of N;
-* **prefix checkpointing** (``fingerprint_after``) — when the DFS replays a
-  recorded prefix to reach a backtrack point, decisions inside the prefix
-  were already fingerprinted by the parent run, so the replay skips all
-  analysis work until the divergent suffix begins;
+* **fast-forward replay** (``prefix``) — when the DFS re-enters a backtrack
+  point, the parent run already analysed every state of the recorded
+  prefix.  The scheduler replays all prefix choices but the last in a tight
+  loop that only steps generators, moves lock/wait/wake state, counts steps
+  and appends commits.  The last choice goes through the ordinary path, so
+  the strategy observes that segment as if it had chosen it, and the result
+  records only the divergent suffix (``RunResult.prefix`` holds the
+  replayed choices, ``decisions``/``events`` start at the hand-off);
 * **merge probing** (``merge_probe``) — the DFS can hand the scheduler a
   membership probe over already-visited states; a run whose divergent suffix
   immediately re-enters a visited state is cut off with outcome ``merged``
@@ -87,7 +91,7 @@ class Decision:
     #: the grant event it produced (grant) or the signal event (signal).
     event_index: int = -1
     #: Symmetry-class ids aligned with ``candidates`` (only populated when
-    #: the scheduler runs with ``symmetry=True``).  Two candidates share a
+    #: the scheduler runs with a ``symmetry`` table).  Two candidates share a
     #: class when they are provably interchangeable: same suspended frame
     #: (method, arguments, locals, resume point) and same remaining program,
     #: so swapping them is a state automorphism and the DPOR expansion only
@@ -104,7 +108,13 @@ class Decision:
 
 @dataclass
 class RunResult:
-    """Everything one scheduled execution produced."""
+    """Everything one scheduled execution produced.
+
+    A fast-forwarded run records only its suffix: ``prefix`` holds the
+    replayed choices, and ``events``/``decisions`` start where the last of
+    them was applied (``Decision.event_index`` counts from there).
+    ``commits`` and ``steps`` always cover the whole run.
+    """
 
     outcome: str                               # completed | deadlock | merged |
                                                #   sleep-set | step-limit | error
@@ -114,11 +124,13 @@ class RunResult:
     waiting: Dict[int, str] = field(default_factory=dict)  # tid -> condition key
     steps: int = 0
     error: Optional[str] = None
+    prefix: List[int] = field(default_factory=list)
 
     @property
     def choices(self) -> Tuple[int, ...]:
-        """The schedule: the recorded choice list that replays this run."""
-        return tuple(decision.chosen for decision in self.decisions)
+        """The schedule: the full choice list that replays this run."""
+        return tuple(self.prefix) + tuple(decision.chosen
+                                          for decision in self.decisions)
 
 
 class _VirtualThread:
@@ -178,28 +190,55 @@ def _frame_fingerprint(generator) -> tuple:
     return tuple(parts)
 
 
+class ProgramSymmetry:
+    """A workload's identical-program thread groups and remaining programs.
+
+    ``groups`` partitions thread ids by identical program: swapping two
+    threads of one group is a scheduler automorphism.  ``suffixes[tid][i]``
+    is thread *tid*'s remaining program from operation *i* on, the part of a
+    symmetry-class key that frame fingerprints do not pin.  Programs are
+    fixed for a whole exploration, so the engine builds this once and hands
+    it to every scheduler.
+    """
+
+    __slots__ = ("groups", "suffixes")
+
+    def __init__(self, programs: Sequence[ThreadProgram]):
+        by_program: Dict[tuple, List[int]] = {}
+        self.suffixes: List[List[tuple]] = []
+        for tid, program in enumerate(programs):
+            calls = tuple((name, tuple(args)) for name, args in program)
+            by_program.setdefault(calls, []).append(tid)
+            self.suffixes.append([calls[index:] for index in range(len(calls) + 1)])
+        self.groups: List[List[int]] = list(by_program.values())
+
+
 class CoopScheduler:
     """Run one coop monitor instance over per-thread programs under a strategy.
 
-    *fingerprint_after* skips fingerprinting (and merge probing) for the first
-    N recorded decisions — the DFS sets it to the replayed prefix length so a
-    backtracking replay only pays analysis cost on its divergent suffix.
+    *prefix* is a choice list to replay before the strategy takes over (the
+    DFS passes the path to a backtrack point); it is fast-forwarded, see
+    :meth:`_fast_forward`.
 
     *merge_probe* is consulted with every fresh fingerprint; returning True
     means the state was already explored elsewhere and the run is cut off
     with outcome ``merged`` (no decision is recorded for the merged state).
+
+    *symmetry* (a :class:`ProgramSymmetry` of the programs) turns on
+    symmetry classes and fingerprints canonical modulo permutation of
+    identical-program threads.
     """
 
     def __init__(self, instance, programs: Sequence[ThreadProgram],
                  strategy: Strategy, max_steps: int = 20_000,
-                 fingerprints: bool = False, fingerprint_after: int = 0,
+                 fingerprints: bool = False, prefix: Sequence[int] = (),
                  merge_probe: Optional[Callable[[tuple], bool]] = None,
-                 symmetry: bool = False):
+                 symmetry: Optional[ProgramSymmetry] = None):
         self.instance = instance
         self.strategy = strategy
         self.max_steps = max_steps
         self.fingerprints = fingerprints
-        self.fingerprint_after = fingerprint_after
+        self.prefix = tuple(prefix)
         self.merge_probe = merge_probe
         self.symmetry = symmetry
         self.threads = [_VirtualThread(tid, program)
@@ -209,27 +248,11 @@ class CoopScheduler:
         self._frame_cache: Dict[int, tuple] = {}
         self._observe = getattr(strategy, "observe_grant", None)
         self._observe_extent = getattr(strategy, "observe_extent", None)
-        # Symmetry reduction canonicalizes state fingerprints modulo
-        # permutation of threads running *identical programs*: swapping two
-        # such threads' entire dynamic states is an automorphism of the
-        # scheduler, so states that differ only by the transposition root
-        # isomorphic subtrees and may share one fingerprint.
-        self._sym_groups: List[List[int]] = []
         #: Bound only inside an observability session: state-fingerprint and
         #: frame-cache counters land under ``explore.scheduler.*``.  These
         #: counts are per-run deterministic but shard-dependent under DFS
         #: sharding, so they stay out of the exploration-result surface.
         self._metrics = _session_registry()
-        #: Per-(tid, op_index) remaining-program keys, filled lazily —
-        #: programs are fixed, so the suffix key never changes and the hot
-        #: decision loop must not rebuild it per candidate per decision.
-        self._suffix_keys: Dict[Tuple[int, int], tuple] = {}
-        if symmetry:
-            by_program: Dict[tuple, List[int]] = {}
-            for thread in self.threads:
-                key = tuple((name, tuple(args)) for name, args in thread.program)
-                by_program.setdefault(key, []).append(thread.tid)
-            self._sym_groups = list(by_program.values())
 
     # -- public entry point ---------------------------------------------------
 
@@ -238,6 +261,8 @@ class CoopScheduler:
         try:
             for thread in self.threads:
                 self._advance_to_acquire(thread)
+            if self.prefix:
+                self._fast_forward()
             self._loop()
         except SchedulerError:
             raise
@@ -265,44 +290,141 @@ class CoopScheduler:
                 else:
                     result.outcome = "deadlock"
                 return
-            # Fingerprinting walks the dirty generator frames — only pay for
-            # it when the grant actually branches (single contenders record no
-            # decision and need no pre-decision state) and the decision lies
-            # past the replayed prefix (the parent run already fingerprinted
-            # the prefix states).
+            if len(contenders) == 1:
+                # A sole contender records no decision and needs no
+                # pre-decision state.
+                self._grant(contenders[0])
+                continue
             fingerprint = None
-            if (self.fingerprints and len(contenders) > 1
-                    and len(result.decisions) >= self.fingerprint_after):
+            if self.fingerprints:
                 fingerprint = self._fingerprint()
                 if self.merge_probe is not None and self.merge_probe(fingerprint):
                     result.outcome = "merged"
                     return
-            thread = contenders[self._choose(
+            self._grant(contenders[self._choose(
                 "grant", tuple(t.tid for t in contenders), fingerprint,
                 tuple(t.program[t.op_index][0] for t in contenders),
                 sym_classes=self._symmetry_classes(contenders),
                 op_indices=tuple(t.op_index for t in contenders),
-                resumes=tuple(t.resume_key for t in contenders))]
-            self.owner = thread
-            method_name, method_args = thread.program[thread.op_index]
-            if self._observe is not None:
-                self._observe(thread.tid, method_name, tuple(method_args))
-            result.events.append(TraceEvent("grant", thread.tid, label=method_name,
-                                            args=tuple(method_args)))
-            self._run_holder(thread)
+                resumes=tuple(t.resume_key for t in contenders))])
 
-    def _run_holder(self, thread: _VirtualThread) -> None:
+    def _fast_forward(self) -> None:
+        """Replay ``self.prefix`` at raw generator speed, then hand off.
+
+        Every prefix choice but the last is applied by this loop, which only
+        steps generators, moves lock, wait and wake state, counts steps
+        toward ``max_steps`` and appends commits (so oracle keys stay
+        whole).  It records no fingerprints, symmetry classes, decisions,
+        events or frame-cache entries and makes no strategy calls: the run
+        that recorded the prefix analysed those states already.
+
+        The last choice is a grant decision or a signal decision in the
+        middle of a segment.  Either way it is applied through the ordinary
+        path (:meth:`_grant`, or :meth:`_deliver` plus the rest of the
+        segment in :meth:`_run_holder`), so the strategy observes that
+        segment exactly as if it had chosen it, and recording starts with
+        its event.  A run that ends before the last choice point returns
+        early and leaves the outcome to :meth:`_loop`; the step limit is
+        checked where :meth:`_loop` checks it, between segments.
+        """
+        result = self.result
+        threads = self.threads
+        commits = result.commits
+        applied = result.prefix
+        prefix = self.prefix
+        last = len(prefix) - 1
+        while result.steps < self.max_steps:
+            contenders = [t for t in threads if t.status == "acquiring"]
+            if not contenders:
+                return
+            thread = contenders[0]
+            if len(contenders) > 1:
+                index = min(max(prefix[len(applied)], 0), len(contenders) - 1)
+                applied.append(index)
+                if len(applied) > last:
+                    self._grant(contenders[index])
+                    return
+                thread = contenders[index]
+            self.owner = thread
+            frame = thread.frame
+            while True:
+                result.steps += 1
+                try:
+                    op = next(frame)
+                except StopIteration:
+                    if self.owner is thread:
+                        raise SchedulerError(
+                            f"thread {thread.tid} finished an operation while "
+                            f"still holding the monitor lock (missing release "
+                            f"yield)")
+                    thread.op_index += 1
+                    self._advance_to_acquire(thread)
+                    break
+                kind = op[0]
+                if kind == "commit":
+                    commits.append((thread.tid, op[1]))
+                elif kind == "wait":
+                    self.owner = None
+                    thread.status = "waiting"
+                    thread.wait_key = op[1]
+                    break
+                elif kind == "signal" or kind == "broadcast":
+                    key = op[1]
+                    woken = [t for t in threads
+                             if t.status == "waiting" and t.wait_key == key]
+                    if kind == "signal" and len(woken) > 1:
+                        index = min(max(prefix[len(applied)], 0), len(woken) - 1)
+                        applied.append(index)
+                        if len(applied) > last:
+                            segment_start = len(result.events)
+                            self._deliver(thread, kind, key, [woken[index]])
+                            self._run_holder(thread, segment_start)
+                            return
+                        woken = [woken[index]]
+                    for sleeper in woken:
+                        sleeper.status = "acquiring"
+                        sleeper.wait_key = None
+                        sleeper.resume_key = key
+                elif kind == "release":
+                    if self.owner is not thread:
+                        raise SchedulerError(
+                            f"thread {thread.tid} released a lock it does not hold")
+                    self.owner = None
+                elif kind == "acquire":
+                    if self.owner is thread:
+                        continue
+                    thread.status = "acquiring"
+                    thread.resume_key = None
+                    break
+                else:
+                    raise SchedulerError(f"unknown scheduler op {op!r}")
+
+    def _grant(self, thread: _VirtualThread) -> None:
+        """Hand the free lock to *thread* and run its segment."""
+        self.owner = thread
+        method_name, method_args = thread.program[thread.op_index]
+        args = tuple(method_args)
+        if self._observe is not None:
+            self._observe(thread.tid, method_name, args)
+        self.result.events.append(TraceEvent("grant", thread.tid, label=method_name,
+                                             args=args))
+        self._run_holder(thread)
+
+    def _run_holder(self, thread: _VirtualThread,
+                    segment_start: Optional[int] = None) -> None:
         """Advance *thread* (which holds the lock) until it waits or finishes.
 
         When the segment ends, the strategy's ``observe_extent`` hook (if
         any) learns whether it was a *pure wait entry* — the thread only
         evaluated a guard and went to sleep (exactly one event, the wait,
-        was emitted) — which is what lets the context-sensitive sleep-set
-        update keep more deferred transitions asleep.
+        was emitted since *segment_start*, by default the current event
+        count) — which is what lets the context-sensitive sleep-set update
+        keep more deferred transitions asleep.
         """
         result = self.result
         self._frame_cache.pop(thread.tid, None)
-        segment_start = len(result.events)
+        if segment_start is None:
+            segment_start = len(result.events)
         while True:
             result.steps += 1
             try:
@@ -365,9 +487,7 @@ class CoopScheduler:
                 sym_classes: Tuple[int, ...] = (),
                 op_indices: Tuple[int, ...] = (),
                 resumes: Tuple[Optional[str], ...] = ()) -> int:
-        """Delegate a choice to the strategy, recording it when it branches."""
-        if len(candidates) == 1:
-            return 0
+        """Delegate a branching choice to the strategy and record it."""
         index = self.strategy.choose(kind, candidates)
         if not 0 <= index < len(candidates):
             raise SchedulerError(
@@ -387,10 +507,11 @@ class CoopScheduler:
         their remaining programs agree — then swapping the two thread ids is
         an automorphism of the scheduler state and the subtrees rooted at
         either choice produce the same verdict kinds.  Returns () when
-        symmetry reduction is off or fewer than two candidates compete.
+        symmetry reduction is off.
         """
-        if not self.symmetry or len(threads) < 2:
+        if self.symmetry is None:
             return ()
+        suffixes = self.symmetry.suffixes
         classes: List[int] = []
         keys: Dict[tuple, int] = {}
         for thread in threads:
@@ -400,18 +521,9 @@ class CoopScheduler:
             # of the key too.
             key = (self._cached_frame_fingerprint(thread),
                    thread.wait_key,
-                   self._suffix_key(thread))
+                   suffixes[thread.tid][thread.op_index])
             classes.append(keys.setdefault(key, len(keys)))
         return tuple(classes)
-
-    def _suffix_key(self, thread: _VirtualThread) -> tuple:
-        cache_key = (thread.tid, thread.op_index)
-        suffix = self._suffix_keys.get(cache_key)
-        if suffix is None:
-            suffix = tuple((name, tuple(args))
-                           for name, args in thread.program[thread.op_index:])
-            self._suffix_keys[cache_key] = suffix
-        return suffix
 
     def _cached_frame_fingerprint(self, thread: _VirtualThread) -> Optional[tuple]:
         if thread.frame is None:
@@ -427,19 +539,21 @@ class CoopScheduler:
         return fingerprint
 
     def _wake(self, waker: _VirtualThread, key: str, broadcast: bool) -> None:
-        sleepers = sorted(
-            (t for t in self.threads if t.status == "waiting" and t.wait_key == key),
-            key=lambda t: t.tid)
+        # ``self.threads`` is in tid order, so the sleepers are tid-sorted.
+        sleepers = [t for t in self.threads
+                    if t.status == "waiting" and t.wait_key == key]
         kind = "broadcast" if broadcast else "signal"
-        if not sleepers:
-            self.result.events.append(TraceEvent(kind, waker.tid, key=key))
-            return
-        if broadcast:
+        if broadcast or len(sleepers) < 2:
             woken = sleepers
         else:
-            chosen = self._choose("signal", tuple(t.tid for t in sleepers), None,
-                                  sym_classes=self._symmetry_classes(sleepers))
-            woken = [sleepers[chosen]]
+            woken = [sleepers[self._choose(
+                "signal", tuple(t.tid for t in sleepers), None,
+                sym_classes=self._symmetry_classes(sleepers))]]
+        self._deliver(waker, kind, key, woken)
+
+    def _deliver(self, waker: _VirtualThread, kind: str, key: str,
+                 woken: List[_VirtualThread]) -> None:
+        """Wake *woken* from *key* and record the notification event."""
         for sleeper in woken:
             sleeper.status = "acquiring"
             sleeper.wait_key = None
@@ -488,23 +602,22 @@ class CoopScheduler:
         for t in self.threads:
             frame_fp = self._cached_frame_fingerprint(t)
             threads.append((t.status, t.wait_key, t.op_index, frame_fp))
-        if self.symmetry:
+        if self.symmetry is not None:
             # Canonical order within each identical-program group: entries
             # are heterogeneous tuples (None vs str members), so sort by a
             # deterministic textual key rather than structurally.
             return (shared, tuple(
                 tuple(sorted((threads[tid] for tid in group), key=repr))
-                for group in self._sym_groups))
+                for group in self.symmetry.groups))
         return (shared, tuple(threads))
 
 
 def run_schedule(instance, programs: Sequence[ThreadProgram], strategy: Strategy,
                  max_steps: int = 20_000, fingerprints: bool = False,
-                 fingerprint_after: int = 0,
+                 prefix: Sequence[int] = (),
                  merge_probe: Optional[Callable[[tuple], bool]] = None,
-                 symmetry: bool = False) -> RunResult:
+                 symmetry: Optional[ProgramSymmetry] = None) -> RunResult:
     """Convenience wrapper: build a scheduler and run it to completion."""
     return CoopScheduler(instance, programs, strategy, max_steps,
-                         fingerprints=fingerprints,
-                         fingerprint_after=fingerprint_after,
+                         fingerprints=fingerprints, prefix=prefix,
                          merge_probe=merge_probe, symmetry=symmetry).run()

@@ -16,9 +16,10 @@ its recorded choice list in :class:`ScheduleStrategy`.
 * :class:`ScheduleStrategy` — replay a recorded (or delta-debugged) choice
   list, falling back to a base strategy once the list is exhausted;
 * :class:`DporStrategy` — the partial-order-reduction extension strategy:
-  replay a prefix, then extend with the first candidate *not in the sleep
-  set*, maintaining the sleep set as segments execute (a sleeping thread's
-  deferred action is removed once a dependent segment runs).
+  past the prefix the scheduler fast-forwards, extend with the first
+  candidate *not in the sleep set*, maintaining the sleep set as segments
+  execute (a sleeping thread's deferred action is removed once a dependent
+  segment runs).
 
 The POR machinery at the bottom of the module defines *when two scheduling
 choices commute*: each monitor method gets a static :class:`MethodFootprint`
@@ -284,24 +285,25 @@ SleepEntry = Tuple[int, str, tuple, Optional[str]]
 
 
 class DporStrategy:
-    """Prefix replay + sleep-set-aware extension for the DPOR DFS.
+    """Sleep-set-aware extension for the DPOR DFS.
 
-    Replays *prefix* verbatim, then extends every fresh grant decision with
-    the first candidate whose thread is not in the sleep set.  While the
-    fresh suffix executes, the sleep set shrinks: a deferred transition is
-    woken (removed) as soon as a *dependent* segment runs, exactly the
-    classic sleep-set update.  If every enabled candidate is asleep — or the
-    scheduler grants a sleeping thread as sole contender — the whole subtree
-    is provably redundant and the run aborts with outcome ``sleep-set``.
+    The scheduler fast-forwards the run's prefix, so this strategy sees only
+    the fresh suffix: the segment of the last prefix choice, then every fresh
+    decision.  It extends every fresh grant decision with the first candidate
+    whose thread is not in the sleep set.  While the suffix executes, the
+    sleep set shrinks: a deferred transition is woken (removed) as soon as a
+    *dependent* segment runs, exactly the classic sleep-set update.  If every
+    enabled candidate is asleep — or the scheduler grants a sleeping thread
+    as sole contender — the whole subtree is provably redundant and the run
+    aborts with outcome ``sleep-set``.
 
     The engine reads ``fresh_sleeps`` afterwards: the sleep set in force at
     each recorded fresh decision, which it needs to seed the sleep sets of
     the sibling prefixes it pushes.
     """
 
-    def __init__(self, prefix: Sequence[int], sleep: FrozenSet[SleepEntry],
+    def __init__(self, sleep: FrozenSet[SleepEntry],
                  independence: IndependenceRelation, checker=None):
-        self.prefix = tuple(prefix)
         self.sleep: Set[SleepEntry] = set(sleep)
         self.independence = independence
         #: Optional context-sensitive dependence test built by the engine:
@@ -310,23 +312,17 @@ class DporStrategy:
         #: that is non-None) is independent of the sleeping entry.  Falls
         #: back to the method-level relation when absent.
         self.checker = checker
-        self._position = 0
         #: The just-granted segment awaiting its extent: (method, args).
         #: Sleep-set wake-ups are applied *after* the segment runs, when its
         #: actual extent (pure wait entry or full method) is known — the
         #: context-sensitive sleep-set update.
         self._pending_segment: Optional[Tuple[str, tuple]] = None
-        #: Sleep set snapshot per recorded decision index >= len(prefix).
+        #: Sleep set snapshot per recorded (fresh) decision.
         self.fresh_sleeps: List[FrozenSet[SleepEntry]] = []
         self._metrics = _session_registry()
 
     def choose(self, kind: str, candidates: Tuple[int, ...]) -> int:
         self._flush_segment()
-        if self._position < len(self.prefix):
-            choice = self.prefix[self._position]
-            self._position += 1
-            return min(max(choice, 0), len(candidates) - 1)
-        self._position += 1
         self.fresh_sleeps.append(frozenset(self.sleep))
         if kind != "grant":
             return 0
@@ -339,10 +335,6 @@ class DporStrategy:
     def observe_grant(self, tid: int, method: str, args: tuple = ()) -> None:
         """A segment by *tid*/*method* is about to run."""
         self._flush_segment()
-        if self._position < len(self.prefix):
-            # Replayed prefix segments were already reflected in the sleep
-            # set this strategy was seeded with.
-            return
         if any(entry[0] == tid for entry in self.sleep):
             # The sole contender is asleep: this continuation re-explores a
             # subtree some sibling already covered.

@@ -245,3 +245,55 @@ class TestParserIntegration:
         result = solver.check_sat(formula)
         assert result.is_sat
         assert result.model["flag"] is True
+
+
+class TestArtificialBounds:
+    """Below the bounding depth, branch and bound adds ±_BIG_BOUND rows on
+    every variable.  An infeasible branch proves integer infeasibility only
+    when it stays infeasible without those rows; otherwise the answer is
+    unknown, never "infeasible"."""
+
+    @pytest.fixture
+    def small_box(self, monkeypatch):
+        from repro.smt import intfeas
+
+        monkeypatch.setattr(intfeas, "_BOUND_DEPTH", 0)
+        monkeypatch.setattr(intfeas, "_BIG_BOUND", 2)
+        return intfeas
+
+    @staticmethod
+    def _rows(*coefficient_constant_pairs):
+        from repro.smt.linear import Constraint, LinExpr
+
+        return [Constraint(LinExpr.of({"x": a}, b))
+                for a, b in coefficient_constant_pairs]
+
+    def test_solutions_only_outside_the_box_are_unknown(self, small_box):
+        # 2x >= 11: the relaxation is x = 11/2, every integer solution is
+        # x >= 6, outside |x| <= 2.
+        rows = self._rows((-2, 11))
+        with pytest.raises(small_box.IntegerFeasibilityUnknown):
+            small_box.integer_feasible(rows)
+
+    def test_the_same_system_without_the_small_box_is_solved(self):
+        from repro.smt.intfeas import integer_feasible
+
+        assert integer_feasible(self._rows((-2, 11))) == {"x": 6}
+
+    def test_infeasible_without_the_box_is_still_a_proof(self, small_box):
+        # 2x >= 1 and 2x <= 1: x = 1/2, and both branches stay infeasible
+        # once the artificial rows are dropped.
+        assert small_box.integer_feasible(self._rows((-2, 1), (2, -1))) is None
+
+    def test_solutions_inside_the_box_are_found(self, small_box):
+        assert small_box.integer_feasible(self._rows((-2, 3))) == {"x": 2}
+
+    def test_the_solver_degrades_to_an_uncached_theory_unknown(self, small_box):
+        cache = FormulaCache()
+        solver = Solver(cache=cache)
+        formula = ge(mul(i(2), x), i(11))
+        assert solver.check_sat(formula).status is SatStatus.UNKNOWN
+        assert solver.consume_unknown() == "theory"
+        assert cache.lookup_raw(formula) is None
+        # An omission needs a valid triple: unknown keeps the signal.
+        assert solver.check_valid(lnot(formula)) is False
