@@ -24,10 +24,23 @@ abducer:
   the eliminator and every simplification rewrite through the solver's
   preprocessing memo (:meth:`repro.smt.solver.Solver.rewrite_memo`), which
   the validity queries on ``pre`` share;
+* validation is *model-guided*: every SAT answer one call receives (the
+  obligation's counterexample first) is a model of ``P``, and each distinct
+  candidate is evaluated under those models (:mod:`repro.logic.evaluate`)
+  before any query.  A model satisfying ``psi`` proves (2), one that also
+  falsifies ``phi`` refutes (1); UNSAT verdicts always come from the solver,
+  and a model that cannot decide a formula just leads to the query;
 * each surviving candidate is additionally *generalized* into atomic
   half-space predicates (e.g. a disequality ``x != -1`` contributes ``x >= 0``
   and ``x <= -2``), because monitor invariants are usually inequalities; the
   generalizations are validated the same way.
+
+Results are memoized per ``(pre, goal, limits)`` in the solver's
+:class:`~repro.smt.cache.FormulaCache` (its ``"abduce"`` procedure memo),
+unless a query of the computation returned UNKNOWN, so a campaign-wide cache
+answers an obligation a mutant shares with its parent in O(1).  The
+candidates are identical to validating each one with two fresh queries
+(``tests/test_invariants_reference.py``).
 
 The caller (Algorithm 2) re-checks every candidate for initiation and
 consecution, so the abducer only has to be useful, never complete.
@@ -36,18 +49,19 @@ consecution, so the abducer only has to be useful, never complete.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.logic import build
+from repro.logic.evaluate import truth_value
 from repro.logic.free_vars import free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import atoms_of, ordered_atoms
 from repro.logic.simplify import simplify
-from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, INT, Le, Lt, Ne, Not, Var
+from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, Le, Lt, Ne, Var
 from repro.smt.linear import linearize
 from repro.smt.qe import QuantifierEliminator
-from repro.smt.solver import Solver
+from repro.smt.solver import Model, Solver
 
 
 @dataclass(frozen=True)
@@ -76,14 +90,35 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
     while Algorithm 2 still filters the resulting candidates for soundness.
     """
     solver = solver or Solver()
+    limits = (max_kept_vars, max_candidates, max_subsets, max_obligation_atoms)
+    result, _hit = solver.memoized(
+        "abduce", (pre, goal, limits),
+        lambda: _abduce(pre, goal, solver, *limits))
+    return result
+
+
+def _abduce(pre: Expr, goal: Expr, solver: Solver, max_kept_vars: int,
+            max_candidates: int, max_subsets: int,
+            max_obligation_atoms: int) -> AbductionResult:
     memo = solver.rewrite_memo()
     obligation = build.implies(pre, goal)
     variables = sorted(free_vars(obligation), key=lambda var: var.name)
     candidates: List[Expr] = []
+    tested: Set[Expr] = set()
+    found: List[Model] = []
 
-    if solver.check_valid(obligation):
+    if solver.check_valid(obligation, found):
         # Nothing to strengthen; report no candidates (TRUE adds no information).
         return AbductionResult(pre, goal, ())
+    witnesses: List[Model] = []
+    _admit(witnesses, pre, found)
+
+    def consider(psi: Expr) -> None:
+        # Each distinct psi is decided once: the verdict is a function of psi.
+        if psi not in tested:
+            tested.add(psi)
+            if _is_useful(psi, pre, goal, solver, witnesses):
+                candidates.append(psi)
 
     if len(atoms_of(obligation)) > max_obligation_atoms:
         subsets: List[Tuple[Var, ...]] = []
@@ -100,8 +135,7 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
             except ValueError:
                 continue
         for psi in _split_candidate(candidate, memo):
-            if _is_useful(psi, pre, goal, solver) and psi not in candidates:
-                candidates.append(psi)
+            consider(psi)
         if len(candidates) >= max_candidates:
             break
 
@@ -109,8 +143,7 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
         for generalized in _generalize_atoms(candidates + [goal], memo):
             if len(candidates) >= max_candidates:
                 break
-            if generalized not in candidates and _is_useful(generalized, pre, goal, solver):
-                candidates.append(generalized)
+            consider(generalized)
 
     return AbductionResult(pre, goal, tuple(candidates))
 
@@ -142,14 +175,62 @@ def _split_candidate(candidate: Expr, memo: RewriteMemo) -> List[Expr]:
     return [part for part in parts if not isinstance(part, BoolConst)]
 
 
-def _is_useful(psi: Expr, pre: Expr, goal: Expr, solver: Solver) -> bool:
-    """Conditions (1) and (2) of Equation 3, plus non-triviality."""
+def _is_useful(psi: Expr, pre: Expr, goal: Expr, solver: Solver,
+               witnesses: List[Model]) -> bool:
+    """Conditions (1) and (2) of Equation 3, plus non-triviality.
+
+    *witnesses* are models of ``pre`` (see :func:`_admit`).  One that
+    satisfies ``psi`` proves (2) without a query, and one that also falsifies
+    ``goal`` refutes (1); the SAT answers obtained here join them.  Only the
+    verdicts no model can give — UNSAT, i.e. (2) failing or (1) holding —
+    always come from the solver.
+    """
     if isinstance(psi, BoolConst):
         return False
-    consistent = solver.check_sat(build.land(pre, psi)).is_sat
-    if not consistent:
+    settled = _settle(psi, goal, witnesses)
+    if settled is False:
         return False
-    return solver.check_valid(build.implies(build.land(pre, psi), goal))
+    strengthened = build.land(pre, psi)
+    if settled is None:
+        result = solver.check_sat(strengthened)
+        if not result.is_sat:
+            return False
+        if _settle(psi, goal, _admit(witnesses, pre, [result.model])) is False:
+            return False
+    found: List[Model] = []
+    valid = solver.check_valid(build.implies(strengthened, goal), found)
+    _admit(witnesses, pre, found)
+    return valid
+
+
+def _settle(psi: Expr, goal: Expr, models: Sequence[Model]) -> Optional[bool]:
+    """What *models* (each satisfying ``pre``) decide about *psi*.
+
+    False when one satisfies ``psi`` but not ``goal`` (``pre && psi`` is
+    consistent, yet does not entail ``goal``); True when one satisfies
+    ``psi`` and none refutes; None when none satisfies ``psi``.
+    """
+    consistent = None
+    for model in models:
+        if truth_value(psi, model):
+            if truth_value(goal, model) is False:
+                return False
+            consistent = True
+    return consistent
+
+
+def _admit(witnesses: List[Model], pre: Expr, found: Sequence[Model]) -> List[Model]:
+    """Append to *witnesses* the models in *found* that evaluate *pre* to
+    true, and return them.
+
+    Every SAT answer abduction receives is meant to be a model of ``pre``:
+    the obligation's counterexample (``pre && !goal``), a consistency witness
+    (``pre && psi``) or a usefulness counterexample (``pre && psi && !goal``).
+    Evaluation checks that before a model decides anything.
+    """
+    admitted = [model for model in found if truth_value(pre, model)]
+    witnesses.extend(admitted)
+    return admitted
 
 
 def _generalize_atoms(sources: Sequence[Expr], memo: RewriteMemo) -> List[Expr]:

@@ -27,7 +27,8 @@ either check (two threads running the same method must not conflate their
 parameters, cf. Example 4.2).  Verdicts are memoized in the solver's
 :class:`~repro.smt.cache.FormulaCache` keyed by the structural hash of the
 statement pair plus the shared-name set, so suite-wide class builds and
-mutation campaigns re-prove nothing.
+mutation campaigns re-prove nothing; a verdict reached while some query
+returned UNKNOWN is not memoized.
 """
 
 from __future__ import annotations
@@ -105,34 +106,19 @@ def _check_valid_degrading(solver: Solver, formula) -> bool:
 def _memo(solver: Solver, key, compute) -> bool:
     """Look a verdict up in the solver's commute memo, computing on miss.
 
-    With a tracer active, each memo consultation becomes a ``commute.pair``
-    span tagged with the pair's structural hash and its cache outcome, so a
-    trace shows exactly which independence checks hit the solver.
+    A verdict degraded by an UNKNOWN query is not memoized
+    (:meth:`Solver.memoized`).  With a tracer active, each memo consultation
+    becomes a ``commute.pair`` span tagged with the pair's structural hash
+    and its cache outcome, so a trace shows exactly which independence
+    checks hit the solver.
     """
-    cache = solver.cache
-    if cache is None:
-        return compute()
     tracer = obs.tracer()
-    if not tracer.enabled:
-        verdict = cache.lookup_commute(key)
-        if verdict is not None:
-            _count(solver, "commute_cache_hits")
-            return verdict
-        _count(solver, "commute_cache_misses")
-        verdict = compute()
-        cache.store_commute(key, verdict)
-        return verdict
+    if solver.cache is None or not tracer.enabled:
+        return solver.memoized("commute", key, compute)[0]
     with tracer.span("commute.pair", cat="commute", kind=str(key[0]),
                      formula=obs.formula_fingerprint(key)) as span:
-        verdict = cache.lookup_commute(key)
-        if verdict is not None:
-            _count(solver, "commute_cache_hits")
-            span.set(cache="hit", verdict=bool(verdict))
-            return verdict
-        _count(solver, "commute_cache_misses")
-        verdict = compute()
-        cache.store_commute(key, verdict)
-        span.set(cache="miss", verdict=bool(verdict))
+        verdict, hit = solver.memoized("commute", key, compute)
+        span.set(cache="hit" if hit else "miss", verdict=bool(verdict))
         return verdict
 
 

@@ -13,15 +13,27 @@ computation then keeps exactly the candidates that
 yielding the strongest conjunctive monitor invariant over the abduced
 predicate universe — monomial predicate abstraction in the sense of Lahiri &
 Qadeer, seeded by abduction exactly as the paper describes.
+
+The fixed point is a model-guided Houdini loop.  Initiation does not depend
+on the other candidates, so each candidate is checked once.  Consecution asks
+one validity query per (round, CCR) for the conjunction of the live
+candidates' weakest preconditions; the counterexample, checked by evaluation,
+drops every candidate whose ``wp`` it falsifies, and the query repeats until
+it is valid.  Where a model decides nothing (or the answer is UNKNOWN) the
+remaining candidates are queried one by one.  Every round therefore drops
+exactly the candidates a per-candidate loop drops, so the kept set, its order
+and ``iterations`` are those of the textbook loop
+(``tests/test_invariants_reference.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.logic import build
+from repro.logic.evaluate import truth_value
 from repro.logic.free_vars import free_vars
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Expr, INT, Var
@@ -29,7 +41,7 @@ from repro.lang.ast import Monitor
 from repro.analysis.abduction import abduce
 from repro.analysis.hoare import HoareTriple
 from repro.analysis.wp import weakest_precondition
-from repro.smt.solver import Solver
+from repro.smt.solver import Model, Solver
 
 
 @dataclass(frozen=True)
@@ -95,38 +107,68 @@ def infer_monitor_invariant(monitor: Monitor, triples: Sequence[HoareTriple],
         return ok
 
     # Phase 2: greatest fixed point (lines 8-17).
-    kept = list(pool)
     constructor = monitor.constructor()
+    ccrs = [ccr for _method, ccr in monitor.ccrs()]
+    initiated: Dict[Expr, bool] = {}
+    kept = list(pool)
     iterations = 0
     changed = True
     while changed:
         iterations += 1
-        changed = False
-        # Initiation: {true} Ctr(M) {psi}.
-        surviving: List[Expr] = []
+        # Initiation: {true} Ctr(M) {psi}.  It does not involve the other
+        # candidates, so one verdict per candidate serves every round.
         for psi in kept:
-            vc = build.implies(build.TRUE, weakest_precondition(constructor, psi))
-            if holds(vc):
-                surviving.append(psi)
-            else:
-                changed = True
+            if psi not in initiated:
+                initiated[psi] = holds(build.implies(
+                    build.TRUE, weakest_precondition(constructor, psi)))
+        surviving = [psi for psi in kept if initiated[psi]]
+        changed = len(surviving) != len(kept)
         kept = surviving
-        # Consecution: {I && Guard(w)} Body(w) {psi} for every CCR.
+        # Consecution: {I && Guard(w)} Body(w) {psi} for every CCR under
+        # this round's I.  A candidate is dropped at the first CCR that does
+        # not preserve it, so later CCRs only see the live ones.
         invariant = build.land(*kept) if kept else build.TRUE
-        surviving = []
-        for psi in kept:
-            preserved = True
-            for _method, ccr in monitor.ccrs():
-                pre = build.land(invariant, ccr.guard)
-                vc = build.implies(pre, weakest_precondition(ccr.body, psi))
-                if not holds(vc):
-                    preserved = False
-                    break
-            if preserved:
-                surviving.append(psi)
-            else:
-                changed = True
-        kept = surviving
+        dropped: Set[Expr] = set()
+        for ccr in ccrs:
+            goals = {psi: weakest_precondition(ccr.body, psi)
+                     for psi in kept if psi not in dropped}
+            dropped |= _not_preserved(build.land(invariant, ccr.guard), goals,
+                                      solver, holds)
+        if dropped:
+            changed = True
+            kept = [psi for psi in kept if psi not in dropped]
 
     invariant = simplify(build.land(*kept), memo) if kept else build.TRUE
     return InvariantInferenceResult(invariant, tuple(kept), tuple(pool), iterations)
+
+
+def _not_preserved(pre: Expr, goals: Dict[Expr, Expr], solver: Solver,
+                   holds: Callable[[Expr], bool]) -> Set[Expr]:
+    """The candidates ``psi`` of *goals* (``psi -> wp(body, psi)``) for which
+    ``pre ==> wp(body, psi)`` is not valid.
+
+    Model-guided Houdini: one query asks for the whole conjunction
+    ``pre ==> /\\ wp(body, psi)``.  Valid means every candidate is preserved.
+    A counterexample is checked by evaluation to satisfy *pre*, and every
+    candidate whose ``wp`` it falsifies is not preserved — the verdict that
+    candidate's own query would return — so those are dropped and the rest
+    are asked again.  When the model falsifies none of them (it cannot
+    evaluate a formula) or the answer is UNKNOWN, each remaining candidate
+    gets its own query, exactly as without the conjunction.
+    """
+    failed: Set[Expr] = set()
+    live = list(goals)
+    while len(live) > 1:
+        found: List[Model] = []
+        if solver.check_valid(build.implies(pre, build.land(*[goals[psi] for psi in live])),
+                              found):
+            return failed
+        models = [model for model in found if truth_value(pre, model)]
+        falsified = {psi for psi in live
+                     if any(truth_value(goals[psi], model) is False for model in models)}
+        if not falsified:
+            break
+        failed |= falsified
+        live = [psi for psi in live if psi not in falsified]
+    failed.update(psi for psi in live if not holds(build.implies(pre, goals[psi])))
+    return failed

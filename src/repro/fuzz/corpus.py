@@ -52,7 +52,8 @@ from repro.fuzz.generate import (
     roles_to_json,
 )
 from repro.fuzz.mutate import Candidate, apply_operator
-from repro.resilience import Journal, atomic_write_json, checksum_payload
+from repro.resilience import Journal, atomic_write_text, checksum_payload
+from repro.resilience.atomic import json_text
 
 
 class CorruptCorpusError(RuntimeError):
@@ -278,8 +279,19 @@ class CorpusStore:
     @staticmethod
     def _write_json(path: Path, payload) -> None:
         # Atomic even outside the journal path: a kill mid-write must leave
-        # the previous version intact, never a torn file.
-        atomic_write_json(path, payload)
+        # the previous version intact, never a torn file.  Checkpoints
+        # rewrite every state file, and most leave some unchanged
+        # (``findings.json`` stays ``[]``; the final checkpoint repeats the
+        # last round's state).  A file that already reads back identical was
+        # itself written atomically, so it is skipped: no second write and
+        # fsync of the same bytes.
+        text = json_text(payload)
+        try:
+            if path.read_text(encoding="utf-8") == text:
+                return
+        except (OSError, ValueError):
+            pass
+        atomic_write_text(path, text)
 
     # -- crash recovery -------------------------------------------------------
 

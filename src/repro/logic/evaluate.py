@@ -1,14 +1,16 @@
 """Concrete evaluation of expressions under a variable assignment.
 
-Evaluation is used in three places: the reference trace semantics
+Evaluation is used in four places: the reference trace semantics
 (:mod:`repro.semantics`) evaluates guards against monitor states, the SMT
-solver's tests cross-check models against formulas, and the AutoSynch-style
-runtime evaluates waiting predicates at signal time.
+solver's tests cross-check models against formulas, the AutoSynch-style
+runtime evaluates waiting predicates at signal time, and invariant inference
+(:mod:`repro.analysis.abduction`, :mod:`repro.analysis.invariants`) settles
+satisfiability questions under models it already holds.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from repro.logic.terms import (
     Add,
@@ -92,3 +94,13 @@ def evaluate(expr: Expr, assignment: Assignment) -> Value:
     if isinstance(expr, (Forall, Exists)):
         raise EvaluationError("cannot concretely evaluate a quantified formula")
     raise TypeError(f"cannot evaluate node {type(expr).__name__}")
+
+
+def truth_value(formula: Expr, assignment: Assignment) -> Optional[bool]:
+    """*formula*'s truth value under *assignment*, or None when evaluation
+    cannot tell (a variable the assignment lacks, a quantifier, or a node
+    evaluation does not cover)."""
+    try:
+        return bool(evaluate(formula, assignment))
+    except (EvaluationError, TypeError):
+        return None

@@ -145,6 +145,8 @@ SOLVER_METRIC_NAMES: Dict[str, str] = {
     "commute_cache_hits": "smt.commute.cache_hits",
     "commute_cache_misses": "smt.commute.cache_misses",
     "commute_static_skips": "smt.commute.static_skips",
+    "abduce_cache_hits": "smt.abduce.cache_hits",
+    "abduce_cache_misses": "smt.abduce.cache_misses",
     "unknowns": "smt.unknown",
     "timeouts": "smt.timeouts",
 }

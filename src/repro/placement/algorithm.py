@@ -88,16 +88,21 @@ def generate_placement_triples(monitor: Monitor, invariant: Expr) -> List[HoareT
     inference (Algorithm 2).
     """
     triples: List[HoareTriple] = []
+    guards = monitor.guards()
+    # Each guard's renaming (and its negation) is the same for every CCR.
+    renamed_guards = []
+    for predicate in guards:
+        renamed_p = rename_thread_locals(
+            predicate, guard_thread_locals(monitor, predicate), "theta")
+        renamed_guards.append((renamed_p, build.lnot(renamed_p)))
     for _method, ccr in monitor.ccrs():
-        for predicate in monitor.guards():
-            locals_in_p = guard_thread_locals(monitor, predicate)
-            renamed_p = rename_thread_locals(predicate, locals_in_p, "theta")
-            pre = build.land(invariant, ccr.guard, build.lnot(renamed_p))
-            triples.append(HoareTriple(pre, ccr.body, build.lnot(renamed_p),
-                                       purpose=f"no-signal {ccr.label}"))
-            triples.append(HoareTriple(pre, ccr.body, renamed_p,
-                                       purpose=f"unconditional {ccr.label}"))
-    for predicate in monitor.guards():
+        no_signal = f"no-signal {ccr.label}"
+        unconditional = f"unconditional {ccr.label}"
+        for renamed_p, not_renamed_p in renamed_guards:
+            pre = build.land(invariant, ccr.guard, not_renamed_p)
+            triples.append(HoareTriple(pre, ccr.body, not_renamed_p, purpose=no_signal))
+            triples.append(HoareTriple(pre, ccr.body, renamed_p, purpose=unconditional))
+    for predicate in guards:
         for _method, waiter in waiters_of(monitor, predicate):
             triples.append(HoareTriple(build.land(invariant, predicate), waiter.body,
                                        build.lnot(predicate),
@@ -124,11 +129,12 @@ def place_signals(monitor: Monitor, invariant: Expr,
 
     tracer = obs.tracer()
     guards = monitor.guards()
+    fingerprints = ([obs.formula_fingerprint(predicate) for predicate in guards]
+                    if tracer.enabled else [None] * len(guards))
     for method, ccr in monitor.ccrs():
-        for predicate in guards:
+        for predicate, fingerprint in zip(guards, fingerprints):
             with tracer.span("placement.decide", cat="placement",
-                             ccr=ccr.label,
-                             predicate=obs.formula_fingerprint(predicate)) as span:
+                             ccr=ccr.label, predicate=fingerprint) as span:
                 decision = _decide(monitor, method, ccr, predicate, invariant,
                                    solver, use_commutativity, commutes)
                 span.set(needs_notification=decision.needs_notification,

@@ -180,8 +180,9 @@ class ExpressoPipeline:
                         candidate_pool=(), iterations=0
                     )
                 invariant = invariant_details.invariant
-                inv_span.set(invariant=obs.formula_fingerprint(invariant),
-                             iterations=invariant_details.iterations)
+                if tracer.enabled:
+                    inv_span.set(invariant=obs.formula_fingerprint(invariant),
+                                 iterations=invariant_details.iterations)
             phases["invariants"] = time.perf_counter() - mark
 
             mark = time.perf_counter()

@@ -55,10 +55,14 @@ def atomic_write_text(path: Path, text: str) -> None:
     _fsync_dir(path.parent)
 
 
+def json_text(payload: Any) -> str:
+    """The on-disk form of a JSON state file (sorted keys, trailing newline)."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def atomic_write_json(path: Path, payload: Any) -> None:
-    """Serialize *payload* (sorted keys, trailing newline) atomically."""
-    atomic_write_text(Path(path),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Serialize *payload* with :func:`json_text` atomically."""
+    atomic_write_text(Path(path), json_text(payload))
 
 
 def checksum_text(text: str) -> str:

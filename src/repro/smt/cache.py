@@ -27,19 +27,32 @@ same canonical form can mention different (simplified-away) variables.
 ``UNKNOWN`` results are never cached — they depend on the querying solver's
 iteration budget, not on the formula.
 
+Above the formula level the cache keeps *procedure memos*: answers of whole
+procedures that fold several queries into one result.  ``"commute"`` holds
+commutativity/independence verdicts (keyed by the structurally hashed
+statement pair plus the shared-name set) and ``"abduce"`` holds abduction
+candidate lists (keyed by ``(pre, goal)`` plus the abducer's limits), so a
+campaign-wide cache answers an obligation a mutant shares with its parent
+without a single query.  Both go through
+:meth:`repro.smt.solver.Solver.memoized`, which applies the same rule as
+above: a procedure in which any query returned UNKNOWN is not stored.
+
 The cache is shared freely: per-solver, per-pipeline, or process-global (see
-:data:`repro.smt.solver.SHARED_CACHE`).  Entries are bounded by ``max_entries``
-with FIFO eviction, which is enough for compile-shaped workloads where the
-working set is the current benchmark's VC family.
+:data:`repro.smt.solver.SHARED_CACHE`).  Every table is bounded by
+``max_entries`` with FIFO eviction, which is enough for compile-shaped
+workloads where the working set is the current benchmark's VC family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, Optional
 
 from repro.logic.terms import Expr
 from repro.obs.metrics import MetricsRegistry
+
+#: The procedure memos every cache keeps.
+PROCEDURE_TABLES = ("commute", "abduce")
 
 
 @dataclass(frozen=True)
@@ -71,14 +84,13 @@ class FormulaCache:
         self.metrics = metrics
         self.hits = 0
         self.misses = 0
-        # Commutativity verdicts (`bodies_commute` and the exploration-side
-        # semantic-independence checks) are whole *procedures* — several
-        # validity queries folded into one boolean — so they memoize above
-        # the formula level, keyed by the (structurally hashed) statement
-        # pair plus the shared-name set the comparison ranged over.
-        self._commute: Dict[Hashable, bool] = {}
-        self.commute_hits = 0
-        self.commute_misses = 0
+        # Whole *procedures* — several queries folded into one answer —
+        # memoize above the formula level, one table per kind (see
+        # :meth:`repro.smt.solver.Solver.memoized`).
+        self._procedures: Dict[str, Dict[Hashable, object]] = {
+            table: {} for table in PROCEDURE_TABLES}
+        self.procedure_hits: Dict[str, int] = dict.fromkeys(PROCEDURE_TABLES, 0)
+        self.procedure_misses: Dict[str, int] = dict.fromkeys(PROCEDURE_TABLES, 0)
 
     # -- lookups -------------------------------------------------------------
 
@@ -119,8 +131,7 @@ class FormulaCache:
         self._store(self._raw, raw, entry)
         self._store(self._canonical, canonical, entry)
 
-    def _store(self, table: Dict[Expr, CachedResult], key: Expr,
-               entry: CachedResult) -> None:
+    def _store(self, table: Dict[Hashable, Any], key: Hashable, entry: Any) -> None:
         if key in table:
             table[key] = entry
             return
@@ -129,35 +140,34 @@ class FormulaCache:
             table.pop(next(iter(table)))
         table[key] = entry
 
-    # -- commutativity verdicts ----------------------------------------------
+    # -- procedure memos -----------------------------------------------------
 
-    def lookup_commute(self, key: Hashable) -> Optional[bool]:
-        """Memoized verdict of one commutativity/independence check."""
-        verdict = self._commute.get(key)
-        if verdict is None:
-            self.commute_misses += 1
+    def lookup_procedure(self, table: str, key: Hashable) -> Optional[Any]:
+        """Memoized answer of one procedure in *table*, or None."""
+        value = self._procedures[table].get(key)
+        if value is None:
+            self.procedure_misses[table] += 1
         else:
-            self.commute_hits += 1
+            self.procedure_hits[table] += 1
         if self.metrics is not None:
-            self.metrics.inc("smt.formula_cache.commute_misses" if verdict is None
-                             else "smt.formula_cache.commute_hits")
-        return verdict
+            outcome = "misses" if value is None else "hits"
+            self.metrics.inc(f"smt.formula_cache.{table}_{outcome}")
+        return value
 
-    def store_commute(self, key: Hashable, verdict: bool) -> None:
-        if key not in self._commute and len(self._commute) >= self.max_entries:
-            self._commute.pop(next(iter(self._commute)))
-        self._commute[key] = verdict
+    def store_procedure(self, table: str, key: Hashable, value: Any) -> None:
+        self._store(self._procedures[table], key, value)
 
     # -- maintenance / reporting ---------------------------------------------
 
     def clear(self) -> None:
         self._raw.clear()
         self._canonical.clear()
-        self._commute.clear()
+        for table in PROCEDURE_TABLES:
+            self._procedures[table].clear()
+            self.procedure_hits[table] = 0
+            self.procedure_misses[table] = 0
         self.hits = 0
         self.misses = 0
-        self.commute_hits = 0
-        self.commute_misses = 0
 
     def __len__(self) -> int:
         return len(self._canonical)
@@ -168,11 +178,13 @@ class FormulaCache:
         return self.hits / total if total else 0.0
 
     def statistics(self) -> Dict[str, int]:
-        return {
+        stats = {
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_entries": len(self._canonical),
-            "commute_cache_hits": self.commute_hits,
-            "commute_cache_misses": self.commute_misses,
-            "commute_cache_entries": len(self._commute),
         }
+        for table in PROCEDURE_TABLES:
+            stats[f"{table}_cache_hits"] = self.procedure_hits[table]
+            stats[f"{table}_cache_misses"] = self.procedure_misses[table]
+            stats[f"{table}_cache_entries"] = len(self._procedures[table])
+        return stats

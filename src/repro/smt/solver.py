@@ -40,7 +40,11 @@ compilation pipeline:
   policy of the theory-verdict memo, which bounds long-lived solvers
   (``ExpressoPipeline(solver=...)``, the commutativity checker's shared
   one).  Every pass is a pure function of its node, so the memo changes
-  speed, never results.
+  speed, never results;
+* :meth:`Solver.check_valid` can hand back the counterexample it found, and
+  :meth:`Solver.memoized` runs a whole query procedure (a commutativity
+  verdict, an abduction) through one of the cache's procedure memos,
+  storing its answer only when no query inside returned UNKNOWN.
 
 Unknown results (budget exhaustion) are reported explicitly so that callers
 can degrade conservatively; they never occur on the pipeline's own VCs.  A
@@ -61,7 +65,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar, Union
 
 from repro import obs
 from repro.logic import build
@@ -84,6 +88,7 @@ from repro.smt.simplex import (
 
 Value = Union[int, bool]
 Model = Dict[str, Value]
+T = TypeVar("T")
 
 #: Cap on memoized theory-conjunction verdicts per solver.
 _THEORY_CACHE_LIMIT = 50_000
@@ -243,14 +248,44 @@ class Solver:
         reason, self.last_unknown = self.last_unknown, None
         return reason
 
-    def check_valid(self, formula: Expr) -> bool:
+    def memoized(self, table: str, key: Hashable,
+                 compute: Callable[[], T]) -> Tuple[T, bool]:
+        """``(value, hit)`` of a whole query procedure, memoized per cache.
+
+        *table* names one of the cache's procedure memos (``"commute"``,
+        ``"abduce"``); hits and misses count under ``<table>_cache_hits`` /
+        ``<table>_cache_misses``.  A computation during which any query of
+        this solver returned UNKNOWN is not stored, so a budget- or
+        fault-degraded answer is never replayed once the cause is gone.
+        Without a cache every call computes.
+        """
+        cache = self.cache
+        if cache is None:
+            return compute(), False
+        value = cache.lookup_procedure(table, key)
+        if value is not None:
+            self.statistics[f"{table}_cache_hits"] += 1
+            return value, True
+        self.statistics[f"{table}_cache_misses"] += 1
+        unknowns = self.statistics["unknowns"]
+        value = compute()
+        if self.statistics["unknowns"] == unknowns:
+            cache.store_procedure(table, key, value)
+        return value, False
+
+    def check_valid(self, formula: Expr,
+                    counterexample: Optional[List[Model]] = None) -> bool:
         """Return True iff *formula* is valid (its negation is unsatisfiable).
 
         UNKNOWN results are treated as "not proven" — the conservative answer
-        for every use in the signal-placement pipeline.
+        for every use in the signal-placement pipeline.  When *counterexample*
+        is a list and the negation is SAT, its model (an assignment falsifying
+        *formula*, over the formula's free variables) is appended to it.
         """
         self.statistics["validity_queries"] += 1
         result = self.check_sat(build.lnot(formula))
+        if counterexample is not None and result.is_sat:
+            counterexample.append(result.model)
         return result.status is SatStatus.UNSAT
 
     def check_implies(self, antecedent: Expr, consequent: Expr) -> bool:

@@ -155,11 +155,11 @@ class TestSymbolicExecutionAndCommutativity:
         solver = Solver(cache=FormulaCache())
         first, second = Assign("x", add(x, 1)), Assign("x", sub(x, 1))
         assert bodies_commute(first, second, solver)
-        misses = solver.cache.commute_misses
+        misses = solver.cache.procedure_misses["commute"]
         assert misses >= 1
         assert bodies_commute(first, second, solver)
-        assert solver.cache.commute_misses == misses
-        assert solver.cache.commute_hits >= 1
+        assert solver.cache.procedure_misses["commute"] == misses
+        assert solver.cache.procedure_hits["commute"] >= 1
         assert solver.statistics["commute_cache_hits"] >= 1
         stats = solver.cache.statistics()
         assert stats["commute_cache_entries"] >= 1

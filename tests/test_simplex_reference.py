@@ -4,8 +4,8 @@
 contract is identity with the dense ``Fraction`` tableau kept below as the
 reference: the same entering column, the same leaving row, hence the same
 model and the same Farkas support on every input.  Both run on every simplex
-input of a six-monitor suite compile and on generated systems built to reach
-Bland's tie-break.
+input of a six-monitor suite compile plus ten generated monitors and on
+generated systems built to reach Bland's tie-break.
 
 The solver keeps each atom's theory form for its lifetime and takes a query's
 atoms from :func:`repro.smt.cnf.encode`; these tests check that the collected
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchmarks_lib import get_benchmark
+from repro.fuzz.generate import random_monitor
 from repro.logic import build, v
 from repro.logic.terms import BoolConst, is_atom, walk
 from repro.placement.pipeline import ExpressoPipeline
@@ -35,6 +36,9 @@ from repro.smt.solver import Solver
 #: and integer state and heavy abduction.
 MONITORS = ("Dining Philosophers", "Ticketed Readers-Writers", "SimpleDecoder",
             "AsyncDispatch", "Readers-Writers", "BoundedBuffer")
+#: Generated monitors compiled alongside, for query volume: model-guided
+#: invariant inference answers most of the suite's questions without one.
+GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
 
 # ---------------------------------------------------------------------------
 # The reference: a dense Phase-1 tableau over Fractions
@@ -158,7 +162,7 @@ def is_tableau_input(constraints):
 
 
 # ---------------------------------------------------------------------------
-# A six-monitor suite compile
+# A six-monitor suite compile plus generated monitors
 # ---------------------------------------------------------------------------
 
 
@@ -194,8 +198,8 @@ def suite_compile():
     patch.setattr(solver_module, "encode", recording_encode)
     patch.setattr(Solver, "check_sat", recording_check_sat)
     try:
-        for name in MONITORS:
-            ExpressoPipeline().compile(get_benchmark(name).source)
+        for source in [get_benchmark(name).source for name in MONITORS] + list(GENERATED):
+            ExpressoPipeline().compile(source)
     finally:
         patch.undo()
     return inputs, encodings, queries
