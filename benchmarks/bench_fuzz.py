@@ -23,7 +23,7 @@ import json
 import sys
 import time
 
-from repro.explore.parallel import map_jobs
+from repro.distrib import JobFailure, queue_map
 from repro.fuzz.campaign import FuzzConfig, _entry_job, _evaluate_candidate, run_campaign
 from repro.fuzz.corpus import CorpusStore, entry_from_generated
 from repro.fuzz.coverage import CoverageMap
@@ -44,7 +44,9 @@ def _measure_baseline(seed: int, budget: int, config: FuzzConfig,
             entry.threads, entry.ops = config.threads, config.ops
             batch.append(_entry_job(entry, config))
             index += 1
-        for outcome in map_jobs(_evaluate_candidate, batch, workers):
+        for outcome in queue_map(_evaluate_candidate, batch, workers=workers):
+            if isinstance(outcome, JobFailure):
+                outcome = outcome.error_dict()
             monitors += 1
             schedules += outcome.get("schedules_run", 0)
             if "error" in outcome:

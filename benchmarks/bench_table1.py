@@ -10,9 +10,9 @@ cores, per-compile validity-query cache) the suite compiles ~4x faster
 than the seed revision on the same container (52.7s -> ~12.8s total); each
 case's ``extra_info`` records the cache hit/miss counters so the effect of
 memoization on that row is visible in the benchmark report.  Batch runs can
-additionally spread benchmarks over a process pool via
-``repro.harness.compile_time.measure_compile_times(parallel=True)`` or
-``expresso bench --table 1 --parallel``.
+additionally spread benchmarks over worker processes via
+``repro.harness.compile_time.measure_compile_times(workers=N)`` or
+``expresso bench --table 1 --workers N``.
 
 Script mode (``python benchmarks/bench_table1.py --json [--out
 BENCH_compile.json]``) writes a machine-readable artifact mirroring
@@ -116,10 +116,9 @@ def main(argv=None) -> int:
                         help="write the BENCH_compile.json perf artifact")
     parser.add_argument("--out", default="BENCH_compile.json",
                         help="artifact path (default: BENCH_compile.json)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="compile the suite on a process pool")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for --parallel (default: one per CPU)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="compile the suite on N processes "
+                             "(default: 1 = in-process)")
     args = parser.parse_args(argv)
     if not args.json:
         parser.error("script mode only writes the JSON artifact; pass --json "
@@ -128,11 +127,11 @@ def main(argv=None) -> int:
     from repro.harness.compile_time import measure_compile_times
 
     start = time.perf_counter()
-    rows = measure_compile_times(parallel=args.parallel, max_workers=args.workers)
+    rows = measure_compile_times(workers=args.workers)
     compile_wall = time.perf_counter() - start
     document = {
         "cpu_count": os.cpu_count(),
-        "parallel": args.parallel,
+        "workers": args.workers,
         "rows": [dataclasses.asdict(row) for row in rows],
         "total_compile_seconds": round(sum(row.seconds for row in rows), 3),
         "wall_seconds": round(compile_wall, 3),

@@ -11,7 +11,7 @@ Usage examples::
     # Reproduce a figure series or Table 1 on the built-in benchmarks.
     expresso bench --figure 8 --threads 2 4 8 --ops 20
     expresso bench --table 1
-    expresso bench --table 1 --parallel --workers 8
+    expresso bench --table 1 --workers 8
     expresso bench --summary --threads 4 8 --seed 7 --json
 
     # Systematically explore schedules of the compiled monitors.
@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -86,13 +85,13 @@ def _positive_float(text: str) -> float:
 
 
 def _add_resilience_args(cmd: argparse.ArgumentParser) -> None:
-    """Worker-supervision and fault-injection flags shared by the campaigns."""
+    """Work-dispatch and fault-injection flags shared by the campaigns."""
     cmd.add_argument("--job-deadline", type=_positive_float, default=None,
                      metavar="SECONDS",
-                     help="per-job wall-clock deadline; a job past it is "
-                          "treated as hung, its worker killed and the job "
-                          "retried (default: no deadline)")
-    cmd.add_argument("--job-retries", type=_positive_int, default=None,
+                     help="per-job wall-clock deadline: no lease is renewed "
+                          "past it, so a hung job's worker is killed and "
+                          "the job retried (default: no deadline)")
+    cmd.add_argument("--job-retries", type=_positive_int, default=3,
                      metavar="N",
                      help="attempts per job before it is quarantined as a "
                           "per-job error (default: 3)")
@@ -133,16 +132,17 @@ def _distrib_from_args(args):
     """Build the DistribConfig from CLI flags; ``(config, exit_code)``."""
     from repro.distrib import DistribConfig
 
-    if args.helper and not args.store:
+    store = getattr(args, "store", None)
+    if getattr(args, "helper", False) and not store:
         print("error: --helper needs --store (the shared campaign store to "
               "work)", file=sys.stderr)
         return None, 2
-    if args.store is None:
-        return None, None
+    lease = ({"lease_ttl": args.lease_ttl,
+              "heartbeat_interval": args.heartbeat_interval}
+             if hasattr(args, "lease_ttl") else {})
     try:
-        return DistribConfig(store_path=args.store,
-                             lease_ttl=args.lease_ttl,
-                             heartbeat_interval=args.heartbeat_interval), None
+        return DistribConfig(store_path=store, deadline=args.job_deadline,
+                             max_attempts=args.job_retries, **lease), None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
@@ -216,12 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="thread ladder override (default: per-benchmark)")
     bench_cmd.add_argument("--ops", type=int, default=None,
                            help="operations per thread (default: per-benchmark)")
-    bench_cmd.add_argument("--parallel", action="store_true",
-                           help="compile the benchmark suite on a process pool "
-                                "(Table 1 only)")
-    bench_cmd.add_argument("--workers", type=_positive_int, default=None,
-                           help="process-pool size for --parallel "
-                                "(default: one per CPU)")
+    bench_cmd.add_argument("--workers", type=_positive_int, default=1,
+                           help="compile the Table 1 suite on N processes "
+                                "(default: 1 = in-process)")
     bench_cmd.add_argument("--seed", type=int, default=None,
                            help="reproducibly permute which thread runs which "
                                 "operation sequence")
@@ -281,14 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a deterministic Chrome-trace-event "
                                   "JSON flight recording (per-schedule spans "
                                   "with prune provenance; shard-merged)")
-    explore_cmd.add_argument("--state-dir", default=None, metavar="DIR",
-                             help="journal per-benchmark results to DIR so an "
-                                  "interrupted campaign can continue with "
-                                  "--resume (excludes --trace/--fuzz/--replay)")
     explore_cmd.add_argument("--resume", action="store_true",
                              help="skip benchmarks already completed in "
-                                  "--state-dir's journal (same configuration "
-                                  "required)")
+                                  "--store's frontier under the same "
+                                  "configuration (a changed one starts fresh)")
     explore_cmd.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON instead of text")
     _add_resilience_args(explore_cmd)
@@ -478,36 +471,19 @@ def _pipeline_from_args(args) -> ExpressoPipeline:
     )
 
 
-def _supervisor_from_args(args):
-    """A SupervisorConfig from --job-deadline/--job-retries, or None."""
-    deadline = getattr(args, "job_deadline", None)
-    retries = getattr(args, "job_retries", None)
-    if deadline is None and retries is None:
-        return None
-    from repro.resilience import SupervisorConfig
-
-    config = SupervisorConfig(deadline_seconds=deadline)
-    if retries is not None:
-        config = dataclasses.replace(config, max_attempts=retries)
-    return config
-
-
 def _install_fault_plan(args) -> Optional[int]:
     """Install --fault-plan process-wide; an exit code on failure."""
     path = getattr(args, "fault_plan", None)
     if not path:
         return None
     from repro.resilience import FaultPlan, install_plan
-    from repro.resilience.faults import PLAN_ENV
 
     try:
         plan = FaultPlan.from_file(path)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load fault plan {path}: {exc}", file=sys.stderr)
         return 2
-    # Workers spawned outside the supervisor's plan-shipping path (plain
-    # pools) pick the plan up from the environment.
-    os.environ[PLAN_ENV] = str(Path(path).resolve())
+    # The dispatcher ships the installed plan to every pool worker.
     install_plan(plan)
     return None
 
@@ -556,8 +532,7 @@ def _cmd_bench(args) -> int:
     ladder = tuple(args.threads) if args.threads else None
     if args.table == "1":
         start = time.perf_counter()
-        rows = measure_compile_times(parallel=args.parallel,
-                                     max_workers=args.workers)
+        rows = measure_compile_times(workers=args.workers)
         wall = time.perf_counter() - start
         if args.json:
             print(json.dumps({"table": 1, "wall_seconds": wall,
@@ -565,7 +540,7 @@ def _cmd_bench(args) -> int:
                              indent=2))
             return 0
         print(render_table1(rows))
-        mode = f"parallel x{args.workers or 'auto'}" if args.parallel else "sequential"
+        mode = f"parallel x{args.workers}" if args.workers > 1 else "sequential"
         print(f"\nsuite wall clock: {wall:.2f}s ({mode})")
         return 0
     if args.benchmark:
@@ -694,18 +669,9 @@ def _cmd_explore(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.resume and not (args.state_dir or args.store):
-        print("error: --resume needs --state-dir or --store (the campaign "
-              "state to continue from)", file=sys.stderr)
-        return 2
-    if args.state_dir and (args.fuzz is not None or args.replay or args.trace):
-        print("error: --state-dir checkpoints registry-benchmark campaigns; "
-              "it cannot be combined with --fuzz, --replay or --trace",
-              file=sys.stderr)
-        return 2
-    if args.store and args.state_dir:
-        print("error: --store and --state-dir are alternative campaign "
-              "persistence mechanisms; pick one", file=sys.stderr)
+    if args.resume and not args.store:
+        print("error: --resume needs --store (the campaign store whose "
+              "frontier to continue from)", file=sys.stderr)
         return 2
     if args.store and (args.fuzz is not None or args.replay):
         print("error: --store drives registry-benchmark campaigns; it "
@@ -719,7 +685,6 @@ def _cmd_explore(args) -> int:
         return failed
     if args.helper:
         return _run_helper_mode(args, distrib)
-    supervisor = _supervisor_from_args(args)
 
     if args.fuzz is not None:
         if args.benchmark or args.discipline != "expresso":
@@ -752,12 +717,11 @@ def _cmd_explore(args) -> int:
     else:
         specs = list(ALL_BENCHMARKS.values())
 
-    # --state-dir: journal one record per finished benchmark so a killed
-    # campaign continues from the last completed benchmark under --resume.
-    # --store does the same through the shared store's frontier table (one
-    # record per benchmark, keyed by the config fingerprint) — and
-    # additionally dispatches shards through its work-stealing queue.
-    journal = None
+    # --store records one frontier entry per finished benchmark, keyed by
+    # the config fingerprint, so a killed campaign continues from the last
+    # completed benchmark under --resume (a changed configuration has its
+    # own namespace and starts fresh) — and dispatches shards through the
+    # store's work-stealing queue.
     completed: dict = {}
     fingerprint = {
         "benchmarks": [spec.name for spec in specs],
@@ -783,31 +747,6 @@ def _cmd_explore(args) -> int:
                 if record is not None:
                     completed[spec.name] = record
         mark_active(cstore, distrib)
-    if args.state_dir:
-        from repro.explore.engine import ExplorationResult
-        from repro.resilience import Journal
-
-        state_dir = Path(args.state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        journal_path = state_dir / "explore.jsonl"
-        journal = Journal(journal_path)
-        if args.resume:
-            replay = journal.truncate_to_valid()
-            records = list(replay.records)
-            if records and records[0].get("config") != fingerprint:
-                print(f"error: {journal_path} was written by a campaign with "
-                      f"a different configuration; drop --resume to start "
-                      f"over", file=sys.stderr)
-                return 2
-            completed = {record["name"]: record["result"]
-                         for record in records
-                         if record.get("type") == "benchmark"}
-            need_config = not records
-        else:
-            journal_path.unlink(missing_ok=True)
-            need_config = True
-        if need_config:
-            journal.append({"type": "config", "config": fingerprint})
 
     results = []
     for spec in specs:
@@ -826,8 +765,7 @@ def _cmd_explore(args) -> int:
                 max_steps=args.max_steps, stop_on_failure=not args.keep_going,
                 por=args.por, semantic=args.semantic, symmetry=args.symmetry,
                 witness=args.witness, trace=bool(args.trace),
-                workers=args.workers, supervisor=supervisor,
-                store=cstore, distrib=distrib))
+                workers=args.workers, store=cstore, distrib=distrib))
         else:
             results.append(explore_benchmark(
                 spec, args.discipline, threads=args.threads, ops=args.ops,
@@ -835,9 +773,6 @@ def _cmd_explore(args) -> int:
                 max_steps=args.max_steps, stop_on_failure=not args.keep_going,
                 por=args.por, semantic=args.semantic, symmetry=args.symmetry,
                 witness=args.witness))
-        if journal is not None:
-            journal.append({"type": "benchmark", "name": spec.name,
-                            "result": results[-1].to_dict()})
         if cstore is not None:
             from repro.distrib import mark_active
 
@@ -961,7 +896,7 @@ def _cmd_fuzz(args) -> int:
         max_findings=args.max_findings, workers=args.workers,
         strategy=args.strategy, max_steps=args.max_steps,
         trace=bool(args.trace), resume=args.resume or args.repair,
-        supervisor=_supervisor_from_args(args), distrib=distrib)
+        distrib=distrib)
     from repro.distrib import StoreMismatchError
 
     try:
@@ -1001,13 +936,16 @@ def _cmd_mutate(args) -> int:
     failed = _install_fault_plan(args)
     if failed is not None:
         return failed
+    distrib, failed = _distrib_from_args(args)
+    if failed is not None:
+        return failed
     if args.benchmark:
         specs = [get_benchmark(name) for name in args.benchmark]
     else:
         specs = list(ALL_BENCHMARKS.values())
     report = mutation_campaign(specs, threads=args.threads, ops=args.ops,
                                budget=args.schedules, workers=args.workers,
-                               supervisor=_supervisor_from_args(args))
+                               distrib=distrib)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.ok else 1

@@ -20,7 +20,8 @@ one ``--store PATH`` — can cooperate through:
   leases with heartbeat renewal; an expired lease (crashed/hung worker)
   makes the unit claimable again with bounded attempts and
   quarantine-on-repeat, so a poisoned unit becomes an error record instead
-  of a livelock.
+  of a livelock.  :func:`queue_map` over it is the repository's one work
+  dispatcher; without ``--store`` it runs on a private temp store.
 
 Fault sites (see :mod:`repro.resilience.faults`): ``store.read`` and
 ``store.write`` (token = ``"<op>"`` or ``"<op>:<unit id>"``), ``lease.renew``
@@ -28,9 +29,15 @@ Fault sites (see :mod:`repro.resilience.faults`): ``store.read`` and
 mode above is deterministically injectable.
 """
 
-from repro.distrib.store import CampaignStore, StoreMismatchError, VisitedStore
+from repro.distrib.store import (
+    CampaignStore,
+    StoreMismatchError,
+    VisitedStore,
+    private_store,
+)
 from repro.distrib.queue import (
     DistribConfig,
+    JobFailure,
     WorkQueue,
     mark_active,
     mark_finished,
@@ -39,7 +46,7 @@ from repro.distrib.queue import (
 )
 
 __all__ = [
-    "CampaignStore", "StoreMismatchError", "VisitedStore",
-    "DistribConfig", "WorkQueue", "mark_active", "mark_finished",
-    "queue_map", "run_helper",
+    "CampaignStore", "StoreMismatchError", "VisitedStore", "private_store",
+    "DistribConfig", "JobFailure", "WorkQueue", "mark_active",
+    "mark_finished", "queue_map", "run_helper",
 ]

@@ -1,4 +1,10 @@
-"""Lease-based work stealing over the campaign store (``units`` table).
+"""The work dispatcher: lease-based work stealing over a campaign store.
+
+Every job that reaches another process goes through :func:`queue_map` —
+fuzz candidate batches, explore shards, the mutation sweep and Table 1's
+parallel compile.  A campaign run without ``--store`` dispatches through a
+private temp store (:func:`~repro.distrib.store.private_store`) that nobody
+else sees.
 
 A **work unit** is one pickled ``(function, job)`` pair with a
 deterministic id (``<batch>/<slot>``); *batches* are a campaign's natural
@@ -9,25 +15,34 @@ The protocol:
   order: ``pending``, or ``leased`` past its expiry (the previous owner
   crashed or hung — the claim *steals* it).  Claiming bumps the unit's
   attempt counter; a unit that has burned ``max_attempts`` leases is
-  **quarantined** instead of handed out again — it becomes an error record
-  (:class:`~repro.resilience.JobFailure` at merge time, mirroring the
-  supervisor's poison-job semantics), never a livelock.
+  **quarantined** instead of handed out again — it becomes a
+  :class:`JobFailure` in its slot at merge time, never a livelock.
 * :meth:`WorkQueue.renew` — heartbeat: the owner extends its lease every
   ``heartbeat_interval`` while evaluating.  A worker that stops heartbeating
-  loses the unit after ``lease_ttl``.
+  loses the unit after ``lease_ttl``.  With a ``deadline`` no lease runs
+  past claim time + deadline, so a hung job loses its lease even though
+  its heartbeat thread is alive.
 * :meth:`WorkQueue.complete` — store the pickled result *iff* the caller
   still owns the lease; a stale owner's late result is discarded (the
   stealer's result — byte-identical, evaluation is deterministic — wins).
 
-:func:`queue_map` is the drop-in, order-preserving replacement for
-:func:`repro.explore.parallel.map_jobs` when a store is configured: results
-come back in job order whatever processes did the work, so campaign merges
-stay deterministic.  The driver enqueues, fans out pool workers, and then
-*participates*: once its pool drains (or breaks), it claims leftovers
-in-process, so a campaign always terminates even if every worker dies.
-:func:`run_helper` is the same worker loop for a *separate invocation*
-pointed at the shared store — how multiple processes cooperate on one
-campaign.
+:func:`queue_map` returns results in job order whatever processes did the
+work, so campaign merges stay deterministic.  With ``workers=1`` the driver
+works the batch in-process; otherwise it runs a process pool and reaps it:
+
+* **crash** — a dead worker breaks the whole pool.  The driver returns the
+  leases the pool held to the queue at once (no TTL wait) and continues on
+  a fresh *one-worker* pool, so a job that kills its worker again is blamed
+  alone and a poison job can never kill the driver;
+* **hang** — a pool worker holding an expired lease (past its deadline) is
+  terminated with its pool, its leases are returned, and the pool is
+  respawned.  Pool workers never steal each other's leases; that is the
+  driver's call.
+
+Either way the attempt counts as paid, so a unit that keeps failing is
+quarantined after ``max_attempts``.  :func:`run_helper` is the same worker
+loop for a *separate invocation* pointed at the shared store — how
+multiple processes cooperate on one campaign.
 
 Fault sites: ``store.write`` fires with token ``claim:<unit id>`` right
 after a lease commits (killing there models a worker dying at the lease
@@ -39,30 +54,34 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
-from repro.distrib.store import CampaignStore
-from repro.resilience import JobFailure
+from repro.distrib.store import CampaignStore, private_store
 from repro.resilience import faults
 from repro.resilience.atomic import checksum_text
 from repro.resilience.faults import fault_check
-from repro.resilience.supervisor import _terminate_pool
 
 
 @dataclass
 class DistribConfig:
-    """Shared-store campaign knobs (``--store/--lease-ttl/--heartbeat-interval``)."""
+    """Dispatch knobs (``--store/--lease-ttl/--heartbeat-interval``,
+    ``--job-deadline/--job-retries``)."""
 
     store_path: Optional[str] = None
     lease_ttl: float = 30.0
     heartbeat_interval: float = 5.0
+    #: Leases per unit before it is quarantined (``--job-retries``).
     max_attempts: int = 3
+    #: Wall-clock seconds a lease may run past its claim, renewals
+    #: included (``--job-deadline``); ``None`` disables hang detection.
+    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.lease_ttl <= 2 * self.heartbeat_interval:
@@ -78,18 +97,29 @@ class DistribConfig:
 
 
 @dataclass
+class JobFailure:
+    """A job the dispatcher gave up on — returned in place of its result."""
+
+    job: Any
+    error: str
+    attempts: int
+    quarantined: bool = False
+
+    def error_dict(self, **extra: Any) -> Dict[str, Any]:
+        """The failure as an outcome-shaped dict (campaign merge surface)."""
+        return {"error": f"worker: {self.error}",
+                "attempts": self.attempts,
+                "quarantined": self.quarantined, **extra}
+
+
+@dataclass
 class Claim:
     """One leased work unit (attempt is 0-based: prior lease count)."""
 
     unit_id: str
     payload: bytes
     attempt: int
-
-
-def _obs_inc(name: str, delta: int = 1) -> None:
-    from repro import obs
-
-    obs.registry().inc(name, delta)
+    claimed_at: float
 
 
 def _set_plan_attempt(attempt: int) -> Optional[int]:
@@ -107,6 +137,20 @@ class WorkQueue:
     def __init__(self, store: CampaignStore, config: DistribConfig):
         self.store = store
         self.config = config
+
+    def _count(self, name: str) -> None:
+        """Mirror a lease event into the session registry (user stores)."""
+        if not self.store.private:
+            from repro import obs
+
+            obs.registry().inc(name)
+
+    def _lease_end(self, claimed_at: float, now: float) -> float:
+        """One TTL past *now*, but never past claim time + deadline."""
+        end = now + self.config.lease_ttl
+        if self.config.deadline is not None:
+            end = min(end, claimed_at + self.config.deadline)
+        return end
 
     # -- enqueue --------------------------------------------------------------
 
@@ -139,8 +183,13 @@ class WorkQueue:
     # -- the lease protocol ---------------------------------------------------
 
     def claim(self, worker: str, batch: Optional[str] = None,
-              now: Optional[float] = None) -> Optional[Claim]:
-        """Atomically lease the first claimable unit (steal expired leases)."""
+              now: Optional[float] = None,
+              spare: Collection[str] = ()) -> Optional[Claim]:
+        """Atomically lease the first claimable unit (steal expired leases).
+
+        Expired leases held by an owner in *spare* are left alone: pool
+        workers spare their siblings, whose hangs the driver reaps.
+        """
         now = time.time() if now is None else now
         claim: Optional[Claim] = None
         with self.store.transaction("claim") as conn:
@@ -155,8 +204,9 @@ class WorkQueue:
                 args).fetchall()
             for row in rows:
                 stolen = row["status"] == "leased"
-                if stolen and row["lease_expires"] > now:
-                    continue           # live lease: someone is working on it
+                if stolen and (row["lease_expires"] > now
+                               or row["owner"] in spare):
+                    continue           # someone is (or will be) on it
                 if stolen:
                     self.store.inc_counter(conn, "distrib.lease.expired")
                 if row["attempts"] >= self.config.max_attempts:
@@ -175,7 +225,7 @@ class WorkQueue:
                     "UPDATE units SET status = 'leased', owner = ?, "
                     "lease_expires = ?, attempts = attempts + 1 "
                     "WHERE unit_id = ?",
-                    (worker, now + self.config.lease_ttl, row["unit_id"]))
+                    (worker, self._lease_end(now, now), row["unit_id"]))
                 self.store.inc_counter(conn, "distrib.lease.granted")
                 if stolen:
                     self.store.inc_counter(conn, "distrib.lease.stolen")
@@ -183,10 +233,10 @@ class WorkQueue:
                     worker, {"last_heartbeat": now, "unit": row["unit_id"]},
                     conn=conn, increments={"claims": 1})
                 claim = Claim(unit_id=row["unit_id"], payload=row["payload"],
-                              attempt=row["attempts"])
+                              attempt=row["attempts"], claimed_at=now)
                 break
         if claim is not None:
-            _obs_inc("distrib.lease.granted")
+            self._count("distrib.lease.granted")
             # The fault-plan attempt context tracks the unit's lease count,
             # so crash rules armed for ``attempt=0`` kill only the first
             # claimant — the steal then completes, which is what makes
@@ -201,14 +251,18 @@ class WorkQueue:
 
     def renew(self, claim: Claim, worker: str,
               now: Optional[float] = None) -> bool:
-        """Extend the lease; False when it was lost (stolen/completed)."""
+        """Extend the lease; False when it was lost (stolen/completed) or
+        has reached its deadline."""
         fault_check("lease.renew", token=claim.unit_id)
         now = time.time() if now is None else now
+        expires = self._lease_end(claim.claimed_at, now)
+        if expires <= now:
+            return False               # past the deadline: let it expire
         with self.store.transaction("renew") as conn:
             cursor = conn.execute(
                 "UPDATE units SET lease_expires = ? WHERE unit_id = ? "
                 "AND owner = ? AND status = 'leased'",
-                (now + self.config.lease_ttl, claim.unit_id, worker))
+                (expires, claim.unit_id, worker))
             renewed = cursor.rowcount > 0
             if renewed:
                 self.store.inc_counter(conn, "distrib.lease.renewed")
@@ -216,7 +270,7 @@ class WorkQueue:
                     worker, {"last_heartbeat": now, "unit": claim.unit_id},
                     conn=conn, increments={"renewals": 1})
         if renewed:
-            _obs_inc("distrib.lease.renewed")
+            self._count("distrib.lease.renewed")
         return renewed
 
     def complete(self, claim: Claim, worker: str, result: Any) -> bool:
@@ -237,7 +291,7 @@ class WorkQueue:
                     worker, {"last_heartbeat": time.time(), "unit": None},
                     conn=conn, increments={"completed": 1})
         if completed:
-            _obs_inc("distrib.units.completed")
+            self._count("distrib.units.completed")
         return completed
 
     def release(self, claim: Claim, worker: str, error: str) -> None:
@@ -253,6 +307,26 @@ class WorkQueue:
                 self.store.record_telemetry(
                     worker, {"last_heartbeat": time.time(), "unit": None},
                     conn=conn, increments={"failed": 1})
+
+    def reclaim(self, workers: Sequence[str], error: str) -> List[str]:
+        """Return every unit leased by *workers* (dead processes) to pending.
+
+        The attempts stay paid, like :meth:`release`; returns the unit ids.
+        """
+        owners = ", ".join("?" * len(workers))
+        with self.store.transaction("reclaim") as conn:
+            rows = conn.execute(
+                f"SELECT unit_id FROM units WHERE status = 'leased' "
+                f"AND owner IN ({owners}) ORDER BY unit_id",
+                tuple(workers)).fetchall()
+            conn.execute(
+                f"UPDATE units SET status = 'pending', owner = NULL, "
+                f"lease_expires = NULL, error = ? WHERE status = 'leased' "
+                f"AND owner IN ({owners})", (error, *workers))
+            if rows:
+                self.store.inc_counter(conn, "distrib.units.failed",
+                                       len(rows))
+        return [row["unit_id"] for row in rows]
 
     # -- batch bookkeeping ----------------------------------------------------
 
@@ -277,12 +351,23 @@ class WorkQueue:
             f"SELECT COUNT(*) AS n FROM units {where}", args).fetchone()
         return row["n"]
 
+    def expired(self, batch: str, workers: Sequence[str],
+                now: Optional[float] = None) -> List[str]:
+        """Units of *batch* whose lease, held by one of *workers*, expired."""
+        now = time.time() if now is None else now
+        owners = ", ".join("?" * len(workers))
+        rows = self.store._read("expired").execute(
+            f"SELECT unit_id FROM units WHERE batch = ? AND status = "
+            f"'leased' AND lease_expires <= ? AND owner IN ({owners}) "
+            f"ORDER BY unit_id", (batch, now, *workers)).fetchall()
+        return [row["unit_id"] for row in rows]
+
     def collect(self, batch: str, jobs: Sequence[Any],
                 unit_ids: Optional[Sequence[str]] = None) -> List[Any]:
         """The batch's outcomes in job order.
 
         Quarantined units come back as :class:`JobFailure` carrying the
-        original job — exactly the supervisor's merge surface.
+        original job.
         """
         if unit_ids is None:
             unit_ids = [f"{batch}/{slot:05d}" for slot in range(len(jobs))]
@@ -323,7 +408,7 @@ class _Heartbeat(threading.Thread):
             try:
                 fault_check("worker.heartbeat", token=self.claim.unit_id)
                 if not self.queue.renew(self.claim, self.worker):
-                    self.lost = True   # lease stolen: stop renewing
+                    self.lost = True   # stolen or past deadline: stop
                     return
             except Exception:
                 return                 # store unreachable: let the TTL decide
@@ -368,8 +453,8 @@ def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
 
 
 def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
-                 active: Callable[[], bool],
-                 trace_units: bool = False) -> int:
+                 active: Callable[[], bool], trace_units: bool = False,
+                 spare: Collection[str] = ()) -> int:
     """Claim-evaluate-complete until nothing is left (or *active* is False).
 
     Exits when the batch has no unsettled units — or, scoped to no batch
@@ -380,7 +465,7 @@ def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
     """
     completed = 0
     while True:
-        claim = queue.claim(worker, batch=batch)
+        claim = queue.claim(worker, batch=batch, spare=spare)
         if claim is not None:
             _evaluate_claim(queue, claim, worker, trace_units=trace_units)
             completed += 1
@@ -394,78 +479,133 @@ def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
 
 
 def _pool_worker(spec: dict) -> int:
-    """Pool-process entry for one queue worker (mirrors the supervisor's)."""
-    plan_spec = spec.get("fault_plan")
+    """Pool-process entry: install the fault context, work the batch."""
+    plan_spec = spec["fault_plan"]
     plan = faults.FaultPlan.from_dict(plan_spec) if plan_spec else None
     if plan is not None:
         os.environ[faults._IN_WORKER_ENV] = "1"
+    # Explicit install either way: fork-started workers inherit the driver's
+    # plan object, and driver-side rules must not fire in workers.
     faults.install_plan(plan)
     store = CampaignStore(spec["store_path"])
-    queue = WorkQueue(store, DistribConfig(
-        store_path=spec["store_path"], lease_ttl=spec["lease_ttl"],
-        heartbeat_interval=spec["heartbeat_interval"],
-        max_attempts=spec["max_attempts"]))
     try:
-        return _worker_loop(queue, spec["worker"], spec["batch"],
-                            active=lambda: False)
+        return _worker_loop(WorkQueue(store, spec["config"]), spec["worker"],
+                            spec["batch"], active=lambda: False,
+                            spare=spec["siblings"])
     finally:
         store.close()
 
 
-def queue_map(function: Callable[[dict], Any], jobs: Sequence[dict],
-              store: CampaignStore, batch: str, config: DistribConfig,
-              workers: int = 1, keys: Optional[Sequence[str]] = None) -> List[Any]:
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Abandon a pool with a hung or dead worker without joining the hang."""
+    # Private attribute, but the only way to reap a genuinely hung worker:
+    # shutdown(wait=True) would block on it forever and shutdown(wait=False)
+    # would leak it past interpreter exit.
+    for process in list(getattr(pool, "_processes", {}).values()):
+        try:
+            process.terminate()
+        except OSError:
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+#: How often the driver checks its pool (cheap reads): a settled batch
+#: releases its idle workers within this, not within a worker's poll sleep.
+_DRIVER_POLL = 0.05
+
+
+def _run_pool(queue: WorkQueue, batch: str, workers: int) -> None:
+    """Work *batch* on pool processes until it settles, reaping failures.
+
+    Each round forks a pool and watches it: a worker death (the pool
+    breaks) or a pool worker's expired lease (a hang past the deadline)
+    ends the round — the pool is terminated, every lease its workers held
+    goes back to the queue with its attempt paid, and the next round
+    starts.  After a death the next rounds run one worker, so a job that
+    kills its worker again is blamed alone.  A failed round that neither
+    returned a lease nor settled a unit raises instead of respawning
+    forever.
+    """
+    store, config = queue.store, queue.config
+    plan = faults.active_plan()
+    spec = {"store_path": str(store.path), "batch": batch, "config": config,
+            "fault_plan": plan.to_dict() if plan is not None else None}
+    generation = 0
+    remaining = queue.batch_remaining(batch)
+    while remaining > 0:
+        names = [f"pool-{os.getpid()}-{generation}-{index}"
+                 for index in range(workers)]
+        generation += 1
+        store.close()                  # no SQLite handle across the fork
+        pool = ProcessPoolExecutor(max_workers=workers)
+        futures = [pool.submit(_pool_worker, {**spec, "worker": name,
+                                              "siblings": names})
+                   for name in names]
+        died = hung = False
+        try:
+            while not (died or hung) and queue.batch_remaining(batch) > 0:
+                wait(futures, timeout=_DRIVER_POLL,
+                     return_when=FIRST_EXCEPTION)
+                died = any(future.done() and future.exception() is not None
+                           for future in futures)
+                hung = not died and bool(queue.expired(batch, names))
+        finally:
+            if all(future.done() for future in futures):
+                pool.shutdown(wait=True)
+            else:
+                _terminate_pool(pool)
+        if not (died or hung):
+            return                     # the batch settled
+        if died:
+            failure = "pool worker died"
+            workers = 1
+        elif config.deadline is not None:
+            failure = f"pool worker ran past the {config.deadline}s deadline"
+        else:
+            failure = "pool worker stopped renewing its lease"
+        released = queue.reclaim(names, failure)
+        settled = remaining - queue.batch_remaining(batch)
+        if not (released or settled):
+            raise RuntimeError(f"{failure} before settling any work unit")
+        print(f"warning: {failure}; leases returned to the queue: "
+              f"{', '.join(released) or 'none'}", file=sys.stderr)
+        remaining -= settled
+
+
+def queue_map(function: Callable[[Any], Any], jobs: Sequence[Any],
+              store: Optional[CampaignStore] = None, batch: str = "map",
+              config: Optional[DistribConfig] = None, workers: int = 1,
+              keys: Optional[Sequence[str]] = None) -> List[Any]:
     """Order-preserving map over *jobs* through the work-stealing queue.
 
-    The drop-in replacement for :func:`repro.explore.parallel.map_jobs`
-    when a campaign runs against a shared store: any process pointed at the
-    store — the pool workers spawned here, a cooperating ``expresso``
-    invocation, the driver itself — may evaluate any unit, and the batch
-    result is collected in unit-id order regardless, so merges stay
-    deterministic.  The driver participates once its pool drains or breaks
-    (every worker crashed): campaigns terminate as long as *one* process
-    survives, and a unit whose every lease dies is quarantined into a
-    :class:`JobFailure` in its slot.
+    Any process pointed at *store* — the pool workers spawned here, a
+    cooperating ``expresso`` invocation, the driver itself — may evaluate
+    any unit, and the batch result is collected in unit-id order
+    regardless, so merges stay deterministic.  Units are stored pickled, so
+    *function* and *jobs* must pickle even when one process does all the
+    work.  With no *store* the batch runs through a private temp store.
+    ``workers=1`` works the batch
+    in-process (an injected crash there *is* a driver crash); more workers
+    run a reaped process pool (see :func:`_run_pool`).  A unit whose every
+    lease fails is quarantined into a :class:`JobFailure` in its slot.
     """
     jobs = list(jobs)
     if not jobs:
         return []
+    config = config or DistribConfig()
+    if store is None:
+        with private_store() as private:
+            return queue_map(function, jobs, private, batch, config,
+                             workers, keys)
     queue = WorkQueue(store, config)
-    driver = f"driver-{os.getpid()}"
     unit_ids = queue.enqueue(
         batch, [pickle.dumps({"function": function, "job": job})
                 for job in jobs], keys=keys)
-    futures = []
-    pool = None
-    if workers > 1 and len(jobs) > 1:
-        plan = faults.active_plan()
-        spec = {"store_path": str(store.path), "batch": batch,
-                "lease_ttl": config.lease_ttl,
-                "heartbeat_interval": config.heartbeat_interval,
-                "max_attempts": config.max_attempts,
-                "fault_plan": plan.to_dict() if plan is not None else None}
-        store.close()                  # no SQLite handle across the fork
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
-        futures = [pool.submit(_pool_worker,
-                               {**spec, "worker": f"pool-{os.getpid()}-{i}"})
-                   for i in range(min(workers, len(jobs)))]
-    try:
-        while queue.batch_remaining(batch) > 0:
-            alive = [future for future in futures if not future.done()]
-            if not alive:
-                # No pool (workers=1) or every worker exited/crashed: the
-                # driver works the queue itself — including stealing from
-                # a cooperating process that died mid-lease.
-                _worker_loop(queue, driver, batch, active=lambda: False)
-                break
-            wait(alive, timeout=config.poll_interval)
-    finally:
-        if pool is not None:
-            # A hung worker would block a clean shutdown forever; reap it.
-            if any(not future.done() for future in futures):
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+    if workers > 1:
+        _run_pool(queue, batch, min(workers, len(jobs)))
+    elif queue.batch_remaining(batch) > 0:
+        _worker_loop(queue, f"driver-{os.getpid()}", batch,
+                     active=lambda: False)
     return queue.collect(batch, jobs, unit_ids=unit_ids)
 
 

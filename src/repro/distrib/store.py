@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -105,13 +106,20 @@ def _row_sha(*fields: Any) -> str:
 
 
 class CampaignStore:
-    """One shared on-disk campaign store (SQLite, WAL, checksummed rows)."""
+    """One shared on-disk campaign store (SQLite, WAL, checksummed rows).
+
+    A *private* store is the dispatcher's throwaway queue for a campaign run
+    without ``--store`` (see :func:`private_store`): its lease counters stay
+    out of the session metrics registry, so such a run reports no
+    ``distrib.*`` names.
+    """
 
     def __init__(self, path, busy_timeout: float = 30.0,
-                 read_only: bool = False):
+                 read_only: bool = False, private: bool = False):
         self.path = Path(path)
         self.busy_timeout = busy_timeout
         self.read_only = read_only
+        self.private = private
         self._conn: Optional[sqlite3.Connection] = None
         self._owner: Optional[Tuple[int, int]] = None  # (pid, thread id)
 
@@ -471,6 +479,21 @@ class CampaignStore:
                         (row["unit_id"],))
                     dropped += 1
         return {"rows_dropped": dropped, "problems": problems}
+
+
+@contextmanager
+def private_store() -> Iterator[CampaignStore]:
+    """A throwaway :class:`CampaignStore` in a temp directory.
+
+    What a campaign dispatches through when no ``--store`` is given; the
+    directory and everything in it are removed on exit.
+    """
+    with tempfile.TemporaryDirectory(prefix="expresso-store-") as root:
+        store = CampaignStore(Path(root) / "campaign.sqlite3", private=True)
+        try:
+            yield store
+        finally:
+            store.close()
 
 
 class VisitedStore:

@@ -519,10 +519,10 @@ class ExplorationResult:
     #: ``to_dict`` — the JSON artifact surface is unchanged.
     trace_shards: Optional[List[list]] = field(default=None, repr=False)
     metrics_snapshot: Optional[Dict[str, int]] = field(default=None, repr=False)
-    #: Shards the worker supervisor gave up on (quarantined after retries):
-    #: one dict per lost shard with the shard's identifying parameters and
-    #: the error chain.  Serialized only when nonempty, so fault-free
-    #: campaign artifacts are byte-identical with or without supervision.
+    #: Shards the work dispatcher quarantined (their workers kept dying or
+    #: hanging until the attempts ran out): one dict per lost shard with
+    #: the shard's identifying parameters and the error chain.  Serialized
+    #: only when nonempty, so fault-free campaign artifacts never show it.
     worker_failures: List[dict] = field(default_factory=list)
     #: Serialized schedules/s pinned by :meth:`from_dict` — ``to_dict``
     #: derives the rate from the *unrounded* elapsed time, so a rehydrated

@@ -25,13 +25,11 @@ only care is determinism of the *reported* result:
   exact counts, for ``workers > 1``.  The merged failure list is ordered
   by (shard, discovery order).
 
-With a persistent ``--store`` (see :mod:`repro.distrib`), shards are not
-statically bound to pool workers: every shard becomes a leased work unit in
-the store's work-stealing queue, so cooperating processes — extra
-``expresso`` invocations pointed at the same path — pick up units, and a
-unit whose worker dies is re-claimed by a sibling after its lease expires.
-The merged result is collected in unit order either way, so it is identical
-to the supervised-pool path.
+Shards are dispatched through the work queue (:func:`repro.distrib.queue_map`):
+every shard is a leased work unit, and results merge in unit order.  With
+a persistent ``--store`` cooperating processes — extra ``expresso``
+invocations pointed at the same path — pick up units too; without one the
+queue and the visited-state memo share one private temp store.
 
 Workers never recompile the monitor: the parent ships the *generated coop
 class source* (plus the reference AST, POR footprints, semantic matrix and
@@ -46,17 +44,22 @@ a placement-wide lost-wakeup detection sweep, parallelized per mutant.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.codegen.python_gen import generate_python_explicit, materialize_class
-from repro.distrib import CampaignStore, DistribConfig, VisitedStore, queue_map
+from repro.distrib import (
+    CampaignStore,
+    DistribConfig,
+    JobFailure,
+    VisitedStore,
+    private_store,
+    queue_map,
+)
 from repro.explore.engine import (
     Counterexample,
     ExplorationResult,
@@ -69,36 +72,11 @@ from repro.explore.scheduler import run_schedule
 from repro.explore.strategies import FirstStrategy
 from repro.lang.ast import Monitor
 from repro.placement.target import ExplicitMonitor
-from repro.resilience import JobFailure, SupervisorConfig, run_supervised
 from repro.resilience.atomic import checksum_payload
 
 
 def default_workers() -> int:
     return os.cpu_count() or 2
-
-
-def map_jobs(function, jobs: Sequence[dict], workers: Optional[int] = None,
-             supervisor: Optional[SupervisorConfig] = None) -> List:
-    """Order-preserving *supervised* map over the campaign worker pool.
-
-    The building block campaign drivers (the mutation sweep, the fuzzing
-    campaign's batches) shard per-candidate jobs with: results come back in
-    job order whatever the pool's scheduling did, so merging is
-    deterministic and independent of the worker count; one worker (or one
-    job) short-circuits to an in-process loop.
-
-    Execution is delegated to the worker supervisor: a worker death
-    (``BrokenProcessPool``) or a hang past ``supervisor.deadline_seconds``
-    costs bounded retries of the *suspect* jobs, never the completed
-    siblings — a job that keeps failing comes back as
-    :class:`~repro.resilience.JobFailure` carrying the offending job dict,
-    in its slot, instead of an exception that loses the whole batch.
-    """
-    jobs = list(jobs)
-    config = supervisor or SupervisorConfig()
-    config = dataclasses.replace(
-        config, workers=workers or config.workers or default_workers())
-    return run_supervised(function, jobs, config)
 
 
 # ---------------------------------------------------------------------------
@@ -290,37 +268,31 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                            symmetry: bool = True, share_states: bool = True,
                            witness: bool = False, trace: bool = False,
                            workers: Optional[int] = None,
-                           supervisor: Optional[SupervisorConfig] = None,
                            store: Optional[CampaignStore] = None,
                            distrib: Optional[DistribConfig] = None,
                            ) -> ExplorationResult:
-    """`explore_class`, sharded over a supervised process pool.
+    """`explore_class`, sharded over the work dispatcher.
 
     Falls back to the sequential engine when one worker (or one shard) would
     do all the work anyway.  The coop class must carry ``_coop_source`` (all
     engine-built classes do) so workers can rebuild it without recompiling.
     ``share_states`` (DFS only) links the shards' merge probes through one
-    SQLite-backed :class:`~repro.distrib.VisitedStore` (a private temp store
-    by default, the persistent campaign *store* when one is given), so
-    overlap explored by one shard is pruned — not re-judged — by the others.
+    SQLite-backed :class:`~repro.distrib.VisitedStore`, so overlap explored
+    by one shard is pruned — not re-judged — by the others.
     ``trace`` records every shard into a flight-recorder session and
     attaches ``trace_shards`` / ``metrics_snapshot`` to the merged result
     (also on the sequential fallback, so callers read one surface regardless
     of worker count).
 
-    With *store* set, shards are dispatched through the store's lease-based
-    work-stealing queue (:func:`repro.distrib.queue_map`) instead of a
-    statically partitioned pool: cooperating processes pointed at the same
-    store path claim units too, and a crashed worker's units are stolen by
-    surviving siblings after the TTL.  Results still merge in unit order, so
-    the outcome matches the supervised-pool path.
-
-    Shards run under the worker supervisor: a shard whose worker dies or
-    hangs is retried in isolation and, if it keeps failing, *quarantined* —
-    recorded in ``result.worker_failures`` with its shard parameters — while
-    every surviving shard's coverage and failures are still merged.  A lost
-    shard also forces ``exhausted=False``: the merged result never claims
-    full coverage of a subtree nobody finished.
+    Shards are work units of :func:`repro.distrib.queue_map`, in the
+    persistent campaign *store* when one is given (cooperating processes
+    pointed at the same path claim units too) and otherwise in a private
+    temp store; the visited-state memo lives in the same store.  A shard
+    whose worker keeps dying or hanging is *quarantined* — recorded in
+    ``result.worker_failures`` with its shard parameters — while every
+    surviving shard's coverage and failures are still merged.  A lost shard
+    also forces ``exhausted=False``: the merged result never claims full
+    coverage of a subtree nobody finished.
     """
     workers = workers or default_workers()
     source = getattr(coop_class, "_coop_source", None)
@@ -343,6 +315,11 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
 
     if source is None or (workers <= 1 and store is None):
         return sequential()
+    roots: List[Tuple[int, ...]] = []
+    if strategy == "dfs":
+        roots = _dfs_root_prefixes(coop_class, programs, max_steps)
+        if not roots or (len(roots) < 2 and store is None):
+            return sequential()
     # Explicit coop sources embed footprints/matrix as class-attribute
     # literals — rebuilding from source restores them, so ship them only
     # for classes whose source does not (autosynch/implicit runtimes).
@@ -369,16 +346,13 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
         "witness": witness,
         "trace": trace,
     }
-    tempdir = None
     jobs: List[dict] = []
-    try:
+    with (nullcontext(store) if store is not None
+          else private_store()) as dispatch_store:
         if strategy == "dfs":
-            roots = _dfs_root_prefixes(coop_class, programs, max_steps)
-            if not roots or (len(roots) < 2 and store is None):
-                return sequential()
             visited_store = None
             visited_scope = None
-            if share_states and por and roots:
+            if share_states and por:
                 # Campaign-scoped namespace: different benchmarks/configs
                 # cooperating through one persistent store never observe
                 # each other's published subtrees.
@@ -386,12 +360,7 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                     benchmark, discipline, source,
                     [[repr(op) for op in program] for program in programs],
                     seed, max_steps, bool(semantic), bool(symmetry)])[:16]
-                if store is not None:
-                    visited_store = str(store.path)
-                else:
-                    tempdir = tempfile.TemporaryDirectory(
-                        prefix="expresso-visited-")
-                    visited_store = str(Path(tempdir.name) / "visited.sqlite3")
+                visited_store = str(dispatch_store.path)
             root_slices = _shard_bounds(len(roots),
                                         min(max(workers, 1), len(roots)))
             # The --schedules budget caps *total* judged schedules, like the
@@ -414,29 +383,21 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                 job["seed"] = seed + start
                 job["budget"] = end - start
                 jobs.append(job)
+        batch_key = checksum_payload([
+            benchmark, discipline, strategy, source,
+            [[repr(op) for op in program] for program in programs],
+            budget, seed, max_steps, stop_on_failure, minimize,
+            por, semantic, symmetry, witness, len(jobs)])[:16]
         start_time = time.perf_counter()
-        if store is not None:
-            batch_key = checksum_payload([
-                benchmark, discipline, strategy, source,
-                [[repr(op) for op in program] for program in programs],
-                budget, seed, max_steps, stop_on_failure, minimize,
-                por, semantic, symmetry, witness, len(jobs)])[:16]
-            outcomes = queue_map(
-                _run_shard, jobs, store, batch=f"explore/{batch_key}",
-                config=distrib or DistribConfig(store_path=str(store.path)),
-                workers=min(max(workers, 1), len(jobs)))
-            # The store's transactional counters are the authoritative
-            # cross-process aggregate; mirror them so the session registry
-            # (observe() snapshots, the exporter) shares one namespace.
-            obs.mirror_store_counters(store.counters())
-        else:
-            config = supervisor or SupervisorConfig()
-            config = dataclasses.replace(config, workers=len(jobs))
-            outcomes = run_supervised(_run_shard, jobs, config)
+        outcomes = queue_map(
+            _run_shard, jobs, dispatch_store, batch=f"explore/{batch_key}",
+            config=distrib, workers=min(max(workers, 1), len(jobs)))
         elapsed = time.perf_counter() - start_time
-    finally:
-        if tempdir is not None:
-            tempdir.cleanup()
+    if store is not None:
+        # The store's transactional counters are the authoritative
+        # cross-process aggregate; mirror them so the session registry
+        # (observe() snapshots, the exporter) shares one namespace.
+        obs.mirror_store_counters(store.counters())
     shards: List[ExplorationResult] = []
     lost: List[dict] = []
     for job, outcome in zip(jobs, outcomes):
@@ -540,7 +501,7 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
                       budget: int = 20_000, max_steps: int = 20_000,
                       workers: Optional[int] = None, minimize: bool = True,
                       pipeline=None,
-                      supervisor: Optional[SupervisorConfig] = None,
+                      distrib: Optional[DistribConfig] = None,
                       ) -> MutationReport:
     """Drop every placed notification across *specs*; each must be detected.
 
@@ -548,7 +509,9 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
     exec mutant class sources and explore.  Uses DPOR DFS so small bounds
     exhaust — a surviving mutant is then either *benign* (search exhausted:
     the signal is unobservable under this workload bound) or a genuine
-    detection gap (``survived``), which fails the campaign.
+    detection gap (``survived``), which fails the campaign.  *distrib*
+    carries the dispatch knobs (per-job deadline, attempts); a mutant whose
+    worker keeps dying or hanging is reported with status ``error``.
     """
     from repro.analysis.commutativity import semantic_independence_for_explicit
     from repro.harness.saturation import expresso_result
@@ -580,7 +543,7 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
     report = MutationReport(threads=threads, ops=ops, budget=budget,
                             workers=workers)
     start = time.perf_counter()
-    outcomes = map_jobs(_run_mutant, jobs, workers, supervisor=supervisor)
+    outcomes = queue_map(_run_mutant, jobs, config=distrib, workers=workers)
     report.mutants = [
         outcome if not isinstance(outcome, JobFailure)
         else outcome.error_dict(

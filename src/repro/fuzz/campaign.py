@@ -8,9 +8,9 @@ The loop is the classic greybox cycle instantiated over monitor programs:
 3. **mutate** — a rendezvous-hashed operator (deterministic per
    ``(campaign seed, round, slot)``) transforms the parent's monitor AST,
    falling back through the operator order and finally to fresh generation;
-4. **evaluate** — candidates are sharded over the
-   :func:`repro.explore.parallel.map_jobs` worker pool: each job compiles the
-   monitor, explores it, and extracts coverage features + findings (with
+4. **evaluate** — each candidate batch goes through the work dispatcher
+   (:func:`repro.distrib.queue_map`): each job compiles the monitor,
+   explores it, and extracts coverage features + findings (with
    Definition 3.4 witnesses);
 5. **merge** — results are folded in batch-slot order: the coverage map
    unions deterministically, fingerprint-novel candidates join the corpus,
@@ -31,17 +31,17 @@ last checkpoint and continues the *same* invocation; because checkpoints
 carry no timing and every round is a pure function of (seed, round index,
 restored state), a campaign killed at any point and resumed produces a
 byte-identical corpus directory — journal included — to one that never
-crashed.  Candidate evaluation runs under the worker supervisor: a worker
-death or hang is retried and, at worst, quarantined into
-``compile_errors`` as a per-candidate ``worker:`` error.
+crashed.  A pool worker's death or a hang past ``config.distrib.deadline``
+costs the candidate one attempt; a candidate that exhausts its attempts is
+quarantined into ``compile_errors`` as a per-candidate ``worker:`` error.
 
 Distributed campaigns: with ``config.distrib`` pointing at a shared
 :class:`~repro.distrib.CampaignStore`, candidate batches are dispatched
-through the store's lease-based work-stealing queue
-(:func:`repro.distrib.queue_map`) instead of a statically partitioned pool.
-Any process pointed at the store — the driver, its pool workers, extra
-``expresso fuzz --store PATH --helper`` invocations — claims units under TTL
-leases; a crashed worker's unit is stolen after the lease expires.  Unit ids
+through that store's lease-based work-stealing queue instead of a private
+temp one.  Any process pointed at the store — the driver, its pool workers,
+extra ``expresso fuzz --store PATH --helper`` invocations — claims units
+under TTL leases; a crashed helper's unit is stolen after the lease
+expires.  Unit ids
 are keyed by entry id, so a resumed driver re-enqueueing a replayed round
 reuses stored results and merges stay deterministic.  The driver mirrors
 every checkpoint into the store (corpus index, coverage map, checkpoint
@@ -62,11 +62,11 @@ from repro import obs
 from repro.distrib import (
     CampaignStore,
     DistribConfig,
+    JobFailure,
     mark_active,
     mark_finished,
     queue_map,
 )
-from repro.explore.parallel import map_jobs
 from repro.fuzz.corpus import (
     CorpusEntry,
     CorpusStore,
@@ -76,7 +76,7 @@ from repro.fuzz.corpus import (
 from repro.fuzz.coverage import CoverageMap, coverage_fingerprint, run_features
 from repro.fuzz.generate import balanced_workload, derive_seed, roles_from_json, roles_to_json
 from repro.fuzz.mutate import CROSSOVER_OPERATORS, OPERATORS, apply_operator
-from repro.resilience import JobFailure, SupervisorConfig, fault_check
+from repro.resilience import fault_check
 
 
 @dataclass
@@ -99,12 +99,9 @@ class FuzzConfig:
     #: Continue the last journaled invocation (rolling the corpus back to
     #: its last valid checkpoint first) instead of starting a new one.
     resume: bool = False
-    #: Worker supervision knobs (per-job deadline, retry budget); ``None``
-    #: uses the supervisor defaults.
-    supervisor: Optional[SupervisorConfig] = None
-    #: Distributed fabric: when set (with a ``store_path``), candidate
-    #: batches go through the shared store's work-stealing queue so
-    #: cooperating processes evaluate units too.
+    #: Dispatch knobs (per-job deadline, attempts, lease timing); with a
+    #: ``store_path`` candidate batches go through that shared store's
+    #: work-stealing queue so cooperating processes evaluate units too.
     distrib: Optional[DistribConfig] = None
 
     def fingerprint_dict(self) -> dict:
@@ -475,8 +472,8 @@ def _run_campaign(config: FuzzConfig,
 
     def merge_outcome(outcome, entry: CorpusEntry, op_name: Optional[str]) -> None:
         if isinstance(outcome, JobFailure):
-            # The supervisor quarantined this candidate's worker: record it
-            # like a compile error — per-candidate, never campaign-fatal.
+            # The dispatcher quarantined this candidate: record it like a
+            # compile error — per-candidate, never campaign-fatal.
             outcome = outcome.error_dict(entry_id=entry.entry_id)
         if metrics is not None:
             events = outcome.pop("trace_events", None)
@@ -534,19 +531,17 @@ def _run_campaign(config: FuzzConfig,
 
     def evaluate_batch(jobs: List[dict], batch: str,
                        keys: List[str]) -> List:
-        """Dispatch one candidate batch: work-stealing queue or pool.
+        """Dispatch one candidate batch through the work queue.
 
-        With a shared store, unit ids are ``<batch>/<entry id>`` — stable
-        across resumes even though a replayed round skips already-admitted
-        entries, so stored results always line back up with their jobs.
+        Unit ids are ``<batch>/<entry id>`` — stable across resumes even
+        though a replayed round skips already-admitted entries, so a shared
+        store's results always line back up with their jobs.  Without a
+        shared store the batch runs on a private temp one.
         """
         if dstore is not None:
             mark_active(dstore, config.distrib)
-            return queue_map(_evaluate_candidate, jobs, dstore, batch,
-                             config.distrib, workers=config.workers,
-                             keys=keys)
-        return map_jobs(_evaluate_candidate, jobs, config.workers,
-                        supervisor=config.supervisor)
+        return queue_map(_evaluate_candidate, jobs, dstore, batch,
+                         config.distrib, workers=config.workers, keys=keys)
 
     def ordered_findings_list() -> List[dict]:
         return sorted(

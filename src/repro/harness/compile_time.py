@@ -4,11 +4,12 @@ Two execution modes:
 
 * **sequential** (default) — one pipeline per benchmark in this process, each
   with a compile-local solver cache;
-* **parallel** — the suite is fanned out over a ``concurrent.futures``
-  process pool, one worker process per in-flight benchmark.  Compilation is
-  CPU-bound pure Python, so processes (not threads) are the only way to use
-  more than one core; each worker builds its own solver and cache, which is
-  sound because cached results are pure facts about formulas.
+* **parallel** (``workers > 1``) — the suite is fanned out over worker
+  processes through the work dispatcher (:func:`repro.distrib.queue_map`).
+  Compilation is CPU-bound pure Python, so processes (not threads) are the
+  only way to use more than one core; each worker builds its own solver and
+  cache, which is sound because cached results are pure facts about
+  formulas.
 
 Both modes report the solver-cache hit/miss counters next to the timings so
 cache effectiveness lands in the Table 1 output.
@@ -17,7 +18,6 @@ cache effectiveness lands in the Table 1 output.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,7 +76,7 @@ def _compile_row(spec: BenchmarkSpec, use_commutativity: bool) -> CompileTimeRow
 
 
 def _compile_row_task(task: Tuple[Union[str, BenchmarkSpec], bool]) -> CompileTimeRow:
-    """Process-pool entry point: accepts a registry name or a pickled spec."""
+    """Worker entry point: accepts a registry name or a pickled spec."""
     target, use_commutativity = task
     spec = ALL_BENCHMARKS[target] if isinstance(target, str) else target
     return _compile_row(spec, use_commutativity)
@@ -84,18 +84,18 @@ def _compile_row_task(task: Tuple[Union[str, BenchmarkSpec], bool]) -> CompileTi
 
 def measure_compile_times(benchmarks: Optional[Sequence[BenchmarkSpec]] = None,
                           use_commutativity: bool = True,
-                          parallel: bool = False,
-                          max_workers: Optional[int] = None) -> List[CompileTimeRow]:
+                          workers: int = 1) -> List[CompileTimeRow]:
     """Run the full pipeline on every benchmark and record wall-clock time.
 
-    With ``parallel=True`` the benchmarks compile concurrently on a process
-    pool (``max_workers`` processes, default: one per CPU); row order still
-    follows the benchmark order.  Per-row ``seconds`` is each benchmark's own
-    compile time regardless of mode — total wall clock is what parallelism
-    improves.
+    With ``workers > 1`` the benchmarks compile concurrently on that many
+    processes; row order still follows the benchmark order.  Per-row
+    ``seconds`` is each benchmark's own compile time regardless of mode —
+    total wall clock is what parallelism improves.
     """
+    from repro.distrib import JobFailure, queue_map
+
     specs = list(benchmarks) if benchmarks is not None else list(ALL_BENCHMARKS.values())
-    if not parallel or len(specs) <= 1:
+    if workers <= 1 or len(specs) <= 1:
         return [_compile_row(spec, use_commutativity) for spec in specs]
 
     # Registry benchmarks travel by name (cheap and always picklable);
@@ -105,5 +105,8 @@ def measure_compile_times(benchmarks: Optional[Sequence[BenchmarkSpec]] = None,
         registered = ALL_BENCHMARKS.get(spec.name)
         target = spec.name if registered is spec else spec
         tasks.append((target, use_commutativity))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_compile_row_task, tasks))
+    rows = queue_map(_compile_row_task, tasks, workers=workers)
+    for spec, row in zip(specs, rows):
+        if isinstance(row, JobFailure):
+            raise RuntimeError(f"compiling {spec.name} failed: {row.error}")
+    return rows

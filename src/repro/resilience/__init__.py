@@ -1,13 +1,13 @@
-"""Resilience: crash-safe state, worker supervision, fault injection.
+"""Resilience: crash-safe state, fault injection.
 
 The campaign layer (``expresso explore/fuzz/mutate``) is built to run
 unattended at scale, which means three failure families must become
 *per-job events* instead of campaign aborts:
 
-* **process failures** — a worker killed by the OS (OOM, signal) breaks the
-  whole ``ProcessPoolExecutor``; :mod:`repro.resilience.supervisor` turns
-  that into a per-job error with bounded retry, per-job wall-clock
-  deadlines (hang detection), and poison-job quarantine;
+* **process failures** — a worker killed by the OS (OOM, signal) or hung
+  past its deadline; the work dispatcher (:func:`repro.distrib.queue_map`)
+  reaps its pool, returns the worker's lease to the queue at once, and
+  quarantines a job that keeps failing as a per-job error;
 * **torn state** — a crash mid-write leaves a half-written JSON file;
   :mod:`repro.resilience.atomic` writes atomically (tmp + fsync +
   ``os.replace``) and :mod:`repro.resilience.journal` provides a
@@ -41,11 +41,6 @@ from repro.resilience.faults import (
     install_plan,
 )
 from repro.resilience.journal import Journal, JournalReplay
-from repro.resilience.supervisor import (
-    JobFailure,
-    SupervisorConfig,
-    run_supervised,
-)
 
 __all__ = [
     "FaultPlan", "FaultRule", "InjectedCrash", "InjectedFault",
@@ -53,5 +48,4 @@ __all__ = [
     "atomic_write_json", "atomic_write_text",
     "checksum_payload", "checksum_text",
     "Journal", "JournalReplay",
-    "JobFailure", "SupervisorConfig", "run_supervised",
 ]

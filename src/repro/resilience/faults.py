@@ -1,13 +1,13 @@
 """Deterministic fault injection at named sites (``FaultPlan``).
 
-Every robustness mechanism in this repository — supervised workers,
-journaled campaign state, solver degradation — is tested byte-for-byte by
-replaying the *same* faults at the *same* points.  Wall-clock chaos (kill a
-random worker, pull the plug mid-write) cannot do that, so instrumented code
-declares **named fault sites** instead::
+Every robustness mechanism in this repository — dispatcher crash and hang
+recovery, journaled campaign state, solver degradation — is tested
+byte-for-byte by replaying the *same* faults at the *same* points.
+Wall-clock chaos (kill a random worker, pull the plug mid-write) cannot do
+that, so instrumented code declares **named fault sites** instead::
 
     fault_check("journal.append", token=record_type)
-    fault_check("worker.job", token=entry_id)
+    fault_check("fuzz.candidate", token=entry_id)
     fault_check("disk.write", token=path.name)
 
 The distributed campaign fabric (:mod:`repro.distrib`) adds four sites:
@@ -39,7 +39,7 @@ Actions
     to ``os._exit`` so the driver sees a genuine ``BrokenProcessPool``.
 ``hang``
     Sleep for ``seconds`` (default far past any deadline) — exercises the
-    supervisor's hang detection.
+    dispatcher's lease deadline (``--job-deadline``).
 ``error``
     Raise :class:`InjectedFault` (an ``OSError`` subclass) — a recoverable
     I/O failure at disk-write sites.
@@ -55,9 +55,9 @@ at the k-th check of its site in the process that reaches it — exact for
 driver-side sites and for ``workers=1`` campaigns.  For pool workers,
 prefer ``match`` (substring of the token, e.g. an entry id): firing is then
 decided by *what* is being processed, never by scheduling.  ``attempt``
-restricts a rule to the n-th supervised attempt of a job (default: first
-attempt only — a retried job is not re-killed, which is what lets chaos
-campaigns converge to the fault-free result).
+restricts a rule to the n-th lease of a work unit (default: first attempt
+only — a retried job is not re-killed, which is what lets chaos campaigns
+converge to the fault-free result).
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Environment variable naming a JSON fault-plan file.  Pool workers inherit
-#: the parent's environment, so ``expresso ... --fault-plan FILE`` reaches
-#: every process of a campaign without any explicit plumbing.
+#: Environment variable naming a JSON fault-plan file, read by a process
+#: that has no plan installed explicitly (``--fault-plan`` installs one, and
+#: the dispatcher ships it to its pool workers).
 PLAN_ENV = "EXPRESSO_FAULT_PLAN"
 
 _ACTIONS = ("crash", "hang", "error", "unknown")
@@ -98,7 +98,7 @@ class FaultRule:
     ``at`` — per-site occurrence indices (0-based) at which to fire; empty
     means every occurrence.  ``match`` — substring the site token must
     contain (the occurrence counter then counts matching checks only).
-    ``attempt`` — supervised-attempt number this rule is armed for
+    ``attempt`` — work-unit attempt number this rule is armed for
     (``None`` = any attempt; default 0 = first attempt only for crash/hang,
     so retries succeed).
     """
@@ -136,7 +136,7 @@ class FaultPlan:
     #: Occurrence counters, keyed by (site, rule index) so two rules on one
     #: site with different ``match`` filters count independently.
     _counters: Dict[Tuple[str, int], int] = field(default_factory=dict)
-    #: The supervised-attempt context (set by the worker wrapper).
+    #: The work-unit attempt context (set around each claimed unit).
     attempt: int = 0
     #: Fired-rule log (site, token, action) — inspectable by tests.
     fired: List[Tuple[str, Optional[str], str]] = field(default_factory=list)
@@ -204,7 +204,7 @@ class FaultPlan:
 
 _PLAN: Optional[FaultPlan] = None
 _ENV_CHECKED = False
-#: Set in supervised pool workers so ``crash`` becomes ``os._exit``.
+#: Set in dispatcher pool workers so ``crash`` becomes ``os._exit``.
 _IN_WORKER_ENV = "EXPRESSO_FAULT_IN_WORKER"
 
 

@@ -25,6 +25,7 @@ from repro.cli import main as cli_main
 from repro.distrib import (
     CampaignStore,
     DistribConfig,
+    JobFailure,
     StoreMismatchError,
     WorkQueue,
     mark_active,
@@ -37,7 +38,6 @@ from repro.resilience import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
-    JobFailure,
     injected,
 )
 
@@ -68,6 +68,13 @@ def _poison(job):
     if job.get("poison"):
         raise RuntimeError("poisoned unit")
     return job["value"] + 1
+
+
+def _faulty_square(job):
+    from repro.resilience.faults import fault_check
+
+    fault_check("worker.job", token=str(job["value"]))
+    return job["value"] ** 2
 
 
 def _helper_entry(store_path, ttl, hb, out_path):
@@ -379,6 +386,25 @@ class TestWorkQueue:
         assert "missing from store" in outcome.error
         store.close()
 
+    def test_renewal_stops_at_the_deadline(self, tmp_path):
+        store, queue = _queue(tmp_path, deadline=5.0)
+        queue.enqueue("b", [pickle.dumps("job")])
+        claim = queue.claim("a", now=100.0)
+        assert queue.claim("b", now=104.0) is None     # live until 105
+        assert queue.renew(claim, "a", now=103.0)      # capped at 105
+        assert not queue.renew(claim, "a", now=105.0)  # deadline reached
+        assert queue.claim("b", now=106.0) is not None
+        store.close()
+
+    def test_spared_owners_are_not_stolen_from(self, tmp_path):
+        """Pool workers leave a sibling's expired lease to the driver."""
+        store, queue = _queue(tmp_path)
+        queue.enqueue("b", [pickle.dumps("job")])
+        assert queue.claim("a", now=0.0) is not None
+        assert queue.claim("b", now=20.0, spare=("a",)) is None
+        assert queue.claim("c", now=20.0) is not None
+        store.close()
+
 
 # ---------------------------------------------------------------------------
 # queue_map
@@ -420,6 +446,42 @@ class TestQueueMap:
         assert results[0] == 2 and results[2] == 4
         assert isinstance(results[1], JobFailure) and results[1].quarantined
         assert "RuntimeError" in results[1].error
+        store.close()
+
+    def test_pool_worker_crash_is_reclaimed_at_once(self, tmp_path):
+        """A dead pool worker's lease goes back to the queue when its pool
+        breaks, not when the lease TTL runs out."""
+        path = tmp_path / "s.sqlite3"
+        store = CampaignStore(path)
+        config = DistribConfig(store_path=str(path), lease_ttl=10.0,
+                               heartbeat_interval=1.0)
+        jobs = [{"value": value} for value in range(4)]
+        with injected(FaultPlan([FaultRule("worker.job", match="2")])):
+            start = time.monotonic()
+            results = queue_map(_faulty_square, jobs, store, batch="c",
+                                config=config, workers=2)
+            elapsed = time.monotonic() - start
+        assert results == [0, 1, 4, 9]
+        assert elapsed < 5, f"waited {elapsed:.1f}s: the TTL, not the crash"
+        assert store.counters()["distrib.units.failed"] >= 1
+        store.close()
+
+    def test_hung_pool_worker_is_reaped_at_its_deadline(self, tmp_path):
+        """The heartbeat never renews a lease past claim time + deadline,
+        so a hung pool worker is reaped although its heartbeat is alive."""
+        path = tmp_path / "s.sqlite3"
+        store = CampaignStore(path)
+        config = DistribConfig(store_path=str(path), lease_ttl=10.0,
+                               heartbeat_interval=1.0, deadline=1.5)
+        jobs = [{"value": value} for value in range(4)]
+        with injected(FaultPlan([FaultRule("worker.job", match="2",
+                                           action="hang", seconds=60.0)])):
+            start = time.monotonic()
+            results = queue_map(_faulty_square, jobs, store, batch="h",
+                                config=config, workers=2)
+            elapsed = time.monotonic() - start
+        assert results == [0, 1, 4, 9]
+        assert elapsed < 30, f"waited {elapsed:.1f}s for the hung worker"
         store.close()
 
 
@@ -605,12 +667,6 @@ class TestCliDistrib:
         args = CLI_FUZZ + ["--corpus-dir", str(tmp_path / "c"), "--helper"]
         assert cli_main(args) == 2
         assert "--store" in capsys.readouterr().err
-
-    def test_store_excludes_state_dir(self, tmp_path, capsys):
-        args = CLI_EXPLORE + ["--store", str(tmp_path / "s.sqlite3"),
-                              "--state-dir", str(tmp_path / "state")]
-        assert cli_main(args) == 2
-        assert "--state-dir" in capsys.readouterr().err
 
     def test_fuzz_store_emits_distrib_counters(self, tmp_path, capsys):
         args = CLI_FUZZ + ["--corpus-dir", str(tmp_path / "c"),

@@ -221,6 +221,20 @@ class TestCorpus:
             assert "pid" not in text
 
 
+#: Calls seen by :func:`_numbered_outcome`.  The fake is module-level
+#: because dispatched jobs are pickled, the evaluating function included.
+_NUMBERED_CALLS: list = []
+
+
+def _numbered_outcome(job):
+    """A canned failing outcome with a fresh minimized schedule per call."""
+    _NUMBERED_CALLS.append(job["entry_id"])
+    record = TestCampaign()._canned_outcome(job)
+    record["fingerprint"] = job["entry_id"]
+    record["failures"][0]["minimized"] = [len(_NUMBERED_CALLS)]
+    return record
+
+
 class TestCampaign:
     def _canned_outcome(self, job, kind="lost-wakeup"):
         return {
@@ -256,16 +270,9 @@ class TestCampaign:
     def test_campaign_stops_at_max_findings(self, monkeypatch):
         import repro.fuzz.campaign as campaign_module
 
-        calls = []
-
-        def outcome(job):
-            calls.append(job["entry_id"])
-            record = self._canned_outcome(job)
-            record["fingerprint"] = job["entry_id"]
-            record["failures"][0]["minimized"] = [len(calls)]
-            return record
-
-        monkeypatch.setattr(campaign_module, "_evaluate_candidate", outcome)
+        _NUMBERED_CALLS.clear()
+        monkeypatch.setattr(campaign_module, "_evaluate_candidate",
+                            _numbered_outcome)
         config = FuzzConfig(seed=5, budget=10_000, per_run_budget=10,
                             batch_size=2, bootstrap=2, max_findings=3,
                             workers=1)

@@ -96,12 +96,12 @@ class TestReports:
         assert "Cache" in rendered and "TOTAL" in rendered
 
     def test_table1_parallel_matches_sequential(self):
-        """The process-pool batch mode must produce the same rows (modulo
+        """The multi-process mode must produce the same rows (modulo
         timing) in the same order as the sequential path."""
         specs = [get_benchmark("PendingPostQueue"),
                  get_benchmark("SimpleBlockingDeployment")]
         sequential = measure_compile_times(specs)
-        parallel = measure_compile_times(specs, parallel=True, max_workers=2)
+        parallel = measure_compile_times(specs, workers=2)
         assert [row.benchmark for row in parallel] == [row.benchmark for row in sequential]
         for seq_row, par_row in zip(sequential, parallel):
             assert par_row.validity_queries == seq_row.validity_queries

@@ -4,7 +4,8 @@ Covers the four robustness pillars end to end:
 
 * deterministic fault injection (``FaultPlan`` semantics),
 * crash-safe disk state (atomic writes, write-ahead journal),
-* worker supervision (retry, quarantine, hang detection, pool hardening),
+* the work dispatcher's supervision (retry, quarantine, hang detection,
+  pool hardening) with no store configured,
 * graceful SMT degradation (query budgets, sound caller fallbacks),
 
 plus the headline contract: a fuzz campaign killed at *any* injected fault
@@ -20,8 +21,8 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from repro.distrib import DistribConfig, JobFailure, queue_map
 from repro.explore.engine import Counterexample, ExplorationResult
-from repro.explore.parallel import map_jobs
 from repro.fuzz import CorpusStore, CorruptCorpusError, FuzzConfig, run_campaign
 from repro.logic import add, eq, ge, i, land, le, v
 from repro.placement.pipeline import ExpressoPipeline
@@ -31,14 +32,11 @@ from repro.resilience import (
     InjectedCrash,
     InjectedFault,
     Journal,
-    JobFailure,
-    SupervisorConfig,
     atomic_write_json,
     atomic_write_text,
     checksum_payload,
     injected,
     install_plan,
-    run_supervised,
 )
 from repro.smt.solver import SatStatus, Solver
 from repro.smt.cache import FormulaCache
@@ -223,7 +221,7 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
-# Worker supervision
+# Worker supervision (the work dispatcher without a store)
 # ---------------------------------------------------------------------------
 
 
@@ -236,32 +234,26 @@ def _square_job(job):
 
 class TestSupervisor:
     def test_local_fallback(self):
-        results = run_supervised(_square_job, [1, 2, 3],
-                                 SupervisorConfig(workers=1))
+        results = queue_map(_square_job, [1, 2, 3], workers=1)
         assert results == [1, 4, 9]
 
     def test_pool_happy_path(self):
-        results = run_supervised(_square_job, [1, 2, 3, 4],
-                                 SupervisorConfig(workers=2))
+        results = queue_map(_square_job, [1, 2, 3, 4], workers=2)
         assert results == [1, 4, 9, 16]
 
     def test_worker_crash_is_retried_and_recovers(self):
         # attempt=0 (default): the job's first attempt dies with os._exit,
-        # the supervised retry runs it clean — all results survive.
+        # the retry on a fresh pool runs it clean — all results survive.
         with injected(FaultPlan([FaultRule("worker.job", match="3")])):
-            results = run_supervised(
-                _square_job, [2, 3, 4],
-                SupervisorConfig(workers=2, backoff_seconds=0.001))
+            results = queue_map(_square_job, [2, 3, 4], workers=2)
         assert results == [4, 9, 16]
 
     def test_poison_job_quarantined_siblings_kept(self):
         # attempt=None: the job dies on *every* attempt -> quarantine.
         with injected(FaultPlan([FaultRule("worker.job", match="3",
                                            attempt=None)])):
-            results = run_supervised(
-                _square_job, [2, 3, 4],
-                SupervisorConfig(workers=2, max_attempts=2,
-                                 backoff_seconds=0.001))
+            results = queue_map(_square_job, [2, 3, 4], workers=2,
+                                config=DistribConfig(max_attempts=2))
         assert results[0] == 4 and results[2] == 16
         failure = results[1]
         assert isinstance(failure, JobFailure)
@@ -274,21 +266,17 @@ class TestSupervisor:
         with injected(FaultPlan([FaultRule("worker.job", match="3",
                                            action="hang", seconds=60.0)])):
             start = time.monotonic()
-            results = run_supervised(
-                _square_job, [2, 3, 4],
-                SupervisorConfig(workers=2, deadline_seconds=1.5,
-                                 backoff_seconds=0.001))
+            results = queue_map(_square_job, [2, 3, 4], workers=2,
+                                config=DistribConfig(deadline=1.5))
             elapsed = time.monotonic() - start
         assert results == [4, 9, 16]
-        assert elapsed < 30  # two deadlines + retries, never the 60s hang
+        assert elapsed < 30  # one deadline + a respawn, never the 60s hang
 
-    def test_map_jobs_surfaces_per_job_failures(self):
+    def test_queue_map_surfaces_per_job_failures(self):
         with injected(FaultPlan([FaultRule("worker.job", match="13",
                                            attempt=None)])):
-            results = map_jobs(
-                _square_job, [12, 13, 14], workers=2,
-                supervisor=SupervisorConfig(max_attempts=2,
-                                            backoff_seconds=0.001))
+            results = queue_map(_square_job, [12, 13, 14], workers=2,
+                                config=DistribConfig(max_attempts=2))
         assert results[0] == 144 and results[2] == 196
         assert isinstance(results[1], JobFailure) and results[1].job == 13
 
@@ -487,6 +475,21 @@ class TestResumeEquivalence:
         assert first == again == baseline_result
         assert _tree_bytes(root) == baseline_tree
 
+    def test_pool_worker_crash_is_absorbed(self, tmp_path, uninterrupted,
+                                           capsys):
+        """A workers=2 campaign whose pool worker dies evaluating one
+        candidate (first attempt only) finishes without a driver crash,
+        byte-identical to the fault-free run."""
+        baseline_result, baseline_tree = uninterrupted
+        root = tmp_path / "pool-crash"
+        plan = FaultPlan([FaultRule("fuzz.candidate", match="gen-7-1")])
+        with injected(plan):
+            result = run_campaign(FuzzConfig(**{**SWEEP_CONFIG, "workers": 2}),
+                                  CorpusStore(root)).to_dict()
+        assert "pool worker died" in capsys.readouterr().err  # it fired
+        assert result == {**baseline_result, "workers": 2}
+        assert _tree_bytes(root) == baseline_tree
+
     def test_resume_rejects_changed_config(self, tmp_path):
         root = tmp_path / "mismatch"
         _run_campaign(root)
@@ -559,25 +562,39 @@ class TestCliResilience:
         assert cli_main(CLI_FUZZ_ARGS + ["--fault-plan", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_explore_state_dir_resume_round_trip(self, tmp_path, capsys):
-        state = tmp_path / "state"
+    def test_explore_store_kill_and_resume_sweep(self, tmp_path, capsys):
+        """Kill a 3-benchmark `explore --store` run at each frontier write
+        (one per finished benchmark); the resumed run must report the
+        uninterrupted results."""
         args = ["explore", "--benchmark", "BoundedBuffer",
-                "--strategy", "random", "--schedules", "25",
-                "--state-dir", str(state), "--json"]
-        assert cli_main(args) == 0
-        first = capsys.readouterr().out
-        assert cli_main(args + ["--resume"]) == 0
-        assert capsys.readouterr().out == first
-        # A different configuration must refuse to resume the journal.
-        assert cli_main(["explore", "--benchmark", "BoundedBuffer",
-                         "--strategy", "random", "--schedules", "26",
-                         "--state-dir", str(state), "--resume",
-                         "--json"]) == 2
-        assert "different configuration" in capsys.readouterr().err
+                "--benchmark", "PendingPostQueue",
+                "--benchmark", "SimpleBlockingDeployment",
+                "--strategy", "random", "--schedules", "20",
+                "--threads", "2", "--ops", "2", "--json"]
 
-    def test_resume_without_state_dir_exits_2(self, capsys):
+        def results(out):
+            timing = ("elapsed_seconds", "schedules_per_second")
+            return [{key: value for key, value in result.items()
+                     if key not in timing}
+                    for result in json.loads(out)["results"]]
+
+        assert cli_main(args + ["--store", str(tmp_path / "base.sqlite3")]) == 0
+        baseline = results(capsys.readouterr().out)
+        assert len(baseline) == 3
+        for occurrence in range(3):
+            store = str(tmp_path / f"kill{occurrence}.sqlite3")
+            plan = FaultPlan([FaultRule("store.write", match="frontier:",
+                                        at=(occurrence,))])
+            with injected(plan), pytest.raises(InjectedCrash):
+                cli_main(args + ["--store", store])
+            capsys.readouterr()
+            assert cli_main(args + ["--store", store, "--resume"]) == 0
+            assert results(capsys.readouterr().out) == baseline, \
+                f"resume diverged after a crash at frontier write {occurrence}"
+
+    def test_resume_without_store_exits_2(self, capsys):
         assert cli_main(["explore", "--resume"]) == 2
-        assert "--state-dir" in capsys.readouterr().err
+        assert "--store" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
