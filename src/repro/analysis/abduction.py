@@ -16,8 +16,9 @@ abducer:
   ``psi_V = forall (Vars \\ V). (P ==> phi)`` is computed by Fourier–Motzkin /
   Shannon elimination.  One :class:`repro.smt.qe.QuantifierEliminator` serves
   all subsets of an obligation: the negated obligation is preprocessed and
-  converted to DNF once (as is any formula a boolean step produces), and
-  each subset runs its Fourier–Motzkin steps on those shared cubes.  The
+  converted to DNF once (as is any formula a boolean step produces), and a
+  subset whose eliminated variables start with another's reuses that
+  subset's Shannon and Fourier–Motzkin steps.  The
   eliminator lives for one :func:`abduce` call, and its results are
   identical to eliminating each subset on its own (``tests/test_qe_reference.py``);
 * candidates are simplified and validated against conditions (1) and (2);
@@ -82,8 +83,11 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
     """Produce candidate strengthenings ``psi`` with ``pre && psi |= goal``.
 
     ``max_kept_vars`` bounds the size of the variable subsets over which
-    explanations are sought (the Explain tool's minimality bias); the full
-    variable set is always tried as a fallback.  ``max_subsets`` and
+    explanations are sought (the Explain tool's minimality bias).  The
+    subsets are tried smallest first with the full variable set last, and
+    only the first ``max_subsets`` of them are tried: with the defaults
+    the full set is tried for obligations of at most five variables, and
+    dropped for larger ones.  ``max_subsets`` and
     ``max_obligation_atoms`` bound the work spent on quantifier elimination
     for large obligations (e.g. scalarized array guards): past those limits
     abduction falls back to atom mining alone, which keeps the pipeline fast

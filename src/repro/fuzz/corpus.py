@@ -53,7 +53,7 @@ from repro.fuzz.generate import (
 )
 from repro.fuzz.mutate import Candidate, apply_operator
 from repro.resilience import Journal, atomic_write_text, checksum_payload
-from repro.resilience.atomic import json_text
+from repro.resilience.atomic import fsync_dir, json_text
 
 
 class CorruptCorpusError(RuntimeError):
@@ -272,26 +272,32 @@ class CorpusStore:
         if self.root is None:
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_json(self.root / "coverage.json", coverage)
-        self._write_json(self.root / "findings.json", list(findings))
-        self._write_json(self.root / "meta.json", meta)
+        # One directory fsync after the last rename makes all of them
+        # durable before the caller's journal append commits the checkpoint.
+        written = [self._write_json(self.root / name, payload, sync_dir=False)
+                   for name, payload in (("coverage.json", coverage),
+                                         ("findings.json", list(findings)),
+                                         ("meta.json", meta))]
+        if any(written):
+            fsync_dir(self.root)
 
     @staticmethod
-    def _write_json(path: Path, payload) -> None:
+    def _write_json(path: Path, payload, *, sync_dir: bool = True) -> bool:
         # Atomic even outside the journal path: a kill mid-write must leave
         # the previous version intact, never a torn file.  Checkpoints
         # rewrite every state file, and most leave some unchanged
         # (``findings.json`` stays ``[]``; the final checkpoint repeats the
         # last round's state).  A file that already reads back identical was
         # itself written atomically, so it is skipped: no second write and
-        # fsync of the same bytes.
+        # fsync of the same bytes.  Returns whether the file was written.
         text = json_text(payload)
         try:
             if path.read_text(encoding="utf-8") == text:
-                return
+                return False
         except (OSError, ValueError):
             pass
-        atomic_write_text(path, text)
+        atomic_write_text(path, text, sync_dir=sync_dir)
+        return True
 
     # -- crash recovery -------------------------------------------------------
 

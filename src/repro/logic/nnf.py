@@ -3,6 +3,10 @@
 These transformations feed both the SMT solver (which searches over the
 boolean skeleton of a formula's atoms) and the abduction engine (which mines
 candidate predicates from clauses of the weakest precondition).
+
+The DNF conversion has a cube budget.  It counts the cubes of the NNF in one
+pass over its nodes before it builds any, so a formula over the budget
+raises without a cube list ever being allocated.
 """
 
 from __future__ import annotations
@@ -111,12 +115,52 @@ def to_dnf_clauses(expr: Expr, max_clauses: int = 4096,
 
     The input must be quantifier free.  A :class:`ValueError` is raised when
     the expansion would exceed *max_clauses* cubes, protecting the abduction
-    engine from exponential blow-up on pathological inputs.  The NNF
-    conversion uses *memo* (see :func:`to_nnf`).
+    engine from exponential blow-up on pathological inputs.  The budget is
+    checked before any cube is built: :func:`_dnf_size` counts the cubes
+    and raises exactly where the expansion would.  The NNF conversion uses
+    *memo* (see :func:`to_nnf`).
     """
     nnf = to_nnf(expr, memo)
+    _dnf_size(nnf, max_clauses, {})
     cubes = _dnf(nnf, max_clauses)
     return [tuple(cube) for cube in cubes]
+
+
+def _dnf_size(expr: Expr, max_clauses: int, sizes: Dict[Expr, int]) -> int:
+    """``len(_dnf(expr, max_clauses))``, without building a cube.
+
+    The expansion never drops a duplicate cube, so an ``Or`` has the sum of
+    its arguments' sizes and an ``And`` their product.  Both are checked
+    after every argument, in the expansion's order, so this raises the
+    same exception at the same point as :func:`_dnf` — including an ``And``
+    whose running product passes the budget before a later ``false``
+    factor.  Sizes are memoized per node in *sizes*.
+    """
+    if isinstance(expr, BoolConst):
+        return 1 if expr.value else 0
+    if is_atom(expr) or isinstance(expr, Not):
+        return 1
+    size = sizes.get(expr)
+    if size is not None:
+        return size
+    if isinstance(expr, Or):
+        size = 0
+        for arg in expr.args:
+            size += _dnf_size(arg, max_clauses, sizes)
+            if size > max_clauses:
+                raise ValueError("DNF expansion exceeded clause budget")
+    elif isinstance(expr, And):
+        size = 1
+        for arg in expr.args:
+            size *= _dnf_size(arg, max_clauses, sizes)
+            if size > max_clauses:
+                raise ValueError("DNF expansion exceeded clause budget")
+    elif isinstance(expr, (Forall, Exists)):
+        raise ValueError("DNF conversion requires a quantifier-free formula")
+    else:
+        raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
+    sizes[expr] = size
+    return size
 
 
 def _dnf(expr: Expr, max_clauses: int) -> List[List[Expr]]:
@@ -142,15 +186,6 @@ def _dnf(expr: Expr, max_clauses: int) -> List[List[Expr]]:
     if isinstance(expr, (Forall, Exists)):
         raise ValueError("DNF conversion requires a quantifier-free formula")
     raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
-
-
-def to_cnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
-    """Return the CNF of *expr* as a list of literal tuples (clauses)."""
-    negated_cubes = to_dnf_clauses(build.lnot(expr), max_clauses)
-    clauses = []
-    for cube in negated_cubes:
-        clauses.append(tuple(build.lnot(lit) for lit in cube))
-    return clauses
 
 
 def atoms_of(expr: Expr) -> FrozenSet[Expr]:

@@ -6,7 +6,9 @@ to kill the next campaign.  :func:`atomic_write_text` writes to a temporary
 sibling, flushes it to disk, then ``os.replace``\\ s it over the target —
 POSIX rename atomicity guarantees every reader sees either the complete old
 content or the complete new content, never a mixture.  The containing
-directory is fsync'd afterwards so the rename itself survives power loss.
+directory is fsync'd afterwards so the rename itself survives power loss;
+a checkpoint that writes several state files syncs it once, after the last
+(:func:`fsync_dir`).
 
 Fault sites (see :mod:`repro.resilience.faults`):
 
@@ -30,8 +32,13 @@ from typing import Any
 from repro.resilience.faults import fault_check
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write *text* to *path* atomically (tmp + fsync + ``os.replace``)."""
+def atomic_write_text(path: Path, text: str, *, sync_dir: bool = True) -> None:
+    """Write *text* to *path* atomically (tmp + fsync + ``os.replace``).
+
+    With ``sync_dir=False`` the rename is not yet durable: a caller writing
+    several files of one directory calls :func:`fsync_dir` once after the
+    last of them.
+    """
     path = Path(path)
     fault_check("disk.write", token=path.name)
     tmp = path.with_name(path.name + ".tmp")
@@ -52,7 +59,8 @@ def atomic_write_text(path: Path, text: str) -> None:
             except OSError:
                 pass
         raise
-    _fsync_dir(path.parent)
+    if sync_dir:
+        fsync_dir(path.parent)
 
 
 def json_text(payload: Any) -> str:
@@ -84,7 +92,8 @@ def _crashing() -> bool:
     return isinstance(sys.exc_info()[1], InjectedCrash)
 
 
-def _fsync_dir(directory: Path) -> None:
+def fsync_dir(directory: Path) -> None:
+    """Make the renames into *directory* durable (best effort)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:

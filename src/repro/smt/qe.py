@@ -18,7 +18,10 @@ two complementary single-literal cubes make the result ``true``.  Formulas
 are built only for a boolean step, which substitutes into a formula, and
 for the result.  Fourier–Motzkin never adds cubes, so the 4096-cube DNF
 budget (a :class:`ValueError` beyond it) binds only where a formula is
-converted: the body, and the result of a boolean step.
+converted: the body, and the result of a boolean step.  The budget is
+checked before conversion (:func:`repro.logic.nnf.to_dnf_clauses` counts
+the cubes first), so a formula over it costs one pass over its NNF and no
+cube list.
 
 **Output identity.**  The results are ``==`` to — and the errors of the same
 class as — those of the step-by-step formulation that rebuilds the formula
@@ -28,10 +31,14 @@ reference and checks the two against each other on every elimination the
 abduction engine makes for several suite monitors and on generated mixed
 boolean/integer formulas.
 
-:class:`QuantifierEliminator` eliminates several variable sets from one
-formula and converts each formula it meets — the body, and the result of a
-boolean step shared by several variable sets — to DNF at most once for all
-of them; abduction uses one per obligation to try up to 16 variable subsets.
+:class:`QuantifierEliminator` eliminates several variable lists from one
+formula.  Its steps are shared by prefix: a step's result (or error) is
+memoized per body and list of variables eliminated so far, so a list that
+starts with an earlier list's first *k* variables resumes after them.  Each
+formula it meets — the body, and the result of a boolean step — is
+converted to DNF at most once for all lists.  Abduction uses one per
+obligation for its variable subsets; their eliminated lists are sorted
+complements of small kept sets, so they share long prefixes.
 
 Fourier–Motzkin over the integers is exact whenever the eliminated variable
 appears with coefficient ±1 in every constraint (the only case the monitor
@@ -45,7 +52,8 @@ to raise instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
@@ -82,11 +90,16 @@ def eliminate_forall(variables: Sequence[Var], formula: Expr, *, strict: bool = 
 class QuantifierEliminator:
     """Eliminates different variable sets from one formula.
 
-    The formula (for :meth:`exists`) or its negation (for :meth:`forall`)
-    and every formula a boolean step yields are converted to DNF at most
-    once; later calls reuse the cubes, or re-raise the conversion's
-    :class:`ValueError`.  The conversions live as long as the eliminator.
-    Preprocessing, NNF and simplification go through *memo* (a solver's
+    Every step — eliminating one variable from the state the earlier ones
+    left — is memoized per (body, variables eliminated so far), its
+    :class:`ValueError` included, so a call resumes after the longest
+    prefix of its variable list that an earlier call already eliminated.
+    The body is the formula (for :meth:`exists`) or its negation (for
+    :meth:`forall`).  A state is never mutated once produced, which is what
+    lets steps share it.  Every formula a step meets is also converted to
+    DNF at most once, for whichever prefix reaches it first.  The memos live
+    as long as the eliminator.  Preprocessing, NNF and simplification go
+    through *memo* (a solver's
     :meth:`~repro.smt.solver.Solver.rewrite_memo`), or through a memo of
     the eliminator's own.
     """
@@ -98,6 +111,7 @@ class QuantifierEliminator:
         self.memo = memo if memo is not None else RewriteMemo()
         self._negated: Optional[Expr] = None
         self._converted: Dict[Expr, Union[State, ValueError]] = {}
+        self._steps: Dict[Tuple[Expr, Tuple[Var, ...]], Union[State, ValueError]] = {}
 
     def exists(self, variables: Sequence[Var]) -> Expr:
         """A quantifier-free equivalent of ``exists variables. formula``."""
@@ -111,36 +125,47 @@ class QuantifierEliminator:
 
     def _exists(self, variables: Sequence[Var], body: Expr) -> Expr:
         state: State = body
+        prefix: Tuple[Var, ...] = ()
         for var in variables:
-            if var.var_sort is BOOL:
-                state = _eliminate_bool_exists(var, _formula(state), self.memo)
-                continue
-            # A variable that does not occur leaves the result as it is,
-            # unsimplified and in its current literal order.
-            if isinstance(state, Expr):
-                if var not in free_vars(state):
-                    continue
-                cubes = self._convert(state)
-            else:
-                if not any(_mentions(cube, var.name) for cube in state):
-                    continue
-                cubes = _reconverted(state)
-            state = cubes if isinstance(cubes, Expr) else _project(
-                var.name, cubes, self.strict)
+            prefix += (var,)
+            state = _memoized(self._steps, (body, prefix),
+                              partial(self._step, var, state))
         return simplify(_formula(state), self.memo)
 
+    def _step(self, var: Var, state: State) -> State:
+        """Eliminate *var* from *state*; the result is a new state."""
+        if var.var_sort is BOOL:
+            return _eliminate_bool_exists(var, _formula(state), self.memo)
+        # A variable that does not occur leaves the result as it is,
+        # unsimplified and in its current literal order.
+        if isinstance(state, Expr):
+            if var not in free_vars(state):
+                return state
+            cubes = self._convert(state)
+        else:
+            if not any(_mentions(cube, var.name) for cube in state):
+                return state
+            cubes = _reconverted(state)
+        return cubes if isinstance(cubes, Expr) else _project(var.name, cubes, self.strict)
+
     def _convert(self, formula: Expr) -> State:
-        converted = self._converted.get(formula)
-        if converted is None:
-            try:
-                converted = _convert(formula, self.memo)
-            except ValueError as exc:
-                converted = exc
-            self._converted[formula] = converted
-        if isinstance(converted, ValueError):
-            # Drop the previous traceback: its frames hold the partial DNF.
-            raise converted.with_traceback(None)
-        return converted
+        return _memoized(self._converted, formula, partial(_convert, formula, self.memo))
+
+
+def _memoized(table: Dict, key, compute: Callable[[], State]) -> State:
+    """``compute()``, or its stored result; a stored error is raised again."""
+    result = table.get(key)
+    if result is None:
+        try:
+            result = compute()
+        except ValueError as exc:
+            result = exc
+        table[key] = result
+    if isinstance(result, ValueError):
+        # Each raise would extend the stored error's traceback and keep the
+        # frames of every earlier raise alive; start from none.
+        raise result.with_traceback(None)
+    return result
 
 
 def _eliminate_bool_exists(var: Var, formula: Expr, memo: RewriteMemo) -> Expr:

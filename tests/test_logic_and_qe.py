@@ -34,7 +34,7 @@ from repro.logic import (
     v,
 )
 from repro.logic.build import conjuncts, disjuncts, exists, forall
-from repro.logic.nnf import to_cnf_clauses, to_dnf_clauses
+from repro.logic.nnf import to_dnf_clauses
 from repro.logic.parser import FormulaParseError
 from repro.logic.terms import Exists, Forall, Var, expr_size, sort_of, SortError
 from repro.smt import Solver, eliminate_exists, eliminate_forall
@@ -140,10 +140,6 @@ class TestNormalForms:
     def test_dnf_of_disjunction(self):
         cubes = to_dnf_clauses(lor(land(p, q), lnot(p)))
         assert len(cubes) == 2
-
-    def test_cnf_of_conjunction(self):
-        clauses = to_cnf_clauses(land(p, q))
-        assert sorted(len(c) for c in clauses) == [1, 1]
 
     def test_dnf_budget_enforced(self):
         big = land(*[lor(v(f"a{k}", BOOL), v(f"b{k}", BOOL)) for k in range(20)])

@@ -125,7 +125,9 @@ def outcome(function, *args, **kwargs):
 
 #: Every suite monitor that abduces, except Dining Philosophers: its 63
 #: eliminations take the reference about ten seconds.  Its failure mode, a
-#: DNF over budget after boolean steps, is covered by TestBudget.
+#: DNF over budget after boolean steps, is covered synthetically by
+#: TestBudget, and its own eliminations are compared with fresh eliminators
+#: (no shared steps) in test_qe_prefix_sharing.py.
 ABDUCING_MONITORS = (
     "Ticketed Readers-Writers", "SimpleDecoder", "AsyncDispatch",
     "Parameterized Bounded Buffer", "Readers-Writers", "Round Robin",

@@ -150,6 +150,26 @@ class TestAtomicWrites:
         assert json.loads(path.read_text()) == {"a": 1}
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_a_checkpoint_syncs_its_directory_once(self, tmp_path, monkeypatch):
+        from repro.fuzz import corpus
+        from repro.resilience import atomic
+
+        synced = []
+
+        def recording(directory):
+            synced.append(directory)
+
+        monkeypatch.setattr(atomic, "fsync_dir", recording)
+        monkeypatch.setattr(corpus, "fsync_dir", recording)
+        store = CorpusStore(str(tmp_path))
+        store.save_state({"axis": ["a"]}, [], {"seed": 1})
+        assert synced == [tmp_path]
+        store.save_state({"axis": ["a"]}, [], {"seed": 1})    # unchanged
+        assert synced == [tmp_path]
+        store.save_state({"axis": ["a", "b"]}, [], {"seed": 1})
+        assert synced == [tmp_path, tmp_path]
+        assert json.loads((tmp_path / "coverage.json").read_text()) == {"axis": ["a", "b"]}
+
     def test_checksum_is_order_insensitive(self):
         assert (checksum_payload({"a": 1, "b": 2})
                 == checksum_payload({"b": 2, "a": 1}))
