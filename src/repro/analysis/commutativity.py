@@ -74,8 +74,9 @@ def _default_solver() -> Solver:
     """One shared, cached solver for callers that do not bring their own.
 
     Commutativity checks used to build a fresh :class:`Solver` per pair; the
-    module-level instance keeps the atom table, theory lemmas and the
-    commute-verdict memo warm across every check in the process.
+    module-level instance keeps the formula cache and the commute-verdict
+    memo warm across every check in the process, and its SAT database
+    across the checks of one matrix build.
     """
     global _DEFAULT_SOLVER
     if _DEFAULT_SOLVER is None:
@@ -562,10 +563,17 @@ def matrix_with_statistics(
     snapshot/diffs around the build (the registry pattern), giving each
     monitor its isolated share; the delta also lands in the active metrics
     registry under ``explore.matrix.*``.
+
+    The shared default solver keeps only its cache across builds: its
+    rewrite memo and SAT database are dropped after each one, so a
+    process-wide solver holds one monitor's formulas at a time.
     """
+    default = solver is None
     solver = solver if solver is not None else _default_solver()
     before = solver.snapshot_statistics()
     matrix = semantic_independence_for_explicit(explicit, solver)
+    if default:
+        solver.clear_state()
     delta = {key: value - before.get(key, 0)
              for key, value in solver.statistics.items()}
     registry = obs.registry()

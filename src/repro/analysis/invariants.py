@@ -59,15 +59,21 @@ class InvariantInferenceResult:
         return pretty(self.invariant)
 
 
-def infer_monitor_invariant(monitor: Monitor, triples: Sequence[HoareTriple],
+def infer_monitor_invariant(monitor: Monitor,
+                            triples: Optional[Sequence[HoareTriple]] = None,
                             solver: Optional[Solver] = None,
                             extra_candidates: Sequence[Expr] = ()) -> InvariantInferenceResult:
     """Run Algorithm 2 on *monitor* for the given property triples.
 
-    *triples* are the placement triples instantiated with ``I = true``;
+    *triples* are the placement triples instantiated with ``I = true``
+    (built here when None);
     *extra_candidates* lets callers seed further predicates (used by tests
     and by the ``unsigned`` field hints, which are added automatically here).
     """
+    if triples is None:
+        from repro.placement.algorithm import generate_placement_triples
+
+        triples = generate_placement_triples(monitor, build.TRUE)
     solver = solver or Solver()
     memo = solver.rewrite_memo()
     shared_names = frozenset(monitor.field_names())

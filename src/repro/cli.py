@@ -1012,6 +1012,12 @@ def _cmd_profile(args) -> int:
     phases, span_seconds = obs.phase_attribution(session.tracer.events)
     coverage = span_seconds / wall if wall > 0 else 0.0
     profiler = session.profiler
+    # The SAT core's clause adds and conflicts are per-solver counters; each
+    # compile reports its own share.
+    metrics = session.registry.snapshot()
+    for key in ("sat_clauses", "sat_conflicts"):
+        metrics[obs.SOLVER_METRIC_NAMES[key]] = sum(
+            result.solver_statistics.get(key, 0) for _name, result in compiles)
     if args.trace:
         obs.write_trace(args.trace, [session.tracer.events],
                         session.registry.snapshot(), deterministic=False)
@@ -1028,12 +1034,11 @@ def _cmd_profile(args) -> int:
             "top": profiler.top(args.top),
             "by_caller": {name: dict(agg) for name, agg in
                           sorted(profiler.by_caller().items())},
-            "metrics": session.registry.snapshot(),
+            "metrics": metrics,
         }, indent=2))
         return 0
     print(render_profile_table(profiler, phases, wall_seconds=wall,
-                               top=args.top,
-                               metrics=session.registry.snapshot()))
+                               top=args.top, metrics=metrics))
     print(f"span coverage: {span_seconds:.3f}s of {wall:.3f}s wall "
           f"({coverage:.1%}) across {len(compiles)} compile(s)")
     return 0

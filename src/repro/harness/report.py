@@ -259,8 +259,10 @@ def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
     per-span attribution from :func:`repro.obs.phase_attribution`; with
     *wall_seconds* the header additionally reports what fraction of the
     measured wall time the named spans account for.  *metrics* is a counter
-    snapshot; its ``distrib.*`` counters (shared-store lease traffic) are
-    surfaced as their own section when present.
+    snapshot; its SAT-core counters (``smt.sat.clauses``: clauses loaded
+    into the solvers' databases, ``smt.sat.conflicts``) and its
+    ``distrib.*`` counters (shared-store lease traffic) are surfaced as
+    their own sections when present.
     """
     header = "SMT query profile (expresso profile)"
     lines = [header, "-" * len(header)]
@@ -300,6 +302,13 @@ def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
                          + str(row["phase"]).ljust(phase_width)
                          + str(row["caller"]))
             lines.append("  " + str(row["sample"]))
+    sat = [name for name in ("smt.sat.clauses", "smt.sat.conflicts")
+           if name in (metrics or {})]
+    if sat:
+        lines.append("")
+        lines.append("SAT core")
+        for name in sat:
+            lines.append(f"  {name[len('smt.sat.'):]}".ljust(26) + str(int(metrics[name])))
     distrib = {name: value for name, value in (metrics or {}).items()
                if name.startswith("distrib.")}
     if distrib:

@@ -142,6 +142,8 @@ SOLVER_METRIC_NAMES: Dict[str, str] = {
     "cache_hits": "smt.cache.hits",
     "cache_misses": "smt.cache.misses",
     "theory_lemmas": "smt.theory.lemmas",
+    "sat_clauses": "smt.sat.clauses",
+    "sat_conflicts": "smt.sat.conflicts",
     "commute_cache_hits": "smt.commute.cache_hits",
     "commute_cache_misses": "smt.commute.cache_misses",
     "commute_static_skips": "smt.commute.static_skips",

@@ -26,11 +26,7 @@ from repro.lang import load_monitor
 from repro.lang.ast import Monitor
 from repro.analysis.invariants import InvariantInferenceResult, infer_monitor_invariant
 from repro.analysis.lint import LintReport, lint_explicit
-from repro.placement.algorithm import (
-    PlacementResult,
-    generate_placement_triples,
-    place_signals,
-)
+from repro.placement.algorithm import PlacementResult, place_signals
 from repro.placement.instrument import instrument
 from repro.placement.target import ExplicitMonitor
 from repro.smt.cache import FormulaCache
@@ -99,8 +95,9 @@ class ExpressoPipeline:
         Additional candidate predicates seeded into Algorithm 2.
     solver:
         A (reusable, cached) solver shared across compiles.  When given, the
-        same atom table, learned theory lemmas, and result cache serve every
-        compile through this pipeline; per-compile statistics are still
+        same rewrite memo, clause database (Tseitin definitions, learned
+        clauses, theory lemmas) and result cache serve every compile through
+        this pipeline; per-compile statistics are still
         reported as deltas.  When omitted, each compile gets a fresh solver
         with its own result cache (the pipeline's hundreds of near-duplicate
         VCs make even a compile-local cache worthwhile).
@@ -169,9 +166,8 @@ class ExpressoPipeline:
             mark = time.perf_counter()
             with tracer.span("compile.invariants", cat="compile") as inv_span:
                 if self.infer_invariant:
-                    theta = generate_placement_triples(monitor, build.TRUE)
                     invariant_details = infer_monitor_invariant(
-                        monitor, theta, solver,
+                        monitor, solver=solver,
                         extra_candidates=self.extra_invariant_candidates
                     )
                 else:

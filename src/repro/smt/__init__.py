@@ -16,7 +16,7 @@ Architecture (classic lazy DPLL(T)):
    non-strict ``t <= 0`` constraint (exact over the integers) and removes
    boolean equalities and integer ``ite`` terms;
 2. :mod:`repro.smt.cnf` performs a Tseitin encoding of the boolean skeleton;
-3. :mod:`repro.smt.sat` is a small DPLL SAT solver with unit propagation;
+3. :mod:`repro.smt.sat` is an incremental CDCL solver queried under assumptions;
 4. :mod:`repro.smt.simplex` + :mod:`repro.smt.intfeas` decide conjunctions of
    linear integer constraints with an exact-rational simplex and
    branch-and-bound;

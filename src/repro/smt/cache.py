@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 from repro.logic.terms import Expr
-from repro.obs.metrics import MetricsRegistry
 
 #: The procedure memos every cache keeps.
 PROCEDURE_TABLES = ("commute", "abduce")
@@ -73,15 +72,10 @@ class CachedResult:
 class FormulaCache:
     """Two-level (raw + canonical) cache of satisfiability results."""
 
-    def __init__(self, max_entries: int = 100_000,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, max_entries: int = 100_000):
         self.max_entries = max_entries
         self._raw: Dict[Expr, CachedResult] = {}
         self._canonical: Dict[Expr, CachedResult] = {}
-        #: Optional registry mirror: when bound, every hit/miss also lands
-        #: under ``smt.formula_cache.*`` so the flight recorder sees shared
-        #: (cross-solver) caches that per-solver counters cannot attribute.
-        self.metrics = metrics
         self.hits = 0
         self.misses = 0
         # Whole *procedures* — several queries folded into one answer —
@@ -94,17 +88,11 @@ class FormulaCache:
 
     # -- lookups -------------------------------------------------------------
 
-    def bind_metrics(self, registry: Optional[MetricsRegistry]) -> None:
-        """Attach (or detach, with None) a registry mirror."""
-        self.metrics = registry
-
     def lookup_raw(self, formula: Expr) -> Optional[CachedResult]:
         """Fast-path lookup keyed on the unprocessed formula."""
         entry = self._raw.get(formula)
         if entry is not None:
             self.hits += 1
-            if self.metrics is not None:
-                self.metrics.inc("smt.formula_cache.hits")
         return entry
 
     def lookup_canonical(self, raw: Expr, canonical: Expr) -> Optional[CachedResult]:
@@ -119,9 +107,6 @@ class FormulaCache:
             self._store(self._raw, raw, entry)
         else:
             self.misses += 1
-        if self.metrics is not None:
-            self.metrics.inc("smt.formula_cache.hits" if entry is not None
-                             else "smt.formula_cache.misses")
         return entry
 
     # -- insertion -----------------------------------------------------------
@@ -149,9 +134,6 @@ class FormulaCache:
             self.procedure_misses[table] += 1
         else:
             self.procedure_hits[table] += 1
-        if self.metrics is not None:
-            outcome = "misses" if value is None else "hits"
-            self.metrics.inc(f"smt.formula_cache.{table}_{outcome}")
         return value
 
     def store_procedure(self, table: str, key: Hashable, value: Any) -> None:

@@ -2,53 +2,47 @@
 
 The solver's boolean engine works on integer literals (DIMACS style: variable
 indices start at 1, negative integers denote negation).  :class:`AtomTable`
-assigns an index to every distinct atom (canonical arithmetic atom or boolean
-variable); :func:`encode` produces clauses that are equisatisfiable with the
-input formula and whose satisfying assignments restricted to atom variables
-are exactly the satisfying atom assignments of the input.
+gives every distinct atom (canonical arithmetic atom or boolean variable) a
+variable, and every distinct And/Or node and boolean constant it encodes a
+Tseitin variable whose definition clauses :func:`encode` emits once per
+table.  A solver that keeps its table and SAT instance therefore loads a
+subformula shared by many queries once.
+
+Sharing is sound because NNF nodes occur only positively: a definition
+``aux → …`` only constrains ``aux`` from above and is satisfied by
+``aux = false``, so one query's definitions never restrict another's.
+Asserting a formula's root literal over all definitions is equisatisfiable
+with the formula, and its models restricted to atom variables are exactly the
+formula's satisfying atom assignments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.logic.terms import And, BoolConst, Expr, Not, Or, Var, is_atom
-
-
-@dataclass
-class AtomTable:
-    """Bidirectional mapping between atoms and SAT variable indices."""
-
-    _atom_to_var: Dict[Expr, int] = field(default_factory=dict)
-    _var_to_atom: Dict[int, Expr] = field(default_factory=dict)
-    _next_var: int = 1
-
-    def var_for(self, atom: Expr) -> int:
-        if atom not in self._atom_to_var:
-            index = self._next_var
-            self._next_var += 1
-            self._atom_to_var[atom] = index
-            self._var_to_atom[index] = atom
-        return self._atom_to_var[atom]
-
-    def fresh_var(self) -> int:
-        index = self._next_var
-        self._next_var += 1
-        return index
-
-    def atom_for(self, var: int) -> Expr:
-        return self._var_to_atom[var]
-
-    def atoms(self) -> Dict[Expr, int]:
-        return dict(self._atom_to_var)
-
-    @property
-    def num_vars(self) -> int:
-        return self._next_var - 1
-
+from repro.logic.terms import And, BoolConst, Expr, Not, Or, is_atom
 
 Clause = Tuple[int, ...]
+
+
+class AtomTable:
+    """The SAT variable of every atom, and for every encoded node its variable,
+    the atoms beneath it (pre-order), their variables and its cone."""
+
+    def __init__(self) -> None:
+        self._vars: Dict[Expr, int] = {}
+        self._nodes: Dict[Expr, Tuple[int, tuple, Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.num_vars = 0
+
+    def var_for(self, atom: Expr) -> int:
+        var = self._vars.get(atom)
+        if var is None:
+            var = self._vars[atom] = self.fresh_var()
+        return var
+
+    def fresh_var(self) -> int:
+        self.num_vars += 1
+        return self.num_vars
 
 
 class CnfEncodingError(ValueError):
@@ -56,52 +50,57 @@ class CnfEncodingError(ValueError):
 
 
 def encode(expr: Expr, table: AtomTable,
-           atoms: Optional[Dict[Expr, int]] = None) -> List[Clause]:
-    """Encode an NNF formula into CNF clauses over *table*'s variables.
+           atoms: Optional[Dict[Expr, int]] = None,
+           cone: Optional[Set[int]] = None) -> Tuple[int, List[Clause]]:
+    """``(root literal, definition clauses of the nodes new to table)``.
 
-    The returned clause set asserts the formula.  Because the input is in NNF
-    only the positive direction of each definition is required
-    (Plaisted–Greenbaum), which keeps the encoding small.
-
-    When *atoms* is given, every atom the formula maps through
-    :meth:`AtomTable.var_for` is recorded there as ``atom -> variable``, in
-    first-visit order, left to right: the pre-order of
-    :func:`repro.logic.terms.walk` restricted to atoms.  Boolean constants
-    are not recorded; each gets a fresh, pinned variable instead.  The
-    solver uses the collected dict as the query's atom set.
+    Only the positive direction of each definition is emitted (Plaisted–
+    Greenbaum), which the NNF input makes sufficient.  *atoms* receives every
+    atom the formula maps through :meth:`AtomTable.var_for` as ``atom ->
+    variable`` in first-visit order, left to right: the pre-order of
+    :func:`repro.logic.terms.walk` restricted to atoms (boolean constants are
+    not atoms here).  *cone* receives every variable of the formula, encoded
+    now or earlier.  The solver uses them as the query's theory atoms and its
+    branching cone.
     """
     clauses: List[Clause] = []
-    root = _encode(expr, table, clauses, {} if atoms is None else atoms)
-    clauses.append((root,))
-    return clauses
+    root = _encode(expr, table, clauses, {} if atoms is None else atoms,
+                   set() if cone is None else cone)
+    return root, clauses
 
 
 def _encode(expr: Expr, table: AtomTable, clauses: List[Clause],
-            atoms: Dict[Expr, int]) -> int:
+            atoms: Dict[Expr, int], cone: Set[int]) -> int:
+    if isinstance(expr, (And, Or, BoolConst)):
+        var, keys, values, below = table._nodes.get(expr) or _define(expr, table, clauses)
+        if var not in cone:
+            atoms.update(zip(keys, values))
+            cone.update(below)
+        return var
+    atom = expr.operand if isinstance(expr, Not) else expr
+    if not is_atom(atom):
+        raise CnfEncodingError(f"unexpected node {type(expr).__name__} in NNF formula")
+    var = atoms[atom] = table.var_for(atom)
+    cone.add(var)
+    return var if atom is expr else -var
+
+
+def _define(expr: Expr, table: AtomTable, clauses: List[Clause]) -> tuple:
+    """Encode a node new to *table* and return its entry."""
+    atoms: Dict[Expr, int] = {}
+    cone: Set[int] = set()
     if isinstance(expr, BoolConst):
-        # Encode constants with a fresh variable pinned to the right polarity;
-        # the variable itself is the literal standing for the constant node.
+        # A constant is a variable pinned to the right polarity.
         var = table.fresh_var()
         clauses.append((var,) if expr.value else (-var,))
-        return var
-    if is_atom(expr):
-        var = atoms[expr] = table.var_for(expr)
-        return var
-    if isinstance(expr, Not):
-        operand = expr.operand
-        if not is_atom(operand):
-            raise CnfEncodingError("negation applied to a non-atom; input must be NNF")
-        var = atoms[operand] = table.var_for(operand)
-        return -var
-    if isinstance(expr, (And, Or)):
-        literals = [_encode(arg, table, clauses, atoms) for arg in expr.args]
-        aux = table.fresh_var()
+    else:
+        literals = [_encode(arg, table, clauses, atoms, cone) for arg in expr.args]
+        var = table.fresh_var()
         if isinstance(expr, And):
             # aux -> lit_i  for every conjunct.
-            for literal in literals:
-                clauses.append((-aux, literal))
+            clauses.extend((-var, literal) for literal in literals)
         else:
             # aux -> (lit_1 | ... | lit_n)
-            clauses.append(tuple([-aux] + literals))
-        return aux
-    raise CnfEncodingError(f"unexpected node {type(expr).__name__} in NNF formula")
+            clauses.append((-var, *literals))
+    entry = table._nodes[expr] = (var, tuple(atoms), tuple(atoms.values()), (*cone, var))
+    return entry

@@ -92,8 +92,3 @@ def _first_fractional(model: Dict[str, Fraction]) -> Optional[tuple]:
         if value.denominator != 1:
             return name, value
     return None
-
-
-def evaluate_constraints(constraints: Sequence[Constraint], model: Dict[str, int]) -> bool:
-    """Check that *model* satisfies every constraint (used in tests)."""
-    return all(constraint.evaluate(model) for constraint in constraints)

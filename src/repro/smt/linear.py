@@ -96,16 +96,6 @@ class LinExpr:
             total += coef * int(assignment.get(name, 0))
         return total
 
-    def substitute_var(self, name: str, replacement: "LinExpr") -> "LinExpr":
-        """Replace *name* with *replacement* (used by equality elimination)."""
-        coef = self.coefficient(name)
-        if coef == 0:
-            return self
-        remaining = LinExpr.of(
-            {n: c for n, c in self.coeffs if n != name}, self.constant
-        )
-        return remaining.add(replacement.scale(coef))
-
     # -- conversion ---------------------------------------------------------
 
     def to_expr(self) -> Expr:

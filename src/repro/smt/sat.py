@@ -1,35 +1,41 @@
-"""An iterative CDCL-style SAT solver with two-watched-literal propagation.
+"""An incremental CDCL SAT solver: one clause database, queries under assumptions.
 
-The boolean skeletons the pipeline produces used to be tiny, but reusable
-solvers, accumulated theory lemmas, and the deep skeletons of the larger
-suites can push instances past a thousand variables — far beyond what the old
-recursive DPLL could search without hitting Python's recursion limit, and
-expensive under its O(clauses) rescan per propagation pass.  This core keeps
-the same external surface (``add_clause`` / ``add_clauses`` / ``solve``) but
-searches iteratively over an assignment trail:
+A :class:`~repro.smt.solver.Solver` keeps one instance for its lifetime: input
+clauses, learned clauses, theory lemmas and their watch lists persist, and
+each query is one :meth:`SatSolver.solve` under assumption literals (MiniSat
+style).
 
-* **two-watched-literal propagation** — each clause watches two of its
-  literals, so unit propagation only touches clauses whose watched literal
-  was just falsified instead of rescanning the whole clause database;
-* **conflict-driven blocking** — on a conflict the solver learns the clause
-  blocking the current decision sequence and backjumps one level, where the
-  learned clause immediately propagates, so no decision prefix is ever
-  re-explored;
-* **tautology filtering** — clauses containing ``x ∨ ¬x`` are dropped on add:
-  they can never propagate or conflict, and keeping them inflated the
-  branching heuristic's occurrence counts.
+* **Two-watched-literal propagation** visits only the clauses whose watched
+  literal was just falsified.
+* **1UIP learning** resolves a conflict back to the first unique implication
+  point of its level and backjumps to the second highest level of the learned
+  clause.  Assumptions take decision levels of their own, so a learned clause
+  (RUP, like every 1UIP clause) follows from the database alone and stays
+  valid for later queries.
+* **Query cones**: only the *variables* of a solve are branched on or
+  propagated; a clause with any other literal never propagates or conflicts,
+  as if that literal were free.  A model needs only the cone's clauses and a
+  refutation from part of the database is a refutation, so both answers
+  stay sound.
+* **Theory checks inside the search**: *check* may reject a complete
+  assignment with a clause it falsifies (a theory lemma), which joins the
+  database and is resolved like any conflict, without a restart.
 
-The solver remains incremental in the simplest sense: clauses can be added
-between ``solve`` calls (the DPLL(T) loop adds theory-conflict blocking
-clauses), and each ``solve`` restarts the search from scratch.
+Decisions take the unassigned cone variable with the most occurrences in
+input clauses (learned clauses and lemmas do not count), then the lowest id,
+positive phase first.  Clauses containing ``x ∨ ¬x`` are dropped on add.
+Every solve starts from an empty trail, asserts the unit clauses of its cone
+at level 0, and undoes the trail before it returns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import operator
+from collections import Counter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-Clause = Tuple[int, ...]
 Assignment = Dict[int, bool]
+Check = Callable[[Assignment], Optional[Sequence[int]]]
 
 _UNASSIGNED = 0
 _TRUE = 1
@@ -39,233 +45,265 @@ _FALSE = -1
 class SatSolver:
     """CDCL solver over integer literals (positive index = true polarity)."""
 
-    def __init__(self, num_vars: int = 0):
-        self._clauses: List[List[int]] = []
-        self._num_vars = num_vars
+    def __init__(self) -> None:
         self._has_empty_clause = False
-        # Static occurrence counts over the input clauses (branching heuristic).
-        self._occurrences: Dict[int, int] = {}
+        self._units: List[int] = []
+        self._watched = 0  # clauses of two or more literals, learned included
+        # watches[lit] = clauses currently watching literal `lit`.
+        self._watches: Dict[int, List[List[int]]] = {}
+        self._occurrences: Counter = Counter()
+        # Per variable: value, decision level, reason clause (None for
+        # decisions and units), and whether the current solve may assign it.
+        self._values: List[int] = [_UNASSIGNED]
+        self._levels: List[int] = [0]
+        self._reasons: List[Optional[List[int]]] = [None]
+        self._active = bytearray(1)
+        self._trail: List[int] = []          # literals in assignment order
+        self._level_starts: List[int] = []   # trail index at each decision
+        self._head = 0                       # next trail literal to propagate
+        #: Conflicts analysed over the solver's lifetime, lemmas included.
+        self.conflicts = 0
+
+    def _grow(self, num_vars: int) -> None:
+        extra = num_vars + 1 - len(self._values)
+        if extra > 0:
+            self._values.extend([_UNASSIGNED] * extra)
+            self._levels.extend([0] * extra)
+            self._reasons.extend([None] * extra)
+            self._active.extend(bytes(extra))
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        """Add a clause; the empty clause makes the instance trivially unsat.
-
-        Repeated literals are deduplicated and tautological clauses
-        (containing both ``x`` and ``¬x``) are dropped entirely.
-        """
-        normalized = list(dict.fromkeys(clause))
-        literal_set = set(normalized)
-        for literal in normalized:
-            self._num_vars = max(self._num_vars, abs(literal))
-        if any(-literal in literal_set for literal in normalized):
-            return  # tautology: satisfied under every assignment
-        if not normalized:
+        """Add a clause between solves; the empty clause makes every solve
+        unsat.  Repeated literals are merged and tautologies dropped."""
+        literals = list(dict.fromkeys(clause))
+        if not literals:
             self._has_empty_clause = True
             return
-        for literal in normalized:
-            var = abs(literal)
-            self._occurrences[var] = self._occurrences.get(var, 0) + 1
-        self._clauses.append(normalized)
+        self._grow(max(map(abs, literals)))
+        if not set(map(operator.neg, literals)).isdisjoint(literals):
+            return
+        self._occurrences.update(map(abs, literals))
+        if len(literals) == 1:
+            self._units.append(literals[0])
+        else:
+            self._attach(literals)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
             self.add_clause(clause)
 
+    def _attach(self, clause: List[int]) -> None:
+        self._watched += 1
+        self._watches.setdefault(clause[0], []).append(clause)
+        self._watches.setdefault(clause[1], []).append(clause)
+
     @property
-    def num_vars(self) -> int:
-        return self._num_vars
+    def num_clauses(self) -> int:
+        """Clauses in the database: input, learned and lemmas."""
+        return self._watched + len(self._units)
 
-    def solve(self, assumptions: Sequence[int] = ()) -> Optional[Assignment]:
-        """Return a satisfying assignment or None.
+    def solve(self, assumptions: Sequence[int] = (),
+              variables: Optional[Iterable[int]] = None,
+              check: Optional[Check] = None) -> Optional[Assignment]:
+        """An assignment satisfying the clauses and *assumptions*, or None.
 
-        The assignment covers every variable occurring in a clause or an
-        assumption; look up other variables with ``get(var, False)``.
+        *variables* is the query's cone (default: every variable of an input
+        clause); the assignment covers it, the assumptions and the units.
+        *check* sees every complete assignment: None accepts it, a clause the
+        assignment falsifies rejects it and joins the database.
         """
         if self._has_empty_clause:
             return None
-        num_vars = max(self._num_vars,
-                       max((abs(lit) for lit in assumptions), default=0))
-        search = _Search(self._clauses, num_vars, self._occurrences)
-        return search.run(assumptions)
+        # Most occurrences first, ties to the lowest id (the sort is stable).
+        order = sorted(self._occurrences if variables is None else variables)
+        order.sort(key=self._occurrences.__getitem__, reverse=True)
+        touched = order + [abs(literal) for literal in assumptions]
+        self._grow(max(touched, default=0))
+        for var in touched:
+            self._active[var] = 1
+        try:
+            return self._search(assumptions, order, check)
+        finally:
+            for literal in self._trail:
+                self._values[abs(literal)] = _UNASSIGNED
+            del self._trail[:], self._level_starts[:]
+            self._head = 0
+            for var in touched:
+                self._active[var] = 0
 
+    def _search(self, assumptions: Sequence[int], order: List[int],
+                check: Optional[Check]) -> Optional[Assignment]:
+        values = self._values
+        for literal in self._units:
+            if self._active[abs(literal)]:
+                value = values[literal] if literal > 0 else -values[-literal]
+                if value == _FALSE:
+                    return None
+                if value == _UNASSIGNED:
+                    self._assign(literal, None)
+        conflict = self._propagate()
+        cursor = 0  # every variable before it in `order` is assigned
+        while True:
+            if conflict is not None:
+                if not self._learn(conflict):
+                    return None
+                cursor = 0
+                conflict = self._propagate()
+                continue
+            level = len(self._level_starts)
+            if level < len(assumptions):
+                literal = assumptions[level]
+                value = values[literal] if literal > 0 else -values[-literal]
+                if value == _FALSE:
+                    return None
+                self._level_starts.append(len(self._trail))
+                if value == _TRUE:
+                    continue  # an empty level keeps levels aligned
+            else:
+                while cursor < len(order) and values[order[cursor]] != _UNASSIGNED:
+                    cursor += 1
+                if cursor == len(order):
+                    model = {abs(literal): literal > 0 for literal in self._trail}
+                    lemma = None if check is None else check(model)
+                    if lemma is None:
+                        return model
+                    conflict = self._add_falsified(lemma)
+                    continue
+                literal = order[cursor]
+                self._level_starts.append(len(self._trail))
+            self._assign(literal, None)
+            conflict = self._propagate()
 
-class _Search:
-    """One iterative trail-based search over a snapshot of the clause database.
-
-    A fresh instance per ``solve`` call keeps the watch lists consistent with
-    clauses added between calls without any incremental bookkeeping.
-    """
-
-    def __init__(self, clauses: List[List[int]], num_vars: int,
-                 occurrences: Dict[int, int]):
-        self._clauses = list(clauses)  # learned clauses are appended locally
-        self._num_vars = num_vars
-        self._occurrences = occurrences
-        # values[var] is _TRUE / _FALSE / _UNASSIGNED.
-        self._values = [_UNASSIGNED] * (num_vars + 1)
-        self._trail: List[int] = []          # literals in assignment order
-        self._level_starts: List[int] = []   # trail index at each decision
-        self._decisions: List[int] = []      # the decision literal per level
-        # watches[lit] = clause indices currently watching literal `lit`.
-        self._watches: Dict[int, List[int]] = {}
-        # Variables sorted once by the static branching heuristic.  Only
-        # variables occurring in clauses are branched on: with a persistent
-        # atom table the variable id space spans *all* queries ever made,
-        # and scanning it per decision would be quadratic in session length.
-        self._branch_order = sorted(
-            occurrences,
-            key=lambda var: (-occurrences[var], var),
-        )
-
-    # -- assignment helpers --------------------------------------------------
-
-    def _value_of(self, literal: int) -> int:
-        value = self._values[abs(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if literal > 0 else -value
-
-    def _assign(self, literal: int) -> None:
-        self._values[abs(literal)] = _TRUE if literal > 0 else _FALSE
+    def _assign(self, literal: int, reason: Optional[List[int]]) -> None:
+        var = abs(literal)
+        self._values[var] = _TRUE if literal > 0 else _FALSE
+        self._levels[var] = len(self._level_starts)
+        self._reasons[var] = reason
         self._trail.append(literal)
 
-    def _watch(self, clause_index: int, literal: int) -> None:
-        self._watches.setdefault(literal, []).append(clause_index)
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self, assumptions: Sequence[int]) -> Optional[Assignment]:
-        if not self._init_watches():
-            return None
-        for literal in assumptions:
-            value = self._value_of(literal)
-            if value == _FALSE:
-                return None  # conflicting assumptions (or clash with a unit)
-            if value == _UNASSIGNED:
-                self._assign(literal)
-        if self._propagate(0) is not None:
-            # Conflict at decision level 0: the instance (with assumptions)
-            # is unsatisfiable.
-            return None
-
-        while True:
-            branch = self._pick_branch_literal()
-            if branch is None:
-                return self._extract_model()
-            self._level_starts.append(len(self._trail))
-            self._decisions.append(branch)
-            self._assign(branch)
-            while self._propagate(len(self._trail) - 1) is not None:
-                if not self._resolve_conflict():
-                    return None
-
-    def _init_watches(self) -> bool:
-        """Set up watches; propagate initial unit clauses.  False on conflict."""
-        for index, clause in enumerate(self._clauses):
-            if len(clause) == 1:
-                literal = clause[0]
-                value = self._value_of(literal)
-                if value == _FALSE:
-                    return False
-                if value == _UNASSIGNED:
-                    self._assign(literal)
-            else:
-                self._watch(index, clause[0])
-                self._watch(index, clause[1])
-        return True
-
-    def _propagate(self, queue_head: int) -> Optional[int]:
-        """Propagate from trail position *queue_head*; return a conflicting
-        clause index, or None when the assignment is propagation-complete."""
+    def _propagate(self) -> Optional[List[int]]:
+        """Propagate the unprocessed trail; return a falsified clause, or None
+        when the assignment is propagation-complete."""
         trail = self._trail
-        while queue_head < len(trail):
-            falsified = -trail[queue_head]
-            queue_head += 1
-            watchers = self._watches.get(falsified)
+        values = self._values
+        levels = self._levels
+        reasons = self._reasons
+        active = self._active
+        watches = self._watches
+        level = len(self._level_starts)
+        while self._head < len(trail):
+            falsified = -trail[self._head]
+            self._head += 1
+            watchers = watches.get(falsified)
             if not watchers:
                 continue
-            keep: List[int] = []
-            position = 0
-            while position < len(watchers):
-                clause_index = watchers[position]
-                position += 1
-                clause = self._clauses[clause_index]
+            keep: List[List[int]] = []
+            for position, clause in enumerate(watchers):
                 # Normalize so clause[0] is the other watched literal.
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = falsified
                 other = clause[0]
-                if self._value_of(other) == _TRUE:
-                    keep.append(clause_index)
+                other_value = values[other] if other > 0 else -values[-other]
+                if other_value == _TRUE:
+                    keep.append(clause)
                     continue
-                # Look for a non-false replacement watch.
-                for slot in range(2, len(clause)):
-                    if self._value_of(clause[slot]) != _FALSE:
-                        clause[1], clause[slot] = clause[slot], clause[1]
-                        self._watch(clause_index, clause[1])
+                for slot in range(2, len(clause)):  # a non-false replacement?
+                    literal = clause[slot]
+                    if (values[literal] if literal > 0 else -values[-literal]) != _FALSE:
+                        clause[1] = literal
+                        clause[slot] = falsified
+                        watches.setdefault(literal, []).append(clause)
                         break
                 else:
-                    keep.append(clause_index)
-                    if self._value_of(other) == _FALSE:
+                    keep.append(clause)
+                    if other_value == _FALSE:
                         # Conflict: restore the untraversed watchers and bail.
-                        keep.extend(watchers[position:])
-                        self._watches[falsified] = keep
-                        return clause_index
-                    self._assign(other)  # unit under the current assignment
-            self._watches[falsified] = keep
+                        keep.extend(watchers[position + 1:])
+                        watches[falsified] = keep
+                        self._head = len(trail)
+                        return clause
+                    var = abs(other)
+                    if active[var]:  # unit under the assignment
+                        values[var] = _TRUE if other > 0 else _FALSE
+                        levels[var] = level
+                        reasons[var] = clause
+                        trail.append(other)
+            watches[falsified] = keep
         return None
 
-    def _resolve_conflict(self) -> bool:
-        """Learn the clause blocking the current decisions and backjump.
+    def _add_falsified(self, clause: Sequence[int]) -> List[int]:
+        """Add a clause the assignment falsifies and return it as the conflict,
+        watching its two highest-level literals (a unit is learned back)."""
+        literals = list(dict.fromkeys(clause))
+        literals.sort(key=lambda literal: -self._levels[abs(literal)])
+        if len(literals) > 1:
+            self._attach(literals)
+        elif not literals:
+            self._has_empty_clause = True
+        return literals
 
-        Returns False when the conflict is at decision level 0 (unsat).
-        """
-        if not self._decisions:
+    def _learn(self, conflict: List[int]) -> bool:
+        """Learn the 1UIP clause of *conflict*, backjump and assert it; False
+        when the conflict holds at level 0 (unsat)."""
+        self.conflicts += 1
+        levels = self._levels
+        top = max((levels[abs(literal)] for literal in conflict), default=0)
+        if top == 0:
             return False
-        # Decision learning: the conflict refutes the decision sequence
-        # d1..dk, so learn (¬d1 ∨ ... ∨ ¬dk) and backjump one level, where
-        # the learned clause asserts ¬dk.
-        learned = [-decision for decision in self._decisions]
-        asserted = learned[-1]
-        self._backtrack_one_level()
-        if len(learned) > 1:
-            clause_index = len(self._clauses)
-            self._clauses.append([asserted] + learned[:-1])
-            # Watch the asserted literal and the most recent false literal.
-            self._watch(clause_index, asserted)
-            self._watch(clause_index, learned[-2])
-        if self._value_of(asserted) == _FALSE:
-            # The blocked polarity is already forced; conflict persists at
-            # this level — resolve again (loops down to level 0 if needed).
-            return self._resolve_conflict()
-        if self._value_of(asserted) == _UNASSIGNED:
-            self._assign(asserted)
+        self._backtrack(top)  # a lemma may be falsified below the last level
+        learned = self._analyze(conflict, top)
+        if len(learned) == 1:
+            self._backtrack(0)
+            self._units.append(learned[0])
+            self._assign(learned[0], None)
+        else:
+            self._backtrack(levels[abs(learned[1])])
+            self._attach(learned)
+            self._assign(learned[0], learned)
         return True
 
-    def _backtrack_one_level(self) -> None:
-        mark = self._level_starts.pop()
-        self._decisions.pop()
-        while len(self._trail) > mark:
-            literal = self._trail.pop()
+    def _analyze(self, conflict: List[int], level: int) -> List[int]:
+        """The first-UIP clause: the asserting literal, then the literal of
+        the highest remaining level, then the rest."""
+        levels = self._levels
+        trail = self._trail
+        seen = set()
+        learned = [0]
+        pending = 0  # seen literals of `level` not yet resolved away
+        index = len(trail) - 1
+        clause = conflict
+        while True:
+            for literal in clause:
+                var = abs(literal)
+                if var not in seen and levels[var] > 0:
+                    seen.add(var)
+                    if levels[var] == level:
+                        pending += 1
+                    else:
+                        learned.append(literal)
+            while abs(trail[index]) not in seen:
+                index -= 1
+            implied = trail[index]
+            index -= 1
+            pending -= 1
+            if pending == 0:
+                break
+            clause = self._reasons[abs(implied)]
+        learned[0] = -implied
+        if len(learned) > 2:
+            best = max(range(1, len(learned)),
+                       key=lambda slot: levels[abs(learned[slot])])
+            learned[1], learned[best] = learned[best], learned[1]
+        return learned
+
+    def _backtrack(self, level: int) -> None:
+        """Undo every decision level above *level*."""
+        if len(self._level_starts) <= level:
+            return
+        mark = self._level_starts[level]
+        for literal in self._trail[mark:]:
             self._values[abs(literal)] = _UNASSIGNED
-
-    def _pick_branch_literal(self) -> Optional[int]:
-        """The unassigned variable with the most clause occurrences, positive
-        polarity first (mirrors the old solver's value ordering)."""
-        for var in self._branch_order:
-            if self._values[var] == _UNASSIGNED:
-                return var
-        return None
-
-    def _extract_model(self) -> Assignment:
-        """The satisfying assignment over every variable the search touched.
-
-        Variables that occur in no clause (possible when the id space is
-        shared with other queries) are absent; callers default them to False
-        via ``assignment.get(var, False)``, matching the old dense model's
-        completion value.
-        """
-        model: Assignment = {}
-        for var in self._occurrences:
-            model[var] = self._values[var] == _TRUE
-        for literal in self._trail:
-            model[abs(literal)] = literal > 0
-        return model
+        del self._trail[mark:]
+        del self._level_starts[level:]
+        self._head = mark

@@ -1,63 +1,51 @@
 """The lazy DPLL(T) solver tying together SAT search and integer arithmetic.
 
 :class:`Solver` answers satisfiability and validity queries for
-quantifier-free formulas over linear integer arithmetic and booleans.  The
-design is the standard offline lazy-SMT loop:
+quantifier-free formulas over linear integer arithmetic and booleans:
 
 1. preprocess the formula into NNF with canonical ``t <= 0`` atoms;
-2. Tseitin-encode the boolean skeleton and enumerate propositionally
-   satisfying assignments with the CDCL core;
-3. for each assignment, check the implied conjunction of integer constraints
-   with branch-and-bound over the rational simplex;
-4. on a theory conflict, add a blocking clause built from the Farkas
-   certificate of the simplex (shrunk by deletion probes) and continue.
+2. Tseitin-encode the boolean skeleton and search it with the CDCL core,
+   under the root literal as an assumption;
+3. check each complete assignment's conjunction of integer constraints with
+   branch-and-bound over the rational simplex;
+4. on a theory conflict, hand the search a lemma built from the simplex's
+   Farkas certificate (shrunk by deletion probes); it backjumps and goes on.
 
-Instances are *reusable* across queries and designed to be shared by a whole
-compilation pipeline:
+A solver is *incremental*, and designed to be shared by a whole compilation
+pipeline:
 
-* the :class:`~repro.smt.cnf.AtomTable` persists, so the same atom maps to
-  the same SAT variable in every query.  :func:`~repro.smt.cnf.encode`
-  collects each query's atoms as it maps them, and the solver keeps every
-  atom variable's theory form — its :class:`~repro.smt.linear.Constraint`
-  and that constraint's integer negation, or None for a boolean atom — next
-  to the table, for the solver's lifetime.  An atom is linearized and
-  negated once per solver, not once per query or theory iteration;
-* theory-conflict blocking clauses are valid lemmas over those persistent
-  atom variables, so they are replayed into every later query's SAT instance
-  — near-duplicate verification conditions stop rediscovering the same
-  arithmetic conflicts;
+* one :class:`~repro.smt.cnf.AtomTable` and one
+  :class:`~repro.smt.sat.SatSolver` live as long as the solver: an atom or
+  node keeps its SAT variable, its definition clauses are loaded once, and
+  learned clauses and theory lemmas — valid whatever the assumptions — serve
+  every later query.  A query's cone (the variables :func:`~repro.smt.cnf.encode`
+  walks) is all it branches on, and only its own atoms reach the theory
+  check, each with the :class:`~repro.smt.linear.Constraint` and integer
+  negation kept for it since its first query;
 * an optional :class:`~repro.smt.cache.FormulaCache` memoizes whole query
-  results (see that module for the canonicalization story);
-* conjunction-level theory verdicts are memoized as well, so re-enumerated
-  constraint sets skip branch-and-bound;
-* a :class:`~repro.logic.memo.RewriteMemo` memoizes every preprocessing
-  pass per node (see :mod:`repro.smt.preprocess`), together with the
-  "contains a quantifier" check, so a subformula shared by many queries is
-  rewritten once.  Abduction and invariant inference rewrite through the
-  same memo (:meth:`Solver.rewrite_memo`).  It lives as long as the solver
-  — one compile for a default :class:`~repro.placement.pipeline.ExpressoPipeline`
-  — and is cleared once it holds ``_REWRITE_MEMO_LIMIT`` entries, the
-  policy of the theory-verdict memo, which bounds long-lived solvers
-  (``ExpressoPipeline(solver=...)``, the commutativity checker's shared
-  one).  Every pass is a pure function of its node, so the memo changes
-  speed, never results;
+  results (see that module for the canonicalization story), and
+  conjunction-level theory verdicts are memoized too;
+* a :class:`~repro.logic.memo.RewriteMemo` memoizes every preprocessing pass
+  per node, together with the "contains a quantifier" check; abduction and
+  invariant inference rewrite through it (:meth:`Solver.rewrite_memo`);
+* the memo and the clause database are cleared together once either
+  reaches ``_REWRITE_MEMO_LIMIT`` entries (clauses or variables for the
+  database), which bounds long-lived solvers (``ExpressoPipeline(solver=...)``,
+  the commutativity checker's shared one); :meth:`Solver.clear_state` drops
+  both on request;
 * :meth:`Solver.check_valid` can hand back the counterexample it found, and
   :meth:`Solver.memoized` runs a whole query procedure (a commutativity
   verdict, an abduction) through one of the cache's procedure memos,
   storing its answer only when no query inside returned UNKNOWN.
 
-Unknown results (budget exhaustion) are reported explicitly so that callers
-can degrade conservatively; they never occur on the pipeline's own VCs.  A
+All of this changes speed and models, never verdicts.  Unknown results are
+reported explicitly so that callers can degrade conservatively: the
+iteration budget, ``timeout_seconds`` (a per-query wall clock, counted under
+``smt.timeouts``/``smt.unknown`` and flagged via
+:meth:`Solver.consume_unknown`), the ``solver.query`` fault site, and a
 simplex that breaks its own invariant
-(:class:`~repro.smt.simplex.SimplexInvariantError`) also yields
-``UNKNOWN("theory")``, in the theory check and in core minimization alike,
-so a defect there can never pass for an UNSAT answer.
-Besides the iteration budget, ``timeout_seconds`` imposes a per-query
-wall-clock budget on the DPLL(T) loop: a pathological query then costs one
-UNKNOWN (counted under ``smt.timeouts``/``smt.unknown`` and flagged via
-:meth:`Solver.consume_unknown`) instead of hanging the pipeline.  The
-``solver.query`` fault site lets tests inject that outcome
-deterministically.
+(:class:`~repro.smt.simplex.SimplexInvariantError`), which yields
+``UNKNOWN("theory")`` so a defect there never passes for an UNSAT answer.
 """
 
 from __future__ import annotations
@@ -65,7 +53,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar, Union
 
 from repro import obs
 from repro.logic import build
@@ -73,7 +61,7 @@ from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NA
 from repro.logic.free_vars import free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, BoolConst, Exists, Expr, Forall, INT, IntConst, Var,
+    BOOL, BoolConst, Exists, Expr, Forall, IntConst, Var,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
@@ -92,10 +80,8 @@ T = TypeVar("T")
 
 #: Cap on memoized theory-conjunction verdicts per solver.
 _THEORY_CACHE_LIMIT = 50_000
-#: Cap on preprocessing memo entries per solver (memo cleared past this point).
+#: Cap on a solver's memo entries, clauses and variables (all cleared past it).
 _REWRITE_MEMO_LIMIT = 100_000
-#: Cap on retained theory lemmas (oldest half dropped past this point).
-_LEMMA_LIMIT = 5_000
 #: Sentinel distinguishing "theory said infeasible" from "not memoized".
 _INFEASIBLE = object()
 
@@ -126,15 +112,18 @@ class SolverError(RuntimeError):
     """Raised on malformed queries (e.g. quantified input to check_sat)."""
 
 
+class _OutOfBudget(Exception):
+    """Ends a search whose theory iterations or wall clock ran out."""
+
+
 class Solver:
     """Decision procedure for QF-LIA + booleans.
 
     Instances carry configuration (iteration budget, result cache), the
     statistics the evaluation harness reports (query/theory-check/cache
-    counters), and reusable solver state (persistent atom table, learned
-    theory lemmas).  All state besides the statistics is semantically
-    transparent: a fresh solver answers every query identically, just more
-    slowly.
+    counters), and reusable solver state (rewrite memo, atom table, clause
+    database).  That state changes speed and models only: a fresh solver
+    reaches the same verdict on every query.
     """
 
     def __init__(self, max_theory_iterations: int = 2000,
@@ -156,13 +145,23 @@ class Solver:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.statistics: LegacyStatsView = LegacyStatsView(
             self.metrics, names=SOLVER_METRIC_NAMES)
+        self._theory_verdicts: Dict[frozenset, object] = {}
+        self._rewrites = RewriteMemo()
+        self.clear_state()
+
+    def clear_state(self) -> None:
+        """Drop the rewrite memo and the SAT database (atoms, definitions,
+        learned clauses, lemmas); the cache and the theory verdicts stay.
+
+        For a solver that moves on to unrelated formulas.  Answers do not
+        change, only the speed of queries that share structure.
+        """
+        self._rewrites.clear()
         self._atom_table = AtomTable()
         #: Theory form of each atom variable of ``_atom_table``:
         #: ``(constraint, negated constraint)``, or None for a boolean atom.
         self._atom_forms: Dict[int, Optional[Tuple[Constraint, Constraint]]] = {}
-        self._theory_lemmas: List[Tuple[int, ...]] = []
-        self._theory_verdicts: Dict[frozenset, object] = {}
-        self._rewrites = RewriteMemo()
+        self._sat = SatSolver()
 
     # -- public API ---------------------------------------------------------
 
@@ -192,10 +191,13 @@ class Solver:
     def rewrite_memo(self) -> RewriteMemo:
         """This solver's preprocessing memo, for rewrites done on its behalf.
 
-        Cleared first once it holds ``_REWRITE_MEMO_LIMIT`` entries.
+        Memo and SAT database are cleared first once either holds
+        ``_REWRITE_MEMO_LIMIT`` entries (clauses or variables, for the
+        database).
         """
-        if len(self._rewrites) >= _REWRITE_MEMO_LIMIT:
-            self._rewrites.clear()
+        if max(len(self._rewrites), self._sat.num_clauses,
+               self._atom_table.num_vars) >= _REWRITE_MEMO_LIMIT:
+            self.clear_state()
         return self._rewrites
 
     def _check_sat(self, formula: Expr) -> SatResult:
@@ -213,18 +215,20 @@ class Solver:
             entry = self.cache.lookup_raw(formula)
             if entry is not None:
                 self.statistics["cache_hits"] += 1
-                return self._result_from_cache(formula, entry)
+                return _result(formula, entry)
         processed = preprocess(formula, memo)
         if self.cache is not None:
             entry = self.cache.lookup_canonical(formula, processed)
             if entry is not None:
                 self.statistics["cache_hits"] += 1
-                return self._result_from_cache(formula, entry)
+                return _result(formula, entry)
             self.statistics["cache_misses"] += 1
-        result, entry = self._solve_processed(formula, processed)
-        if self.cache is not None and entry is not None:
+        entry = self._solve_processed(processed)
+        if entry is None:
+            return SatResult(SatStatus.UNKNOWN)
+        if self.cache is not None:
             self.cache.store(formula, processed, entry)
-        return result
+        return _result(formula, entry)
 
     def _unknown(self, reason: str) -> SatResult:
         """Account one UNKNOWN outcome (never cached: budgets are not
@@ -307,31 +311,20 @@ class Solver:
 
     # -- internals ----------------------------------------------------------
 
-    def _solve_processed(
-        self, formula: Expr, processed: Expr
-    ) -> Tuple[SatResult, Optional[CachedResult]]:
-        """Run the DPLL(T) loop; return the result and its cacheable form."""
+    def _solve_processed(self, processed: Expr) -> Optional[CachedResult]:
+        """Run the DPLL(T) search; the result in cacheable form, or None
+        after accounting an UNKNOWN."""
         if isinstance(processed, BoolConst):
-            if processed.value:
-                return SatResult(SatStatus.SAT, _default_model(formula)), \
-                    CachedResult(True, {}, {})
-            return SatResult(SatStatus.UNSAT), CachedResult(False)
+            return CachedResult(True, {}, {}) if processed.value else CachedResult(False)
 
-        sat_solver = SatSolver()
-        # Only atoms of *this* query feed the theory check: the persistent
-        # table also holds atoms of earlier queries, whose (arbitrary) SAT
-        # values must not be turned into constraints here.
+        # Only this query's atoms feed the theory check: the SAT values of
+        # other queries' atoms are arbitrary.
         query_atoms: Dict[Expr, int] = {}
-        sat_solver.add_clauses(encode(processed, self._atom_table, query_atoms))
-        # Replay only lemmas entirely over this query's atoms: a lemma
-        # mentioning foreign atoms can never block an assignment here, it
-        # would only bloat the instance (and, over a long session, make each
-        # query pay for every conflict ever seen).
-        atom_ids = set(query_atoms.values())
-        sat_solver.add_clauses(
-            lemma for lemma in self._theory_lemmas
-            if all(abs(literal) in atom_ids for literal in lemma)
-        )
+        cone: Set[int] = set()
+        root, clauses = encode(processed, self._atom_table, query_atoms, cone)
+        sat = self._sat
+        sat.add_clauses(clauses)
+        self.metrics.inc("smt.sat.clauses", len(clauses))
         theory_atoms: List[Tuple[int, Constraint, Constraint]] = []
         bool_atoms: List[Tuple[str, int]] = []
         atom_forms = self._atom_forms
@@ -349,35 +342,50 @@ class Solver:
 
         deadline = (time.monotonic() + self.timeout_seconds
                     if self.timeout_seconds is not None else None)
-        for _ in range(self.max_theory_iterations):
+        found: List[Tuple[Dict[str, int], Dict[str, bool]]] = []
+        checks = 0
+
+        def spend() -> None:
+            if checks >= self.max_theory_iterations:
+                raise _OutOfBudget("iterations")
             if deadline is not None and time.monotonic() > deadline:
-                return self._unknown("timeout"), None
-            assignment = sat_solver.solve()
-            if assignment is None:
-                return SatResult(SatStatus.UNSAT), CachedResult(False)
-            constraints = [(var_id, positive) if assignment.get(var_id, False)
+                raise _OutOfBudget("timeout")
+
+        def theory_check(assignment: Dict[int, bool]) -> Optional[Tuple[int, ...]]:
+            """Accept a T-consistent assignment, or return a lemma against it."""
+            nonlocal checks
+            checks += 1
+            constraints = [(var_id, positive) if assignment[var_id]
                            else (-var_id, negative)
                            for var_id, positive, negative in theory_atoms]
-            bool_values = {name: assignment.get(var_id, False)
-                           for name, var_id in bool_atoms}
+            bool_values = {name: assignment[var_id] for name, var_id in bool_atoms}
             self.statistics["theory_checks"] += 1
-            try:
-                theory_model = self._theory_feasible([c for _, c in constraints])
-                if theory_model is None:
-                    core = self._minimize_core(constraints)
-            except (IntegerFeasibilityUnknown, SimplexInvariantError):
-                return self._unknown("theory"), None
+            theory_model = self._theory_feasible([c for _, c in constraints])
             if theory_model is not None:
-                model = _build_model(formula, theory_model, bool_values)
-                return SatResult(SatStatus.SAT, model), \
-                    CachedResult(True, dict(theory_model), dict(bool_values))
-            lemma = tuple(-literal for literal, _ in core)
-            sat_solver.add_clause(lemma)
-            if len(self._theory_lemmas) >= _LEMMA_LIMIT:
-                del self._theory_lemmas[:_LEMMA_LIMIT // 2]
-            self._theory_lemmas.append(lemma)
+                found.append((theory_model, bool_values))
+                return None
+            lemma = tuple(-literal for literal, _ in self._minimize_core(constraints))
             self.statistics["theory_lemmas"] += 1
-        return self._unknown("iterations"), None
+            spend()
+            self.metrics.inc("smt.sat.clauses")
+            return lemma
+
+        conflicts = sat.conflicts
+        try:
+            spend()
+            assignment = sat.solve((root,), cone, theory_check)
+        except _OutOfBudget as exhausted:
+            self._unknown(exhausted.args[0])
+            return None
+        except (IntegerFeasibilityUnknown, SimplexInvariantError):
+            self._unknown("theory")
+            return None
+        finally:
+            self.metrics.inc("smt.sat.conflicts", sat.conflicts - conflicts)
+        if assignment is None:
+            return CachedResult(False)
+        theory_model, bool_values = found[-1]
+        return CachedResult(True, dict(theory_model), bool_values)
 
     def _theory_feasible(
         self, constraints: List[Constraint]
@@ -394,13 +402,6 @@ class Solver:
             self._theory_verdicts.clear()
         self._theory_verdicts[key] = _INFEASIBLE if model is None else model
         return model
-
-    def _result_from_cache(self, formula: Expr, entry: CachedResult) -> SatResult:
-        if not entry.status_sat:
-            return SatResult(SatStatus.UNSAT)
-        model = _build_model(formula, entry.theory_model or {},
-                             entry.bool_values or {})
-        return SatResult(SatStatus.SAT, model)
 
     def _minimize_core(
         self, constraints: List[Tuple[int, Constraint]]
@@ -445,22 +446,17 @@ def _contains_quantifier(formula: Expr, table: Dict[Expr, bool]) -> bool:
     return flag
 
 
-def _default_model(formula: Expr) -> Model:
-    model: Model = {}
-    for var in free_vars(formula):
-        model[var.name] = 0 if var.var_sort is INT else False
-    return model
-
-
-def _build_model(formula: Expr, theory_model: Dict[str, int],
-                 bool_values: Dict[str, bool]) -> Model:
+def _result(formula: Expr, entry: CachedResult) -> SatResult:
+    """The answer an entry gives *formula*; a model covers its free variables."""
+    if not entry.status_sat:
+        return SatResult(SatStatus.UNSAT)
     model: Model = {}
     for var in free_vars(formula):
         if var.var_sort is BOOL:
-            model[var.name] = bool_values.get(var.name, False)
+            model[var.name] = (entry.bool_values or {}).get(var.name, False)
         else:
-            model[var.name] = int(theory_model.get(var.name, 0))
-    return model
+            model[var.name] = int((entry.theory_model or {}).get(var.name, 0))
+    return SatResult(SatStatus.SAT, model)
 
 
 # -- module-level convenience wrappers --------------------------------------

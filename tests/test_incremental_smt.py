@@ -1,0 +1,119 @@
+"""Incremental SMT: one persistent SAT instance per solver.
+
+A :class:`~repro.smt.solver.Solver` keeps one
+:class:`~repro.smt.sat.SatSolver` for its lifetime: Tseitin definitions are
+loaded once per node, each query solves under its root literal as an
+assumption, and learned clauses and theory lemmas stay in the database.  That
+may change models, never verdicts.  These tests replay every ``check_sat`` of
+a six-monitor compile (the monitors of ``test_simplex_reference.py``) plus
+ten generated monitors and compare each verdict with a fresh solver's, check
+every model against the formula, and cover the database's limit-and-clear
+policy and the shared commutativity solver's per-build clear.
+"""
+
+import pytest
+
+from repro.analysis import commutativity
+from repro.benchmarks_lib import get_benchmark
+from repro.fuzz.generate import random_monitor
+from repro.logic.evaluate import truth_value
+from repro.placement.pipeline import ExpressoPipeline
+from repro.smt import solver as solver_module
+from repro.smt.cache import FormulaCache
+from repro.smt.solver import SatStatus, Solver
+
+MONITORS = ("Dining Philosophers", "Ticketed Readers-Writers", "SimpleDecoder",
+            "AsyncDispatch", "Readers-Writers", "BoundedBuffer")
+GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
+
+
+@pytest.fixture(scope="module")
+def answers():
+    """``(formula, result)`` for every ``check_sat`` the compiles made, as
+    their own (persistent, cached) solvers answered."""
+    recorded = []
+    original = Solver.check_sat
+
+    def recording(self, formula):
+        result = original(self, formula)
+        recorded.append((formula, result))
+        return result
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(Solver, "check_sat", recording)
+    try:
+        for source in [get_benchmark(name).source for name in MONITORS] + list(GENERATED):
+            ExpressoPipeline().compile(source)
+    finally:
+        patch.undo()
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def fresh_verdicts(answers):
+    """Each distinct formula's status from a solver that never saw another."""
+    return {formula: Solver().check_sat(formula).status
+            for formula in dict.fromkeys(formula for formula, _ in answers)}
+
+
+def assert_model_satisfies(formula, result):
+    __tracebackhide__ = True
+    if result.is_sat:
+        assert truth_value(formula, result.model) is True, (formula, result.model)
+
+
+def test_the_compiles_answer_like_fresh_solvers(answers, fresh_verdicts):
+    assert len(answers) >= 1000
+    for formula, result in answers:
+        assert result.status is fresh_verdicts[formula], formula
+        assert_model_satisfies(formula, result)
+    assert SatStatus.UNKNOWN not in fresh_verdicts.values()
+
+
+def test_one_solver_across_every_monitor_answers_like_fresh_ones(fresh_verdicts):
+    solver = Solver()
+    for formula, verdict in fresh_verdicts.items():
+        result = solver.check_sat(formula)
+        assert result.status is verdict, formula
+        assert_model_satisfies(formula, result)
+    # Definitions, learned clauses and lemmas all stayed in one database.
+    assert solver._sat.num_clauses > 5000
+    assert solver.statistics["sat_clauses"] >= solver._sat.num_clauses - solver._sat.conflicts
+
+
+def test_a_full_database_is_cleared_and_answers_do_not_change(fresh_verdicts, monkeypatch):
+    monkeypatch.setattr(solver_module, "_REWRITE_MEMO_LIMIT", 300)
+    solver = Solver()
+    databases = set()
+    sizes = []
+    for formula, verdict in list(fresh_verdicts.items())[:400]:
+        result = solver.check_sat(formula)
+        assert result.status is verdict, formula
+        assert_model_satisfies(formula, result)
+        databases.add(id(solver._sat))
+        sizes.append(solver._sat.num_clauses)
+    assert len(databases) > 3
+    # Cleared before a query once full: one query's clauses past the cap.
+    assert max(sizes) < 300 + 200
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_a_cleared_solver_keeps_its_cache():
+    explicit = ExpressoPipeline().compile(get_benchmark("BoundedBuffer").source).explicit
+    commutativity._DEFAULT_SOLVER = None
+    first, _ = commutativity.matrix_with_statistics(explicit)
+    shared = commutativity._default_solver()
+    assert shared._sat.num_clauses == 0 and len(shared.rewrite_memo()) == 0
+    assert len(shared.cache) > 0
+    again, stats = commutativity.matrix_with_statistics(explicit)
+    assert again == first
+    assert stats["commute_cache_misses"] == 0
+
+
+def test_the_counters_reach_the_compile_statistics():
+    solver = Solver(cache=FormulaCache())
+    result = ExpressoPipeline(solver=solver).compile(get_benchmark("Readers-Writers").source)
+    stats = result.solver_statistics
+    assert stats["sat_clauses"] > 0 and stats["sat_conflicts"] > 0
+    assert solver.metrics.value("smt.sat.clauses") == stats["sat_clauses"]
+    assert solver.metrics.value("smt.sat.conflicts") == stats["sat_conflicts"]

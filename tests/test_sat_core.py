@@ -1,13 +1,18 @@
-"""Unit tests for the iterative CDCL SAT core (repro.smt.sat).
+"""Unit tests for the incremental CDCL SAT core (repro.smt.sat).
 
-The solver used to be a recursive DPLL; these tests pin down the edge cases
-of the rebuilt trail-based search — empty clauses, unit-only instances,
-conflicting assumptions, tautology filtering — and the scaling property that
-motivated the rebuild: a multi-thousand-variable skeleton whose implication
-chain would have overflowed the recursion limit of the old search.
+These tests pin down the edge cases of the trail-based search — empty
+clauses, unit-only instances, conflicting assumptions, tautology filtering —
+the scaling property of an iterative search (a multi-thousand-variable
+implication chain), and what incrementality must preserve: clauses learned
+under assumptions stay valid for later queries under other assumptions, and
+theory lemmas resume the search.  Hypothesis sessions that interleave
+``add_clause`` and ``solve(assumptions)`` are checked against brute-force
+enumeration.
 """
 
-import pytest
+import itertools
+
+from hypothesis import given, settings, strategies as st
 
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.sat import SatSolver
@@ -159,6 +164,126 @@ class TestIncremental:
             seen.add(key)
             solver.add_clause([-1 if model[1] else 1, -2 if model[2] else 2])
         assert len(seen) == 3  # all assignments except (False, False)
+
+
+class TestLearningUnderAssumptions:
+    def test_a_clause_learned_under_an_assumption_keeps_it(self):
+        # Under a (1), deciding x (2) forces y (3) both ways; the 1UIP clause
+        # is (¬x ∨ ¬a).  Learning (¬x) alone would make x impossible for good.
+        solver = SatSolver()
+        solver.add_clauses([[-1, -2, 3], [-1, -2, -3]])
+        assert solver.solve([1])[2] is False
+        assert solver.conflicts == 1
+        solver.add_clause([2])
+        model = solver.solve([-1])
+        assert model is not None and model[2] is True
+        assert solver.solve([1]) is None
+
+    def test_a_theory_lemma_resumes_the_search(self):
+        # The check rejects x ∧ y once; the search backjumps and finds x ∧ ¬y.
+        solver = SatSolver()
+        solver.add_clauses([[1, 2], [1, 3]])
+        seen = []
+
+        def check(model):
+            seen.append(dict(model))
+            return [-1, -2] if model[1] and model[2] else None
+
+        model = solver.solve([], [1, 2, 3], check)
+        assert model[1] is True and model[2] is False
+        assert len(seen) == 2
+        assert solver.solve([2], [1, 2, 3], check)[1] is False  # the lemma stays
+
+
+# ---------------------------------------------------------------------------
+# Differential: incremental sessions against brute-force enumeration
+# ---------------------------------------------------------------------------
+
+MAX_VARS = 10
+
+
+@st.composite
+def sessions(draw):
+    """(variable count, forbidden cubes, operations): each operation adds a
+    clause or solves under assumptions.
+
+    A dense start of non-unit clauses, then mostly solves under assumptions:
+    conflicts below the assumption levels are what learning must get right
+    for the queries after them.  Literals come from a seeded ``Random`` so
+    that sessions are as dense as uniform sampling makes them.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    num_vars = draw(st.integers(1, MAX_VARS))
+
+    def clause(low, high):
+        return [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(low, high))]
+
+    operations = [("add", clause(2, 4)) for _ in range(draw(st.integers(4, 25)))]
+    for _ in range(draw(st.integers(2, 12))):
+        kind = rng.choice(("add", "solve", "solve", "solve"))
+        operations.append((kind, clause(0, 4) if kind == "add" else clause(0, 3)))
+    cubes = [clause(1, 3) for _ in range(draw(st.integers(0, 3)))]
+    return num_vars, cubes, operations
+
+
+def holds(literal, assignment):
+    return assignment[abs(literal)] == (literal > 0)
+
+
+def brute_force(num_vars, clauses, assumptions, cubes=()):
+    for values in itertools.product((False, True), repeat=num_vars):
+        assignment = dict(enumerate(values, start=1))
+        if (all(any(holds(lit, assignment) for lit in clause) for clause in clauses)
+                and all(holds(lit, assignment) for lit in assumptions)
+                and not any(all(holds(lit, assignment) for lit in cube)
+                            for cube in cubes)):
+            return True
+    return False
+
+
+def assert_answers_like_brute_force(num_vars, operations, cubes, cone):
+    solver = SatSolver()
+    clauses = []
+
+    def check(model):
+        # A "theory" that forbids each cube; its lemmas hold in every query.
+        for cube in cubes:
+            if all(holds(lit, model) for lit in cube):
+                return [-lit for lit in cube]
+        return None
+
+    for kind, payload in operations:
+        if kind == "add":
+            solver.add_clause(payload)
+            clauses.append(payload)
+            continue
+        if cone:
+            model = solver.solve(payload, range(1, num_vars + 1), check)
+        else:
+            model = solver.solve(payload)
+        assert (model is not None) == brute_force(
+            num_vars, clauses, payload, cubes if cone else ()), (clauses, payload)
+        if model is not None:
+            full = {var: model.get(var, False) for var in range(1, num_vars + 1)}
+            assert all(any(holds(lit, full) for lit in clause) for clause in clauses)
+            assert all(model[abs(lit)] == (lit > 0) for lit in payload)
+            if cone:
+                assert not any(all(holds(lit, full) for lit in cube) for cube in cubes)
+
+
+class TestDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(sessions())
+    def test_incremental_sessions_match_brute_force(self, session):
+        num_vars, _cubes, operations = session
+        assert_answers_like_brute_force(num_vars, operations, (), cone=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sessions())
+    def test_sessions_with_theory_lemmas_match_brute_force(self, session):
+        num_vars, cubes, operations = session
+        assert_answers_like_brute_force(num_vars, operations, cubes, cone=True)
 
 
 class TestDeepSkeletons:

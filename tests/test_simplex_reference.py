@@ -184,10 +184,10 @@ def suite_compile():
         inputs.add(tuple(constraints))
         return original_solve(constraints)
 
-    def recording_encode(expr, table, atoms=None):
-        clauses = original_encode(expr, table, atoms)
+    def recording_encode(expr, table, atoms=None, cone=None):
+        encoded = original_encode(expr, table, atoms, cone)
         encodings.append((expr, list(atoms)))
-        return clauses
+        return encoded
 
     def recording_check_sat(self, formula):
         queries.append(formula)
@@ -336,7 +336,8 @@ class TestNoLeavingRowGuard:
         assert solver.check_valid(formula) is False
         assert solver.consume_unknown() == "theory"
         assert cache.lookup_raw(build.lnot(formula)) is None
-        assert solver._theory_verdicts == {} and solver._theory_lemmas == []
+        assert solver._theory_verdicts == {}
+        assert solver.statistics["theory_lemmas"] == 0
 
     def test_core_minimization_degrades_too(self, monkeypatch):
         # Integer feasibility succeeds (infeasible), then the certificate
@@ -350,4 +351,4 @@ class TestNoLeavingRowGuard:
         formula = build.land(build.le(build.add(x, y), 3), build.ge(build.add(x, y), 4))
         assert solver.check_sat(formula).status is solver_module.SatStatus.UNKNOWN
         assert solver.consume_unknown() == "theory"
-        assert solver._theory_lemmas == []
+        assert solver.statistics["theory_lemmas"] == 0

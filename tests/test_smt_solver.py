@@ -190,7 +190,8 @@ class TestSolverReuseAndCache:
         for formula in queries:
             assert solver.check_sat(formula).status is \
                 Solver().check_sat(formula).status
-        # Learned theory lemmas persist; answers stay correct on repeat.
+        # Definitions, learned clauses and lemmas persist; answers stay
+        # correct on repeat.
         for formula in queries:
             assert solver.check_sat(formula).status is \
                 Solver().check_sat(formula).status
