@@ -20,8 +20,8 @@ The loop is the classic greybox cycle instantiated over monitor programs:
 Everything observable — the corpus, the coverage map, the finding set — is a
 pure function of the campaign seed, the starting corpus and the budget; the
 worker count only changes wall-clock time.  The budget counts **judged
-schedules**, so equal-budget comparisons against the blind
-:func:`repro.fuzz.generate.fuzz_pipeline` baseline are fair.
+schedules**, so equal-budget comparisons against blind random generation
+(``tests/test_fuzz.py::TestFuzzGain``) are fair.
 
 Crash safety: with an on-disk store, the driver appends one self-contained
 **checkpoint record** to the corpus journal after the bootstrap and after

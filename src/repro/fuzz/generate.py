@@ -257,9 +257,11 @@ def fuzz_pipeline(count: int = 10, seed: int = 0, threads: int = 3, ops: int = 2
                   stop_on_failure: bool = True, **explore_kwargs) -> FuzzReport:
     """Compile and explore *count* random monitors; collect every finding.
 
-    This is the purely random baseline the coverage-guided campaign is
-    measured against (``benchmarks/bench_fuzz.py``): fresh generation every
-    iteration, no corpus, no feedback.
+    Fresh generation every iteration, no corpus, no feedback: the blind
+    fuzzer behind ``expresso explore --fuzz``.  The coverage-guided
+    campaign's gain over blind random generation is measured by
+    ``tests/test_fuzz.py::TestFuzzGain``, which evaluates generated monitors
+    through the campaign's own candidate evaluator instead of this function.
     """
     from repro.placement.pipeline import ExpressoPipeline
 

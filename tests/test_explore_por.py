@@ -124,10 +124,10 @@ class TestDporSoundness:
                     == _verdict_kinds(por)), (name, site)
 
     def test_suite_reduction_is_at_least_tenfold(self):
-        """The PR 3 acceptance bar: >=10x fewer judged schedules at 3
-        threads, now also requiring the semantic layer to beat the
-        syntactic baseline by a healthy margin (1.5x aggregate; the
-        measured value is ~1.75x, see BENCH_history.md)."""
+        """The judged-schedule totals of the suite at 3 threads x 3 ops:
+        plain DFS, syntactic DPOR and semantic DPOR (25.7x fewer than plain,
+        1.75x fewer than syntactic).  Every search is deterministic, so the
+        totals are pinned exactly."""
         total_plain = total_syntactic = total_por = 0
         for name in ALL_BENCHMARKS:
             spec = get_benchmark(name)
@@ -143,9 +143,7 @@ class TestDporSoundness:
             total_plain += plain.schedules_run
             total_syntactic += syntactic.schedules_run
             total_por += por.schedules_run
-        assert total_plain >= 10 * total_por, (total_plain, total_por)
-        assert 2 * total_syntactic >= 3 * total_por, \
-            (total_syntactic, total_por)
+        assert (total_plain, total_syntactic, total_por) == (6274, 426, 244)
 
     def test_symmetry_reduction_preserves_verdicts(self):
         """Identical-thread wake orders collapse; verdict sets survive."""
