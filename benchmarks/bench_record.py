@@ -19,7 +19,10 @@ over the five untraced runs, the deterministic counts of the traced run
 ``--check`` exits 1 when a fresh median is worse than the last row's by more
 than the metric's ``BENCHMARK.json`` bound, when a count moved in its worse
 direction (``BENCHMARK.json``'s ``better``), or when any operation failed.
-``--append`` refuses a measurement with failed operations.
+``--append`` refuses a measurement with failed operations, and refuses to
+start while ``src/``, ``e2ebench/`` or ``BENCHMARK.json`` has uncommitted
+changes: the row's sha is ``HEAD``, so commit the change, append, then
+commit the row.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ RUNS = 5
 #: Per-layer metrics a traced run counts exactly; they repeat run to run.
 COUNTS = ("smt.calls", "smt.validity_queries", "placement.notifications",
           "explore.judged", "fuzz.candidates")
+#: What a run measures; ``--append`` refuses uncommitted changes here, so a
+#: row's sha is the commit whose code it measured.
+MEASURED = ("src", "e2ebench", "BENCHMARK.json")
 
 
 def load_spec() -> dict:
@@ -142,6 +148,14 @@ def git_sha() -> str:
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
+def uncommitted(root: Path = ROOT) -> List[str]:
+    """Changed or untracked paths under the measured code (:data:`MEASURED`)."""
+    status = subprocess.run(["git", "status", "--porcelain", "--", *MEASURED],
+                            cwd=root, check=True, stdout=subprocess.PIPE,
+                            text=True).stdout
+    return [line[3:] for line in status.splitlines()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -150,6 +164,12 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="measure this tree and compare with the last row")
     args = parser.parse_args(argv)
+    if args.append:
+        dirty = uncommitted()
+        if dirty:
+            print("not appended: commit the measured code first; uncommitted: "
+                  + ", ".join(dirty), file=sys.stderr)
+            return 1
     spec = load_spec()
     fresh = measure(spec)
     if args.append:

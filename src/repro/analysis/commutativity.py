@@ -33,7 +33,7 @@ returned UNKNOWN is not memoized.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
 
 from repro import obs
 from repro.logic import build
@@ -245,8 +245,9 @@ def _guard_preserved(body: Stmt, guard: Expr, solver: Solver) -> bool:
     return _check_valid_degrading(solver, build.iff(guard, transformed))
 
 
-#: One placed notification, structurally: (predicate, conditional, broadcast).
-NotificationSpec = Tuple[Expr, bool, bool]
+if TYPE_CHECKING:  # for type checkers only (see repro.logic.build)
+    #: One placed notification, structurally: (predicate, conditional, broadcast).
+    NotificationSpec = Tuple[Expr, bool, bool]
 
 
 def segments_semantically_independent(guard_a: Expr, body_a: Stmt,

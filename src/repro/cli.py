@@ -803,7 +803,6 @@ def _cmd_explore(args) -> int:
         # whether counters came from the store or the flight recorder.
         obs.mirror_store_counters(distrib_counters)
         mark_finished(cstore)
-        cstore.close()
     ok = all(result.ok for result in results)
     if args.json:
         payload = {"results": [result.to_dict() for result in results],

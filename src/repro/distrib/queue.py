@@ -671,5 +671,12 @@ def mark_active(store: CampaignStore, config: DistribConfig) -> None:
 
 
 def mark_finished(store: CampaignStore) -> None:
-    """Close the liveness window: cooperating helpers drain and exit."""
-    store.meta_set("active_until", 0.0)
+    """Close the liveness window (cooperating helpers drain and exit), then
+    this process's connection to the store.
+
+    Closing the last connection checkpoints SQLite's WAL into the database
+    file; it happens inside the same transaction context, right after the
+    commit.  A later call on *store* reopens the connection.
+    """
+    with store.transaction("meta:active_until", close=True) as conn:
+        store.meta_set("active_until", 0.0, conn=conn)

@@ -203,14 +203,16 @@ class CampaignStore:
     # -- transactions ---------------------------------------------------------
 
     @contextmanager
-    def transaction(self, op: str) -> Iterator[sqlite3.Connection]:
+    def transaction(self, op: str, close: bool = False) -> Iterator[sqlite3.Connection]:
         """One single-writer batch: ``BEGIN IMMEDIATE`` .. commit/rollback.
 
         Concurrent processes serialize on the write lock (busy timeout),
         and WAL readers keep their stable snapshot until the commit — no
         observer ever sees half the batch.  The ``store.write`` fault check
         runs *before* the lock is taken, so an injected crash models a
-        process dying at the boundary with nothing committed.
+        process dying at the boundary with nothing committed.  With
+        *close*, the commit is this process's last write for now: the
+        connection is closed after it (see :meth:`close`).
         """
         if self.read_only:
             raise StoreMismatchError(
@@ -224,6 +226,8 @@ class CampaignStore:
             conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
+        if close:
+            self.close()
 
     def _read(self, op: str) -> sqlite3.Connection:
         fault_check("store.read", token=op)

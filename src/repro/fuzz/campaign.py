@@ -736,9 +736,9 @@ def _run_campaign(config: FuzzConfig,
         # them into the session registry so one namespace serves observe()
         # snapshots, reports and the exporter.
         obs.mirror_store_counters(result.distrib)
-        # Close the liveness window so cooperating helpers drain and exit;
-        # a *crashed* driver instead lets it lapse, keeping helpers around
-        # long enough for a resumed driver to take over.
+        # Close the liveness window so cooperating helpers drain and exit
+        # (and this process's connection); a *crashed* driver instead lets
+        # it lapse, keeping helpers around long enough for a resumed driver
+        # to take over.
         mark_finished(dstore)
-        dstore.close()
     return result

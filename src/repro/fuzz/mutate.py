@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.generate import RoleSpec, family_lines
 from repro.lang import load_monitor
@@ -46,9 +46,10 @@ class Candidate:
         return balanced_workload(self.roles, self.threads, self.ops)
 
 
-#: Operator signature: (candidate, rng, mate) -> mutated candidate or None.
-Operator = Callable[[Candidate, random.Random, Optional[Candidate]],
-                    Optional[Candidate]]
+if TYPE_CHECKING:  # for type checkers only (see repro.logic.build)
+    #: Operator signature: (candidate, rng, mate) -> mutated candidate or None.
+    Operator = Callable[[Candidate, random.Random, Optional[Candidate]],
+                        Optional[Candidate]]
 
 #: Growth caps: mutants stay small enough for bounded exploration to bite.
 MAX_METHODS = 8

@@ -63,7 +63,7 @@ from repro.logic.free_vars import free_vars, free_int_vars, free_bool_vars
 from repro.logic.substitute import substitute, rename_vars
 from repro.logic.evaluate import evaluate, Assignment, EvaluationError
 from repro.logic.simplify import simplify
-from repro.logic.nnf import to_nnf, to_dnf_clauses, atoms_of
+from repro.logic.nnf import to_dnf_clauses, atoms_of
 from repro.logic.parser import parse_formula, parse_term, FormulaParseError
 from repro.logic.pretty import pretty, to_smtlib
 
@@ -81,7 +81,7 @@ __all__ = [
     "free_vars", "free_int_vars", "free_bool_vars",
     "substitute", "rename_vars",
     "evaluate", "Assignment", "EvaluationError",
-    "simplify", "to_nnf", "to_dnf_clauses", "atoms_of",
+    "simplify", "to_dnf_clauses", "atoms_of",
     "parse_formula", "parse_term", "FormulaParseError",
     "pretty", "to_smtlib",
 ]

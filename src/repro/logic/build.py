@@ -14,7 +14,7 @@ Heavier rewriting lives in :mod:`repro.logic.simplify`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.logic.terms import (
     BOOL,
@@ -47,7 +47,11 @@ from repro.logic.terms import (
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
-ExprLike = Union[Expr, int, bool]
+# Type aliases that name this package's classes exist for type checkers
+# only: built at run time, typing's caches would keep the classes, and
+# with them a re-imported module's old copy, alive.
+if TYPE_CHECKING:
+    ExprLike = Union[Expr, int, bool]
 
 
 def _coerce(value: ExprLike) -> Expr:

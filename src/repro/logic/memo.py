@@ -1,15 +1,15 @@
 """Per-node memo tables for the pure formula rewrites.
 
-Simplification, NNF conversion and the SMT preprocessing passes are pure,
+Simplification and SMT preprocessing's canonicalizing rewrite are pure,
 bottom-up functions of their input node.  A :class:`RewriteMemo` maps each
-node a pass has rewritten to the pass's result, one table per pass, so a
+node a rewrite has visited to its result, one table per rewrite, so a
 subformula shared by many formulas is rewritten once.  Keys are nodes
 compared by structural equality, so a memo hit returns exactly what the
-pass would have computed.
+rewrite would have computed.
 
 Whoever owns a memo decides how long it lives: a
 :class:`~repro.smt.solver.Solver` keeps one for its lifetime (capped), and a
-pass called without a memo uses a fresh table for that call.
+rewrite called without a memo uses a fresh table for that call.
 """
 
 from __future__ import annotations
@@ -20,19 +20,15 @@ from repro.logic.terms import Expr
 
 
 class RewriteMemo:
-    """One result table per memoized pass."""
+    """One result table per memoized rewrite."""
 
-    __slots__ = ("simplify", "bool_equalities", "int_ite", "bool_ite", "nnf",
-                 "atoms", "quantified")
+    __slots__ = ("simplify", "canonical", "quantified")
 
     def __init__(self) -> None:
         self.simplify: Dict[Expr, Expr] = {}
-        self.bool_equalities: Dict[Expr, Expr] = {}
-        self.int_ite: Dict[Expr, Expr] = {}
-        self.bool_ite: Dict[Expr, Expr] = {}
-        #: Keyed by ``(node, positive)``: NNF of the node or of its negation.
-        self.nnf: Dict[Tuple[Expr, bool], Expr] = {}
-        self.atoms: Dict[Expr, Expr] = {}
+        #: :func:`repro.smt.preprocess.preprocess`'s rewrite, keyed by
+        #: ``(node, positive)``: the node's canonical NNF, or its negation's.
+        self.canonical: Dict[Tuple[Expr, bool], Expr] = {}
         #: Whether the node contains a quantifier.
         self.quantified: Dict[Expr, bool] = {}
 

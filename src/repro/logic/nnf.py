@@ -1,8 +1,9 @@
-"""Negation normal form, DNF clause extraction, and atom collection.
+"""DNF clause extraction and atom collection.
 
-These transformations feed both the SMT solver (which searches over the
-boolean skeleton of a formula's atoms) and the abduction engine (which mines
-candidate predicates from clauses of the weakest precondition).
+These feed both the SMT solver (which searches over the boolean skeleton of
+a formula's atoms) and the abduction engine (which mines candidate
+predicates from clauses of the weakest precondition).  Negation normal form
+comes from :func:`repro.smt.preprocess.preprocess`, whose output is NNF.
 
 The DNF conversion has a cube budget.  It counts the cubes of the NNF in one
 pass over its nodes before it builds any, so a formula over the budget
@@ -11,118 +12,26 @@ raises without a cube list ever being allocated.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.logic import build
-from repro.logic.memo import RewriteMemo
-from repro.logic.terms import (
-    And,
-    BoolConst,
-    Exists,
-    Expr,
-    Forall,
-    Iff,
-    Implies,
-    IntConst,
-    Ite,
-    Not,
-    Or,
-    Var,
-    is_atom,
-    rebuild,
-)
+from repro.logic.terms import And, BoolConst, Exists, Expr, Forall, Not, Or, is_atom
 
 
-def eliminate_bool_ite(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
-    """Rewrite boolean-sorted ``Ite`` nodes into pure boolean structure.
-
-    Integer-sorted ``Ite`` nodes are left alone; they are handled by the
-    solver's linearizer through case splitting.
-    """
-    return _eliminate_bool_ite(expr, memo.bool_ite if memo is not None else {})
-
-
-def _eliminate_bool_ite(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
-    if isinstance(expr, (Var, IntConst, BoolConst)):
-        return expr
-    result = table.get(expr)
-    if result is None:
-        children = tuple(_eliminate_bool_ite(child, table) for child in expr.children())
-        if isinstance(expr, Ite) and expr.then.sort.name == "BOOL":
-            cond, then, orelse = children
-            result = build.lor(build.land(cond, then), build.land(build.lnot(cond), orelse))
-        else:
-            result = rebuild(expr, children)
-        table[expr] = result
-    return result
-
-
-def to_nnf(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
-    """Convert *expr* to negation normal form.
-
-    Implications and bi-implications are expanded, and negations are pushed
-    down to atoms (comparisons get flipped; boolean variables keep a ``Not``
-    wrapper).  Quantifiers are preserved with dualization under negation.
-    Both steps are memoized per node in *memo*; without one, in tables that
-    live for this call.
-    """
-    if memo is None:
-        memo = RewriteMemo()
-    return _nnf(eliminate_bool_ite(expr, memo), True, memo.nnf)
-
-
-def _nnf(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
-    if isinstance(expr, BoolConst):
-        return BoolConst(expr.value if positive else not expr.value)
-    if is_atom(expr):
-        return expr if positive else build.lnot(expr)
-    key = (expr, positive)
-    result = table.get(key)
-    if result is None:
-        result = table[key] = _nnf_node(expr, positive, table)
-    return result
-
-
-def _nnf_node(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
-    if isinstance(expr, Not):
-        return _nnf(expr.operand, not positive, table)
-    if isinstance(expr, And):
-        parts = [_nnf(arg, positive, table) for arg in expr.args]
-        return build.land(*parts) if positive else build.lor(*parts)
-    if isinstance(expr, Or):
-        parts = [_nnf(arg, positive, table) for arg in expr.args]
-        return build.lor(*parts) if positive else build.land(*parts)
-    if isinstance(expr, Implies):
-        return _nnf(build.lor(build.lnot(expr.antecedent), expr.consequent), positive, table)
-    if isinstance(expr, Iff):
-        expanded = build.lor(
-            build.land(expr.left, expr.right),
-            build.land(build.lnot(expr.left), build.lnot(expr.right)),
-        )
-        return _nnf(expanded, positive, table)
-    if isinstance(expr, Forall):
-        body = _nnf(expr.body, positive, table)
-        return build.forall(expr.bound, body) if positive else build.exists(expr.bound, body)
-    if isinstance(expr, Exists):
-        body = _nnf(expr.body, positive, table)
-        return build.exists(expr.bound, body) if positive else build.forall(expr.bound, body)
-    raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
-
-
-def to_dnf_clauses(expr: Expr, max_clauses: int = 4096,
-                   memo: Optional[RewriteMemo] = None) -> List[Tuple[Expr, ...]]:
+def to_dnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
     """Return the DNF of *expr* as a list of literal tuples (cubes).
 
-    The input must be quantifier free.  A :class:`ValueError` is raised when
-    the expansion would exceed *max_clauses* cubes, protecting the abduction
+    *expr* must be quantifier free and in negation normal form, as
+    :func:`repro.smt.preprocess.preprocess` returns it: ``And``, ``Or``,
+    atoms, and ``Not``, which is taken for a negated atom.  A quantifier
+    raises :class:`ValueError`; an ``Implies``, ``Iff`` or ``ite`` raises
+    :class:`TypeError`.  A :class:`ValueError` is also raised when the
+    expansion would exceed *max_clauses* cubes, protecting the abduction
     engine from exponential blow-up on pathological inputs.  The budget is
-    checked before any cube is built: :func:`_dnf_size` counts the cubes
-    and raises exactly where the expansion would.  The NNF conversion uses
-    *memo* (see :func:`to_nnf`).
+    checked before any cube is built: :func:`_dnf_size` counts the cubes and
+    raises exactly where the expansion would.
     """
-    nnf = to_nnf(expr, memo)
-    _dnf_size(nnf, max_clauses, {})
-    cubes = _dnf(nnf, max_clauses)
+    _dnf_size(expr, max_clauses, {})
+    cubes = _dnf(expr, max_clauses)
     return [tuple(cube) for cube in cubes]
 
 

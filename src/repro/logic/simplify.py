@@ -2,13 +2,15 @@
 
 The simplifier re-applies the smart constructors of :mod:`repro.logic.build`
 over the whole tree (constant folding, neutral/absorbing element removal,
-flattening, double-negation and comparison-negation elimination), plus a few
-linear-arithmetic normalizations:
+flattening and deduplication, double-negation and comparison-negation
+elimination).  On top of them, a conjunction holding a literal and its
+negation (``p && !p``) becomes ``false`` and such a disjunction ``true``
+(:func:`junction`).
 
-* comparisons between linear terms are normalized to have a constant-free
-  left side when both sides fold to constants on one side;
-* syntactically contradictory / tautological conjuncts such as ``x < x`` are
-  removed by the constant folding of the builders.
+Comparisons stay as the builders leave them: one folds only when both sides
+are constants or, for ``==`` and ``!=``, the same term.  ``x + 1 <= 3`` and
+``x < x`` are unchanged; the SMT preprocessing
+(:mod:`repro.smt.preprocess`) is what rewrites comparisons into ``t <= 0``.
 
 The simplifier is *not* a decision procedure; it preserves logical
 equivalence and is safe to call anywhere.
@@ -16,7 +18,7 @@ equivalence and is safe to call anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
@@ -78,11 +80,8 @@ def _simplify_node(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     builder = _BUILDERS.get(type(expr))
     if builder is not None:
         return builder(*children)
-    if isinstance(expr, And):
-        # p & !p -> false
-        return _complementary(build.land(*children), And, build.FALSE)
-    if isinstance(expr, Or):
-        return _complementary(build.lor(*children), Or, build.TRUE)
+    if isinstance(expr, (And, Or)):
+        return junction(children, isinstance(expr, And))
     if isinstance(expr, Forall):
         return build.forall(expr.bound, children[0])
     if isinstance(expr, Exists):
@@ -90,11 +89,12 @@ def _simplify_node(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     raise TypeError(f"cannot simplify node {type(expr).__name__}")
 
 
-def _complementary(junction: Expr, kind: type, absorbing: Expr) -> Expr:
-    """*absorbing* if the *kind* node *junction* holds a literal and its
-    negation, else *junction*."""
-    if isinstance(junction, kind):
-        literals = set(junction.args)
-        if any(build.lnot(lit) in literals for lit in junction.args):
-            return absorbing
-    return junction
+def junction(parts: Sequence[Expr], conjunctive: bool) -> Expr:
+    """``build.land(*parts)`` (``build.lor`` unless *conjunctive*), or its
+    absorbing constant when the result holds a literal and its negation."""
+    kind, node = (And, build.land(*parts)) if conjunctive else (Or, build.lor(*parts))
+    if isinstance(node, kind):
+        literals = set(node.args)
+        if any(build.lnot(lit) in literals for lit in node.args):
+            return build.FALSE if conjunctive else build.TRUE
+    return node

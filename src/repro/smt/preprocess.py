@@ -6,53 +6,79 @@ The solver core only understands two kinds of atoms:
 * canonical arithmetic atoms of the form ``t <= 0`` where ``t`` is a linear
   integer term.
 
-This module rewrites arbitrary input formulas into that shape:
+:func:`preprocess` rewrites a quantifier-free formula into negation normal
+form over those atoms.  It simplifies the formula
+(:func:`~repro.logic.simplify.simplify`), then makes one recursive pass
+``R(node, positive)`` over the result, which rewrites the node itself when
+*positive* is true and its negation otherwise:
 
-* boolean-sorted equalities / disequalities become ``Iff`` / ``!Iff``;
-* integer-sorted ``ite`` terms are lifted into boolean case splits;
-* every comparison is normalized into non-strict ``<= 0`` constraints, which
-  is exact for integers (``a < b`` becomes ``a - b + 1 <= 0``, ``a != b``
-  becomes a disjunction of two strict sides).
+* ``Implies``, ``Iff`` and boolean ``ite`` are expanded and negation is
+  pushed down by polarity, so ``Not`` ends up wrapping boolean variables
+  only;
+* every integer comparison becomes non-strict ``<= 0`` constraints, which is
+  exact for integers (``a < b`` becomes ``a - b + 1 <= 0``, ``a == b`` a
+  conjunction and ``a != b`` a disjunction of two sides); one whose sides
+  differ by a constant becomes ``true`` or ``false``;
+* the parts are joined with :func:`~repro.logic.simplify.junction`, the
+  simplifier's own smart constructors and complementary-literal check, so
+  the result needs no further simplification.
 
-**Memoization.**  Every pass — :func:`~repro.logic.simplify.simplify`,
-:func:`rewrite_bool_equalities`, :func:`lift_int_ite`, the boolean-``ite``
-elimination and NNF of :func:`~repro.logic.nnf.to_nnf`, and
-:func:`normalize_atoms` — is a pure, bottom-up function of its input node,
-and records its result per node in a :class:`~repro.logic.memo.RewriteMemo`
-(one table per pass; NNF keyed by ``(node, polarity)``).  Keys compare by
-structural equality, so a memo hit is exactly the result the pass would
-compute: the output is identical with or without a memo, warm or cold.  The
-pipeline's queries overlap almost entirely (abduction asks ``pre && psi``
-and ``pre && psi ==> goal`` with one ``pre`` for every candidate), so a
-memo that outlives one query rewrites each shared subformula once.
+Two kinds of comparison are first rewritten whole, before any negation
+reaches them, and ``R`` continues on the result: an ``Eq``/``Ne`` between
+booleans becomes ``Iff`` structure (:func:`rewrite_bool_equalities`), and
+one that holds an integer ``ite`` becomes a boolean case split
+(:func:`lift_int_ite`).  The order matters for the exact output: the
+negation of ``x != ite(p, x, y)`` is its case split at negative polarity,
+which differs from the case split of ``x == ite(p, x, y)``.
+
+The output is node for node the one of the step-by-step chain simplify,
+boolean equalities to ``Iff``, integer ``ite`` lifting, boolean ``ite``
+elimination and NNF, atom normalization, simplify.
+``tests/test_preprocess_reference.py`` keeps that chain as the reference.
+
+**Memoization.**  ``simplify`` and ``R`` are pure functions of their input
+node (and polarity), and record their results per node in a
+:class:`~repro.logic.memo.RewriteMemo`: ``R`` in its ``canonical`` table,
+keyed by ``(node, positive)``.  Keys compare by structural equality, so a
+memo hit is exactly the result the rewrite would compute: the output is
+identical with or without a memo, warm or cold.  The pipeline's queries
+overlap almost entirely (abduction asks ``pre && psi`` and
+``pre && psi ==> goal`` with one ``pre`` for every candidate), so a memo
+that outlives one query rewrites each shared subformula once.
 
 The memo's owner is the :class:`~repro.smt.solver.Solver`, which keeps one
 for its lifetime and clears it at a cap (see that module); abduction hands
-the same memo to its quantifier eliminator.  Called without a memo, the
-passes use a fresh one for that call.
+the same memo to its quantifier eliminator.  Called without a memo,
+:func:`preprocess` uses a fresh one for that call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
-from repro.logic.nnf import to_nnf
-from repro.logic.simplify import simplify
+from repro.logic.simplify import junction, simplify
 from repro.logic.terms import (
     BOOL,
+    And,
     BoolConst,
     Eq,
+    Exists,
     Expr,
+    Forall,
     Ge,
     Gt,
     INT,
+    Iff,
+    Implies,
     IntConst,
     Ite,
     Le,
     Lt,
     Ne,
+    Not,
+    Or,
     Var,
     rebuild,
     sort_of,
@@ -62,9 +88,75 @@ from repro.smt.linear import Constraint, LinExpr, linearize
 _COMPARISONS = (Eq, Ne, Lt, Le, Gt, Ge)
 
 
-def rewrite_bool_equalities(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
+def preprocess(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
+    """The solver's form of a quantifier-free formula (see the module docstring).
+
+    Both steps are memoized per node in *memo*; without one, in a fresh memo
+    that lives for this call.
+    """
+    if memo is None:
+        memo = RewriteMemo()
+    return _canonical(simplify(expr, memo), True, memo.canonical)
+
+
+def _canonical(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
+    """``R(expr, positive)``: the canonical NNF of *expr*, or of its negation."""
+    if isinstance(expr, BoolConst):
+        return expr if positive else BoolConst(not expr.value)
+    if isinstance(expr, Var):
+        return expr if positive else Not(expr)
+    key = (expr, positive)
+    result = table.get(key)
+    if result is None:
+        result = _canonical_node(expr, positive, table)
+        # A result is its own rewrite; recording that also hands out equal
+        # results as one object.
+        result = table[key] = table.setdefault((result, True), result)
+    return result
+
+
+def _canonical_node(expr: Expr, positive: bool,
+                    table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
+    if isinstance(expr, Not):
+        return _canonical(expr.operand, not positive, table)
+    if isinstance(expr, (And, Or)):
+        return junction([_canonical(arg, positive, table) for arg in expr.args],
+                        isinstance(expr, And) == positive)
+    if isinstance(expr, Implies):
+        # a ==> b  is  !a || b
+        return junction([_canonical(expr.antecedent, not positive, table),
+                         _canonical(expr.consequent, positive, table)], not positive)
+    if isinstance(expr, Iff):
+        # a <==> b  is  (a && b) || (!a && !b)
+        return _cases(expr.left, _canonical(expr.right, positive, table),
+                      _canonical(expr.right, not positive, table), positive, table)
+    if isinstance(expr, Ite):
+        # Boolean: integer ``ite`` only occurs inside comparisons.
+        return _cases(expr.cond, _canonical(expr.then, positive, table),
+                      _canonical(expr.orelse, positive, table), positive, table)
+    if isinstance(expr, (Forall, Exists)):
+        body = _canonical(expr.body, positive, table)
+        universal = isinstance(expr, Forall) == positive
+        return build.forall(expr.bound, body) if universal else build.exists(expr.bound, body)
+    if not isinstance(expr, _COMPARISONS):
+        raise TypeError(f"cannot preprocess node {type(expr).__name__}")
+    if sort_of(expr.left) is BOOL or _find_int_ite(expr) is not None:
+        return _canonical(lift_int_ite(rewrite_bool_equalities(expr)), positive, table)
+    return _normalized(expr if positive else build.lnot(expr))
+
+
+def _cases(cond: Expr, then: Expr, orelse: Expr, positive: bool,
+           table: Dict[Tuple[Expr, bool], Expr]) -> Expr:
+    """``R((cond && t) || (!cond && e), positive)``, given *then* and
+    *orelse*, the rewrites of ``t`` and ``e`` at *positive*."""
+    return junction([junction([_canonical(cond, positive, table), then], positive),
+                     junction([_canonical(cond, not positive, table), orelse], positive)],
+                    not positive)
+
+
+def rewrite_bool_equalities(expr: Expr) -> Expr:
     """Rewrite ``Eq``/``Ne`` whose operands are boolean into ``Iff`` structure."""
-    return _rewrite_bool_equalities(expr, memo.bool_equalities if memo is not None else {})
+    return _rewrite_bool_equalities(expr, {})
 
 
 def _rewrite_bool_equalities(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
@@ -82,9 +174,9 @@ def _rewrite_bool_equalities(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     return result
 
 
-def lift_int_ite(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
+def lift_int_ite(expr: Expr) -> Expr:
     """Lift integer-sorted ``ite`` terms occurring inside atoms to case splits."""
-    return _lift_int_ite(expr, memo.int_ite if memo is not None else {})
+    return _lift_int_ite(expr, {})
 
 
 def _lift_int_ite(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
@@ -133,37 +225,14 @@ def _replace_node(expr: Expr, target: Expr, replacement: Expr) -> Expr:
                                for child in expr.children()))
 
 
-def normalize_atoms(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
-    """Rewrite every arithmetic comparison into canonical ``t <= 0`` atoms.
-
-    The output only contains boolean structure, boolean variables, and
-    ``Le(linear-term, 0)`` atoms.  Comparisons whose difference folds to a
-    constant become boolean constants.
-    """
-    return _normalize_atoms(expr, memo.atoms if memo is not None else {})
-
-
-def _normalize_atoms(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
-    if isinstance(expr, (Var, BoolConst)):
-        return expr
-    result = table.get(expr)
-    if result is None:
-        if isinstance(expr, _COMPARISONS) and sort_of(expr.left) is INT:
-            result = _normalize_comparison(expr)
-        else:
-            result = rebuild(expr, tuple(_normalize_atoms(child, table)
-                                         for child in expr.children()))
-        table[expr] = result
-    return result
-
-
 def _le_zero(lin: LinExpr) -> Expr:
     if lin.is_constant():
         return build.TRUE if lin.constant <= 0 else build.FALSE
     return Le(lin.to_expr(), IntConst(0))
 
 
-def _normalize_comparison(expr: Expr) -> Expr:
+def _normalized(expr: Expr) -> Expr:
+    """An integer comparison as ``t <= 0`` atoms (or a boolean constant)."""
     left = linearize(expr.left)
     right = linearize(expr.right)
     diff = left.sub(right)
@@ -177,9 +246,7 @@ def _normalize_comparison(expr: Expr) -> Expr:
         return _le_zero(diff.scale(-1).shift(1))
     if isinstance(expr, Eq):
         return build.land(_le_zero(diff), _le_zero(diff.scale(-1)))
-    if isinstance(expr, Ne):
-        return build.lor(_le_zero(diff.shift(1)), _le_zero(diff.scale(-1).shift(1)))
-    raise TypeError(f"unexpected comparison {type(expr).__name__}")
+    return build.lor(_le_zero(diff.shift(1)), _le_zero(diff.scale(-1).shift(1)))
 
 
 def atom_constraint(atom: Expr) -> Optional[Constraint]:
@@ -187,20 +254,3 @@ def atom_constraint(atom: Expr) -> Optional[Constraint]:
     if isinstance(atom, Le) and isinstance(atom.right, IntConst) and atom.right.value == 0:
         return Constraint(linearize(atom.left))
     return None
-
-
-def preprocess(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
-    """Full preprocessing pipeline used by the solver (quantifier-free input).
-
-    Every pass is memoized per node in *memo*; without one, in a fresh memo
-    that lives for this call.
-    """
-    if memo is None:
-        memo = RewriteMemo()
-    expr = simplify(expr, memo)
-    expr = rewrite_bool_equalities(expr, memo)
-    expr = lift_int_ite(expr, memo)
-    expr = to_nnf(expr, memo)
-    expr = normalize_atoms(expr, memo)
-    return simplify(expr, memo)
-

@@ -53,7 +53,7 @@ to raise instead.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
@@ -65,12 +65,13 @@ from repro.logic.terms import BOOL, And, BoolConst, Expr, IntConst, Le, Not, Or,
 from repro.smt.linear import Constraint, LinExpr
 from repro.smt.preprocess import atom_constraint, preprocess
 
-#: A cube literal: a canonical arithmetic atom as its constraint, or a
-#: boolean variable, possibly negated.
-Literal = Union[Constraint, Expr]
-Cube = Tuple[Literal, ...]
-#: A partial result: a formula, or a non-empty disjunction of non-empty cubes.
-State = Union[Expr, List[Cube]]
+if TYPE_CHECKING:  # for type checkers only (see repro.logic.build)
+    #: A cube literal: a canonical arithmetic atom as its constraint, or a
+    #: boolean variable, possibly negated.
+    Literal = Union[Constraint, Expr]
+    Cube = Tuple[Literal, ...]
+    #: A partial result: a formula, or a non-empty disjunction of cubes.
+    State = Union[Expr, List[Cube]]
 
 
 class QuantifierEliminationError(ValueError):
@@ -98,10 +99,11 @@ class QuantifierEliminator:
     :meth:`forall`).  A state is never mutated once produced, which is what
     lets steps share it.  Every formula a step meets is also converted to
     DNF at most once, for whichever prefix reaches it first.  The memos live
-    as long as the eliminator.  Preprocessing, NNF and simplification go
+    as long as the eliminator.  Preprocessing and simplification go
     through *memo* (a solver's
     :meth:`~repro.smt.solver.Solver.rewrite_memo`), or through a memo of
-    the eliminator's own.
+    the eliminator's own; preprocessing's output is already NNF, which is
+    what the DNF conversion takes.
     """
 
     def __init__(self, formula: Expr, *, strict: bool = False,
@@ -184,7 +186,7 @@ def _convert(formula: Expr, memo: RewriteMemo) -> State:
     processed = preprocess(formula, memo)
     if isinstance(processed, BoolConst):
         return processed
-    cubes = to_dnf_clauses(processed, memo=memo)
+    cubes = to_dnf_clauses(processed)
     # Cubes share their atoms; linearize each atom once.
     literals: Dict[Expr, Literal] = {}
     for cube in cubes:

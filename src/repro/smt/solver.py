@@ -25,9 +25,10 @@ pipeline:
 * an optional :class:`~repro.smt.cache.FormulaCache` memoizes whole query
   results (see that module for the canonicalization story), and
   conjunction-level theory verdicts are memoized too;
-* a :class:`~repro.logic.memo.RewriteMemo` memoizes every preprocessing pass
-  per node, together with the "contains a quantifier" check; abduction and
-  invariant inference rewrite through it (:meth:`Solver.rewrite_memo`);
+* a :class:`~repro.logic.memo.RewriteMemo` memoizes preprocessing (its
+  simplification and its canonicalizing rewrite) per node, together with
+  the "contains a quantifier" check; abduction and invariant inference
+  rewrite through it (:meth:`Solver.rewrite_memo`);
 * the memo and the clause database are cleared together once either
   reaches ``_REWRITE_MEMO_LIMIT`` entries (clauses or variables for the
   database), which bounds long-lived solvers (``ExpressoPipeline(solver=...)``,

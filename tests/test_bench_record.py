@@ -5,6 +5,7 @@ They feed the script synthetic e2ebench results; no benchmark runs.
 
 import copy
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +50,7 @@ def _run(monkeypatch, tmp_path, argv, workloads, rows=()):
     monkeypatch.setattr(bench_record, "RECORD", record)
     monkeypatch.setattr(bench_record, "measure", lambda spec: workloads)
     monkeypatch.setattr(bench_record, "git_sha", lambda: "0" * 40)
+    monkeypatch.setattr(bench_record, "uncommitted", lambda: [])
     status = bench_record.main(argv)
     return status, record.read_text().splitlines()
 
@@ -142,6 +144,42 @@ class TestAppend:
         status, lines = _run(monkeypatch, tmp_path, ["--append", "next"],
                              workloads, [last])
         assert status == 1 and len(lines) == 1
+
+    def test_append_refuses_uncommitted_measured_code(self, monkeypatch, tmp_path,
+                                                       last, capsys):
+        # HEAD would be the parent of the measured code: refuse before measuring.
+        def no_measurement(spec):
+            raise AssertionError("measured a dirty tree")
+
+        record = tmp_path / "BENCH_e2e.jsonl"
+        record.write_text(json.dumps(last) + "\n")
+        monkeypatch.setattr(bench_record, "RECORD", record)
+        monkeypatch.setattr(bench_record, "measure", no_measurement)
+        monkeypatch.setattr(bench_record, "uncommitted",
+                            lambda: ["src/repro/smt/preprocess.py"])
+        assert bench_record.main(["--append", "next"]) == 1
+        assert record.read_text().splitlines() == [json.dumps(last)]
+        assert "src/repro/smt/preprocess.py" in capsys.readouterr().err
+
+    def test_uncommitted_sees_only_the_measured_paths(self, tmp_path):
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        for path in ("src/a.py", "e2ebench/b.py", "BENCHMARK.json", "notes.md"):
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_text("0\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "base")
+        assert bench_record.uncommitted(tmp_path) == []
+        (tmp_path / "notes.md").write_text("1\n")
+        assert bench_record.uncommitted(tmp_path) == []
+        (tmp_path / "src/a.py").write_text("1\n")
+        (tmp_path / "src/new.py").write_text("1\n")
+        (tmp_path / "BENCHMARK.json").write_text("1\n")
+        assert sorted(bench_record.uncommitted(tmp_path)) == [
+            "BENCHMARK.json", "src/a.py", "src/new.py"]
 
 
 class TestRecord:

@@ -29,7 +29,6 @@ from repro.logic import (
     simplify,
     sub,
     substitute,
-    to_nnf,
     to_smtlib,
     v,
 )
@@ -38,7 +37,7 @@ from repro.logic.nnf import to_dnf_clauses
 from repro.logic.parser import FormulaParseError
 from repro.logic.terms import Exists, Forall, Var, expr_size, sort_of, SortError
 from repro.smt import Solver, eliminate_exists, eliminate_forall
-from repro.smt.preprocess import normalize_atoms, preprocess, rewrite_bool_equalities
+from repro.smt.preprocess import preprocess, rewrite_bool_equalities
 
 x, y, z = v("x"), v("y"), v("z")
 p, q = v("p", BOOL), v("q", BOOL)
@@ -155,7 +154,7 @@ class TestPreprocessing:
     def test_normalize_atoms_only_le_zero(self):
         from repro.logic.terms import Le, IntConst
 
-        normalized = normalize_atoms(gt(x, y))
+        normalized = preprocess(gt(x, y))
         assert isinstance(normalized, Le)
         assert normalized.right == IntConst(0)
 

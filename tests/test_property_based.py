@@ -3,7 +3,7 @@
 These exercise the core invariants the rest of the system relies on:
 
 * the solver agrees with brute-force evaluation on small formulas;
-* NNF/simplification/substitution preserve semantics;
+* preprocessing (NNF), simplification and substitution preserve semantics;
 * linear-expression arithmetic matches integer arithmetic;
 * the rational simplex and the integer branch-and-bound only report models
   that actually satisfy the constraints, and never miss obviously-satisfiable
@@ -33,7 +33,6 @@ from repro.logic import (
     ne,
     simplify,
     sub,
-    to_nnf,
     v,
 )
 from repro.logic.free_vars import free_vars
@@ -42,6 +41,7 @@ from repro.logic.terms import Var
 from repro.smt import Solver
 from repro.smt.intfeas import integer_feasible
 from repro.smt.linear import Constraint, LinExpr, linearize
+from repro.smt.preprocess import preprocess
 from repro.smt.simplex import rational_feasible
 
 _INT_VARS = ("x", "y", "z")
@@ -99,7 +99,8 @@ class TestFormulaTransformations:
     @settings(max_examples=120, deadline=None)
     @given(formulas(), assignments())
     def test_nnf_preserves_semantics(self, formula, assignment):
-        assert evaluate(to_nnf(formula), assignment) == evaluate(formula, assignment)
+        # Preprocessing returns the NNF with canonical ``t <= 0`` atoms.
+        assert evaluate(preprocess(formula), assignment) == evaluate(formula, assignment)
 
     @settings(max_examples=120, deadline=None)
     @given(formulas(), assignments())
