@@ -248,10 +248,12 @@ def _generalize_atoms(sources: Sequence[Expr], memo: RewriteMemo) -> List[Expr]:
     when quantifier elimination produces a punctured-line disequality.
     """
     generalizations: List[Expr] = []
+    seen: Set[Expr] = set()
 
     def emit(expr: Expr) -> None:
         expr = simplify(expr, memo)
-        if not isinstance(expr, BoolConst) and expr not in generalizations:
+        if not isinstance(expr, BoolConst) and expr not in seen:
+            seen.add(expr)
             generalizations.append(expr)
 
     for source in sources:

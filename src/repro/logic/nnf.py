@@ -12,12 +12,13 @@ raises without a cube list ever being allocated.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.logic.terms import And, BoolConst, Exists, Expr, Forall, Not, Or, is_atom
 
 
-def to_dnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
+def to_dnf_clauses(expr: Expr, max_clauses: int = 4096,
+                   literal: Optional[Callable[[Expr], Any]] = None) -> List[Tuple[Any, ...]]:
     """Return the DNF of *expr* as a list of literal tuples (cubes).
 
     *expr* must be quantifier free and in negation normal form, as
@@ -29,10 +30,15 @@ def to_dnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]
     engine from exponential blow-up on pathological inputs.  The budget is
     checked before any cube is built: :func:`_dnf_size` counts the cubes and
     raises exactly where the expansion would.
+
+    A cube holds ``literal(leaf)`` for each literal leaf (an atom or a
+    ``Not``), the leaf itself by default.  *literal* is applied once per
+    distinct leaf node, so a caller can map the leaves into its own
+    representation (quantifier elimination maps them to integer ids)
+    without a second pass over the cubes.
     """
     _dnf_size(expr, max_clauses, {})
-    cubes = _dnf(expr, max_clauses)
-    return [tuple(cube) for cube in cubes]
+    return _dnf(expr, max_clauses, literal, {})
 
 
 def _dnf_size(expr: Expr, max_clauses: int, sizes: Dict[Expr, int]) -> int:
@@ -72,29 +78,46 @@ def _dnf_size(expr: Expr, max_clauses: int, sizes: Dict[Expr, int]) -> int:
     return size
 
 
-def _dnf(expr: Expr, max_clauses: int) -> List[List[Expr]]:
+def _dnf(expr: Expr, max_clauses: int, literal: Optional[Callable[[Expr], Any]] = None,
+         memo: Optional[Dict[int, List[Tuple[Any, ...]]]] = None) -> List[Tuple[Any, ...]]:
+    """The cubes of *expr*, each a tuple of ``literal(leaf)`` (of the leaf
+    itself when *literal* is None).
+
+    An ``Or`` lists its arguments' cubes in turn; an ``And`` joins every
+    cube of its arguments so far with every cube of the next.  *memo* maps
+    a node's ``id`` to its cubes for the length of one expansion, so a
+    node the formula shares is expanded, and a leaf mapped by *literal*,
+    once.  A returned list may be shared and must not be mutated.
+    """
+    if memo is None:
+        memo = {}
+    known = memo.get(id(expr))
+    if known is not None:
+        return known
+    cubes: List[Tuple[Any, ...]]
     if isinstance(expr, BoolConst):
-        return [[]] if expr.value else []
-    if is_atom(expr) or isinstance(expr, Not):
-        return [[expr]]
-    if isinstance(expr, Or):
-        cubes: List[List[Expr]] = []
+        cubes = [()] if expr.value else []
+    elif is_atom(expr) or isinstance(expr, Not):
+        cubes = [(expr if literal is None else literal(expr),)]
+    elif isinstance(expr, Or):
+        cubes = []
         for arg in expr.args:
-            cubes.extend(_dnf(arg, max_clauses))
+            cubes.extend(_dnf(arg, max_clauses, literal, memo))
             if len(cubes) > max_clauses:
                 raise ValueError("DNF expansion exceeded clause budget")
-        return cubes
-    if isinstance(expr, And):
-        cubes = [[]]
+    elif isinstance(expr, And):
+        cubes = [()]
         for arg in expr.args:
-            arg_cubes = _dnf(arg, max_clauses)
+            arg_cubes = _dnf(arg, max_clauses, literal, memo)
             cubes = [left + right for left in cubes for right in arg_cubes]
             if len(cubes) > max_clauses:
                 raise ValueError("DNF expansion exceeded clause budget")
-        return cubes
-    if isinstance(expr, (Forall, Exists)):
+    elif isinstance(expr, (Forall, Exists)):
         raise ValueError("DNF conversion requires a quantifier-free formula")
-    raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
+    else:
+        raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
+    memo[id(expr)] = cubes
+    return cubes
 
 
 def atoms_of(expr: Expr) -> FrozenSet[Expr]:

@@ -5,21 +5,26 @@ existential quantifiers over integers by Fourier–Motzkin elimination on the
 DNF of the body.  Universal quantification is handled by duality
 (``∀x.φ = ¬∃x.¬φ``).
 
-Integer steps run in constraint space.  The body is preprocessed
-(:func:`repro.smt.preprocess.preprocess`) and converted to DNF once; a cube
-is then a tuple of literals, each either a :class:`Constraint` (a canonical
-``t <= 0`` atom) or a boolean literal (``b`` or ``!b``).  Each integer
-variable is eliminated from every cube directly on the constraints'
-:class:`LinExpr`, and between steps the cube list gets exactly the clean-up
+Integer steps run on cubes of literal ids.  The body is preprocessed
+(:func:`repro.smt.preprocess.preprocess`) and converted to DNF once; each
+distinct literal of a cube — a :class:`Constraint` (a canonical ``t <= 0``
+atom, told apart by its coefficients and constant) or a boolean literal
+(``b`` or ``!b``) — gets a small integer id from the eliminator's literal
+table, so a cube is a tuple of ints and the DNF expansion
+(:func:`repro.logic.nnf.to_dnf_clauses`) emits those tuples directly.  Each
+integer variable is eliminated from every cube directly on the table's
+coefficients, and between steps the cube list gets exactly the clean-up
 that rebuilding the disjunction, simplifying it and converting it back to
 DNF would apply: duplicate literals and cubes are dropped, a cube holding a
 false constraint or both ``b`` and ``!b`` is dropped, and an empty cube or
-two complementary single-literal cubes make the result ``true``.  Formulas
-are built only for a boolean step, which substitutes into a formula, and
-for the result.  Fourier–Motzkin never adds cubes, so the 4096-cube DNF
-budget (a :class:`ValueError` beyond it) binds only where a formula is
-converted: the body, and the result of a boolean step.  The budget is
-checked before conversion (:func:`repro.logic.nnf.to_dnf_clauses` counts
+two complementary single-literal cubes make the result ``true``.  A cube's
+projection (or its strict-mode error) is memoized per variable and cube for
+the eliminator's life, so a cube that several variable lists reach is
+projected once.  Formulas are built only for a boolean step, which
+substitutes into a formula, and for the result.  Fourier–Motzkin never adds
+cubes, so the 4096-cube DNF budget (a :class:`ValueError` beyond it) binds
+only where a formula is converted: the body, and the result of a boolean
+step.  The budget is checked before conversion (``to_dnf_clauses`` counts
 the cubes first), so a formula over it costs one pass over its NNF and no
 cube list.
 
@@ -66,12 +71,13 @@ from repro.smt.linear import Constraint, LinExpr
 from repro.smt.preprocess import atom_constraint, preprocess
 
 if TYPE_CHECKING:  # for type checkers only (see repro.logic.build)
-    #: A cube literal: a canonical arithmetic atom as its constraint, or a
-    #: boolean variable, possibly negated.
-    Literal = Union[Constraint, Expr]
-    Cube = Tuple[Literal, ...]
+    #: A cube: the ids of its literals in the eliminator's literal table.
+    Cube = Tuple[int, ...]
     #: A partial result: a formula, or a non-empty disjunction of cubes.
     State = Union[Expr, List[Cube]]
+
+#: The value of a memo key not computed yet.
+_MISSING = object()
 
 
 class QuantifierEliminationError(ValueError):
@@ -98,9 +104,10 @@ class QuantifierEliminator:
     The body is the formula (for :meth:`exists`) or its negation (for
     :meth:`forall`).  A state is never mutated once produced, which is what
     lets steps share it.  Every formula a step meets is also converted to
-    DNF at most once, for whichever prefix reaches it first.  The memos live
-    as long as the eliminator.  Preprocessing and simplification go
-    through *memo* (a solver's
+    DNF at most once, for whichever prefix reaches it first, and every cube
+    is projected at most once per variable.  The memos and the literal
+    table live as long as the eliminator.  Preprocessing and
+    simplification go through *memo* (a solver's
     :meth:`~repro.smt.solver.Solver.rewrite_memo`), or through a memo of
     the eliminator's own; preprocessing's output is already NNF, which is
     what the DNF conversion takes.
@@ -114,6 +121,17 @@ class QuantifierEliminator:
         self._negated: Optional[Expr] = None
         self._converted: Dict[Expr, Union[State, ValueError]] = {}
         self._steps: Dict[Tuple[Expr, Tuple[Var, ...]], Union[State, ValueError]] = {}
+        self._projections: Dict[Tuple[str, Cube], Union[Optional[Cube], ValueError]] = {}
+        # The literal table.  A constraint is keyed by its (coeffs,
+        # constant), a boolean literal and a converted leaf atom by their
+        # Expr.  Per id: the Constraint or boolean literal, its ({name:
+        # coef}, constant) (None for a boolean), and lazily its formula and,
+        # for a boolean, the id of its negation.
+        self._ids: Dict[object, int] = {}
+        self._literals: List[Union[Constraint, Expr]] = []
+        self._linear: List[Optional[Tuple[Dict[str, int], int]]] = []
+        self._formulas: Dict[int, Expr] = {}
+        self._negations: Dict[int, int] = {}
 
     def exists(self, variables: Sequence[Var]) -> Expr:
         """A quantifier-free equivalent of ``exists variables. formula``."""
@@ -132,32 +150,194 @@ class QuantifierEliminator:
             prefix += (var,)
             state = _memoized(self._steps, (body, prefix),
                               partial(self._step, var, state))
-        return simplify(_formula(state), self.memo)
+        return simplify(self._formula(state), self.memo)
 
     def _step(self, var: Var, state: State) -> State:
         """Eliminate *var* from *state*; the result is a new state."""
         if var.var_sort is BOOL:
-            return _eliminate_bool_exists(var, _formula(state), self.memo)
+            return _eliminate_bool_exists(var, self._formula(state), self.memo)
         # A variable that does not occur leaves the result as it is,
         # unsimplified and in its current literal order.
         if isinstance(state, Expr):
             if var not in free_vars(state):
                 return state
-            cubes = self._convert(state)
+            cubes = _memoized(self._converted, state, partial(self._convert, state))
         else:
-            if not any(_mentions(cube, var.name) for cube in state):
+            if not any(self._mentions(cube, var.name) for cube in state):
                 return state
-            cubes = _reconverted(state)
-        return cubes if isinstance(cubes, Expr) else _project(var.name, cubes, self.strict)
+            cubes = self._reconverted(state)
+        return cubes if isinstance(cubes, Expr) else self._project(var.name, cubes)
+
+    # -- the literal table ----------------------------------------------------
+
+    def _add(self, key: object, literal: Union[Constraint, Expr],
+             linear: Optional[Tuple[Dict[str, int], int]]) -> int:
+        lit = self._ids[key] = len(self._literals)
+        self._literals.append(literal)
+        self._linear.append(linear)
+        return lit
+
+    def _constraint_id(self, expr: LinExpr) -> int:
+        key = (expr.coeffs, expr.constant)
+        lit = self._ids.get(key)
+        if lit is None:
+            lit = self._add(key, Constraint(expr), (dict(expr.coeffs), expr.constant))
+        return lit
+
+    def _leaf_id(self, leaf: Expr) -> int:
+        """The id of a DNF leaf: a canonical atom's constraint, else the leaf."""
+        lit = self._ids.get(leaf)
+        if lit is None:
+            # After preprocessing only boolean variables appear negated.
+            constraint = None if isinstance(leaf, Not) else atom_constraint(leaf)
+            if constraint is None:
+                lit = self._add(leaf, leaf, None)
+            else:
+                lit = self._ids[leaf] = self._constraint_id(constraint.expr)
+        return lit
+
+    def _negation(self, lit: int) -> int:
+        negation = self._negations.get(lit)
+        if negation is None:
+            literal = self._literals[lit]
+            assert isinstance(literal, Expr)
+            negation = self._negations[lit] = self._leaf_id(build.lnot(literal))
+        return negation
+
+    # -- formulas <-> cubes ---------------------------------------------------
 
     def _convert(self, formula: Expr) -> State:
-        return _memoized(self._converted, formula, partial(_convert, formula, self.memo))
+        """Preprocess *formula* and convert it to cubes (or a constant)."""
+        processed = preprocess(formula, self.memo)
+        if isinstance(processed, BoolConst):
+            return processed
+        return to_dnf_clauses(processed, literal=self._leaf_id)
+
+    def _formula(self, state: State) -> Expr:
+        """The formula ``build.lor`` of ``build.land``s would make of *state*."""
+        if isinstance(state, Expr):
+            return state
+        disjuncts = [self._cube_formula(cube) for cube in state]
+        return disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
+
+    def _cube_formula(self, cube: Cube) -> Expr:
+        literals = [self._literal_formula(lit) for lit in cube]
+        return literals[0] if len(literals) == 1 else And(tuple(literals))
+
+    def _literal_formula(self, lit: int) -> Expr:
+        formula = self._formulas.get(lit)
+        if formula is None:
+            literal = self._literals[lit]
+            formula = self._formulas[lit] = (
+                Le(literal.expr.to_expr(), IntConst(0)) if isinstance(literal, Constraint)
+                else literal)
+        return formula
+
+    def _reconverted(self, cubes: List[Cube]) -> State:
+        """What preprocessing the formula of *cubes* and converting it back yields.
+
+        The literals are already canonical, so of the preprocessing only
+        :func:`simplify` has an effect: it drops cubes holding both ``b``
+        and ``!b``, and turns complementary single-literal cubes into
+        ``true``.
+        """
+        survivors = [cube for cube in cubes if not self._contradictory(cube)]
+        if not survivors:
+            return build.FALSE
+        linear = self._linear
+        units = {cube[0] for cube in survivors
+                 if len(cube) == 1 and linear[cube[0]] is None}
+        if any(self._negation(unit) in units for unit in units):
+            return build.TRUE
+        return survivors
+
+    def _mentions(self, cube: Cube, name: str) -> bool:
+        return any(linear is not None and name in linear[0]
+                   for linear in (self._linear[lit] for lit in cube))
+
+    def _contradictory(self, cube: Cube) -> bool:
+        linear = self._linear
+        booleans = {lit for lit in cube if linear[lit] is None}
+        return len(booleans) > 1 and any(self._negation(lit) in booleans
+                                         for lit in booleans)
+
+    # -- Fourier–Motzkin ------------------------------------------------------
+
+    def _project(self, name: str, cubes: Sequence[Cube]) -> State:
+        """Eliminate the integer variable *name* from a disjunction of cubes."""
+        projected: Dict[Cube, None] = {}
+        true = False
+        for cube in cubes:
+            result = _memoized(self._projections, (name, cube),
+                               partial(self._project_cube, name, cube))
+            if result is None:
+                continue
+            if result:
+                projected.setdefault(result)
+            else:
+                # Keep going: a later cube may still be inexact under ``strict``.
+                true = True
+        if true:
+            return build.TRUE
+        return list(projected) if projected else build.FALSE
+
+    def _project_cube(self, name: str, cube: Cube) -> Optional[Cube]:
+        """Fourier–Motzkin elimination of *name* from one cube; None if false.
+
+        The result lists the constraints without *name*, then the boolean
+        literals, then the combination of every lower with every upper
+        bound, without duplicates.
+        """
+        unrelated: List[int] = []
+        booleans: List[int] = []
+        # A constraint a*var + rest <= 0 is a lower bound on var for a < 0
+        # and an upper bound for a > 0; both are kept as (|a|, coefficients
+        # of a*var + rest, constant).
+        lowers: List[Tuple[int, Dict[str, int], int]] = []
+        uppers: List[Tuple[int, Dict[str, int], int]] = []
+        for lit in cube:
+            linear = self._linear[lit]
+            if linear is None:
+                booleans.append(lit)
+                continue
+            coefs, constant = linear
+            coef = coefs.get(name, 0)
+            if coef == 0:
+                unrelated.append(lit)
+                continue
+            if self.strict and abs(coef) != 1:
+                raise QuantifierEliminationError(
+                    f"non-unit coefficient {coef} for {name}; elimination would be inexact"
+                )
+            if coef > 0:
+                uppers.append((coef, coefs, constant))
+            else:
+                lowers.append((-coef, coefs, constant))
+
+        combined: Dict[int, None] = dict.fromkeys(unrelated)
+        combined.update(dict.fromkeys(booleans))
+        for low_coef, low, low_constant in lowers:
+            for up_coef, up, up_constant in uppers:
+                # rest_low <= low_coef*var and up_coef*var <= -rest_up
+                # combine to up_coef*rest_low + low_coef*rest_up <= 0: the
+                # var terms of up_coef*low + low_coef*up cancel.
+                coeffs = {n: up_coef * c for n, c in low.items() if n != name}
+                for n, c in up.items():
+                    if n != name:
+                        coeffs[n] = coeffs.get(n, 0) + low_coef * c
+                bound = LinExpr.of(coeffs, up_coef * low_constant + low_coef * up_constant)
+                if bound.is_constant():
+                    if bound.constant > 0:
+                        return None
+                    continue
+                combined.setdefault(self._constraint_id(bound))
+        return tuple(combined)
 
 
-def _memoized(table: Dict, key, compute: Callable[[], State]) -> State:
+def _memoized(table: Dict, key, compute: Callable[[], object]):
     """``compute()``, or its stored result; a stored error is raised again."""
-    result = table.get(key)
-    if result is None:
+    result = table.get(key, _MISSING)
+    if result is _MISSING:
         try:
             result = compute()
         except ValueError as exc:
@@ -174,145 +354,3 @@ def _eliminate_bool_exists(var: Var, formula: Expr, memo: RewriteMemo) -> Expr:
     true_case = substitute(formula, {var: build.TRUE})
     false_case = substitute(formula, {var: build.FALSE})
     return build.lor(simplify(true_case, memo), simplify(false_case, memo))
-
-
-# ---------------------------------------------------------------------------
-# Formulas <-> cubes
-# ---------------------------------------------------------------------------
-
-
-def _convert(formula: Expr, memo: RewriteMemo) -> State:
-    """Preprocess *formula* and convert it to cubes (or a constant)."""
-    processed = preprocess(formula, memo)
-    if isinstance(processed, BoolConst):
-        return processed
-    cubes = to_dnf_clauses(processed)
-    # Cubes share their atoms; linearize each atom once.
-    literals: Dict[Expr, Literal] = {}
-    for cube in cubes:
-        for lit in cube:
-            if lit not in literals:
-                literals[lit] = _literal(lit)
-    return [tuple(literals[lit] for lit in cube) for cube in cubes]
-
-
-def _literal(literal: Expr) -> Literal:
-    if isinstance(literal, Not):
-        # After preprocessing only boolean variables appear negated.
-        return literal
-    constraint = atom_constraint(literal)
-    return literal if constraint is None else constraint
-
-
-def _formula(state: State) -> Expr:
-    """The formula ``build.lor`` of ``build.land``s would make of *state*."""
-    if isinstance(state, Expr):
-        return state
-    disjuncts = [_cube_formula(cube) for cube in state]
-    return disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
-
-
-def _cube_formula(cube: Cube) -> Expr:
-    literals = [Le(lit.expr.to_expr(), IntConst(0)) if isinstance(lit, Constraint) else lit
-                for lit in cube]
-    return literals[0] if len(literals) == 1 else And(tuple(literals))
-
-
-def _mentions(cube: Cube, name: str) -> bool:
-    return any(isinstance(lit, Constraint) and lit.expr.coefficient(name)
-               for lit in cube)
-
-
-def _reconverted(cubes: List[Cube]) -> State:
-    """What preprocessing the formula of *cubes* and converting it back yields.
-
-    The literals are already canonical, so of the preprocessing only
-    :func:`simplify` has an effect: it drops cubes holding both ``b`` and
-    ``!b``, and turns complementary single-literal cubes into ``true``.
-    """
-    survivors = [cube for cube in cubes if not _contradictory(cube)]
-    if not survivors:
-        return build.FALSE
-    units = {lit for cube in survivors if len(cube) == 1
-             for lit in cube if isinstance(lit, Expr)}
-    if any(build.lnot(unit) in units for unit in units):
-        return build.TRUE
-    return survivors
-
-
-def _contradictory(cube: Cube) -> bool:
-    booleans = {lit for lit in cube if isinstance(lit, Expr)}
-    return len(booleans) > 1 and any(build.lnot(lit) in booleans for lit in booleans)
-
-
-# ---------------------------------------------------------------------------
-# Fourier–Motzkin
-# ---------------------------------------------------------------------------
-
-
-def _project(name: str, cubes: Sequence[Cube], strict: bool) -> State:
-    """Eliminate the integer variable *name* from a disjunction of cubes."""
-    projected: Dict[Cube, None] = {}
-    true = False
-    for cube in cubes:
-        result = _project_cube(name, cube, strict)
-        if result is None:
-            continue
-        if result:
-            projected.setdefault(result)
-        else:
-            # Keep going: a later cube may still be inexact under ``strict``.
-            true = True
-    if true:
-        return build.TRUE
-    return list(projected) if projected else build.FALSE
-
-
-def _project_cube(name: str, cube: Cube, strict: bool) -> Optional[Cube]:
-    """Fourier–Motzkin elimination of *name* from one cube; None if false.
-
-    The result lists the constraints without *name*, then the boolean
-    literals, then the combination of every lower with every upper bound,
-    without duplicates.
-    """
-    unrelated: List[Literal] = []
-    booleans: List[Literal] = []
-    # A constraint a*var + rest <= 0 is a lower bound on var for a < 0 and
-    # an upper bound for a > 0; both are kept as (|a|, a*var + rest).
-    lowers: List[Tuple[int, LinExpr]] = []
-    uppers: List[Tuple[int, LinExpr]] = []
-    for literal in cube:
-        if not isinstance(literal, Constraint):
-            booleans.append(literal)
-            continue
-        coef = literal.expr.coefficient(name)
-        if coef == 0:
-            unrelated.append(literal)
-            continue
-        if strict and abs(coef) != 1:
-            raise QuantifierEliminationError(
-                f"non-unit coefficient {coef} for {name}; elimination would be inexact"
-            )
-        if coef > 0:
-            uppers.append((coef, literal.expr))
-        else:
-            lowers.append((-coef, literal.expr))
-
-    combined: Dict[Literal, None] = dict.fromkeys(unrelated)
-    combined.update(dict.fromkeys(booleans))
-    for low_coef, low in lowers:
-        for up_coef, up in uppers:
-            # rest_low <= low_coef*var and up_coef*var <= -rest_up combine
-            # to up_coef*rest_low + low_coef*rest_up <= 0: the var terms of
-            # up_coef*low + low_coef*up cancel.
-            coeffs = {n: up_coef * c for n, c in low.coeffs if n != name}
-            for n, c in up.coeffs:
-                if n != name:
-                    coeffs[n] = coeffs.get(n, 0) + low_coef * c
-            bound = LinExpr.of(coeffs, up_coef * low.constant + low_coef * up.constant)
-            if bound.is_constant():
-                if bound.constant > 0:
-                    return None
-                continue
-            combined.setdefault(Constraint(bound))
-    return tuple(combined)

@@ -9,6 +9,8 @@ must be ``==`` and failures must raise the same exception class, so that
 abduction candidates, invariants, placements and SMT queries cannot change.
 """
 
+import collections
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,6 +255,26 @@ class TestGeneratedFormulas:
             assert outcome(eliminator.exists, variables) \
                 == outcome(reference_exists, variables, formula)
 
+    @settings(max_examples=200, deadline=None)
+    @given(formulas)
+    def test_mapping_leaves_during_the_expansion_maps_the_cubes(self, formula):
+        # Quantifier elimination has the DNF expansion map each leaf to a
+        # literal id; that must be the plain expansion, mapped.
+        processed = preprocess(formula)
+        mapped = []
+
+        def literal(leaf):
+            mapped.append(leaf)
+            return "id", leaf
+
+        result = outcome(to_dnf_clauses, processed, 64, literal=literal)
+        # Once per distinct leaf node.
+        assert len({id(leaf) for leaf in mapped}) == len(mapped)
+        plain = outcome(to_dnf_clauses, processed, 64)
+        if plain[0] == "ok":
+            plain = "ok", [tuple(("id", leaf) for leaf in cube) for cube in plain[1]]
+        assert result == plain
+
 
 # ---------------------------------------------------------------------------
 # Strict mode and the DNF budget
@@ -282,6 +304,58 @@ class TestStrict:
         formula = build.land(build.le(y, x), build.le(x, z))
         assert eliminate_exists([x], formula, strict=True) \
             == reference_exists([x], formula, strict=True)
+
+
+class TestProjectionMemo:
+    """An eliminator projects each cube at most once per variable; a strict
+    error is memoized with the cube and raised again."""
+
+    @staticmethod
+    def counting_projections(monkeypatch):
+        """Patch ``QuantifierEliminator._project_cube``; return its runs."""
+        runs = []
+        original = QuantifierEliminator._project_cube
+
+        def counting(self, name, cube):
+            runs.append((self, name, cube))
+            return original(self, name, cube)
+
+        monkeypatch.setattr(QuantifierEliminator, "_project_cube", counting)
+        return runs
+
+    def test_each_cube_is_projected_once_in_a_dining_philosophers_compile(
+            self, monkeypatch):
+        runs = self.counting_projections(monkeypatch)
+        requests = collections.Counter()
+        original = QuantifierEliminator._project
+
+        def counting(self, name, cubes):
+            requests.update((self, name, cube) for cube in cubes)
+            return original(self, name, cubes)
+
+        monkeypatch.setattr(QuantifierEliminator, "_project", counting)
+        ExpressoPipeline().compile(get_benchmark("Dining Philosophers").source)
+        assert runs, "the compile no longer projects a cube"
+        # Runs stop at an error, so some requested pairs never run; the
+        # ones that do, run once, and the memo answers the repeats.
+        assert len(set(runs)) == len(runs)
+        assert set(runs) <= set(requests)
+        assert sum(requests.values()) > len(runs)
+
+    def test_a_memoized_strict_error_is_raised_again(self, monkeypatch):
+        # The negated body's first cube holds 2*x: inexact for x.
+        formula = build.land(build.le(build.mul(2, x), y), build.ge(x, z))
+        eliminator = QuantifierEliminator(formula, strict=True)
+        with pytest.raises(QuantifierEliminationError):
+            eliminator.forall([x])
+        runs = self.counting_projections(monkeypatch)
+        # w does not occur: the second list reaches the same cubes through
+        # another step, and their projection memo.
+        w = v("w")
+        assert outcome(eliminator.forall, [w, x]) \
+            == outcome(reference_forall, [w, x], formula, strict=True) \
+            == ("error", QuantifierEliminationError)
+        assert runs == []
 
 
 class TestCleanUpBetweenSteps:

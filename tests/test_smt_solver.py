@@ -1,5 +1,7 @@
 """Unit tests for the SMT solver core (satisfiability, validity, models)."""
 
+import time
+
 import pytest
 
 from repro.logic import (
@@ -298,3 +300,48 @@ class TestArtificialBounds:
         assert cache.lookup_raw(formula) is None
         # An omission needs a valid triple: unknown keeps the signal.
         assert solver.check_valid(lnot(formula)) is False
+
+
+class TestSearchBudget:
+    """Branch and bound is bounded in breadth as well as depth: past a
+    budget of simplex calls over its whole tree it answers unknown.  Both
+    systems below have no integer solution (3x - 3y = -4) and a relaxation
+    unbounded along x = y, so only a limit ends the search, and the answer
+    must be unknown, never infeasible."""
+
+    def test_a_search_without_integer_points_stops_at_the_budget(self, monkeypatch):
+        from repro.smt import intfeas
+        from repro.smt.linear import Constraint, LinExpr
+
+        rows = [Constraint(LinExpr.of(coeffs, constant)) for coeffs, constant in (
+            ({"x": 3, "y": -3}, 4), ({"x": -3, "y": 3}, -4), ({"x": -2, "y": 1}, 1),
+            ({"x": -1}, 2), ({"x": -1, "z": 1}, 1), ({"y": 1, "z": 1}, -6),
+            ({"y": -1, "z": -1}, 6), ({"z": 1}, -8), ({"z": 1}, -7))]
+        calls = []
+        solve = intfeas.rational_feasible
+        monkeypatch.setattr(intfeas, "rational_feasible",
+                            lambda constraints: calls.append(1) or solve(constraints))
+        started = time.perf_counter()
+        with pytest.raises(intfeas.IntegerFeasibilityUnknown, match="simplex calls"):
+            intfeas.integer_feasible(rows)
+        assert time.perf_counter() - started < 1.0
+        assert len(calls) == intfeas._MAX_SIMPLEX_CALLS
+
+    def test_the_solver_answers_unknown_in_time(self, solver, monkeypatch):
+        from repro.smt import intfeas
+
+        sizes = []
+        solve = intfeas.rational_feasible
+        monkeypatch.setattr(intfeas, "rational_feasible",
+                            lambda constraints: sizes.append(len(constraints))
+                            or solve(constraints))
+        started = time.perf_counter()
+        result = solver.check_sat(eq(sub(mul(i(3), x), mul(i(3), y)), i(-4)))
+        assert time.perf_counter() - started < 1.0
+        assert result.status is SatStatus.UNKNOWN
+        assert solver.consume_unknown() == "theory"
+        # This search ends at the depth limit.  A node solves the two rows,
+        # the box (two rows per variable) and at most one branch row per
+        # variable and direction, however deep it is.
+        assert len(sizes) > intfeas._MAX_DEPTH
+        assert max(sizes) <= 2 + 2 * 2 + 2 * 2
