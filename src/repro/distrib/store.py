@@ -7,8 +7,6 @@ table      contents
 ========== =================================================================
 meta       campaign config fingerprint, driver lease, free-form flags
 visited    completion-gated visited-state hashes, namespaced by *scope*
-corpus     the fuzz corpus index: entry id -> file checksum + fingerprint
-coverage   the merged coverage map, one (axis, feature) row each
 frontier   checkpointed exploration frontier (per-benchmark results, the
            fuzz campaign's last checkpoint record)
 units      the work-stealing queue (see :mod:`repro.distrib.queue`)
@@ -58,11 +56,6 @@ CREATE TABLE IF NOT EXISTS meta (
 CREATE TABLE IF NOT EXISTS visited (
     scope TEXT NOT NULL, hash TEXT NOT NULL, sha TEXT NOT NULL,
     PRIMARY KEY (scope, hash));
-CREATE TABLE IF NOT EXISTS corpus (
-    entry_id TEXT PRIMARY KEY, payload TEXT NOT NULL, sha TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS coverage (
-    axis TEXT NOT NULL, feature TEXT NOT NULL, sha TEXT NOT NULL,
-    PRIMARY KEY (axis, feature));
 CREATE TABLE IF NOT EXISTS frontier (
     key TEXT PRIMARY KEY, payload TEXT NOT NULL, sha TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS units (
@@ -84,8 +77,6 @@ CREATE TABLE IF NOT EXISTS telemetry (
 _CHECKED = (
     ("meta", ("key",), lambda row: [row["key"], row["value"]]),
     ("visited", ("scope", "hash"), lambda row: [row["scope"], row["hash"]]),
-    ("corpus", ("entry_id",), lambda row: [row["entry_id"], row["payload"]]),
-    ("coverage", ("axis", "feature"), lambda row: [row["axis"], row["feature"]]),
     ("frontier", ("key",), lambda row: [row["key"], row["payload"]]),
     ("counters", ("name",), lambda row: [row["name"], row["value"]]),
     ("telemetry", ("worker",), lambda row: [row["worker"], row["payload"]]),
@@ -285,53 +276,7 @@ class CampaignStore:
             "SELECT hash FROM visited WHERE scope = ?", (scope,)).fetchall()
         return {int(row["hash"]) for row in rows}
 
-    # -- corpus index / coverage / frontier -----------------------------------
-
-    def index_entries(self, records: Dict[str, dict],
-                      conn: Optional[sqlite3.Connection] = None) -> None:
-        """Mirror corpus entries into the index (id -> checksummed summary)."""
-        rows = []
-        for entry_id, record in sorted(records.items()):
-            payload = json.dumps(record, sort_keys=True)
-            rows.append((entry_id, payload, _row_sha(entry_id, payload)))
-        if not rows:
-            return
-        if conn is not None:
-            conn.executemany(
-                "INSERT OR REPLACE INTO corpus VALUES (?, ?, ?)", rows)
-            return
-        with self.transaction("corpus.index") as conn:
-            conn.executemany(
-                "INSERT OR REPLACE INTO corpus VALUES (?, ?, ?)", rows)
-
-    def corpus_index(self) -> Dict[str, dict]:
-        rows = self._read("corpus.index").execute(
-            "SELECT entry_id, payload FROM corpus").fetchall()
-        return {row["entry_id"]: json.loads(row["payload"]) for row in rows}
-
-    def merge_coverage(self, features: Dict[str, Sequence[str]],
-                       conn: Optional[sqlite3.Connection] = None) -> None:
-        rows = [(axis, str(feature), _row_sha(axis, str(feature)))
-                for axis, values in sorted(features.items())
-                for feature in values]
-        if not rows:
-            return
-        if conn is not None:
-            conn.executemany(
-                "INSERT OR IGNORE INTO coverage VALUES (?, ?, ?)", rows)
-            return
-        with self.transaction("coverage.merge") as conn:
-            conn.executemany(
-                "INSERT OR IGNORE INTO coverage VALUES (?, ?, ?)", rows)
-
-    def coverage_map(self) -> Dict[str, List[str]]:
-        rows = self._read("coverage.map").execute(
-            "SELECT axis, feature FROM coverage ORDER BY axis, feature"
-        ).fetchall()
-        merged: Dict[str, List[str]] = {}
-        for row in rows:
-            merged.setdefault(row["axis"], []).append(row["feature"])
-        return merged
+    # -- frontier -------------------------------------------------------------
 
     def set_frontier(self, key: str, payload: dict,
                      conn: Optional[sqlite3.Connection] = None) -> None:
@@ -447,9 +392,11 @@ class CampaignStore:
     def repair(self) -> dict:
         """Drop rows whose checksums fail; campaigns re-derive them.
 
-        Visited hashes, coverage rows and corpus-index rows are all
-        re-computable (the journal + entry files stay authoritative for the
-        corpus itself); a corrupt unit is re-enqueued by the next driver.
+        Visited hashes and frontier rows are all re-derivable: a dropped
+        explore frontier is re-explored, the fuzz frontier is rewritten at
+        the next checkpoint (the corpus journal and entry files stay
+        authoritative for the corpus itself); a corrupt unit is re-enqueued
+        by the next driver.
         Returns ``{"rows_dropped": n, "problems": [...]}``.
         """
         problems = self.verify()

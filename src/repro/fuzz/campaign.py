@@ -26,14 +26,17 @@ schedules**, so equal-budget comparisons against blind random generation
 Crash safety: with an on-disk store, the driver appends one self-contained
 **checkpoint record** to the corpus journal after the bootstrap and after
 every mutation round — admission-ordered entry ids, power-schedule picks,
-coverage, findings, and the result counters.  ``resume=True`` restores the
-last checkpoint and continues the *same* invocation; because checkpoints
-carry no timing and every round is a pure function of (seed, round index,
-restored state), a campaign killed at any point and resumed produces a
-byte-identical corpus directory — journal included — to one that never
-crashed.  A pool worker's death or a hang past ``config.distrib.deadline``
-costs the candidate one attempt; a candidate that exhausts its attempts is
-quarantined into ``compile_errors`` as a per-candidate ``worker:`` error.
+coverage, findings, and the result counters.  That record is the corpus's
+only checkpoint: a fresh invocation starts from the last record's coverage,
+findings and round counter (and every entry file), and ``resume=True``
+restores the whole record and continues the *same* invocation; because
+checkpoints carry no timing and every round is a pure function of (seed,
+round index, restored state), a campaign killed at any point and resumed
+produces a byte-identical corpus directory — journal included — to one
+that never crashed.  A pool worker's death or a hang past
+``config.distrib.deadline`` costs the candidate one attempt; a candidate
+that exhausts its attempts is quarantined into ``compile_errors`` as a
+per-candidate ``worker:`` error.
 
 Distributed campaigns: with ``config.distrib`` pointing at a shared
 :class:`~repro.distrib.CampaignStore`, candidate batches are dispatched
@@ -44,8 +47,8 @@ under TTL leases; a crashed helper's unit is stolen after the lease
 expires.  Unit ids
 are keyed by entry id, so a resumed driver re-enqueueing a replayed round
 reuses stored results and merges stay deterministic.  The driver mirrors
-every checkpoint into the store (corpus index, coverage map, checkpoint
-frontier) and checkpoint records additionally embed each newly admitted
+every checkpoint record into the store's ``fuzz/checkpoint`` frontier, which
+the campaign console reads.  Checkpoint records embed each newly admitted
 entry's full record (``entry_records``), so a corpus directory whose journal
 is *ahead* of its entry files rolls forward on resume/repair instead of
 failing.
@@ -409,7 +412,7 @@ def _run_campaign(config: FuzzConfig,
             raise CorruptCorpusError(
                 store.root, "checkpoint was written by a campaign with "
                 "different parameters; resume with the original flags")
-        store.restore_checkpoint(checkpoint_record)
+        store.clean_stale_tmp()
         # A journal ahead of the entry files (lost/tampered directory, but
         # committed frames survive) rolls forward instead of failing: the
         # checkpoint records carry every admitted entry's full record.
@@ -431,37 +434,37 @@ def _run_campaign(config: FuzzConfig,
     else:
         if config.resume:
             # Nothing journaled yet: nothing was ever committed, so the
-            # resume is a fresh start — and any entry/state files a crash
-            # left behind before the first checkpoint are uncommitted and
-            # must not seed it.
+            # resume is a fresh start — and any entry files a crash left
+            # behind before the first checkpoint are uncommitted and must
+            # not seed it.
             store.rollback_uncommitted()
         elif checkpoint_record is not None:
             problems = store.validate()
             if problems:
                 raise CorruptCorpusError(
-                    store.root, "state files disagree with the journal "
+                    store.root, "entry files disagree with the journal "
                     f"({'; '.join(problems)}); rerun with --resume or "
                     "--repair")
         entries = store.load_entries()
     known_ids = {entry.entry_id for entry in entries}
     checkpointed_ids = set(known_ids)
-    coverage = CoverageMap.from_dict(store.load_coverage() or {})
+    # The last checkpoint record carries the coverage, findings and round
+    # counter both a resume and a fresh start continue from.
+    committed = checkpoint_record or {}
+    coverage = CoverageMap.from_dict(committed.get("coverage", {}))
     fingerprints = {entry.fingerprint for entry in entries
                     if entry.fingerprint}
     findings: Dict[Tuple, dict] = {}
-    for record in store.load_findings():
+    for record in committed.get("findings", ()):
         key = (record.get("kind"), tuple(record.get("minimized", ())),
                record.get("coverage_fingerprint"))
         findings[key] = record
+    round_index = int(committed.get("round_index", 0))
+    rounds_restored = 0
+    bootstrap_done = False
     if resuming:
-        round_index = int(checkpoint_record["round_index"])
         rounds_restored = int(checkpoint_record["rounds_this_run"])
         bootstrap_done = bool(checkpoint_record["bootstrap_done"])
-    else:
-        meta = store.load_meta()
-        round_index = int(meta.get("rounds_completed", 0))
-        rounds_restored = 0
-        bootstrap_done = False
     tracer = obs.tracer()
     metrics = obs.registry() if tracer.enabled else None
     worker_shards: List[list] = []
@@ -551,7 +554,7 @@ def _run_campaign(config: FuzzConfig,
                                 tuple(record.get("minimized", ()))))
 
     def checkpoint() -> None:
-        """Persist state files + append one self-contained journal record.
+        """Append one self-contained journal record.
 
         The record carries everything a resume needs (no timing, nothing
         invocation-specific), so a killed-and-resumed campaign appends the
@@ -566,7 +569,6 @@ def _run_campaign(config: FuzzConfig,
         meta = {"seed": config.seed, "rounds_completed": round_index,
                 "schedules_last_run": result.schedules_run}
         current_findings = ordered_findings_list()
-        store.save_state(coverage.to_dict(), current_findings, meta)
         fresh = [entry for entry in entries
                  if entry.entry_id not in checkpointed_ids]
         record = {
@@ -596,13 +598,10 @@ def _run_campaign(config: FuzzConfig,
         journal.append_if_changed(record)
         checkpointed_ids.update(entry.entry_id for entry in fresh)
         if dstore is not None:
-            # Mirror the committed checkpoint into the shared store in one
-            # transaction: corpus index, coverage map, and the frontier —
-            # a cooperating process reads a consistent snapshot or nothing.
+            # Mirror the committed checkpoint into the shared store's
+            # frontier, with the driver's heartbeat, in one transaction.
             with dstore.transaction("checkpoint.mirror") as conn:
                 dstore.set_frontier("fuzz/checkpoint", record, conn=conn)
-                dstore.merge_coverage(record["coverage"], conn=conn)
-                dstore.index_entries(record["entry_records"], conn=conn)
                 dstore.record_telemetry(
                     f"driver-{os.getpid()}",
                     {"last_heartbeat": time.time(), "role": "driver",
@@ -722,14 +721,6 @@ def _run_campaign(config: FuzzConfig,
                     metrics.inc(f"fuzz.operator.{name}.{key}", value)
         result.trace_shards = worker_shards
     checkpoint()
-    if journal is None:
-        # In-memory stores have no journal but keep the save_state contract
-        # (a no-op for ``CorpusStore(None)``, the state files otherwise).
-        store.save_state(coverage.to_dict(), result.findings, {
-            "seed": config.seed,
-            "rounds_completed": round_index,
-            "schedules_last_run": result.schedules_run,
-        })
     if dstore is not None:
         result.distrib = dstore.counters()
         # The store's transactional aggregates are authoritative: mirror

@@ -2,29 +2,27 @@
 
 Layout of a corpus directory::
 
-    <dir>/meta.json            campaign seed + completed-round counter
-    <dir>/coverage.json        the merged CoverageMap (sorted, byte-stable)
-    <dir>/findings.json        deduplicated findings with witnesses
     <dir>/entries/<id>.json    one file per corpus entry
-    <dir>/journal.jsonl        write-ahead checkpoint journal (crash safety)
+    <dir>/journal.jsonl        write-ahead checkpoint journal
 
-Crash safety: every file write is atomic (tmp + fsync + ``os.replace``), so
-state files can never tear — only the *set* of files can be inconsistent
-after a crash.  The campaign driver closes that window with the journal:
-each completed unit of work (bootstrap, every mutation round, finalize)
+The journal's last valid record is the corpus's only checkpoint.  After
+the bootstrap, every mutation round and finalize the campaign driver
 appends one **self-contained checkpoint record** — the admission-ordered
 entry-id list, the power-schedule pick counts, the full coverage map,
-findings and result counters — so recovery never needs the state files at
-all: :meth:`CorpusStore.restore_checkpoint` rewrites them from the last
-valid record, and :meth:`~repro.resilience.Journal.truncate_to_valid`
-handles a torn tail.  Entry files written by a crashed round are *orphans*
-(absent from every checkpoint's admission list); the resumed round re-runs
-deterministically and rewrites them byte-identically, so they are never
-deleted, only superseded.  The converse window — a journal *ahead* of the
-entry files — closes too: each checkpoint embeds its newly admitted
-entries' full records (``entry_records``), and
+findings, meta and result counters — so a campaign restarts or resumes
+from the journal alone; :meth:`~repro.resilience.Journal.truncate_to_valid`
+handles a torn tail.  Entry files are written atomically (tmp + fsync +
+``os.replace``), so a file never tears, but the *set* of files can
+disagree with the journal after a crash.  Entry files written by a crashed
+round are *orphans* (absent from every checkpoint's admission list); the
+resumed round re-runs deterministically and rewrites them byte-identically,
+so they are never deleted, only superseded.  The converse window — a
+journal *ahead* of the entry files — closes too: each checkpoint embeds
+its newly admitted entries' full records (``entry_records``), and
 :meth:`CorpusStore.roll_forward` replays those committed frames to rebuild
-a lost ``entries/<id>.json`` byte-identically on resume or repair.
+a lost or torn ``entries/<id>.json`` byte-identically on resume or repair.
+Files a corpus directory of an older layout holds besides these two
+(``coverage.json``, ``findings.json``, ``meta.json``) are ignored.
 
 Every entry records *provenance*, not just its artifact: generated roots
 carry their ``(campaign seed, index)`` derivation, mutants their parent id,
@@ -43,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.fuzz.generate import (
     derive_seed,
@@ -52,8 +50,8 @@ from repro.fuzz.generate import (
     roles_to_json,
 )
 from repro.fuzz.mutate import Candidate, apply_operator
-from repro.resilience import Journal, atomic_write_text, checksum_payload
-from repro.resilience.atomic import fsync_dir, json_text
+from repro.resilience import Journal, atomic_write_text
+from repro.resilience.atomic import json_text
 
 
 class CorruptCorpusError(RuntimeError):
@@ -189,7 +187,6 @@ class CorpusStore:
     """Load/save the corpus directory (or run fully in memory with ``None``)."""
 
     JOURNAL_NAME = "journal.jsonl"
-    STATE_FILES = ("coverage.json", "findings.json", "meta.json")
 
     def __init__(self, root: Optional[str] = None):
         self.root = Path(root) if root is not None else None
@@ -238,26 +235,6 @@ class CorpusStore:
                 continue  # a torn cache file must not kill the campaign
         return entries
 
-    def load_coverage(self) -> Optional[dict]:
-        return self._read_json("coverage.json")
-
-    def load_findings(self) -> List[dict]:
-        return self._read_json("findings.json") or []
-
-    def load_meta(self) -> dict:
-        return self._read_json("meta.json") or {}
-
-    def _read_json(self, name: str):
-        if self.root is None:
-            return None
-        path = self.root / name
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except ValueError:
-            return None
-
     # -- saving ---------------------------------------------------------------
 
     def save_entry(self, entry: CorpusEntry) -> None:
@@ -267,75 +244,54 @@ class CorpusStore:
         entries_dir.mkdir(parents=True, exist_ok=True)
         self._write_json(entries_dir / f"{entry.entry_id}.json", entry.to_dict())
 
-    def save_state(self, coverage: dict, findings: Sequence[dict],
-                   meta: dict) -> None:
-        if self.root is None:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # One directory fsync after the last rename makes all of them
-        # durable before the caller's journal append commits the checkpoint.
-        written = [self._write_json(self.root / name, payload, sync_dir=False)
-                   for name, payload in (("coverage.json", coverage),
-                                         ("findings.json", list(findings)),
-                                         ("meta.json", meta))]
-        if any(written):
-            fsync_dir(self.root)
-
     @staticmethod
-    def _write_json(path: Path, payload, *, sync_dir: bool = True) -> bool:
-        # Atomic even outside the journal path: a kill mid-write must leave
-        # the previous version intact, never a torn file.  Checkpoints
-        # rewrite every state file, and most leave some unchanged
-        # (``findings.json`` stays ``[]``; the final checkpoint repeats the
-        # last round's state).  A file that already reads back identical was
-        # itself written atomically, so it is skipped: no second write and
-        # fsync of the same bytes.  Returns whether the file was written.
+    def _write_json(path: Path, payload) -> None:
+        # Atomic: a kill mid-write must leave the previous version intact,
+        # never a torn file.  A resumed round re-saves the orphan entries
+        # its crashed run already wrote; a file that already reads back
+        # identical was itself written atomically, so it is skipped: no
+        # second write and fsync of the same bytes.
         text = json_text(payload)
         try:
             if path.read_text(encoding="utf-8") == text:
-                return False
+                return
         except (OSError, ValueError):
             pass
-        atomic_write_text(path, text, sync_dir=sync_dir)
-        return True
+        atomic_write_text(path, text)
 
     # -- crash recovery -------------------------------------------------------
-
-    def restore_checkpoint(self, record: dict) -> None:
-        """Rewrite the state files from a self-contained checkpoint record.
-
-        Used by resume/repair to roll the directory back to its last
-        journaled state — including the files-ahead-of-journal window (a
-        crash after the state writes but before the checkpoint append).
-        """
-        if self.root is None:
-            return
-        self.clean_stale_tmp()
-        self.save_state(record["coverage"], record["findings"], record["meta"])
 
     def rollback_uncommitted(self) -> List[str]:
         """Roll a store whose journal has *no* records back to empty.
 
-        A crash before the first checkpoint append leaves entry and state
-        files the journal never committed; a resume must not let them seed
-        the fresh start (they may even belong to a different configuration —
-        without a checkpoint record there is no fingerprint to compare).
-        Returns the removed paths (relative to the root).
+        A crash before the first checkpoint append leaves entry files the
+        journal never committed; a resume must not let them seed the fresh
+        start (they may even belong to a different configuration — without
+        a checkpoint record there is no fingerprint to compare).  Returns
+        the removed paths (relative to the root).
         """
         removed = self.clean_stale_tmp()
         if self.root is None or not self.root.is_dir():
             return removed
-        entries_dir = self.root / "entries"
-        state_paths = [self.root / name for name in self.STATE_FILES]
-        entry_paths = (sorted(entries_dir.glob("*.json"))
-                       if entries_dir.is_dir() else [])
-        for path in state_paths + entry_paths:
+        for path in sorted((self.root / "entries").glob("*.json")):
             try:
                 path.unlink()
                 removed.append(str(path.relative_to(self.root)))
             except OSError:
                 pass
         return removed
+
+    def _unreadable(self, ids: Iterable[str]) -> List[str]:
+        """The ids among *ids* whose entry file is missing or unparseable."""
+        entries_dir = self.root / "entries"
+        broken = []
+        for entry_id in ids:
+            try:
+                CorpusEntry.from_dict(json.loads(
+                    (entries_dir / f"{entry_id}.json").read_text()))
+            except (OSError, ValueError, KeyError):
+                broken.append(entry_id)
+        return broken
 
     def roll_forward(self, records: Sequence[dict]) -> List[str]:
         """Rebuild admitted entry files the journal committed but the
@@ -356,20 +312,12 @@ class CorpusStore:
         committed: Dict[str, dict] = {}
         for record in records:
             committed.update(record.get("entry_records") or {})
-        if not committed:
-            return []
         entries_dir = self.root / "entries"
-        restored = []
-        for entry_id, payload in committed.items():
-            path = entries_dir / f"{entry_id}.json"
-            try:
-                json.loads(path.read_text())
-                continue               # present and readable: leave it be
-            except (OSError, ValueError):
-                pass
+        restored = self._unreadable(committed)
+        for entry_id in restored:
             entries_dir.mkdir(parents=True, exist_ok=True)
-            self._write_json(path, payload)
-            restored.append(entry_id)
+            self._write_json(entries_dir / f"{entry_id}.json",
+                             committed[entry_id])
         return sorted(restored)
 
     def clean_stale_tmp(self) -> List[str]:
@@ -391,82 +339,50 @@ class CorpusStore:
     def validate(self) -> List[str]:
         """Diagnose the directory; one human-readable line per problem.
 
-        Checks, in dependency order: journal integrity (torn tail), state
-        files against the last checkpoint's content (detects both torn
-        writes and the crash window between state writes and the journal
-        commit), and the presence of every admitted entry file.
+        Checks journal integrity (torn tail), then that every entry the
+        last checkpoint admitted has a readable file.
         """
         problems: List[str] = []
         if self.root is None:
             return problems
         if not self.root.is_dir():
             return [f"{self.root} is not a directory"]
-        journal = self.journal()
-        replay = journal.replay()
+        replay = self.journal().replay()
         if replay.torn:
             problems.append(
                 f"journal has a torn tail after {len(replay.records)} "
                 f"valid record(s)")
-        record = replay.last
-        expected = {}
-        if record is not None:
-            expected = {"coverage.json": record["coverage"],
-                        "findings.json": record["findings"],
-                        "meta.json": record["meta"]}
-        for name in self.STATE_FILES:
-            path = self.root / name
-            if not path.exists():
-                if record is not None:
-                    problems.append(f"{name} missing (journal has it)")
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except ValueError:
-                problems.append(f"{name} is not valid JSON (torn write?)")
-                continue
-            if record is not None and (checksum_payload(payload)
-                                       != checksum_payload(expected[name])):
-                problems.append(f"{name} does not match the last journal "
-                                f"checkpoint")
-        if record is not None:
-            entries_dir = self.root / "entries"
-            for entry_id in record["entries"]:
-                if not (entries_dir / f"{entry_id}.json").exists():
-                    problems.append(f"admitted entry {entry_id} has no file")
+        if replay.last is not None:
+            problems += [f"admitted entry {entry_id} is missing or unreadable"
+                         for entry_id in self._unreadable(replay.last["entries"])]
         return problems
 
     def repair(self) -> dict:
         """Roll the directory back to its last valid journaled state.
 
-        Truncates a torn journal tail, deletes stale ``*.tmp`` files,
-        rolls missing admitted entry files *forward* from the committed
-        checkpoint frames (:meth:`roll_forward`), and rewrites the state
-        files from the last checkpoint.  Returns a summary dict (what was
-        truncated/removed/restored).  Raises :class:`CorruptCorpusError`
-        only when an admitted entry file is gone *and* no journal frame
-        carries its record (pre-``entry_records`` journals) — that state is
-        unrecoverable without re-running the campaign.
+        Truncates a torn journal tail, deletes stale ``*.tmp`` files, and
+        rolls missing or torn admitted entry files *forward* from the
+        committed checkpoint frames (:meth:`roll_forward`).  Returns a
+        summary dict (what was truncated/removed/restored).  Raises
+        :class:`CorruptCorpusError` only when an admitted entry file is
+        unreadable *and* no journal frame carries its record
+        (pre-``entry_records`` journals) — that state is unrecoverable
+        without re-running the campaign.
         """
         summary = {"journal_records": 0, "journal_truncated": False,
-                   "tmp_removed": [], "entries_restored": [],
-                   "state_restored": False}
+                   "tmp_removed": [], "entries_restored": []}
         if self.root is None or not self.root.is_dir():
             return summary
-        journal = self.journal()
-        replay = journal.truncate_to_valid()
+        replay = self.journal().truncate_to_valid()
         summary["journal_records"] = len(replay.records)
         summary["journal_truncated"] = replay.torn
         summary["tmp_removed"] = self.clean_stale_tmp()
         if replay.last is not None:
             summary["entries_restored"] = self.roll_forward(replay.records)
-            missing = [entry_id for entry_id in replay.last["entries"]
-                       if not (self.root / "entries"
-                               / f"{entry_id}.json").exists()]
-            if missing:
+            lost = self._unreadable(replay.last["entries"])
+            if lost:
                 raise CorruptCorpusError(
-                    self.root, f"admitted entries lost: {', '.join(missing)}")
-            self.restore_checkpoint(replay.last)
-            summary["state_restored"] = True
+                    self.root, f"admitted entries lost: {', '.join(lost)}")
         else:
             # No committed record at all: everything on disk is uncommitted.
             summary["tmp_removed"] += self.rollback_uncommitted()

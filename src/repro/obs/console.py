@@ -147,23 +147,24 @@ def store_snapshot(store: CampaignStore,
     counters = {row["name"]: row["value"]
                 for row in rows("SELECT name, value FROM counters "
                                 "ORDER BY name")}
-    coverage = {}
-    for row in rows("SELECT axis, COUNT(*) AS n FROM coverage "
-                    "GROUP BY axis ORDER BY axis"):
-        coverage[row["axis"]] = row["n"]
-    corpus_entries = 0
-    for row in rows("SELECT COUNT(*) AS n FROM corpus"):
-        corpus_entries = row["n"]
     frontier_keys = [row["key"] for row in
                      rows("SELECT key FROM frontier ORDER BY key")]
+    # Corpus and coverage progress come from the fuzz campaign's last
+    # mirrored checkpoint record.
+    coverage: Dict[str, int] = {}
+    corpus_entries = 0
     checkpoint = None
     for row in rows("SELECT payload FROM frontier WHERE key = ?",
                     ("fuzz/checkpoint",)):
         record = json.loads(row["payload"])
+        coverage = {axis: len(values) for axis, values
+                    in sorted((record.get("coverage") or {}).items())
+                    if values}
+        corpus_entries = len(record.get("entries") or ())
         checkpoint = {
             "round_index": record.get("round_index"),
             "schedules_run": (record.get("result") or {}).get("schedules_run"),
-            "entries": len(record.get("entries") or ()),
+            "entries": corpus_entries,
             "findings": len(record.get("findings") or ()),
         }
 

@@ -1,14 +1,13 @@
-"""Atomic, fsync'd file writes (crash-safe state files).
+"""Atomic, fsync'd file writes (corpus entries, journal rollback, reports).
 
 ``path.write_text`` can tear: a crash between the truncate and the final
-flush leaves a half-written file, and a half-written ``coverage.json`` used
-to kill the next campaign.  :func:`atomic_write_text` writes to a temporary
-sibling, flushes it to disk, then ``os.replace``\\ s it over the target —
-POSIX rename atomicity guarantees every reader sees either the complete old
+flush leaves a half-written file, such as a corpus entry the next campaign
+cannot read.  :func:`atomic_write_text` writes to a temporary sibling,
+flushes it to disk, then ``os.replace``\\ s it over the target — POSIX
+rename atomicity guarantees every reader sees either the complete old
 content or the complete new content, never a mixture.  The containing
-directory is fsync'd afterwards so the rename itself survives power loss;
-a checkpoint that writes several state files syncs it once, after the last
-(:func:`fsync_dir`).
+directory is fsync'd afterwards (:func:`fsync_dir`) so the rename itself
+survives power loss.
 
 Fault sites (see :mod:`repro.resilience.faults`):
 
@@ -32,13 +31,8 @@ from typing import Any
 from repro.resilience.faults import fault_check
 
 
-def atomic_write_text(path: Path, text: str, *, sync_dir: bool = True) -> None:
-    """Write *text* to *path* atomically (tmp + fsync + ``os.replace``).
-
-    With ``sync_dir=False`` the rename is not yet durable: a caller writing
-    several files of one directory calls :func:`fsync_dir` once after the
-    last of them.
-    """
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write *text* to *path* atomically (tmp + fsync + ``os.replace``)."""
     path = Path(path)
     fault_check("disk.write", token=path.name)
     tmp = path.with_name(path.name + ".tmp")
@@ -59,12 +53,11 @@ def atomic_write_text(path: Path, text: str, *, sync_dir: bool = True) -> None:
             except OSError:
                 pass
         raise
-    if sync_dir:
-        fsync_dir(path.parent)
+    fsync_dir(path.parent)
 
 
 def json_text(payload: Any) -> str:
-    """The on-disk form of a JSON state file (sorted keys, trailing newline)."""
+    """The on-disk form of a JSON file (sorted keys, trailing newline)."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

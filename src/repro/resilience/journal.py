@@ -14,8 +14,8 @@ that prefix (atomically), which is what ``expresso fuzz --repair`` and the
 ``--resume`` path use to roll a corpus back to its last good record.
 
 Fault sites: ``journal.append`` (token = the record's ``type`` field).  A
-``crash`` action before the write models dying between state-file writes
-and the commit record; tests also simulate *torn* appends by truncating the
+``crash`` action before the write models dying between a checkpoint's
+entry-file writes and its commit record; tests also simulate *torn* appends by truncating the
 file mid-frame — replay must degrade identically in both cases.
 """
 

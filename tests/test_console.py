@@ -55,7 +55,10 @@ def _seed_store(path):
     assert live.unit_id == "round-0/00001"            # expires 2015 > NOW
     stale = queue.claim("helper-1", now=1000.0)       # 00001 held -> 00002
     assert stale.unit_id == "round-0/00002"           # expires 1030 < NOW
-    store.merge_coverage({"decision": ["a", "b"], "monitor": ["m"]})
+    store.set_frontier("fuzz/checkpoint", {
+        "round_index": 2, "entries": ["gen-7-0", "mut-7-0-1"],
+        "coverage": {"decision": ["a", "b"], "monitor": ["m"]},
+        "findings": [], "result": {"schedules_run": 40}})
     store.set_frontier("explore/abc123/Bench", {"ok": True})
     # Heartbeat ages at NOW: 5s (live), 40s (expired), 1900s (dead).
     store.record_telemetry("driver-7", {"last_heartbeat": 1995.0,
@@ -118,7 +121,11 @@ def test_snapshot_contents(seeded):
     assert snapshot["workers"]["helper-1"]["completed"] == 1
     assert snapshot["coverage"] == {"axes": {"decision": 2, "monitor": 1},
                                     "features": 3}
-    assert snapshot["frontier_keys"] == ["explore/abc123/Bench"]
+    assert snapshot["corpus_entries"] == 2
+    assert snapshot["checkpoint"] == {"round_index": 2, "schedules_run": 40,
+                                      "entries": 2, "findings": 0}
+    assert snapshot["frontier_keys"] == ["explore/abc123/Bench",
+                                         "fuzz/checkpoint"]
     assert snapshot["counters"]["distrib.units.completed"] == 1
     assert snapshot["counters"]["distrib.lease.granted"] == 3
     assert snapshot["problems"] == []
@@ -183,6 +190,27 @@ def test_pre_telemetry_store_reads_as_empty(tmp_path):
     snapshot = console.snapshot_at(path, now=NOW)
     assert snapshot["workers"] == {}
     assert snapshot["units"]["done"] == 2
+
+
+def test_snapshot_progress_matches_a_store_backed_campaign(
+        tmp_path, warm_worker_pipeline):
+    from repro.fuzz import CorpusStore, FuzzConfig, run_campaign
+
+    path = tmp_path / "campaign.sqlite3"
+    config = FuzzConfig(seed=7, budget=30, per_run_budget=10, threads=2,
+                        ops=2, batch_size=2, bootstrap=2, max_rounds=6,
+                        distrib=DistribConfig(store_path=str(path)))
+    result = run_campaign(config, CorpusStore(str(tmp_path / "corpus")))
+    snapshot = console.snapshot_at(path, now=NOW)
+    assert result.corpus_size > 0 and result.coverage_total > 0
+    assert snapshot["corpus_entries"] == result.corpus_size
+    assert snapshot["coverage"]["features"] == result.coverage_total
+    assert snapshot["coverage"]["axes"] == {
+        axis: count for axis, count in result.coverage_counts.items() if count}
+    with sqlite3.connect(path) as conn:
+        tables = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    assert not tables & {"corpus", "coverage"}
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ class TestCampaignStore:
         path = tmp_path / "s.sqlite3"
         store = CampaignStore(path)
         store.set_frontier("fuzz/checkpoint", {"round": 3})
-        store.merge_coverage({"outcome": ["ok", "violation"]})
+        store.meta_set("flag", {"ok": True})
         assert store.verify() == []
         raw = sqlite3.connect(path)
         raw.execute("UPDATE frontier SET payload = '{\"round\": 99}'")
@@ -234,7 +234,7 @@ class TestCampaignStore:
         assert summary["problems"] == problems
         # The tampered row is gone; intact rows survive untouched.
         assert store.get_frontier("fuzz/checkpoint") is None
-        assert store.coverage_map() == {"outcome": ["ok", "violation"]}
+        assert store.meta_get("flag") == {"ok": True}
         assert store.verify() == []
         store.close()
 

@@ -288,10 +288,11 @@ class TestCampaign:
         second = run_campaign(config, CorpusStore(str(tmp_path / "b")))
         sharded = run_campaign(dataclasses.replace(config, workers=3),
                                CorpusStore(str(tmp_path / "c")))
+        coverage_a = json.dumps(_last_checkpoint(tmp_path / "a")["coverage"])
         for other in (second, sharded):
-            assert (tmp_path / "a" / "coverage.json").read_bytes() \
-                == (tmp_path / ("b" if other is second else "c")
-                    / "coverage.json").read_bytes()
+            other_root = tmp_path / ("b" if other is second else "c")
+            assert json.dumps(_last_checkpoint(other_root)["coverage"]) \
+                == coverage_a
             assert json.dumps(first.findings) == json.dumps(other.findings)
             assert first.schedules_run == other.schedules_run
             assert first.corpus_size == other.corpus_size
@@ -326,8 +327,13 @@ class TestCampaign:
         first = run_campaign(_SMALL_CONFIG, store)
         resumed = run_campaign(_SMALL_CONFIG, store)
         assert resumed.corpus_size >= first.corpus_size
-        meta = store.load_meta()
+        meta = _last_checkpoint(tmp_path)["meta"]
         assert meta["rounds_completed"] >= first.rounds
+
+
+def _last_checkpoint(root) -> dict:
+    """The corpus's checkpoint: the last valid journal record."""
+    return CorpusStore(str(root)).journal().replay().last
 
 
 _SMALL_CONFIG = FuzzConfig(seed=6, budget=40, per_run_budget=25,
@@ -451,7 +457,10 @@ class TestFuzzCli:
         assert decoded["ok"] is True
         assert decoded["schedules_run"] > 0
         assert "elapsed" not in out
-        assert (tmp_path / "coverage.json").exists()
+        checkpoint = _last_checkpoint(tmp_path)
+        assert sum(map(len, checkpoint["coverage"].values())) \
+            == decoded["coverage_total"]
+        assert checkpoint["findings"] == decoded["findings"]
 
     def test_fuzz_text_output(self, capsys):
         rc = cli_main(["fuzz", "--budget", "10", "--seed", "8",

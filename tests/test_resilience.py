@@ -150,25 +150,28 @@ class TestAtomicWrites:
         assert json.loads(path.read_text()) == {"a": 1}
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_a_checkpoint_syncs_its_directory_once(self, tmp_path, monkeypatch):
-        from repro.fuzz import corpus
+    def test_resaving_an_identical_entry_skips_the_write(self, tmp_path,
+                                                         monkeypatch):
+        from repro.fuzz.corpus import entry_from_generated
         from repro.resilience import atomic
 
         synced = []
-
-        def recording(directory):
-            synced.append(directory)
-
-        monkeypatch.setattr(atomic, "fsync_dir", recording)
-        monkeypatch.setattr(corpus, "fsync_dir", recording)
+        monkeypatch.setattr(atomic, "fsync_dir", synced.append)
         store = CorpusStore(str(tmp_path))
-        store.save_state({"axis": ["a"]}, [], {"seed": 1})
-        assert synced == [tmp_path]
-        store.save_state({"axis": ["a"]}, [], {"seed": 1})    # unchanged
-        assert synced == [tmp_path]
-        store.save_state({"axis": ["a", "b"]}, [], {"seed": 1})
-        assert synced == [tmp_path, tmp_path]
-        assert json.loads((tmp_path / "coverage.json").read_text()) == {"axis": ["a", "b"]}
+        entry = entry_from_generated(1, 0)
+        path = tmp_path / "entries" / f"{entry.entry_id}.json"
+        store.save_entry(entry)
+        assert synced == [path.parent]
+        written = path.stat().st_mtime_ns
+        probe = FaultPlan([FaultRule("disk.write", at=(10**9,))])
+        with injected(probe):
+            store.save_entry(entry)                    # unchanged
+        assert probe._counters == {} and synced == [path.parent]
+        assert path.stat().st_mtime_ns == written
+        entry.gain = 3
+        store.save_entry(entry)
+        assert synced == [path.parent, path.parent]
+        assert json.loads(path.read_text())["gain"] == 3
 
     def test_checksum_is_order_insensitive(self):
         assert (checksum_payload({"a": 1, "b": 2})
@@ -461,16 +464,19 @@ def _fault_point_counts():
 
 class TestResumeEquivalence:
     def test_kill_at_every_checkpoint_boundary(self, tmp_path, uninterrupted):
-        """Crash at every journal append (= checkpoint commit), every 6th
-        atomic replace, and two mid-candidate points; each crashed campaign
-        resumed must converge to the byte-identical baseline tree."""
+        """Crash at every journal append (= checkpoint commit), every
+        atomic replace (= entry write), and two mid-candidate points; each
+        crashed campaign resumed must converge to the byte-identical
+        baseline tree."""
         baseline_result, baseline_tree = uninterrupted
+        assert {name.split("/")[0] for name in baseline_tree} \
+            == {"entries", "journal.jsonl"}
         counts = _fault_point_counts()
         assert counts["journal.append"] >= 3  # bootstrap + rounds + final
         points = [("journal.append", k)
                   for k in range(counts["journal.append"])]
         points += [("disk.replace", k)
-                   for k in range(0, counts["disk.replace"], 6)]
+                   for k in range(counts["disk.replace"])]
         points += [("fuzz.candidate", k)
                    for k in (0, counts["fuzz.candidate"] - 1)]
 
@@ -532,12 +538,32 @@ class TestResumeEquivalence:
         _run_campaign(root)
         with open(root / "journal.jsonl", "ab") as handle:
             handle.write(b'{"torn')
-        (root / "coverage.json").write_text("{ not json")
         summary = CorpusStore(root).repair()
-        assert summary["journal_truncated"] and summary["state_restored"]
+        assert summary["journal_truncated"]
         resumed, crashed = _run_campaign(root, resume=True)
         assert not crashed and resumed == baseline_result
         assert _tree_bytes(root) == baseline_tree
+
+    def test_torn_admitted_entry_stops_a_fresh_start_until_repaired(
+            self, tmp_path):
+        """A torn admitted entry must fail validate(): a fresh start would
+        skip it, re-bootstrap it and silently diverge.  repair() rolls it
+        forward from the journal's committed entry records."""
+        intact = tmp_path / "intact"
+        _run_campaign(intact)
+        expected, _ = _run_campaign(intact)    # the intact second invocation
+        root = tmp_path / "torn"
+        _run_campaign(root)
+        first_id = Journal(root / "journal.jsonl").replay().last["entries"][0]
+        (root / "entries" / f"{first_id}.json").write_text('{"torn')
+        assert CorpusStore(root).validate() == [
+            f"admitted entry {first_id} is missing or unreadable"]
+        with pytest.raises(CorruptCorpusError, match="--repair"):
+            run_campaign(FuzzConfig(**SWEEP_CONFIG), CorpusStore(root))
+        assert CorpusStore(root).repair()["entries_restored"] == [first_id]
+        again, crashed = _run_campaign(root)
+        assert not crashed and again == expected
+        assert _tree_bytes(root) == _tree_bytes(intact)
 
 
 # ---------------------------------------------------------------------------
