@@ -23,11 +23,10 @@ Philosophers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.logic import build
-from repro.logic.terms import BoolConst, Expr, INT, IntConst, Sort, Var, rebuild
+from repro.logic.terms import BoolConst, Expr, INT, IntConst, Sort, Var, node_class, rebuild
 from repro.lang.ast import (
     ArrayAssign,
     Assign,
@@ -45,7 +44,7 @@ from repro.lang.ast import (
 )
 
 
-@dataclass(frozen=True)
+@node_class
 class ArraySelect(Expr):
     """Placeholder expression ``array[index]`` produced by the parser.
 
@@ -55,9 +54,6 @@ class ArraySelect(Expr):
     array: str
     index: Expr
     elem_sort: Sort = INT
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.index,)
 
 
 def cell_name(array: str, index: int) -> str:

@@ -59,7 +59,7 @@ from repro.logic.build import (
     sub,
     v,
 )
-from repro.logic.free_vars import free_vars, free_int_vars, free_bool_vars
+from repro.logic.free_vars import free_vars, ordered_free_vars
 from repro.logic.substitute import substitute, rename_vars
 from repro.logic.evaluate import evaluate, Assignment, EvaluationError
 from repro.logic.simplify import simplify
@@ -78,7 +78,7 @@ __all__ = [
     "eq", "ne", "lt", "le", "gt", "ge",
     "lnot", "land", "lor", "implies", "iff",
     # operations
-    "free_vars", "free_int_vars", "free_bool_vars",
+    "free_vars", "ordered_free_vars",
     "substitute", "rename_vars",
     "evaluate", "Assignment", "EvaluationError",
     "simplify", "to_dnf_clauses", "atoms_of",

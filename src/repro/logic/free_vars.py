@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, Tuple, cast
 
-from repro.logic.terms import BOOL, INT, Exists, Expr, Forall, Var
+from repro.logic.terms import Expr, Var
 
 
 def free_vars(expr: Expr) -> FrozenSet[Var]:
@@ -13,33 +13,13 @@ def free_vars(expr: Expr) -> FrozenSet[Var]:
     Quantifier binders are respected: variables bound by an enclosing
     ``Forall``/``Exists`` are not reported.
     """
-    result: set[Var] = set()
-    _collect(expr, frozenset(), result)
-    return frozenset(result)
+    return frozenset(ordered_free_vars(expr))
 
 
-def _collect(expr: Expr, bound: FrozenSet[Var], out: set[Var]) -> None:
-    if isinstance(expr, Var):
-        if expr not in bound:
-            out.add(expr)
-        return
-    if isinstance(expr, (Forall, Exists)):
-        _collect(expr.body, bound | set(expr.bound), out)
-        return
-    for child in expr.children():
-        _collect(child, bound, out)
-
-
-def free_int_vars(expr: Expr) -> FrozenSet[Var]:
-    """Free variables of integer sort."""
-    return frozenset(var for var in free_vars(expr) if var.var_sort is INT)
-
-
-def free_bool_vars(expr: Expr) -> FrozenSet[Var]:
-    """Free variables of boolean sort."""
-    return frozenset(var for var in free_vars(expr) if var.var_sort is BOOL)
-
-
-def free_var_names(expr: Expr) -> FrozenSet[str]:
-    """Names of the free variables of *expr*."""
-    return frozenset(var.name for var in free_vars(expr))
+def ordered_free_vars(expr: Expr) -> Tuple[Var, ...]:
+    """The free variables of *expr* in order of first occurrence, kept per
+    node since it was built (see :mod:`repro.logic.terms`)."""
+    free = expr._free
+    if free is None:  # a Var: its own tuple would reference it
+        return (cast(Var, expr),)
+    return free

@@ -79,19 +79,19 @@ def _dnf_size(expr: Expr, max_clauses: int, sizes: Dict[Expr, int]) -> int:
 
 
 def _dnf(expr: Expr, max_clauses: int, literal: Optional[Callable[[Expr], Any]] = None,
-         memo: Optional[Dict[int, List[Tuple[Any, ...]]]] = None) -> List[Tuple[Any, ...]]:
+         memo: Optional[Dict[Expr, List[Tuple[Any, ...]]]] = None) -> List[Tuple[Any, ...]]:
     """The cubes of *expr*, each a tuple of ``literal(leaf)`` (of the leaf
     itself when *literal* is None).
 
     An ``Or`` lists its arguments' cubes in turn; an ``And`` joins every
     cube of its arguments so far with every cube of the next.  *memo* maps
-    a node's ``id`` to its cubes for the length of one expansion, so a
-    node the formula shares is expanded, and a leaf mapped by *literal*,
-    once.  A returned list may be shared and must not be mutated.
+    a node to its cubes for the length of one expansion, so a node the
+    formula shares is expanded, and a leaf mapped by *literal*, once.  A
+    returned list may be shared and must not be mutated.
     """
     if memo is None:
         memo = {}
-    known = memo.get(id(expr))
+    known = memo.get(expr)
     if known is not None:
         return known
     cubes: List[Tuple[Any, ...]]
@@ -116,7 +116,7 @@ def _dnf(expr: Expr, max_clauses: int, literal: Optional[Callable[[Expr], Any]] 
         raise ValueError("DNF conversion requires a quantifier-free formula")
     else:
         raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
-    memo[id(expr)] = cubes
+    memo[expr] = cubes
     return cubes
 
 
@@ -144,16 +144,3 @@ def _atoms(expr: Expr, out: Dict[Expr, None]) -> None:
         return
     for child in expr.children():
         _atoms(child, out)
-
-
-def literal_atom(literal: Expr) -> Expr:
-    """Return the atom underlying a literal (stripping an outer negation)."""
-    if isinstance(literal, Not):
-        return literal.operand
-    return literal
-
-
-def literal_polarity(literal: Expr) -> bool:
-    """True for a positive literal, False for a negated one."""
-    return not isinstance(literal, Not)
-

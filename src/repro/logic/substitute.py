@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Mapping
 
-from repro.logic.free_vars import free_vars
-from repro.logic.terms import BoolConst, Exists, Expr, Forall, IntConst, Var, rebuild
+from repro.logic.free_vars import free_vars, ordered_free_vars
+from repro.logic.terms import Exists, Expr, Forall, Var, contains_quantifier, rebuild
 
 
 def substitute(expr: Expr, mapping: Mapping[Var, Expr]) -> Expr:
@@ -44,7 +44,9 @@ def fresh_var(base: Var, avoid: set[str]) -> Var:
 def _subst(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
     if isinstance(expr, Var):
         return mapping.get(expr, expr)
-    if isinstance(expr, (IntConst, BoolConst)):
+    # Untouched subtrees stay as they are; a quantifier may still rename
+    # its binders, so only quantifier-free ones are skipped.
+    if not contains_quantifier(expr) and mapping.keys().isdisjoint(ordered_free_vars(expr)):
         return expr
     if isinstance(expr, (Forall, Exists)):
         return _subst_quantifier(expr, mapping)

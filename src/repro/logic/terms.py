@@ -1,11 +1,17 @@
 """Expression AST for quantified linear integer arithmetic with booleans.
 
-Every node is an immutable (frozen) dataclass, so expressions are hashable
-and can be used as dictionary keys, cached, and structurally compared.  The
-AST deliberately mirrors the fragment used by the Expresso paper: monitor
-guards and verification conditions are boolean combinations of linear
-integer (in)equalities and boolean variables, occasionally under a
+The AST deliberately mirrors the fragment used by the Expresso paper:
+monitor guards and verification conditions are boolean combinations of
+linear integer (in)equalities and boolean variables, occasionally under a
 quantifier prefix introduced by abduction.
+
+Nodes are immutable and *interned*: every construction, unpickling
+included, binds its arguments to the field tuple and looks up ``(class,
+*fields)`` in one table, so a structure exists once per process and ``==``
+is ``is``.  A new node computes its hash (its field tuple's), free variables
+and quantifier flag once, from its children's.  The table keeps nodes
+alive; past ``_SWEEP_LIMIT`` nodes, an insertion drops those that nothing
+else references.
 
 Two sorts exist, :data:`INT` and :data:`BOOL`.  Sort checking is performed by
 the smart constructors in :mod:`repro.logic.build` and by
@@ -16,8 +22,12 @@ programming error and is caught lazily by :func:`sort_of`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+import inspect
+import sys
+import threading
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, dataclass_transform
 
 
 class Sort(enum.Enum):
@@ -38,27 +48,136 @@ class SortError(TypeError):
     """Raised when an expression is ill-sorted."""
 
 
-@dataclass(frozen=True)
+#: Every live node, keyed by ``(class, *fields)``.
+_TABLE: Dict[tuple, "Expr"] = {}
+#: Serializes insertions with the sweep; a lookup that hits takes no lock.
+_LOCK = threading.Lock()
+#: Table size past which an insertion sweeps out unreferenced nodes.
+_SWEEP_LIMIT = 100_000
+_sweep_at = _SWEEP_LIMIT
+
+
+def _intern(cls: Any, key: tuple, args: tuple) -> "Expr":
+    """Build the node for a missed *key* and insert it (or a racing thread's)."""
+    if cls._coerce is not None:
+        args = (cls._coerce(args[0]),)
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, args):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash(args))
+    object.__setattr__(node, "_free", _free_vars(node))
+    object.__setattr__(node, "_quantified", isinstance(node, (Forall, Exists)) or any(
+        child._quantified for child in node.children()))
+    with _LOCK:
+        node = _TABLE.setdefault(key, node)
+        if len(_TABLE) > _sweep_at:
+            _sweep()
+    return node
+
+
+def _free_vars(node: "Expr") -> Optional[Tuple["Var", ...]]:
+    """The free variables of a new *node* in order of first occurrence,
+    sharing a child's tuple when it covers the others.  A :class:`Var` keeps
+    None: its own tuple would reference it."""
+    if isinstance(node, Var):
+        return None
+    free: Tuple[Var, ...] = ()
+    for child in node.children():
+        part = (child,) if isinstance(child, Var) else child._free
+        if part is free or not part:
+            continue
+        if not free:
+            free = part
+        else:
+            free += tuple(var for var in part if var not in free)
+    if isinstance(node, (Forall, Exists)) and any(var in node.bound for var in free):
+        free = tuple(var for var in free if var not in node.bound)
+    return free
+
+
+def _sweep() -> None:
+    """Drop every node that only the table references; ``_LOCK`` is held.
+
+    It goes newest first.  Children are inserted before their parents, so
+    a dropped parent frees its children for the same sweep.
+    """
+    global _sweep_at
+    keys = list(_TABLE)
+    while keys:
+        key = keys.pop()
+        node = _TABLE[key]
+        if sys.getrefcount(node) <= 3:  # the table, ``node``, the argument
+            del _TABLE[key]
+            if sys.getrefcount(node) > 2:
+                # A lookup took it in between: keep it.  Insertions wait
+                # for the lock, so nothing can have replaced it.
+                _TABLE[key] = node
+    _sweep_at = max(_SWEEP_LIMIT, 2 * len(_TABLE))
+
+
+@dataclass_transform(eq_default=False, frozen_default=True)
+def node_class(cls):
+    """Make *cls* a frozen, slotted dataclass node whose children are its
+    ``Expr`` fields in order, or its one ``Tuple[Expr, ...]`` field."""
+    cls = dataclass(frozen=True, eq=False, slots=True, init=False)(cls)
+    specs = fields(cls)
+    cls._signature = inspect.Signature([
+        inspect.Parameter(spec.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=inspect.Parameter.empty if spec.default is MISSING
+                          else spec.default)
+        for spec in specs])
+    cls._fields = tuple(cls._signature.parameters)
+    cls._arity = len(specs)
+    listed = [spec.name for spec in specs if spec.type == "Tuple[Expr, ...]"]
+    single = [spec.name for spec in specs if spec.type == "Expr"]
+    if listed:
+        cls._children = staticmethod(attrgetter(*listed))
+    elif len(single) == 1:
+        cls._children = staticmethod(lambda node, get=attrgetter(*single): (get(node),))
+    elif single:
+        cls._children = staticmethod(attrgetter(*single))
+    return cls
+
+
 class Expr:
     """Base class for all expression nodes."""
 
+    __slots__ = ("_hash", "_free", "_quantified")
+    _hash: int
+    #: The free variables in order of first occurrence (None for a Var).
+    _free: Optional[Tuple["Var", ...]]
+    _quantified: bool
+    #: Normalizes a one-field node's value before it is interned.
+    _coerce: ClassVar[Optional[Callable[[Any], Any]]] = None
+    _children = staticmethod(lambda node: ())
 
     @property
     def sort(self) -> Sort:
         return sort_of(self)
 
+    def __new__(cls, *args, **kwargs):
+        # The one construction path.  (A metaclass ``__call__`` would do the
+        # same, but ``isinstance`` against a class with a custom metaclass
+        # is more than twice as slow.)
+        if kwargs or len(args) != cls._arity:
+            bound = cls._signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = _intern(cls, key, args)
+        return node
+
     def children(self) -> Tuple["Expr", ...]:
         """Return the immediate sub-expressions of this node."""
-        return ()
+        return self._children(self)
 
-    def __getstate__(self):
-        # The memoized hash (see _install_hash_caching) depends on the
-        # per-process string hash seed; shipping it to another process —
-        # e.g. pickling a benchmark spec to a compile worker — would break
-        # dict lookups there.  Recompute on first use instead.
-        state = self.__dict__.copy()
-        state.pop("_cached_hash", None)
-        return state
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +185,7 @@ class Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class Var(Expr):
     """A variable with an explicit sort.
 
@@ -78,28 +197,27 @@ class Var(Expr):
     name: str
     var_sort: Sort = INT
 
-
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return self.name
 
 
-@dataclass(frozen=True)
+@node_class
 class IntConst(Expr):
     """An integer literal."""
 
     value: int
-
+    _coerce = int
 
     def __str__(self) -> str:  # pragma: no cover
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@node_class
 class BoolConst(Expr):
     """A boolean literal (``true`` / ``false``)."""
 
     value: bool
-
+    _coerce = bool
 
     def __str__(self) -> str:  # pragma: no cover
         return "true" if self.value else "false"
@@ -110,18 +228,14 @@ class BoolConst(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class Add(Expr):
     """N-ary integer addition."""
 
     args: Tuple[Expr, ...]
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-
-@dataclass(frozen=True)
+@node_class
 class Sub(Expr):
     """Integer subtraction ``left - right``."""
 
@@ -129,22 +243,14 @@ class Sub(Expr):
     right: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
+@node_class
 class Neg(Expr):
     """Integer negation ``-operand``."""
 
     operand: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
+@node_class
 class Mul(Expr):
     """Integer multiplication.
 
@@ -156,11 +262,7 @@ class Mul(Expr):
     right: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
+@node_class
 class Ite(Expr):
     """If-then-else, polymorphic in the branch sort."""
 
@@ -169,53 +271,43 @@ class Ite(Expr):
     orelse: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.cond, self.then, self.orelse)
-
-
 # ---------------------------------------------------------------------------
 # Atomic predicates over integers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class _Comparison(Expr):
     left: Expr
     right: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
+@node_class
 class Eq(_Comparison):
     """Equality. Both sides must share a sort (INT = INT or BOOL = BOOL)."""
 
 
-
-@dataclass(frozen=True)
+@node_class
 class Ne(_Comparison):
     """Disequality."""
 
 
-
-@dataclass(frozen=True)
+@node_class
 class Lt(_Comparison):
     """Strict less-than over integers."""
 
 
-@dataclass(frozen=True)
+@node_class
 class Le(_Comparison):
     """Less-than-or-equal over integers."""
 
 
-@dataclass(frozen=True)
+@node_class
 class Gt(_Comparison):
     """Strict greater-than over integers."""
 
 
-@dataclass(frozen=True)
+@node_class
 class Ge(_Comparison):
     """Greater-than-or-equal over integers."""
 
@@ -225,51 +317,31 @@ class Ge(_Comparison):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class Not(Expr):
     operand: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
+@node_class
 class And(Expr):
     args: Tuple[Expr, ...]
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-
-@dataclass(frozen=True)
+@node_class
 class Or(Expr):
     args: Tuple[Expr, ...]
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-
-@dataclass(frozen=True)
+@node_class
 class Implies(Expr):
     antecedent: Expr
     consequent: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.antecedent, self.consequent)
-
-
-@dataclass(frozen=True)
+@node_class
 class Iff(Expr):
     left: Expr
     right: Expr
-
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +349,16 @@ class Iff(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class Forall(Expr):
     bound: Tuple[Var, ...]
     body: Expr
 
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.body,)
-
-
-@dataclass(frozen=True)
+@node_class
 class Exists(Expr):
     bound: Tuple[Var, ...]
     body: Expr
-
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.body,)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +402,11 @@ def is_atom(expr: Expr) -> bool:
     return False
 
 
+def contains_quantifier(expr: Expr) -> bool:
+    """Whether *expr* has a ``Forall`` or ``Exists`` node (kept per node)."""
+    return expr._quantified
+
+
 def rebuild(expr: Expr, children: Tuple[Expr, ...]) -> Expr:
     """Reconstruct the inner node *expr* with *children* in place of its
     ``children()``; a quantifier keeps its binders."""
@@ -366,31 +435,3 @@ def walk(expr: Expr):
 def expr_size(expr: Expr) -> int:
     """Number of AST nodes in *expr* (used by minimality heuristics)."""
     return sum(1 for _ in walk(expr))
-
-
-def _install_hash_caching() -> None:
-    """Memoize ``__hash__`` on every (immutable) node class.
-
-    Expressions are used as dictionary keys throughout the solver stack —
-    atom tables, result caches, substitution maps — and the dataclass-
-    generated hash walks the whole subtree on every probe, which profiling
-    shows dominating large compiles.  Nodes are frozen, so the hash is
-    computed once and pinned on the instance.
-    """
-    node_classes = (Var, IntConst, BoolConst, Add, Sub, Neg, Mul, Ite,
-                    Eq, Ne, Lt, Le, Gt, Ge, Not, And, Or, Implies, Iff,
-                    Forall, Exists)
-    for cls in node_classes:
-        structural_hash = cls.__hash__
-
-        def cached_hash(self, _base=structural_hash):
-            value = self.__dict__.get("_cached_hash")
-            if value is None:
-                value = _base(self)
-                object.__setattr__(self, "_cached_hash", value)
-            return value
-
-        cls.__hash__ = cached_hash
-
-
-_install_hash_caching()

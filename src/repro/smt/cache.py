@@ -11,9 +11,9 @@ families across configurations.
 
 :class:`FormulaCache` removes that redundancy.  It is keyed at two levels:
 
-* the **raw formula** (expression nodes are frozen dataclasses, so structural
-  equality and hashing are free) — a hit at this level also skips the
-  preprocessing pass entirely;
+* the **raw formula** (expression nodes are interned, one object per
+  structure, so a probe hashes once and compares by identity) — a hit at
+  this level also skips the preprocessing pass entirely;
 * the **canonical form** (the preprocessed NNF skeleton with normalized
   ``t <= 0`` atoms) — so syntactically different queries that canonicalize
   identically share one solver run.  On a canonical hit the raw formula is

@@ -39,8 +39,8 @@ elimination and NNF, atom normalization, simplify.
 **Memoization.**  ``simplify`` and ``R`` are pure functions of their input
 node (and polarity), and record their results per node in a
 :class:`~repro.logic.memo.RewriteMemo`: ``R`` in its ``canonical`` table,
-keyed by ``(node, positive)``.  Keys compare by structural equality, so a
-memo hit is exactly the result the rewrite would compute: the output is
+keyed by ``(node, positive)``.  Keys are interned nodes, so a memo hit is
+exactly the result the rewrite would compute: the output is
 identical with or without a memo, warm or cold.  The pipeline's queries
 overlap almost entirely (abduction asks ``pre && psi`` and
 ``pre && psi ==> goal`` with one ``pre`` for every candidate), so a memo
@@ -108,10 +108,7 @@ def _canonical(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr])
     key = (expr, positive)
     result = table.get(key)
     if result is None:
-        result = _canonical_node(expr, positive, table)
-        # A result is its own rewrite; recording that also hands out equal
-        # results as one object.
-        result = table[key] = table.setdefault((result, True), result)
+        result = table[key] = _canonical_node(expr, positive, table)
     return result
 
 

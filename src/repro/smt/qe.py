@@ -61,7 +61,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import to_dnf_clauses
 from repro.logic.simplify import simplify
@@ -159,7 +159,7 @@ class QuantifierEliminator:
         # A variable that does not occur leaves the result as it is,
         # unsimplified and in its current literal order.
         if isinstance(state, Expr):
-            if var not in free_vars(state):
+            if var not in ordered_free_vars(state):
                 return state
             cubes = _memoized(self._converted, state, partial(self._convert, state))
         else:

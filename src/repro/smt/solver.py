@@ -26,9 +26,8 @@ pipeline:
   results (see that module for the canonicalization story), and
   conjunction-level theory verdicts are memoized too;
 * a :class:`~repro.logic.memo.RewriteMemo` memoizes preprocessing (its
-  simplification and its canonicalizing rewrite) per node, together with
-  the "contains a quantifier" check; abduction and invariant inference
-  rewrite through it (:meth:`Solver.rewrite_memo`);
+  simplification and its canonicalizing rewrite) per node; abduction and
+  invariant inference rewrite through it (:meth:`Solver.rewrite_memo`);
 * the memo and the clause database are cleared together once either
   reaches ``_REWRITE_MEMO_LIMIT`` entries (clauses or variables for the
   database), which bounds long-lived solvers (``ExpressoPipeline(solver=...)``,
@@ -62,7 +61,7 @@ from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NA
 from repro.logic.free_vars import free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, BoolConst, Exists, Expr, Forall, IntConst, Var,
+    BOOL, BoolConst, Expr, Var, contains_quantifier,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
@@ -205,7 +204,7 @@ class Solver:
         self.statistics["sat_queries"] += 1
         self.last_unknown = None
         memo = self.rewrite_memo()
-        if _contains_quantifier(formula, memo.quantified):
+        if contains_quantifier(formula):
             raise SolverError("check_sat expects a quantifier-free formula; "
                               "use repro.smt.qe to eliminate quantifiers first")
         if fault_check("solver.query") == "unknown":
@@ -435,16 +434,6 @@ class Solver:
             else:
                 index += 1
         return core
-
-
-def _contains_quantifier(formula: Expr, table: Dict[Expr, bool]) -> bool:
-    if isinstance(formula, (Var, IntConst, BoolConst)):
-        return False
-    flag = table.get(formula)
-    if flag is None:
-        flag = table[formula] = isinstance(formula, (Forall, Exists)) or any(
-            _contains_quantifier(child, table) for child in formula.children())
-    return flag
 
 
 def _result(formula: Expr, entry: CachedResult) -> SatResult:

@@ -357,18 +357,32 @@ class TestInvariantInference:
         assert eq(v("x"), i(0)) not in result.kept_predicates
 
     def test_invariants_do_not_depend_on_the_hash_seed(self):
-        """Candidate generation iterates atoms in first-occurrence order, so
-        the pool and the invariant's conjunct order are the same in every
-        process (both monitors used to swap ``readers >= 0`` and
-        ``readers + 1 >= 1`` between hash seeds)."""
+        """The whole suite compiles to the same bytes under every hash seed:
+        each monitor's invariant, candidate pool, generated Java and solver
+        counters, and the Table 1 rows (timings zeroed) as JSON and as text.
+
+        Nothing may order by ``id()`` or by hash.  Candidate generation
+        iterates atoms in first-occurrence order (two monitors used to swap
+        ``readers >= 0`` and ``readers + 1 >= 1`` between hash seeds)."""
         script = (
-            "from repro.benchmarks_lib import get_benchmark\n"
+            "import dataclasses, json\n"
+            "from repro.benchmarks_lib import ALL_BENCHMARKS\n"
+            "from repro.codegen.java_gen import generate_java\n"
+            "from repro.harness.compile_time import measure_compile_times\n"
+            "from repro.harness.report import render_table1\n"
             "from repro.placement.pipeline import ExpressoPipeline\n"
-            "for name in ('Ticketed Readers-Writers', 'Readers-Writers'):\n"
-            "    details = ExpressoPipeline(lint=False).compile(\n"
-            "        get_benchmark(name).source).invariant_details\n"
-            "    print(repr(details.invariant))\n"
-            "    print(repr(details.candidate_pool))\n"
+            "for spec in ALL_BENCHMARKS.values():\n"
+            "    result = ExpressoPipeline().compile(spec.source)\n"
+            "    print(json.dumps({\n"
+            "        'benchmark': spec.name,\n"
+            "        'invariant': repr(result.invariant_details.invariant),\n"
+            "        'pool': repr(result.invariant_details.candidate_pool),\n"
+            "        'java': generate_java(result.explicit),\n"
+            "        'statistics': result.solver_statistics}, sort_keys=True))\n"
+            "rows = [dataclasses.replace(row, seconds=0.0, phase_seconds={})\n"
+            "        for row in measure_compile_times()]\n"
+            "print(json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True))\n"
+            "print(render_table1(rows))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "src")
@@ -378,7 +392,9 @@ class TestInvariantInference:
             outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
                                           check=True, capture_output=True,
                                           text=True).stdout)
-        assert outputs[0].count("\n") == 4
+        lines = outputs[0].splitlines()
+        assert len(lines) == 14 + 1 + 19  # monitors, rows, Table 1
+        assert lines[-1].startswith("TOTAL")
         assert outputs[0] == outputs[1]
 
 
