@@ -21,12 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import build
 from repro.logic import terms
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import free_vars, ordered_free_vars
 from repro.logic.pretty import pretty
 from repro.logic.terms import (
     BOOL,
     INT,
     BoolConst,
+    Exists,
     Forall,
     IntConst,
     Le,
@@ -97,9 +98,17 @@ def construct(recipe, prefix=""):
     return _BINARY[kind](construct(recipe[1], prefix), construct(recipe[2], prefix))
 
 
-def _structure(expr):
-    """A structural rendering that does not rely on ``==``."""
-    return repr(expr)
+def _reference_free_vars(expr, bound=frozenset()):
+    """The walk ``free_vars`` made before nodes kept their free variables:
+    pre-order, first occurrence, binders respected."""
+    if isinstance(expr, Var):
+        return [] if expr in bound else [expr]
+    if isinstance(expr, (Forall, Exists)):
+        return _reference_free_vars(expr.body, bound | set(expr.bound))
+    found = []
+    for child in expr.children():
+        found += [var for var in _reference_free_vars(child, bound) if var not in found]
+    return found
 
 
 def _rebuild_in_worker(payload):
@@ -121,7 +130,8 @@ class TestOneNodePerStructure:
     def test_equal_structures_are_one_object(self, first, second):
         one, again, other = construct(first), construct(first), construct(second)
         assert one is again
-        assert (one is other) == (_structure(one) == _structure(other))
+        # ``repr`` renders the structure without relying on ``==``.
+        assert (one is other) == (repr(one) == repr(other))
         # Every sub-node is interned too: rebuilding from the children
         # hands back the node itself.
         for node in walk(one):
@@ -163,6 +173,14 @@ class TestOneNodePerStructure:
         node = Le(Var("x"), IntConst(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             node.left = Var("y")
+
+    @given(RECIPES)
+    def test_per_node_facts_match_a_walk(self, recipe):
+        formula = construct(recipe)
+        assert list(ordered_free_vars(formula)) == _reference_free_vars(formula)
+        assert free_vars(formula) == frozenset(_reference_free_vars(formula))
+        assert terms.contains_quantifier(formula) == any(
+            isinstance(node, (Forall, Exists)) for node in walk(formula))
 
     def test_cached_facts(self):
         x, y = build.v("x"), build.v("y")
