@@ -84,10 +84,6 @@ def _default_solver() -> Solver:
     return _DEFAULT_SOLVER
 
 
-def _count(solver: Solver, key: str) -> None:
-    solver.statistics[key] = solver.statistics.get(key, 0) + 1
-
-
 def _check_valid_degrading(solver: Solver, formula) -> bool:
     """``check_valid`` with degradation accounting.
 
@@ -141,7 +137,7 @@ def bodies_commute(first: Stmt, second: Stmt, solver: Optional[Solver] = None,
         # so skipping it changes query counts only, never verdicts.
         if (effects_a.summarizable and effects_b.summarizable
                 and effects_a.disjoint_from(effects_b)):
-            _count(solver, "commute_static_skips")
+            solver.metrics.inc("smt.commute.static_skips")
             tracer = obs.tracer()
             if tracer.enabled:
                 tracer.instant(
@@ -411,7 +407,7 @@ def methods_semantically_independent(method_a, method_b, shared_names: frozenset
         # identifier contains — so every pair answered here would have been
         # answered True segment by segment anyway, just more slowly.
         if effects_a.disjoint_from(effects_b):
-            _count(solver, "commute_static_skips")
+            solver.metrics.inc("smt.commute.static_skips")
             tracer = obs.tracer()
             if tracer.enabled:
                 tracer.instant(
@@ -558,9 +554,9 @@ def matrix_with_statistics(
 ) -> Tuple[Dict[Tuple[str, str], bool], Dict[str, int]]:
     """The independence matrix plus *this build's own* solver-stats delta.
 
-    The module's shared default solver accumulates statistics across every
-    matrix built in the process, so reading ``solver.statistics`` after a
-    build over-reports all builds after the first.  This wrapper
+    The module's shared default solver accumulates counters across every
+    matrix built in the process, so reading them after a build
+    over-reports all builds after the first.  This wrapper
     snapshot/diffs around the build (the registry pattern), giving each
     monitor its isolated share; the delta also lands in the active metrics
     registry under ``explore.matrix.*``.
@@ -575,8 +571,7 @@ def matrix_with_statistics(
     matrix = semantic_independence_for_explicit(explicit, solver)
     if default:
         solver.clear_state()
-    delta = {key: value - before.get(key, 0)
-             for key, value in solver.statistics.items()}
+    delta = solver.snapshot_statistics(since=before)
     registry = obs.registry()
     for key, value in delta.items():
         if value:

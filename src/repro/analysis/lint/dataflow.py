@@ -57,9 +57,6 @@ class EffectSummary:
         """Everything the code mentions (reads and writes)."""
         return self.reads | self.writes
 
-    def field_reads(self, fields: FrozenSet[str]) -> FrozenSet[str]:
-        return self.reads & fields
-
     def field_writes(self, fields: FrozenSet[str]) -> FrozenSet[str]:
         return self.writes & fields
 

@@ -14,7 +14,7 @@ and callers treat the pair conservatively as non-commuting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
@@ -54,9 +54,6 @@ class SymbolicState:
         mapping = {var: self.values[var.name]
                    for var in free_vars(expr) if var.name in self.values}
         return substitute(expr, mapping)
-
-    def assigned_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.values))
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(dict(self.values))

@@ -15,7 +15,7 @@ one benchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang import load_monitor
 from repro.lang.ast import Monitor
@@ -118,13 +118,3 @@ def shuffle_workload(workload: Workload, seed: int) -> Workload:
     shuffled = [list(ops) for ops in workload]
     rng.shuffle(shuffled)
     return shuffled
-
-
-def round_robin_roles(threads: int, ops: int,
-                      roles: Sequence[Callable[[int, int], ThreadOps]]) -> Workload:
-    """Assign roles to threads round-robin; each role builds its own op list."""
-    workload: Workload = []
-    for index in range(threads):
-        role = roles[index % len(roles)]
-        workload.append(role(index, ops))
-    return workload

@@ -44,11 +44,6 @@ class CompileTimeRow:
     #: Per-phase wall breakdown (parse/invariants/placement/instrument/lint).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 def _compile_row(spec: BenchmarkSpec, use_commutativity: bool) -> CompileTimeRow:
     """Compile one benchmark and package the Table 1 row."""

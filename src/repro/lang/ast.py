@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import build
-from repro.logic.terms import BOOL, Expr, INT, Sort, Var
+from repro.logic.terms import BOOL, Expr, INT, Sort
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +217,6 @@ class Monitor:
             if decl.name == name:
                 return decl
         raise KeyError(name)
-
-    def shared_vars(self) -> Tuple[Var, ...]:
-        """The shared (global) variables of the monitor as logic variables."""
-        return tuple(Var(decl.name, decl.sort) for decl in self.fields if not decl.is_array)
 
     def ccrs(self) -> Tuple[Tuple[MethodDecl, CCR], ...]:
         """All conditional critical regions with their enclosing methods (CCRs(M))."""

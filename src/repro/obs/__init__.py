@@ -34,11 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Union
 
-from repro.obs.metrics import (
-    LegacyStatsView,
-    MetricsRegistry,
-    SOLVER_METRIC_NAMES,
-)
+from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.obs.profile import SmtProfiler, formula_fingerprint
 from repro.obs.trace import (
     NULL_TRACER,
@@ -51,7 +47,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "LegacyStatsView",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -102,8 +97,7 @@ def active_profiler() -> Optional[SmtProfiler]:
 
 
 @contextmanager
-def observe(trace: bool = False, profile: bool = False,
-            metrics: Optional[MetricsRegistry] = None) -> Iterator[ObsSession]:
+def observe(trace: bool = False, profile: bool = False) -> Iterator[ObsSession]:
     """Open an observability session: install a tracer/profiler/registry.
 
     Sessions nest by save/restore, so a traced exploration inside a traced
@@ -112,7 +106,7 @@ def observe(trace: bool = False, profile: bool = False,
     global _TRACER, _REGISTRY, _PROFILER
     session = ObsSession(
         tracer=Tracer() if trace else NULL_TRACER,
-        registry=metrics if metrics is not None else MetricsRegistry(),
+        registry=MetricsRegistry(),
         profiler=SmtProfiler() if profile else None,
     )
     saved = (_TRACER, _REGISTRY, _PROFILER)

@@ -205,10 +205,7 @@ class ExpressoPipeline:
 
         elapsed = time.perf_counter() - start
         # Shared solvers serve many compiles; report this compile's share only.
-        stats_delta = {
-            key: value - stats_before.get(key, 0)
-            for key, value in solver.statistics.items()
-        }
+        stats_delta = solver.snapshot_statistics(since=stats_before)
         return ExpressoResult(
             monitor=monitor,
             invariant=invariant,

@@ -46,11 +46,6 @@ class TraceOutcome:
         return self.feasible and not self.used_spurious_wakeup
 
 
-def _minimum(pairs: FrozenSet[Pair]) -> Optional[Pair]:
-    """The paper's ``min`` over the fixed total event order (lexicographic)."""
-    return min(pairs) if pairs else None
-
-
 class ImplicitSemantics:
     """Executable form of the Figure 4 transition relation for one monitor."""
 

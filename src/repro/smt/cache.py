@@ -41,6 +41,10 @@ The cache is shared freely: per-solver, per-pipeline, or process-global (see
 :data:`repro.smt.solver.SHARED_CACHE`).  Every table is bounded by
 ``max_entries`` with FIFO eviction, which is enough for compile-shaped
 workloads where the working set is the current benchmark's VC family.
+
+The cache counts nothing itself: hits and misses are counted by the solver
+that asks (``smt.cache.*``, ``smt.<table>.cache_*`` in ``Solver.metrics``),
+so a cache shared by several solvers reports each one's own share.
 """
 
 from __future__ import annotations
@@ -76,24 +80,17 @@ class FormulaCache:
         self.max_entries = max_entries
         self._raw: Dict[Expr, CachedResult] = {}
         self._canonical: Dict[Expr, CachedResult] = {}
-        self.hits = 0
-        self.misses = 0
         # Whole *procedures* — several queries folded into one answer —
         # memoize above the formula level, one table per kind (see
         # :meth:`repro.smt.solver.Solver.memoized`).
         self._procedures: Dict[str, Dict[Hashable, object]] = {
             table: {} for table in PROCEDURE_TABLES}
-        self.procedure_hits: Dict[str, int] = dict.fromkeys(PROCEDURE_TABLES, 0)
-        self.procedure_misses: Dict[str, int] = dict.fromkeys(PROCEDURE_TABLES, 0)
 
     # -- lookups -------------------------------------------------------------
 
     def lookup_raw(self, formula: Expr) -> Optional[CachedResult]:
         """Fast-path lookup keyed on the unprocessed formula."""
-        entry = self._raw.get(formula)
-        if entry is not None:
-            self.hits += 1
-        return entry
+        return self._raw.get(formula)
 
     def lookup_canonical(self, raw: Expr, canonical: Expr) -> Optional[CachedResult]:
         """Second-chance lookup keyed on the preprocessed canonical form.
@@ -103,10 +100,7 @@ class FormulaCache:
         """
         entry = self._canonical.get(canonical)
         if entry is not None:
-            self.hits += 1
             self._store(self._raw, raw, entry)
-        else:
-            self.misses += 1
         return entry
 
     # -- insertion -----------------------------------------------------------
@@ -129,12 +123,7 @@ class FormulaCache:
 
     def lookup_procedure(self, table: str, key: Hashable) -> Optional[Any]:
         """Memoized answer of one procedure in *table*, or None."""
-        value = self._procedures[table].get(key)
-        if value is None:
-            self.procedure_misses[table] += 1
-        else:
-            self.procedure_hits[table] += 1
-        return value
+        return self._procedures[table].get(key)
 
     def store_procedure(self, table: str, key: Hashable, value: Any) -> None:
         self._store(self._procedures[table], key, value)
@@ -146,27 +135,11 @@ class FormulaCache:
         self._canonical.clear()
         for table in PROCEDURE_TABLES:
             self._procedures[table].clear()
-            self.procedure_hits[table] = 0
-            self.procedure_misses[table] = 0
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._canonical)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def statistics(self) -> Dict[str, int]:
-        stats = {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_entries": len(self._canonical),
-        }
-        for table in PROCEDURE_TABLES:
-            stats[f"{table}_cache_hits"] = self.procedure_hits[table]
-            stats[f"{table}_cache_misses"] = self.procedure_misses[table]
-            stats[f"{table}_cache_entries"] = len(self._procedures[table])
-        return stats
+    def entries(self, table: str) -> int:
+        """Entries held by procedure memo *table* (``len(cache)`` counts
+        canonical formula entries)."""
+        return len(self._procedures[table])

@@ -57,7 +57,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar
 
 from repro import obs
 from repro.logic import build
-from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NAMES
+from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.logic.free_vars import free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
@@ -82,6 +82,8 @@ T = TypeVar("T")
 _THEORY_CACHE_LIMIT = 50_000
 #: Cap on a solver's memo entries, clauses and variables (all cleared past it).
 _REWRITE_MEMO_LIMIT = 100_000
+#: Theory checks one query may spend before it answers UNKNOWN("iterations").
+_MAX_THEORY_ITERATIONS = 2000
 #: Sentinel distinguishing "theory said infeasible" from "not memoized".
 _INFEASIBLE = object()
 
@@ -119,18 +121,16 @@ class _OutOfBudget(Exception):
 class Solver:
     """Decision procedure for QF-LIA + booleans.
 
-    Instances carry configuration (iteration budget, result cache), the
-    statistics the evaluation harness reports (query/theory-check/cache
-    counters), and reusable solver state (rewrite memo, atom table, clause
-    database).  That state changes speed and models only: a fresh solver
-    reaches the same verdict on every query.
+    Instances carry configuration (result cache, wall-clock budget), the
+    counters the evaluation harness reports (``metrics``, under the names of
+    :data:`~repro.obs.metrics.SOLVER_METRIC_NAMES`), and reusable solver
+    state (rewrite memo, atom table, clause database).  That state changes
+    speed and models only: a fresh solver reaches the same verdict on every
+    query.
     """
 
-    def __init__(self, max_theory_iterations: int = 2000,
-                 cache: Optional[FormulaCache] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, cache: Optional[FormulaCache] = None,
                  timeout_seconds: Optional[float] = None):
-        self.max_theory_iterations = max_theory_iterations
         self.timeout_seconds = timeout_seconds
         self.cache = cache
         #: Reason the most recent query returned UNKNOWN (``"timeout"``,
@@ -139,12 +139,8 @@ class Solver:
         #: (:meth:`check_valid`) read it via :meth:`consume_unknown` to
         #: drive their degradation paths.
         self.last_unknown: Optional[str] = None
-        # The counters live in a (per-solver by default, injectable) metrics
-        # registry under hierarchical names; ``statistics`` is the legacy
-        # flat-dict view over the same storage, so both surfaces agree.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.statistics: LegacyStatsView = LegacyStatsView(
-            self.metrics, names=SOLVER_METRIC_NAMES)
+        #: This solver's counters; :meth:`snapshot_statistics` reads them.
+        self.metrics = MetricsRegistry()
         self._theory_verdicts: Dict[frozenset, object] = {}
         self._rewrites = RewriteMemo()
         self.clear_state()
@@ -201,7 +197,7 @@ class Solver:
         return self._rewrites
 
     def _check_sat(self, formula: Expr) -> SatResult:
-        self.statistics["sat_queries"] += 1
+        self.metrics.inc("smt.sat.queries")
         self.last_unknown = None
         memo = self.rewrite_memo()
         if contains_quantifier(formula):
@@ -214,15 +210,15 @@ class Solver:
         if self.cache is not None:
             entry = self.cache.lookup_raw(formula)
             if entry is not None:
-                self.statistics["cache_hits"] += 1
+                self.metrics.inc("smt.cache.hits")
                 return _result(formula, entry)
         processed = preprocess(formula, memo)
         if self.cache is not None:
             entry = self.cache.lookup_canonical(formula, processed)
             if entry is not None:
-                self.statistics["cache_hits"] += 1
+                self.metrics.inc("smt.cache.hits")
                 return _result(formula, entry)
-            self.statistics["cache_misses"] += 1
+            self.metrics.inc("smt.cache.misses")
         entry = self._solve_processed(processed)
         if entry is None:
             return SatResult(SatStatus.UNKNOWN)
@@ -234,9 +230,9 @@ class Solver:
         """Account one UNKNOWN outcome (never cached: budgets are not
         semantic verdicts, and a later, larger-budget query must re-try)."""
         self.last_unknown = reason
-        self.statistics["unknowns"] += 1
+        self.metrics.inc("smt.unknown")
         if reason in ("timeout", "injected"):
-            self.statistics["timeouts"] += 1
+            self.metrics.inc("smt.timeouts")
         obs.tracer().instant("smt.unknown", cat="smt", reason=reason)
         return SatResult(SatStatus.UNKNOWN)
 
@@ -257,8 +253,8 @@ class Solver:
         """``(value, hit)`` of a whole query procedure, memoized per cache.
 
         *table* names one of the cache's procedure memos (``"commute"``,
-        ``"abduce"``); hits and misses count under ``<table>_cache_hits`` /
-        ``<table>_cache_misses``.  A computation during which any query of
+        ``"abduce"``); hits and misses count under ``smt.<table>.cache_hits`` /
+        ``smt.<table>.cache_misses``.  A computation during which any query of
         this solver returned UNKNOWN is not stored, so a budget- or
         fault-degraded answer is never replayed once the cause is gone.
         Without a cache every call computes.
@@ -268,12 +264,12 @@ class Solver:
             return compute(), False
         value = cache.lookup_procedure(table, key)
         if value is not None:
-            self.statistics[f"{table}_cache_hits"] += 1
+            self.metrics.inc(f"smt.{table}.cache_hits")
             return value, True
-        self.statistics[f"{table}_cache_misses"] += 1
-        unknowns = self.statistics["unknowns"]
+        self.metrics.inc(f"smt.{table}.cache_misses")
+        unknowns = self.metrics.value("smt.unknown")
         value = compute()
-        if self.statistics["unknowns"] == unknowns:
+        if self.metrics.value("smt.unknown") == unknowns:
             cache.store_procedure(table, key, value)
         return value, False
 
@@ -286,7 +282,7 @@ class Solver:
         is a list and the negation is SAT, its model (an assignment falsifying
         *formula*, over the formula's free variables) is appended to it.
         """
-        self.statistics["validity_queries"] += 1
+        self.metrics.inc("smt.validity.queries")
         result = self.check_sat(build.lnot(formula))
         if counterexample is not None and result.is_sat:
             counterexample.append(result.model)
@@ -305,9 +301,14 @@ class Solver:
         result = self.check_sat(formula)
         return result.model if result.is_sat else None
 
-    def snapshot_statistics(self) -> Dict[str, int]:
-        """A point-in-time copy of the counters (for delta reporting)."""
-        return dict(self.statistics)
+    def snapshot_statistics(
+            self, since: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+        """The counters under their flat keys, in
+        :data:`~repro.obs.metrics.SOLVER_METRIC_NAMES` order, minus an
+        earlier snapshot *since* (a shared solver's per-run share)."""
+        base = since or {}
+        return {key: self.metrics.value(name) - base.get(key, 0)
+                for key, name in SOLVER_METRIC_NAMES.items()}
 
     # -- internals ----------------------------------------------------------
 
@@ -346,7 +347,7 @@ class Solver:
         checks = 0
 
         def spend() -> None:
-            if checks >= self.max_theory_iterations:
+            if checks >= _MAX_THEORY_ITERATIONS:
                 raise _OutOfBudget("iterations")
             if deadline is not None and time.monotonic() > deadline:
                 raise _OutOfBudget("timeout")
@@ -359,13 +360,13 @@ class Solver:
                            else (-var_id, negative)
                            for var_id, positive, negative in theory_atoms]
             bool_values = {name: assignment[var_id] for name, var_id in bool_atoms}
-            self.statistics["theory_checks"] += 1
+            self.metrics.inc("smt.theory.checks")
             theory_model = self._theory_feasible([c for _, c in constraints])
             if theory_model is not None:
                 found.append((theory_model, bool_values))
                 return None
             lemma = tuple(-literal for literal, _ in self._minimize_core(constraints))
-            self.statistics["theory_lemmas"] += 1
+            self.metrics.inc("smt.theory.lemmas")
             spend()
             self.metrics.inc("smt.sat.clauses")
             return lemma
@@ -459,7 +460,7 @@ SHARED_CACHE = FormulaCache()
 def _fresh_solver() -> Solver:
     """A stats-isolated solver for one wrapper call.
 
-    Each call gets its own statistics (no cross-caller contamination — the
+    Each call gets its own counters (no cross-caller contamination — the
     old module-level singleton accumulated query counts across unrelated
     callers) while still sharing the process-wide formula cache.
     """

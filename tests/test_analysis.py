@@ -155,14 +155,13 @@ class TestSymbolicExecutionAndCommutativity:
         solver = Solver(cache=FormulaCache())
         first, second = Assign("x", add(x, 1)), Assign("x", sub(x, 1))
         assert bodies_commute(first, second, solver)
-        misses = solver.cache.procedure_misses["commute"]
+        misses = solver.snapshot_statistics()["commute_cache_misses"]
         assert misses >= 1
         assert bodies_commute(first, second, solver)
-        assert solver.cache.procedure_misses["commute"] == misses
-        assert solver.cache.procedure_hits["commute"] >= 1
-        assert solver.statistics["commute_cache_hits"] >= 1
-        stats = solver.cache.statistics()
-        assert stats["commute_cache_entries"] >= 1
+        stats = solver.snapshot_statistics()
+        assert stats["commute_cache_misses"] == misses
+        assert stats["commute_cache_hits"] >= 1
+        assert solver.cache.entries("commute") >= 1
 
 
 class TestSemanticSegmentIndependence:

@@ -137,3 +137,33 @@ class TestCli:
                          "--threads", "2", "--ops", "5"]) == 0
         out = capsys.readouterr().out
         assert "PendingPostQueue" in out and "expresso" in out
+
+
+class TestCliSolverCounters:
+    """The CLI's JSON counters equal a direct compile's solver statistics."""
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        from repro.placement.pipeline import ExpressoPipeline
+        from repro.smt.cache import FormulaCache
+
+        source = get_benchmark("BoundedBuffer").source
+        return ExpressoPipeline(cache=FormulaCache()).compile(source).solver_statistics
+
+    def test_profile_reports_the_sat_core_counters(self, capsys, direct):
+        import json
+
+        assert cli_main(["profile", "--benchmark", "BoundedBuffer", "--json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert direct["sat_clauses"] > 0 and direct["sat_conflicts"] > 0
+        assert metrics["smt.sat.clauses"] == direct["sat_clauses"]
+        assert metrics["smt.sat.conflicts"] == direct["sat_conflicts"]
+
+    def test_lint_reports_the_static_skips(self, capsys, direct):
+        import json
+
+        assert cli_main(["lint", "--benchmark", "BoundedBuffer", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        (report,) = document["reports"]
+        assert report["stats"]["commute_static_skips"] == direct["commute_static_skips"]
+        assert document["commute_static_skips"] == direct["commute_static_skips"]

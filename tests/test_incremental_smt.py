@@ -78,7 +78,8 @@ def test_one_solver_across_every_monitor_answers_like_fresh_ones(fresh_verdicts)
         assert_model_satisfies(formula, result)
     # Definitions, learned clauses and lemmas all stayed in one database.
     assert solver._sat.num_clauses > 5000
-    assert solver.statistics["sat_clauses"] >= solver._sat.num_clauses - solver._sat.conflicts
+    clauses = solver.snapshot_statistics()["sat_clauses"]
+    assert clauses >= solver._sat.num_clauses - solver._sat.conflicts
 
 
 def test_a_full_database_is_cleared_and_answers_do_not_change(fresh_verdicts, monkeypatch):

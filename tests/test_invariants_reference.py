@@ -218,7 +218,7 @@ class TestAbductionIdentity:
                 if abduce(pre, goal, solver) != expected:
                     mismatches.append((name, pre, goal))
                 compared += 1
-            memo_hits += solver.cache.procedure_hits["abduce"]
+            memo_hits += solver.snapshot_statistics()["abduce_cache_hits"]
         assert compared >= 400 and memo_hits > 0
         assert mismatches == []
 
@@ -227,11 +227,12 @@ class TestAbductionIdentity:
         name, monitor = monitors[0]
         obligations = list(_obligations(monitor))
         first = [abduce(pre, goal, solver) for pre, goal in obligations]
-        queries = solver.statistics["sat_queries"]
+        before = solver.snapshot_statistics()
         again = [abduce(pre, goal, solver) for pre, goal in obligations]
         assert again == first
-        assert solver.statistics["sat_queries"] == queries
-        assert solver.statistics["abduce_cache_hits"] >= len(obligations)
+        delta = solver.snapshot_statistics(since=before)
+        assert delta["sat_queries"] == 0
+        assert delta["abduce_cache_hits"] >= len(obligations)
 
     def test_limits_are_part_of_the_memo_key(self):
         solver = Solver(cache=FormulaCache())
@@ -278,8 +279,8 @@ class TestInferenceIdentity:
         assert result == reference_infer(monitor, [], reference_solver,
                                          extra_candidates=extra)
         assert result.kept_predicates == (build.ge(v("a"), build.i(0)),)
-        assert (solver.statistics["validity_queries"]
-                < reference_solver.statistics["validity_queries"])
+        assert (solver.snapshot_statistics()["validity_queries"]
+                < reference_solver.snapshot_statistics()["validity_queries"])
 
     def test_fallback_decides_candidates_the_model_cannot(self):
         """Without a usable counterexample, the remaining candidates are
@@ -322,13 +323,13 @@ class TestDegradation:
         solver = Solver(cache=cache)
         with _all_unknown():
             assert abduce(pre, goal, solver).candidates == ()
-        assert cache.statistics()["abduce_cache_entries"] == 0
+        assert cache.entries("abduce") == 0
         precise = abduce(pre, goal, solver)
         assert precise == reference_abduce(pre, goal, Solver())
         assert precise.candidates
-        assert cache.statistics()["abduce_cache_entries"] == 1
+        assert cache.entries("abduce") == 1
         assert abduce(pre, goal, solver) == precise
-        assert cache.procedure_hits["abduce"] == 1
+        assert solver.snapshot_statistics()["abduce_cache_hits"] == 1
 
     def test_one_unknown_query_keeps_the_abduction_out_of_the_memo(self):
         x, y = v("x"), v("y")
@@ -340,7 +341,7 @@ class TestDegradation:
         with injected(plan):
             abduce(pre, goal, Solver(cache=cache))
         assert plan.fired
-        assert cache.statistics()["abduce_cache_entries"] == 0
+        assert cache.entries("abduce") == 0
 
     def test_no_commute_verdict_is_memoized_after_an_unknown(self):
         """A commute verdict degraded to "dependent" by UNKNOWN is recomputed
@@ -350,7 +351,8 @@ class TestDegradation:
         cache = FormulaCache()
         with _all_unknown():
             assert not ccr_commutes_with_all(ccr, monitor, Solver(cache=cache))
-        assert cache.statistics()["commute_cache_entries"] == 0
+        assert cache.entries("commute") == 0
         assert ccr_commutes_with_all(ccr, monitor, Solver(cache=cache))
-        assert ccr_commutes_with_all(ccr, monitor, Solver(cache=cache))
-        assert cache.procedure_hits["commute"] >= 1
+        again = Solver(cache=cache)
+        assert ccr_commutes_with_all(ccr, monitor, again)
+        assert again.snapshot_statistics()["commute_cache_hits"] >= 1

@@ -2,8 +2,8 @@
 
 Covers the observability contracts the rest of the harness leans on:
 
-* registry snapshot/diff/merge arithmetic and the ``Solver.statistics``
-  compatibility facade;
+* registry snapshot/diff/merge arithmetic and the solver counters read
+  through ``Solver.snapshot_statistics``;
 * the cross-run statistics-bleed regression (``matrix_with_statistics``
   isolates each matrix build's solver-stats delta even on a shared solver);
 * deterministic trace export — byte-identical artifacts across worker
@@ -16,13 +16,11 @@ Covers the observability contracts the rest of the harness leans on:
 import json
 import time
 
-import pytest
-
 from repro import obs
 from repro.benchmarks_lib.registry import get_benchmark
 from repro.explore import coop_monitor_and_class, explore_class
 from repro.explore.parallel import parallel_explore_class
-from repro.obs.metrics import LegacyStatsView, MetricsRegistry, SOLVER_METRIC_NAMES
+from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.obs.validate import PROVENANCE_TAGS, validate_trace
 from repro.placement.pipeline import ExpressoPipeline
 from repro.smt.cache import FormulaCache
@@ -62,58 +60,64 @@ class TestMetricsRegistry:
         left.merge(right.snapshot())
         assert left.snapshot() == {"m": 1, "n": 5}
 
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.inc("n")
-        registry.set_gauge("g", 1.5)
-        registry.observe("h", 0.01)
-        registry.reset()
-        assert registry.snapshot() == {}
-        assert registry.full_snapshot()["gauges"] == {}
 
-    def test_full_snapshot_histograms(self):
-        registry = MetricsRegistry()
-        registry.observe("solve.seconds", 0.002)
-        registry.observe("solve.seconds", 0.2)
-        summary = registry.full_snapshot()["histograms"]["solve.seconds"]
-        assert summary["count"] == 2
-        assert summary["min"] == pytest.approx(0.002)
-        assert summary["max"] == pytest.approx(0.2)
+class TestSolverCounters:
+    def test_snapshot_reads_the_registry(self):
+        solver = Solver()
+        solver.metrics.inc("smt.sat.queries", 3)
+        assert solver.snapshot_statistics()["sat_queries"] == 3
+        solver.metrics.inc("smt.commute.static_skips")
+        assert solver.snapshot_statistics()["commute_static_skips"] == 1
 
+    def test_snapshot_has_the_fifteen_keys_in_order(self):
+        stats = Solver().snapshot_statistics()
+        assert list(stats) == list(SOLVER_METRIC_NAMES)
+        assert len(stats) == 15 and not any(stats.values())
 
-class TestLegacyStatsView:
-    def test_reads_and_writes_pass_through(self):
-        registry = MetricsRegistry()
-        stats = LegacyStatsView(registry, names=dict(SOLVER_METRIC_NAMES))
-        assert stats["sat_queries"] == 0
-        stats["sat_queries"] += 3
-        assert registry.value("smt.sat.queries") == 3
-        registry.inc("smt.sat.queries", 2)
-        assert stats["sat_queries"] == 5
+    def test_snapshot_since_is_a_delta(self):
+        solver = Solver()
+        solver.metrics.inc("smt.validity.queries", 2)
+        before = solver.snapshot_statistics()
+        solver.metrics.inc("smt.validity.queries")
+        delta = solver.snapshot_statistics(since=before)
+        assert list(delta) == list(SOLVER_METRIC_NAMES)
+        assert delta["validity_queries"] == 1
+        assert sum(delta.values()) == 1
 
-    def test_adhoc_keys_get_prefixed(self):
-        registry = MetricsRegistry()
-        stats = LegacyStatsView(registry, names=dict(SOLVER_METRIC_NAMES))
-        stats["custom_counter"] = 9
-        assert registry.value("smt.custom_counter") == 9
-        assert "custom_counter" in stats
-
-    def test_dict_equality_and_iteration(self):
-        registry = MetricsRegistry()
-        stats = LegacyStatsView(registry, names={"sat_queries": "smt.sat.queries"})
-        assert dict(stats) == {"sat_queries": 0}
-        assert stats == {"sat_queries": 0}
-
-    def test_solver_statistics_is_a_view(self):
-        solver = Solver(cache=FormulaCache())
-        assert isinstance(solver.statistics, LegacyStatsView)
-        before = solver.statistics["validity_queries"]
+    def test_check_valid_counts_in_solver_metrics(self):
         from repro.logic.parser import parse_formula
 
+        solver = Solver(cache=FormulaCache())
         solver.check_valid(parse_formula("x + 0 == x"))
-        assert solver.statistics["validity_queries"] == before + 1
-        assert (solver.statistics.registry.value("smt.validity.queries")
-                == solver.statistics["validity_queries"])
+        assert solver.metrics.value("smt.validity.queries") == 1
+        assert solver.snapshot_statistics()["validity_queries"] == 1
+
+
+class TestBenchmarkContract:
+    def test_layer_trace_reads_the_solver_cache_hits(self):
+        """The end-to-end benchmark's ``smt.cache_hit_ratio`` reads
+        ``Solver.metrics`` under ``smt.cache.hits``; a renamed counter would
+        silently read 0 there."""
+        import importlib.util
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.logic.parser import parse_formula
+
+        path = Path(__file__).resolve().parents[1] / "e2ebench" / "layer_trace.py"
+        spec = importlib.util.spec_from_file_location("e2e_layer_trace", path)
+        layer_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layer_trace)
+
+        solver = Solver(cache=FormulaCache())
+        formula = parse_formula("x > 0 && x < 3")
+        counts: Counter = Counter()
+        for _ in range(2):
+            args = (solver, formula)
+            before = layer_trace._smt_before(args)
+            result = solver.check_sat(formula)
+            layer_trace._smt_after(counts, before, args, result)
+        assert counts["smt.cache_hits"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +132,13 @@ class TestMatrixStatisticsIsolation:
         from repro.harness.saturation import expresso_result
 
         solver = Solver(cache=FormulaCache())
-        baseline = dict(solver.statistics)
+        baseline = solver.snapshot_statistics()
         explicit_a = expresso_result(get_benchmark("BoundedBuffer")).explicit
         explicit_b = expresso_result(get_benchmark("Readers-Writers")).explicit
         _, delta_a = matrix_with_statistics(explicit_a, solver=solver)
         _, delta_b = matrix_with_statistics(explicit_b, solver=solver)
         assert any(delta_a.values()) and any(delta_b.values())
-        cumulative = {key: value - baseline.get(key, 0)
-                      for key, value in dict(solver.statistics).items()}
+        cumulative = solver.snapshot_statistics(since=baseline)
         for key, total in cumulative.items():
             assert delta_a.get(key, 0) + delta_b.get(key, 0) == total, key
 

@@ -316,8 +316,9 @@ class TestSolverDegradation:
         solver = Solver(timeout_seconds=1e-9)
         result = solver.check_sat(self.FORMULA)
         assert result.status is SatStatus.UNKNOWN
-        assert solver.statistics["unknowns"] == 1
-        assert solver.statistics["timeouts"] == 1
+        stats = solver.snapshot_statistics()
+        assert stats["unknowns"] == 1
+        assert stats["timeouts"] == 1
         assert solver.consume_unknown() == "timeout"
         assert solver.consume_unknown() is None
 

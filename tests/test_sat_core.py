@@ -332,14 +332,17 @@ class TestFormulaCache:
         assert cache.lookup_raw(entries[2][0]) is not None
 
     def test_hit_and_miss_counters(self):
+        """Each solver counts its own lookups in a shared cache."""
         from repro.logic import i, eq, v
+        from repro.smt.solver import Solver
 
         cache = FormulaCache()
         formula = eq(v("x"), i(1))
-        assert cache.lookup_raw(formula) is None
-        assert cache.lookup_canonical(formula, formula) is None
-        assert cache.misses == 1
-        cache.store(formula, formula, CachedResult(False))
-        assert cache.lookup_raw(formula).status_sat is False
-        assert cache.hits == 1
-        assert 0.0 < cache.hit_rate < 1.0
+        first, second = Solver(cache=cache), Solver(cache=cache)
+        first.check_sat(formula)
+        first.check_sat(formula)
+        second.check_sat(formula)
+        stats = first.snapshot_statistics()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
+        stats = second.snapshot_statistics()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (0, 1)

@@ -337,7 +337,7 @@ class TestNoLeavingRowGuard:
         assert solver.consume_unknown() == "theory"
         assert cache.lookup_raw(build.lnot(formula)) is None
         assert solver._theory_verdicts == {}
-        assert solver.statistics["theory_lemmas"] == 0
+        assert solver.snapshot_statistics()["theory_lemmas"] == 0
 
     def test_core_minimization_degrades_too(self, monkeypatch):
         # Integer feasibility succeeds (infeasible), then the certificate
@@ -351,4 +351,4 @@ class TestNoLeavingRowGuard:
         formula = build.land(build.le(build.add(x, y), 3), build.ge(build.add(x, y), 4))
         assert solver.check_sat(formula).status is solver_module.SatStatus.UNKNOWN
         assert solver.consume_unknown() == "theory"
-        assert solver.statistics["theory_lemmas"] == 0
+        assert solver.snapshot_statistics()["theory_lemmas"] == 0
