@@ -278,10 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a deterministic Chrome-trace-event "
                                   "JSON flight recording (per-schedule spans "
                                   "with prune provenance; shard-merged)")
-    explore_cmd.add_argument("--resume", action="store_true",
-                             help="skip benchmarks already completed in "
-                                  "--store's frontier under the same "
-                                  "configuration (a changed one starts fresh)")
     explore_cmd.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON instead of text")
     _add_resilience_args(explore_cmd)
@@ -652,7 +648,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from repro.explore import explore_benchmark
     from repro.fuzz.generate import fuzz_pipeline
     from repro.explore.parallel import parallel_explore_benchmark
 
@@ -669,13 +664,9 @@ def _cmd_explore(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.resume and not args.store:
-        print("error: --resume needs --store (the campaign store whose "
-              "frontier to continue from)", file=sys.stderr)
-        return 2
-    if args.store and (args.fuzz is not None or args.replay):
+    if args.store and args.fuzz is not None:
         print("error: --store drives registry-benchmark campaigns; it "
-              "cannot be combined with --fuzz or --replay", file=sys.stderr)
+              "cannot be combined with --fuzz", file=sys.stderr)
         return 2
     failed = _install_fault_plan(args)
     if failed is not None:
@@ -717,67 +708,28 @@ def _cmd_explore(args) -> int:
     else:
         specs = list(ALL_BENCHMARKS.values())
 
-    # --store records one frontier entry per finished benchmark, keyed by
-    # the config fingerprint, so a killed campaign continues from the last
-    # completed benchmark under --resume (a changed configuration has its
-    # own namespace and starts fresh) — and dispatches shards through the
-    # store's work-stealing queue.
-    completed: dict = {}
-    fingerprint = {
-        "benchmarks": [spec.name for spec in specs],
-        "discipline": args.discipline, "strategy": args.strategy,
-        "schedules": args.schedules, "threads": args.threads,
-        "ops": args.ops, "seed": args.seed, "max_steps": args.max_steps,
-        "keep_going": args.keep_going, "por": args.por,
-        "semantic": args.semantic, "symmetry": args.symmetry,
-        "witness": args.witness,
-    }
+    # One worker with no store and no trace explores in-process.  With
+    # --store each shard is a work unit keyed by the configuration, so a
+    # rerun against the same store collects the finished shards' stored
+    # results and steals a dead owner's shard once its lease expires; a
+    # changed configuration starts fresh.
     cstore = None
-    frontier_prefix = None
     if args.store:
         from repro.distrib import CampaignStore, mark_active
-        from repro.explore.engine import ExplorationResult
-        from repro.resilience import checksum_payload
 
         cstore = CampaignStore(args.store)
-        frontier_prefix = f"explore/{checksum_payload(fingerprint)[:12]}"
-        if args.resume:
-            for spec in specs:
-                record = cstore.get_frontier(f"{frontier_prefix}/{spec.name}")
-                if record is not None:
-                    completed[spec.name] = record
         mark_active(cstore, distrib)
 
     results = []
     for spec in specs:
-        if spec.name in completed:
-            results.append(ExplorationResult.from_dict(completed[spec.name]))
-            continue
-        if cstore is not None or args.workers > 1 or args.trace:
-            # Traced runs always go through the parallel driver: its
-            # sequential fallback records into the same shard surface, so
-            # the emitted artifact is byte-identical across worker counts.
-            # Shared-store runs do too: shards dispatch through the store's
-            # work-stealing queue whatever the local worker count.
-            results.append(parallel_explore_benchmark(
-                spec, args.discipline, threads=args.threads, ops=args.ops,
-                strategy=args.strategy, budget=args.schedules, seed=args.seed,
-                max_steps=args.max_steps, stop_on_failure=not args.keep_going,
-                por=args.por, semantic=args.semantic, symmetry=args.symmetry,
-                witness=args.witness, trace=bool(args.trace),
-                workers=args.workers, store=cstore, distrib=distrib))
-        else:
-            results.append(explore_benchmark(
-                spec, args.discipline, threads=args.threads, ops=args.ops,
-                strategy=args.strategy, budget=args.schedules, seed=args.seed,
-                max_steps=args.max_steps, stop_on_failure=not args.keep_going,
-                por=args.por, semantic=args.semantic, symmetry=args.symmetry,
-                witness=args.witness))
+        results.append(parallel_explore_benchmark(
+            spec, args.discipline, threads=args.threads, ops=args.ops,
+            strategy=args.strategy, budget=args.schedules, seed=args.seed,
+            max_steps=args.max_steps, stop_on_failure=not args.keep_going,
+            por=args.por, semantic=args.semantic, symmetry=args.symmetry,
+            witness=args.witness, trace=bool(args.trace),
+            workers=args.workers, store=cstore, distrib=distrib))
         if cstore is not None:
-            from repro.distrib import mark_active
-
-            cstore.set_frontier(f"{frontier_prefix}/{spec.name}",
-                                results[-1].to_dict())
             mark_active(cstore, distrib)   # refresh the liveness window
     if args.trace:
         from repro import obs

@@ -9,8 +9,9 @@ This package replaces both with two on-disk primitives any number of
 one ``--store PATH`` — can cooperate through:
 
 * :mod:`repro.distrib.store` — :class:`CampaignStore`, a SQLite-WAL-backed
-  store holding visited-state hashes, the fuzz corpus index, coverage maps
-  and a checkpointed exploration frontier.  Every row carries a content
+  store holding visited-state hashes, the work queue (whose stored unit
+  results are an explore campaign's checkpoint) and the fuzz campaign's
+  checkpoint record.  Every row carries a content
   checksum; all multi-row updates are single-writer transactional batches
   (``BEGIN IMMEDIATE``), so a concurrent reader never observes a torn
   snapshot; ``verify()``/``repair()`` are wired into ``expresso fuzz

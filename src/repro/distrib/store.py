@@ -7,8 +7,8 @@ table      contents
 ========== =================================================================
 meta       campaign config fingerprint, driver lease, free-form flags
 visited    completion-gated visited-state hashes, namespaced by *scope*
-frontier   checkpointed exploration frontier (per-benchmark results, the
-           fuzz campaign's last checkpoint record)
+frontier   the fuzz campaign's last checkpoint record (``fuzz/checkpoint``,
+           read by the console); explore checkpoints are the ``units`` rows
 units      the work-stealing queue (see :mod:`repro.distrib.queue`)
 counters   ``distrib.*`` observability counters, aggregated transactionally
 telemetry  per-worker heartbeat/progress rows for ``expresso status``
@@ -290,16 +290,6 @@ class CampaignStore:
             conn.execute("INSERT OR REPLACE INTO frontier VALUES (?, ?, ?)",
                          args)
 
-    def get_frontier(self, key: str) -> Optional[dict]:
-        row = self._read(f"frontier:{key}").execute(
-            "SELECT payload FROM frontier WHERE key = ?", (key,)).fetchone()
-        return json.loads(row["payload"]) if row is not None else None
-
-    def frontier_keys(self, prefix: str = "") -> List[str]:
-        rows = self._read("frontier.keys").execute(
-            "SELECT key FROM frontier ORDER BY key").fetchall()
-        return [row["key"] for row in rows if row["key"].startswith(prefix)]
-
     # -- counters -------------------------------------------------------------
 
     def inc_counter(self, conn: sqlite3.Connection, name: str,
@@ -392,11 +382,11 @@ class CampaignStore:
     def repair(self) -> dict:
         """Drop rows whose checksums fail; campaigns re-derive them.
 
-        Visited hashes and frontier rows are all re-derivable: a dropped
-        explore frontier is re-explored, the fuzz frontier is rewritten at
-        the next checkpoint (the corpus journal and entry files stay
-        authoritative for the corpus itself); a corrupt unit is re-enqueued
-        by the next driver.
+        Visited hashes and frontier rows are all re-derivable: the fuzz
+        frontier is rewritten at the next checkpoint (the corpus journal and
+        entry files stay authoritative for the corpus itself); a corrupt
+        unit is re-enqueued by the next driver, and a unit whose result was
+        dropped runs again.
         Returns ``{"rows_dropped": n, "problems": [...]}``.
         """
         problems = self.verify()

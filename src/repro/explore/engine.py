@@ -456,17 +456,6 @@ class Counterexample:
             record["witness"] = self.witness
         return record
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Counterexample":
-        """Rehydrate a :meth:`to_dict` record (explore checkpoint resume)."""
-        return cls(kind=data["kind"], detail=data["detail"],
-                   schedule=tuple(data.get("schedule", ())),
-                   minimized=tuple(data.get("minimized", ())),
-                   trace=data.get("trace", ""),
-                   strategy=data.get("strategy", "?"),
-                   seed=data.get("seed"),
-                   witness=data.get("witness"))
-
 
 @dataclass
 class ExplorationResult:
@@ -479,6 +468,11 @@ class ExplorationResult:
     them (sleep-set hits and backtrack-filter skips).  ``budget_exhausted``
     distinguishes "stopped because the budget ran out" from "covered
     everything" (``exhausted``).
+
+    :meth:`to_dict` is the JSON artifact surface.  A ``--store`` campaign
+    checkpoints the pickled per-shard results in the store's work queue
+    instead, and a rerun merges those again, so the timing fields of a
+    rerun report how long collecting them took.
     """
 
     benchmark: str
@@ -524,10 +518,6 @@ class ExplorationResult:
     #: the shard's identifying parameters and the error chain.  Serialized
     #: only when nonempty, so fault-free campaign artifacts never show it.
     worker_failures: List[dict] = field(default_factory=list)
-    #: Serialized schedules/s pinned by :meth:`from_dict` — ``to_dict``
-    #: derives the rate from the *unrounded* elapsed time, so a rehydrated
-    #: record must carry the original value to round-trip byte-identically.
-    sps_override: Optional[float] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -535,8 +525,6 @@ class ExplorationResult:
 
     @property
     def schedules_per_second(self) -> float:
-        if self.sps_override is not None:
-            return self.sps_override
         if self.elapsed_seconds <= 0:
             return 0.0
         return self.schedules_run / self.elapsed_seconds
@@ -570,31 +558,6 @@ class ExplorationResult:
         if self.worker_failures:
             record["worker_failures"] = self.worker_failures
         return record
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplorationResult":
-        """Rehydrate a :meth:`to_dict` record (explore checkpoint resume).
-
-        Round-trips every serialized field; the derived keys (``ok``,
-        ``schedules_per_second``) and the non-serialized flight-recorder
-        payloads are recomputed/absent, so ``from_dict(d).to_dict() == d``
-        for any ``to_dict`` output.
-        """
-        result = cls(benchmark=data["benchmark"],
-                     discipline=data["discipline"],
-                     strategy=data["strategy"], seed=data["seed"])
-        for name in ("threads", "ops", "workers", "schedules_run",
-                     "completed", "stalls", "pruned", "por_skipped",
-                     "symmetry_skipped", "shared_hits", "distinct_states",
-                     "exhausted", "budget_exhausted", "oracle_hits",
-                     "oracle_misses", "elapsed_seconds"):
-            if name in data:
-                setattr(result, name, data[name])
-        result.sps_override = data.get("schedules_per_second")
-        result.failures = [Counterexample.from_dict(failure)
-                           for failure in data.get("failures", ())]
-        result.worker_failures = list(data.get("worker_failures", ()))
-        return result
 
 
 # ---------------------------------------------------------------------------

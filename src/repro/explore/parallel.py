@@ -28,8 +28,10 @@ only care is determinism of the *reported* result:
 Shards are dispatched through the work queue (:func:`repro.distrib.queue_map`):
 every shard is a leased work unit, and results merge in unit order.  With
 a persistent ``--store`` cooperating processes — extra ``expresso``
-invocations pointed at the same path — pick up units too; without one the
-queue and the visited-state memo share one private temp store.
+invocations pointed at the same path — pick up units too, and the stored
+unit results are the campaign's checkpoint: a rerun of the same
+configuration collects them instead of exploring again.  Without a store
+the queue and the visited-state memo share one private temp store.
 
 Workers never recompile the monitor: the parent ships the *generated coop
 class source* (plus the reference AST, POR footprints, semantic matrix and
@@ -48,6 +50,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -97,37 +100,38 @@ def _rebuild_class(job: dict) -> type:
     return cls
 
 
+def _explore_shard(trace: bool, *args, **kwargs) -> ExplorationResult:
+    """`explore_class`, recorded into a trace session of its own if *trace*.
+
+    A traced shard ships its raw events and counter snapshot home on the
+    result; the driver merges them in shard order.
+    """
+    if not trace:
+        return explore_class(*args, **kwargs)
+    with obs.observe(trace=True) as session:
+        result = explore_class(*args, **kwargs)
+    result.trace_shards = [session.tracer.events]
+    result.metrics_snapshot = session.registry.snapshot()
+    return result
+
+
 def _run_shard(job: dict) -> ExplorationResult:
     """One worker's slice of a campaign (executed in a pool process)."""
-    coop_class = _rebuild_class(job)
     store_path = job.get("visited_store")
     shared_store = (VisitedStore(CampaignStore(store_path),
                                  scope=job["visited_scope"])
                     if store_path is not None else None)
-
-    def explore() -> ExplorationResult:
-        return explore_class(
-            job["monitor"], coop_class, job["programs"],
-            strategy=job["strategy"], budget=job["budget"], seed=job["seed"],
-            max_steps=job["max_steps"], stop_on_failure=job["stop_on_failure"],
-            minimize=job["minimize"], benchmark=job["benchmark"],
-            discipline=job["discipline"], por=job["por"],
-            semantic=job.get("semantic_por", True),
-            symmetry=job.get("symmetry", True),
-            dfs_prefixes=job.get("dfs_prefixes"),
-            export_state_hashes=job["strategy"] == "dfs",
-            shared_store=shared_store,
-            witness=job.get("witness", False))
-
-    if not job.get("trace"):
-        return explore()
-    # Traced shard: record into a worker-local session and ship the raw
-    # events + counter snapshot home; the driver merges them in shard order.
-    with obs.observe(trace=True) as session:
-        result = explore()
-    result.trace_shards = [session.tracer.events]
-    result.metrics_snapshot = session.registry.snapshot()
-    return result
+    return _explore_shard(
+        bool(job.get("trace")), job["monitor"], _rebuild_class(job),
+        job["programs"], strategy=job["strategy"], budget=job["budget"],
+        seed=job["seed"], max_steps=job["max_steps"],
+        stop_on_failure=job["stop_on_failure"], minimize=job["minimize"],
+        benchmark=job["benchmark"], discipline=job["discipline"],
+        por=job["por"], semantic=job.get("semantic_por", True),
+        symmetry=job.get("symmetry", True),
+        dfs_prefixes=job.get("dfs_prefixes"),
+        export_state_hashes=job["strategy"] == "dfs",
+        shared_store=shared_store, witness=job.get("witness", False))
 
 
 def _run_mutant(job: dict) -> dict:
@@ -296,23 +300,12 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
     """
     workers = workers or default_workers()
     source = getattr(coop_class, "_coop_source", None)
-    sequential_kwargs = dict(
+    sequential = partial(
+        _explore_shard, trace, monitor, coop_class, programs,
         strategy=strategy, budget=budget, seed=seed, max_steps=max_steps,
         stop_on_failure=stop_on_failure, minimize=minimize,
         benchmark=benchmark, discipline=discipline, por=por,
         semantic=semantic, symmetry=symmetry, witness=witness)
-
-    def sequential() -> ExplorationResult:
-        if not trace:
-            return explore_class(monitor, coop_class, programs,
-                                 **sequential_kwargs)
-        with obs.observe(trace=True) as session:
-            result = explore_class(monitor, coop_class, programs,
-                                   **sequential_kwargs)
-        result.trace_shards = [session.tracer.events]
-        result.metrics_snapshot = session.registry.snapshot()
-        return result
-
     if source is None or (workers <= 1 and store is None):
         return sequential()
     roots: List[Tuple[int, ...]] = []
@@ -383,11 +376,13 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                 job["seed"] = seed + start
                 job["budget"] = end - start
                 jobs.append(job)
+        # Units carry trace payloads only when traced, so a traced rerun
+        # must not collect an untraced run's stored results.
         batch_key = checksum_payload([
             benchmark, discipline, strategy, source,
             [[repr(op) for op in program] for program in programs],
             budget, seed, max_steps, stop_on_failure, minimize,
-            por, semantic, symmetry, witness, len(jobs)])[:16]
+            por, semantic, symmetry, witness, trace, len(jobs)])[:16]
         start_time = time.perf_counter()
         outcomes = queue_map(
             _run_shard, jobs, dispatch_store, batch=f"explore/{batch_key}",

@@ -233,7 +233,9 @@ class TestCampaignStore:
         assert summary["rows_dropped"] == 1
         assert summary["problems"] == problems
         # The tampered row is gone; intact rows survive untouched.
-        assert store.get_frontier("fuzz/checkpoint") is None
+        raw = sqlite3.connect(path)
+        assert raw.execute("SELECT COUNT(*) FROM frontier").fetchone() == (0,)
+        raw.close()
         assert store.meta_get("flag") == {"ok": True}
         assert store.verify() == []
         store.close()
@@ -678,17 +680,44 @@ class TestCliDistrib:
 
     def test_explore_store_then_resume_reuses_frontier(self, tmp_path,
                                                        capsys):
-        args = CLI_EXPLORE + ["--store", str(tmp_path / "s.sqlite3")]
+        """Rerunning the same command against the same store is the
+        resume: every shard comes back from its stored unit result."""
+        args = CLI_EXPLORE + ["--benchmark", "Readers-Writers",
+                              "--store", str(tmp_path / "s.sqlite3")]
         assert cli_main(args) == 0
         first = json.loads(capsys.readouterr().out)
         assert first["distrib"]["distrib.units.completed"] > 0
-        assert cli_main(args + ["--resume"]) == 0
+        assert cli_main(args) == 0
         second = json.loads(capsys.readouterr().out)
-        # The benchmark came back from the store's frontier: identical
-        # result, no new work units dispatched.
-        assert second["results"] == first["results"]
-        assert (second["distrib"]["distrib.units.enqueued"]
-                == first["distrib"]["distrib.units.enqueued"])
+        # No unit was enqueued, leased or completed again, and only the
+        # timing fields differ.
+        for name in ("distrib.units.enqueued", "distrib.units.completed",
+                     "distrib.lease.granted"):
+            assert second["distrib"][name] == first["distrib"][name]
+
+        def untimed(doc):
+            timing = ("elapsed_seconds", "schedules_per_second")
+            return [{key: value for key, value in result.items()
+                     if key not in timing} for result in doc["results"]]
+
+        assert untimed(second) == untimed(first)
+
+    def test_explore_traced_rerun_records_its_trace(self, tmp_path, capsys):
+        """A traced run against a store an untraced run filled records the
+        same trace as a traced run against a fresh store: traced shards
+        are units of their own."""
+        explore = ["explore", "--benchmark", "BoundedBuffer", "--strategy",
+                   "random", "--schedules", "20", "--threads", "2", "--ops",
+                   "2", "--json"]
+        args = explore + ["--store", str(tmp_path / "s.sqlite3")]
+        assert cli_main(args) == 0
+        assert cli_main(args + ["--trace", str(tmp_path / "rerun.json")]) == 0
+        fresh = explore + ["--store", str(tmp_path / "fresh.sqlite3"),
+                           "--trace", str(tmp_path / "fresh.json")]
+        assert cli_main(fresh) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "rerun.json").read_bytes()
+                == (tmp_path / "fresh.json").read_bytes())
 
     def test_repair_verifies_the_store(self, tmp_path, capsys):
         store_path = tmp_path / "s.sqlite3"

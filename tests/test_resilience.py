@@ -22,7 +22,6 @@ import pytest
 from repro import obs
 from repro.cli import main as cli_main
 from repro.distrib import DistribConfig, JobFailure, queue_map
-from repro.explore.engine import Counterexample, ExplorationResult
 from repro.fuzz import CorpusStore, CorruptCorpusError, FuzzConfig, run_campaign
 from repro.logic import add, eq, ge, i, land, le, v
 from repro.placement.pipeline import ExpressoPipeline
@@ -576,6 +575,21 @@ CLI_FUZZ_ARGS = ["fuzz", "--budget", "30", "--seed", "7",
                  "--batch-size", "2", "--bootstrap", "2", "--json"]
 
 
+#: A 3-benchmark explore campaign, one shard per benchmark.
+EXPLORE_SWEEP_ARGS = ["explore", "--benchmark", "BoundedBuffer",
+                      "--benchmark", "PendingPostQueue",
+                      "--benchmark", "SimpleBlockingDeployment",
+                      "--strategy", "random", "--schedules", "20",
+                      "--threads", "2", "--ops", "2", "--json"]
+
+
+def _untimed_results(out):
+    """An explore ``--json`` document's results without the timing fields."""
+    timing = ("elapsed_seconds", "schedules_per_second")
+    return [{key: value for key, value in result.items() if key not in timing}
+            for result in json.loads(out)["results"]]
+
+
 class TestCliResilience:
     def test_corrupt_corpus_exits_2_and_names_path(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -609,64 +623,47 @@ class TestCliResilience:
         assert cli_main(CLI_FUZZ_ARGS + ["--fault-plan", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_explore_store_kill_and_resume_sweep(self, tmp_path, capsys):
-        """Kill a 3-benchmark `explore --store` run at each frontier write
-        (one per finished benchmark); the resumed run must report the
-        uninterrupted results."""
-        args = ["explore", "--benchmark", "BoundedBuffer",
-                "--benchmark", "PendingPostQueue",
-                "--benchmark", "SimpleBlockingDeployment",
-                "--strategy", "random", "--schedules", "20",
-                "--threads", "2", "--ops", "2", "--json"]
-
-        def results(out):
-            timing = ("elapsed_seconds", "schedules_per_second")
-            return [{key: value for key, value in result.items()
-                     if key not in timing}
-                    for result in json.loads(out)["results"]]
-
+    def _explore_kill_sweep(self, tmp_path, capsys, match, extra=()):
+        """Kill a 3-benchmark `explore --store` run at the 1st, 2nd and 3rd
+        store write whose token contains *match*, then rerun the same
+        command against the same store: each rerun must report the
+        uninterrupted results (timing aside).  Returns the reruns'
+        ``distrib`` counters."""
+        args = EXPLORE_SWEEP_ARGS + list(extra)
         assert cli_main(args + ["--store", str(tmp_path / "base.sqlite3")]) == 0
-        baseline = results(capsys.readouterr().out)
+        baseline = _untimed_results(capsys.readouterr().out)
         assert len(baseline) == 3
+        counters = []
         for occurrence in range(3):
             store = str(tmp_path / f"kill{occurrence}.sqlite3")
-            plan = FaultPlan([FaultRule("store.write", match="frontier:",
+            plan = FaultPlan([FaultRule("store.write", match=match,
                                         at=(occurrence,))])
             with injected(plan), pytest.raises(InjectedCrash):
                 cli_main(args + ["--store", store])
             capsys.readouterr()
-            assert cli_main(args + ["--store", store, "--resume"]) == 0
-            assert results(capsys.readouterr().out) == baseline, \
-                f"resume diverged after a crash at frontier write {occurrence}"
+            assert cli_main(args + ["--store", store]) == 0
+            out = capsys.readouterr().out
+            assert _untimed_results(out) == baseline, \
+                f"rerun diverged after a crash at {match} #{occurrence}"
+            counters.append(json.loads(out)["distrib"])
+        return counters
 
-    def test_resume_without_store_exits_2(self, capsys):
-        assert cli_main(["explore", "--resume"]) == 2
-        assert "--store" in capsys.readouterr().err
+    def test_explore_store_kill_and_resume_sweep(self, tmp_path, capsys):
+        """Kill the run as each benchmark enqueues its shards: the rerun
+        collects the finished benchmarks' stored shard results and runs
+        each shard exactly once overall."""
+        for counters in self._explore_kill_sweep(tmp_path, capsys,
+                                                 "enqueue:explore/"):
+            assert counters["distrib.units.enqueued"] == 3
+            assert counters["distrib.units.completed"] == 3
+            assert counters.get("distrib.lease.stolen", 0) == 0
 
-
-# ---------------------------------------------------------------------------
-# Serialization round trips used by the resume paths
-# ---------------------------------------------------------------------------
-
-
-class TestResultRoundTrips:
-    def test_exploration_result_round_trip(self):
-        result = ExplorationResult(
-            benchmark="B", discipline="expresso", strategy="dfs", seed=3,
-            threads=2, ops=2, schedules_run=17, completed=15, stalls=2,
-            pruned=4, por_skipped=1, distinct_states=9, exhausted=True,
-            oracle_hits=17, elapsed_seconds=1.2345678,
-            failures=[Counterexample(kind="starvation", detail="d",
-                                     schedule=(1, 0), minimized=(0,),
-                                     trace="t", strategy="dfs", seed=None)],
-            worker_failures=[{"error": "worker: boom", "attempts": 2,
-                             "quarantined": True}])
-        record = result.to_dict()
-        assert ExplorationResult.from_dict(record).to_dict() == record
-
-    def test_counterexample_round_trip_with_witness(self):
-        failure = Counterexample(kind="lost-signal", detail="d",
-                                 schedule=(0, 1, 2), minimized=(1,),
-                                 trace="trace", strategy="random", seed=11,
-                                 witness={"implicit_feasible": True})
-        assert Counterexample.from_dict(failure.to_dict()) == failure
+    def test_explore_store_lease_boundary_sweep(self, tmp_path, capsys):
+        """Kill the run right after each shard's lease commits: the rerun
+        waits out the dead owner's lease, steals the shard and finishes it."""
+        lease = ["--lease-ttl", "0.5", "--heartbeat-interval", "0.2"]
+        for counters in self._explore_kill_sweep(tmp_path, capsys,
+                                                 "claim:explore/", lease):
+            assert counters["distrib.units.completed"] == 3
+            assert counters["distrib.lease.stolen"] == 1
+            assert counters["distrib.lease.granted"] == 4
