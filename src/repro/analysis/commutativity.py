@@ -112,8 +112,12 @@ def _memo(solver: Solver, key, compute) -> bool:
     tracer = obs.tracer()
     if solver.cache is None or not tracer.enabled:
         return solver.memoized("commute", key, compute)[0]
+    # A frozenset's repr order follows the hash seed; render each one sorted
+    # so the fingerprint, and with it the trace, is the same in every process.
+    stable = tuple(tuple(sorted(part)) if isinstance(part, frozenset) else part
+                   for part in key)
     with tracer.span("commute.pair", cat="commute", kind=str(key[0]),
-                     formula=obs.formula_fingerprint(key)) as span:
+                     formula=obs.formula_fingerprint(stable)) as span:
         verdict, hit = solver.memoized("commute", key, compute)
         span.set(cache="hit" if hit else "miss", verdict=bool(verdict))
         return verdict

@@ -18,7 +18,6 @@ Usage examples::
     expresso explore --benchmark BoundedBuffer --strategy dfs
     expresso explore --strategy random --schedules 500 --seed 42 --json
     expresso explore --strategy random --schedules 20000 --workers 4
-    expresso explore --fuzz 25 --seed 1 --schedules 100
     expresso explore --replay failure.json
 
     # Coverage-guided fuzzing with a persistent corpus.
@@ -56,6 +55,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.benchmarks_lib import ALL_BENCHMARKS, FIGURE8_BENCHMARKS, FIGURE9_BENCHMARKS
+from repro.benchmarks_lib.registry import get_benchmark
 from repro.codegen import generate_java, generate_python_explicit
 from repro.harness.compile_time import measure_compile_times
 from repro.harness.report import (
@@ -126,6 +126,19 @@ def _add_distrib_args(cmd: argparse.ArgumentParser) -> None:
                      help="how long --helper waits for the store (and the "
                           "driver's liveness window) to appear "
                           "(default: 30)")
+
+
+def _resolve_benchmarks(names: Sequence[str]):
+    """Registry specs for *names*; ``(specs, exit_code)``.
+
+    An unknown name prints ``error: unknown benchmark ...`` and yields exit
+    code 2, the usage-error code every command shares.
+    """
+    try:
+        return [get_benchmark(name) for name in names], None
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None, 2
 
 
 def _distrib_from_args(args):
@@ -246,9 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="base seed for random/pct walks (default: 0)")
     explore_cmd.add_argument("--max-steps", type=_positive_int, default=20_000,
                              help="per-schedule step bound (default: 20000)")
-    explore_cmd.add_argument("--fuzz", type=_positive_int, default=None, metavar="N",
-                             help="instead of the registry, generate and explore "
-                                  "N random monitors end to end")
     explore_cmd.add_argument("--keep-going", action="store_true",
                              help="keep exploring after the first divergence")
     explore_cmd.add_argument("--workers", type=_positive_int, default=1,
@@ -540,11 +550,9 @@ def _cmd_bench(args) -> int:
         print(f"\nsuite wall clock: {wall:.2f}s ({mode})")
         return 0
     if args.benchmark:
-        specs = [ALL_BENCHMARKS[args.benchmark]] if args.benchmark in ALL_BENCHMARKS else []
-        if not specs:
-            from repro.benchmarks_lib.registry import get_benchmark
-
-            specs = [get_benchmark(args.benchmark)]
+        specs, failed = _resolve_benchmarks([args.benchmark])
+        if failed is not None:
+            return failed
     elif args.figure == "8":
         specs = FIGURE8_BENCHMARKS
     elif args.figure == "9":
@@ -607,7 +615,6 @@ def _replay_jobs_from_file(path: str) -> List[dict]:
 
 
 def _cmd_replay(args) -> int:
-    from repro.benchmarks_lib.registry import get_benchmark
     from repro.explore import coop_monitor_and_class, replay_schedule
     from repro.explore.trace import render_trace
 
@@ -648,26 +655,15 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from repro.fuzz.generate import fuzz_pipeline
     from repro.explore.parallel import parallel_explore_benchmark
 
     if args.replay is not None:
-        if args.fuzz is not None or args.benchmark:
+        if args.benchmark:
             print("error: --replay re-runs recorded schedules; it cannot be "
-                  "combined with --fuzz or --benchmark", file=sys.stderr)
+                  "combined with --benchmark", file=sys.stderr)
             return 2
         return _cmd_replay(args)
 
-    if args.trace and args.fuzz is not None:
-        print("error: --trace records registry-benchmark explorations; "
-              "use `expresso fuzz --trace` for campaign recordings",
-              file=sys.stderr)
-        return 2
-
-    if args.store and args.fuzz is not None:
-        print("error: --store drives registry-benchmark campaigns; it "
-              "cannot be combined with --fuzz", file=sys.stderr)
-        return 2
     failed = _install_fault_plan(args)
     if failed is not None:
         return failed
@@ -676,37 +672,9 @@ def _cmd_explore(args) -> int:
         return failed
     if args.helper:
         return _run_helper_mode(args, distrib)
-
-    if args.fuzz is not None:
-        if args.benchmark or args.discipline != "expresso":
-            print("error: --fuzz generates its own monitors and always explores "
-                  "the expresso-compiled placement; it cannot be combined with "
-                  "--benchmark or --discipline", file=sys.stderr)
-            return 2
-        report = fuzz_pipeline(count=args.fuzz, seed=args.seed,
-                               threads=args.threads, ops=args.ops,
-                               strategy=args.strategy, budget=args.schedules,
-                               max_steps=args.max_steps,
-                               stop_on_failure=not args.keep_going,
-                               witness=args.witness)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(render_explore_table(report.results))
-            for name, error in report.compile_errors:
-                print(f"\nCOMPILE ERROR in {name}: {error}")
-            for result in report.results:
-                for failure in result.failures:
-                    print(f"\n{result.benchmark}: {failure.kind} — {failure.detail}")
-                    print(failure.trace)
-        return 0 if report.ok else 1
-
-    if args.benchmark:
-        from repro.benchmarks_lib.registry import get_benchmark
-
-        specs = [get_benchmark(name) for name in args.benchmark]
-    else:
-        specs = list(ALL_BENCHMARKS.values())
+    specs, failed = _resolve_benchmarks(args.benchmark or list(ALL_BENCHMARKS))
+    if failed is not None:
+        return failed
 
     # One worker with no store and no trace explores in-process.  With
     # --store each shard is a work unit keyed by the configuration, so a
@@ -881,7 +849,6 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    from repro.benchmarks_lib.registry import get_benchmark
     from repro.explore.parallel import mutation_campaign
 
     failed = _install_fault_plan(args)
@@ -890,10 +857,9 @@ def _cmd_mutate(args) -> int:
     distrib, failed = _distrib_from_args(args)
     if failed is not None:
         return failed
-    if args.benchmark:
-        specs = [get_benchmark(name) for name in args.benchmark]
-    else:
-        specs = list(ALL_BENCHMARKS.values())
+    specs, failed = _resolve_benchmarks(args.benchmark or list(ALL_BENCHMARKS))
+    if failed is not None:
+        return failed
     report = mutation_campaign(specs, threads=args.threads, ops=args.ops,
                                budget=args.schedules, workers=args.workers,
                                distrib=distrib)
@@ -925,7 +891,6 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro import obs
-    from repro.benchmarks_lib.registry import get_benchmark
     from repro.harness.report import render_profile_table
     from repro.smt.cache import FormulaCache
 
@@ -941,12 +906,10 @@ def _cmd_profile(args) -> int:
         targets.extend((name, spec.source)
                        for name, spec in ALL_BENCHMARKS.items())
     if args.benchmark:
-        try:
-            targets.extend((spec.name, spec.source)
-                           for spec in map(get_benchmark, args.benchmark))
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        specs, failed = _resolve_benchmarks(args.benchmark)
+        if failed is not None:
+            return failed
+        targets.extend((spec.name, spec.source) for spec in specs)
 
     pipeline = ExpressoPipeline(cache=FormulaCache())
     compiles = []
@@ -997,7 +960,6 @@ def _cmd_profile(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis.lint import LintReport, check_coop_waits, merge_reports
-    from repro.benchmarks_lib.registry import get_benchmark
     from repro.harness.report import render_lint_table
     from repro.smt.cache import FormulaCache
 
@@ -1012,12 +974,10 @@ def _cmd_lint(args) -> int:
         targets.extend((name, spec.source)
                        for name, spec in ALL_BENCHMARKS.items())
     elif args.benchmark:
-        try:
-            targets.extend((spec.name, spec.source)
-                           for spec in map(get_benchmark, args.benchmark))
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        specs, failed = _resolve_benchmarks(args.benchmark)
+        if failed is not None:
+            return failed
+        targets.extend((spec.name, spec.source) for spec in specs)
     if not targets:
         print("error: nothing to lint — give monitor paths, --benchmark, "
               "or --suite", file=sys.stderr)

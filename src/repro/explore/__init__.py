@@ -14,8 +14,9 @@ against the implicit-signal reference semantics:
 * :mod:`repro.explore.trace`      — readable interleaving rendering;
 * :mod:`repro.explore.engine`     — the campaign driver gluing it together.
 
-The seeded random-monitor generator that fuzzes the whole compile pipeline
-end to end lives in :mod:`repro.fuzz.generate`.
+Generated monitors are fuzzed through the whole compile pipeline by the
+coverage-guided campaign in :mod:`repro.fuzz` (``expresso fuzz``); every
+``expresso explore`` run explores registry benchmarks.
 """
 
 from repro.explore.engine import (

@@ -6,8 +6,9 @@ differential oracle, and delta-debug the first failing schedule down to a
 minimal, replayable counterexample.  `explore_benchmark` wires that loop to
 the paper's benchmark registry (any of the four disciplines), and
 `explore_explicit` to an arbitrary placed monitor — which is how mutation
-tests inject lost-wakeup bugs and how the fuzzer checks freshly generated
-placements.
+tests inject lost-wakeup bugs.  The fuzzing campaign (``expresso fuzz``)
+checks freshly generated placements by calling `coop_class_for_explicit`
+and `explore_class` itself.
 
 Three strategies are supported (see :mod:`repro.explore.strategies`):
 
@@ -1110,7 +1111,7 @@ def _stable_hash(fingerprint: tuple) -> int:
 
 def explore_explicit(explicit: ExplicitMonitor, reference: Monitor, programs,
                      **kwargs) -> ExplorationResult:
-    """Explore an arbitrary placed monitor (mutants, fuzzer output, ...).
+    """Explore an arbitrary placed monitor (mutants, hand-edited placements).
 
     The semantic matrix is only built when the requested configuration can
     consult it (DFS with ``por`` and ``semantic`` both on).

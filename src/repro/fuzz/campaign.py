@@ -70,13 +70,14 @@ from repro.distrib import (
     mark_finished,
     queue_map,
 )
+from repro.explore import engine
 from repro.fuzz.corpus import (
     CorpusEntry,
     CorpusStore,
     CorruptCorpusError,
     entry_from_generated,
 )
-from repro.fuzz.coverage import CoverageMap, coverage_fingerprint, run_features
+from repro.fuzz.coverage import CoverageMap, coverage_fingerprint, run_features, state_shape
 from repro.fuzz.generate import balanced_workload, derive_seed, roles_from_json, roles_to_json
 from repro.fuzz.mutate import CROSSOVER_OPERATORS, OPERATORS, apply_operator
 from repro.resilience import fault_check
@@ -240,9 +241,8 @@ def _evaluate_candidate(job: dict) -> dict:
 
 
 def _evaluate_candidate_inner(job: dict) -> dict:
-    from repro.explore.engine import coop_class_for_explicit, explore_class
-    from repro.fuzz.coverage import state_shape
-
+    # The engine's entry points are looked up on the module at call time, so
+    # instrumentation that wraps them as module attributes sees every call.
     base = {"entry_id": job["entry_id"], "schedules_run": 0}
     try:
         compiled = _worker_pipeline().compile(job["source"])
@@ -250,7 +250,7 @@ def _evaluate_candidate_inner(job: dict) -> dict:
         return {**base, "error": f"compile: {type(exc).__name__}: {exc}"}
     try:
         semantic = job["strategy"] == "dfs"
-        coop_class = coop_class_for_explicit(
+        coop_class = engine.coop_class_for_explicit(
             compiled.explicit, semantic=semantic, placement=compiled.placement)
         # The codegen hook embedded the placement signature in the class;
         # read it back so coverage extraction and any worker that rebuilds
@@ -258,7 +258,7 @@ def _evaluate_candidate_inner(job: dict) -> dict:
         signature = coop_class._coop_placement
         programs = balanced_workload(roles_from_json(job["roles"]),
                                      job["threads"], job["ops"])
-        result = explore_class(
+        result = engine.explore_class(
             compiled.monitor, coop_class, programs,
             strategy=job["strategy"], budget=job["budget"],
             seed=job["explore_seed"], max_steps=job["max_steps"],

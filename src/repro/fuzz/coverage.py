@@ -56,8 +56,8 @@ def state_shape(fingerprint: tuple) -> tuple:
     ``(status, sleeping?, op index)``; a mutant that merely renames a method
     therefore discovers nothing, while one that adds a field, another waiter
     or a new reachable value combination genuinely does.  Used identically
-    for the coverage-guided campaign and the random baseline, so
-    coverage-per-schedule comparisons are apples to apples.
+    for the coverage-guided campaign and ``TestFuzzGain``'s blind-generation
+    baseline, so coverage-per-schedule comparisons are apples to apples.
     """
     if not fingerprint:
         return ()

@@ -1,7 +1,8 @@
-"""Seeded monitor generation: the corpus bootstrap and the random baseline.
+"""Seeded monitor generation: the fuzzing campaign's corpus bootstrap.
 
-The generators started as the exploration engine's random-monitor fuzzer and
-were reworked in two ways the fuzzing campaign depends on:
+``random_monitor(seed, index)`` builds the monitors ``expresso fuzz``
+bootstraps its corpus from (and injects when every mutation operator
+refuses).  The campaign depends on two properties of the generators:
 
 * **independent derived seeds** — every corpus entry draws from its own RNG
   seeded by ``derive_seed(campaign_seed, index)`` (a stable blake2b digest,
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.benchmarks_lib.spec import ThreadOps, Workload
-from repro.explore.engine import ExplorationResult, explore_explicit
 
 #: One role op spec: (method name, call args, repeated per workload op?).
 OpSpec = Tuple[str, Tuple, bool]
@@ -220,71 +220,3 @@ def random_monitor(seed: int, index: int = 0) -> GeneratedMonitor:
     monitor_name = f"Fuzz{seed}x{index}".replace("-", "n")
     source = "\n".join([f"monitor {monitor_name} {{", *body_lines, "}"])
     return GeneratedMonitor(monitor_name, source, tuple(names), tuple(roles))
-
-
-# ---------------------------------------------------------------------------
-# The random baseline: blind generate-and-explore (PR 2 behaviour)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FuzzReport:
-    """Outcome of a blind (non-coverage-guided) campaign over a generated corpus."""
-
-    seed: int
-    monitors: int = 0
-    compile_errors: List[Tuple[str, str]] = field(default_factory=list)
-    results: List[ExplorationResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.compile_errors and all(r.ok for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "monitors": self.monitors,
-            "ok": self.ok,
-            "compile_errors": [{"monitor": name, "error": error}
-                               for name, error in self.compile_errors],
-            "results": [result.to_dict() for result in self.results],
-        }
-
-
-def fuzz_pipeline(count: int = 10, seed: int = 0, threads: int = 3, ops: int = 2,
-                  strategy: str = "random", budget: int = 100,
-                  max_steps: int = 20_000, pipeline=None,
-                  stop_on_failure: bool = True, **explore_kwargs) -> FuzzReport:
-    """Compile and explore *count* random monitors; collect every finding.
-
-    Fresh generation every iteration, no corpus, no feedback: the blind
-    fuzzer behind ``expresso explore --fuzz``.  The coverage-guided
-    campaign's gain over blind random generation is measured by
-    ``tests/test_fuzz.py::TestFuzzGain``, which evaluates generated monitors
-    through the campaign's own candidate evaluator instead of this function.
-    """
-    from repro.placement.pipeline import ExpressoPipeline
-
-    pipeline = pipeline if pipeline is not None else ExpressoPipeline()
-    report = FuzzReport(seed=seed)
-    for index in range(count):
-        generated = random_monitor(seed, index)
-        report.monitors += 1
-        try:
-            compiled = pipeline.compile(generated.source)
-        except Exception as exc:
-            report.compile_errors.append(
-                (generated.name, f"{type(exc).__name__}: {exc}"))
-            if stop_on_failure:
-                break
-            continue
-        result = explore_explicit(
-            compiled.explicit, compiled.monitor,
-            generated.workload(threads, ops),
-            strategy=strategy, budget=budget, seed=derive_seed(seed, index) % (2 ** 31),
-            max_steps=max_steps, stop_on_failure=stop_on_failure,
-            benchmark=generated.name, discipline="expresso", **explore_kwargs)
-        report.results.append(result)
-        if not result.ok and stop_on_failure:
-            break
-    return report

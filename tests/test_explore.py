@@ -24,7 +24,7 @@ from repro.explore import (
     replay_schedule,
     run_schedule,
 )
-from repro.fuzz.generate import fuzz_pipeline, random_monitor
+from repro.fuzz.generate import random_monitor
 from repro.harness.saturation import expresso_result
 from repro.lang.ast import Skip
 from repro.placement.target import ExplicitCCR, ExplicitMethod
@@ -248,15 +248,6 @@ class TestGenmon:
         assert len(workload) == 4
         assert any(ops for ops in workload)
 
-    def test_fuzz_pipeline_small_corpus(self):
-        report = fuzz_pipeline(count=3, seed=11, threads=4, ops=2,
-                               strategy="random", budget=40)
-        assert report.monitors == 3
-        assert report.ok, (report.compile_errors,
-                           [r.failures for r in report.results])
-        decoded = json.loads(json.dumps(report.to_dict()))
-        assert decoded["monitors"] == 3
-
 
 class TestExploreCli:
     def test_explore_single_benchmark_text(self, capsys):
@@ -277,14 +268,6 @@ class TestExploreCli:
         decoded = json.loads(out)
         assert decoded["ok"] is True
         assert decoded["results"][0]["schedules_run"] == 20
-
-    def test_explore_fuzz_mode(self, capsys):
-        rc = cli_main(["explore", "--fuzz", "2", "--seed", "8",
-                       "--schedules", "20", "--threads", "4", "--json"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        decoded = json.loads(out)
-        assert decoded["monitors"] == 2
 
     def test_bench_json_and_seed(self, capsys):
         rc = cli_main(["bench", "--benchmark", "PendingPostQueue",

@@ -494,11 +494,13 @@ class TestReplayCli:
         assert decoded["ok"] is True
         assert decoded["replays"][0]["benchmark"] == "BoundedBuffer"
 
-    def test_replay_rejects_fuzz_combination(self, tmp_path, capsys):
+    def test_replay_rejects_benchmark_combination(self, tmp_path, capsys):
         path = tmp_path / "replay.json"
         path.write_text("{}")
-        rc = cli_main(["explore", "--replay", str(path), "--fuzz", "2"])
+        rc = cli_main(["explore", "--replay", str(path),
+                       "--benchmark", "BoundedBuffer"])
         assert rc == 2
+        assert "cannot be combined with --benchmark" in capsys.readouterr().err
 
 
 class TestExploreCliFlags:

@@ -280,6 +280,19 @@ class TestCampaign:
         assert len(result.findings) >= 3
         assert result.rounds <= 2
 
+    def test_bootstrap_only_campaign_judges_generated_monitors(self):
+        """A budget the bootstrap exhausts runs no mutation round: the
+        campaign then just compiles and explores freshly generated
+        monitors, each under its own per-run budget."""
+        result = run_campaign(FuzzConfig(
+            seed=11, budget=120, per_run_budget=40, bootstrap=3,
+            batch_size=3, threads=4, strategy="random"))
+        assert result.monitors == 3
+        assert result.rounds == 0
+        assert result.schedules_run == 120
+        assert result.ok, result.findings
+        assert result.compile_errors == []
+
     def test_campaign_is_deterministic_across_runs_and_workers(self, tmp_path):
         """Same seed + corpus => byte-identical coverage map and findings."""
         config = dataclasses.replace(

@@ -139,6 +139,14 @@ class TestCli:
         assert "PendingPostQueue" in out and "expresso" in out
 
 
+@pytest.mark.parametrize("command", ["explore", "mutate", "bench", "lint",
+                                     "profile"])
+def test_unknown_benchmark_exits_2(command, capsys):
+    assert cli_main([command, "--benchmark", "NoSuchMonitor"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown benchmark 'NoSuchMonitor'" in err
+
+
 class TestCliSolverCounters:
     """The CLI's JSON counters equal a direct compile's solver statistics."""
 

@@ -14,6 +14,9 @@ Covers the observability contracts the rest of the harness leans on:
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 from repro import obs
@@ -259,6 +262,27 @@ class TestTraceDeterminism:
         document = obs.trace_document(result.trace_shards,
                                       metrics=result.metrics_snapshot)
         assert validate_trace(document) == []
+
+    def test_dfs_trace_is_byte_identical_across_hash_seeds(self, tmp_path):
+        """The ``commute.pair`` fingerprints hash memo keys that hold
+        frozensets of field names; a trace must not depend on their
+        hash-seeded iteration order."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        traces = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"trace-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "explore",
+                 "--benchmark", "BoundedBuffer",
+                 "--benchmark", "Readers-Writers", "--strategy", "dfs",
+                 "--threads", "2", "--ops", "2", "--schedules", "200",
+                 "--trace", str(path)],
+                env=env, check=True, capture_output=True, timeout=300)
+            traces.append(path.read_bytes())
+        assert b'"commute.pair"' in traces[0]
+        assert traces[0] == traces[1]
 
     def test_untraced_run_carries_no_artifacts(self):
         spec = get_benchmark("BoundedBuffer")
