@@ -275,8 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "back to syntactic footprints only)")
     explore_cmd.add_argument("--no-symmetry", dest="symmetry",
                              action="store_false",
-                             help="disable wake-order canonicalization and "
-                                  "symmetric-state merging")
+                             help="disable both symmetry kinds: swaps of "
+                                  "threads with identical programs (wake-order "
+                                  "canonicalization) and index permutations "
+                                  "of array-indexed monitors (rotating "
+                                  "threads with their array cells); visited "
+                                  "states then merge only when equal")
     explore_cmd.add_argument("--replay", metavar="FILE", default=None,
                              help="re-run schedules from a JSON file written "
                                   "by --json (or a minimal "

@@ -19,7 +19,11 @@ Three strategies are supported (see :mod:`repro.explore.strategies`):
   shared fields or condition variables), and an early *merge probe* that
   cuts a backtracking replay the moment its divergent suffix re-enters an
   already-visited state — so the engine judges one canonical representative
-  per Mazurkiewicz trace instead of every interleaving.  ``por=False``
+  per Mazurkiewicz trace instead of every interleaving.  With
+  ``symmetry=True`` visited states merge modulo the workload's symmetry
+  group: swaps of identical-program threads and the index automorphisms
+  :func:`index_symmetry` proves for array-indexed monitors (a state and its
+  rotated image root subtrees with the same verdict kinds).  ``por=False``
   recovers the plain PR-2 DFS (every popped prefix runs to completion and is
   judged), which the soundness cross-check tests compare against.  Both
   variants set ``exhausted=True`` when the whole (reduced) space was covered.
@@ -39,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.analysis.symexec import SymbolicExecutionError, symbolic_execute
+from repro.codegen.pyexpr import python_identifier
 from repro.codegen.python_gen import (
     generate_python_autosynch,
     generate_python_explicit,
@@ -67,9 +73,13 @@ from repro.lang.ast import (
     While,
     stmt_assigned_vars,
 )
+from repro.lang.arrays import cell_name
 from repro.logic import TRUE
 from repro.logic.evaluate import EvaluationError, evaluate
 from repro.logic.free_vars import free_vars
+from repro.logic.simplify import simplify
+from repro.logic.substitute import rename_vars
+from repro.logic.terms import INT, Var
 from repro.placement.target import ExplicitMonitor
 
 #: The disciplines the engine can adversarially schedule.
@@ -327,6 +337,212 @@ class ValueIndependence:
                            self.shared))
             self._cache[key] = verdict
         return verdict
+
+
+# ---------------------------------------------------------------------------
+# Index-permutation symmetry
+# ---------------------------------------------------------------------------
+
+#: Sym(N) is searched only while it has at most this many permutations.
+MAX_INDEX_PERMUTATIONS = 720
+
+
+def index_symmetry(programs, coop_class: type, monitor: Monitor) -> ProgramSymmetry:
+    """The symmetry table of one exploration, index automorphisms included.
+
+    The scalarset reduction (Ip & Dill, FMSD 1996) over the array cells
+    ``a__i`` that :func:`repro.lang.arrays.cell_name` names: a permutation
+    σ of the index domain {0..N-1} is kept when it passes both
+
+    * **(W)** — σ applied to the index arguments (int parameters no body
+      assigns, every workload argument in [0, N)) maps the programs onto
+      themselves (:meth:`ProgramSymmetry.workload_image`), and
+    * **(M)** — every workload call is equivariant under σ in both the
+      placed monitor and the reference monitor (:class:`_Equivariance`).
+
+    Then renaming cells and index arguments together is an automorphism of
+    the scheduler state, the placed monitor and the oracle's reference, so
+    a state and its images root subtrees with the same verdict kinds.
+    Classes without ``_coop_explicit`` (the autosynch and implicit
+    disciplines) and array-free monitors get the identity alone.  The check
+    asks no SMT query.
+    """
+    from itertools import permutations
+    from math import factorial
+
+    explicit = getattr(coop_class, "_coop_explicit", None)
+    arrays = _index_arrays(explicit, monitor) if explicit is not None else None
+    if not arrays:
+        return ProgramSymmetry(programs)
+    size = len(next(iter(arrays.values())))
+    calls = sorted({(name, tuple(args)) for program in programs
+                    for name, args in program}, key=repr)
+    index_params = _index_params(explicit, monitor, calls, size)
+    table = ProgramSymmetry(programs, index_params, size)
+    if not index_params or factorial(size) > MAX_INDEX_PERMUTATIONS:
+        return table
+    rules = _Equivariance((explicit, monitor), calls, table)
+    identity = tuple(range(size))
+    for sigma in permutations(identity):
+        groups = table.workload_image(sigma)
+        if sigma == identity or groups is None:
+            continue
+        cells = {cells_of[index]: cells_of[sigma[index]]
+                 for cells_of in arrays.values() for index in range(size)}
+        if rules.hold(sigma, cells):
+            # Fingerprints name fields by instance attribute (dots mangled).
+            table.add(sigma, groups, {
+                python_identifier(source): python_identifier(target)
+                for source, target in cells.items()})
+    return table
+
+
+def _index_arrays(explicit: ExplicitMonitor,
+                  monitor: Monitor) -> Optional[Dict[str, List[str]]]:
+    """The scalarized arrays of one common size N ≥ 2: name -> cell names.
+
+    An array's cells must share their sort and initial value in both
+    monitors, so the initial state is a fixed point of every renaming.
+    """
+    declared = {decl.name: decl for decl in explicit.fields}
+    reference = {decl.name: decl for decl in monitor.fields}
+    arrays: Dict[str, List[str]] = {}
+    for name in declared:
+        base, _sep, index = name.rpartition("__")
+        if base and index == "0":
+            cells = []
+            while cell_name(base, len(cells)) in declared:
+                cells.append(cell_name(base, len(cells)))
+            if len(cells) >= 2:
+                arrays[base] = cells
+    if len({len(cells) for cells in arrays.values()}) != 1:
+        return None
+    for cells in arrays.values():
+        for decls in (declared, reference):
+            first = decls.get(cells[0])
+            if first is None or any(
+                    cell not in decls or decls[cell].sort != first.sort
+                    or decls[cell].init is not first.init for cell in cells):
+                return None
+    return arrays
+
+
+def _index_params(explicit: ExplicitMonitor, monitor: Monitor, calls,
+                  size: int) -> Dict[str, Dict[int, str]]:
+    """Per called method, its index parameters: position -> name.
+
+    An index parameter is an int parameter that no body of either monitor
+    assigns and whose workload arguments all lie in [0, *size*).  Its name
+    must be a plain identifier, so frame locals and ``_snapshot`` keys
+    carry it unchanged.
+    """
+    reference = {method.name: method for method in monitor.methods}
+    params: Dict[str, Dict[int, str]] = {}
+    for method in explicit.methods:
+        argument_lists = [args for name, args in calls if name == method.name]
+        other = reference.get(method.name)
+        if not argument_lists or other is None or other.params != method.params:
+            continue
+        assigned = set()
+        for ccr in method.ccrs + other.ccrs:
+            assigned |= stmt_assigned_vars(ccr.body)
+        positions = {
+            position: param.name
+            for position, param in enumerate(method.params)
+            if param.sort is INT and param.name.isidentifier()
+            and param.name not in assigned
+            and all(type(args[position]) is int and 0 <= args[position] < size
+                    for args in argument_lists)}
+        if positions:
+            params[method.name] = positions
+    return params
+
+
+class _Equivariance:
+    """Condition (M): the monitors commute with an index renaming.
+
+    For a permutation σ with cell renaming ρ (``a__i`` to ``a__σ(i)``),
+    every workload call (m, a) and every CCR of m, in the placed and in the
+    reference monitor, must satisfy, instantiated at a and at σ(a):
+
+    * the guard at σ(a) is ρ(guard at a);
+    * after :func:`~repro.analysis.symexec.symbolic_execute`, each field
+      ρ(f) holds ρ(value of f at a), and each CCR local holds ρ(its value
+      at a).
+
+    Notifications belong to the CCR, not to the call, so their kind,
+    condition variable and conditional flag agree at a and σ(a) by
+    construction.  A conditional one's waiter-side predicate is the guard
+    of the CCRs waiting on its condition, so the guard rule at every
+    waiting call's arguments already covers it.  Equality is object
+    identity of simplified, hash-consed formulas: a loop, a local that
+    copies an index or a mere reordering rejects σ, which is always sound.
+    """
+
+    def __init__(self, monitors, calls, table: ProgramSymmetry):
+        self.calls = calls
+        self.table = table
+        self.owners = [({method.name: method for method in owner.methods},
+                        {decl.name: decl.sort for decl in owner.fields})
+                       for owner in monitors]
+        self._summaries: Dict[tuple, Optional[list]] = {}
+
+    def hold(self, sigma: Tuple[int, ...], cells: Dict[str, str]) -> bool:
+        return all(
+            name in methods and self._call_holds(
+                owner, methods[name], args,
+                self.table.image_args(name, args, sigma), cells, sorts)
+            for owner, (methods, sorts) in enumerate(self.owners)
+            for name, args in self.calls)
+
+    def _summary(self, owner: int, method, args) -> Optional[list]:
+        """Per CCR at one call: (simplified guard, symbolic post-state)."""
+        from repro.analysis.commutativity import (
+            _instantiate_expr,
+            _instantiate_stmt,
+            _param_binding,
+        )
+
+        key = (owner, method.name, args)
+        if key not in self._summaries:
+            binding = _param_binding(method, args)
+            summary: Optional[list] = None
+            if binding is not None:
+                try:
+                    summary = [
+                        (simplify(_instantiate_expr(ccr.guard, binding)),
+                         symbolic_execute(_instantiate_stmt(ccr.body, binding)).values)
+                        for ccr in method.ccrs]
+                except SymbolicExecutionError:
+                    summary = None
+            self._summaries[key] = summary
+        return self._summaries[key]
+
+    def _call_holds(self, owner: int, method, args, image, cells, sorts) -> bool:
+        before = self._summary(owner, method, args)
+        after = self._summary(owner, method, image)
+        if before is None or after is None:
+            return False
+        for (guard, values), (image_guard, image_values) in zip(before, after):
+            if _renamed(guard, cells) is not image_guard:
+                return False
+            locals_ = {name for name in values if name not in sorts}
+            if locals_ != {name for name in image_values if name not in sorts}:
+                return False
+            for name in locals_:
+                if _renamed(values[name], cells) is not image_values[name]:
+                    return False
+            for name, sort in sorts.items():
+                target = cells.get(name, name)
+                value = values.get(name, Var(name, sort))
+                if _renamed(value, cells) is not image_values.get(
+                        target, Var(target, sort)):
+                    return False
+        return True
+
+
+def _renamed(expr, cells: Dict[str, str]):
+    return simplify(rename_vars(expr, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -939,13 +1155,19 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
     stack: List[Tuple[Tuple[int, ...], frozenset]] = (
         [(tuple(prefix), frozenset()) for prefix in reversed(dfs_prefixes)]
         if dfs_prefixes else [((), frozenset())])
-    symmetry_table = ProgramSymmetry(programs) if symmetry else None
+    symmetry_table = (index_symmetry(programs, coop_class, monitor)
+                      if symmetry else None)
 
     # When a run aborts as "merged", provenance records whether the covering
     # probe hit this shard's own visited set or a sibling's published states.
     probe_source = ["merge"]
 
     def probe(fingerprint: tuple) -> bool:
+        # Decisions keep the raw fingerprint (the segment refiner evaluates
+        # guards against its un-renamed fields); visited states are keyed
+        # modulo the symmetry group.
+        if symmetry_table is not None:
+            fingerprint = symmetry_table.canonical(fingerprint)
         if fingerprint in seen:
             probe_source[0] = "merge"
             return True
@@ -1031,9 +1253,10 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
     (sampling strategies ignore it); under POR, ``semantic`` additionally
     consults the compile-side SMT-proven independence matrix and
     ``symmetry`` collapses provably interchangeable wake/grant alternatives
-    to one representative.  ``dfs_prefixes`` restricts the DFS to the
-    subtrees rooted at the given choice prefixes (the parallel driver shards
-    the top-level decision this way).  ``export_state_hashes`` populates
+    to one representative and merges visited states with their images
+    under the workload's symmetry group.  ``dfs_prefixes`` restricts the
+    DFS to the subtrees rooted at the given choice prefixes (the parallel
+    driver shards the top-level decision this way).  ``export_state_hashes`` populates
     ``result.state_hashes`` with stable hashes of the visited states so
     shard coverage can be unioned across processes; ``shared_store``
     (an object with ``probe(hash) -> bool`` and ``publish()``) lets DFS

@@ -43,12 +43,21 @@ Three hot-path refinements keep systematic exploration cheap:
   membership probe over already-visited states; a run whose divergent suffix
   immediately re-enters a visited state is cut off with outcome ``merged``
   instead of executing (and judging) its entire redundant tail.
+
+A :class:`ProgramSymmetry` table adds two symmetry kinds.  Threads with
+identical programs are interchangeable, so fingerprints list them in a
+canonical order and decisions carry symmetry classes.  Index automorphisms
+permute an array's index domain together with the array cells, the index
+arguments and the threads whose programs they map onto each other (Dining
+Philosophers' rotations); :meth:`ProgramSymmetry.canonical` maps a
+fingerprint to the least of its images, the key visited states are merged
+on.  Decisions keep the un-renamed fingerprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.explore.strategies import AbortRun, Strategy, _session_registry
 
@@ -190,20 +199,44 @@ def _frame_fingerprint(generator) -> tuple:
     return tuple(parts)
 
 
+class IndexAutomorphism(NamedTuple):
+    """A permutation σ of an array index domain, lifted to whole states.
+
+    ``sigma[i]`` is the image of index *i*.  ``groups[g]`` is the
+    identical-program group whose program is group *g*'s program with σ
+    applied to its index arguments (the thread permutation π, up to swaps
+    inside a group).  ``sources`` maps each array-cell attribute ``a__σ(i)``
+    to ``a__i``, the cell whose value it takes in the image state.
+    """
+
+    sigma: Tuple[int, ...]
+    groups: Tuple[int, ...]
+    sources: Dict[str, str]
+
+
 class ProgramSymmetry:
-    """A workload's identical-program thread groups and remaining programs.
+    """A workload's symmetry table: thread groups, programs, automorphisms.
 
     ``groups`` partitions thread ids by identical program: swapping two
     threads of one group is a scheduler automorphism.  ``suffixes[tid][i]``
     is thread *tid*'s remaining program from operation *i* on, the part of a
-    symmetry-class key that frame fingerprints do not pin.  Programs are
-    fixed for a whole exploration, so the engine builds this once and hands
-    it to every scheduler.
+    symmetry-class key that frame fingerprints do not pin.
+
+    ``automorphisms`` lists the index automorphisms of the domain
+    {0..*size*-1}, the identity first.  *index_params* maps a method to its
+    index parameters (argument position to name).  :meth:`workload_image`
+    checks a permutation against the programs, and the engine adds the ones
+    it also proved on the monitor (:func:`repro.explore.engine
+    .index_symmetry`).  Programs are fixed for a whole exploration, so the
+    engine builds this once and hands it to every scheduler.
     """
 
-    __slots__ = ("groups", "suffixes")
+    __slots__ = ("groups", "suffixes", "automorphisms", "index_params",
+                 "_group_of", "_op_params")
 
-    def __init__(self, programs: Sequence[ThreadProgram]):
+    def __init__(self, programs: Sequence[ThreadProgram],
+                 index_params: Optional[Dict[str, Dict[int, str]]] = None,
+                 size: int = 0):
         by_program: Dict[tuple, List[int]] = {}
         self.suffixes: List[List[tuple]] = []
         for tid, program in enumerate(programs):
@@ -211,6 +244,110 @@ class ProgramSymmetry:
             by_program.setdefault(calls, []).append(tid)
             self.suffixes.append([calls[index:] for index in range(len(calls) + 1)])
         self.groups: List[List[int]] = list(by_program.values())
+        self.index_params = index_params or {}
+        self._group_of = {calls: index for index, calls in enumerate(by_program)}
+        # Per group and operation index, the names of the running method's
+        # index parameters (frame locals and ``_snapshot`` keys alike).
+        self._op_params = [
+            [frozenset(self.index_params.get(name, {}).values())
+             for name, _args in calls] + [frozenset()]
+            for calls in by_program]
+        self.automorphisms: List[IndexAutomorphism] = [IndexAutomorphism(
+            tuple(range(size)), tuple(range(len(self.groups))), {})]
+
+    def workload_image(self, sigma: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        """Condition (W): the group permutation σ induces, or None.
+
+        Every group's program, with σ applied to its index arguments, must
+        be the program of a group of the same size.
+        """
+        image: List[int] = []
+        for calls, group in zip(self._group_of, self.groups):
+            target = self._group_of.get(tuple(
+                (name, self.image_args(name, args, sigma)) for name, args in calls))
+            if target is None or len(self.groups[target]) != len(group):
+                return None
+            image.append(target)
+        return tuple(image)
+
+    def image_args(self, method: str, args: tuple, sigma: Tuple[int, ...]) -> tuple:
+        """A call's arguments with σ applied to its index parameters."""
+        positions = self.index_params.get(method, ())
+        return tuple(sigma[arg] if position in positions else arg
+                     for position, arg in enumerate(args))
+
+    def add(self, sigma: Tuple[int, ...], groups: Tuple[int, ...],
+            cells: Dict[str, str]) -> None:
+        """Record a proven automorphism.
+
+        *cells* maps each cell's instance attribute ``a__i`` to ``a__σ(i)``.
+        """
+        self.automorphisms.append(IndexAutomorphism(
+            sigma, groups, {target: source for source, target in cells.items()}))
+
+    def canonical(self, fingerprint: tuple) -> tuple:
+        """The state key: the least image of *fingerprint* under the group.
+
+        *fingerprint* is a scheduler fingerprint taken with this table, so
+        its threads are already sorted within each identical-program group.
+        Images rename the array cells and, in every frame, the locals and
+        ``_snapshot`` entries named as the method's index parameters; all
+        other locals stay, because the engine proved them equivariant.
+        Images compare by ``repr``, which no hash seed changes.  With the
+        identity alone the key is the fingerprint itself.
+        """
+        if len(self.automorphisms) == 1:
+            return fingerprint
+        shared, groups = fingerprint
+        values = dict(shared)
+        best, best_text = fingerprint, repr(fingerprint)
+        for automorphism in self.automorphisms[1:]:
+            sigma, sources = automorphism.sigma, automorphism.sources
+            image_groups: List[tuple] = [()] * len(groups)
+            for index, entries in enumerate(groups):
+                params = self._op_params[index]
+                image_groups[automorphism.groups[index]] = tuple(sorted(
+                    (_rename_entry(entry, sigma, params[entry[2]])
+                     for entry in entries), key=repr))
+            image = (tuple((name, values[sources.get(name, name)])
+                           for name, _value in shared), tuple(image_groups))
+            text = repr(image)
+            if text < best_text:
+                best, best_text = image, text
+        return best
+
+
+def _rename_entry(entry: tuple, sigma: Tuple[int, ...], params: frozenset) -> tuple:
+    """A thread entry ``(status, wait key, op index, frame)`` with σ applied."""
+    status, wait_key, op_index, frame = entry
+    if frame is None or not params:
+        return entry
+    parts = []
+    for part in frame:
+        if len(part) != 2:
+            parts.append(part)
+            continue
+        lasti, locals_fp = part
+        parts.append((lasti, tuple(
+            (name, _rename_local(value, sigma) if name in params
+             else _rename_snapshot(value, sigma, params) if name == "_snapshot"
+             else value)
+            for name, value in locals_fp)))
+    return (status, wait_key, op_index, tuple(parts))
+
+
+def _rename_local(value, sigma: Tuple[int, ...]):
+    if type(value) is int and 0 <= value < len(sigma):
+        return sigma[value]
+    return value
+
+
+def _rename_snapshot(value, sigma: Tuple[int, ...], params: frozenset):
+    """A frozen ``_snapshot`` dict with its index-parameter entries renamed."""
+    if not isinstance(value, tuple):
+        return value
+    return tuple((key, _rename_local(item, sigma) if key in params else item)
+                 for key, item in value)
 
 
 class CoopScheduler:
@@ -226,7 +363,9 @@ class CoopScheduler:
 
     *symmetry* (a :class:`ProgramSymmetry` of the programs) turns on
     symmetry classes and fingerprints canonical modulo permutation of
-    identical-program threads.
+    identical-program threads.  The index automorphisms are applied by the
+    merge probe's owner (:meth:`ProgramSymmetry.canonical`), so decisions
+    and probes see the same un-renamed fingerprint.
     """
 
     def __init__(self, instance, programs: Sequence[ThreadProgram],

@@ -29,10 +29,13 @@ from repro.explore import (
     parallel_explore_class,
     run_schedule,
 )
+from repro.explore.engine import index_symmetry
 from repro.explore.strategies import footprints_independent
 from repro.harness.report import render_explore_table
 from repro.harness.saturation import expresso_result
-from repro.explore.strategies import RandomStrategy
+from repro.lang import load_monitor
+from repro.placement.pipeline import ExpressoPipeline
+from repro.explore.strategies import FirstStrategy, RandomStrategy, ScheduleStrategy
 
 
 def _verdict_kinds(result):
@@ -125,8 +128,9 @@ class TestDporSoundness:
 
     def test_suite_reduction_is_at_least_tenfold(self):
         """The judged-schedule totals of the suite at 3 threads x 3 ops:
-        plain DFS, syntactic DPOR and semantic DPOR (25.7x fewer than plain,
-        1.75x fewer than syntactic).  Every search is deterministic, so the
+        plain DFS, syntactic DPOR and semantic DPOR (32.0x fewer than plain,
+        2.17x fewer than syntactic; Dining Philosophers' rotations merge its
+        72 judged schedules to 24).  Every search is deterministic, so the
         totals are pinned exactly."""
         total_plain = total_syntactic = total_por = 0
         for name in ALL_BENCHMARKS:
@@ -143,7 +147,7 @@ class TestDporSoundness:
             total_plain += plain.schedules_run
             total_syntactic += syntactic.schedules_run
             total_por += por.schedules_run
-        assert (total_plain, total_syntactic, total_por) == (6274, 426, 244)
+        assert (total_plain, total_syntactic, total_por) == (6274, 426, 196)
 
     def test_symmetry_reduction_preserves_verdicts(self):
         """Identical-thread wake orders collapse; verdict sets survive."""
@@ -183,6 +187,181 @@ class TestDporSoundness:
                                   por=False)
         assert not plain.exhausted and plain.budget_exhausted
         assert por.schedules_run < plain.schedules_run
+
+
+_COUNTING_PHILOSOPHERS = """
+monitor CountingPhilosophers {
+    const int N = 3;
+    boolean forks[N];
+    int meals = 0;
+
+    atomic void pickUp(int leftFork, int rightFork) {
+        waituntil (!forks[leftFork] && !forks[rightFork]) {
+            forks[leftFork] = true;
+            forks[rightFork] = true;
+        }
+    }
+    atomic void putDown(int leftFork, int rightFork) {
+        forks[leftFork] = false;
+        forks[rightFork] = false;
+        if (leftFork == 0) { meals = meals + 1; }
+    }
+    atomic void awaitMeal() {
+        waituntil (meals > 0) { }
+    }
+}
+"""
+
+
+class TestIndexSymmetry:
+    """Index-permutation automorphisms: Dining Philosophers' rotations."""
+
+    @pytest.fixture(scope="class")
+    def dining(self):
+        spec = get_benchmark("Dining Philosophers")
+        reference, coop_class = coop_monitor_and_class(spec, "expresso")
+        return spec, reference, coop_class
+
+    def test_three_philosophers_yield_the_three_rotations(self, dining):
+        spec, reference, coop_class = dining
+        table = index_symmetry(spec.workload(3, 3), coop_class, reference)
+        assert [a.sigma for a in table.automorphisms] == [
+            (0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        # One philosopher per group: π is the rotation of the threads.
+        assert [a.groups for a in table.automorphisms] == [
+            (0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert table.index_params == {
+            "pickUp": {0: "leftFork", 1: "rightFork"},
+            "putDown": {0: "leftFork", 1: "rightFork"}}
+
+    def test_a_repeated_philosopher_leaves_the_identity_only(self, dining):
+        """Thread 3 repeats philosopher 0, so no rotation maps the programs
+        onto themselves; the exploration is the one without the layer."""
+        spec, reference, coop_class = dining
+        programs = spec.workload(4, 2)
+        table = index_symmetry(programs, coop_class, reference)
+        assert [a.sigma for a in table.automorphisms] == [(0, 1, 2)]
+        result = explore_class(reference, coop_class, programs, strategy="dfs",
+                               budget=50_000, minimize=False,
+                               stop_on_failure=False)
+        assert result.exhausted and result.ok
+        assert (result.schedules_run, result.pruned, result.por_skipped,
+                result.symmetry_skipped, result.distinct_states) == (
+                    56, 2348, 316, 142, 1516)
+
+    def test_array_free_and_automatic_classes_get_the_identity(self, buffer_spec):
+        reference, coop_class = coop_monitor_and_class(buffer_spec, "expresso")
+        programs = buffer_spec.workload(3, 2)
+        table = index_symmetry(programs, coop_class, reference)
+        assert [a.sigma for a in table.automorphisms] == [()]
+        fingerprint = run_schedule(coop_class(), programs, RandomStrategy(0),
+                                   fingerprints=True,
+                                   symmetry=table).decisions[0].fingerprint
+        assert table.canonical(fingerprint) is fingerprint
+        spec = get_benchmark("Dining Philosophers")
+        reference, autosynch = coop_monitor_and_class(spec, "autosynch")
+        table = index_symmetry(spec.workload(3, 2), autosynch, reference)
+        assert len(table.automorphisms) == 1
+
+    @pytest.mark.parametrize("ops", [2, 3])
+    def test_verdicts_match_and_fewer_schedules_are_judged(self, ops):
+        """The clean monitor and its notification-deletion mutant judge the
+        same verdict kinds with the layer on and off, and fewer schedules
+        with it on."""
+        spec = get_benchmark("Dining Philosophers")
+        compiled = expresso_result(spec)
+        programs = spec.workload(3, ops)
+        kwargs = dict(strategy="dfs", budget=50_000, minimize=False,
+                      stop_on_failure=False)
+        subjects = [compiled.explicit] + [
+            compiled.explicit.without_notification(*site)
+            for site in compiled.explicit.notification_sites()]
+        for subject in subjects:
+            on = explore_explicit(subject, compiled.monitor, programs, **kwargs)
+            off = explore_explicit(subject, compiled.monitor, programs,
+                                   symmetry=False, **kwargs)
+            assert on.exhausted and off.exhausted
+            assert _verdict_kinds(on) == _verdict_kinds(off)
+            assert on.schedules_run < off.schedules_run
+        assert _verdict_kinds(on) == {"lost-wakeup"}
+
+    def test_mutants_match_at_three_ops(self):
+        """The sweep of ``test_mutant_counterexamples_match`` for Dining
+        Philosophers at 3 threads x 3 ops, where rotations merge most."""
+        spec = get_benchmark("Dining Philosophers")
+        compiled = expresso_result(spec)
+        programs = spec.workload(3, 3)
+        kwargs = dict(strategy="dfs", budget=50_000, minimize=False,
+                      stop_on_failure=False)
+        for site in compiled.explicit.notification_sites():
+            mutant = compiled.explicit.without_notification(*site)
+            plain = explore_explicit(mutant, compiled.monitor, programs,
+                                     por=False, **kwargs)
+            syntactic = explore_explicit(mutant, compiled.monitor, programs,
+                                         por=True, semantic=False,
+                                         symmetry=False, **kwargs)
+            por = explore_explicit(mutant, compiled.monitor, programs,
+                                   por=True, **kwargs)
+            assert plain.exhausted and syntactic.exhausted and por.exhausted
+            assert (_verdict_kinds(plain) == _verdict_kinds(syntactic)
+                    == _verdict_kinds(por) == {"lost-wakeup"}), site
+
+    def test_an_index_dependent_body_rejects_the_rotations(self):
+        """``putDown`` counts meals only for philosopher 0: no rotation is
+        an automorphism, and the lost wakeup only that philosopher's
+        ``putDown`` causes is still found."""
+        compiled = ExpressoPipeline().compile(load_monitor(_COUNTING_PHILOSOPHERS))
+        programs = [[("pickUp", (p, (p + 1) % 3)), ("putDown", (p, (p + 1) % 3))] * 2
+                    for p in range(3)] + [[("awaitMeal", ())]]
+        table = index_symmetry(programs, coop_class_for_explicit(compiled.explicit),
+                               compiled.monitor)
+        assert [a.sigma for a in table.automorphisms] == [(0, 1, 2)]
+        meals_site = ("putDown#0", 1)
+        assert "meals" in compiled.explicit.method("putDown").ccrs[0] \
+            .notifications[1].describe()
+        mutant = compiled.explicit.without_notification(*meals_site)
+        kwargs = dict(strategy="dfs", budget=50_000, minimize=False,
+                      stop_on_failure=False)
+        on = explore_explicit(mutant, compiled.monitor, programs, **kwargs)
+        off = explore_explicit(mutant, compiled.monitor, programs,
+                               symmetry=False, **kwargs)
+        assert on.exhausted and off.exhausted
+        assert _verdict_kinds(on) == _verdict_kinds(off) == {"lost-wakeup"}
+
+    def test_a_dotted_array_renames_its_mangled_attributes(self, dining):
+        """Instance attributes mangle ``table.forks__0`` to
+        ``table_forks__0``; the key renames those, so the search is
+        Dining Philosophers' own."""
+        spec, _reference, _coop_class = dining
+        compiled = ExpressoPipeline().compile(
+            load_monitor(spec.source.replace("forks", "table.forks")))
+        result = explore_explicit(compiled.explicit, compiled.monitor,
+                                  spec.workload(3, 3), strategy="dfs",
+                                  budget=50_000, minimize=False,
+                                  stop_on_failure=False)
+        assert result.exhausted and result.ok
+        assert (result.schedules_run, result.pruned,
+                result.distinct_states) == (24, 413, 320)
+
+    def test_rotated_states_share_a_key_but_not_a_fingerprint(self, dining):
+        """Philosopher 0 or philosopher 1 eating first: rotated states with
+        one canonical key, while each decision keeps its own fields (the
+        segment refiner evaluates guards against them)."""
+        spec, reference, coop_class = dining
+        programs = spec.workload(3, 3)
+        table = index_symmetry(programs, coop_class, reference)
+        states = []
+        for first in (0, 1):
+            run = run_schedule(coop_class(), programs,
+                               ScheduleStrategy([first], FirstStrategy()),
+                               fingerprints=True, symmetry=table)
+            states.append(run.decisions[1].fingerprint)
+        assert states[0] != states[1]
+        assert table.canonical(states[0]) == table.canonical(states[1])
+        assert dict(states[0][0]) == {
+            "forks__0": True, "forks__1": True, "forks__2": False}
+        assert dict(states[1][0]) == {
+            "forks__0": False, "forks__1": True, "forks__2": True}
 
 
 class TestAccounting:
