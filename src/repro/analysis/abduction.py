@@ -36,12 +36,43 @@ abducer:
   and ``x <= -2``), because monitor invariants are usually inequalities; the
   generalizations are validated the same way.
 
-Results are memoized per ``(pre, goal, limits)`` in the solver's
+Abduction is told the *vocabulary* of its caller: the variable names a
+candidate may mention (Algorithm 2 passes the monitor's fields, since by
+§3.1 the invariant ranges over shared state only).  It returns only
+candidates inside the vocabulary and skips every query whose answer cannot
+reach them:
+
+1. an obligation with no vocabulary variable returns no candidates before
+   its first query — every candidate it could yield mentions only
+   variables of the obligation;
+2. a split candidate that mentions a variable outside the vocabulary is not
+   validated when :func:`_generalize_atoms` mines no in-vocabulary
+   generalization from it (the same function, not a syntactic test: a
+   linearized difference can cancel variables), because its verdict could
+   only add an out-of-vocabulary candidate;
+3. an out-of-vocabulary candidate that does have in-vocabulary
+   generalizations is still validated and, when useful, stays a
+   generalization source — an in-vocabulary half-space may be first mined
+   from it;
+4. out-of-vocabulary generalizations are not validated.
+
+Every verdict is a function of the candidate alone, so a skipped query's
+lost SAT witness changes query counts, never answers: the result is the
+unrestricted candidate list filtered to the vocabulary, order preserved.
+The one exception is the ``max_candidates`` cap, which counts the
+validated candidates (the returned ones plus the rule-3 sources) and not
+the skipped ones, so where the unrestricted cap would bind, more
+in-vocabulary candidates can survive.  No obligation of the suite or of
+the generated monitors in the tests reaches the cap.
+
+Results are memoized per ``(pre, goal, vocabulary, limits)``, with the
+vocabulary cut down to the obligation's variables (the only ones a
+candidate can mention), in the solver's
 :class:`~repro.smt.cache.FormulaCache` (its ``"abduce"`` procedure memo),
-unless a query of the computation returned UNKNOWN, so a campaign-wide cache
-answers an obligation a mutant shares with its parent in O(1).  The
-candidates are identical to validating each one with two fresh queries
-(``tests/test_invariants_reference.py``).
+unless a query of the computation returned UNKNOWN, so a campaign-wide
+cache answers an obligation a mutant shares with its parent in O(1), even
+when their fields differ.  The candidates are identical to validating each
+one with two fresh queries (``tests/test_invariants_reference.py``).
 
 The caller (Algorithm 2) re-checks every candidate for initiation and
 consecution, so the abducer only has to be useful, never complete.
@@ -51,7 +82,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import build
 from repro.logic.evaluate import truth_value
@@ -77,10 +108,15 @@ class AbductionResult:
         return iter(self.candidates)
 
 
-def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
-           max_kept_vars: int = 2, max_candidates: int = 24,
-           max_subsets: int = 16, max_obligation_atoms: int = 20) -> AbductionResult:
-    """Produce candidate strengthenings ``psi`` with ``pre && psi |= goal``.
+def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None, *,
+           vocabulary: Collection[str], max_kept_vars: int = 2,
+           max_candidates: int = 24, max_subsets: int = 16,
+           max_obligation_atoms: int = 20) -> AbductionResult:
+    """Produce candidate strengthenings ``psi`` with ``pre && psi |= goal``
+    that mention only variables named in *vocabulary*.
+
+    The part of *vocabulary* the obligation mentions is part of the memo
+    key; the obligation's own variables restrict nothing.
 
     ``max_kept_vars`` bounds the size of the variable subsets over which
     explanations are sought (the Explain tool's minimality bias).  The
@@ -94,35 +130,53 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None,
     while Algorithm 2 still filters the resulting candidates for soundness.
     """
     solver = solver or Solver()
+    # A candidate mentions only the obligation's variables, so the rest of
+    # the vocabulary cannot change the result: leaving it out of the memo
+    # key lets monitors with different fields share an obligation's entry.
+    own = {var.name for var in free_vars(build.implies(pre, goal))}
+    vocabulary = frozenset(own.intersection(vocabulary))
     limits = (max_kept_vars, max_candidates, max_subsets, max_obligation_atoms)
     result, _hit = solver.memoized(
-        "abduce", (pre, goal, limits),
-        lambda: _abduce(pre, goal, solver, *limits))
+        "abduce", (pre, goal, vocabulary, limits),
+        lambda: _abduce(pre, goal, solver, vocabulary, *limits))
     return result
 
 
-def _abduce(pre: Expr, goal: Expr, solver: Solver, max_kept_vars: int,
-            max_candidates: int, max_subsets: int,
+def _abduce(pre: Expr, goal: Expr, solver: Solver, vocabulary: FrozenSet[str],
+            max_kept_vars: int, max_candidates: int, max_subsets: int,
             max_obligation_atoms: int) -> AbductionResult:
     memo = solver.rewrite_memo()
     obligation = build.implies(pre, goal)
     variables = sorted(free_vars(obligation), key=lambda var: var.name)
+    # Validated candidates, in-vocabulary or kept as generalization sources.
     candidates: List[Expr] = []
     tested: Set[Expr] = set()
     found: List[Model] = []
 
+    def in_vocabulary(psi: Expr) -> bool:
+        return all(var.name in vocabulary for var in free_vars(psi))
+
+    if not vocabulary:
+        return AbductionResult(pre, goal, ())  # skip rule 1
     if solver.check_valid(obligation, found):
         # Nothing to strengthen; report no candidates (TRUE adds no information).
         return AbductionResult(pre, goal, ())
     witnesses: List[Model] = []
     _admit(witnesses, pre, found)
 
-    def consider(psi: Expr) -> None:
+    def consider(psi: Expr, source: bool) -> None:
         # Each distinct psi is decided once: the verdict is a function of psi.
-        if psi not in tested:
-            tested.add(psi)
-            if _is_useful(psi, pre, goal, solver, witnesses):
-                candidates.append(psi)
+        if psi in tested:
+            return
+        tested.add(psi)
+        if not in_vocabulary(psi):
+            # Skip rules 2 and 4: only a generalization source can still
+            # lead to an in-vocabulary candidate.
+            generalized = _generalize_atoms([psi], memo) if source else []
+            if not any(map(in_vocabulary, generalized)):
+                return
+        if _is_useful(psi, pre, goal, solver, witnesses):
+            candidates.append(psi)
 
     if len(atoms_of(obligation)) > max_obligation_atoms:
         subsets: List[Tuple[Var, ...]] = []
@@ -139,7 +193,7 @@ def _abduce(pre: Expr, goal: Expr, solver: Solver, max_kept_vars: int,
             except ValueError:
                 continue
         for psi in _split_candidate(candidate, memo):
-            consider(psi)
+            consider(psi, source=True)
         if len(candidates) >= max_candidates:
             break
 
@@ -147,9 +201,9 @@ def _abduce(pre: Expr, goal: Expr, solver: Solver, max_kept_vars: int,
         for generalized in _generalize_atoms(candidates + [goal], memo):
             if len(candidates) >= max_candidates:
                 break
-            consider(generalized)
+            consider(generalized, source=False)
 
-    return AbductionResult(pre, goal, tuple(candidates))
+    return AbductionResult(pre, goal, tuple(filter(in_vocabulary, candidates)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +320,6 @@ def _generalize_atoms(sources: Sequence[Expr], memo: RewriteMemo) -> List[Expr]:
                 left = linearize(atom.left)
                 right = linearize(atom.right)
             except ValueError:
-                continue
-            except Exception:
                 continue
             diff = left.sub(right)  # atom relates diff to 0
             diff_expr = diff.to_expr()

@@ -14,13 +14,20 @@ yielding the strongest conjunctive monitor invariant over the abduced
 predicate universe — monomial predicate abstraction in the sense of Lahiri &
 Qadeer, seeded by abduction exactly as the paper describes.
 
+Abduction is told the invariant's vocabulary, the monitor's field names
+(:func:`repro.analysis.abduction.abduce`): it returns only candidates over
+shared state and skips the queries whose answers could only add candidates
+the pool would drop, so the pool is the one unrestricted abduction would
+give (up to abduction's candidate cap, which binds on no suite obligation).
+
 The fixed point is a model-guided Houdini loop.  Initiation does not depend
-on the other candidates, so each candidate is checked once.  Consecution asks
-one validity query per (round, CCR) for the conjunction of the live
-candidates' weakest preconditions; the counterexample, checked by evaluation,
-drops every candidate whose ``wp`` it falsifies, and the query repeats until
-it is valid.  Where a model decides nothing (or the answer is UNKNOWN) the
-remaining candidates are queried one by one.  Every round therefore drops
+on the other candidates, so each candidate is checked once, and each
+``wp(body, psi)`` is computed once per (CCR, candidate) for every round.
+Consecution asks one validity query per (round, CCR) for the conjunction of
+the live candidates' weakest preconditions; the counterexample, checked by
+evaluation, drops every candidate whose ``wp`` it falsifies, and the query
+repeats until it is valid.  Where a model decides nothing (or the answer is
+UNKNOWN) the remaining candidates are queried one by one.  Every round therefore drops
 exactly the candidates a per-candidate loop drops, so the kept set, its order
 and ``iterations`` are those of the textbook loop
 (``tests/test_invariants_reference.py``).
@@ -90,10 +97,11 @@ def infer_monitor_invariant(monitor: Monitor,
         if candidate not in pool:
             pool.append(candidate)
 
-    # Phase 1: abduction over the property triples (lines 5-7 of Algorithm 2).
+    # Phase 1: abduction over the property triples (lines 5-7 of Algorithm 2),
+    # told the invariant's vocabulary so it validates only usable candidates.
     for triple in triples:
         goal = weakest_precondition(triple.stmt, triple.post)
-        for candidate in abduce(triple.pre, goal, solver):
+        for candidate in abduce(triple.pre, goal, solver, vocabulary=shared_names):
             add_candidate(candidate)
 
     # Unsigned-field hints (the DSL's `unsigned int` surface syntax).
@@ -116,6 +124,8 @@ def infer_monitor_invariant(monitor: Monitor,
     constructor = monitor.constructor()
     ccrs = [ccr for _method, ccr in monitor.ccrs()]
     initiated: Dict[Expr, bool] = {}
+    # wp(body, psi) of each CCR, computed once per candidate for all rounds.
+    preserved: List[Dict[Expr, Expr]] = [{} for _ in ccrs]
     kept = list(pool)
     iterations = 0
     changed = True
@@ -135,10 +145,13 @@ def infer_monitor_invariant(monitor: Monitor,
         # not preserve it, so later CCRs only see the live ones.
         invariant = build.land(*kept) if kept else build.TRUE
         dropped: Set[Expr] = set()
-        for ccr in ccrs:
-            goals = {psi: weakest_precondition(ccr.body, psi)
-                     for psi in kept if psi not in dropped}
-            dropped |= _not_preserved(build.land(invariant, ccr.guard), goals,
+        for ccr, wps in zip(ccrs, preserved):
+            live = [psi for psi in kept if psi not in dropped]
+            for psi in live:
+                if psi not in wps:
+                    wps[psi] = weakest_precondition(ccr.body, psi)
+            dropped |= _not_preserved(build.land(invariant, ccr.guard),
+                                      {psi: wps[psi] for psi in live},
                                       solver, holds)
         if dropped:
             changed = True

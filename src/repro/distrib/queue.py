@@ -392,30 +392,72 @@ class WorkQueue:
         return outcomes
 
 
-class _Heartbeat(threading.Thread):
-    """Renew one claim's lease every ``heartbeat_interval`` until stopped."""
+class _Heartbeat:
+    """Renew a worker loop's current claim every ``heartbeat_interval``.
 
-    def __init__(self, queue: WorkQueue, claim: Claim, worker: str):
-        super().__init__(daemon=True)
+    One thread serves every claim of a :func:`_worker_loop`:
+    :meth:`hold` hands it the claim being evaluated, :meth:`release` takes
+    it back, and renewals are timed from each claim's start.  A renewal
+    that fails (lost lease, past the deadline, store unreachable) stops
+    renewing that claim; the TTL decides the rest.  An injected crash ends
+    the thread, as a crash would, and the next claim starts a new one.
+    """
+
+    def __init__(self, queue: WorkQueue, worker: str):
         self.queue = queue
-        self.claim = claim
         self.worker = worker
-        self.stop = threading.Event()
-        self.lost = False
+        self._claim: Optional[Claim] = None
+        self._closed = False
+        self._changed = threading.Condition()
+        self._thread: Optional[threading.Thread] = None
 
-    def run(self) -> None:
-        while not self.stop.wait(self.queue.config.heartbeat_interval):
-            try:
-                fault_check("worker.heartbeat", token=self.claim.unit_id)
-                if not self.queue.renew(self.claim, self.worker):
-                    self.lost = True   # stolen or past deadline: stop
+    def hold(self, claim: Claim) -> None:
+        with self._changed:
+            self._claim = claim
+            self._changed.notify()
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(target=self._run, daemon=True)
+            self._thread.start()
+
+    def release(self) -> None:
+        with self._changed:
+            self._claim = None
+            self._changed.notify()
+
+    def close(self) -> None:
+        with self._changed:
+            self._closed = True
+            self._changed.notify()
+
+    def _run(self) -> None:
+        interval = self.queue.config.heartbeat_interval
+        while True:
+            with self._changed:
+                while self._claim is None and not self._closed:
+                    self._changed.wait()
+                if self._closed:
                     return
-            except Exception:
-                return                 # store unreachable: let the TTL decide
+                claim = self._claim
+                if self._changed.wait_for(
+                        lambda: self._closed or self._claim is not claim,
+                        interval):
+                    continue           # released or replaced: restart the clock
+            if not self._renew(claim):
+                with self._changed:
+                    if self._claim is claim:
+                        self._claim = None
+
+    def _renew(self, claim: Claim) -> bool:
+        try:
+            fault_check("worker.heartbeat", token=claim.unit_id)
+            # False: stolen or past the deadline.
+            return self.queue.renew(claim, self.worker)
+        except Exception:
+            return False               # store unreachable: let the TTL decide
 
 
 def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
-                    trace_units: bool = False) -> None:
+                    heartbeat: _Heartbeat, trace_units: bool = False) -> None:
     """Run one claimed unit under heartbeat renewal and commit its result.
 
     ``trace_units`` wraps the evaluation in a ``distrib.unit`` span tagged
@@ -427,8 +469,7 @@ def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
     from repro import obs
 
     saved_attempt = _set_plan_attempt(claim.attempt)
-    heartbeat = _Heartbeat(queue, claim, worker)
-    heartbeat.start()
+    heartbeat.hold(claim)
     span = (obs.tracer().span("distrib.unit", cat="distrib",
                               unit=claim.unit_id, worker=worker)
             if trace_units else nullcontext())
@@ -440,14 +481,14 @@ def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
             except faults.InjectedCrash:
                 raise
             except Exception as exc:
-                heartbeat.stop.set()
+                heartbeat.release()
                 queue.release(claim, worker,
                               f"{type(exc).__name__}: {exc}")
                 return
-            heartbeat.stop.set()
+            heartbeat.release()
             queue.complete(claim, worker, result)
     finally:
-        heartbeat.stop.set()
+        heartbeat.release()
         if saved_attempt is not None:
             _set_plan_attempt(saved_attempt)
 
@@ -464,18 +505,23 @@ def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
     guarantee.
     """
     completed = 0
-    while True:
-        claim = queue.claim(worker, batch=batch, spare=spare)
-        if claim is not None:
-            _evaluate_claim(queue, claim, worker, trace_units=trace_units)
-            completed += 1
-            continue
-        if batch is not None:
-            if queue.batch_remaining(batch) == 0:
+    heartbeat = _Heartbeat(queue, worker)
+    try:
+        while True:
+            claim = queue.claim(worker, batch=batch, spare=spare)
+            if claim is not None:
+                _evaluate_claim(queue, claim, worker, heartbeat,
+                                trace_units=trace_units)
+                completed += 1
+                continue
+            if batch is not None:
+                if queue.batch_remaining(batch) == 0:
+                    return completed
+            elif not active() and queue.claimable() == 0:
                 return completed
-        elif not active() and queue.claimable() == 0:
-            return completed
-        time.sleep(queue.config.poll_interval)
+            time.sleep(queue.config.poll_interval)
+    finally:
+        heartbeat.close()
 
 
 def _pool_worker(spec: dict) -> int:

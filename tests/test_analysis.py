@@ -280,19 +280,19 @@ class TestAbduction:
         p_w = land(eq(readers, i(0)), lnot(writer_in))
         pre = land(lnot(writer_in), lnot(p_w))
         goal = lnot(land(eq(add(readers, 1), i(0)), lnot(writer_in)))
-        result = abduce(pre, goal, solver)
+        result = abduce(pre, goal, solver, vocabulary={"readers", "writerIn"})
         assert result.candidates, "abduction should produce candidates"
         assert any(solver.check_equivalent(c, ge(readers, i(0))) for c in result.candidates)
 
     def test_valid_obligation_needs_no_candidates(self):
-        result = abduce(ge(x, i(5)), ge(x, i(0)), Solver())
+        result = abduce(ge(x, i(5)), ge(x, i(0)), Solver(), vocabulary={"x"})
         assert result.candidates == ()
 
     def test_candidates_are_consistent_and_sufficient(self):
         solver = Solver()
         pre = le(x, i(0))
         goal = ge(add(x, 1), i(1))
-        result = abduce(pre, goal, solver)
+        result = abduce(pre, goal, solver, vocabulary={"x"})
         for candidate in result.candidates:
             assert solver.check_sat(land(pre, candidate)).is_sat
             assert solver.check_valid(implies(land(pre, candidate), goal))

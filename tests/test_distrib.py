@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import pickle
 import sqlite3
+import sys
 import threading
 import time
 from pathlib import Path
@@ -466,6 +467,47 @@ class TestQueueMap:
         assert results == [0, 1, 4, 9]
         assert elapsed < 5, f"waited {elapsed:.1f}s: the TTL, not the crash"
         assert store.counters()["distrib.units.failed"] >= 1
+        store.close()
+
+    def test_one_heartbeat_thread_renews_every_claim(self, tmp_path,
+                                                     monkeypatch):
+        """A worker loop runs one heartbeat thread for all its claims, and
+        it renews each long claim under that claim's unit id."""
+        from repro.distrib import queue as queue_module
+
+        runs, tokens = [], []
+        run, check = queue_module._Heartbeat._run, queue_module.fault_check
+
+        def counting_run(self):
+            runs.append(self.worker)
+            run(self)
+
+        def recording_check(site, token=None):
+            if site == "worker.heartbeat":
+                tokens.append(token)
+            return check(site, token)
+
+        monkeypatch.setattr(queue_module._Heartbeat, "_run", counting_run)
+        monkeypatch.setattr(queue_module, "fault_check", recording_check)
+        path = tmp_path / "s.sqlite3"
+        store = CampaignStore(path)
+        config = DistribConfig(store_path=str(path), lease_ttl=1.0,
+                               heartbeat_interval=0.05)
+        jobs = [{"sleep": 0.2} for _ in range(6)]
+        # Frequent thread switches stress the claim hand-offs.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = queue_map(_sleepy_pid, jobs, store, batch="hb",
+                                config=config)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [os.getpid()] * 6
+        assert len(runs) == 1
+        assert sorted(set(tokens)) == [f"hb/0000{slot}" for slot in range(6)]
+        counters = store.counters()
+        assert counters["distrib.lease.renewed"] >= 6
+        assert counters["distrib.units.completed"] == 6
         store.close()
 
     def test_hung_pool_worker_is_reaped_at_its_deadline(self, tmp_path):

@@ -7,7 +7,13 @@ check as a model-guided Houdini loop (one conjunction query per round and
 CCR).  Their contract is output identity with the textbook formulation kept
 below as the reference: two fresh queries per abduction candidate, and one
 validity query per (candidate, CCR) in every round of the fixed point.
+Abduction is told the invariant's vocabulary; against the reference it
+either gets the obligation's own variables (no restriction) or the
+monitor's fields, and then must return the reference's candidates over
+those fields, in order.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -200,6 +206,16 @@ def _obligations(monitor):
         yield triple.pre, weakest_precondition(triple.stmt, triple.post)
 
 
+def _own(pre, goal):
+    """The obligation's own variables: a vocabulary that restricts nothing."""
+    return {var.name for var in free_vars(build.implies(pre, goal))}
+
+
+def _within(candidates, vocabulary):
+    return tuple(candidate for candidate in candidates
+                 if all(var.name in vocabulary for var in free_vars(candidate)))
+
+
 # ---------------------------------------------------------------------------
 # Output identity
 # ---------------------------------------------------------------------------
@@ -215,7 +231,7 @@ class TestAbductionIdentity:
             solver = Solver(cache=FormulaCache())
             for pre, goal in _obligations(monitor):
                 expected = reference_abduce(pre, goal, Solver())
-                if abduce(pre, goal, solver) != expected:
+                if abduce(pre, goal, solver, vocabulary=_own(pre, goal)) != expected:
                     mismatches.append((name, pre, goal))
                 compared += 1
             memo_hits += solver.snapshot_statistics()["abduce_cache_hits"]
@@ -226,9 +242,11 @@ class TestAbductionIdentity:
         solver = Solver(cache=FormulaCache())
         name, monitor = monitors[0]
         obligations = list(_obligations(monitor))
-        first = [abduce(pre, goal, solver) for pre, goal in obligations]
+        first = [abduce(pre, goal, solver, vocabulary=_own(pre, goal))
+                 for pre, goal in obligations]
         before = solver.snapshot_statistics()
-        again = [abduce(pre, goal, solver) for pre, goal in obligations]
+        again = [abduce(pre, goal, solver, vocabulary=_own(pre, goal))
+                 for pre, goal in obligations]
         assert again == first
         delta = solver.snapshot_statistics(since=before)
         assert delta["sat_queries"] == 0
@@ -238,10 +256,103 @@ class TestAbductionIdentity:
         solver = Solver(cache=FormulaCache())
         x, y = v("x"), v("y")
         pre, goal = build.le(x, y), build.ge(build.add(x, 1), build.i(1))
-        wide = abduce(pre, goal, solver)
-        narrow = abduce(pre, goal, solver, max_candidates=1)
+        wide = abduce(pre, goal, solver, vocabulary={"x", "y"})
+        narrow = abduce(pre, goal, solver, vocabulary={"x", "y"}, max_candidates=1)
         assert narrow == reference_abduce(pre, goal, Solver(), max_candidates=1)
         assert len(narrow.candidates) <= 1 < len(wide.candidates)
+
+
+class TestVocabulary:
+    def test_abduction_returns_the_reference_within_the_fields(self, monitors):
+        """Every suite and generated obligation, told the monitor's fields:
+        the reference's candidates over those fields, in the same order."""
+        compared = restricted = 0
+        mismatches = []
+        for name, monitor in monitors:
+            fields = monitor.field_names()
+            solver = Solver(cache=FormulaCache())
+            for pre, goal in _obligations(monitor):
+                expected = reference_abduce(pre, goal, Solver()).candidates
+                actual = abduce(pre, goal, solver, vocabulary=fields).candidates
+                if actual != _within(expected, fields):
+                    mismatches.append((name, pre, goal))
+                compared += 1
+                restricted += len(expected) - len(actual)
+        assert compared >= 400 and restricted > 0
+        assert mismatches == []
+
+    def test_an_outside_candidate_stays_a_generalization_source(self):
+        """``x - 1 >= 0`` and ``x - 1 >= 1`` are mined only from the
+        candidate ``x != 1 && z == 0 ==> z - x <= -1``, which mentions ``z``:
+        skipping that candidate's validation would lose them."""
+        x, z = v("x"), v("z")
+        pre = build.land(build.ne(x, build.i(1)), build.eq(z, build.i(0)))
+        goal = build.le(build.sub(z, x), build.i(-1))
+        solver = Solver()
+        expected = _within(reference_abduce(pre, goal, Solver()).candidates, {"x"})
+        assert abduce(pre, goal, solver, vocabulary={"x"}).candidates == expected
+        memo = solver.rewrite_memo()
+        mined = abduction._generalize_atoms([build.ne(x, build.i(1))], memo)
+        assert mined[0] in expected and mined[2] in expected
+        inside = [candidate for candidate in expected if candidate not in mined]
+        from_inside = abduction._generalize_atoms(inside + [goal], memo)
+        assert mined[0] not in from_inside and mined[2] not in from_inside
+
+    def test_an_obligation_without_fields_makes_no_query(self, monitors):
+        skipped = 0
+        for _name, monitor in monitors:
+            fields = monitor.field_names()
+            for pre, goal in _obligations(monitor):
+                if _own(pre, goal) & set(fields):
+                    continue
+                solver = Solver()
+                result = abduce(pre, goal, solver, vocabulary=fields)
+                assert result.candidates == ()
+                assert solver.snapshot_statistics()["sat_queries"] == 0
+                assert _within(reference_abduce(pre, goal, Solver()).candidates,
+                               fields) == ()
+                skipped += 1
+        assert skipped > 0
+
+    def test_vocabulary_is_part_of_the_memo_key(self):
+        solver = Solver(cache=FormulaCache())
+        x, y = v("x"), v("y")
+        pre, goal = build.le(x, y), build.ge(build.add(x, 1), build.i(1))
+        both = abduce(pre, goal, solver, vocabulary={"x", "y"})
+        only_x = abduce(pre, goal, solver, vocabulary={"x"})
+        assert solver.snapshot_statistics()["abduce_cache_hits"] == 0
+        full = reference_abduce(pre, goal, Solver()).candidates
+        assert both.candidates == full
+        assert only_x.candidates == _within(full, {"x"}) != full
+        # Names the obligation does not mention cannot change the answer.
+        assert abduce(pre, goal, solver, vocabulary=("x", "z")) == only_x
+        assert solver.snapshot_statistics()["abduce_cache_hits"] == 1
+
+    def test_houdini_computes_each_wp_once(self, monitors, monkeypatch):
+        """``wp(body, psi)`` runs at most once per (CCR, psi) in one
+        inference, however many rounds the fixed point takes."""
+        calls = Counter()
+        original = invariants.weakest_precondition
+
+        def counting(stmt, post):
+            calls[id(stmt), post] += 1
+            return original(stmt, post)
+
+        monkeypatch.setattr(invariants, "weakest_precondition", counting)
+        rounds = 0
+        for _name, monitor in monitors:
+            bodies = {id(ccr.body) for _method, ccr in monitor.ccrs()}
+            triples = generate_placement_triples(monitor, build.TRUE)
+            # Abduction's goals are wp's of the triples, once per triple.
+            abduction_goals = Counter((id(triple.stmt), triple.post)
+                                      for triple in triples)
+            calls.clear()
+            result = infer_monitor_invariant(monitor, triples, Solver())
+            rounds = max(rounds, result.iterations)
+            repeated = [key for key, count in calls.items()
+                        if key[0] in bodies and count - abduction_goals[key] > 1]
+            assert repeated == []
+        assert rounds > 1
 
 
 class TestInferenceIdentity:
@@ -322,13 +433,13 @@ class TestDegradation:
         cache = FormulaCache()
         solver = Solver(cache=cache)
         with _all_unknown():
-            assert abduce(pre, goal, solver).candidates == ()
+            assert abduce(pre, goal, solver, vocabulary={"x", "y"}).candidates == ()
         assert cache.entries("abduce") == 0
-        precise = abduce(pre, goal, solver)
+        precise = abduce(pre, goal, solver, vocabulary={"x", "y"})
         assert precise == reference_abduce(pre, goal, Solver())
         assert precise.candidates
         assert cache.entries("abduce") == 1
-        assert abduce(pre, goal, solver) == precise
+        assert abduce(pre, goal, solver, vocabulary={"x", "y"}) == precise
         assert solver.snapshot_statistics()["abduce_cache_hits"] == 1
 
     def test_one_unknown_query_keeps_the_abduction_out_of_the_memo(self):
@@ -339,7 +450,7 @@ class TestDegradation:
         plan = FaultPlan([FaultRule("solver.query", action="unknown", at=(1,),
                                     attempt=None)])
         with injected(plan):
-            abduce(pre, goal, Solver(cache=cache))
+            abduce(pre, goal, Solver(cache=cache), vocabulary={"x", "y"})
         assert plan.fired
         assert cache.entries("abduce") == 0
 

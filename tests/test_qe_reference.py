@@ -187,7 +187,7 @@ class TestSuiteAbduction:
         x, y, z = v("x"), v("y"), v("z")
         pre = build.land(build.ge(x, y), build.ge(y, z))
         goal = build.ge(x, build.add(z, 1))
-        abduction.abduce(pre, goal)
+        abduction.abduce(pre, goal, vocabulary={"x", "y", "z"})
         assert built == [build.implies(pre, goal)]
 
 

@@ -119,7 +119,8 @@ def test_abduce_shares_the_solver_memo(monkeypatch):
     x, y, z = v("x"), v("y"), v("z")
     solver = Solver()
     abduction.abduce(build.land(build.ge(x, y), build.ge(y, z)),
-                     build.ge(x, build.add(z, 1)), solver)
+                     build.ge(x, build.add(z, 1)), solver,
+                     vocabulary={"x", "y", "z"})
     assert memos == [solver.rewrite_memo()]
     assert len(solver.rewrite_memo()) > 0
 
