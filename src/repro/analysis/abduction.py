@@ -18,7 +18,8 @@ abducer:
   all subsets of an obligation: the negated obligation is preprocessed and
   converted to DNF once (as is any formula a boolean step produces), and a
   subset whose eliminated variables start with another's reuses that
-  subset's Shannon and Fourier–Motzkin steps.  The
+  subset's Shannon and Fourier–Motzkin steps (see *Elimination order*
+  below for the prefix they share).  The
   eliminator lives for one :func:`abduce` call, and its results are
   identical to eliminating each subset on its own (``tests/test_qe_reference.py``);
 * candidates are simplified and validated against conditions (1) and (2);
@@ -54,7 +55,30 @@ reach them:
    generalizations is still validated and, when useful, stays a
    generalization source — an in-vocabulary half-space may be first mined
    from it;
-4. out-of-vocabulary generalizations are not validated.
+4. out-of-vocabulary generalizations are not validated;
+5. a kept set ``V`` with no vocabulary variable is not eliminated at all.
+   This is exact: ``psi_V`` mentions only ``V``'s variables, and so does
+   each of its conjuncts; each half-space :func:`_generalize_atoms` mines
+   from them is a linear combination of ``V``'s variables, or a constant
+   that it drops.  So every candidate such a ``V`` could give is outside
+   the vocabulary with no in-vocabulary generalization, rule 2 would
+   return before any query for it, and it never counts toward
+   ``max_candidates``.  The ``max_subsets`` slice is taken before this
+   skip, so the kept sets tried are the unrestricted ones minus the
+   skipped ones.
+
+**Elimination order.**  A kept set's eliminated list is the
+out-of-vocabulary variables first, then the vocabulary ones, each group
+sorted by name.  A kept set keeps at most ``max_kept_vars`` variables (or
+all of them), so the lists of one obligation share the whole
+out-of-vocabulary prefix — the parameters, locals and ``$theta`` copies —
+and the eliminator's step memo runs those steps once for all of them.  The
+order is part of abduction's definition: Fourier–Motzkin's output syntax
+depends on it (for non-unit coefficients, a different order can give a
+different formula for the same set).  That the candidates equal those of
+the sorted-by-name order of ``reference_abduce`` is pinned on every suite
+and generated test obligation (``tests/test_invariants_reference.py``),
+not proven.
 
 Every verdict is a function of the candidate alone, so a skipped query's
 lost SAT witness changes query counts, never answers: the result is the
@@ -123,7 +147,8 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None, *,
     subsets are tried smallest first with the full variable set last, and
     only the first ``max_subsets`` of them are tried: with the defaults
     the full set is tried for obligations of at most five variables, and
-    dropped for larger ones.  ``max_subsets`` and
+    dropped for larger ones.  Of those, the ones that keep no vocabulary
+    variable are skipped (skip rule 5).  ``max_subsets`` and
     ``max_obligation_atoms`` bound the work spent on quantifier elimination
     for large obligations (e.g. scalarized array guards): past those limits
     abduction falls back to atom mining alone, which keeps the pipeline fast
@@ -182,9 +207,14 @@ def _abduce(pre: Expr, goal: Expr, solver: Solver, vocabulary: FrozenSet[str],
         subsets: List[Tuple[Var, ...]] = []
     else:
         subsets = _variable_subsets(variables, max_kept_vars)[:max_subsets]
+    # Order rule: out-of-vocabulary variables first, so every kept set of
+    # the obligation resumes after one shared elimination of them.
+    order = sorted(variables, key=lambda var: var.name in vocabulary)
     eliminator = QuantifierEliminator(obligation, memo=memo)
     for kept in subsets:
-        eliminated = [var for var in variables if var not in kept]
+        if not any(var.name in vocabulary for var in kept):
+            continue  # skip rule 5
+        eliminated = [var for var in order if var not in kept]
         if not eliminated:
             candidate = simplify(obligation, memo)
         else:

@@ -42,8 +42,11 @@ memoized per body and list of variables eliminated so far, so a list that
 starts with an earlier list's first *k* variables resumes after them.  Each
 formula it meets — the body, and the result of a boolean step — is
 converted to DNF at most once for all lists.  Abduction uses one per
-obligation for its variable subsets; their eliminated lists are sorted
-complements of small kept sets, so they share long prefixes.
+obligation for its variable subsets.  Their eliminated lists are the
+complements of small kept sets with the variables outside the invariant's
+vocabulary (parameters, locals, ``$theta`` copies) first, so all lists of
+an obligation share that whole prefix and its steps run once
+(:mod:`repro.analysis.abduction`, *Elimination order*).
 
 Fourier–Motzkin over the integers is exact whenever the eliminated variable
 appears with coefficient ±1 in every constraint (the only case the monitor

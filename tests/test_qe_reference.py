@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import abduction
 from repro.benchmarks_lib import get_benchmark
+from repro.fuzz.generate import random_monitor
 from repro.logic import BOOL, INT, build, v
 from repro.logic.free_vars import free_vars
 from repro.logic.nnf import to_dnf_clauses
@@ -122,10 +123,10 @@ def outcome(function, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Every elimination abduction makes while compiling suite monitors
+# Every elimination abduction makes while compiling suite and generated monitors
 # ---------------------------------------------------------------------------
 
-#: Every suite monitor that abduces, except Dining Philosophers: its 63
+#: Every suite monitor that abduces, except Dining Philosophers: its
 #: eliminations take the reference about ten seconds.  Its failure mode, a
 #: DNF over budget after boolean steps, is covered synthetically by
 #: TestBudget, and its own eliminations are compared with fresh eliminators
@@ -135,6 +136,9 @@ ABDUCING_MONITORS = (
     "Parameterized Bounded Buffer", "Readers-Writers", "Round Robin",
     "Sleeping Barber", "AsyncOperationExecutor",
 )
+
+#: Generated monitors, compiled after the suite ones.
+GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +157,9 @@ def abduction_calls():
     patch = pytest.MonkeyPatch()
     patch.setattr(QuantifierEliminator, "forall", recording)
     try:
-        for name in ABDUCING_MONITORS:
-            ExpressoPipeline().compile(get_benchmark(name).source)
+        for source in ([get_benchmark(name).source for name in ABDUCING_MONITORS]
+                       + list(GENERATED)):
+            ExpressoPipeline().compile(source)
     finally:
         patch.undo()
     return calls

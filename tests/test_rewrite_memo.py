@@ -28,9 +28,12 @@ from repro.smt.qe import QuantifierEliminator
 from repro.smt.solver import SatStatus, Solver, SolverError
 
 #: Dining Philosophers (array-scalarized ite chains, the largest memo) plus
-#: monitors with boolean and integer state and heavy abduction.
+#: monitors with boolean and integer state and heavy abduction, then the
+#: remaining suite monitors that abduce.
 MONITORS = ("Dining Philosophers", "Ticketed Readers-Writers", "SimpleDecoder",
-            "AsyncDispatch", "Readers-Writers", "BoundedBuffer")
+            "AsyncDispatch", "Readers-Writers", "BoundedBuffer",
+            "Parameterized Bounded Buffer", "Round Robin", "Sleeping Barber",
+            "AsyncOperationExecutor")
 
 
 def outcome(function, *args):
