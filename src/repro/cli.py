@@ -84,6 +84,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+#: ``explore --reduction`` levels -> (por, semantic, symmetry).
+_REDUCTIONS = {
+    "none": (False, False, False),
+    "syntactic": (True, False, False),
+    "semantic": (True, True, False),
+    "full": (True, True, True),
+}
+
+
 def _add_resilience_args(cmd: argparse.ArgumentParser) -> None:
     """Work-dispatch and fault-injection flags shared by the campaigns."""
     cmd.add_argument("--job-deadline", type=_positive_float, default=None,
@@ -262,25 +271,20 @@ def _build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--keep-going", action="store_true",
                              help="keep exploring after the first divergence")
     explore_cmd.add_argument("--workers", type=_positive_int, default=1,
-                             help="shard the campaign over a process pool "
+                             help="split random/pct budgets into seed blocks "
+                                  "over a process pool; a dfs exploration "
+                                  "stays one work unit per benchmark "
                                   "(default: 1 = in-process)")
-    explore_cmd.add_argument("--no-por", dest="por", action="store_false",
-                             help="disable partial-order reduction for the "
-                                  "dfs strategy (plain enumeration; also "
-                                  "disables semantic POR and symmetry)")
-    explore_cmd.add_argument("--no-semantic-por", dest="semantic",
-                             action="store_false",
-                             help="ignore the SMT-proven semantic independence "
-                                  "matrix and value-sensitive checks (fall "
-                                  "back to syntactic footprints only)")
-    explore_cmd.add_argument("--no-symmetry", dest="symmetry",
-                             action="store_false",
-                             help="disable both symmetry kinds: swaps of "
-                                  "threads with identical programs (wake-order "
-                                  "canonicalization) and index permutations "
-                                  "of array-indexed monitors (rotating "
-                                  "threads with their array cells); visited "
-                                  "states then merge only when equal")
+    explore_cmd.add_argument("--reduction", choices=tuple(_REDUCTIONS),
+                             default="full",
+                             help="dfs state-space reduction: none (plain "
+                                  "enumeration), syntactic (partial-order "
+                                  "reduction over method footprints), "
+                                  "semantic (plus the SMT-proven independence "
+                                  "matrix and value-sensitive checks), full "
+                                  "(plus symmetry: swaps of threads with "
+                                  "identical programs and index permutations "
+                                  "of array-indexed monitors) (default: full)")
     explore_cmd.add_argument("--replay", metavar="FILE", default=None,
                              help="re-run schedules from a JSON file written "
                                   "by --json (or a minimal "
@@ -680,11 +684,12 @@ def _cmd_explore(args) -> int:
     if failed is not None:
         return failed
 
-    # One worker with no store and no trace explores in-process.  With
-    # --store each shard is a work unit keyed by the configuration, so a
-    # rerun against the same store collects the finished shards' stored
-    # results and steals a dead owner's shard once its lease expires; a
-    # changed configuration starts fresh.
+    # Without --store, one worker (or any dfs run) explores in-process.
+    # With --store each shard — a seed block, or a benchmark's whole dfs
+    # search — is a work unit keyed by the configuration, so a rerun
+    # against the same store collects the finished shards' stored results
+    # and steals a dead owner's shard once its lease expires; a changed
+    # configuration starts fresh.
     cstore = None
     if args.store:
         from repro.distrib import CampaignStore, mark_active
@@ -692,13 +697,14 @@ def _cmd_explore(args) -> int:
         cstore = CampaignStore(args.store)
         mark_active(cstore, distrib)
 
+    por, semantic, symmetry = _REDUCTIONS[args.reduction]
     results = []
     for spec in specs:
         results.append(parallel_explore_benchmark(
             spec, args.discipline, threads=args.threads, ops=args.ops,
             strategy=args.strategy, budget=args.schedules, seed=args.seed,
             max_steps=args.max_steps, stop_on_failure=not args.keep_going,
-            por=args.por, semantic=args.semantic, symmetry=args.symmetry,
+            por=por, semantic=semantic, symmetry=symmetry,
             witness=args.witness, trace=bool(args.trace),
             workers=args.workers, store=cstore, distrib=distrib))
         if cstore is not None:

@@ -1,21 +1,17 @@
 """Distributed campaign fabric: a crash-safe shared store + work stealing.
 
-``expresso explore/fuzz`` campaigns historically coordinated through
-in-process structures only: the cross-worker visited-state memo was a
-``multiprocessing.Manager`` dict that died with the driver, and shards were
-statically partitioned, so a skewed or killed shard stranded its work.
-This package replaces both with two on-disk primitives any number of
-*processes* — pool workers and entirely separate invocations pointing at
-one ``--store PATH`` — can cooperate through:
+``expresso explore`` and ``fuzz`` campaigns hand their work to two on-disk
+primitives any number of *processes* — pool workers and entirely separate
+invocations pointing at one ``--store PATH`` — can cooperate through, so a
+skewed or killed worker never strands work:
 
 * :mod:`repro.distrib.store` — :class:`CampaignStore`, a SQLite-WAL-backed
-  store holding visited-state hashes, the work queue (whose stored unit
-  results are an explore campaign's checkpoint) and the fuzz campaign's
-  checkpoint record.  Every row carries a content
-  checksum; all multi-row updates are single-writer transactional batches
-  (``BEGIN IMMEDIATE``), so a concurrent reader never observes a torn
-  snapshot; ``verify()``/``repair()`` are wired into ``expresso fuzz
-  --repair``.
+  store holding the work queue (whose stored unit results are an explore
+  campaign's checkpoint) and the fuzz campaign's checkpoint record.  Every
+  row carries a content checksum; all multi-row updates are single-writer
+  transactional batches (``BEGIN IMMEDIATE``), so a concurrent reader never
+  observes a torn snapshot; ``verify()``/``repair()`` are wired into
+  ``expresso fuzz --repair``.
 * :mod:`repro.distrib.queue` — :class:`WorkQueue`, a lease-based
   work-stealing queue in the same store: workers claim units under TTL
   leases with heartbeat renewal; an expired lease (crashed/hung worker)
@@ -33,7 +29,6 @@ mode above is deterministically injectable.
 from repro.distrib.store import (
     CampaignStore,
     StoreMismatchError,
-    VisitedStore,
     private_store,
 )
 from repro.distrib.queue import (
@@ -47,7 +42,7 @@ from repro.distrib.queue import (
 )
 
 __all__ = [
-    "CampaignStore", "StoreMismatchError", "VisitedStore", "private_store",
+    "CampaignStore", "StoreMismatchError", "private_store",
     "DistribConfig", "JobFailure", "WorkQueue", "mark_active",
     "mark_finished", "queue_map", "run_helper",
 ]

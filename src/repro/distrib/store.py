@@ -6,7 +6,6 @@ One file holds everything a campaign shares across processes:
 table      contents
 ========== =================================================================
 meta       campaign config fingerprint, driver lease, free-form flags
-visited    completion-gated visited-state hashes, namespaced by *scope*
 frontier   the fuzz campaign's last checkpoint record (``fuzz/checkpoint``,
            read by the console); explore checkpoints are the ``units`` rows
 units      the work-stealing queue (see :mod:`repro.distrib.queue`)
@@ -45,7 +44,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience.atomic import checksum_payload, checksum_text
 from repro.resilience.faults import fault_check
@@ -53,9 +52,6 @@ from repro.resilience.faults import fault_check
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY, value TEXT NOT NULL, sha TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS visited (
-    scope TEXT NOT NULL, hash TEXT NOT NULL, sha TEXT NOT NULL,
-    PRIMARY KEY (scope, hash));
 CREATE TABLE IF NOT EXISTS frontier (
     key TEXT PRIMARY KEY, payload TEXT NOT NULL, sha TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS units (
@@ -76,7 +72,6 @@ CREATE TABLE IF NOT EXISTS telemetry (
 #: immutable payload (and, separately, the result) — lease fields mutate.
 _CHECKED = (
     ("meta", ("key",), lambda row: [row["key"], row["value"]]),
-    ("visited", ("scope", "hash"), lambda row: [row["scope"], row["hash"]]),
     ("frontier", ("key",), lambda row: [row["key"], row["payload"]]),
     ("counters", ("name",), lambda row: [row["name"], row["value"]]),
     ("telemetry", ("worker",), lambda row: [row["worker"], row["payload"]]),
@@ -260,22 +255,6 @@ class CampaignStore:
                     "different parameters; use the original flags or a "
                     "fresh --store path")
 
-    # -- visited-state hashes (completion-gated publish) ----------------------
-
-    def publish_hashes(self, scope: str, hashes: Sequence[int]) -> None:
-        if not hashes:
-            return
-        with self.transaction("visited.publish") as conn:
-            conn.executemany(
-                "INSERT OR IGNORE INTO visited VALUES (?, ?, ?)",
-                [(scope, str(value), _row_sha(scope, str(value)))
-                 for value in hashes])
-
-    def visited_snapshot(self, scope: str) -> set:
-        rows = self._read("visited.snapshot").execute(
-            "SELECT hash FROM visited WHERE scope = ?", (scope,)).fetchall()
-        return {int(row["hash"]) for row in rows}
-
     # -- frontier -------------------------------------------------------------
 
     def set_frontier(self, key: str, payload: dict,
@@ -382,11 +361,10 @@ class CampaignStore:
     def repair(self) -> dict:
         """Drop rows whose checksums fail; campaigns re-derive them.
 
-        Visited hashes and frontier rows are all re-derivable: the fuzz
-        frontier is rewritten at the next checkpoint (the corpus journal and
-        entry files stay authoritative for the corpus itself); a corrupt
-        unit is re-enqueued by the next driver, and a unit whose result was
-        dropped runs again.
+        Frontier rows are re-derivable: the fuzz frontier is rewritten at
+        the next checkpoint (the corpus journal and entry files stay
+        authoritative for the corpus itself); a corrupt unit is re-enqueued
+        by the next driver, and a unit whose result was dropped runs again.
         Returns ``{"rows_dropped": n, "problems": [...]}``.
         """
         problems = self.verify()
@@ -436,64 +414,3 @@ def private_store() -> Iterator[CampaignStore]:
         finally:
             store.close()
 
-
-class VisitedStore:
-    """The engine-facing visited-state memo over a :class:`CampaignStore`.
-
-    Same completion-gated contract the manager-dict ``SharedStateStore``
-    had: DFS shards keep their fast process-local ``seen`` sets; on top,
-    :meth:`probe` buffers the stable hashes of fresh states and consults a
-    periodically refreshed snapshot of what *completed* shards published.
-    :meth:`publish` — called by the engine only once the shard's whole
-    slice drained failure-free — pushes the buffer in one transaction.
-    Gating publication on clean completion is what keeps cross-shard
-    pruning sound: a sibling treats a published state as a fully covered,
-    failure-free subtree.  ``probe`` errs toward ``False`` between
-    refreshes — a shard then merely re-explores a little overlap, never
-    skips coverage.
-
-    *scope* namespaces the hash space: states of different benchmarks (or
-    different workload bounds) share one store file without ever
-    cross-pruning.
-    """
-
-    def __init__(self, store: CampaignStore, scope: str,
-                 refresh_every: int = 32):
-        self.store = store
-        self.scope = scope
-        self.refresh_every = max(int(refresh_every), 1)
-        self._snapshot: set = set()
-        self._pending: List[int] = []
-        self._probes = 0
-        self.refreshes = 0
-        self.refresh()                 # pull what completed shards published
-
-    def probe(self, state_hash: int) -> bool:
-        """Buffer *state_hash*; True when a *completed* shard published it."""
-        self._probes += 1
-        if self._probes % self.refresh_every == 0:
-            self.refresh()
-        if state_hash in self._snapshot:
-            return True
-        self._pending.append(state_hash)
-        return False
-
-    def refresh(self) -> None:
-        """Re-pull the local snapshot of published foreign hashes."""
-        try:
-            self._snapshot = self.store.visited_snapshot(self.scope)
-        except sqlite3.Error:
-            # The store is unreachable (driver tearing down, disk gone):
-            # degrade to local-only exploration, never lose soundness.
-            self._snapshot = set()
-        self.refreshes += 1
-
-    def publish(self) -> None:
-        """Push the buffered hashes (call only when fully drained clean)."""
-        if not self._pending:
-            return
-        try:
-            self.store.publish_hashes(self.scope, self._pending)
-        except sqlite3.Error:
-            pass
-        self._pending.clear()

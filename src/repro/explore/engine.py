@@ -687,7 +687,7 @@ class ExplorationResult:
     everything" (``exhausted``).
 
     :meth:`to_dict` is the JSON artifact surface.  A ``--store`` campaign
-    checkpoints the pickled per-shard results in the store's work queue
+    checkpoints the pickled per-unit results in the store's work queue
     instead, and a rerun merges those again, so the timing fields of a
     rerun report how long collecting them took.
     """
@@ -707,9 +707,6 @@ class ExplorationResult:
     #: Wake/grant alternatives collapsed because they were provably symmetric
     #: to an explored sibling (same frame, arguments and remaining program).
     symmetry_skipped: int = 0
-    #: Merge-probe hits against *another* shard's visited states (only
-    #: non-zero when a cross-worker shared state store is in play).
-    shared_hits: int = 0
     distinct_states: int = 0
     exhausted: bool = False
     budget_exhausted: bool = False
@@ -717,9 +714,6 @@ class ExplorationResult:
     oracle_misses: int = 0
     elapsed_seconds: float = 0.0
     failures: List[Counterexample] = field(default_factory=list)
-    #: Stable 128-bit hashes of the visited-state set (only populated when
-    #: the engine is asked to export them, e.g. to union shard coverage).
-    state_hashes: Optional[List[int]] = field(default=None, repr=False)
     #: Stable hashes of *abstracted* state shapes (only populated when the
     #: engine is given a shape function — the fuzzing campaign's
     #: scheduler-state-shape coverage axis).
@@ -761,7 +755,6 @@ class ExplorationResult:
             "pruned": self.pruned,
             "por_skipped": self.por_skipped,
             "symmetry_skipped": self.symmetry_skipped,
-            "shared_hits": self.shared_hits,
             "distinct_states": self.distinct_states,
             "exhausted": self.exhausted,
             "budget_exhausted": self.budget_exhausted,
@@ -910,11 +903,8 @@ def _explore_sampling(monitor, coop_class, programs, outcome: ExplorationResult,
 def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult,
                        budget: int, max_steps: int, stop_on_failure: bool,
                        minimize: bool, oracle: OracleCache,
-                       seen: set, dfs_prefixes=None,
-                       witness: bool = False) -> None:
-    stack: List[Tuple[int, ...]] = (
-        [tuple(prefix) for prefix in reversed(dfs_prefixes)]
-        if dfs_prefixes else [()])
+                       seen: set, witness: bool = False) -> None:
+    stack: List[Tuple[int, ...]] = [()]
     tracer = obs.tracer()
     first = FirstStrategy()
     while stack and outcome.schedules_run < budget:
@@ -1121,8 +1111,7 @@ def _call_args(programs, decision: Decision, index: int) -> tuple:
 def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                   budget: int, max_steps: int, stop_on_failure: bool,
                   minimize: bool, oracle: OracleCache,
-                  seen: set, dfs_prefixes=None, semantic: bool = True,
-                  symmetry: bool = True, shared_store=None,
+                  seen: set, semantic: bool = True, symmetry: bool = True,
                   witness: bool = False) -> None:
     independence = IndependenceRelation(
         getattr(coop_class, "_coop_footprints", None),
@@ -1152,15 +1141,9 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                 return (_values is not None
                         and _values.independent(entry_method, entry_args,
                                                 method, args))
-    stack: List[Tuple[Tuple[int, ...], frozenset]] = (
-        [(tuple(prefix), frozenset()) for prefix in reversed(dfs_prefixes)]
-        if dfs_prefixes else [((), frozenset())])
+    stack: List[Tuple[Tuple[int, ...], frozenset]] = [((), frozenset())]
     symmetry_table = (index_symmetry(programs, coop_class, monitor)
                       if symmetry else None)
-
-    # When a run aborts as "merged", provenance records whether the covering
-    # probe hit this shard's own visited set or a sibling's published states.
-    probe_source = ["merge"]
 
     def probe(fingerprint: tuple) -> bool:
         # Decisions keep the raw fingerprint (the segment refiner evaluates
@@ -1169,13 +1152,6 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
         if symmetry_table is not None:
             fingerprint = symmetry_table.canonical(fingerprint)
         if fingerprint in seen:
-            probe_source[0] = "merge"
-            return True
-        if shared_store is not None and shared_store.probe(_stable_hash(fingerprint)):
-            # Another shard already explored this state's subtree.
-            outcome.shared_hits += 1
-            seen.add(fingerprint)
-            probe_source[0] = "shared_store"
             return True
         seen.add(fingerprint)
         return False
@@ -1197,10 +1173,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
         if run.outcome == "merged":
             outcome.pruned += 1
             if tracer.enabled:
-                tracer.instant("prune", cat="explore",
-                               provenance=probe_source[0])
-                if probe_source[0] == "shared_store":
-                    obs.registry().inc("explore.skipped.shared_store")
+                tracer.instant("prune", cat="explore", provenance="merge")
             verdict = oracle.judge_partial(run)
         elif run.outcome == "sleep-set":
             outcome.por_skipped += 1
@@ -1225,16 +1198,6 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                 stopped = True
     outcome.exhausted = not stack
     outcome.budget_exhausted = bool(stack)
-    if shared_store is not None and outcome.exhausted and outcome.ok:
-        # Only a fully drained, failure-free shard may publish.  Siblings
-        # prune published states as covered subtrees, so a shard stopped
-        # early (budget, work cap, stop-on-failure) must keep its states
-        # private — and so must a failing shard, or a sibling sharing the
-        # failure's region would prune instead of recording its own copy,
-        # making the merged failure list timing-dependent.  A clean
-        # exhausted shard's states root failure-free subtrees, so pruning
-        # them can never suppress a counterexample.
-        shared_store.publish()
 
 
 def explore_class(monitor: Monitor, coop_class: type, programs,
@@ -1243,10 +1206,7 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
                   minimize: bool = True, benchmark: str = "?",
                   discipline: str = "?", por: bool = True,
                   semantic: bool = True, symmetry: bool = True,
-                  dfs_prefixes: Optional[Sequence[Sequence[int]]] = None,
-                  export_state_hashes: bool = False,
-                  shared_store=None, state_shape=None,
-                  witness: bool = False) -> ExplorationResult:
+                  state_shape=None, witness: bool = False) -> ExplorationResult:
     """Explore one coop monitor class over fixed per-thread programs.
 
     ``por`` selects partial-order reduction for the ``dfs`` strategy
@@ -1254,15 +1214,7 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
     consults the compile-side SMT-proven independence matrix and
     ``symmetry`` collapses provably interchangeable wake/grant alternatives
     to one representative and merges visited states with their images
-    under the workload's symmetry group.  ``dfs_prefixes`` restricts the
-    DFS to the subtrees rooted at the given choice prefixes (the parallel
-    driver shards the top-level decision this way).  ``export_state_hashes`` populates
-    ``result.state_hashes`` with stable hashes of the visited states so
-    shard coverage can be unioned across processes; ``shared_store``
-    (an object with ``probe(hash) -> bool`` and ``publish()``) lets DFS
-    shards skip states other workers fully explored — states are published
-    only when this exploration drains its whole search space without
-    recording a failure.
+    under the workload's symmetry group.
 
     ``state_shape`` (a callable over raw scheduler fingerprints) populates
     ``result.state_shapes`` with stable hashes of the *abstracted* shapes of
@@ -1281,31 +1233,27 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
                                 ops=max((len(p) for p in programs), default=0))
     oracle = OracleCache(monitor, programs)
     seen: set = set()
-    collect_states = export_state_hashes or state_shape is not None
     start = time.perf_counter()
     if strategy == "dfs":
         if por:
             _explore_dpor(monitor, coop_class, programs, outcome, budget,
                           max_steps, stop_on_failure, minimize, oracle, seen,
-                          dfs_prefixes, semantic=semantic, symmetry=symmetry,
-                          shared_store=shared_store, witness=witness)
+                          semantic=semantic, symmetry=symmetry, witness=witness)
         else:
             _explore_dfs_plain(monitor, coop_class, programs, outcome, budget,
                                max_steps, stop_on_failure, minimize, oracle,
-                               seen, dfs_prefixes, witness=witness)
+                               seen, witness=witness)
         outcome.distinct_states = len(seen)
     else:
         _explore_sampling(monitor, coop_class, programs, outcome, budget, seed,
                           max_steps, stop_on_failure, minimize, oracle,
-                          seen=seen if collect_states else None,
+                          seen=seen if state_shape is not None else None,
                           witness=witness)
-        if collect_states:
+        if state_shape is not None:
             outcome.distinct_states = len(seen)
     outcome.elapsed_seconds = time.perf_counter() - start
     outcome.oracle_hits = oracle.hits
     outcome.oracle_misses = oracle.misses
-    if export_state_hashes:
-        outcome.state_hashes = sorted(_stable_hash(fp) for fp in seen)
     if state_shape is not None:
         outcome.state_shapes = sorted({_stable_hash(state_shape(fp))
                                        for fp in seen})
@@ -1319,12 +1267,10 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
 
 
 def _stable_hash(fingerprint: tuple) -> int:
-    """A process-stable 128-bit hash of a state fingerprint.
+    """A process-stable 128-bit hash of a state-shape fingerprint.
 
-    These hashes gate cross-shard subtree pruning (a shared-store hit skips
-    a state's whole subtree), so the digest is kept wide enough that a
-    collision between distinct states is out of the picture — 64 bits was
-    fine for coverage statistics but not for pruning decisions.
+    The hex digests are the fuzz campaign's ``state`` coverage features, so
+    changing the hash changes every stored corpus's coverage map.
     """
     import hashlib
 

@@ -1,29 +1,19 @@
-"""Parallel exploration campaigns: shard schedules over a process pool.
+"""Parallel exploration campaigns: shard sampling budgets over a process pool.
 
-Schedules are independent, so a campaign parallelizes embarrassingly — the
-only care is determinism of the *reported* result:
+Random and PCT walks are independent, so a sampling campaign parallelizes
+embarrassingly — the only care is determinism of the *reported* result.
+``random`` / ``pct`` budgets are sharded into contiguous seed blocks (worker
+*i* explores walk seeds ``seed+start_i .. seed+end_i-1``); because walk
+``seed + k`` is exactly the schedule a sequential campaign would run as
+iteration *k*, the merged first failure — minimal global iteration index —
+is the same schedule a ``--workers 1`` campaign reports.
 
-* ``random`` / ``pct`` budgets are sharded into contiguous seed blocks
-  (worker *i* explores walk seeds ``seed+start_i .. seed+end_i-1``); because
-  walk ``seed + k`` is exactly the schedule a sequential campaign would run
-  as iteration *k*, the merged first failure — minimal global iteration
-  index — is the same schedule a ``--workers 1`` campaign reports.
-* ``dfs`` shards the *top-level decision*: the driver runs one schedule to
-  find the first branching decision and gives each worker a slice of its
-  alternatives as DFS root prefixes.  Shards keep private visited-state sets
-  (coverage is unioned via stable state hashes) **and additionally share a
-  cross-worker visited-fingerprint memo** — a SQLite-backed
-  :class:`~repro.distrib.CampaignStore` each shard's merge probe consults
-  through :class:`~repro.distrib.VisitedStore` — so shards stop re-exploring
-  (and re-judging) overlap that a shard *completed failure-free*.
-  Publication is gated on clean completion (see
-  :class:`~repro.distrib.VisitedStore`), which keeps the failure list and
-  the combined coverage independent of scheduling timing.  Statistics are
-  not: judged/pruned/shared-hit counts — and, under budgets tight enough
-  that pruning decides whether a shard drains, the per-shard ``exhausted``
-  flags — depend on which shards finish first, so assert verdicts, never
-  exact counts, for ``workers > 1``.  The merged failure list is ordered
-  by (shard, discovery order).
+A ``dfs`` exploration of one benchmark is one work unit, whatever
+``workers`` says: without a store it runs in-process, with one it is a
+single leased unit, so its results are the same for every worker count.
+Splitting one DPOR search over the first decision's alternatives made the
+shards re-explore each other's states (suite at 3x3: 196 judged schedules
+in-process, 371-375 over two shards, and slower).
 
 Shards are dispatched through the work queue (:func:`repro.distrib.queue_map`):
 every shard is a leased work unit, and results merge in unit order.  With
@@ -31,7 +21,7 @@ a persistent ``--store`` cooperating processes — extra ``expresso``
 invocations pointed at the same path — pick up units too, and the stored
 unit results are the campaign's checkpoint: a rerun of the same
 configuration collects them instead of exploring again.  Without a store
-the queue and the visited-state memo share one private temp store.
+the queue lives in a private temp store.
 
 Workers never recompile the monitor: the parent ships the *generated coop
 class source* (plus the reference AST, POR footprints, semantic matrix and
@@ -59,20 +49,16 @@ from repro.distrib import (
     CampaignStore,
     DistribConfig,
     JobFailure,
-    VisitedStore,
     private_store,
     queue_map,
 )
 from repro.explore.engine import (
-    Counterexample,
     ExplorationResult,
     coop_monitor_and_class,
     explore_class,
     footprints_for_explicit,
     wait_info_for_explicit,
 )
-from repro.explore.scheduler import run_schedule
-from repro.explore.strategies import FirstStrategy
 from repro.lang.ast import Monitor
 from repro.placement.target import ExplicitMonitor
 from repro.resilience.atomic import checksum_payload
@@ -117,10 +103,6 @@ def _explore_shard(trace: bool, *args, **kwargs) -> ExplorationResult:
 
 def _run_shard(job: dict) -> ExplorationResult:
     """One worker's slice of a campaign (executed in a pool process)."""
-    store_path = job.get("visited_store")
-    shared_store = (VisitedStore(CampaignStore(store_path),
-                                 scope=job["visited_scope"])
-                    if store_path is not None else None)
     return _explore_shard(
         bool(job.get("trace")), job["monitor"], _rebuild_class(job),
         job["programs"], strategy=job["strategy"], budget=job["budget"],
@@ -128,10 +110,7 @@ def _run_shard(job: dict) -> ExplorationResult:
         stop_on_failure=job["stop_on_failure"], minimize=job["minimize"],
         benchmark=job["benchmark"], discipline=job["discipline"],
         por=job["por"], semantic=job.get("semantic_por", True),
-        symmetry=job.get("symmetry", True),
-        dfs_prefixes=job.get("dfs_prefixes"),
-        export_state_hashes=job["strategy"] == "dfs",
-        shared_store=shared_store, witness=job.get("witness", False))
+        symmetry=job.get("symmetry", True), witness=job.get("witness", False))
 
 
 def _run_mutant(job: dict) -> dict:
@@ -184,16 +163,15 @@ def merge_results(shards: Sequence[ExplorationResult], strategy: str,
                   elapsed: float) -> ExplorationResult:
     """Fold worker shard results into one campaign result.
 
-    The first failure is chosen deterministically: minimal global iteration
-    index (``failure.seed - base_seed``) for sampling strategies, shard order
-    for DFS — independent of worker count and scheduling jitter.
+    The first failure is chosen deterministically — minimal global iteration
+    index (``failure.seed - base_seed``) — independent of worker count and
+    scheduling jitter.  A DFS campaign has one shard, which passes through.
     """
     first = shards[0]
     merged = ExplorationResult(
         benchmark=first.benchmark, discipline=first.discipline,
         strategy=strategy, seed=base_seed, threads=first.threads,
         ops=first.ops, workers=workers)
-    hashes: set = set()
     for shard in shards:
         merged.schedules_run += shard.schedules_run
         merged.completed += shard.completed
@@ -201,23 +179,14 @@ def merge_results(shards: Sequence[ExplorationResult], strategy: str,
         merged.pruned += shard.pruned
         merged.por_skipped += shard.por_skipped
         merged.symmetry_skipped += shard.symmetry_skipped
-        merged.shared_hits += shard.shared_hits
         merged.oracle_hits += shard.oracle_hits
         merged.oracle_misses += shard.oracle_misses
-        if shard.state_hashes:
-            hashes.update(shard.state_hashes)
-    if strategy == "dfs":
-        merged.distinct_states = len(hashes)
-        merged.exhausted = all(shard.exhausted for shard in shards)
-        merged.budget_exhausted = any(shard.budget_exhausted for shard in shards)
-        failures: List[Counterexample] = [
-            failure for shard in shards for failure in shard.failures]
-    else:
-        merged.distinct_states = max(shard.distinct_states for shard in shards)
-        failures = sorted(
-            (failure for shard in shards for failure in shard.failures),
-            key=lambda failure: failure.seed if failure.seed is not None else 0)
-    merged.failures = failures
+    merged.distinct_states = max(shard.distinct_states for shard in shards)
+    merged.exhausted = all(shard.exhausted for shard in shards)
+    merged.budget_exhausted = any(shard.budget_exhausted for shard in shards)
+    merged.failures = sorted(
+        (failure for shard in shards for failure in shard.failures),
+        key=lambda failure: failure.seed if failure.seed is not None else 0)
     merged.elapsed_seconds = elapsed
     # Flight-recorder payloads: shard event lists are concatenated in shard
     # (= job) order — for sampling strategies that is exactly the sequential
@@ -254,49 +223,36 @@ def _shard_bounds(budget: int, workers: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _dfs_root_prefixes(coop_class: type, programs, max_steps: int) -> List[Tuple[int, ...]]:
-    """The alternatives of the first branching decision (DFS shard roots)."""
-    probe = run_schedule(coop_class(), programs, FirstStrategy(), max_steps)
-    if not probe.decisions:
-        return []
-    first = probe.decisions[0]
-    return [(alternative,) for alternative in range(len(first.candidates))]
-
-
 def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                            strategy: str = "random", budget: int = 200,
                            seed: int = 0, max_steps: int = 20_000,
                            stop_on_failure: bool = True, minimize: bool = True,
                            benchmark: str = "?", discipline: str = "?",
                            por: bool = True, semantic: bool = True,
-                           symmetry: bool = True, share_states: bool = True,
-                           witness: bool = False, trace: bool = False,
+                           symmetry: bool = True, witness: bool = False,
+                           trace: bool = False,
                            workers: Optional[int] = None,
                            store: Optional[CampaignStore] = None,
                            distrib: Optional[DistribConfig] = None,
                            ) -> ExplorationResult:
     """`explore_class`, sharded over the work dispatcher.
 
-    Falls back to the sequential engine when one worker (or one shard) would
-    do all the work anyway.  The coop class must carry ``_coop_source`` (all
-    engine-built classes do) so workers can rebuild it without recompiling.
-    ``share_states`` (DFS only) links the shards' merge probes through one
-    SQLite-backed :class:`~repro.distrib.VisitedStore`, so overlap explored
-    by one shard is pruned — not re-judged — by the others.
-    ``trace`` records every shard into a flight-recorder session and
-    attaches ``trace_shards`` / ``metrics_snapshot`` to the merged result
-    (also on the sequential fallback, so callers read one surface regardless
-    of worker count).
+    Without a *store*, one worker or a DFS strategy runs the sequential
+    engine in-process; with one, a DFS exploration is a single work unit.
+    The coop class must carry ``_coop_source`` (all engine-built classes do)
+    so workers can rebuild it without recompiling.  ``trace`` records every
+    shard into a flight-recorder session and attaches ``trace_shards`` /
+    ``metrics_snapshot`` to the merged result (also on the sequential
+    fallback, so callers read one surface regardless of worker count).
 
     Shards are work units of :func:`repro.distrib.queue_map`, in the
     persistent campaign *store* when one is given (cooperating processes
     pointed at the same path claim units too) and otherwise in a private
-    temp store; the visited-state memo lives in the same store.  A shard
-    whose worker keeps dying or hanging is *quarantined* — recorded in
-    ``result.worker_failures`` with its shard parameters — while every
-    surviving shard's coverage and failures are still merged.  A lost shard
-    also forces ``exhausted=False``: the merged result never claims full
-    coverage of a subtree nobody finished.
+    temp store.  A shard whose worker keeps dying or hanging is
+    *quarantined* — recorded in ``result.worker_failures`` with its shard
+    parameters — while every surviving shard's coverage and failures are
+    still merged.  A lost shard also forces ``exhausted=False``: the merged
+    result never claims full coverage of a search nobody finished.
     """
     workers = workers or default_workers()
     source = getattr(coop_class, "_coop_source", None)
@@ -306,13 +262,9 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
         stop_on_failure=stop_on_failure, minimize=minimize,
         benchmark=benchmark, discipline=discipline, por=por,
         semantic=semantic, symmetry=symmetry, witness=witness)
-    if source is None or (workers <= 1 and store is None):
+    dfs = strategy == "dfs"
+    if source is None or (store is None and (workers <= 1 or dfs)):
         return sequential()
-    roots: List[Tuple[int, ...]] = []
-    if strategy == "dfs":
-        roots = _dfs_root_prefixes(coop_class, programs, max_steps)
-        if not roots or (len(roots) < 2 and store is None):
-            return sequential()
     # Explicit coop sources embed footprints/matrix as class-attribute
     # literals — rebuilding from source restores them, so ship them only
     # for classes whose source does not (autosynch/implicit runtimes).
@@ -339,43 +291,11 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
         "witness": witness,
         "trace": trace,
     }
-    jobs: List[dict] = []
+    blocks = [(0, budget)] if dfs else _shard_bounds(budget, workers)
+    jobs = [dict(base_job, seed=seed + start, budget=end - start)
+            for start, end in blocks]
     with (nullcontext(store) if store is not None
           else private_store()) as dispatch_store:
-        if strategy == "dfs":
-            visited_store = None
-            visited_scope = None
-            if share_states and por:
-                # Campaign-scoped namespace: different benchmarks/configs
-                # cooperating through one persistent store never observe
-                # each other's published subtrees.
-                visited_scope = checksum_payload([
-                    benchmark, discipline, source,
-                    [[repr(op) for op in program] for program in programs],
-                    seed, max_steps, bool(semantic), bool(symmetry)])[:16]
-                visited_store = str(dispatch_store.path)
-            root_slices = _shard_bounds(len(roots),
-                                        min(max(workers, 1), len(roots)))
-            # The --schedules budget caps *total* judged schedules, like the
-            # sequential path: split it across shards (each shard gets at
-            # least one schedule so every subtree is entered).
-            budget_sizes = [end - start
-                            for start, end in _shard_bounds(budget, len(root_slices))]
-            budget_sizes += [1] * (len(root_slices) - len(budget_sizes))
-            for (start, end), shard_budget in zip(root_slices, budget_sizes):
-                job = dict(base_job)
-                job["seed"] = seed
-                job["budget"] = max(shard_budget, 1)
-                job["dfs_prefixes"] = roots[start:end]
-                job["visited_store"] = visited_store
-                job["visited_scope"] = visited_scope
-                jobs.append(job)
-        else:
-            for start, end in _shard_bounds(budget, max(workers, 1)):
-                job = dict(base_job)
-                job["seed"] = seed + start
-                job["budget"] = end - start
-                jobs.append(job)
         # Units carry trace payloads only when traced, so a traced rerun
         # must not collect an untraced run's stored results.
         batch_key = checksum_payload([
@@ -386,22 +306,14 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
         start_time = time.perf_counter()
         outcomes = queue_map(
             _run_shard, jobs, dispatch_store, batch=f"explore/{batch_key}",
-            config=distrib, workers=min(max(workers, 1), len(jobs)))
+            config=distrib, workers=min(workers, len(jobs)))
         elapsed = time.perf_counter() - start_time
-    if store is not None:
-        # The store's transactional counters are the authoritative
-        # cross-process aggregate; mirror them so the session registry
-        # (observe() snapshots, the exporter) shares one namespace.
-        obs.mirror_store_counters(store.counters())
     shards: List[ExplorationResult] = []
     lost: List[dict] = []
     for job, outcome in zip(jobs, outcomes):
         if isinstance(outcome, JobFailure):
             lost.append(outcome.error_dict(
-                shard={"seed": job["seed"], "budget": job["budget"],
-                       "dfs_prefixes": [list(prefix) for prefix in
-                                        job["dfs_prefixes"]]
-                       if job.get("dfs_prefixes") else None}))
+                shard={"seed": job["seed"], "budget": job["budget"]}))
         else:
             shards.append(outcome)
     if not shards:
@@ -420,7 +332,7 @@ def parallel_explore_benchmark(spec, discipline: str = "expresso",
                                threads: int = 3, ops: int = 3, pipeline=None,
                                workers: Optional[int] = None,
                                **kwargs) -> ExplorationResult:
-    """`explore_benchmark`, sharded over a process pool."""
+    """`explore_benchmark` through :func:`parallel_explore_class`."""
     reference, coop_class = coop_monitor_and_class(spec, discipline, pipeline)
     programs = spec.workload(threads, ops)
     kwargs.setdefault("benchmark", spec.name)

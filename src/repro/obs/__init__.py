@@ -123,9 +123,9 @@ def observe(trace: bool = False, profile: bool = False) -> Iterator[ObsSession]:
 # ---------------------------------------------------------------------------
 
 #: ExplorationResult fields → registry counter names.  Deliberately excludes
-#: timing (``elapsed_seconds``) and worker-count-dependent counters
-#: (``shared_hits``, oracle cache hits/misses), so the folded snapshot is
-#: byte-stable across ``--workers`` settings for deterministic strategies.
+#: timing (``elapsed_seconds``) and worker-count-dependent counters (oracle
+#: cache hits/misses), so the folded snapshot is byte-stable across
+#: ``--workers`` settings for deterministic strategies.
 EXPLORATION_METRIC_NAMES: Dict[str, str] = {
     "schedules_run": "explore.schedules.judged",
     "completed": "explore.schedules.completed",

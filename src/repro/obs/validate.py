@@ -29,7 +29,7 @@ _KNOWN_PHASES = frozenset({"B", "E", "i", "X", "M", "C"})
 
 #: The prune-provenance vocabulary (exploration skip mechanisms).
 PROVENANCE_TAGS = frozenset({
-    "sleep_set", "backtrack", "symmetry", "merge", "shared_store", "visited",
+    "sleep_set", "backtrack", "symmetry", "merge", "visited",
 })
 
 #: Metadata-event names this repo emits (the stitcher's lane labels).

@@ -723,12 +723,14 @@ class TestCliDistrib:
     def test_explore_store_then_resume_reuses_frontier(self, tmp_path,
                                                        capsys):
         """Rerunning the same command against the same store is the
-        resume: every shard comes back from its stored unit result."""
+        resume: each benchmark's dfs unit comes back from its stored
+        result."""
         args = CLI_EXPLORE + ["--benchmark", "Readers-Writers",
                               "--store", str(tmp_path / "s.sqlite3")]
         assert cli_main(args) == 0
         first = json.loads(capsys.readouterr().out)
-        assert first["distrib"]["distrib.units.completed"] > 0
+        assert first["distrib"]["distrib.units.enqueued"] == 2
+        assert first["distrib"]["distrib.units.completed"] == 2
         assert cli_main(args) == 0
         second = json.loads(capsys.readouterr().out)
         # No unit was enqueued, leased or completed again, and only the

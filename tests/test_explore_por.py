@@ -465,90 +465,6 @@ class TestParallel:
         assert first[1].minimized == first[4].minimized
         assert campaigns[4].workers == 4
 
-    def test_dfs_sharding_preserves_exhaustion_and_verdicts(self, buffer_spec):
-        monitor, coop_class = coop_monitor_and_class(buffer_spec, "expresso")
-        programs = buffer_spec.workload(3, 2)
-        sequential = parallel_explore_class(
-            monitor, coop_class, programs, strategy="dfs", budget=5000,
-            minimize=False, workers=1, benchmark="BoundedBuffer")
-        sharded = parallel_explore_class(
-            monitor, coop_class, programs, strategy="dfs", budget=5000,
-            minimize=False, workers=4, benchmark="BoundedBuffer")
-        assert sequential.exhausted and sharded.exhausted
-        assert sequential.ok and sharded.ok
-
-    def test_shared_store_publish_is_completion_gated(self, tmp_path):
-        """VisitedStore semantics against an on-disk CampaignStore: probes
-        buffer locally and nothing is visible to siblings until the shard
-        drains its search and publishes."""
-        from repro.distrib import CampaignStore, VisitedStore
-
-        backing = CampaignStore(tmp_path / "campaign.sqlite3")
-        first = VisitedStore(backing, scope="s", refresh_every=2)
-        assert first.probe(1) is False
-        assert first.probe(2) is False
-        assert backing.visited_snapshot("s") == set()   # shard still running
-        first.publish()
-        assert backing.visited_snapshot("s") == {1, 2}
-        second = VisitedStore(backing, scope="s", refresh_every=2)
-        assert second.probe(1) is True      # constructor pulled the snapshot
-        assert second.probe(3) is False
-        second.publish()
-        assert 3 in backing.visited_snapshot("s")
-        # Scopes are namespaces: a different campaign on the same store
-        # file must never prune against these hashes.
-        other = VisitedStore(backing, scope="t", refresh_every=2)
-        assert other.probe(1) is False
-        backing.close()
-
-    def test_incomplete_or_failing_shards_do_not_publish_states(
-            self, buffer_spec, buffer_result, tmp_path):
-        """Siblings prune published states as fully covered, failure-free
-        subtrees: a budget-stopped shard and a shard that recorded a
-        failure must both keep their states private."""
-        from repro.distrib import CampaignStore, VisitedStore
-
-        monitor, coop_class = coop_monitor_and_class(buffer_spec, "expresso")
-        programs = buffer_spec.workload(3, 2)
-        backing = CampaignStore(tmp_path / "campaign.sqlite3")
-        capped = explore_class(
-            monitor, coop_class, programs, strategy="dfs", budget=3,
-            minimize=False, stop_on_failure=False,
-            shared_store=VisitedStore(backing, scope="capped"))
-        assert capped.budget_exhausted and not capped.exhausted
-        assert backing.visited_snapshot("capped") == set()
-        full = explore_class(
-            monitor, coop_class, programs, strategy="dfs", budget=50_000,
-            minimize=False, stop_on_failure=False,
-            shared_store=VisitedStore(backing, scope="full"))
-        assert full.exhausted
-        assert len(backing.visited_snapshot("full")) == full.distinct_states
-        mutant = buffer_result.explicit.without_notification("put#0", 0)
-        mutant_class = coop_class_for_explicit(mutant)
-        failing = explore_class(
-            buffer_result.monitor, mutant_class, buffer_spec.workload(2, 2),
-            strategy="dfs", budget=50_000, minimize=False,
-            stop_on_failure=False,
-            shared_store=VisitedStore(backing, scope="failing"))
-        assert failing.exhausted and not failing.ok
-        assert backing.visited_snapshot("failing") == set()
-        backing.close()
-
-    def test_shared_store_shards_stay_sound(self, buffer_spec):
-        """Cross-worker state sharing keeps exhaustion and verdict sets."""
-        spec = get_benchmark("Readers-Writers")
-        monitor, coop_class = coop_monitor_and_class(spec, "expresso")
-        programs = spec.workload(3, 2)
-        kwargs = dict(strategy="dfs", budget=50_000, minimize=False,
-                      stop_on_failure=False, workers=3,
-                      benchmark="Readers-Writers")
-        private = parallel_explore_class(monitor, coop_class, programs,
-                                         share_states=False, **kwargs)
-        shared = parallel_explore_class(monitor, coop_class, programs, **kwargs)
-        assert private.exhausted and shared.exhausted
-        assert private.ok and shared.ok
-        assert shared.schedules_run <= private.schedules_run
-
     def test_shared_store_shards_catch_mutant_bugs(self, buffer_spec,
                                                    buffer_result):
         mutant = buffer_result.explicit.without_notification("put#0", 0)
@@ -562,7 +478,7 @@ class TestParallel:
         assert {f.kind for f in result.failures} == {"lost-wakeup"}
 
     def test_dfs_sharding_splits_the_budget(self):
-        """--schedules caps *total* judged schedules, as sequentially."""
+        """--schedules caps judged schedules whatever the worker count."""
         spec = get_benchmark("Readers-Writers")
         monitor, coop_class = coop_monitor_and_class(spec, "expresso")
         programs = spec.workload(3, 3)
@@ -686,27 +602,41 @@ class TestExploreCliFlags:
     def test_no_por_flag_runs_plain_dfs(self, capsys):
         rc = cli_main(["explore", "--benchmark", "BoundedBuffer",
                        "--strategy", "dfs", "--threads", "2", "--ops", "2",
-                       "--schedules", "500", "--no-por", "--json"])
+                       "--schedules", "500", "--reduction", "none", "--json"])
         decoded = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert decoded["results"][0]["exhausted"] is True
 
     def test_semantic_and_symmetry_flags(self, capsys):
-        """--no-semantic-por/--no-symmetry reproduce the syntactic baseline;
-        the default run judges no more schedules than it."""
+        """--reduction syntactic reproduces the syntactic baseline; the
+        default (full) run judges no more schedules than it."""
         args = ["explore", "--benchmark", "H2O Barrier", "--strategy", "dfs",
                 "--threads", "3", "--ops", "3", "--schedules", "50000",
                 "--json"]
         rc = cli_main(args)
         semantic = json.loads(capsys.readouterr().out)["results"][0]
         assert rc == 0
-        rc = cli_main(args + ["--no-semantic-por", "--no-symmetry"])
+        rc = cli_main(args + ["--reduction", "syntactic"])
         syntactic = json.loads(capsys.readouterr().out)["results"][0]
         assert rc == 0
         assert semantic["exhausted"] and syntactic["exhausted"]
         assert semantic["schedules_run"] <= syntactic["schedules_run"]
         assert semantic["symmetry_skipped"] > 0
         assert syntactic["symmetry_skipped"] == 0
+
+    def test_dfs_json_is_the_same_for_every_worker_count(self, capsys):
+        """A benchmark's dfs exploration is one work unit: --workers 2
+        reports what --workers 1 does, timing aside."""
+        args = ["explore", "--benchmark", "BoundedBuffer",
+                "--benchmark", "Readers-Writers", "--strategy", "dfs",
+                "--threads", "3", "--ops", "2", "--json"]
+        documents = {}
+        for workers in ("1", "2"):
+            assert cli_main(args + ["--workers", workers]) == 0
+            documents[workers] = json.loads(capsys.readouterr().out)
+            for result in documents[workers]["results"]:
+                del result["elapsed_seconds"], result["schedules_per_second"]
+        assert documents["2"] == documents["1"]
 
     def test_workers_flag_merges_counts(self, capsys):
         rc = cli_main(["explore", "--benchmark", "BoundedBuffer",
