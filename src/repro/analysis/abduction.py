@@ -110,7 +110,7 @@ from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import build
 from repro.logic.evaluate import truth_value
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import atoms_of, ordered_atoms
 from repro.logic.simplify import simplify
@@ -158,7 +158,7 @@ def abduce(pre: Expr, goal: Expr, solver: Optional[Solver] = None, *,
     # A candidate mentions only the obligation's variables, so the rest of
     # the vocabulary cannot change the result: leaving it out of the memo
     # key lets monitors with different fields share an obligation's entry.
-    own = {var.name for var in free_vars(build.implies(pre, goal))}
+    own = {var.name for var in ordered_free_vars(build.implies(pre, goal))}
     vocabulary = frozenset(own.intersection(vocabulary))
     limits = (max_kept_vars, max_candidates, max_subsets, max_obligation_atoms)
     result, _hit = solver.memoized(
@@ -172,14 +172,14 @@ def _abduce(pre: Expr, goal: Expr, solver: Solver, vocabulary: FrozenSet[str],
             max_obligation_atoms: int) -> AbductionResult:
     memo = solver.rewrite_memo()
     obligation = build.implies(pre, goal)
-    variables = sorted(free_vars(obligation), key=lambda var: var.name)
+    variables = sorted(ordered_free_vars(obligation), key=lambda var: var.name)
     # Validated candidates, in-vocabulary or kept as generalization sources.
     candidates: List[Expr] = []
     tested: Set[Expr] = set()
     found: List[Model] = []
 
     def in_vocabulary(psi: Expr) -> bool:
-        return all(var.name in vocabulary for var in free_vars(psi))
+        return all(var.name in vocabulary for var in ordered_free_vars(psi))
 
     if not vocabulary:
         return AbductionResult(pre, goal, ())  # skip rule 1
@@ -342,7 +342,7 @@ def _generalize_atoms(sources: Sequence[Expr], memo: RewriteMemo) -> List[Expr]:
 
     for source in sources:
         # First-occurrence order: the candidate order, and so the inferred
-        # invariant's conjunct order, must not follow the hash seed.
+        # invariant's conjunct order, must not follow node addresses.
         for atom in ordered_atoms(source):
             if not isinstance(atom, (Eq, Ne, Le, Lt, Ge, Gt)):
                 continue

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
 
 from repro import obs
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr, Var
 from repro.lang.ast import CCR, Monitor, Stmt, seq, stmt_assigned_vars
 from repro.analysis.lint.dataflow import method_effects, stmt_effects
@@ -197,7 +197,7 @@ def ccr_commutes_with_all(ccr: CCR, monitor: Monitor,
 
 
 def _expr_names(expr: Expr) -> Set[str]:
-    return {var.name for var in free_vars(expr)}
+    return {var.name for var in ordered_free_vars(expr)}
 
 
 def _stmt_names(stmt: Stmt) -> Set[str]:
@@ -434,7 +434,7 @@ def _instantiate_expr(expr: Expr, binding: Dict[str, Expr]) -> Expr:
     from repro.logic.substitute import substitute
 
     mapping = {var: binding[var.name]
-               for var in free_vars(expr) if var.name in binding}
+               for var in ordered_free_vars(expr) if var.name in binding}
     return substitute(expr, mapping)
 
 

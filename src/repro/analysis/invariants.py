@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.logic import build
 from repro.logic.evaluate import truth_value
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Expr, INT, Var
 from repro.lang.ast import Monitor
@@ -91,7 +91,7 @@ def infer_monitor_invariant(monitor: Monitor,
         candidate = simplify(candidate, memo)
         if isinstance(candidate, BoolConst):
             return
-        if any(var.name not in shared_names for var in free_vars(candidate)):
+        if any(var.name not in shared_names for var in ordered_free_vars(candidate)):
             # Invariants range over shared monitor state only (§3.1).
             return
         if candidate not in pool:

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.analysis.hoare import HoareTriple, check_triple
@@ -49,7 +49,7 @@ def _field_names(monitor: object) -> FrozenSet[str]:
 
 def _guard_locals(guard: Expr, fields: FrozenSet[str]) -> FrozenSet[str]:
     """Thread-local names free in *guard* (everything that is not a field)."""
-    return frozenset(var.name for var in free_vars(guard)
+    return frozenset(var.name for var in ordered_free_vars(guard)
                      if var.name not in fields)
 
 

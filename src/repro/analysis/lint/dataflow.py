@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr
 from repro.lang.arrays import cell_name
 from repro.lang.ast import (
@@ -75,7 +75,7 @@ EMPTY_EFFECTS = EffectSummary(frozenset(), frozenset())
 
 def expr_reads(expr: Expr) -> FrozenSet[str]:
     """The variable names an expression may read."""
-    return frozenset(var.name for var in free_vars(expr))
+    return frozenset(var.name for var in ordered_free_vars(expr))
 
 
 def stmt_effects(stmt: Stmt,

@@ -13,9 +13,9 @@ check, its CCR body) to fresh primed copies before checking validity.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.substitute import substitute
 from repro.logic.terms import Expr, Var
 from repro.lang.ast import (
@@ -36,11 +36,8 @@ def rename_thread_locals(formula: Expr, local_names: Iterable[str],
                          suffix: str) -> Expr:
     """Rename every free occurrence of a thread-local variable with *suffix*."""
     locals_set = frozenset(local_names)
-    mapping: Dict[Var, Expr] = {}
-    for var in free_vars(formula):
-        if var.name in locals_set:
-            mapping[var] = Var(_renamed(var.name, suffix), var.var_sort)
-    return substitute(formula, mapping)
+    return substitute(formula, {var: Var(_renamed(var.name, suffix), var.var_sort)
+                                for var in ordered_free_vars(formula) if var.name in locals_set})
 
 
 def rename_stmt_locals(stmt: Stmt, local_names: Iterable[str], suffix: str) -> Stmt:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.substitute import substitute
 from repro.logic.terms import Expr, Var
@@ -52,7 +52,7 @@ class SymbolicState:
     def rewrite(self, expr: Expr) -> Expr:
         """Evaluate *expr* over the current symbolic state."""
         mapping = {var: self.values[var.name]
-                   for var in free_vars(expr) if var.name in self.values}
+                   for var in ordered_free_vars(expr) if var.name in self.values}
         return substitute(expr, mapping)
 
     def copy(self) -> "SymbolicState":

@@ -24,7 +24,7 @@ import itertools
 from typing import Dict, FrozenSet
 
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.substitute import substitute
 from repro.logic.terms import Expr, Var
@@ -98,17 +98,12 @@ def _wp_while(stmt: While, post: Expr) -> Expr:
 
 def _havoc_map(stmt: While, post: Expr, assigned: FrozenSet[str]) -> Dict[Var, Expr]:
     """Fresh variables for every assigned name, preserving each variable's sort."""
-    relevant_vars = free_vars(post) | free_vars(stmt.cond)
+    relevant = [post, stmt.cond, *_expressions_of(stmt.body)]
     if stmt.invariant is not None:
-        relevant_vars |= free_vars(stmt.invariant)
-    for child_expr in _expressions_of(stmt.body):
-        relevant_vars |= free_vars(child_expr)
+        relevant.append(stmt.invariant)
     suffix = next(_HAVOC_COUNTER)
-    havoc_map: Dict[Var, Expr] = {}
-    for var in relevant_vars:
-        if var.name in assigned:
-            havoc_map[var] = Var(f"{var.name}!havoc{suffix}", var.var_sort)
-    return havoc_map
+    return {var: Var(f"{var.name}!havoc{suffix}", var.var_sort)
+            for expr in relevant for var in ordered_free_vars(expr) if var.name in assigned}
 
 
 def _expressions_of(stmt: Stmt):
@@ -128,8 +123,4 @@ def _expressions_of(stmt: Stmt):
 
 def _substitution_for(post: Expr, target: str, value: Expr) -> Dict[Var, Expr]:
     """Map every free occurrence of *target* (at any sort) to *value*."""
-    substitution: Dict[Var, Expr] = {}
-    for var in free_vars(post):
-        if var.name == target:
-            substitution[var] = value
-    return substitution
+    return {var: value for var in ordered_free_vars(post) if var.name == target}

@@ -17,7 +17,6 @@ from typing import Dict, FrozenSet, List
 
 from repro.codegen.pyexpr import to_java
 from repro.logic import TRUE
-from repro.logic.free_vars import free_vars
 from repro.logic.terms import BOOL, Expr
 from repro.lang.ast import (
     Assign,

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.codegen.pyexpr import python_identifier, to_python
 from repro.codegen.pystmt import stmt_to_python
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import BOOL, Expr, INT
 from repro.lang.ast import Monitor, Skip
 from repro.placement.target import ExplicitCCR, ExplicitMonitor, Notification
@@ -50,7 +50,7 @@ def _field_init_lines(fields, field_names: FrozenSet[str], indent: int) -> List[
 
 
 def _guard_locals(guard: Expr, field_names: FrozenSet[str]) -> List[str]:
-    return sorted(var.name for var in free_vars(guard) if var.name not in field_names)
+    return sorted(var.name for var in ordered_free_vars(guard) if var.name not in field_names)
 
 
 def _snapshot_expr(local_names: List[str]) -> str:

@@ -76,7 +76,7 @@ from repro.lang.ast import (
 from repro.lang.arrays import cell_name
 from repro.logic import TRUE
 from repro.logic.evaluate import EvaluationError, evaluate
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.substitute import rename_vars
 from repro.logic.terms import INT, Var
@@ -97,7 +97,7 @@ _COOP_CLASS_CACHE: Dict[Tuple, type] = {}
 
 
 def _expr_fields(expr, fields: frozenset) -> Set[str]:
-    return {var.name for var in free_vars(expr) if var.name in fields}
+    return {var.name for var in ordered_free_vars(expr) if var.name in fields}
 
 
 def _stmt_reads(stmt: Stmt, fields: frozenset) -> Set[str]:
@@ -225,7 +225,7 @@ class SegmentRefiner:
                 self._wait_footprints[key] = None
             else:
                 reads = frozenset(
-                    var.name for var in free_vars(guard)
+                    var.name for var in ordered_free_vars(guard)
                     if var.name in self.fields)
                 self._wait_footprints[key] = MethodFootprint(
                     reads, frozenset(), frozenset({key}), frozenset())

@@ -388,9 +388,10 @@ class CoopScheduler:
         self._observe = getattr(strategy, "observe_grant", None)
         self._observe_extent = getattr(strategy, "observe_extent", None)
         #: Bound only inside an observability session: state-fingerprint and
-        #: frame-cache counters land under ``explore.scheduler.*``.  These
-        #: counts are per-run deterministic but shard-dependent under DFS
-        #: sharding, so they stay out of the exploration-result surface.
+        #: frame-cache counters land under ``explore.scheduler.*``.  They
+        #: count the scheduler's own work (a fast-forwarded prefix makes no
+        #: fingerprints), exist only while tracing, and so stay out of the
+        #: exploration-result surface, which neither may change.
         self._metrics = _session_registry()
 
     # -- public entry point ---------------------------------------------------

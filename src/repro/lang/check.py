@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import BOOL, Expr, INT, Sort, SortError, Var, sort_of
 from repro.lang.arrays import ArraySelect
 from repro.lang.ast import (
@@ -158,7 +158,7 @@ def _contains_array_select(expr: Expr) -> bool:
 
 
 def _check_known_vars(expr: Expr, scope: Dict[str, Sort], context: str) -> None:
-    for var in free_vars(expr):
+    for var in ordered_free_vars(expr):
         declared = scope.get(var.name)
         if declared is None:
             raise MonitorCheckError(f"{context} mentions undeclared variable {var.name!r}")

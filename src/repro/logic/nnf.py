@@ -128,8 +128,8 @@ def atoms_of(expr: Expr) -> FrozenSet[Expr]:
 def ordered_atoms(expr: Expr) -> List[Expr]:
     """The atoms of :func:`atoms_of`, in order of first occurrence.
 
-    Unlike iterating the frozenset, this order does not depend on the
-    process's string hash seed.
+    Unlike iterating the frozenset, this order does not depend on node
+    addresses (see :mod:`repro.logic.terms`).
     """
     atoms: Dict[Expr, None] = {}
     _atoms(expr, atoms)

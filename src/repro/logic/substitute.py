@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Mapping
 
-from repro.logic.free_vars import free_vars, ordered_free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Exists, Expr, Forall, Var, contains_quantifier, rebuild
 
 
@@ -23,11 +23,8 @@ def substitute(expr: Expr, mapping: Mapping[Var, Expr]) -> Expr:
 
 def rename_vars(expr: Expr, renaming: Mapping[str, str]) -> Expr:
     """Rename free variables by name, preserving sorts."""
-    mapping: Dict[Var, Expr] = {}
-    for var in free_vars(expr):
-        if var.name in renaming:
-            mapping[var] = Var(renaming[var.name], var.var_sort)
-    return substitute(expr, mapping)
+    return substitute(expr, {var: Var(renaming[var.name], var.var_sort)
+                             for var in ordered_free_vars(expr) if var.name in renaming})
 
 
 _FRESH_COUNTER = itertools.count()
@@ -57,13 +54,13 @@ def _subst_quantifier(expr, mapping: Dict[Var, Expr]) -> Expr:
     live = {var: rep for var, rep in mapping.items() if var not in expr.bound}
     if not live:
         return expr
-    replacement_vars = {v.name for rep in live.values() for v in free_vars(rep)}
+    replacement_vars = {v.name for rep in live.values() for v in ordered_free_vars(rep)}
     bound = list(expr.bound)
     body = expr.body
     rename: Dict[Var, Expr] = {}
     for idx, bvar in enumerate(bound):
         if bvar.name in replacement_vars:
-            avoid = replacement_vars | {v.name for v in free_vars(body)}
+            avoid = replacement_vars | {v.name for v in ordered_free_vars(body)}
             fresh = fresh_var(bvar, avoid)
             rename[bvar] = fresh
             bound[idx] = fresh

@@ -8,10 +8,19 @@ quantifier prefix introduced by abduction.
 Nodes are immutable and *interned*: every construction, unpickling
 included, binds its arguments to the field tuple and looks up ``(class,
 *fields)`` in one table, so a structure exists once per process and ``==``
-is ``is``.  A new node computes its hash (its field tuple's), free variables
-and quantifier flag once, from its children's.  The table keeps nodes
-alive; past ``_SWEEP_LIMIT`` nodes, an insertion drops those that nothing
-else references.
+is ``is``.  Its identity is its hash as well: nodes and sorts keep
+``object.__hash__``, so no set or dict probe, the table's included, calls
+back into Python.  A new node computes its free variables and quantifier
+flag once, from its children's.  The table keeps nodes alive; past
+``_SWEEP_LIMIT`` nodes, an insertion drops those that nothing else
+references.
+
+Order rule: a set of nodes, or of values that hold nodes (tuples,
+statements, notifications), iterates in heap-address order, which differs
+between two runs.  Such a set is only probed, counted or compared.  What
+is iterated toward a result is a tuple or list in first-occurrence order
+(``ordered_free_vars``, ``nnf.ordered_atoms``) or a dict, which keeps
+insertion order.  Fingerprints digest ``repr``, never ``hash()``.
 
 Two sorts exist, :data:`INT` and :data:`BOOL`.  Sort checking is performed by
 the smart constructors in :mod:`repro.logic.build` and by
@@ -35,6 +44,8 @@ class Sort(enum.Enum):
 
     INT = "Int"
     BOOL = "Bool"
+
+    __hash__ = object.__hash__  # members are singletons
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -64,7 +75,6 @@ def _intern(cls: Any, key: tuple, args: tuple) -> "Expr":
     node = object.__new__(cls)
     for name, value in zip(cls._fields, args):
         object.__setattr__(node, name, value)
-    object.__setattr__(node, "_hash", hash(args))
     object.__setattr__(node, "_free", _free_vars(node))
     object.__setattr__(node, "_quantified", isinstance(node, (Forall, Exists)) or any(
         child._quantified for child in node.children()))
@@ -142,8 +152,7 @@ def node_class(cls):
 class Expr:
     """Base class for all expression nodes."""
 
-    __slots__ = ("_hash", "_free", "_quantified")
-    _hash: int
+    __slots__ = ("_free", "_quantified")
     #: The free variables in order of first occurrence (None for a Var).
     _free: Optional[Tuple["Var", ...]]
     _quantified: bool
@@ -172,9 +181,6 @@ class Expr:
     def children(self) -> Tuple["Expr", ...]:
         """Return the immediate sub-expressions of this node."""
         return self._children(self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -24,7 +24,8 @@ def formula_fingerprint(formula: object) -> str:
 
     Expression nodes are frozen dataclasses whose ``repr`` is fully
     structural (no object ids), so hashing the repr is a deterministic
-    fingerprint across processes and runs.
+    fingerprint across processes and runs.  Never use ``hash()`` here: a
+    node hashes by identity, which differs between runs.
     """
     digest = blake2b(repr(formula).encode("utf-8"), digest_size=6)
     return digest.hexdigest()

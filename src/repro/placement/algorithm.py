@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.logic import build
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr
 from repro.lang.ast import CCR, MethodDecl, Monitor, seq
 from repro.analysis.hoare import HoareTriple, check_triple
@@ -73,7 +73,7 @@ class PlacementResult:
 def guard_thread_locals(monitor: Monitor, guard: Expr) -> frozenset:
     """Thread-local variable names appearing free in *guard*."""
     shared = set(monitor.field_names())
-    return frozenset(var.name for var in free_vars(guard) if var.name not in shared)
+    return frozenset(var.name for var in ordered_free_vars(guard) if var.name not in shared)
 
 
 def waiters_of(monitor: Monitor, guard: Expr) -> Tuple[Tuple[MethodDecl, CCR], ...]:

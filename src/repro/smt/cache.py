@@ -12,7 +12,7 @@ families across configurations.
 :class:`FormulaCache` removes that redundancy.  It is keyed at two levels:
 
 * the **raw formula** (expression nodes are interned, one object per
-  structure, so a probe hashes once and compares by identity) — a hit at
+  structure, so a probe hashes and compares by identity, in C) — a hit at
   this level also skips the preprocessing pass entirely;
 * the **canonical form** (the preprocessed NNF skeleton with normalized
   ``t <= 0`` atoms) — so syntactically different queries that canonicalize
@@ -29,8 +29,8 @@ iteration budget, not on the formula.
 
 Above the formula level the cache keeps *procedure memos*: answers of whole
 procedures that fold several queries into one result.  ``"commute"`` holds
-commutativity/independence verdicts (keyed by the structurally hashed
-statement pair plus the shared-name set) and ``"abduce"`` holds abduction
+commutativity/independence verdicts (keyed by the statement pair plus
+the shared-name set) and ``"abduce"`` holds abduction
 candidate lists (keyed by ``(pre, goal)`` plus the abducer's limits), so a
 campaign-wide cache answers an obligation a mutant shares with its parent
 without a single query.  Both go through

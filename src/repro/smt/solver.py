@@ -58,7 +58,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar
 from repro import obs
 from repro.logic import build
 from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
-from repro.logic.free_vars import free_vars
+from repro.logic.free_vars import ordered_free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
     BOOL, BoolConst, Expr, Var, contains_quantifier,
@@ -442,7 +442,7 @@ def _result(formula: Expr, entry: CachedResult) -> SatResult:
     if not entry.status_sat:
         return SatResult(SatStatus.UNSAT)
     model: Model = {}
-    for var in free_vars(formula):
+    for var in ordered_free_vars(formula):
         if var.var_sort is BOOL:
             model[var.name] = (entry.bool_values or {}).get(var.name, False)
         else:

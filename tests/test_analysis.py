@@ -363,38 +363,63 @@ class TestInvariantInference:
         Nothing may order by ``id()`` or by hash.  Candidate generation
         iterates atoms in first-occurrence order (two monitors used to swap
         ``readers >= 0`` and ``readers + 1 >= 1`` between hash seeds)."""
-        script = (
-            "import dataclasses, json\n"
-            "from repro.benchmarks_lib import ALL_BENCHMARKS\n"
-            "from repro.codegen.java_gen import generate_java\n"
-            "from repro.harness.compile_time import measure_compile_times\n"
-            "from repro.harness.report import render_table1\n"
-            "from repro.placement.pipeline import ExpressoPipeline\n"
-            "for spec in ALL_BENCHMARKS.values():\n"
-            "    result = ExpressoPipeline().compile(spec.source)\n"
-            "    print(json.dumps({\n"
-            "        'benchmark': spec.name,\n"
-            "        'invariant': repr(result.invariant_details.invariant),\n"
-            "        'pool': repr(result.invariant_details.candidate_pool),\n"
-            "        'java': generate_java(result.explicit),\n"
-            "        'statistics': result.solver_statistics}, sort_keys=True))\n"
-            "rows = [dataclasses.replace(row, seconds=0.0, phase_seconds={})\n"
-            "        for row in measure_compile_times()]\n"
-            "print(json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True))\n"
-            "print(render_table1(rows))\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "src")
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                          check=True, capture_output=True,
-                                          text=True).stdout)
+        outputs = [_compile_suite(seed) for seed in ("0", "1")]
         lines = outputs[0].splitlines()
         assert len(lines) == 14 + 1 + 19  # monitors, rows, Table 1
         assert lines[-1].startswith("TOTAL")
         assert outputs[0] == outputs[1]
+
+    def test_invariants_do_not_depend_on_node_addresses(self):
+        """Nodes hash by identity, so a set of nodes iterates in heap-address
+        order.  Two processes with one hash seed but different heap layouts
+        (the second keeps thousands of node-sized objects alive before it
+        imports the package) must still compile the suite to the same bytes.
+
+        The first line proves the layouts differ: it lists one fixed set of
+        50 variables, whose order follows their addresses."""
+        probe = ("from repro.logic.terms import Var\n"
+                 "print(*(var.name for var in {Var(f'probe{k}') for k in range(50)}))\n")
+        padding = "".join(
+            f"class _Pad{slots}:\n    __slots__ = {tuple(f'f{k}' for k in range(slots))}\n"
+            f"_pad{slots} = [_Pad{slots}() for _ in range(3001)]\n"
+            for slots in range(2, 7))
+        plain = _compile_suite("0", probe).splitlines()
+        padded = _compile_suite("0", padding + probe).splitlines()
+        assert plain[0] != padded[0]
+        assert sorted(plain[0].split()) == sorted(padded[0].split())
+        assert len(plain) == 1 + 14 + 1 + 19
+        assert plain[1:] == padded[1:]
+
+
+_SUITE_SCRIPT = (
+    "import dataclasses, json\n"
+    "from repro.benchmarks_lib import ALL_BENCHMARKS\n"
+    "from repro.codegen.java_gen import generate_java\n"
+    "from repro.harness.compile_time import measure_compile_times\n"
+    "from repro.harness.report import render_table1\n"
+    "from repro.placement.pipeline import ExpressoPipeline\n"
+    "for spec in ALL_BENCHMARKS.values():\n"
+    "    result = ExpressoPipeline().compile(spec.source)\n"
+    "    print(json.dumps({\n"
+    "        'benchmark': spec.name,\n"
+    "        'invariant': repr(result.invariant_details.invariant),\n"
+    "        'pool': repr(result.invariant_details.candidate_pool),\n"
+    "        'java': generate_java(result.explicit),\n"
+    "        'statistics': result.solver_statistics}, sort_keys=True))\n"
+    "rows = [dataclasses.replace(row, seconds=0.0, phase_seconds={})\n"
+    "        for row in measure_compile_times()]\n"
+    "print(json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True))\n"
+    "print(render_table1(rows))\n"
+)
+
+
+def _compile_suite(seed: str, prelude: str = "") -> str:
+    """What a fresh interpreter under ``PYTHONHASHSEED=seed`` prints for
+    *prelude* followed by the suite compile of :data:`_SUITE_SCRIPT`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", prelude + _SUITE_SCRIPT], env=env,
+                          check=True, capture_output=True, text=True).stdout
 
 
 class TestAliasAnalysis:

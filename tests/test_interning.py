@@ -169,6 +169,13 @@ class TestOneNodePerStructure:
         with pytest.raises(TypeError):
             Le(Var("x"), IntConst(3), other=IntConst(1))
 
+    def test_nodes_and_sorts_hash_by_identity(self):
+        # A Python-level ``__hash__`` would run on every set or dict probe.
+        assert "__hash__" not in vars(terms.Expr)
+        assert "_hash" not in terms.Expr.__slots__
+        for cls in (Var, IntConst, BoolConst, Le, Forall, terms.And, terms.Sort):
+            assert cls.__hash__ is object.__hash__
+
     def test_nodes_are_immutable(self):
         node = Le(Var("x"), IntConst(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
