@@ -936,10 +936,10 @@ def _cmd_profile(args) -> int:
     phases, span_seconds = obs.phase_attribution(session.tracer.events)
     coverage = span_seconds / wall if wall > 0 else 0.0
     profiler = session.profiler
-    # The SAT core's clause adds and conflicts are per-solver counters; each
-    # compile reports its own share.
+    # The SAT core's clause adds, conflicts, theory checks and lemmas are
+    # per-solver counters; each compile reports its own share.
     metrics = session.registry.snapshot()
-    for key in ("sat_clauses", "sat_conflicts"):
+    for key in ("sat_clauses", "sat_conflicts", "theory_checks", "theory_lemmas"):
         metrics[obs.SOLVER_METRIC_NAMES[key]] = sum(
             result.solver_statistics.get(key, 0) for _name, result in compiles)
     if args.trace:

@@ -260,7 +260,8 @@ def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
     *wall_seconds* the header additionally reports what fraction of the
     measured wall time the named spans account for.  *metrics* is a counter
     snapshot; its SAT-core counters (``smt.sat.clauses``: clauses loaded
-    into the solvers' databases, ``smt.sat.conflicts``) and its
+    into the solvers' databases, ``smt.sat.conflicts``, and the theory
+    checks and lemmas of ``smt.theory.*``) and its
     ``distrib.*`` counters (shared-store lease traffic) are surfaced as
     their own sections when present.
     """
@@ -302,13 +303,15 @@ def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
                          + str(row["phase"]).ljust(phase_width)
                          + str(row["caller"]))
             lines.append("  " + str(row["sample"]))
-    sat = [name for name in ("smt.sat.clauses", "smt.sat.conflicts")
+    sat = [name for name in ("smt.sat.clauses", "smt.sat.conflicts",
+                             "smt.theory.checks", "smt.theory.lemmas")
            if name in (metrics or {})]
     if sat:
         lines.append("")
         lines.append("SAT core")
         for name in sat:
-            lines.append(f"  {name[len('smt.sat.'):]}".ljust(26) + str(int(metrics[name])))
+            label = name[len("smt."):].removeprefix("sat.").replace(".", " ")
+            lines.append(f"  {label}".ljust(26) + str(int(metrics[name])))
     distrib = {name: value for name, value in (metrics or {}).items()
                if name.startswith("distrib.")}
     if distrib:

@@ -1,9 +1,9 @@
 """An incremental CDCL SAT solver: one clause database, queries under assumptions.
 
 A :class:`~repro.smt.solver.Solver` keeps one instance for its lifetime: input
-clauses, learned clauses, theory lemmas and their watch lists persist, and
-each query is one :meth:`SatSolver.solve` under assumption literals (MiniSat
-style).
+clauses, axioms, learned clauses, theory lemmas and their watch lists persist,
+and each query is one :meth:`SatSolver.solve` under assumption literals
+(MiniSat style).
 
 * **Two-watched-literal propagation** visits only the clauses whose watched
   literal was just falsified.
@@ -22,7 +22,8 @@ style).
   database and is resolved like any conflict, without a restart.
 
 Decisions take the unassigned cone variable with the most occurrences in
-input clauses (learned clauses and lemmas do not count), then the lowest id,
+input clauses (learned clauses, lemmas and the axioms of
+:meth:`SatSolver.add_axioms` do not count), then the lowest id,
 positive phase first.  Clauses containing ``x ∨ ¬x`` are dropped on add.
 Every solve starts from an empty trail, asserts the unit clauses of its cone
 at level 0, and undoes the trail before it returns.
@@ -92,6 +93,13 @@ class SatSolver:
         for clause in clauses:
             self.add_clause(clause)
 
+    def add_axioms(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses over two or more distinct variables between solves;
+        like learned clauses and lemmas, they do not count as occurrences."""
+        for clause in clauses:
+            self._grow(max(map(abs, clause)))
+            self._attach(list(clause))
+
     def _attach(self, clause: List[int]) -> None:
         self._watched += 1
         self._watches.setdefault(clause[0], []).append(clause)
@@ -99,7 +107,7 @@ class SatSolver:
 
     @property
     def num_clauses(self) -> int:
-        """Clauses in the database: input, learned and lemmas."""
+        """Clauses in the database: input, axioms, learned and lemmas."""
         return self._watched + len(self._units)
 
     def solve(self, assumptions: Sequence[int] = (),

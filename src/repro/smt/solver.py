@@ -4,24 +4,32 @@
 quantifier-free formulas over linear integer arithmetic and booleans:
 
 1. preprocess the formula into NNF with canonical ``t <= 0`` atoms;
-2. Tseitin-encode the boolean skeleton and search it with the CDCL core,
-   under the root literal as an assumption;
-3. check each complete assignment's conjunction of integer constraints with
-   branch-and-bound over the rational simplex;
-4. on a theory conflict, hand the search a lemma built from the simplex's
-   Farkas certificate (shrunk by deletion probes); it backjumps and goes on.
+2. Tseitin-encode the boolean skeleton; give each new atom its theory form
+   and its *bound axioms*, the two-literal clauses that relate it to every
+   earlier atom over the same linear term or its negation (a tighter bound
+   implies a looser one; two opposite bounds cannot both hold, or cannot
+   both fail); each axiom's certificate is the sum of the two rows, with
+   multipliers (1, 1), in their integer-negation forms;
+3. search the skeleton and the axioms with the CDCL core, under the root
+   literal as an assumption, and check each complete assignment's
+   conjunction of integer constraints with branch-and-bound over the
+   rational simplex;
+4. on a theory conflict the axioms missed, hand the search a lemma built
+   from the simplex's Farkas certificate (shrunk by deletion probes); it
+   backjumps and goes on.
 
 A solver is *incremental*, and designed to be shared by a whole compilation
 pipeline:
 
 * one :class:`~repro.smt.cnf.AtomTable` and one
   :class:`~repro.smt.sat.SatSolver` live as long as the solver: an atom or
-  node keeps its SAT variable, its definition clauses are loaded once, and
-  learned clauses and theory lemmas — valid whatever the assumptions — serve
-  every later query.  A query's cone (the variables :func:`~repro.smt.cnf.encode`
-  walks) is all it branches on, and only its own atoms reach the theory
-  check, each with the :class:`~repro.smt.linear.Constraint` and integer
-  negation kept for it since its first query;
+  node keeps its SAT variable, its definition clauses and bound axioms are
+  loaded once, and learned clauses and theory lemmas — valid whatever the
+  assumptions — serve every later query.  A query's cone (the variables
+  :func:`~repro.smt.cnf.encode` walks) is all it branches on, and only its
+  own atoms reach the theory check, each with the
+  :class:`~repro.smt.linear.Constraint` and integer negation kept for it
+  since its first query;
 * an optional :class:`~repro.smt.cache.FormulaCache` memoizes whole query
   results (see that module for the canonicalization story), and
   conjunction-level theory verdicts are memoized too;
@@ -147,7 +155,8 @@ class Solver:
 
     def clear_state(self) -> None:
         """Drop the rewrite memo and the SAT database (atoms, definitions,
-        learned clauses, lemmas); the cache and the theory verdicts stay.
+        bound axioms, learned clauses, lemmas); the cache and the theory
+        verdicts stay.
 
         For a solver that moves on to unrelated formulas.  Answers do not
         change, only the speed of queries that share structure.
@@ -157,6 +166,9 @@ class Solver:
         #: Theory form of each atom variable of ``_atom_table``:
         #: ``(constraint, negated constraint)``, or None for a boolean atom.
         self._atom_forms: Dict[int, Optional[Tuple[Constraint, Constraint]]] = {}
+        #: Every theory form of those atoms as ``(literal, constant)``, keyed
+        #: by its coefficient vector: the other sides of the bound axioms.
+        self._bounds: Dict[Tuple[Tuple[str, int], ...], List[Tuple[int, int]]] = {}
         self._sat = SatSolver()
 
     # -- public API ---------------------------------------------------------
@@ -336,6 +348,10 @@ class Solver:
                 constraint = atom_constraint(atom)
                 forms = atom_forms[var_id] = None if constraint is None \
                     else (constraint, constraint.negate())
+                if constraint is not None:
+                    axioms = self._bound_axioms(var_id, constraint)
+                    sat.add_axioms(axioms)
+                    self.metrics.inc("smt.sat.clauses", len(axioms))
             if forms is not None:
                 theory_atoms.append((var_id, *forms))
             elif isinstance(atom, Var) and atom.var_sort is BOOL:
@@ -387,6 +403,27 @@ class Solver:
             return CachedResult(False)
         theory_model, bool_values = found[-1]
         return CachedResult(True, dict(theory_model), bool_values)
+
+    def _bound_axioms(self, var_id: int, constraint: Constraint) -> List[Tuple[int, int]]:
+        """Register a new atom's theory forms; return its bound axioms.
+
+        The atom's literal has the form ``e + c <= 0`` and its negation the
+        integer negation ``-e + 1 - c <= 0``.  A literal's form ``e + c <= 0``
+        and an earlier one's ``-e + d <= 0`` sum, with multipliers (1, 1), to
+        ``c + d <= 0``: when ``c + d > 0`` the two cannot both hold.
+        """
+        expr = constraint.expr
+        term = expr.coeffs
+        opposite = tuple((name, -coef) for name, coef in term)
+        forms = ((var_id, term, opposite, expr.constant),
+                 (-var_id, opposite, term, 1 - expr.constant))
+        axioms = [(-literal, -other)
+                  for literal, _key, other_key, constant in forms
+                  for other, other_constant in self._bounds.get(other_key, ())
+                  if constant + other_constant > 0]
+        for literal, key, _other_key, constant in forms:
+            self._bounds.setdefault(key, []).append((literal, constant))
+        return axioms
 
     def _theory_feasible(
         self, constraints: List[Constraint]

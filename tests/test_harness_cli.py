@@ -167,6 +167,22 @@ class TestCliSolverCounters:
         assert metrics["smt.sat.clauses"] == direct["sat_clauses"]
         assert metrics["smt.sat.conflicts"] == direct["sat_conflicts"]
 
+    def test_profile_reports_the_theory_counters(self, capsys, direct):
+        import json
+
+        assert cli_main(["profile", "--benchmark", "BoundedBuffer", "--json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert direct["theory_checks"] > 0
+        assert metrics["smt.theory.checks"] == direct["theory_checks"]
+        assert metrics["smt.theory.lemmas"] == direct["theory_lemmas"]
+        assert cli_main(["profile", "--benchmark", "BoundedBuffer"]) == 0
+        section = capsys.readouterr().out.split("SAT core\n")[1].splitlines()
+        assert section[:4] == [
+            f"  {label}".ljust(26) + str(direct[key]) for label, key in (
+                ("clauses", "sat_clauses"), ("conflicts", "sat_conflicts"),
+                ("theory checks", "theory_checks"),
+                ("theory lemmas", "theory_lemmas"))]
+
     def test_lint_reports_the_static_skips(self, capsys, direct):
         import json
 

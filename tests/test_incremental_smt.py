@@ -5,8 +5,8 @@ A :class:`~repro.smt.solver.Solver` keeps one
 loaded once per node, each query solves under its root literal as an
 assumption, and learned clauses and theory lemmas stay in the database.  That
 may change models, never verdicts.  These tests replay every ``check_sat`` of
-a six-monitor compile (the monitors of ``test_simplex_reference.py``) plus
-ten generated monitors and compare each verdict with a fresh solver's, check
+a six-monitor compile (Dining Philosophers, the most theory checks, plus
+monitors with boolean and integer state) plus ten generated monitors and compare each verdict with a fresh solver's, check
 every model against the formula, and cover the database's limit-and-clear
 policy and the shared commutativity solver's per-build clear.
 """

@@ -4,8 +4,8 @@
 contract is identity with the dense ``Fraction`` tableau kept below as the
 reference: the same entering column, the same leaving row, hence the same
 model and the same Farkas support on every input.  Both run on every simplex
-input of a six-monitor suite compile plus ten generated monitors and on
-generated systems built to reach Bland's tie-break.
+input of a suite compile plus 32 generated monitors and on generated systems
+built to reach Bland's tie-break.
 
 The solver keeps each atom's theory form for its lifetime and takes a query's
 atoms from :func:`repro.smt.cnf.encode`; these tests check that the collected
@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.benchmarks_lib import get_benchmark
+from repro.benchmarks_lib import ALL_BENCHMARKS
 from repro.fuzz.generate import random_monitor
 from repro.logic import build, v
 from repro.logic.terms import BoolConst, is_atom, walk
@@ -32,14 +32,13 @@ from repro.smt.linear import Constraint, LinExpr
 from repro.smt.preprocess import preprocess
 from repro.smt.solver import Solver
 
-#: Dining Philosophers (the most theory checks) plus monitors with boolean
-#: and integer state and heavy abduction.
-MONITORS = ("Dining Philosophers", "Ticketed Readers-Writers", "SimpleDecoder",
-            "AsyncDispatch", "Readers-Writers", "BoundedBuffer")
-#: Generated monitors compiled alongside, for query volume: model-guided
-#: invariant inference answers most of the suite's questions without one,
-#: and vocabulary-directed abduction skips the ones the invariant cannot use.
-GENERATED = tuple(random_monitor(1717, index).source for index in range(12))
+#: Generated monitors compiled alongside the suite, for query volume:
+#: model-guided invariant inference answers most of the suite's questions
+#: without one, vocabulary-directed abduction skips the ones the invariant
+#: cannot use, and bound axioms refute two bounds on one term before the
+#: simplex sees them.
+GENERATED = tuple([random_monitor(1717, index).source for index in range(12)]
+                  + [random_monitor(2026, index).source for index in range(20)])
 
 # ---------------------------------------------------------------------------
 # The reference: a dense Phase-1 tableau over Fractions
@@ -163,7 +162,7 @@ def is_tableau_input(constraints):
 
 
 # ---------------------------------------------------------------------------
-# A six-monitor suite compile plus generated monitors
+# A suite compile plus generated monitors
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +198,7 @@ def suite_compile():
     patch.setattr(solver_module, "encode", recording_encode)
     patch.setattr(Solver, "check_sat", recording_check_sat)
     try:
-        for source in [get_benchmark(name).source for name in MONITORS] + list(GENERATED):
+        for source in [spec.source for spec in ALL_BENCHMARKS.values()] + list(GENERATED):
             ExpressoPipeline().compile(source)
     finally:
         patch.undo()
@@ -329,16 +328,25 @@ class TestNoLeavingRowGuard:
         with pytest.raises(simplex.SimplexInvariantError):
             simplex.rational_feasible([Constraint(LinExpr.of({"x": 1, "y": 1}, 0))])
 
+    @staticmethod
+    def cycle():
+        """``x <= y``, ``y <= z``, ``z + 1 <= x``: no two bounds share a term,
+        so only the simplex can refute them, not a bound axiom."""
+        x, y, z = v("x"), v("y"), v("z")
+        return build.le(x, y), build.le(y, z), build.le(build.add(z, 1), x)
+
     def test_the_solver_degrades_to_an_uncached_theory_unknown(self, no_leaving_row):
-        x, y = v("x"), v("y")
         cache = FormulaCache()
         solver = Solver(cache=cache)
-        formula = build.implies(build.le(build.add(x, y), 3), build.le(x, build.sub(3, y)))
+        first, second, closing = self.cycle()
+        formula = build.implies(build.land(first, second), build.lnot(closing))
         assert solver.check_valid(formula) is False
         assert solver.consume_unknown() == "theory"
         assert cache.lookup_raw(build.lnot(formula)) is None
         assert solver._theory_verdicts == {}
-        assert solver.snapshot_statistics()["theory_lemmas"] == 0
+        stats = solver.snapshot_statistics()
+        assert stats["theory_lemmas"] == 0
+        assert stats["theory_checks"] >= 1
 
     def test_core_minimization_degrades_too(self, monkeypatch):
         # Integer feasibility succeeds (infeasible), then the certificate
@@ -347,9 +355,10 @@ class TestNoLeavingRowGuard:
             raise simplex.SimplexInvariantError("injected")
 
         monkeypatch.setattr(solver_module, "rational_infeasible_subset", broken_subset)
-        x, y = v("x"), v("y")
         solver = Solver(cache=FormulaCache())
-        formula = build.land(build.le(build.add(x, y), 3), build.ge(build.add(x, y), 4))
+        formula = build.land(*self.cycle())
         assert solver.check_sat(formula).status is solver_module.SatStatus.UNKNOWN
         assert solver.consume_unknown() == "theory"
-        assert solver.snapshot_statistics()["theory_lemmas"] == 0
+        stats = solver.snapshot_statistics()
+        assert stats["theory_lemmas"] == 0
+        assert stats["theory_checks"] >= 1
