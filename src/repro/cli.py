@@ -62,6 +62,7 @@ from repro.harness.report import (
     figure_report,
     render_explore_table,
     render_figure_table,
+    render_mutation_table,
     render_table1,
     speedup_summary,
 )
@@ -725,13 +726,7 @@ def _cmd_explore(args) -> int:
     if cstore is not None:
         from repro.distrib import mark_finished
 
-        from repro import obs
-
         distrib_counters = cstore.counters()
-        # Mirror the store's transactional counters into the session
-        # registry under the same dotted names: one metrics namespace
-        # whether counters came from the store or the flight recorder.
-        obs.mirror_store_counters(distrib_counters)
         mark_finished(cstore)
     ok = all(result.ok for result in results)
     if args.json:
@@ -876,26 +871,7 @@ def _cmd_mutate(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.ok else 1
-    header = "Mutation campaign (every dropped signal must be caught)"
-    print(header)
-    print("-" * len(header))
-    for mutant in report.mutants:
-        label, index = mutant["site"]
-        tag = mutant["status"]
-        if tag == "caught":
-            tag = f"caught: {mutant['kind']}"
-        elif tag == "benign":
-            tag = "benign (exhausted without divergence)"
-        print(f"{mutant['benchmark']:30s} {label}[{index}]".ljust(52)
-              + f" {tag} [{mutant['schedules_run']} schedules]")
-    summary = report.to_dict()
-    print("-" * len(header))
-    print(f"TOTAL: {summary['total']} mutants — {summary['caught']} caught, "
-          f"{summary['benign']} benign, {summary['survived']} survived "
-          f"({report.elapsed_seconds:.1f}s, {report.workers} workers)")
-    for mutant in report.survived:
-        print(f"\nSURVIVED: {mutant['benchmark']} {mutant['site']} — the "
-              f"budget ran out before a counterexample was found")
+    print(render_mutation_table(report))
     return 0 if report.ok else 1
 
 

@@ -21,6 +21,7 @@ from repro.harness.report import (
     figure_report,
     render_explore_table,
     render_figure_table,
+    render_mutation_table,
     render_table1,
     speedup_summary,
 )
@@ -30,5 +31,6 @@ __all__ = [
     "run_saturation", "sweep_thread_ladder",
     "CompileTimeRow", "measure_compile_times",
     "FigureSeries", "figure_report", "render_explore_table",
-    "render_figure_table", "render_table1", "speedup_summary",
+    "render_figure_table", "render_mutation_table", "render_table1",
+    "speedup_summary",
 ]

@@ -78,21 +78,30 @@ def figure_report(spec: BenchmarkSpec, disciplines: Sequence[str] = DISCIPLINES,
     return FigureSeries(spec.name, spec.figure, tuple(ladder), ms_per_op, metrics)
 
 
+def _row(cells: Sequence, widths: Sequence[Optional[int]]) -> str:
+    """Each cell left-justified to its width; ``None`` leaves it unpadded."""
+    return "".join(str(cell) if width is None else str(cell).ljust(width)
+                   for cell, width in zip(cells, widths))
+
+
+def _framed(title: str, body: Iterable[str], footer: Optional[str] = None) -> str:
+    """*title* over a rule, then *body*'s lines, then a rule and *footer*."""
+    rule = "-" * len(title)
+    tail = [rule, footer] if footer is not None else []
+    return "\n".join([title, rule, *body, *tail])
+
+
 def render_figure_table(series: FigureSeries, unit_scale: float = 1000.0) -> str:
     """Render one benchmark's series as a text table (µs/op by default)."""
     unit = "us/op" if unit_scale == 1000.0 else "ms/op"
     disciplines = list(series.ms_per_op)
-    header = f"{series.benchmark}  (Figure {series.figure}, {unit})"
-    lines = [header, "-" * len(header)]
-    column_header = "threads".ljust(10) + "".join(d.ljust(14) for d in disciplines)
-    lines.append(column_header)
-    for threads in series.thread_counts:
-        row = str(threads).ljust(10)
-        for discipline in disciplines:
-            value = series.ms_per_op[discipline][threads] * unit_scale
-            row += f"{value:.2f}".ljust(14)
-        lines.append(row)
-    return "\n".join(lines)
+    widths = [10] + [14] * len(disciplines)
+    body = [_row(["threads", *disciplines], widths)]
+    body += [_row([threads] + [f"{series.ms_per_op[d][threads] * unit_scale:.2f}"
+                               for d in disciplines], widths)
+             for threads in series.thread_counts]
+    return _framed(f"{series.benchmark}  (Figure {series.figure}, {unit})",
+                   body)
 
 
 def render_table1(rows: Sequence[CompileTimeRow]) -> str:
@@ -101,32 +110,20 @@ def render_table1(rows: Sequence[CompileTimeRow]) -> str:
     Includes the solver-cache columns (hits / queries per compile) and a
     totals row so batch runs surface aggregate compile time and hit rate.
     """
-    header = "Table 1: Expresso compilation time per benchmark"
-    lines = [header, "-" * len(header)]
-    lines.append("Benchmark".ljust(32) + "Time (sec.)".ljust(14) +
-                 "VCs".ljust(8) + "Cache".ljust(14) + "Notifications")
-    for row in rows:
-        cache_column = f"{row.cache_hits}/{row.cache_hits + row.cache_misses}"
-        lines.append(
-            row.benchmark.ljust(32)
-            + f"{row.seconds:.2f}".ljust(14)
-            + str(row.validity_queries).ljust(8)
-            + cache_column.ljust(14)
-            + f"{row.notifications} ({row.broadcasts} broadcasts)"
-        )
-    total_seconds = sum(row.seconds for row in rows)
+    widths = (32, 14, 8, 14, None)
+    body = [_row(("Benchmark", "Time (sec.)", "VCs", "Cache",
+                  "Notifications"), widths)]
+    body += [_row((row.benchmark, f"{row.seconds:.2f}", row.validity_queries,
+                   f"{row.cache_hits}/{row.cache_hits + row.cache_misses}",
+                   f"{row.notifications} ({row.broadcasts} broadcasts)"),
+                  widths) for row in rows]
     total_hits = sum(row.cache_hits for row in rows)
     total_queries = total_hits + sum(row.cache_misses for row in rows)
-    hit_rate = f" ({total_hits / total_queries:.0%} hit rate)" if total_queries else ""
-    lines.append("-" * len(header))
-    lines.append(
-        "TOTAL".ljust(32)
-        + f"{total_seconds:.2f}".ljust(14)
-        + str(sum(row.validity_queries for row in rows)).ljust(8)
-        + f"{total_hits}/{total_queries}".ljust(14)
-        + hit_rate.strip()
-    )
-    return "\n".join(lines)
+    hit_rate = f"({total_hits / total_queries:.0%} hit rate)" if total_queries else ""
+    return _framed("Table 1: Expresso compilation time per benchmark", body,
+                   _row(("TOTAL", f"{sum(row.seconds for row in rows):.2f}",
+                         sum(row.validity_queries for row in rows),
+                         f"{total_hits}/{total_queries}", hit_rate), widths))
 
 
 def render_explore_table(results: Sequence) -> str:
@@ -135,13 +132,10 @@ def render_explore_table(results: Sequence) -> str:
     Accepts :class:`repro.explore.engine.ExplorationResult` rows (typed
     loosely to keep the harness importable without the explore subsystem).
     """
-    header = "Schedule exploration summary"
-    lines = [header, "-" * len(header)]
-    lines.append("Benchmark".ljust(30) + "Discipline".ljust(12) + "Strategy".ljust(10)
-                 + "Schedules".ljust(11) + "Sched/s".ljust(10)
-                 + "Completed".ljust(11) + "Stalls".ljust(8)
-                 + "Pruned".ljust(8) + "POR-skip".ljust(10)
-                 + "Sym-skip".ljust(10) + "Verdict")
+    widths = (30, 12, 10, 11, 10, 11, 8, 8, 10, 10, None)
+    body = [_row(("Benchmark", "Discipline", "Strategy", "Schedules",
+                  "Sched/s", "Completed", "Stalls", "Pruned", "POR-skip",
+                  "Sym-skip", "Verdict"), widths)]
     failures = 0
     for result in results:
         verdict = "ok"
@@ -152,24 +146,17 @@ def render_explore_table(results: Sequence) -> str:
             verdict += " (exhausted)"
         elif getattr(result, "budget_exhausted", False):
             verdict += " (budget)"
-        lines.append(
-            result.benchmark.ljust(30)
-            + result.discipline.ljust(12)
-            + result.strategy.ljust(10)
-            + str(result.schedules_run).ljust(11)
-            + f"{result.schedules_per_second:.0f}".ljust(10)
-            + str(result.completed).ljust(11)
-            + str(result.stalls).ljust(8)
-            + str(result.pruned).ljust(8)
-            + str(getattr(result, "por_skipped", 0)).ljust(10)
-            + str(getattr(result, "symmetry_skipped", 0)).ljust(10)
-            + verdict
-        )
-    lines.append("-" * len(header))
+        body.append(_row((result.benchmark, result.discipline,
+                          result.strategy, result.schedules_run,
+                          f"{result.schedules_per_second:.0f}",
+                          result.completed, result.stalls, result.pruned,
+                          getattr(result, "por_skipped", 0),
+                          getattr(result, "symmetry_skipped", 0), verdict),
+                         widths))
     total = sum(result.schedules_run for result in results)
-    lines.append(f"TOTAL: {total} schedules, "
-                 f"{failures} divergence{'s' if failures != 1 else ''}")
-    return "\n".join(lines)
+    return _framed("Schedule exploration summary", body,
+                   f"TOTAL: {total} schedules, "
+                   f"{failures} divergence{'s' if failures != 1 else ''}")
 
 
 def render_fuzz_table(result) -> str:
@@ -178,44 +165,36 @@ def render_fuzz_table(result) -> str:
     Accepts :class:`repro.fuzz.campaign.FuzzCampaignResult` rows (typed
     loosely to keep the harness importable without the fuzz subsystem).
     """
-    header = "Coverage-guided fuzzing campaign"
-    lines = [header, "-" * len(header)]
-    lines.append(f"seed {result.seed}  strategy {result.strategy}  "
-                 f"workers {result.workers}")
-    lines.append(f"rounds {result.rounds}  monitors {result.monitors}  "
-                 f"judged schedules {result.schedules_run} "
-                 f"(budget {result.budget})")
-    lines.append(f"corpus {result.corpus_size} entries "
-                 f"(+{result.corpus_added} this run)")
     counts = result.coverage_counts
-    lines.append("coverage".ljust(12)
-                 + "  ".join(f"{axis}={counts.get(axis, 0)}"
-                             for axis in sorted(counts))
-                 + f"  total={result.coverage_total} "
-                 f"(+{result.new_features} new)")
-    lines.append(f"coverage/schedule {result.coverage_per_schedule:.3f}")
+    body = [f"seed {result.seed}  strategy {result.strategy}  "
+            f"workers {result.workers}",
+            f"rounds {result.rounds}  monitors {result.monitors}  "
+            f"judged schedules {result.schedules_run} "
+            f"(budget {result.budget})",
+            f"corpus {result.corpus_size} entries "
+            f"(+{result.corpus_added} this run)",
+            _row(("coverage", "  ".join(f"{axis}={counts.get(axis, 0)}"
+                                        for axis in sorted(counts))
+                  + f"  total={result.coverage_total} "
+                  f"(+{result.new_features} new)"), (12, None)),
+            f"coverage/schedule {result.coverage_per_schedule:.3f}"]
     if result.operator_stats:
-        lines.append("")
-        lines.append("Operator".ljust(22) + "Applied".ljust(9)
-                     + "Rejected".ljust(10) + "NewCov".ljust(8) + "Findings")
-        for name in sorted(result.operator_stats):
-            stats = result.operator_stats[name]
-            lines.append(name.ljust(22)
-                         + str(stats.get("applied", 0)).ljust(9)
-                         + str(stats.get("rejected", 0)).ljust(10)
-                         + str(stats.get("new_coverage", 0)).ljust(8)
-                         + str(stats.get("findings", 0)))
+        widths = (22, 9, 10, 8, None)
+        body += ["", _row(("Operator", "Applied", "Rejected", "NewCov",
+                           "Findings"), widths)]
+        body += [_row((name, *(stats.get(key, 0) for key in
+                               ("applied", "rejected", "new_coverage",
+                                "findings"))), widths)
+                 for name, stats in sorted(result.operator_stats.items())]
     distrib = getattr(result, "distrib", None)
     if distrib:
-        lines.append("")
-        lines.append("shared store".ljust(14)
-                     + "  ".join(f"{name[len('distrib.'):]}={int(value)}"
-                                 for name, value in sorted(distrib.items())))
-    lines.append("-" * len(header))
-    lines.append(f"findings: {len(result.findings)} "
-                 f"({result.duplicate_findings} duplicates suppressed), "
-                 f"compile errors: {len(result.compile_errors)}")
-    return "\n".join(lines)
+        body += ["", _row(("shared store", "  ".join(
+            f"{name[len('distrib.'):]}={int(value)}"
+            for name, value in sorted(distrib.items()))), (14, None))]
+    return _framed("Coverage-guided fuzzing campaign", body,
+                   f"findings: {len(result.findings)} "
+                   f"({result.duplicate_findings} duplicates suppressed), "
+                   f"compile errors: {len(result.compile_errors)}")
 
 
 def render_lint_table(reports: Sequence) -> str:
@@ -224,28 +203,21 @@ def render_lint_table(reports: Sequence) -> str:
     Accepts :class:`repro.analysis.lint.report.LintReport` rows (typed
     loosely to keep the harness importable without the lint subsystem).
     """
-    header = "Static monitor analysis (expresso lint)"
-    lines = [header, "-" * len(header)]
-    lines.append("Monitor".ljust(30) + "Errors".ljust(8)
-                 + "Advisories".ljust(12) + "Checks")
-    total_errors = 0
-    total_advisories = 0
+    widths = (30, 8, 12, None)
+    body = [_row(("Monitor", "Errors", "Advisories", "Checks"), widths)]
     for report in reports:
-        total_errors += len(report.errors)
-        total_advisories += len(report.advisories)
         counts = report.counts()
         detail = ("  ".join(f"{check}={n}" for check, n in counts.items())
                   if counts else "clean")
-        lines.append(report.monitor.ljust(30)
-                     + str(len(report.errors)).ljust(8)
-                     + str(len(report.advisories)).ljust(12)
-                     + detail)
-    lines.append("-" * len(header))
-    lines.append(f"TOTAL: {len(reports)} monitor{'s' if len(reports) != 1 else ''}, "
-                 f"{total_errors} error{'s' if total_errors != 1 else ''}, "
-                 f"{total_advisories} "
-                 f"advisor{'ies' if total_advisories != 1 else 'y'}")
-    return "\n".join(lines)
+        body.append(_row((report.monitor, len(report.errors),
+                          len(report.advisories), detail), widths))
+    total_errors = sum(len(report.errors) for report in reports)
+    total_advisories = sum(len(report.advisories) for report in reports)
+    return _framed("Static monitor analysis (expresso lint)", body,
+                   f"TOTAL: {len(reports)} monitor{'s' if len(reports) != 1 else ''}, "
+                   f"{total_errors} error{'s' if total_errors != 1 else ''}, "
+                   f"{total_advisories} "
+                   f"advisor{'ies' if total_advisories != 1 else 'y'}")
 
 
 def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
@@ -261,73 +233,81 @@ def render_profile_table(profiler, phases: Optional[Dict[str, dict]] = None,
     measured wall time the named spans account for.  *metrics* is a counter
     snapshot; its SAT-core counters (``smt.sat.clauses``: clauses loaded
     into the solvers' databases, ``smt.sat.conflicts``, and the theory
-    checks and lemmas of ``smt.theory.*``) and its
-    ``distrib.*`` counters (shared-store lease traffic) are surfaced as
-    their own sections when present.
+    checks and lemmas of ``smt.theory.*``) and its ``distrib.*`` counters
+    (shared-store lease traffic) get their own sections when present.
     """
-    header = "SMT query profile (expresso profile)"
-    lines = [header, "-" * len(header)]
     summary = (f"{profiler.total_queries} queries, "
                f"{profiler.total_seconds:.3f}s in the solver")
     if wall_seconds:
         summary += f" / {wall_seconds:.3f}s wall"
-    lines.append(summary)
+    body = [summary]
     if phases:
-        lines.append("")
-        lines.append("Phase".ljust(26) + "Count".ljust(8)
-                     + "Seconds".ljust(10) + "Self")
-        attributed = 0.0
-        for name in sorted(phases, key=lambda n: -phases[n]["self_seconds"]):
-            row = phases[name]
-            attributed += row["self_seconds"]
-            lines.append(name.ljust(26)
-                         + str(row["count"]).ljust(8)
-                         + f"{row['seconds']:.3f}".ljust(10)
-                         + f"{row['self_seconds']:.3f}")
+        widths = (26, 8, 10, None)
+        order = sorted(phases.items(), key=lambda item: -item[1]["self_seconds"])
+        body += ["", _row(("Phase", "Count", "Seconds", "Self"), widths)]
+        body += [_row((name, row["count"], f"{row['seconds']:.3f}",
+                       f"{row['self_seconds']:.3f}"), widths)
+                 for name, row in order]
         if wall_seconds:
-            lines.append(f"attributed: {attributed:.3f}s "
-                         f"({attributed / wall_seconds:.0%} of wall)")
+            attributed = sum(row["self_seconds"] for _name, row in order)
+            body.append(f"attributed: {attributed:.3f}s "
+                        f"({attributed / wall_seconds:.0%} of wall)")
     rows = profiler.top(top)
     if rows:
-        lines.append("")
-        phase_width = max([22] + [len(str(row["phase"])) + 2 for row in rows])
-        lines.append("Hash".ljust(14) + "Count".ljust(7) + "Cached".ljust(8)
-                     + "Seconds".ljust(10) + "Status".ljust(9)
-                     + "Phase".ljust(phase_width) + "Caller")
+        widths = (14, 7, 8, 10, 9,
+                  max([22] + [len(str(row["phase"])) + 2 for row in rows]), None)
+        body += ["", _row(("Hash", "Count", "Cached", "Seconds", "Status",
+                           "Phase", "Caller"), widths)]
         for row in rows:
-            lines.append(str(row["fingerprint"]).ljust(14)
-                         + str(row["count"]).ljust(7)
-                         + str(row["cached"]).ljust(8)
-                         + f"{row['seconds']:.3f}".ljust(10)
-                         + str(row["status"]).ljust(9)
-                         + str(row["phase"]).ljust(phase_width)
-                         + str(row["caller"]))
-            lines.append("  " + str(row["sample"]))
-    sat = [name for name in ("smt.sat.clauses", "smt.sat.conflicts",
-                             "smt.theory.checks", "smt.theory.lemmas")
-           if name in (metrics or {})]
-    if sat:
-        lines.append("")
-        lines.append("SAT core")
-        for name in sat:
-            label = name[len("smt."):].removeprefix("sat.").replace(".", " ")
-            lines.append(f"  {label}".ljust(26) + str(int(metrics[name])))
-    distrib = {name: value for name, value in (metrics or {}).items()
-               if name.startswith("distrib.")}
-    if distrib:
-        lines.append("")
-        lines.append("Distributed store")
-        for name in sorted(distrib):
-            lines.append(f"  {name[len('distrib.'):]}".ljust(26)
-                         + str(int(distrib[name])))
-    lines.append("-" * len(header))
-    callers = profiler.by_caller()
-    hottest = sorted(callers.items(),
+            body += [_row((row["fingerprint"], row["count"], row["cached"],
+                           f"{row['seconds']:.3f}", row["status"],
+                           row["phase"], row["caller"]), widths),
+                     "  " + str(row["sample"])]
+    metrics = metrics or {}
+    sections = (
+        ("SAT core",
+         {name[len("smt."):].removeprefix("sat.").replace(".", " "):
+          metrics[name]
+          for name in ("smt.sat.clauses", "smt.sat.conflicts",
+                       "smt.theory.checks", "smt.theory.lemmas")
+          if name in metrics}),
+        ("Distributed store",
+         {name[len("distrib."):]: metrics[name] for name in sorted(metrics)
+          if name.startswith("distrib.")}))
+    for heading, counters in sections:
+        if counters:
+            body += ["", heading]
+            body += [_row((f"  {label}", int(value)), (26, None))
+                     for label, value in counters.items()]
+    hottest = sorted(profiler.by_caller().items(),
                      key=lambda item: -item[1]["seconds"])[:5]
-    lines.append("hot callers: "
-                 + ("  ".join(f"{name} ({agg['seconds']:.3f}s/{int(agg['count'])})"
-                              for name, agg in hottest) or "(none)"))
-    return "\n".join(lines)
+    return _framed("SMT query profile (expresso profile)", body,
+                   "hot callers: "
+                   + ("  ".join(f"{name} ({agg['seconds']:.3f}s/{int(agg['count'])})"
+                                for name, agg in hottest) or "(none)"))
+
+
+def render_mutation_table(report) -> str:
+    """Render a :class:`repro.explore.parallel.MutationReport` as text: one
+    row per mutant, the totals, then a paragraph per surviving mutant."""
+    body = []
+    for mutant in report.mutants:
+        label, index = mutant["site"]
+        tag = {"caught": f"caught: {mutant['kind']}",
+               "benign": "benign (exhausted without divergence)",
+               }.get(mutant["status"], mutant["status"])
+        body.append(_row((f"{mutant['benchmark']:30s} {label}[{index}]",
+                          f" {tag} [{mutant['schedules_run']} schedules]"),
+                         (52, None)))
+    summary = report.to_dict()
+    return _framed(
+        "Mutation campaign (every dropped signal must be caught)", body,
+        f"TOTAL: {summary['total']} mutants — {summary['caught']} caught, "
+        f"{summary['benign']} benign, {summary['survived']} survived "
+        f"({report.elapsed_seconds:.1f}s, {report.workers} workers)"
+    ) + "".join(f"\n\nSURVIVED: {mutant['benchmark']} {mutant['site']} — the "
+                f"budget ran out before a counterexample was found"
+                for mutant in report.survived)
 
 
 def speedup_summary(all_series: Iterable[FigureSeries]) -> Dict[str, float]:

@@ -7,11 +7,14 @@ into one report model, rendered three ways:
 
 * ``report.md`` — the markdown summary (phase timings, hot SMT queries,
   unit/worker status, coverage axes, findings, fault/degradation counters);
-* ``report.html`` — the same content as a dependency-free, inline-styled
-  HTML page (the nightly-CI artifact a human actually opens);
+* ``report.html`` — a dependency-free, inline-styled HTML page (the
+  nightly-CI artifact a human actually opens);
 * ``metrics.prom`` — every counter as an OpenMetrics/Prometheus textfile
   (node-exporter textfile-collector compatible), so a scrape target can
   export campaign progress without parsing JSON.
+
+``report.md`` and ``report.html`` are two emitters over one list of blocks
+(:func:`_blocks`), so they carry the same sections in the same order.
 
 All three are written atomically (:func:`repro.resilience.atomic.
 atomic_write_text`): a report generated *while* a campaign is running never
@@ -95,91 +98,94 @@ def build_report(snapshot: Optional[Dict[str, Any]] = None,
 
 
 # ---------------------------------------------------------------------------
-# markdown
+# markdown and HTML, both from one block walk
 # ---------------------------------------------------------------------------
 
 
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |"
-                 for row in rows)
-    return lines
-
-
-def render_markdown(model: Dict[str, Any]) -> str:
-    lines = [f"# {model['title']}", ""]
+def _blocks(model: Dict[str, Any]) -> List[tuple]:
+    """The report in reading order: ``("heading", level, text)``,
+    ``("paragraph", text)``, ``("warnings", texts)`` and ``("table", headers,
+    rows)`` blocks.  Heading and paragraph text is markdown."""
+    blocks: List[tuple] = [("heading", 1, model["title"])]
     store = model.get("store")
     if store:
         units = store["units"]
-        lines += [f"## Campaign store — `{store['path']}`", "",
-                  f"Units: **{units['done']}/{units['total']} done** — "
-                  f"{units['pending']} pending, {units['leased']} leased, "
-                  f"{units['quarantined']} quarantined.  Corpus "
-                  f"{store['corpus_entries']} entries; coverage "
-                  f"{store['coverage']['features']} features over "
-                  f"{len(store['coverage']['axes'])} axes.", ""]
+        blocks += [("heading", 2, f"Campaign store — `{store['path']}`"),
+                   ("paragraph",
+                    f"Units: **{units['done']}/{units['total']} done** — "
+                    f"{units['pending']} pending, {units['leased']} leased, "
+                    f"{units['quarantined']} quarantined.  Corpus "
+                    f"{store['corpus_entries']} entries; coverage "
+                    f"{store['coverage']['features']} features over "
+                    f"{len(store['coverage']['axes'])} axes.")]
         if store["checkpoint"]:
             ckpt = store["checkpoint"]
-            lines += [f"Checkpoint: round {ckpt['round_index']}, "
-                      f"{ckpt['schedules_run']} schedules, "
-                      f"{ckpt['findings']} finding(s).", ""]
+            blocks.append(("paragraph",
+                           f"Checkpoint: round {ckpt['round_index']}, "
+                           f"{ckpt['schedules_run']} schedules, "
+                           f"{ckpt['findings']} finding(s)."))
         if store["workers"]:
-            rows = [(name, entry["role"], entry["health"],
-                     entry["heartbeat_age"], entry.get("claims", 0),
-                     entry.get("completed", 0))
-                    for name, entry in store["workers"].items()]
-            lines += _md_table(("worker", "role", "health", "heartbeat age",
-                                "claims", "completed"), rows) + [""]
-        for warning in store["warnings"]:
-            lines.append(f"> **Warning:** {warning}")
+            blocks.append(("table", ("worker", "role", "health",
+                                     "heartbeat age", "claims", "completed"),
+                           [(name, entry["role"], entry["health"],
+                             entry["heartbeat_age"], entry.get("claims", 0),
+                             entry.get("completed", 0))
+                            for name, entry in store["workers"].items()]))
         if store["warnings"]:
-            lines.append("")
+            blocks.append(("warnings", store["warnings"]))
         if store["coverage"]["axes"]:
-            lines += ["### Coverage axes", ""]
-            lines += _md_table(("axis", "features"),
-                               sorted(store["coverage"]["axes"].items()))
-            lines.append("")
+            blocks += [("heading", 3, "Coverage axes"),
+                       ("table", ("axis", "features"),
+                        sorted(store["coverage"]["axes"].items()))]
     phases = model.get("phases")
     if phases:
-        lines += ["## Phase timings", ""]
-        rows = [(name, agg["count"], f"{agg['seconds']:.3f}",
-                 f"{agg['self_seconds']:.3f}")
-                for name, agg in sorted(phases.items(),
-                                        key=lambda item: -item[1]["seconds"])]
-        lines += _md_table(("phase", "count", "seconds", "self seconds"),
-                           rows) + [""]
+        blocks += [("heading", 2, "Phase timings"),
+                   ("table", ("phase", "count", "seconds", "self seconds"),
+                    [(name, agg["count"], f"{agg['seconds']:.3f}",
+                      f"{agg['self_seconds']:.3f}")
+                     for name, agg in sorted(
+                         phases.items(),
+                         key=lambda item: -item[1]["seconds"])])]
     hot = model.get("hot_queries")
     if hot:
-        lines += ["## Hot SMT queries", ""]
-        rows = [(entry.get("fingerprint", "?")[:12],
-                 entry.get("count", entry.get("queries", "?")),
-                 f"{entry.get('seconds', 0.0):.4f}",
-                 entry.get("phase", entry.get("caller", "")))
-                for entry in hot]
-        lines += _md_table(("formula", "queries", "seconds", "phase"),
-                           rows) + [""]
+        blocks += [("heading", 2, "Hot SMT queries"),
+                   ("table", ("formula", "queries", "seconds", "phase"),
+                    [(entry.get("fingerprint", "?")[:12],
+                      entry.get("count", entry.get("queries", "?")),
+                      f"{entry.get('seconds', 0.0):.4f}",
+                      entry.get("phase", entry.get("caller", "")))
+                     for entry in hot])]
     traces = model.get("traces")
     if traces:
-        lines += ["## Traces", "",
-                  f"{traces['events']} events from "
-                  f"{len(traces['sources'])} recording(s): "
-                  + ", ".join(f"`{source}`" for source in traces["sources"]),
-                  ""]
-    if model.get("faults"):
-        lines += ["## Faults & degradation", ""]
-        lines += _md_table(("counter", "value"),
-                           sorted(model["faults"].items())) + [""]
-    if model.get("metrics"):
-        lines += ["## Counters", ""]
-        lines += _md_table(("counter", "value"),
-                           sorted(model["metrics"].items())) + [""]
+        blocks += [("heading", 2, "Traces"),
+                   ("paragraph", f"{traces['events']} events from "
+                    f"{len(traces['sources'])} recording(s): "
+                    + ", ".join(f"`{source}`" for source in traces["sources"]))]
+    for title, key in (("Faults & degradation", "faults"),
+                       ("Counters", "metrics")):
+        if model.get(key):
+            blocks += [("heading", 2, title),
+                       ("table", ("counter", "value"),
+                        sorted(model[key].items()))]
+    return blocks
+
+
+def render_markdown(model: Dict[str, Any]) -> str:
+    lines: List[str] = []
+    for kind, *data in _blocks(model):
+        if kind == "heading":
+            lines.append("#" * data[0] + " " + data[1])
+        elif kind == "paragraph":
+            lines.append(data[0])
+        elif kind == "warnings":
+            lines += [f"> **Warning:** {warning}" for warning in data[0]]
+        else:
+            headers, rows = data
+            lines += ["| " + " | ".join(str(cell) for cell in row) + " |"
+                      for row in (headers, ["---"] * len(headers), *rows)]
+        lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
-
-# ---------------------------------------------------------------------------
-# HTML (self-contained; the nightly-CI artifact)
-# ---------------------------------------------------------------------------
 
 _CSS = (
     "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:60rem;"
@@ -194,89 +200,36 @@ _CSS = (
 )
 
 
-def _html_table(headers: Sequence[str],
-                rows: Sequence[Sequence[Any]]) -> List[str]:
-    out = ["<table>", "<tr>" + "".join(f"<th>{_html.escape(str(cell))}</th>"
-                                       for cell in headers) + "</tr>"]
-    for row in rows:
-        cells = []
-        for cell in row:
-            text = _html.escape(str(cell))
-            if text in ("live", "expired", "dead"):
-                cells.append(f'<td class="health-{text}">{text}</td>')
-            else:
-                cells.append(f"<td>{text}</td>")
-        out.append("<tr>" + "".join(cells) + "</tr>")
-    out.append("</table>")
-    return out
+def _inline(text: str) -> str:
+    """Escape markdown *text*, its bold and code spans turned into tags."""
+    text = re.sub(r"\*\*(.+?)\*\*", r"<b>\1</b>", _html.escape(text))
+    return re.sub(r"`([^`]*)`", r"<code>\1</code>", text)
 
 
 def render_html(model: Dict[str, Any]) -> str:
+    """The blocks of :func:`render_markdown` as one self-contained page."""
+    body: List[str] = []
+    for kind, *data in _blocks(model):
+        if kind == "heading":
+            body.append(f"<h{data[0]}>{_inline(data[1])}</h{data[0]}>")
+        elif kind == "paragraph":
+            body.append(f"<p>{_inline(data[0])}</p>")
+        elif kind == "warnings":
+            body += [f'<div class="warn">{_html.escape(warning)}</div>'
+                     for warning in data[0]]
+        else:
+            headers, rows = data
+            body += ["<table>", "<tr>" + "".join(
+                f"<th>{_html.escape(header)}</th>" for header in headers)
+                + "</tr>"]
+            for row in rows:
+                cells = [_html.escape(str(cell)) for cell in row]
+                body.append("<tr>" + "".join(
+                    f'<td class="health-{cell}">{cell}</td>'
+                    if cell in ("live", "expired", "dead")
+                    else f"<td>{cell}</td>" for cell in cells) + "</tr>")
+            body.append("</table>")
     title = _html.escape(model["title"])
-    body: List[str] = [f"<h1>{title}</h1>"]
-    store = model.get("store")
-    if store:
-        units = store["units"]
-        body.append(f"<h2>Campaign store — "
-                    f"<code>{_html.escape(store['path'])}</code></h2>")
-        body.append(f"<p>Units: <b>{units['done']}/{units['total']} done</b>"
-                    f" — {units['pending']} pending, {units['leased']} "
-                    f"leased, {units['quarantined']} quarantined. Corpus "
-                    f"{store['corpus_entries']} entries; coverage "
-                    f"{store['coverage']['features']} features over "
-                    f"{len(store['coverage']['axes'])} axes.</p>")
-        if store["checkpoint"]:
-            ckpt = store["checkpoint"]
-            body.append(f"<p>Checkpoint: round {ckpt['round_index']}, "
-                        f"{ckpt['schedules_run']} schedules, "
-                        f"{ckpt['findings']} finding(s).</p>")
-        for warning in store["warnings"]:
-            body.append(f'<div class="warn">{_html.escape(warning)}</div>')
-        if store["workers"]:
-            body += _html_table(
-                ("worker", "role", "health", "heartbeat age", "claims",
-                 "completed"),
-                [(name, entry["role"], entry["health"],
-                  entry["heartbeat_age"], entry.get("claims", 0),
-                  entry.get("completed", 0))
-                 for name, entry in store["workers"].items()])
-        if store["coverage"]["axes"]:
-            body.append("<h2>Coverage axes</h2>")
-            body += _html_table(("axis", "features"),
-                                sorted(store["coverage"]["axes"].items()))
-    phases = model.get("phases")
-    if phases:
-        body.append("<h2>Phase timings</h2>")
-        body += _html_table(
-            ("phase", "count", "seconds", "self seconds"),
-            [(name, agg["count"], f"{agg['seconds']:.3f}",
-              f"{agg['self_seconds']:.3f}")
-             for name, agg in sorted(phases.items(),
-                                     key=lambda item: -item[1]["seconds"])])
-    hot = model.get("hot_queries")
-    if hot:
-        body.append("<h2>Hot SMT queries</h2>")
-        body += _html_table(
-            ("formula", "queries", "seconds", "phase"),
-            [(entry.get("fingerprint", "?")[:12],
-              entry.get("count", entry.get("queries", "?")),
-              f"{entry.get('seconds', 0.0):.4f}",
-              entry.get("phase", entry.get("caller", ""))) for entry in hot])
-    traces = model.get("traces")
-    if traces:
-        body.append("<h2>Traces</h2>")
-        body.append(f"<p>{traces['events']} events from "
-                    f"{len(traces['sources'])} recording(s): "
-                    + ", ".join(f"<code>{_html.escape(str(source))}</code>"
-                                for source in traces["sources"]) + "</p>")
-    if model.get("faults"):
-        body.append("<h2>Faults &amp; degradation</h2>")
-        body += _html_table(("counter", "value"),
-                            sorted(model["faults"].items()))
-    if model.get("metrics"):
-        body.append("<h2>Counters</h2>")
-        body += _html_table(("counter", "value"),
-                            sorted(model["metrics"].items()))
     return ("<!doctype html>\n<html><head><meta charset=\"utf-8\">"
             f"<title>{title}</title><style>{_CSS}</style></head>\n<body>\n"
             + "\n".join(body) + "\n</body></html>\n")
