@@ -51,9 +51,11 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
+from repro import obs
 from repro.benchmarks_lib import ALL_BENCHMARKS, FIGURE8_BENCHMARKS, FIGURE9_BENCHMARKS
 from repro.benchmarks_lib.registry import get_benchmark
 from repro.codegen import generate_java, generate_python_explicit
@@ -171,6 +173,17 @@ def _distrib_from_args(args):
         return None, 2
 
 
+@contextmanager
+def _traced(args) -> Iterator[None]:
+    """One observability session around a command's run; with ``--trace``
+    it records, and the trace is written once the run returns."""
+    with obs.observe(trace=bool(args.trace)) as session:
+        yield
+    if args.trace:
+        session.write_trace(args.trace)
+        print(f"trace written to {args.trace}", file=sys.stderr)
+
+
 def _run_helper_mode(args, distrib) -> int:
     """`--helper`: work the shared store until the driver finishes.
 
@@ -180,18 +193,7 @@ def _run_helper_mode(args, distrib) -> int:
     """
     from repro.distrib import run_helper
 
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        from repro import obs
-
-        with obs.observe(trace=True) as session:
-            completed = run_helper(args.store, distrib,
-                                   wait_for_store=args.helper_wait,
-                                   trace_units=True)
-        obs.write_trace(trace_path, [session.tracer.events],
-                        session.registry.snapshot())
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    else:
+    with _traced(args):
         completed = run_helper(args.store, distrib,
                                wait_for_store=args.helper_wait)
     print(f"helper finished: {completed} unit(s) completed",
@@ -505,15 +507,7 @@ def _install_fault_plan(args) -> Optional[int]:
 
 def _cmd_compile(args) -> int:
     source = Path(args.path).read_text()
-    if args.trace:
-        from repro import obs
-
-        with obs.observe(trace=True) as session:
-            result = _pipeline_from_args(args).compile(source)
-        obs.write_trace(args.trace, [session.tracer.events],
-                        session.registry.snapshot())
-        print(f"// trace written to {args.trace}", file=sys.stderr)
-    else:
+    with _traced(args):
         result = _pipeline_from_args(args).compile(source)
     if args.emit == "java":
         print(generate_java(result.explicit, lazy_broadcast=args.lazy_broadcast))
@@ -700,28 +694,17 @@ def _cmd_explore(args) -> int:
 
     por, semantic, symmetry = _REDUCTIONS[args.reduction]
     results = []
-    for spec in specs:
-        results.append(parallel_explore_benchmark(
-            spec, args.discipline, threads=args.threads, ops=args.ops,
-            strategy=args.strategy, budget=args.schedules, seed=args.seed,
-            max_steps=args.max_steps, stop_on_failure=not args.keep_going,
-            por=por, semantic=semantic, symmetry=symmetry,
-            witness=args.witness, trace=bool(args.trace),
-            workers=args.workers, store=cstore, distrib=distrib))
-        if cstore is not None:
-            mark_active(cstore, distrib)   # refresh the liveness window
-    if args.trace:
-        from repro import obs
-
-        shards = [events for result in results
-                  for events in (result.trace_shards or [])]
-        registry = obs.MetricsRegistry()
-        for result in results:
-            if result.metrics_snapshot:
-                registry.merge(result.metrics_snapshot)
-        obs.write_trace(args.trace, shards, registry.snapshot())
-        if not args.json:
-            print(f"trace written to {args.trace}", file=sys.stderr)
+    with _traced(args):
+        for spec in specs:
+            results.append(parallel_explore_benchmark(
+                spec, args.discipline, threads=args.threads, ops=args.ops,
+                strategy=args.strategy, budget=args.schedules,
+                seed=args.seed, max_steps=args.max_steps,
+                stop_on_failure=not args.keep_going, por=por,
+                semantic=semantic, symmetry=symmetry, witness=args.witness,
+                workers=args.workers, store=cstore, distrib=distrib))
+            if cstore is not None:
+                mark_active(cstore, distrib)   # refresh the liveness window
     distrib_counters = None
     if cstore is not None:
         from repro.distrib import mark_finished
@@ -819,21 +802,15 @@ def _cmd_fuzz(args) -> int:
         ops=args.ops, batch_size=args.batch_size, bootstrap=args.bootstrap,
         max_findings=args.max_findings, workers=args.workers,
         strategy=args.strategy, max_steps=args.max_steps,
-        trace=bool(args.trace), resume=args.resume or args.repair,
-        distrib=distrib)
+        resume=args.resume or args.repair, distrib=distrib)
     from repro.distrib import StoreMismatchError
 
     try:
-        result = run_campaign(config, store)
+        with _traced(args):
+            result = run_campaign(config, store)
     except (CorruptCorpusError, StoreMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.trace:
-        from repro import obs
-
-        obs.write_trace(args.trace, result.trace_shards or [],
-                        result.metrics_snapshot)
-        print(f"trace written to {args.trace}", file=sys.stderr)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0 if result.ok else 1
@@ -876,7 +853,6 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro import obs
     from repro.harness.report import render_profile_table
     from repro.smt.cache import FormulaCache
 

@@ -27,8 +27,13 @@ The protocol:
   stealer's result — byte-identical, evaluation is deterministic — wins).
 
 :func:`queue_map` returns results in job order whatever processes did the
-work, so campaign merges stay deterministic.  With ``workers=1`` the driver
-works the batch in-process; otherwise it runs a process pool and reaps it:
+work, so campaign merges stay deterministic.  It is also the one trace
+channel: a unit enqueued inside a traced session runs inside an
+observability session of its own, in whichever process claims it, and its
+events and counters come back with its result and are absorbed into the
+driver's session at collect (:func:`repro.obs.absorb`), in unit order.
+With ``workers=1`` the driver works the batch in-process; otherwise it
+runs a process pool and reaps it:
 
 * **crash** — a dead worker breaks the whole pool.  The driver returns the
   leases the pool held to the queue at once (no TTL wait) and continues on
@@ -63,6 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
+from repro import obs
 from repro.distrib.store import CampaignStore, private_store
 from repro.resilience import faults
 from repro.resilience.atomic import checksum_text
@@ -113,6 +119,15 @@ class JobFailure:
 
 
 @dataclass
+class _Recorded:
+    """A traced unit's result with the events and counters it recorded."""
+
+    result: Any
+    events: list
+    metrics: Dict[str, int]
+
+
+@dataclass
 class Claim:
     """One leased work unit (attempt is 0-based: prior lease count)."""
 
@@ -137,13 +152,6 @@ class WorkQueue:
     def __init__(self, store: CampaignStore, config: DistribConfig):
         self.store = store
         self.config = config
-
-    def _count(self, name: str) -> None:
-        """Mirror a lease event into the session registry (user stores)."""
-        if not self.store.private:
-            from repro import obs
-
-            obs.registry().inc(name)
 
     def _lease_end(self, claimed_at: float, now: float) -> float:
         """One TTL past *now*, but never past claim time + deadline."""
@@ -236,7 +244,6 @@ class WorkQueue:
                               attempt=row["attempts"], claimed_at=now)
                 break
         if claim is not None:
-            self._count("distrib.lease.granted")
             # The fault-plan attempt context tracks the unit's lease count,
             # so crash rules armed for ``attempt=0`` kill only the first
             # claimant — the steal then completes, which is what makes
@@ -269,8 +276,6 @@ class WorkQueue:
                 self.store.record_telemetry(
                     worker, {"last_heartbeat": now, "unit": claim.unit_id},
                     conn=conn, increments={"renewals": 1})
-        if renewed:
-            self._count("distrib.lease.renewed")
         return renewed
 
     def complete(self, claim: Claim, worker: str, result: Any) -> bool:
@@ -290,8 +295,6 @@ class WorkQueue:
                 self.store.record_telemetry(
                     worker, {"last_heartbeat": time.time(), "unit": None},
                     conn=conn, increments={"completed": 1})
-        if completed:
-            self._count("distrib.units.completed")
         return completed
 
     def release(self, claim: Claim, worker: str, error: str) -> None:
@@ -456,28 +459,35 @@ class _Heartbeat:
             return False               # store unreachable: let the TTL decide
 
 
+def _evaluate(spec: dict) -> Any:
+    """Run one unit's function; a traced unit records into a session of
+    its own and returns a :class:`_Recorded`."""
+    if not spec["traced"]:
+        return spec["function"](spec["job"])
+    with obs.observe(trace=True) as session:
+        result = spec["function"](spec["job"])
+    return _Recorded(result, session.tracer.events,
+                     session.registry.snapshot())
+
+
 def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
-                    heartbeat: _Heartbeat, trace_units: bool = False) -> None:
+                    heartbeat: _Heartbeat, batch: Optional[str]) -> None:
     """Run one claimed unit under heartbeat renewal and commit its result.
 
-    ``trace_units`` wraps the evaluation in a ``distrib.unit`` span tagged
-    with the unit id and worker name — the helper's traced mode, which is
-    what cross-process stitching keys its per-unit lanes on.  It is an
-    explicit flag (not ``tracer().enabled``) so a traced *driver*'s
-    artifact keeps its exact historical shape.
+    A traced helper (no *batch*, a tracer on) wraps each unit in a
+    ``distrib.unit`` span tagged with the unit id and worker name — what
+    cross-process stitching keys its per-unit lanes on.
     """
-    from repro import obs
-
     saved_attempt = _set_plan_attempt(claim.attempt)
     heartbeat.hold(claim)
     span = (obs.tracer().span("distrib.unit", cat="distrib",
                               unit=claim.unit_id, worker=worker)
-            if trace_units else nullcontext())
+            if batch is None and obs.tracer().enabled else nullcontext())
     try:
         with span:
             spec = pickle.loads(claim.payload)
             try:
-                result = spec["function"](spec["job"])
+                result = _evaluate(spec)
             except faults.InjectedCrash:
                 raise
             except Exception as exc:
@@ -494,7 +504,7 @@ def _evaluate_claim(queue: WorkQueue, claim: Claim, worker: str,
 
 
 def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
-                 active: Callable[[], bool], trace_units: bool = False,
+                 active: Callable[[], bool],
                  spare: Collection[str] = ()) -> int:
     """Claim-evaluate-complete until nothing is left (or *active* is False).
 
@@ -510,8 +520,7 @@ def _worker_loop(queue: WorkQueue, worker: str, batch: Optional[str],
         while True:
             claim = queue.claim(worker, batch=batch, spare=spare)
             if claim is not None:
-                _evaluate_claim(queue, claim, worker, heartbeat,
-                                trace_units=trace_units)
+                _evaluate_claim(queue, claim, worker, heartbeat, batch)
                 completed += 1
                 continue
             if batch is not None:
@@ -634,6 +643,8 @@ def queue_map(function: Callable[[Any], Any], jobs: Sequence[Any],
     in-process (an injected crash there *is* a driver crash); more workers
     run a reaped process pool (see :func:`_run_pool`).  A unit whose every
     lease fails is quarantined into a :class:`JobFailure` in its slot.
+    Inside a traced session each unit is recorded wherever it runs and
+    absorbed here (see the module docstring).
     """
     jobs = list(jobs)
     if not jobs:
@@ -644,21 +655,29 @@ def queue_map(function: Callable[[Any], Any], jobs: Sequence[Any],
             return queue_map(function, jobs, private, batch, config,
                              workers, keys)
     queue = WorkQueue(store, config)
+    traced = obs.tracer().enabled
     unit_ids = queue.enqueue(
-        batch, [pickle.dumps({"function": function, "job": job})
+        batch, [pickle.dumps({"function": function, "job": job,
+                              "traced": traced})
                 for job in jobs], keys=keys)
     if workers > 1:
         _run_pool(queue, batch, min(workers, len(jobs)))
     elif queue.batch_remaining(batch) > 0:
         _worker_loop(queue, f"driver-{os.getpid()}", batch,
                      active=lambda: False)
-    return queue.collect(batch, jobs, unit_ids=unit_ids)
+    results = []
+    for outcome in queue.collect(batch, jobs, unit_ids=unit_ids):
+        if isinstance(outcome, _Recorded):
+            if traced:
+                obs.absorb(outcome.events, outcome.metrics)
+            outcome = outcome.result
+        results.append(outcome)
+    return results
 
 
 def run_helper(store_path, config: Optional[DistribConfig] = None,
                worker: Optional[str] = None,
-               wait_for_store: float = 0.0,
-               trace_units: bool = False) -> int:
+               wait_for_store: float = 0.0) -> int:
     """Work a shared store as a cooperating process; returns units done.
 
     The second-invocation side of a multi-process campaign: claim any
@@ -669,6 +688,8 @@ def run_helper(store_path, config: Optional[DistribConfig] = None,
     the final state is byte-identical to a single-process run whatever
     work the helper picked up.  ``wait_for_store`` additionally waits for
     the store file itself, so a helper may be started *before* the driver.
+    Inside a traced session each unit it evaluates gets a ``distrib.unit``
+    span; the unit's own events go back to the driver with its result.
     """
     config = config or DistribConfig(store_path=str(store_path))
     deadline = time.time() + wait_for_store
@@ -691,8 +712,7 @@ def run_helper(store_path, config: Optional[DistribConfig] = None,
             break
         time.sleep(config.poll_interval)
     try:
-        return _worker_loop(queue, name, batch=None, active=driver_alive,
-                            trace_units=trace_units)
+        return _worker_loop(queue, name, batch=None, active=driver_alive)
     finally:
         store.close()
 

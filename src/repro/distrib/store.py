@@ -92,20 +92,13 @@ def _row_sha(*fields: Any) -> str:
 
 
 class CampaignStore:
-    """One shared on-disk campaign store (SQLite, WAL, checksummed rows).
-
-    A *private* store is the dispatcher's throwaway queue for a campaign run
-    without ``--store`` (see :func:`private_store`): its lease counters stay
-    out of the session metrics registry, so such a run reports no
-    ``distrib.*`` names.
-    """
+    """One shared on-disk campaign store (SQLite, WAL, checksummed rows)."""
 
     def __init__(self, path, busy_timeout: float = 30.0,
-                 read_only: bool = False, private: bool = False):
+                 read_only: bool = False):
         self.path = Path(path)
         self.busy_timeout = busy_timeout
         self.read_only = read_only
-        self.private = private
         self._conn: Optional[sqlite3.Connection] = None
         self._owner: Optional[Tuple[int, int]] = None  # (pid, thread id)
 
@@ -408,7 +401,7 @@ def private_store() -> Iterator[CampaignStore]:
     directory and everything in it are removed on exit.
     """
     with tempfile.TemporaryDirectory(prefix="expresso-store-") as root:
-        store = CampaignStore(Path(root) / "campaign.sqlite3", private=True)
+        store = CampaignStore(Path(root) / "campaign.sqlite3")
         try:
             yield store
         finally:

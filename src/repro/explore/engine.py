@@ -718,12 +718,6 @@ class ExplorationResult:
     #: engine is given a shape function — the fuzzing campaign's
     #: scheduler-state-shape coverage axis).
     state_shapes: Optional[List[int]] = field(default=None, repr=False)
-    #: Flight-recorder payloads, populated only inside an observability
-    #: session: per-shard raw trace event lists (one inner list per shard)
-    #: and the merged counter snapshot.  Deliberately excluded from
-    #: ``to_dict`` — the JSON artifact surface is unchanged.
-    trace_shards: Optional[List[list]] = field(default=None, repr=False)
-    metrics_snapshot: Optional[Dict[str, int]] = field(default=None, repr=False)
     #: Shards the work dispatcher quarantined (their workers kept dying or
     #: hanging until the attempts ran out): one dict per lost shard with
     #: the shard's identifying parameters and the error chain.  Serialized

@@ -40,7 +40,6 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -86,25 +85,10 @@ def _rebuild_class(job: dict) -> type:
     return cls
 
 
-def _explore_shard(trace: bool, *args, **kwargs) -> ExplorationResult:
-    """`explore_class`, recorded into a trace session of its own if *trace*.
-
-    A traced shard ships its raw events and counter snapshot home on the
-    result; the driver merges them in shard order.
-    """
-    if not trace:
-        return explore_class(*args, **kwargs)
-    with obs.observe(trace=True) as session:
-        result = explore_class(*args, **kwargs)
-    result.trace_shards = [session.tracer.events]
-    result.metrics_snapshot = session.registry.snapshot()
-    return result
-
-
 def _run_shard(job: dict) -> ExplorationResult:
     """One worker's slice of a campaign (executed in a pool process)."""
-    return _explore_shard(
-        bool(job.get("trace")), job["monitor"], _rebuild_class(job),
+    return explore_class(
+        job["monitor"], _rebuild_class(job),
         job["programs"], strategy=job["strategy"], budget=job["budget"],
         seed=job["seed"], max_steps=job["max_steps"],
         stop_on_failure=job["stop_on_failure"], minimize=job["minimize"],
@@ -188,19 +172,6 @@ def merge_results(shards: Sequence[ExplorationResult], strategy: str,
         (failure for shard in shards for failure in shard.failures),
         key=lambda failure: failure.seed if failure.seed is not None else 0)
     merged.elapsed_seconds = elapsed
-    # Flight-recorder payloads: shard event lists are concatenated in shard
-    # (= job) order — for sampling strategies that is exactly the sequential
-    # walk order, so the deterministic trace export is worker-count-stable.
-    # Counter snapshots are summed into one registry; each shard folded its
-    # own result exactly once, so the merge never double-counts.
-    if any(shard.trace_shards for shard in shards):
-        merged.trace_shards = [events for shard in shards
-                               for events in (shard.trace_shards or [])]
-        registry = obs.MetricsRegistry()
-        for shard in shards:
-            if shard.metrics_snapshot:
-                registry.merge(shard.metrics_snapshot)
-        merged.metrics_snapshot = registry.snapshot()
     return merged
 
 
@@ -230,7 +201,6 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
                            benchmark: str = "?", discipline: str = "?",
                            por: bool = True, semantic: bool = True,
                            symmetry: bool = True, witness: bool = False,
-                           trace: bool = False,
                            workers: Optional[int] = None,
                            store: Optional[CampaignStore] = None,
                            distrib: Optional[DistribConfig] = None,
@@ -240,10 +210,10 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
     Without a *store*, one worker or a DFS strategy runs the sequential
     engine in-process; with one, a DFS exploration is a single work unit.
     The coop class must carry ``_coop_source`` (all engine-built classes do)
-    so workers can rebuild it without recompiling.  ``trace`` records every
-    shard into a flight-recorder session and attaches ``trace_shards`` /
-    ``metrics_snapshot`` to the merged result (also on the sequential
-    fallback, so callers read one surface regardless of worker count).
+    so workers can rebuild it without recompiling.  Inside a traced
+    session every shard is recorded, wherever it runs, and its events reach
+    the session in shard (= job) order — for sampling strategies exactly
+    the sequential walk order, so the trace is worker-count-stable.
 
     Shards are work units of :func:`repro.distrib.queue_map`, in the
     persistent campaign *store* when one is given (cooperating processes
@@ -256,15 +226,13 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
     """
     workers = workers or default_workers()
     source = getattr(coop_class, "_coop_source", None)
-    sequential = partial(
-        _explore_shard, trace, monitor, coop_class, programs,
-        strategy=strategy, budget=budget, seed=seed, max_steps=max_steps,
-        stop_on_failure=stop_on_failure, minimize=minimize,
-        benchmark=benchmark, discipline=discipline, por=por,
-        semantic=semantic, symmetry=symmetry, witness=witness)
     dfs = strategy == "dfs"
     if source is None or (store is None and (workers <= 1 or dfs)):
-        return sequential()
+        return explore_class(
+            monitor, coop_class, programs, strategy=strategy, budget=budget,
+            seed=seed, max_steps=max_steps, stop_on_failure=stop_on_failure,
+            minimize=minimize, benchmark=benchmark, discipline=discipline,
+            por=por, semantic=semantic, symmetry=symmetry, witness=witness)
     # Explicit coop sources embed footprints/matrix as class-attribute
     # literals — rebuilding from source restores them, so ship them only
     # for classes whose source does not (autosynch/implicit runtimes).
@@ -289,7 +257,6 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
         "semantic_por": semantic,
         "symmetry": symmetry,
         "witness": witness,
-        "trace": trace,
     }
     blocks = [(0, budget)] if dfs else _shard_bounds(budget, workers)
     jobs = [dict(base_job, seed=seed + start, budget=end - start)
@@ -302,7 +269,8 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
             benchmark, discipline, strategy, source,
             [[repr(op) for op in program] for program in programs],
             budget, seed, max_steps, stop_on_failure, minimize,
-            por, semantic, symmetry, witness, trace, len(jobs)])[:16]
+            por, semantic, symmetry, witness, obs.tracer().enabled,
+            len(jobs)])[:16]
         start_time = time.perf_counter()
         outcomes = queue_map(
             _run_shard, jobs, dispatch_store, batch=f"explore/{batch_key}",
@@ -332,8 +300,14 @@ def parallel_explore_benchmark(spec, discipline: str = "expresso",
                                threads: int = 3, ops: int = 3, pipeline=None,
                                workers: Optional[int] = None,
                                **kwargs) -> ExplorationResult:
-    """`explore_benchmark` through :func:`parallel_explore_class`."""
-    reference, coop_class = coop_monitor_and_class(spec, discipline, pipeline)
+    """`explore_benchmark` through :func:`parallel_explore_class`.
+
+    Building the coop class compiles the monitor; that stays out of any
+    trace the caller records.
+    """
+    with obs.observe():
+        reference, coop_class = coop_monitor_and_class(spec, discipline,
+                                                       pipeline)
     programs = spec.workload(threads, ops)
     kwargs.setdefault("benchmark", spec.name)
     kwargs.setdefault("discipline", discipline)

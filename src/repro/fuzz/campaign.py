@@ -99,7 +99,6 @@ class FuzzConfig:
     workers: int = 1
     strategy: str = "dfs"
     max_steps: int = 20_000
-    trace: bool = False           # flight recorder: per-candidate shard traces
     #: Continue the last journaled invocation (rolling the corpus back to
     #: its last valid checkpoint first) instead of starting a new one.
     resume: bool = False
@@ -111,9 +110,9 @@ class FuzzConfig:
     def fingerprint_dict(self) -> dict:
         """The deterministic inputs a resumed invocation must match.
 
-        ``workers``, ``trace`` and ``distrib`` (store topology and lease
-        knobs) are excluded: they change wall-clock behaviour only, never
-        the campaign's observable results.
+        ``workers`` and ``distrib`` (store topology and lease knobs) are
+        excluded: they change wall-clock behaviour only, never the
+        campaign's observable results.
         """
         return {"seed": self.seed, "budget": self.budget,
                 "per_run_budget": self.per_run_budget,
@@ -146,10 +145,6 @@ class FuzzCampaignResult:
     compile_errors: List[dict] = field(default_factory=list)
     operator_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    #: Flight-recorder payloads (driver shard first, then candidate shards in
-    #: batch-slot order) — excluded from :meth:`to_dict` like all timing.
-    trace_shards: Optional[List[list]] = field(default=None, repr=False)
-    metrics_snapshot: Optional[Dict[str, int]] = field(default=None, repr=False)
     #: Shared-store lease counters (``distrib.*``) when the campaign ran
     #: against a distributed store; ``None`` — and absent from
     #: :meth:`to_dict` — otherwise, keeping legacy artifacts byte-stable.
@@ -221,22 +216,14 @@ def _worker_pipeline():
 def _evaluate_candidate(job: dict) -> dict:
     """Compile + explore one candidate and extract its coverage (pool job).
 
-    Traced jobs run inside their own observability session (sessions nest by
-    save/restore, so the in-process ``workers=1`` path behaves exactly like a
-    pool worker) and ship the raw events + counter snapshot home with the
-    outcome; the driver merges them in batch-slot order.
+    In a traced campaign the work queue records each candidate in a session
+    of its own, wherever it runs; the ``fuzz.candidate`` span is its root.
     """
     fault_check("fuzz.candidate", token=job["entry_id"])
-    if not job.get("trace"):
-        return _evaluate_candidate_inner(job)
-    with obs.observe(trace=True) as session:
-        with session.tracer.span("fuzz.candidate", cat="fuzz",
-                                 entry=job["entry_id"]) as span:
-            outcome = _evaluate_candidate_inner(job)
-            span.set(ok=outcome.get("ok", False),
-                     error="error" in outcome)
-    outcome["trace_events"] = session.tracer.events
-    outcome["metrics"] = session.registry.snapshot()
+    with obs.tracer().span("fuzz.candidate", cat="fuzz",
+                           entry=job["entry_id"]) as span:
+        outcome = _evaluate_candidate_inner(job)
+        span.set(ok=outcome.get("ok", False), error="error" in outcome)
     return outcome
 
 
@@ -349,7 +336,6 @@ def _entry_job(entry: CorpusEntry, config: FuzzConfig) -> dict:
         "budget": config.per_run_budget,
         "max_steps": config.max_steps,
         "explore_seed": derive_seed(config.seed, entry.entry_id) % (2 ** 31),
-        "trace": config.trace,
     }
 
 
@@ -369,16 +355,6 @@ def run_campaign(config: FuzzConfig,
 
 def _run_campaign(config: FuzzConfig,
                   store: Optional[CorpusStore]) -> FuzzCampaignResult:
-    if config.trace and not obs.tracer().enabled:
-        # Open the flight recorder once and re-enter: the driver's own spans
-        # and power-schedule counters land in this session, each candidate's
-        # events arrive as worker shards on the outcome dicts.
-        with obs.observe(trace=True) as session:
-            result = run_campaign(config, store)
-        result.trace_shards = ([session.tracer.events]
-                               + (result.trace_shards or []))
-        result.metrics_snapshot = session.registry.snapshot()
-        return result
     store = store or CorpusStore(None)
     start = time.perf_counter()
     result = FuzzCampaignResult(seed=config.seed, budget=config.budget,
@@ -467,7 +443,6 @@ def _run_campaign(config: FuzzConfig,
         bootstrap_done = bool(checkpoint_record["bootstrap_done"])
     tracer = obs.tracer()
     metrics = obs.registry() if tracer.enabled else None
-    worker_shards: List[list] = []
 
     def operator_stat(name: str) -> Dict[str, int]:
         return result.operator_stats.setdefault(
@@ -479,12 +454,6 @@ def _run_campaign(config: FuzzConfig,
             # compile error — per-candidate, never campaign-fatal.
             outcome = outcome.error_dict(entry_id=entry.entry_id)
         if metrics is not None:
-            events = outcome.pop("trace_events", None)
-            if events:
-                worker_shards.append(events)
-            worker_metrics = outcome.pop("metrics", None)
-            if worker_metrics:
-                metrics.merge(worker_metrics)
             metrics.inc("fuzz.candidates")
         result.monitors += 1
         result.schedules_run += outcome.get("schedules_run", 0)
@@ -719,14 +688,12 @@ def _run_campaign(config: FuzzConfig,
             for key, value in sorted(stats.items()):
                 if value:
                     metrics.inc(f"fuzz.operator.{name}.{key}", value)
-        result.trace_shards = worker_shards
     checkpoint()
     if dstore is not None:
+        # Only the store counts leases, across every cooperating process.
         result.distrib = dstore.counters()
-        # The store's transactional aggregates are authoritative: mirror
-        # them into the session registry so one namespace serves observe()
-        # snapshots, reports and the exporter.
-        obs.mirror_store_counters(result.distrib)
+        if metrics is not None:
+            metrics.merge(result.distrib)
         # Close the liveness window so cooperating helpers drain and exit
         # (and this process's connection); a *crashed* driver instead lets
         # it lapse, keeping helpers around long enough for a resumed driver

@@ -18,11 +18,16 @@ the *active* session::
     with tracer.span("compile.parse"):
         ...
 
-and drivers open a session around a run::
+and drivers open one session around a run::
 
-    with obs.observe(trace=True, profile=True) as session:
+    with obs.observe(trace=True) as session:
         pipeline.compile(monitor)
-    write_trace(path, [session.tracer.events], session.registry.snapshot())
+        queue_map(function, jobs)   # every unit recorded and absorbed
+    session.write_trace(path)
+
+Work units need nothing more: :func:`repro.distrib.queue_map` records each
+unit of a traced session in whichever process claims it and hands the
+events and counters back through :func:`absorb`.
 
 With no session open every hook is a no-op costing one attribute check —
 the exploration hot loop stays within the benchmarked budget.
@@ -31,8 +36,8 @@ the exploration hot loop stays within the benchmarked budget.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.obs.profile import SmtProfiler, formula_fingerprint
@@ -54,10 +59,10 @@ __all__ = [
     "SOLVER_METRIC_NAMES",
     "SmtProfiler",
     "Tracer",
+    "absorb",
     "active_profiler",
     "chrome_events",
     "formula_fingerprint",
-    "mirror_store_counters",
     "observe",
     "phase_attribution",
     "registry",
@@ -74,26 +79,41 @@ class ObsSession:
     tracer: Union[Tracer, NullTracer]
     registry: MetricsRegistry
     profiler: Optional[SmtProfiler]
+    #: Event lists of work units recorded in sessions of their own
+    #: (:func:`absorb`), in collection order.
+    shards: List[list] = field(default_factory=list)
+
+    def write_trace(self, path: str) -> None:
+        """Write this session's events, then every absorbed shard, with the
+        registry's counters as one deterministic trace file."""
+        write_trace(path, [self.tracer.events, *self.shards],
+                    self.registry.snapshot())
 
 
-_TRACER: Union[Tracer, NullTracer] = NULL_TRACER
-_REGISTRY: MetricsRegistry = MetricsRegistry()
-_PROFILER: Optional[SmtProfiler] = None
+_SESSION = ObsSession(tracer=NULL_TRACER, registry=MetricsRegistry(),
+                      profiler=None)
 
 
 def tracer() -> Union[Tracer, NullTracer]:
     """The active tracer (the shared no-op tracer outside a session)."""
-    return _TRACER
+    return _SESSION.tracer
 
 
 def registry() -> MetricsRegistry:
     """The active session's registry (a process-wide one outside sessions)."""
-    return _REGISTRY
+    return _SESSION.registry
 
 
 def active_profiler() -> Optional[SmtProfiler]:
     """The active SMT profiler, or None (the common, zero-cost case)."""
-    return _PROFILER
+    return _SESSION.profiler
+
+
+def absorb(events: list, metrics: Dict[str, int]) -> None:
+    """Fold a unit recorded in a session of its own into the active one:
+    its events become the next shard, its counters add up."""
+    _SESSION.shards.append(events)
+    _SESSION.registry.merge(metrics)
 
 
 @contextmanager
@@ -103,19 +123,17 @@ def observe(trace: bool = False, profile: bool = False) -> Iterator[ObsSession]:
     Sessions nest by save/restore, so a traced exploration inside a traced
     campaign keeps the inner instruments for the inner run only.
     """
-    global _TRACER, _REGISTRY, _PROFILER
+    global _SESSION
     session = ObsSession(
         tracer=Tracer() if trace else NULL_TRACER,
         registry=MetricsRegistry(),
         profiler=SmtProfiler() if profile else None,
     )
-    saved = (_TRACER, _REGISTRY, _PROFILER)
-    _TRACER, _REGISTRY, _PROFILER = (
-        session.tracer, session.registry, session.profiler)
+    saved, _SESSION = _SESSION, session
     try:
         yield session
     finally:
-        _TRACER, _REGISTRY, _PROFILER = saved
+        _SESSION = saved
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +162,4 @@ def record_exploration(result: object,
     for field_name, metric in EXPLORATION_METRIC_NAMES.items():
         target.inc(metric, int(getattr(result, field_name, 0) or 0))
     target.inc("explore.failures", len(getattr(result, "failures", ()) or ()))
-    return target
-
-
-def mirror_store_counters(counters: Dict[str, int],
-                          into: Optional[MetricsRegistry] = None,
-                          ) -> MetricsRegistry:
-    """Mirror a campaign store's transactional counters into a registry.
-
-    The store's ``distrib.*`` aggregates are authoritative across every
-    cooperating process, so this *overwrites* (``set_counter``) whatever
-    partial view this process accumulated locally under the same dotted
-    names — after the mirror, ``observe()`` snapshots, ``expresso
-    profile`` and the OpenMetrics exporter all read one namespace.
-    """
-    target = into if into is not None else registry()
-    for name in sorted(counters):
-        target.set_counter(name, int(counters[name]))
     return target

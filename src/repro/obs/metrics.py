@@ -35,10 +35,6 @@ class MetricsRegistry:
         """Current value of counter *name*."""
         return self._counters.get(name, default)
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Force counter *name* to *value* (used by store mirroring)."""
-        self._counters[name] = value
-
     # -- snapshot / diff ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, int]:

@@ -6,8 +6,7 @@ classification, warnings instead of refusals on unbound or corrupted
 stores), the `watch` anomaly watchdog on a fake clock (stalled leases,
 no-progress), the run-report renderers (markdown/HTML/OpenMetrics),
 cross-process trace stitching against the extended schema validator,
-telemetry rows through `verify()`/`repair()`, and the store-counter
-mirror into the session metrics registry.
+and telemetry rows through `verify()`/`repair()`.
 """
 
 import json
@@ -16,7 +15,6 @@ import sqlite3
 
 import pytest
 
-from repro import obs
 from repro.cli import main as cli_main
 from repro.distrib import (
     CampaignStore,
@@ -298,23 +296,6 @@ def test_watchdog_quiet_when_nothing_outstanding():
     watchdog = console.Watchdog(stall_ticks=1)
     for _ in range(3):
         assert watchdog.observe(snapshot) == []
-
-
-# ---------------------------------------------------------------------------
-# Counter mirror: one namespace across store and registry
-# ---------------------------------------------------------------------------
-
-
-def test_mirror_store_counters_into_registry():
-    registry = obs.MetricsRegistry()
-    registry.inc("distrib.lease.granted", 99)      # stale local view
-    obs.mirror_store_counters({"distrib.lease.granted": 3,
-                               "distrib.units.completed": 2}, into=registry)
-    snapshot = registry.snapshot()
-    # Mirroring overwrites with the store's authoritative transactional
-    # totals; it never double-counts on top of locally bumped values.
-    assert snapshot["distrib.lease.granted"] == 3
-    assert snapshot["distrib.units.completed"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.distrib import (
     run_helper,
 )
 from repro.fuzz import CorpusStore, FuzzConfig, run_campaign
+from repro.obs import stitch
 from repro.resilience import (
     FaultPlan,
     FaultRule,
@@ -649,6 +650,42 @@ class TestCooperation:
         assert not crashed
         assert _strip(result) == _strip(base_result)
         assert _tree_bytes(corpus) == base_tree
+
+    def test_stitched_trace_counts_each_unit_once(self, tmp_path, capsys):
+        """A traced driver and a traced helper on one store: the stitched
+        trace's ``distrib.*`` counters are the store's own, not the store's
+        plus the helper's share again."""
+        store_path = str(tmp_path / "campaign.sqlite3")
+        lease = ["--store", store_path, "--lease-ttl", "1.0",
+                 "--heartbeat-interval", "0.3"]
+        helper_trace = tmp_path / "helper.json"
+        helper = multiprocessing.Process(target=cli_main, args=(
+            ["fuzz", "--helper", "--helper-wait", "15", "--trace",
+             str(helper_trace)] + lease,))
+        helper.start()
+        try:
+            driver_trace = tmp_path / "driver.json"
+            assert cli_main(
+                ["fuzz", "--budget", "60", "--seed", "7", "--per-run-budget",
+                 "10", "--threads", "2", "--ops", "2", "--batch-size", "4",
+                 "--bootstrap", "4", "--json", "--trace", str(driver_trace)]
+                + lease) == 0
+        finally:
+            helper.join(timeout=60)
+            if helper.is_alive():
+                helper.terminate()
+                pytest.fail("helper did not exit after the campaign")
+        capsys.readouterr()
+        assert helper.exitcode == 0
+        store = CampaignStore(store_path)
+        counters, telemetry = store.counters(), store.telemetry()
+        store.close()
+        assert telemetry[f"helper-{helper.pid}"].get("completed", 0) >= 1, \
+            "the helper never completed a unit"
+        stitched = stitch.stitch_files([str(driver_trace), str(helper_trace)])
+        metrics = stitched["otherData"]["metrics"]
+        assert {name: value for name, value in metrics.items()
+                if name.startswith("distrib.")} == counters
 
 
 # ---------------------------------------------------------------------------

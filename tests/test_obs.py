@@ -230,37 +230,38 @@ class TestTracer:
 
 
 def _traced_exploration(workers, strategy="random", budget=30, seed=7):
+    """(result, trace document) of one exploration in a traced session."""
     spec = get_benchmark("BoundedBuffer")
     monitor, coop_class = coop_monitor_and_class(spec, "expresso")
     programs = spec.workload(3, 2)
-    return parallel_explore_class(
-        monitor, coop_class, programs, strategy=strategy, budget=budget,
-        seed=seed, minimize=False, benchmark=spec.name, trace=True,
-        workers=workers)
+    with obs.observe(trace=True) as session:
+        result = parallel_explore_class(
+            monitor, coop_class, programs, strategy=strategy, budget=budget,
+            seed=seed, minimize=False, benchmark=spec.name, workers=workers)
+    document = obs.trace_document([session.tracer.events, *session.shards],
+                                  metrics=session.registry.snapshot())
+    return result, document
 
 
-def _artifact_bytes(result):
-    document = obs.trace_document(result.trace_shards,
-                                  metrics=result.metrics_snapshot)
+def _artifact_bytes(document):
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 class TestTraceDeterminism:
     def test_byte_identical_across_worker_counts(self):
-        sequential = _traced_exploration(workers=1)
-        sharded = _traced_exploration(workers=3)
+        sequential, sequential_doc = _traced_exploration(workers=1)
+        sharded, sharded_doc = _traced_exploration(workers=3)
         assert sequential.schedules_run == sharded.schedules_run == 30
-        assert _artifact_bytes(sequential) == _artifact_bytes(sharded)
+        assert _artifact_bytes(sequential_doc) == _artifact_bytes(sharded_doc)
 
     def test_byte_identical_across_repeated_runs(self):
-        first = _traced_exploration(workers=3)
-        second = _traced_exploration(workers=3)
+        _first, first = _traced_exploration(workers=3)
+        _second, second = _traced_exploration(workers=3)
         assert _artifact_bytes(first) == _artifact_bytes(second)
 
     def test_artifact_passes_schema_validation(self):
-        result = _traced_exploration(workers=3)
-        document = obs.trace_document(result.trace_shards,
-                                      metrics=result.metrics_snapshot)
+        _result, document = _traced_exploration(workers=3)
+        assert document["traceEvents"]
         assert validate_trace(document) == []
 
     def test_dfs_trace_is_byte_identical_across_hash_seeds(self, tmp_path):
@@ -287,11 +288,13 @@ class TestTraceDeterminism:
     def test_untraced_run_carries_no_artifacts(self):
         spec = get_benchmark("BoundedBuffer")
         monitor, coop_class = coop_monitor_and_class(spec, "expresso")
-        result = explore_class(monitor, coop_class, spec.workload(3, 2),
-                               strategy="random", budget=5, minimize=False)
-        assert result.trace_shards is None
-        assert result.metrics_snapshot is None
-        assert "trace_shards" not in result.to_dict()
+        with obs.observe() as session:
+            parallel_explore_class(
+                monitor, coop_class, spec.workload(3, 2), strategy="random",
+                budget=5, minimize=False, workers=2)
+        assert session.tracer.events == ()
+        assert session.shards == []
+        assert session.registry.snapshot() == {}
 
 
 # ---------------------------------------------------------------------------
