@@ -18,7 +18,7 @@ equivalence and is safe to call anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
@@ -89,12 +89,33 @@ def _simplify_node(expr: Expr, table: Dict[Expr, Expr]) -> Expr:
     raise TypeError(f"cannot simplify node {type(expr).__name__}")
 
 
-def junction(parts: Sequence[Expr], conjunctive: bool) -> Expr:
+def junction(parts: Iterable[Expr], conjunctive: bool) -> Expr:
     """``build.land(*parts)`` (``build.lor`` unless *conjunctive*), or its
     absorbing constant when the result holds a literal and its negation."""
-    kind, node = (And, build.land(*parts)) if conjunctive else (Or, build.lor(*parts))
-    if isinstance(node, kind):
-        literals = set(node.args)
-        if any(build.lnot(lit) in literals for lit in node.args):
-            return build.FALSE if conjunctive else build.TRUE
-    return node
+    args = junction_args(parts, conjunctive)
+    if args is None:
+        return build.FALSE if conjunctive else build.TRUE
+    if not args:
+        return build.TRUE if conjunctive else build.FALSE
+    if len(args) == 1:
+        return args[0]
+    return And(tuple(args)) if conjunctive else Or(tuple(args))
+
+
+def junction_args(parts: Iterable[Expr], conjunctive: bool) -> Optional[List[Expr]]:
+    """The arguments of ``junction(parts, conjunctive)`` (``[]`` for its
+    neutral constant), or None for its absorbing constant; builds no node."""
+    kind = And if conjunctive else Or
+    args: List[Expr] = []
+    seen: Set[Expr] = set()
+    for node in parts:
+        for part in node.args if isinstance(node, kind) else (node,):
+            if isinstance(part, BoolConst):
+                if part.value != conjunctive:
+                    return None
+            elif part not in seen:
+                seen.add(part)
+                args.append(part)
+    if len(args) > 1 and any(build.lnot(part) in seen for part in args):
+        return None
+    return args

@@ -14,10 +14,13 @@ families across configurations.
 * the **raw formula** (expression nodes are interned, one object per
   structure, so a probe hashes and compares by identity, in C) — a hit at
   this level also skips the preprocessing pass entirely;
-* the **canonical form** (the preprocessed NNF skeleton with normalized
-  ``t <= 0`` atoms) — so syntactically different queries that canonicalize
-  identically share one solver run.  On a canonical hit the raw formula is
-  back-filled so the next occurrence hits the fast path.
+* the **canonical form**: the tuple of the query's preprocessed
+  conjuncts, NNF skeletons with normalized ``t <= 0`` atoms, in the
+  caller's order (:func:`~repro.smt.preprocess.preprocess_conjuncts`) — so
+  syntactically different queries that canonicalize identically share one
+  solver run.  The key is a tuple, never a set: nodes hash by identity, so
+  a set of them iterates in heap-address order.  On a canonical hit the raw
+  formula is back-filled so the next occurrence hits the fast path.
 
 Cached entries store the *ingredients* of a result (status, theory model,
 boolean assignment) rather than a finished :class:`SatResult`, because models
@@ -50,7 +53,7 @@ so a cache shared by several solvers reports each one's own share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.logic.terms import Expr
 
@@ -79,7 +82,7 @@ class FormulaCache:
     def __init__(self, max_entries: int = 100_000):
         self.max_entries = max_entries
         self._raw: Dict[Expr, CachedResult] = {}
-        self._canonical: Dict[Expr, CachedResult] = {}
+        self._canonical: Dict[Tuple[Expr, ...], CachedResult] = {}
         # Whole *procedures* — several queries folded into one answer —
         # memoize above the formula level, one table per kind (see
         # :meth:`repro.smt.solver.Solver.memoized`).
@@ -92,8 +95,9 @@ class FormulaCache:
         """Fast-path lookup keyed on the unprocessed formula."""
         return self._raw.get(formula)
 
-    def lookup_canonical(self, raw: Expr, canonical: Expr) -> Optional[CachedResult]:
-        """Second-chance lookup keyed on the preprocessed canonical form.
+    def lookup_canonical(self, raw: Expr,
+                         canonical: Tuple[Expr, ...]) -> Optional[CachedResult]:
+        """Second-chance lookup keyed on the preprocessed conjunct tuple.
 
         On a hit the *raw* key is back-filled so the caller's next identical
         query skips preprocessing altogether.
@@ -105,7 +109,7 @@ class FormulaCache:
 
     # -- insertion -----------------------------------------------------------
 
-    def store(self, raw: Expr, canonical: Expr, entry: CachedResult) -> None:
+    def store(self, raw: Expr, canonical: Tuple[Expr, ...], entry: CachedResult) -> None:
         """Record a freshly computed result under both keys."""
         self._store(self._raw, raw, entry)
         self._store(self._canonical, canonical, entry)

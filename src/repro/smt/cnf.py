@@ -13,7 +13,9 @@ Sharing is sound because NNF nodes occur only positively: a definition
 ``aux = false``, so one query's definitions never restrict another's.
 Asserting a formula's root literal over all definitions is equisatisfiable
 with the formula, and its models restricted to atom variables are exactly the
-formula's satisfying atom assignments.
+formula's satisfying atom assignments.  The solver encodes a query
+conjunct by conjunct and asserts every conjunct's root, so the query's own
+conjunction gets no variable and no definition.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ class AtomTable:
     def __init__(self) -> None:
         self._vars: Dict[Expr, int] = {}
         self._nodes: Dict[Expr, Tuple[int, tuple, Tuple[int, ...], Tuple[int, ...]]] = {}
+        #: Argument tuples of the encoded And nodes and of the conjunctions
+        #: :meth:`first_conjunction` was asked about.
+        self._conjunctions: Set[Tuple[Expr, ...]] = set()
         self.num_vars = 0
 
     def var_for(self, atom: Expr) -> int:
@@ -39,6 +44,14 @@ class AtomTable:
         if var is None:
             var = self._vars[atom] = self.fresh_var()
         return var
+
+    def first_conjunction(self, conjuncts: Tuple[Expr, ...]) -> bool:
+        """Whether *conjuncts* is new to the table, as an And node's arguments
+        or as an earlier call's; it is not new afterwards."""
+        if conjuncts in self._conjunctions:
+            return False
+        self._conjunctions.add(conjuncts)
+        return True
 
     def fresh_var(self) -> int:
         self.num_vars += 1
@@ -97,6 +110,7 @@ def _define(expr: Expr, table: AtomTable, clauses: List[Clause]) -> tuple:
         literals = [_encode(arg, table, clauses, atoms, cone) for arg in expr.args]
         var = table.fresh_var()
         if isinstance(expr, And):
+            table._conjunctions.add(expr.args)
             # aux -> lit_i  for every conjunct.
             clauses.extend((-var, literal) for literal in literals)
         else:

@@ -44,7 +44,10 @@ exactly the result the rewrite would compute: the output is
 identical with or without a memo, warm or cold.  The pipeline's queries
 overlap almost entirely (abduction asks ``pre && psi`` and
 ``pre && psi ==> goal`` with one ``pre`` for every candidate), so a memo
-that outlives one query rewrites each shared subformula once.
+that outlives one query rewrites each shared subformula once.  The solver
+asks :func:`preprocess_conjuncts`, which rewrites a query conjunct by
+conjunct: ``pre``'s conjuncts are memo hits, and no node for the whole
+query is built, walked or stored.
 
 The memo's owner is the :class:`~repro.smt.solver.Solver`, which keeps one
 for its lifetime and clears it at a cap (see that module); abduction hands
@@ -58,7 +61,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
-from repro.logic.simplify import junction, simplify
+from repro.logic.simplify import junction, junction_args, simplify
 from repro.logic.terms import (
     BOOL,
     And,
@@ -97,6 +100,45 @@ def preprocess(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
     if memo is None:
         memo = RewriteMemo()
     return _canonical(simplify(expr, memo), True, memo.canonical)
+
+
+#: :func:`preprocess_conjuncts`' form of ``false``.
+FALSE_CONJUNCTS = (build.FALSE,)
+
+
+def preprocess_conjuncts(expr: Expr, memo: Optional[RewriteMemo] = None) -> Tuple[Expr, ...]:
+    """``preprocess(expr)`` as a tuple of conjuncts, rewritten one by one.
+
+    The tuple is ``preprocess(expr).args`` for a conjunction, ``()`` for
+    ``true``, :data:`FALSE_CONJUNCTS` for ``false`` and a 1-tuple otherwise,
+    but no node for the whole query is built: an ``And`` splits into its
+    arguments and ``!(A ==> B)`` (a validity query) into ``A``'s plus ``!B``,
+    and each part goes through the memo by itself.  ``junction``'s
+    complementary-literal check applies where ``preprocess`` applies it:
+    among the simplified conjuncts (``A``'s only, for a validity query) and
+    among the canonical ones.
+    """
+    if memo is None:
+        memo = RewriteMemo()
+    table = memo.canonical
+    goal = None
+    if isinstance(expr, Not) and isinstance(expr.operand, Implies):
+        expr, goal = expr.operand.antecedent, simplify(expr.operand.consequent, memo)
+    held = junction_args((simplify(part, memo) for part in build.conjuncts(expr)), True)
+    if held is None:
+        return FALSE_CONJUNCTS
+    # The cases below are those of ``build.implies(antecedent, goal)``.
+    if goal is None or goal == build.FALSE:
+        parts = [_canonical(part, True, table) for part in held]
+    elif not held:
+        parts = [_canonical(build.lnot(goal), True, table)]
+    elif goal == build.TRUE or build.conjuncts(goal) == tuple(held):
+        return FALSE_CONJUNCTS
+    else:
+        parts = [_canonical(part, True, table) for part in held]
+        parts.append(_canonical(goal, False, table))
+    conjuncts = junction_args(parts, True)
+    return FALSE_CONJUNCTS if conjuncts is None else tuple(conjuncts)
 
 
 def _canonical(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:

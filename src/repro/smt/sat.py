@@ -23,8 +23,9 @@ and each query is one :meth:`SatSolver.solve` under assumption literals
 
 Decisions take the unassigned cone variable with the most occurrences in
 input clauses (learned clauses, lemmas and the axioms of
-:meth:`SatSolver.add_axioms` do not count), then the lowest id,
-positive phase first.  Clauses containing ``x ∨ ¬x`` are dropped on add.
+:meth:`SatSolver.add_axioms` do not count) plus those
+:meth:`SatSolver.add_occurrences` counts, then the lowest id, positive phase
+first.  Clauses containing ``x ∨ ¬x`` are dropped on add.
 Every solve starts from an empty trail, asserts the unit clauses of its cone
 at level 0, and undoes the trail before it returns.
 """
@@ -99,6 +100,10 @@ class SatSolver:
         for clause in clauses:
             self._grow(max(map(abs, clause)))
             self._attach(list(clause))
+
+    def add_occurrences(self, literals: Iterable[int]) -> None:
+        """Count one input occurrence for each literal's variable."""
+        self._occurrences.update(map(abs, literals))
 
     def _attach(self, clause: List[int]) -> None:
         self._watched += 1

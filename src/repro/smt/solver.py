@@ -3,17 +3,20 @@
 :class:`Solver` answers satisfiability and validity queries for
 quantifier-free formulas over linear integer arithmetic and booleans:
 
-1. preprocess the formula into NNF with canonical ``t <= 0`` atoms;
-2. Tseitin-encode the boolean skeleton; give each new atom its theory form
-   and its *bound axioms*, the two-literal clauses that relate it to every
-   earlier atom over the same linear term or its negation (a tighter bound
-   implies a looser one; two opposite bounds cannot both hold, or cannot
-   both fail); each axiom's certificate is the sum of the two rows, with
-   multipliers (1, 1), in their integer-negation forms;
-3. search the skeleton and the axioms with the CDCL core, under the root
-   literal as an assumption, and check each complete assignment's
-   conjunction of integer constraints with branch-and-bound over the
-   rational simplex;
+1. split the formula into its top-level conjuncts (``!(A ==> B)``, which
+   :meth:`Solver.check_valid` asks, gives ``A``'s conjuncts and ``!B``) and
+   preprocess each into NNF with canonical ``t <= 0`` atoms
+   (:func:`~repro.smt.preprocess.preprocess_conjuncts`);
+2. Tseitin-encode each conjunct's boolean skeleton; give each new atom its
+   theory form and its *bound axioms*, the two-literal clauses that relate
+   it to every earlier atom over the same linear term or its negation (a
+   tighter bound implies a looser one; two opposite bounds cannot both
+   hold, or cannot both fail); each axiom's certificate is the sum of the
+   two rows, with multipliers (1, 1), in their integer-negation forms;
+3. search the skeletons and the axioms with the CDCL core, under one
+   assumption per conjunct (its root literal), and check each complete
+   assignment's conjunction of integer constraints with branch-and-bound
+   over the rational simplex;
 4. on a theory conflict the axioms missed, hand the search a lemma built
    from the simplex's Farkas certificate (shrunk by deletion probes); it
    backjumps and goes on.
@@ -25,9 +28,10 @@ pipeline:
   :class:`~repro.smt.sat.SatSolver` live as long as the solver: an atom or
   node keeps its SAT variable, its definition clauses and bound axioms are
   loaded once, and learned clauses and theory lemmas — valid whatever the
-  assumptions — serve every later query.  A query's cone (the variables
-  :func:`~repro.smt.cnf.encode` walks) is all it branches on, and only its
-  own atoms reach the theory check, each with the
+  assumptions — serve every later query.  A conjunct shared by many
+  queries is encoded once and the query itself adds no clause.  A query's
+  cone (the variables :func:`~repro.smt.cnf.encode` walks) is all it
+  branches on, and only its own atoms reach the theory check, each with the
   :class:`~repro.smt.linear.Constraint` and integer negation kept for it
   since its first query;
 * an optional :class:`~repro.smt.cache.FormulaCache` memoizes whole query
@@ -69,14 +73,14 @@ from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, BoolConst, Expr, Var, contains_quantifier,
+    BOOL, Expr, Var, contains_quantifier,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
 from repro.smt.intfeas import IntegerFeasibilityUnknown, integer_feasible
 from repro.smt.linear import Constraint
 from repro.resilience.faults import fault_check
-from repro.smt.preprocess import atom_constraint, preprocess
+from repro.smt.preprocess import FALSE_CONJUNCTS, atom_constraint, preprocess_conjuncts
 from repro.smt.sat import SatSolver
 from repro.smt.simplex import (
     SimplexInvariantError, rational_feasible, rational_infeasible_subset,
@@ -224,18 +228,18 @@ class Solver:
             if entry is not None:
                 self.metrics.inc("smt.cache.hits")
                 return _result(formula, entry)
-        processed = preprocess(formula, memo)
+        conjuncts = preprocess_conjuncts(formula, memo)
         if self.cache is not None:
-            entry = self.cache.lookup_canonical(formula, processed)
+            entry = self.cache.lookup_canonical(formula, conjuncts)
             if entry is not None:
                 self.metrics.inc("smt.cache.hits")
                 return _result(formula, entry)
             self.metrics.inc("smt.cache.misses")
-        entry = self._solve_processed(processed)
+        entry = self._solve_processed(conjuncts)
         if entry is None:
             return SatResult(SatStatus.UNKNOWN)
         if self.cache is not None:
-            self.cache.store(formula, processed, entry)
+            self.cache.store(formula, conjuncts, entry)
         return _result(formula, entry)
 
     def _unknown(self, reason: str) -> SatResult:
@@ -324,20 +328,33 @@ class Solver:
 
     # -- internals ----------------------------------------------------------
 
-    def _solve_processed(self, processed: Expr) -> Optional[CachedResult]:
-        """Run the DPLL(T) search; the result in cacheable form, or None
-        after accounting an UNKNOWN."""
-        if isinstance(processed, BoolConst):
-            return CachedResult(True, {}, {}) if processed.value else CachedResult(False)
+    def _solve_processed(self, conjuncts: Tuple[Expr, ...]) -> Optional[CachedResult]:
+        """Run the DPLL(T) search on a query's canonical conjuncts; the
+        result in cacheable form, or None after accounting an UNKNOWN."""
+        if conjuncts == FALSE_CONJUNCTS:
+            return CachedResult(False)
+        if not conjuncts:
+            return CachedResult(True, {}, {})
 
         # Only this query's atoms feed the theory check: the SAT values of
         # other queries' atoms are arbitrary.
         query_atoms: Dict[Expr, int] = {}
         cone: Set[int] = set()
-        root, clauses = encode(processed, self._atom_table, query_atoms, cone)
         sat = self._sat
-        sat.add_clauses(clauses)
-        self.metrics.inc("smt.sat.clauses", len(clauses))
+        roots: List[int] = []
+        for conjunct in conjuncts:
+            root, clauses = encode(conjunct, self._atom_table, query_atoms, cone)
+            sat.add_clauses(clauses)
+            self.metrics.inc("smt.sat.clauses", len(clauses))
+            roots.append(root)
+        # Decisions go to the cone variables with the most input occurrences,
+        # and an And node's definition gives each of its conjuncts one.  A
+        # query's conjunction is no node, so its roots get that occurrence
+        # here, once per database and not again for a conjunction already
+        # encoded as a node: decisions follow the order an And-node root
+        # over the same conjuncts would give them.
+        if len(roots) > 1 and self._atom_table.first_conjunction(conjuncts):
+            sat.add_occurrences(roots)
         theory_atoms: List[Tuple[int, Constraint, Constraint]] = []
         bool_atoms: List[Tuple[str, int]] = []
         atom_forms = self._atom_forms
@@ -390,7 +407,7 @@ class Solver:
         conflicts = sat.conflicts
         try:
             spend()
-            assignment = sat.solve((root,), cone, theory_check)
+            assignment = sat.solve(roots, cone, theory_check)
         except _OutOfBudget as exhausted:
             self._unknown(exhausted.args[0])
             return None

@@ -98,8 +98,9 @@ def test_two_bounds_on_one_term_need_no_theory_check():
     stats = solver.snapshot_statistics()
     assert stats["theory_checks"] == 0
     assert stats["theory_lemmas"] == 0
-    # Two definition clauses and two axioms: not both, and at least one.
-    assert stats["sat_clauses"] == 2 + 2
+    # Each bound is a conjunct under its own assumption, so no definition
+    # clause; two axioms: not both, and at least one.
+    assert stats["sat_clauses"] == 0 + 2
 
 
 def test_clear_state_drops_the_bounds():

@@ -158,10 +158,15 @@ class TestCliSolverCounters:
         source = get_benchmark("BoundedBuffer").source
         return ExpressoPipeline(cache=FormulaCache()).compile(source).solver_statistics
 
-    def test_profile_reports_the_sat_core_counters(self, capsys, direct):
+    def test_profile_reports_the_sat_core_counters(self, capsys):
         import json
+        from repro.placement.pipeline import ExpressoPipeline
+        from repro.smt.cache import FormulaCache
 
-        assert cli_main(["profile", "--benchmark", "BoundedBuffer", "--json"]) == 0
+        # BoundedBuffer's queries no longer conflict in the SAT core.
+        source = get_benchmark("Readers-Writers").source
+        direct = ExpressoPipeline(cache=FormulaCache()).compile(source).solver_statistics
+        assert cli_main(["profile", "--benchmark", "Readers-Writers", "--json"]) == 0
         metrics = json.loads(capsys.readouterr().out)["metrics"]
         assert direct["sat_clauses"] > 0 and direct["sat_conflicts"] > 0
         assert metrics["smt.sat.clauses"] == direct["sat_clauses"]

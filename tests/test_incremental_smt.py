@@ -2,8 +2,8 @@
 
 A :class:`~repro.smt.solver.Solver` keeps one
 :class:`~repro.smt.sat.SatSolver` for its lifetime: Tseitin definitions are
-loaded once per node, each query solves under its root literal as an
-assumption, and learned clauses and theory lemmas stay in the database.  That
+loaded once per node, each query solves under one assumption per conjunct,
+and learned clauses and theory lemmas stay in the database.  That
 may change models, never verdicts.  These tests replay every ``check_sat`` of
 a six-monitor compile (Dining Philosophers, the most theory checks, plus
 monitors with boolean and integer state) plus ten generated monitors and compare each verdict with a fresh solver's, check
@@ -72,14 +72,18 @@ def test_the_compiles_answer_like_fresh_solvers(answers, fresh_verdicts):
 
 def test_one_solver_across_every_monitor_answers_like_fresh_ones(fresh_verdicts):
     solver = Solver()
+    database = solver._sat
     for formula, verdict in fresh_verdicts.items():
         result = solver.check_sat(formula)
         assert result.status is verdict, formula
         assert_model_satisfies(formula, result)
-    # Definitions, learned clauses and lemmas all stayed in one database.
-    assert solver._sat.num_clauses > 5000
+    # Definitions, axioms, lemmas and learned clauses all stayed in one
+    # database: it holds every clause loaded, plus at most one learned
+    # clause per conflict.
+    assert solver._sat is database
     clauses = solver.snapshot_statistics()["sat_clauses"]
-    assert clauses >= solver._sat.num_clauses - solver._sat.conflicts
+    assert clauses > 2000
+    assert clauses <= database.num_clauses <= clauses + database.conflicts
 
 
 def test_a_full_database_is_cleared_and_answers_do_not_change(fresh_verdicts, monkeypatch):

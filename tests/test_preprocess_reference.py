@@ -207,18 +207,25 @@ GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
 
 @pytest.fixture(scope="module")
 def suite_inputs():
-    """``{formula: {results}}`` for every ``preprocess`` call the solvers
-    and quantifier eliminators of the compiles made, through their memos."""
+    """``{formula: {results}}`` for every formula the solvers and quantifier
+    eliminators of the compiles preprocessed, through their memos.  A
+    solver query's result is the conjunction of its preprocessed conjuncts."""
     processed = {}
-    original = solver_module.preprocess
+    original = qe_module.preprocess
+    original_conjuncts = solver_module.preprocess_conjuncts
 
     def recording(formula, memo=None):
         result = original(formula, memo)
         processed.setdefault(formula, set()).add(result)
         return result
 
+    def recording_conjuncts(formula, memo=None):
+        conjuncts = original_conjuncts(formula, memo)
+        processed.setdefault(formula, set()).add(build.land(*conjuncts))
+        return conjuncts
+
     patch = pytest.MonkeyPatch()
-    patch.setattr(solver_module, "preprocess", recording)
+    patch.setattr(solver_module, "preprocess_conjuncts", recording_conjuncts)
     patch.setattr(qe_module, "preprocess", recording)
     try:
         for source in [spec.source for spec in ALL_BENCHMARKS.values()] + list(GENERATED):

@@ -48,20 +48,21 @@ def outcome(function, *args):
 def suite_compile():
     """What the solvers of a suite compile preprocessed and eliminated.
 
-    Returns ``{formula: {warm results}}`` for ``preprocess`` calls made by
-    ``Solver.check_sat`` through the solver's memo, and the
+    Returns ``{formula: {warm results}}`` for the queries
+    ``Solver.check_sat`` preprocessed through the solver's memo (a result
+    is the conjunction of the query's preprocessed conjuncts), and the
     ``(formula, variables, outcome)`` of every abduction elimination.
     """
     processed = {}
     eliminations = []
     memos = []
-    original_preprocess = solver_module.preprocess
+    original_preprocess = solver_module.preprocess_conjuncts
     original_forall = QuantifierEliminator.forall
 
     def recording_preprocess(formula, memo=None):
         memos.append(memo)
         result = original_preprocess(formula, memo)
-        processed.setdefault(formula, set()).add(result)
+        processed.setdefault(formula, set()).add(build.land(*result))
         return result
 
     def recording_forall(self, variables):
@@ -73,7 +74,7 @@ def suite_compile():
         return result[1]
 
     patch = pytest.MonkeyPatch()
-    patch.setattr(solver_module, "preprocess", recording_preprocess)
+    patch.setattr(solver_module, "preprocess_conjuncts", recording_preprocess)
     patch.setattr(QuantifierEliminator, "forall", recording_forall)
     try:
         for name in MONITORS:

@@ -170,12 +170,15 @@ def is_tableau_input(constraints):
 def suite_compile():
     """What the solvers of a suite compile handed to the theory layer.
 
-    Returns the distinct simplex inputs, ``(processed formula, collected
-    atoms)`` for every ``encode`` call, and every ``check_sat`` formula.
+    Returns the distinct simplex inputs, ``(processed conjuncts so far,
+    collected atoms)`` for every ``encode`` call (a query encodes its
+    conjuncts one by one into one collector), and every ``check_sat``
+    formula.
     """
     inputs = set()
     encodings = []
     queries = []
+    query = [None, []]  # the current query's collector and its conjuncts
     original_solve = simplex._solve
     original_encode = solver_module.encode
     original_check_sat = Solver.check_sat
@@ -186,7 +189,10 @@ def suite_compile():
 
     def recording_encode(expr, table, atoms=None, cone=None):
         encoded = original_encode(expr, table, atoms, cone)
-        encodings.append((expr, list(atoms)))
+        if query[0] is not atoms:
+            query[:] = [atoms, []]
+        query[1].append(expr)
+        encodings.append((tuple(query[1]), list(atoms)))
         return encoded
 
     def recording_check_sat(self, formula):
@@ -205,10 +211,11 @@ def suite_compile():
     return inputs, encodings, queries
 
 
-def walk_atoms(processed):
-    """The atoms of a processed formula in ``walk`` pre-order, first visits."""
+def walk_atoms(conjuncts):
+    """The atoms of processed conjuncts in ``walk`` pre-order, conjunct by
+    conjunct, first visits."""
     atoms = {}
-    for node in walk(processed):
+    for node in (node for conjunct in conjuncts for node in walk(conjunct)):
         if is_atom(node) and not isinstance(node, BoolConst):
             atoms.setdefault(node, None)
     return list(atoms)
@@ -224,8 +231,8 @@ class TestSuiteCompile:
     def test_encode_collects_the_walk_order_atoms(self, suite_compile):
         _inputs, encodings, _queries = suite_compile
         assert len(encodings) >= 1000
-        mismatches = [processed for processed, atoms in encodings
-                      if atoms != walk_atoms(processed)]
+        mismatches = [conjuncts for conjuncts, atoms in encodings
+                      if atoms != walk_atoms(conjuncts)]
         assert mismatches == []
 
     def test_a_warm_solver_answers_like_fresh_ones(self, suite_compile):
@@ -245,7 +252,7 @@ def test_encode_without_a_collector():
     collected = {}
     with_collector = encode(processed, AtomTable(), collected)
     assert encode(processed, AtomTable()) == with_collector
-    assert list(collected) == walk_atoms(processed)
+    assert list(collected) == walk_atoms([processed])
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ GOLDEN = {
         ["fuzz", "--budget", "60", "--seed", "5", "--workers", "1",
          "--bootstrap", "4", "--batch-size", "4", "--per-run-budget", "30",
          "--json"],
-        "e488cfbf38c46dd78e9c5a5cdad3b4e9b328b50829f185ec6f3d78f4d288816f"),
+        "460cb31b0f5439dfab7087ce8aaab3971be95fd9feddc847c03624f09a49af90"),
     "compile": (
         ["compile", "{tmp}/BoundedBuffer.mon"],
         "1e8286767a562ea35e68abf3559929dc00a26fa0e2d90440aaadd62fb771eba1"),
