@@ -25,7 +25,10 @@ abducer:
 * candidates are simplified and validated against conditions (1) and (2);
   the eliminator and every simplification rewrite through the solver's
   preprocessing memo (:meth:`repro.smt.solver.Solver.rewrite_memo`), which
-  the validity queries on ``pre`` share;
+  the queries share, and every query passes ``pre`` as its first
+  hypothesis (``check_sat(psi, hyps=(pre,))``,
+  ``check_valid(goal, hyps=(pre, psi))``), so the solver prepares ``pre``
+  once for all of them;
 * validation is *model-guided*: every SAT answer one call receives (the
   obligation's counterexample first) is a model of ``P``, and each distinct
   candidate is evaluated under those models (:mod:`repro.logic.evaluate`)
@@ -183,7 +186,7 @@ def _abduce(pre: Expr, goal: Expr, solver: Solver, vocabulary: FrozenSet[str],
 
     if not vocabulary:
         return AbductionResult(pre, goal, ())  # skip rule 1
-    if solver.check_valid(obligation, found):
+    if solver.check_valid(goal, found, hyps=(pre,)):
         # Nothing to strengthen; report no candidates (TRUE adds no information).
         return AbductionResult(pre, goal, ())
     witnesses: List[Model] = []
@@ -278,15 +281,14 @@ def _is_useful(psi: Expr, pre: Expr, goal: Expr, solver: Solver,
     settled = _settle(psi, goal, witnesses)
     if settled is False:
         return False
-    strengthened = build.land(pre, psi)
     if settled is None:
-        result = solver.check_sat(strengthened)
+        result = solver.check_sat(psi, hyps=(pre,))
         if not result.is_sat:
             return False
         if _settle(psi, goal, _admit(witnesses, pre, [result.model])) is False:
             return False
     found: List[Model] = []
-    valid = solver.check_valid(build.implies(strengthened, goal), found)
+    valid = solver.check_valid(goal, found, hyps=(pre, psi))
     _admit(witnesses, pre, found)
     return valid
 

@@ -84,7 +84,8 @@ def _default_solver() -> Solver:
     return _DEFAULT_SOLVER
 
 
-def _check_valid_degrading(solver: Solver, formula) -> bool:
+def _check_valid_degrading(solver: Solver, formula: Expr,
+                           hyps: Tuple[Expr, ...] = ()) -> bool:
     """``check_valid`` with degradation accounting.
 
     An UNKNOWN verdict (timeout, iteration budget, injected fault) already
@@ -93,7 +94,7 @@ def _check_valid_degrading(solver: Solver, formula) -> bool:
     the degradation *observable*: ``degraded.commutativity`` in the active
     metrics registry plus a trace instant.
     """
-    ok = solver.check_valid(formula)
+    ok = solver.check_valid(formula, hyps=hyps)
     if not ok and solver.consume_unknown() is not None:
         obs.registry().inc("degraded.commutativity")
         obs.tracer().instant("degraded.commutativity", cat="smt")
@@ -383,7 +384,7 @@ def _never_falsifies(body: Stmt, predicate: Expr, solver: Solver) -> bool:
         transformed = weakest_precondition(body, predicate)
     except (ValueError, TypeError):
         return False
-    return _check_valid_degrading(solver, build.implies(predicate, transformed))
+    return _check_valid_degrading(solver, transformed, hyps=(predicate,))
 
 
 def _ccr_notifications(ccr) -> Tuple[NotificationSpec, ...]:

@@ -3,6 +3,10 @@
 Expresso reduces every placement decision to the validity of Hoare triples
 of the form ``{P} s {Q}`` over monitor statements (paper §4).  A triple is
 valid iff ``P ==> wp(s, Q)`` is valid, which the SMT substrate decides.
+:func:`check_triple` asks it as ``wp(s, Q)`` under the hypothesis ``P``
+(``Solver.check_valid(wp, hyps=(P,))``), so the triples that share a
+precondition rewrite it once, and takes ``wp(s, Q)`` from the solver's
+rewrite memo, where it is kept per statement and postcondition.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.logic import build
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang.ast import Stmt
@@ -28,10 +31,6 @@ class HoareTriple:
     post: Expr
     purpose: str = ""
 
-    def verification_condition(self) -> Expr:
-        """The validity obligation ``pre ==> wp(stmt, post)``."""
-        return build.implies(self.pre, weakest_precondition(self.stmt, self.post))
-
     def describe(self) -> str:
         """Single-line rendering used in reports and error messages."""
         body = pretty_stmt(self.stmt).replace("\n", " ")
@@ -42,4 +41,5 @@ class HoareTriple:
 def check_triple(triple: HoareTriple, solver: Optional[Solver] = None) -> bool:
     """Return True iff *triple* is valid (conservatively False on solver UNKNOWN)."""
     solver = solver or Solver()
-    return solver.check_valid(triple.verification_condition())
+    goal = weakest_precondition(triple.stmt, triple.post, solver.rewrite_memo())
+    return solver.check_valid(goal, hyps=(triple.pre,))

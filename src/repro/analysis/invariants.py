@@ -22,9 +22,11 @@ give (up to abduction's candidate cap, which binds on no suite obligation).
 
 The fixed point is a model-guided Houdini loop.  Initiation does not depend
 on the other candidates, so each candidate is checked once, and each
-``wp(body, psi)`` is computed once per (CCR, candidate) for every round.
+``wp(body, psi)`` is computed once per (CCR, candidate) for every round:
+the solver's rewrite memo keeps it (for the placement triples too).
 Consecution asks one validity query per (round, CCR) for the conjunction of
-the live candidates' weakest preconditions; the counterexample, checked by
+the live candidates' weakest preconditions, under the hypothesis
+``I && guard``; the counterexample, checked by
 evaluation, drops every candidate whose ``wp`` it falsifies, and the query
 repeats until it is valid.  Where a model decides nothing (or the answer is
 UNKNOWN) the remaining candidates are queried one by one.  Every round therefore drops
@@ -100,7 +102,7 @@ def infer_monitor_invariant(monitor: Monitor,
     # Phase 1: abduction over the property triples (lines 5-7 of Algorithm 2),
     # told the invariant's vocabulary so it validates only usable candidates.
     for triple in triples:
-        goal = weakest_precondition(triple.stmt, triple.post)
+        goal = weakest_precondition(triple.stmt, triple.post, memo)
         for candidate in abduce(triple.pre, goal, solver, vocabulary=shared_names):
             add_candidate(candidate)
 
@@ -112,9 +114,9 @@ def infer_monitor_invariant(monitor: Monitor,
     for candidate in extra_candidates:
         add_candidate(candidate)
 
-    def holds(vc: Expr) -> bool:
+    def holds(goal: Expr, hyps: Tuple[Expr, ...] = ()) -> bool:
         # UNKNOWN drops the candidate — a weaker (but still sound) invariant.
-        ok = solver.check_valid(vc)
+        ok = solver.check_valid(goal, hyps=hyps)
         if not ok and solver.consume_unknown() is not None:
             obs.registry().inc("degraded.invariants")
             obs.tracer().instant("degraded.invariants", cat="smt")
@@ -124,8 +126,6 @@ def infer_monitor_invariant(monitor: Monitor,
     constructor = monitor.constructor()
     ccrs = [ccr for _method, ccr in monitor.ccrs()]
     initiated: Dict[Expr, bool] = {}
-    # wp(body, psi) of each CCR, computed once per candidate for all rounds.
-    preserved: List[Dict[Expr, Expr]] = [{} for _ in ccrs]
     kept = list(pool)
     iterations = 0
     changed = True
@@ -135,8 +135,7 @@ def infer_monitor_invariant(monitor: Monitor,
         # candidates, so one verdict per candidate serves every round.
         for psi in kept:
             if psi not in initiated:
-                initiated[psi] = holds(build.implies(
-                    build.TRUE, weakest_precondition(constructor, psi)))
+                initiated[psi] = holds(weakest_precondition(constructor, psi, memo))
         surviving = [psi for psi in kept if initiated[psi]]
         changed = len(surviving) != len(kept)
         kept = surviving
@@ -145,13 +144,11 @@ def infer_monitor_invariant(monitor: Monitor,
         # not preserve it, so later CCRs only see the live ones.
         invariant = build.land(*kept) if kept else build.TRUE
         dropped: Set[Expr] = set()
-        for ccr, wps in zip(ccrs, preserved):
-            live = [psi for psi in kept if psi not in dropped]
-            for psi in live:
-                if psi not in wps:
-                    wps[psi] = weakest_precondition(ccr.body, psi)
-            dropped |= _not_preserved(build.land(invariant, ccr.guard),
-                                      {psi: wps[psi] for psi in live},
+        for ccr in ccrs:
+            # The memo computes wp(body, psi) once for all rounds.
+            goals = {psi: weakest_precondition(ccr.body, psi, memo)
+                     for psi in kept if psi not in dropped}
+            dropped |= _not_preserved(build.land(invariant, ccr.guard), goals,
                                       solver, holds)
         if dropped:
             changed = True
@@ -162,7 +159,7 @@ def infer_monitor_invariant(monitor: Monitor,
 
 
 def _not_preserved(pre: Expr, goals: Dict[Expr, Expr], solver: Solver,
-                   holds: Callable[[Expr], bool]) -> Set[Expr]:
+                   holds: Callable[..., bool]) -> Set[Expr]:
     """The candidates ``psi`` of *goals* (``psi -> wp(body, psi)``) for which
     ``pre ==> wp(body, psi)`` is not valid.
 
@@ -179,8 +176,8 @@ def _not_preserved(pre: Expr, goals: Dict[Expr, Expr], solver: Solver,
     live = list(goals)
     while len(live) > 1:
         found: List[Model] = []
-        if solver.check_valid(build.implies(pre, build.land(*[goals[psi] for psi in live])),
-                              found):
+        if solver.check_valid(build.land(*[goals[psi] for psi in live]), found,
+                              hyps=(pre,)):
             return failed
         models = [model for model in found if truth_value(pre, model)]
         falsified = {psi for psi in live
@@ -189,5 +186,5 @@ def _not_preserved(pre: Expr, goals: Dict[Expr, Expr], solver: Solver,
             break
         failed |= falsified
         live = [psi for psi in live if psi not in falsified]
-    failed.update(psi for psi in live if not holds(build.implies(pre, goals[psi])))
+    failed.update(psi for psi in live if not holds(goals[psi], hyps=(pre,)))
     return failed

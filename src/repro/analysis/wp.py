@@ -16,15 +16,25 @@ positive (universally interpretable) positions of the final validity check
 ``P ==> wp(s, Q)``, treating them as ordinary free variables is sound.
 Failing to prove a triple because of this conservatism only ever costs a
 signal, never correctness (paper §9).
+
+Each loop's ``wp`` draws a new havoc suffix.  Under a memo
+(:class:`~repro.logic.memo.RewriteMemo`; invariant inference and
+:func:`~repro.analysis.hoare.check_triple` pass the solver's) a repeated
+``(stmt, post)`` returns the first result, havoc names included.  That is
+sound: the same ``(stmt, post)`` gets the same formula, and a validity
+query treats its havoc variables as free whichever names they have.  The
+commutativity checks, which compose ``wp``'s of two bodies, pass no memo
+and keep fresh names.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Optional
 
 from repro.logic import build
 from repro.logic.free_vars import ordered_free_vars
+from repro.logic.memo import RewriteMemo
 from repro.logic.simplify import simplify
 from repro.logic.substitute import substitute
 from repro.logic.terms import Expr, Var
@@ -43,9 +53,20 @@ from repro.lang.ast import (
 _HAVOC_COUNTER = itertools.count()
 
 
-def weakest_precondition(stmt: Stmt, post: Expr) -> Expr:
-    """Compute ``wp(stmt, post)`` as a quantifier-free formula."""
-    return simplify(_wp(stmt, post))
+def weakest_precondition(stmt: Stmt, post: Expr,
+                         memo: Optional[RewriteMemo] = None) -> Expr:
+    """Compute ``wp(stmt, post)`` as a quantifier-free formula.
+
+    With a *memo*, the result is kept in its ``wp`` table, keyed by the
+    statement's identity and *post*, and simplified through the memo.
+    """
+    if memo is None:
+        return simplify(_wp(stmt, post))
+    key = (id(stmt), post)
+    entry = memo.wp.get(key)
+    if entry is None:
+        entry = memo.wp[key] = (stmt, simplify(_wp(stmt, post), memo))
+    return entry[1]
 
 
 def _wp(stmt: Stmt, post: Expr) -> Expr:

@@ -6,7 +6,8 @@ without being a full simplifier:
 * ``land`` / ``lor`` flatten nested conjunctions/disjunctions, drop neutral
   elements and short-circuit on absorbing elements;
 * ``add`` flattens nested additions and folds adjacent integer constants;
-* ``lnot`` cancels double negation and flips comparison operators;
+* ``lnot`` cancels double negation and flips comparison operators, once
+  per node;
 * comparison builders fold constant operands.
 
 Heavier rewriting lives in :mod:`repro.logic.simplify`.
@@ -42,6 +43,7 @@ from repro.logic.terms import (
     Sort,
     Sub,
     Var,
+    _NEGATIONS,
 )
 
 TRUE = BoolConst(True)
@@ -204,8 +206,18 @@ _NEGATED_CMP = {Eq: Ne, Ne: Eq, Lt: Ge, Ge: Lt, Gt: Le, Le: Gt}
 
 
 def lnot(operand: ExprLike) -> Expr:
-    """Logical negation, pushing through constants, double negation and comparisons."""
-    node = _coerce(operand)
+    """Logical negation, pushing through constants, double negation and comparisons.
+
+    Computed once per node: later calls look it up (``terms._NEGATIONS``).
+    """
+    negation = _NEGATIONS.get(operand)
+    if negation is None:
+        node = _coerce(operand)
+        negation = _NEGATIONS[node] = _negate(node)
+    return negation
+
+
+def _negate(node: Expr) -> Expr:
     if isinstance(node, BoolConst):
         return BoolConst(not node.value)
     if isinstance(node, Not):

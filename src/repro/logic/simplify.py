@@ -18,7 +18,7 @@ equivalence and is safe to call anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
@@ -102,9 +102,19 @@ def junction(parts: Iterable[Expr], conjunctive: bool) -> Expr:
     return And(tuple(args)) if conjunctive else Or(tuple(args))
 
 
-def junction_args(parts: Iterable[Expr], conjunctive: bool) -> Optional[List[Expr]]:
+def junction_args(parts: Iterable[Expr], conjunctive: bool,
+                  held: Collection[Expr] = ()) -> Optional[List[Expr]]:
     """The arguments of ``junction(parts, conjunctive)`` (``[]`` for its
-    neutral constant), or None for its absorbing constant; builds no node."""
+    neutral constant), or None for its absorbing constant; builds no node.
+
+    *held* are the arguments of an earlier call, over parts that come
+    first: the result is then the arguments that *parts* add to them, or
+    None when the whole junction is the absorbing constant.  A pair with
+    one side in *held* is found from its new side, which takes ``lnot`` to
+    be an involution on the parts.  That holds for the simplified and
+    canonical nodes :mod:`repro.smt.preprocess` passes: neither kind has a
+    double negation or a negated integer comparison.
+    """
     kind = And if conjunctive else Or
     args: List[Expr] = []
     seen: Set[Expr] = set()
@@ -113,9 +123,10 @@ def junction_args(parts: Iterable[Expr], conjunctive: bool) -> Optional[List[Exp
             if isinstance(part, BoolConst):
                 if part.value != conjunctive:
                     return None
-            elif part not in seen:
+            elif part not in seen and part not in held:
                 seen.add(part)
                 args.append(part)
-    if len(args) > 1 and any(build.lnot(part) in seen for part in args):
+    if len(args) + len(held) > 1 and any(
+            (negation := build.lnot(part)) in seen or negation in held for part in args):
         return None
     return args

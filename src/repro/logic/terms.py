@@ -13,7 +13,8 @@ is ``is``.  Its identity is its hash as well: nodes and sorts keep
 back into Python.  A new node computes its free variables and quantifier
 flag once, from its children's.  The table keeps nodes alive; past
 ``_SWEEP_LIMIT`` nodes, an insertion drops those that nothing else
-references.
+references.  ``build.lnot`` keeps each node's negation in ``_NEGATIONS``,
+which the sweep empties before it looks at reference counts.
 
 Order rule: a set of nodes, or of values that hold nodes (tuples,
 statements, notifications), iterates in heap-address order, which differs
@@ -66,6 +67,9 @@ _LOCK = threading.Lock()
 #: Table size past which an insertion sweeps out unreferenced nodes.
 _SWEEP_LIMIT = 100_000
 _sweep_at = _SWEEP_LIMIT
+#: ``build.lnot``'s result per node, computed once.  The sweep empties it
+#: first: its entries are references the refcount test would count.
+_NEGATIONS: Dict["Expr", "Expr"] = {}
 
 
 def _intern(cls: Any, key: tuple, args: tuple) -> "Expr":
@@ -112,6 +116,7 @@ def _sweep() -> None:
     a dropped parent frees its children for the same sweep.
     """
     global _sweep_at
+    _NEGATIONS.clear()
     keys = list(_TABLE)
     while keys:
         key = keys.pop()

@@ -11,7 +11,8 @@ families across configurations.
 
 :class:`FormulaCache` removes that redundancy.  It is keyed at two levels:
 
-* the **raw formula** (expression nodes are interned, one object per
+* the **raw formula**, or for a query with hypotheses the tuple
+  ``(*hyps, formula)`` (expression nodes are interned, one object per
   structure, so a probe hashes and compares by identity, in C) — a hit at
   this level also skips the preprocessing pass entirely;
 * the **canonical form**: the tuple of the query's preprocessed
@@ -81,7 +82,7 @@ class FormulaCache:
 
     def __init__(self, max_entries: int = 100_000):
         self.max_entries = max_entries
-        self._raw: Dict[Expr, CachedResult] = {}
+        self._raw: Dict[Hashable, CachedResult] = {}
         self._canonical: Dict[Tuple[Expr, ...], CachedResult] = {}
         # Whole *procedures* — several queries folded into one answer —
         # memoize above the formula level, one table per kind (see
@@ -91,11 +92,12 @@ class FormulaCache:
 
     # -- lookups -------------------------------------------------------------
 
-    def lookup_raw(self, formula: Expr) -> Optional[CachedResult]:
-        """Fast-path lookup keyed on the unprocessed formula."""
-        return self._raw.get(formula)
+    def lookup_raw(self, raw: Hashable) -> Optional[CachedResult]:
+        """Fast-path lookup keyed on the unprocessed query: its formula, or
+        ``(*hyps, formula)``."""
+        return self._raw.get(raw)
 
-    def lookup_canonical(self, raw: Expr,
+    def lookup_canonical(self, raw: Hashable,
                          canonical: Tuple[Expr, ...]) -> Optional[CachedResult]:
         """Second-chance lookup keyed on the preprocessed conjunct tuple.
 
@@ -109,7 +111,7 @@ class FormulaCache:
 
     # -- insertion -----------------------------------------------------------
 
-    def store(self, raw: Expr, canonical: Tuple[Expr, ...], entry: CachedResult) -> None:
+    def store(self, raw: Hashable, canonical: Tuple[Expr, ...], entry: CachedResult) -> None:
         """Record a freshly computed result under both keys."""
         self._store(self._raw, raw, entry)
         self._store(self._canonical, canonical, entry)

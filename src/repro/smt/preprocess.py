@@ -42,12 +42,17 @@ node (and polarity), and record their results per node in a
 keyed by ``(node, positive)``.  Keys are interned nodes, so a memo hit is
 exactly the result the rewrite would compute: the output is
 identical with or without a memo, warm or cold.  The pipeline's queries
-overlap almost entirely (abduction asks ``pre && psi`` and
-``pre && psi ==> goal`` with one ``pre`` for every candidate), so a memo
-that outlives one query rewrites each shared subformula once.  The solver
-asks :func:`preprocess_conjuncts`, which rewrites a query conjunct by
-conjunct: ``pre``'s conjuncts are memo hits, and no node for the whole
-query is built, walked or stored.
+overlap almost entirely (abduction asks whether ``pre && psi`` is
+satisfiable and whether it entails ``goal``, with one ``pre`` for every
+candidate), so a memo that outlives one query rewrites each shared
+subformula once.  The solver asks :func:`preprocess_conjuncts`, which
+rewrites a query conjunct by conjunct, and no node for the whole query is
+built, walked or stored.  Abduction passes ``pre`` as the query's first
+hypothesis (``check_sat(psi, hyps=(pre,))``,
+``check_valid(goal, hyps=(pre, psi))``): :func:`prepare` keeps ``pre``'s
+simplified and canonical conjuncts, with the sets that deduplicate and
+check them, in the memo's ``hypotheses`` table, so each query walks only
+``psi`` and ``goal``.
 
 The memo's owner is the :class:`~repro.smt.solver.Solver`, which keeps one
 for its lifetime and clears it at a cap (see that module); abduction hands
@@ -57,7 +62,7 @@ the same memo to its quantifier eliminator.  Called without a memo,
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import build
 from repro.logic.memo import RewriteMemo
@@ -106,17 +111,71 @@ def preprocess(expr: Expr, memo: Optional[RewriteMemo] = None) -> Expr:
 FALSE_CONJUNCTS = (build.FALSE,)
 
 
-def preprocess_conjuncts(expr: Expr, memo: Optional[RewriteMemo] = None) -> Tuple[Expr, ...]:
-    """``preprocess(expr)`` as a tuple of conjuncts, rewritten one by one.
+class Prepared:
+    """A hypothesis's share of every query it starts (:func:`prepare`).
 
-    The tuple is ``preprocess(expr).args`` for a conjunction, ``()`` for
+    ``held`` are its simplified conjuncts after ``junction_args``, with
+    their seen-set ``held_seen``, or None when they contradict each other.
+    ``conjuncts`` are the canonical forms of ``held`` after
+    ``junction_args``, with their seen-set ``seen``, or None when they
+    contradict each other; both are computed when a query first needs them
+    (``seen`` is None until then).  ``encoded`` belongs to the solver: the
+    roots, atoms and cone of ``conjuncts``, kept after their first solve.
+    """
+
+    __slots__ = ("held", "held_seen", "conjuncts", "seen", "encoded")
+
+    def __init__(self, hypothesis: Expr, memo: RewriteMemo) -> None:
+        self.held = junction_args((simplify(part, memo)
+                                   for part in build.conjuncts(hypothesis)), True)
+        self.held_seen: Collection[Expr] = set(self.held or ())
+        self.conjuncts: Optional[List[Expr]] = None
+        self.seen: Optional[Collection[Expr]] = None
+        self.encoded: Optional[tuple] = None
+
+    def canonical(self, table: Dict[Tuple[Expr, bool], Expr]) -> Optional[List[Expr]]:
+        """``conjuncts``, computed on first use."""
+        if self.seen is None:
+            if self.held is not None:
+                self.conjuncts = junction_args(
+                    [_canonical(part, True, table) for part in self.held], True)
+            self.seen = set(self.conjuncts or ())
+        return self.conjuncts
+
+
+#: The prefix of a query without hypotheses.
+_NO_PREFIX = Prepared(build.TRUE, RewriteMemo())
+_NO_PREFIX.canonical({})
+
+
+def prepare(hypothesis: Expr, memo: RewriteMemo) -> Prepared:
+    """*hypothesis*'s :class:`Prepared` state, kept in *memo* (its
+    ``hypotheses`` table)."""
+    prepared = memo.hypotheses.get(hypothesis)
+    if prepared is None:
+        prepared = memo.hypotheses[hypothesis] = Prepared(hypothesis, memo)
+    return prepared
+
+
+def preprocess_conjuncts(expr: Expr, memo: Optional[RewriteMemo] = None,
+                         hyps: Sequence[Expr] = ()) -> Tuple[Expr, ...]:
+    """``preprocess(land(*hyps, expr))`` as a tuple of conjuncts, rewritten
+    one by one.
+
+    The tuple is ``preprocess(...).args`` for a conjunction, ``()`` for
     ``true``, :data:`FALSE_CONJUNCTS` for ``false`` and a 1-tuple otherwise,
     but no node for the whole query is built: an ``And`` splits into its
     arguments and ``!(A ==> B)`` (a validity query) into ``A``'s plus ``!B``,
-    and each part goes through the memo by itself.  ``junction``'s
-    complementary-literal check applies where ``preprocess`` applies it:
-    among the simplified conjuncts (``A``'s only, for a validity query) and
-    among the canonical ones.
+    and each part goes through the memo by itself.  The hypotheses join a
+    validity query's antecedent: the tuple is then that of
+    ``!(land(*hyps, A) ==> B)``.  ``junction``'s complementary-literal check
+    applies where ``preprocess`` applies it: among the simplified conjuncts
+    (the antecedent's only, for a validity query) and among the canonical
+    ones.
+
+    ``hyps[0]`` is the prepared prefix (:func:`prepare`): its conjuncts are
+    simplified, checked and canonicalized once per memo, and each query
+    extends them with those of the later hypotheses and of *expr*.
     """
     if memo is None:
         memo = RewriteMemo()
@@ -124,21 +183,27 @@ def preprocess_conjuncts(expr: Expr, memo: Optional[RewriteMemo] = None) -> Tupl
     goal = None
     if isinstance(expr, Not) and isinstance(expr.operand, Implies):
         expr, goal = expr.operand.antecedent, simplify(expr.operand.consequent, memo)
-    held = junction_args((simplify(part, memo) for part in build.conjuncts(expr)), True)
-    if held is None:
+    prefix = prepare(hyps[0], memo) if hyps else _NO_PREFIX
+    if prefix.held is None:
+        return FALSE_CONJUNCTS
+    # The simplified conjuncts the rest of the antecedent adds to the prefix's.
+    added = junction_args((simplify(part, memo) for node in (*hyps[1:], expr)
+                           for part in build.conjuncts(node)), True, prefix.held_seen)
+    if added is None:
         return FALSE_CONJUNCTS
     # The cases below are those of ``build.implies(antecedent, goal)``.
     if goal is None or goal == build.FALSE:
-        parts = [_canonical(part, True, table) for part in held]
-    elif not held:
+        parts = [_canonical(part, True, table) for part in added]
+    elif not added and not prefix.held:
         parts = [_canonical(build.lnot(goal), True, table)]
-    elif goal == build.TRUE or build.conjuncts(goal) == tuple(held):
+    elif goal == build.TRUE or build.conjuncts(goal) == (*prefix.held, *added):
         return FALSE_CONJUNCTS
     else:
-        parts = [_canonical(part, True, table) for part in held]
+        parts = [_canonical(part, True, table) for part in added]
         parts.append(_canonical(goal, False, table))
-    conjuncts = junction_args(parts, True)
-    return FALSE_CONJUNCTS if conjuncts is None else tuple(conjuncts)
+    first = prefix.canonical(table)
+    rest = None if first is None else junction_args(parts, True, prefix.seen)
+    return FALSE_CONJUNCTS if rest is None else (*first, *rest)
 
 
 def _canonical(expr: Expr, positive: bool, table: Dict[Tuple[Expr, bool], Expr]) -> Expr:

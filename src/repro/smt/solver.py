@@ -4,8 +4,9 @@
 quantifier-free formulas over linear integer arithmetic and booleans:
 
 1. split the formula into its top-level conjuncts (``!(A ==> B)``, which
-   :meth:`Solver.check_valid` asks, gives ``A``'s conjuncts and ``!B``) and
-   preprocess each into NNF with canonical ``t <= 0`` atoms
+   :meth:`Solver.check_valid` asks, gives ``A``'s conjuncts and ``!B``;
+   the query's hypotheses, ``hyps=``, join ``A``) and preprocess each into
+   NNF with canonical ``t <= 0`` atoms
    (:func:`~repro.smt.preprocess.preprocess_conjuncts`);
 2. Tseitin-encode each conjunct's boolean skeleton; give each new atom its
    theory form and its *bound axioms*, the two-literal clauses that relate
@@ -29,7 +30,10 @@ pipeline:
   node keeps its SAT variable, its definition clauses and bound axioms are
   loaded once, and learned clauses and theory lemmas — valid whatever the
   assumptions — serve every later query.  A conjunct shared by many
-  queries is encoded once and the query itself adds no clause.  A query's
+  queries is encoded once and the query itself adds no clause.  A first
+  hypothesis shared by many queries (``hyps[0]``) is also rewritten once,
+  and its roots, atoms and cone are collected at its first solve and
+  copied after that; a query answered from the cache encodes nothing.  A query's
   cone (the variables :func:`~repro.smt.cnf.encode` walks) is all it
   branches on, and only its own atoms reach the theory check, each with the
   :class:`~repro.smt.linear.Constraint` and integer negation kept for it
@@ -38,8 +42,10 @@ pipeline:
   results (see that module for the canonicalization story), and
   conjunction-level theory verdicts are memoized too;
 * a :class:`~repro.logic.memo.RewriteMemo` memoizes preprocessing (its
-  simplification and its canonicalizing rewrite) per node; abduction and
-  invariant inference rewrite through it (:meth:`Solver.rewrite_memo`);
+  simplification and its canonicalizing rewrite) per node, and the prepared
+  first hypotheses; abduction, invariant inference and
+  :func:`~repro.analysis.hoare.check_triple` rewrite through it, weakest
+  preconditions included (:meth:`Solver.rewrite_memo`);
 * the memo and the clause database are cleared together once either
   reaches ``_REWRITE_MEMO_LIMIT`` entries (clauses or variables for the
   database), which bounds long-lived solvers (``ExpressoPipeline(solver=...)``,
@@ -65,7 +71,9 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar, Union
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
+)
 
 from repro import obs
 from repro.logic import build
@@ -73,14 +81,16 @@ from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
-    BOOL, Expr, Var, contains_quantifier,
+    BOOL, Expr, Implies, Not, Var, contains_quantifier,
 )
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
 from repro.smt.intfeas import IntegerFeasibilityUnknown, integer_feasible
 from repro.smt.linear import Constraint
 from repro.resilience.faults import fault_check
-from repro.smt.preprocess import FALSE_CONJUNCTS, atom_constraint, preprocess_conjuncts
+from repro.smt.preprocess import (
+    FALSE_CONJUNCTS, Prepared, atom_constraint, prepare, preprocess_conjuncts,
+)
 from repro.smt.sat import SatSolver
 from repro.smt.simplex import (
     SimplexInvariantError, rational_feasible, rational_infeasible_subset,
@@ -177,8 +187,13 @@ class Solver:
 
     # -- public API ---------------------------------------------------------
 
-    def check_sat(self, formula: Expr) -> SatResult:
-        """Decide satisfiability of a quantifier-free formula.
+    def check_sat(self, formula: Expr, *, hyps: Sequence[Expr] = ()) -> SatResult:
+        """Decide satisfiability of the quantifier-free ``hyps && formula``.
+
+        A model covers the free variables of the hypotheses, then those of
+        *formula*.  ``hyps[0]`` is prepared once per solver: queries that
+        share it (abduction's ``pre``, say) rewrite and encode its
+        conjuncts once (:func:`~repro.smt.preprocess.preprocess_conjuncts`).
 
         When an SMT profiler is active (``expresso profile``, or any
         ``repro.obs.observe(profile=True)`` session) the query's wall time,
@@ -187,13 +202,13 @@ class Solver:
         """
         profiler = obs.active_profiler()
         if profiler is None:
-            return self._check_sat(formula)
+            return self._check_sat(formula, tuple(hyps))
         hits_before = self.metrics.value("smt.cache.hits")
         start = time.perf_counter()
-        result = self._check_sat(formula)
+        result = self._check_sat(formula, tuple(hyps))
         elapsed = time.perf_counter() - start
         profiler.record(
-            formula, elapsed,
+            (*hyps, formula) if hyps else formula, elapsed,
             cached=self.metrics.value("smt.cache.hits") > hits_before,
             status=result.status.value,
             phase=obs.tracer().phase_path(),
@@ -212,35 +227,36 @@ class Solver:
             self.clear_state()
         return self._rewrites
 
-    def _check_sat(self, formula: Expr) -> SatResult:
+    def _check_sat(self, formula: Expr, hyps: Tuple[Expr, ...]) -> SatResult:
         self.metrics.inc("smt.sat.queries")
         self.last_unknown = None
         memo = self.rewrite_memo()
-        if contains_quantifier(formula):
+        if contains_quantifier(formula) or any(map(contains_quantifier, hyps)):
             raise SolverError("check_sat expects a quantifier-free formula; "
                               "use repro.smt.qe to eliminate quantifiers first")
         if fault_check("solver.query") == "unknown":
             # Injected budget expiry: behaves exactly like a wall-clock
             # timeout (uncached, counted, flagged), but deterministically.
             return self._unknown("injected")
+        raw = (*hyps, formula) if hyps else formula
         if self.cache is not None:
-            entry = self.cache.lookup_raw(formula)
+            entry = self.cache.lookup_raw(raw)
             if entry is not None:
                 self.metrics.inc("smt.cache.hits")
-                return _result(formula, entry)
-        conjuncts = preprocess_conjuncts(formula, memo)
+                return _result(hyps, formula, entry)
+        conjuncts = preprocess_conjuncts(formula, memo, hyps)
         if self.cache is not None:
-            entry = self.cache.lookup_canonical(formula, conjuncts)
+            entry = self.cache.lookup_canonical(raw, conjuncts)
             if entry is not None:
                 self.metrics.inc("smt.cache.hits")
-                return _result(formula, entry)
+                return _result(hyps, formula, entry)
             self.metrics.inc("smt.cache.misses")
-        entry = self._solve_processed(conjuncts)
+        entry = self._solve_processed(conjuncts, prepare(hyps[0], memo) if hyps else None)
         if entry is None:
             return SatResult(SatStatus.UNKNOWN)
         if self.cache is not None:
-            self.cache.store(formula, conjuncts, entry)
-        return _result(formula, entry)
+            self.cache.store(raw, conjuncts, entry)
+        return _result(hyps, formula, entry)
 
     def _unknown(self, reason: str) -> SatResult:
         """Account one UNKNOWN outcome (never cached: budgets are not
@@ -289,24 +305,32 @@ class Solver:
             cache.store_procedure(table, key, value)
         return value, False
 
-    def check_valid(self, formula: Expr,
-                    counterexample: Optional[List[Model]] = None) -> bool:
-        """Return True iff *formula* is valid (its negation is unsatisfiable).
+    def check_valid(self, goal: Expr,
+                    counterexample: Optional[List[Model]] = None, *,
+                    hyps: Sequence[Expr] = ()) -> bool:
+        """Return True iff *goal* follows from the hypotheses, i.e.
+        ``hyps && !goal`` is unsatisfiable (without hypotheses: *goal* is
+        valid).
 
         UNKNOWN results are treated as "not proven" — the conservative answer
         for every use in the signal-placement pipeline.  When *counterexample*
-        is a list and the negation is SAT, its model (an assignment falsifying
-        *formula*, over the formula's free variables) is appended to it.
+        is a list and ``hyps && !goal`` is SAT, its model (over the free
+        variables of the hypotheses, then of *goal*) is appended to it.
+
+        With hypotheses the query is ``check_sat(!(true ==> goal), hyps=hyps)``,
+        whose preprocessing puts the hypotheses in the antecedent: it
+        rewrites like ``!(land(*hyps) ==> goal)`` would.
         """
         self.metrics.inc("smt.validity.queries")
-        result = self.check_sat(build.lnot(formula))
+        result = self.check_sat(Not(Implies(build.TRUE, goal)), hyps=hyps) if hyps \
+            else self.check_sat(build.lnot(goal))
         if counterexample is not None and result.is_sat:
             counterexample.append(result.model)
         return result.status is SatStatus.UNSAT
 
     def check_implies(self, antecedent: Expr, consequent: Expr) -> bool:
         """Validity of ``antecedent ==> consequent``."""
-        return self.check_valid(build.implies(antecedent, consequent))
+        return self.check_valid(consequent, hyps=(antecedent,))
 
     def check_equivalent(self, left: Expr, right: Expr) -> bool:
         """Validity of ``left <==> right``."""
@@ -328,9 +352,15 @@ class Solver:
 
     # -- internals ----------------------------------------------------------
 
-    def _solve_processed(self, conjuncts: Tuple[Expr, ...]) -> Optional[CachedResult]:
+    def _solve_processed(self, conjuncts: Tuple[Expr, ...],
+                         prefix: Optional[Prepared] = None) -> Optional[CachedResult]:
         """Run the DPLL(T) search on a query's canonical conjuncts; the
-        result in cacheable form, or None after accounting an UNKNOWN."""
+        result in cacheable form, or None after accounting an UNKNOWN.
+
+        *prefix* is the first hypothesis's state, whose canonical conjuncts
+        start *conjuncts*: their roots, atoms and cone are computed at its
+        first solve and copied at every later one.
+        """
         if conjuncts == FALSE_CONJUNCTS:
             return CachedResult(False)
         if not conjuncts:
@@ -342,11 +372,16 @@ class Solver:
         cone: Set[int] = set()
         sat = self._sat
         roots: List[int] = []
-        for conjunct in conjuncts:
-            root, clauses = encode(conjunct, self._atom_table, query_atoms, cone)
-            sat.add_clauses(clauses)
-            self.metrics.inc("smt.sat.clauses", len(clauses))
-            roots.append(root)
+        if prefix is not None:
+            if prefix.encoded is None:
+                self._encode(prefix.conjuncts, roots, query_atoms, cone)
+                prefix.encoded = (tuple(roots), dict(query_atoms), frozenset(cone))
+            else:
+                prefix_roots, prefix_atoms, prefix_cone = prefix.encoded
+                roots.extend(prefix_roots)
+                query_atoms.update(prefix_atoms)
+                cone.update(prefix_cone)
+        self._encode(conjuncts[len(roots):], roots, query_atoms, cone)
         # Decisions go to the cone variables with the most input occurrences,
         # and an And node's definition gives each of its conjuncts one.  A
         # query's conjunction is no node, so its roots get that occurrence
@@ -421,6 +456,16 @@ class Solver:
         theory_model, bool_values = found[-1]
         return CachedResult(True, dict(theory_model), bool_values)
 
+    def _encode(self, conjuncts: Sequence[Expr], roots: List[int],
+                atoms: Dict[Expr, int], cone: Set[int]) -> None:
+        """Encode *conjuncts* in order, loading their new clauses, and collect
+        their roots, atoms and cone."""
+        for conjunct in conjuncts:
+            root, clauses = encode(conjunct, self._atom_table, atoms, cone)
+            self._sat.add_clauses(clauses)
+            self.metrics.inc("smt.sat.clauses", len(clauses))
+            roots.append(root)
+
     def _bound_axioms(self, var_id: int, constraint: Constraint) -> List[Tuple[int, int]]:
         """Register a new atom's theory forms; return its bound axioms.
 
@@ -491,12 +536,15 @@ class Solver:
         return core
 
 
-def _result(formula: Expr, entry: CachedResult) -> SatResult:
-    """The answer an entry gives *formula*; a model covers its free variables."""
+def _result(hyps: Tuple[Expr, ...], formula: Expr, entry: CachedResult) -> SatResult:
+    """The answer an entry gives ``hyps && formula``; a model covers their
+    free variables, in order."""
     if not entry.status_sat:
         return SatResult(SatStatus.UNSAT)
+    variables = ordered_free_vars(formula) if not hyps else dict.fromkeys(
+        var for node in (*hyps, formula) for var in ordered_free_vars(node))
     model: Model = {}
-    for var in ordered_free_vars(formula):
+    for var in variables:
         if var.var_sort is BOOL:
             model[var.name] = (entry.bool_values or {}).get(var.name, False)
         else:

@@ -46,6 +46,9 @@ from repro.logic import (
     sub,
     v,
 )
+from repro.logic.free_vars import ordered_free_vars
+from repro.logic.substitute import substitute
+from repro.logic.terms import Var
 from repro.placement.algorithm import generate_placement_triples
 from repro.smt import Solver
 
@@ -88,6 +91,37 @@ class TestWeakestPrecondition:
         loop = While(gt(x, i(0)), Assign("x", sub(x, 1)), invariant=ge(x, i(0)))
         triple = HoareTriple(ge(x, i(0)), loop, ge(x, i(0)))
         assert check_triple(triple)
+
+    WHILE_TRIPLES = [
+        HoareTriple(TRUE, While(gt(x, i(0)), Assign("x", sub(x, 1))), ge(x, i(0))),
+        HoareTriple(ge(x, i(0)), While(gt(x, i(0)), Assign("x", sub(x, 1)),
+                                       invariant=ge(x, i(0))), ge(x, i(0))),
+    ]
+
+    @staticmethod
+    def _without_havoc_numbers(formula):
+        """*formula* with every ``name!havocN`` renamed ``name!havoc``."""
+        return substitute(formula, {
+            var: Var(var.name.split("!havoc")[0] + "!havoc", var.var_sort)
+            for var in ordered_free_vars(formula) if "!havoc" in var.name})
+
+    def test_a_memoized_wp_is_a_fresh_one_up_to_havoc_names(self):
+        solver = Solver()
+        memo = solver.rewrite_memo()
+        for triple in self.WHILE_TRIPLES:
+            memoized = weakest_precondition(triple.stmt, triple.post, memo)
+            assert weakest_precondition(triple.stmt, triple.post, memo) is memoized
+            fresh = weakest_precondition(triple.stmt, triple.post)
+            assert fresh is not memoized
+            assert (self._without_havoc_numbers(fresh)
+                    == self._without_havoc_numbers(memoized))
+            # check_triple asks through the same memo; the verdict is the
+            # one of the unmemoized verification condition.
+            assert check_triple(triple, solver) \
+                == Solver().check_valid(implies(triple.pre, fresh))
+        assert len(memo.wp) == len(self.WHILE_TRIPLES)
+        solver.clear_state()
+        assert len(memo.wp) == 0
 
 
 class TestHoareTriples:

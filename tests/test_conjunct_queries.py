@@ -10,6 +10,11 @@ are exactly those of ``preprocess`` on the whole query, and that a warm,
 cached solver's verdict equals a fresh solver's and brute force over a box
 that holds a model of every satisfiable query, with every SAT model
 satisfying the original formula.
+
+Queries with hypotheses (``check_sat(formula, hyps=...)``,
+``check_valid(goal, hyps=...)``) must equal the one-formula queries the
+callers used to build, ``land(*hyps, formula)`` and
+``implies(land(*hyps), goal)``: the same conjuncts, verdict and model.
 """
 
 from itertools import product
@@ -36,6 +41,18 @@ TERMS = (x, y, build.add(x, y), build.sub(x, y))
 #: One solver for all examples, as a compile's long-lived solver would be.
 WARM = Solver(cache=FormulaCache())
 WARM_MEMO = RewriteMemo()
+
+
+def whole_query(formula, hyps=()):
+    """The one formula ``check_sat(formula, hyps=hyps)`` decides as: the
+    hypotheses join a validity query's antecedent, and are conjoined with
+    any other formula (what :func:`preprocess_conjuncts` rewrites)."""
+    if not hyps:
+        return formula
+    if isinstance(formula, Not) and isinstance(formula.operand, Implies):
+        antecedent = build.land(*hyps, formula.operand.antecedent)
+        return build.lnot(build.implies(antecedent, formula.operand.consequent))
+    return build.land(*hyps, formula)
 
 
 @st.composite
@@ -171,3 +188,91 @@ NE_ITE = build.ne(x, build.ite(p, x, y))
 ], ids=["goal", "conjunction", "true-antecedent", "false-goal", "same", "complement"])
 def test_lifted_goals_match_whole_formula_preprocessing(formula):
     assert build.land(*preprocess_conjuncts(formula)) == preprocess(formula)
+
+
+# ---------------------------------------------------------------------------
+# Queries with hypotheses
+# ---------------------------------------------------------------------------
+
+CONSTANTS = st.sampled_from((build.TRUE, build.FALSE))
+
+
+@st.composite
+def hypothesis_queries(draw):
+    """``(pre, psi, goal)`` over one pool of literals and their complements,
+    with an occasional constant part; the goal may be ``pre`` itself."""
+    pool = draw(st.lists(literals(), min_size=1, max_size=4))
+    part = st.one_of(conjuncts(pool), conjuncts(pool), conjuncts(pool), CONSTANTS)
+    pre = build.land(*draw(st.lists(part, min_size=0, max_size=4)))
+    psi = build.land(*draw(st.lists(part, min_size=1, max_size=2)))
+    goal = draw(st.one_of(part, st.just(pre),
+                          st.lists(part, min_size=2, max_size=3)
+                          .map(lambda goals: build.land(*goals))))
+    return pre, psi, goal
+
+
+def _ordered(model):
+    """A model with its variable order, which ``==`` on dicts ignores."""
+    return None if model is None else list(model.items())
+
+
+def _answer(result):
+    return result.status, _ordered(result.model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypothesis_queries())
+def test_hypothesis_queries_equal_the_whole_formula_queries(query):
+    """A solver asked with hypotheses and one asked the same questions as
+    whole formulas (as abduction used to: ``pre && psi``, then
+    ``pre && psi ==> goal``) give the same answers, models included."""
+    pre, psi, goal = query
+    strengthened = build.land(pre, psi)
+    obligation = build.implies(strengthened, goal)
+    split, whole = Solver(cache=FormulaCache()), Solver(cache=FormulaCache())
+    assert _answer(split.check_sat(psi, hyps=(pre,))) \
+        == _answer(whole.check_sat(strengthened))
+    # The second query finds pre prepared (and encoded, after a solve).
+    found, expected = [], []
+    assert split.check_valid(goal, found, hyps=(pre, psi)) \
+        == whole.check_valid(obligation, expected)
+    assert list(map(_ordered, found)) == list(map(_ordered, expected))
+    assert split.snapshot_statistics() == whole.snapshot_statistics()
+    assert split.check_valid(goal, hyps=(pre, psi)) == (not brute_force_sat(
+        build.lnot(obligation)))
+    for model in found:
+        assert truth_value(obligation, model) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypothesis_queries())
+def test_warm_hypothesis_conjuncts_are_those_of_the_whole_formula(query):
+    """Through a memo that holds every earlier example's prepared
+    hypotheses, the conjuncts are those of the whole formula, fresh."""
+    pre, psi, goal = query
+    validity = Not(Implies(build.TRUE, goal))
+    for hyps in ((pre, psi), (pre,)):
+        for formula in (validity, psi):
+            expected = preprocess_conjuncts(whole_query(formula, hyps))
+            assert preprocess_conjuncts(formula, WARM_MEMO, hyps) == expected
+    warm = WARM.check_valid(goal, hyps=(pre, psi))
+    assert warm == Solver().check_valid(build.implies(build.land(pre, psi), goal))
+
+
+def test_a_cache_hit_adds_no_clause():
+    pre = build.land(build.le(x, 3), build.ge(y, 1), p)
+    psi, goal = build.ge(x, 0), build.le(build.add(x, y), 100)
+    cache = FormulaCache()
+    first = Solver(cache=cache)
+    assert first.check_valid(goal, hyps=(pre, psi)) is False
+    assert first.snapshot_statistics()["sat_clauses"] > 0
+    # A new solver on the same cache: the raw key hits, then a new first
+    # hypothesis with the same conjuncts hits the canonical key.  Neither
+    # query encodes anything, the hypothesis's conjuncts included.
+    second = Solver(cache=cache)
+    assert second.check_valid(goal, hyps=(pre, psi)) is False
+    assert second.check_valid(goal, hyps=(build.land(pre, psi),)) is False
+    stats = second.snapshot_statistics()
+    assert stats["cache_hits"] == 2 and stats["cache_misses"] == 0
+    assert stats["sat_clauses"] == 0 and second._atom_table.num_vars == 0
+    assert second.rewrite_memo().hypotheses[build.land(pre, psi)].encoded is None

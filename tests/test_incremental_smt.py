@@ -6,8 +6,9 @@ loaded once per node, each query solves under one assumption per conjunct,
 and learned clauses and theory lemmas stay in the database.  That
 may change models, never verdicts.  These tests replay every ``check_sat`` of
 a six-monitor compile (Dining Philosophers, the most theory checks, plus
-monitors with boolean and integer state) plus ten generated monitors and compare each verdict with a fresh solver's, check
-every model against the formula, and cover the database's limit-and-clear
+monitors with boolean and integer state) plus ten generated monitors, with
+its hypotheses, and compare each verdict with a fresh solver's on the whole
+formula, check every model against that formula, and cover the database's limit-and-clear
 policy and the shared commutativity solver's per-build clear.
 """
 
@@ -21,6 +22,7 @@ from repro.placement.pipeline import ExpressoPipeline
 from repro.smt import solver as solver_module
 from repro.smt.cache import FormulaCache
 from repro.smt.solver import SatStatus, Solver
+from test_conjunct_queries import whole_query
 
 MONITORS = ("Dining Philosophers", "Ticketed Readers-Writers", "SimpleDecoder",
             "AsyncDispatch", "Readers-Writers", "BoundedBuffer")
@@ -29,14 +31,14 @@ GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
 
 @pytest.fixture(scope="module")
 def answers():
-    """``(formula, result)`` for every ``check_sat`` the compiles made, as
-    their own (persistent, cached) solvers answered."""
+    """``((formula, hyps), result)`` for every ``check_sat`` the compiles
+    made, as their own (persistent, cached) solvers answered."""
     recorded = []
     original = Solver.check_sat
 
-    def recording(self, formula):
-        result = original(self, formula)
-        recorded.append((formula, result))
+    def recording(self, formula, *, hyps=()):
+        result = original(self, formula, hyps=hyps)
+        recorded.append(((formula, tuple(hyps)), result))
         return result
 
     patch = pytest.MonkeyPatch()
@@ -51,32 +53,34 @@ def answers():
 
 @pytest.fixture(scope="module")
 def fresh_verdicts(answers):
-    """Each distinct formula's status from a solver that never saw another."""
-    return {formula: Solver().check_sat(formula).status
-            for formula in dict.fromkeys(formula for formula, _ in answers)}
+    """Each distinct query's status from a solver that never saw another,
+    asked as one formula (:func:`whole_query`)."""
+    return {query: Solver().check_sat(whole_query(*query)).status
+            for query in dict.fromkeys(query for query, _ in answers)}
 
 
-def assert_model_satisfies(formula, result):
+def assert_model_satisfies(query, result):
     __tracebackhide__ = True
     if result.is_sat:
+        formula = whole_query(*query)
         assert truth_value(formula, result.model) is True, (formula, result.model)
 
 
 def test_the_compiles_answer_like_fresh_solvers(answers, fresh_verdicts):
     assert len(answers) >= 1000
-    for formula, result in answers:
-        assert result.status is fresh_verdicts[formula], formula
-        assert_model_satisfies(formula, result)
+    for query, result in answers:
+        assert result.status is fresh_verdicts[query], query
+        assert_model_satisfies(query, result)
     assert SatStatus.UNKNOWN not in fresh_verdicts.values()
 
 
 def test_one_solver_across_every_monitor_answers_like_fresh_ones(fresh_verdicts):
     solver = Solver()
     database = solver._sat
-    for formula, verdict in fresh_verdicts.items():
-        result = solver.check_sat(formula)
-        assert result.status is verdict, formula
-        assert_model_satisfies(formula, result)
+    for (formula, hyps), verdict in fresh_verdicts.items():
+        result = solver.check_sat(formula, hyps=hyps)
+        assert result.status is verdict, (formula, hyps)
+        assert_model_satisfies((formula, hyps), result)
     # Definitions, axioms, lemmas and learned clauses all stayed in one
     # database: it holds every clause loaded, plus at most one learned
     # clause per conflict.
@@ -91,10 +95,10 @@ def test_a_full_database_is_cleared_and_answers_do_not_change(fresh_verdicts, mo
     solver = Solver()
     databases = set()
     sizes = []
-    for formula, verdict in list(fresh_verdicts.items())[:400]:
-        result = solver.check_sat(formula)
-        assert result.status is verdict, formula
-        assert_model_satisfies(formula, result)
+    for (formula, hyps), verdict in list(fresh_verdicts.items())[:400]:
+        result = solver.check_sat(formula, hyps=hyps)
+        assert result.status is verdict, (formula, hyps)
+        assert_model_satisfies((formula, hyps), result)
         databases.add(id(solver._sat))
         sizes.append(solver._sat.num_clauses)
     assert len(databases) > 3

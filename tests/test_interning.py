@@ -201,6 +201,54 @@ class TestOneNodePerStructure:
         assert free_vars(x) == {x}
 
 
+#: One recipe of each kind ``construct`` knows, at the top.
+KIND_RECIPES = [
+    ("le", ("var", "x"), ("int", 1)), ("lt", ("var", "x"), ("var", "y")),
+    ("eq", ("add", ("var", "x"), ("int", 1)), ("var", "y")),
+    ("ne", ("neg", ("var", "x")), ("int", 0)),
+    ("ge", ("scale", 2, ("var", "x")), ("sub", ("var", "y"), ("int", 1))),
+    ("gt", ("var", "z"), ("int", -3)),
+    ("bvar", "p"), ("bool", True), ("bool", False),
+    ("not", ("bvar", "p")), ("not", ("le", ("var", "x"), ("int", 1))),
+    ("and", ("bvar", "p"), ("le", ("var", "x"), ("int", 1))),
+    ("or", ("bvar", "p"), ("bvar", "q")),
+    ("implies", ("bvar", "p"), ("bvar", "q")),
+    ("iff", ("bvar", "p"), ("bvar", "q")),
+    ("eq", ("bvar", "p"), ("bvar", "q")),
+    ("ite", ("bvar", "p"), ("bvar", "q"), ("le", ("var", "x"), ("int", 1))),
+    ("forall", ("le", ("var", "x"), ("var", "y"))),
+]
+
+
+class TestCachedNegation:
+    """``build.lnot`` computes a node's negation once and then looks it up."""
+
+    @staticmethod
+    def _assert_cached_is_uncached(formula):
+        terms._NEGATIONS.pop(formula, None)
+        uncached = build._negate(formula)
+        assert build.lnot(formula) is uncached
+        assert terms._NEGATIONS[formula] is uncached
+        assert build.lnot(formula) is uncached
+
+    @pytest.mark.parametrize("recipe", KIND_RECIPES, ids=repr)
+    def test_every_kind(self, recipe):
+        self._assert_cached_is_uncached(construct(recipe))
+
+    @given(RECIPES)
+    def test_generated_formulas(self, recipe):
+        self._assert_cached_is_uncached(construct(recipe))
+
+    def test_python_constants(self):
+        assert build.lnot(True) is build.FALSE
+        assert build.lnot(False) is build.TRUE
+
+    @given(st.sampled_from(["le", "lt", "eq", "ne", "ge", "gt"]), _INT_TERMS, _INT_TERMS)
+    def test_an_integer_comparison_is_its_double_negation(self, kind, left, right):
+        comparison = _BINARY[kind](construct(left), construct(right))
+        assert build.lnot(build.lnot(comparison)) is comparison
+
+
 class TestConstantsKeepTheirValue:
     """``IntConst(True) == IntConst(1)`` and ``BoolConst(1) == BoolConst(True)``
     as dataclasses; interned under one key, whichever was built first would
@@ -295,10 +343,16 @@ class TestInternTable:
         with terms._LOCK:
             terms._sweep()
         live = len(terms._TABLE)
+        # A comparison and its negation that only the negation cache holds.
+        negated = build.lnot(build.le(build.v(prefix + "negated"), 3))
+        pair_keys = [(type(node), *_fields(node))
+                     for node in (negated, build.lnot(negated))]
+        del negated
         monkeypatch.setattr(terms, "_SWEEP_LIMIT", 1000)
         monkeypatch.setattr(terms, "_sweep_at", 1000)
         for index in range(20_000):
             build.le(build.v(f"{prefix}short{index}"), index)
+        assert [key for key in pair_keys if key in terms._TABLE] == []
         # Without the sweep the table would hold 40,000 more nodes.
         assert len(terms._TABLE) <= max(1000, 2 * live) + 3
         assert construct(("and", ("le", ("var", "a"), ("var", "b")), ("bvar", "p")),

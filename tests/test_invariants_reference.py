@@ -151,24 +151,24 @@ def reference_infer(monitor, triples, solver, extra_candidates=()):
 
 class LyingSolver(Solver):
     """Prepends a bogus "counterexample" to every real one: a model of the
-    negated antecedent, which satisfies the implication.  Every such model
+    negated hypotheses, which satisfies the implication.  Every such model
     violates the ``pre`` it is about to be evaluated against, so only the
     concrete check that a model satisfies ``pre`` keeps it from deciding."""
 
-    def check_valid(self, formula, counterexample=None):
-        if counterexample is not None and hasattr(formula, "antecedent"):
-            bogus = self.check_sat(build.lnot(formula.antecedent))
+    def check_valid(self, goal, counterexample=None, *, hyps=()):
+        if counterexample is not None and hyps:
+            bogus = self.check_sat(build.lnot(build.land(*hyps)))
             if bogus.is_sat:
                 counterexample.append(bogus.model)
-        return super().check_valid(formula, counterexample)
+        return super().check_valid(goal, counterexample, hyps=hyps)
 
 
 class ForgetfulSolver(Solver):
     """Answers validity correctly but never hands back a counterexample, so
     every model-guided shortcut must fall back to per-candidate queries."""
 
-    def check_valid(self, formula, counterexample=None):
-        return super().check_valid(formula)
+    def check_valid(self, goal, counterexample=None, *, hyps=()):
+        return super().check_valid(goal, hyps=hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +329,16 @@ class TestVocabulary:
         assert solver.snapshot_statistics()["abduce_cache_hits"] == 1
 
     def test_houdini_computes_each_wp_once(self, monitors, monkeypatch):
-        """``wp(body, psi)`` runs at most once per (CCR, psi) in one
-        inference, however many rounds the fixed point takes."""
+        """``wp(body, psi)`` is computed at most once per (CCR, psi) in one
+        inference, however many rounds the fixed point takes: a call the
+        rewrite memo answers computes nothing."""
         calls = Counter()
         original = invariants.weakest_precondition
 
-        def counting(stmt, post):
-            calls[id(stmt), post] += 1
-            return original(stmt, post)
+        def counting(stmt, post, memo=None):
+            if memo is None or (id(stmt), post) not in memo.wp:
+                calls[id(stmt), post] += 1
+            return original(stmt, post, memo)
 
         monkeypatch.setattr(invariants, "weakest_precondition", counting)
         rounds = 0

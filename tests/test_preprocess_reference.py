@@ -31,6 +31,7 @@ from repro.smt import solver as solver_module
 from repro.smt.linear import linearize
 from repro.smt.preprocess import preprocess
 
+from test_conjunct_queries import whole_query
 from test_rewrite_memo import formulas
 
 _COMPARISONS = (Eq, Ne, Lt, Le, Gt, Ge)
@@ -209,7 +210,8 @@ GENERATED = tuple(random_monitor(1717, index).source for index in range(10))
 def suite_inputs():
     """``{formula: {results}}`` for every formula the solvers and quantifier
     eliminators of the compiles preprocessed, through their memos.  A
-    solver query's result is the conjunction of its preprocessed conjuncts."""
+    solver query is its whole formula (:func:`whole_query`), and its result
+    the conjunction of its preprocessed conjuncts."""
     processed = {}
     original = qe_module.preprocess
     original_conjuncts = solver_module.preprocess_conjuncts
@@ -219,9 +221,9 @@ def suite_inputs():
         processed.setdefault(formula, set()).add(result)
         return result
 
-    def recording_conjuncts(formula, memo=None):
-        conjuncts = original_conjuncts(formula, memo)
-        processed.setdefault(formula, set()).add(build.land(*conjuncts))
+    def recording_conjuncts(formula, memo=None, hyps=()):
+        conjuncts = original_conjuncts(formula, memo, hyps)
+        processed.setdefault(whole_query(formula, hyps), set()).add(build.land(*conjuncts))
         return conjuncts
 
     patch = pytest.MonkeyPatch()

@@ -26,6 +26,7 @@ from repro.smt.cache import FormulaCache
 from repro.smt.preprocess import preprocess
 from repro.smt.qe import QuantifierEliminator
 from repro.smt.solver import SatStatus, Solver, SolverError
+from test_conjunct_queries import whole_query
 
 #: Dining Philosophers (array-scalarized ite chains, the largest memo) plus
 #: monitors with boolean and integer state and heavy abduction, then the
@@ -49,8 +50,9 @@ def suite_compile():
     """What the solvers of a suite compile preprocessed and eliminated.
 
     Returns ``{formula: {warm results}}`` for the queries
-    ``Solver.check_sat`` preprocessed through the solver's memo (a result
-    is the conjunction of the query's preprocessed conjuncts), and the
+    ``Solver.check_sat`` preprocessed through the solver's memo (a query is
+    its whole formula, :func:`whole_query`, and a result the conjunction of
+    its preprocessed conjuncts), and the
     ``(formula, variables, outcome)`` of every abduction elimination.
     """
     processed = {}
@@ -59,10 +61,10 @@ def suite_compile():
     original_preprocess = solver_module.preprocess_conjuncts
     original_forall = QuantifierEliminator.forall
 
-    def recording_preprocess(formula, memo=None):
+    def recording_preprocess(formula, memo=None, hyps=()):
         memos.append(memo)
-        result = original_preprocess(formula, memo)
-        processed.setdefault(formula, set()).add(build.land(*result))
+        result = original_preprocess(formula, memo, hyps)
+        processed.setdefault(whole_query(formula, hyps), set()).add(build.land(*result))
         return result
 
     def recording_forall(self, variables):

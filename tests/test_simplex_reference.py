@@ -31,6 +31,7 @@ from repro.smt.cnf import AtomTable, encode
 from repro.smt.linear import Constraint, LinExpr
 from repro.smt.preprocess import preprocess
 from repro.smt.solver import Solver
+from test_conjunct_queries import whole_query
 
 #: Generated monitors compiled alongside the suite, for query volume:
 #: model-guided invariant inference answers most of the suite's questions
@@ -172,14 +173,17 @@ def suite_compile():
 
     Returns the distinct simplex inputs, ``(processed conjuncts so far,
     collected atoms)`` for every ``encode`` call (a query encodes its
-    conjuncts one by one into one collector), and every ``check_sat``
-    formula.
+    conjuncts one by one into one collector, which starts from its first
+    hypothesis's atoms once that hypothesis was solved), and every
+    ``check_sat`` formula with its hypotheses.
     """
     inputs = set()
     encodings = []
     queries = []
     query = [None, []]  # the current query's collector and its conjuncts
+    solving = []  # the conjuncts of the query being solved
     original_solve = simplex._solve
+    original_solve_processed = Solver._solve_processed
     original_encode = solver_module.encode
     original_check_sat = Solver.check_sat
 
@@ -187,21 +191,28 @@ def suite_compile():
         inputs.add(tuple(constraints))
         return original_solve(constraints)
 
+    def recording_solve_processed(self, conjuncts, prefix=None):
+        solving[:] = conjuncts
+        return original_solve_processed(self, conjuncts, prefix)
+
     def recording_encode(expr, table, atoms=None, cone=None):
         encoded = original_encode(expr, table, atoms, cone)
         if query[0] is not atoms:
-            query[:] = [atoms, []]
+            # A query whose first hypothesis was solved before starts from
+            # that hypothesis's atoms, collected from the conjuncts before.
+            query[:] = [atoms, solving[:solving.index(expr)]]
         query[1].append(expr)
         encodings.append((tuple(query[1]), list(atoms)))
         return encoded
 
-    def recording_check_sat(self, formula):
-        queries.append(formula)
-        return original_check_sat(self, formula)
+    def recording_check_sat(self, formula, *, hyps=()):
+        queries.append((formula, tuple(hyps)))
+        return original_check_sat(self, formula, hyps=hyps)
 
     patch = pytest.MonkeyPatch()
     patch.setattr(simplex, "_solve", recording_solve)
     patch.setattr(solver_module, "encode", recording_encode)
+    patch.setattr(Solver, "_solve_processed", recording_solve_processed)
     patch.setattr(Solver, "check_sat", recording_check_sat)
     try:
         for source in [spec.source for spec in ALL_BENCHMARKS.values()] + list(GENERATED):
@@ -240,8 +251,9 @@ class TestSuiteCompile:
         distinct = list(dict.fromkeys(queries))
         assert len(distinct) >= 1000
         warm = Solver()
-        for formula in distinct:
-            assert warm.check_sat(formula).status == Solver().check_sat(formula).status
+        for formula, hyps in distinct:
+            assert warm.check_sat(formula, hyps=hyps).status \
+                == Solver().check_sat(whole_query(formula, hyps)).status
         # One theory form per atom variable the warm solver ever mapped.
         assert 0 < len(warm._atom_forms) <= warm._atom_table.num_vars
 
