@@ -9,6 +9,11 @@
 * :mod:`repro.analysis.invariants` — monitor-invariant inference (Algorithm 2);
 * :mod:`repro.analysis.alias` — Andersen-style may-alias analysis standing in
   for the paper's use of Doop, with §6's guarded store expansion.
+
+What a statement reads and writes is answered in one place for all of them:
+the effect walker :func:`repro.lang.effects.stmt_effects` (and
+:func:`~repro.lang.effects.stmt_exprs`, the expressions it evaluates), which
+commutativity, lint and ``wp`` share with codegen and exploration.
 """
 
 from repro.analysis.wp import weakest_precondition

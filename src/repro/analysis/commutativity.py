@@ -33,14 +33,15 @@ returned UNKNOWN is not memoized.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import obs
 from repro.logic import build
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr, Var
-from repro.lang.ast import CCR, Monitor, Stmt, seq, stmt_assigned_vars
-from repro.analysis.lint.dataflow import method_effects, stmt_effects
+from repro.lang.ast import CCR, Monitor, Stmt, seq
+from repro.lang.effects import expr_reads, guarded_effects, stmt_effects
+from repro.analysis.lint.dataflow import method_effects
 from repro.analysis.renaming import rename_stmt_locals, rename_thread_locals
 from repro.analysis.symexec import SymbolicExecutionError, symbolic_execute
 from repro.analysis.wp import weakest_precondition
@@ -52,7 +53,7 @@ from repro.smt.solver import Solver
 _OTHER = "sem§2"
 
 #: The static independence tier: answer disjoint-footprint pairs from the
-#: lint dataflow's read/write sets without any solver work.  Sound because a
+#: effect walker's read/write sets without any solver work.  Sound because a
 #: pair neither side of which writes anything the other mentions commutes
 #: outright; gated to summarizable bodies so every answered verdict is
 #: exactly what the symbolic path would have proven.  Toggleable for the
@@ -197,38 +198,6 @@ def ccr_commutes_with_all(ccr: CCR, monitor: Monitor,
 # ---------------------------------------------------------------------------
 
 
-def _expr_names(expr: Expr) -> Set[str]:
-    return {var.name for var in ordered_free_vars(expr)}
-
-
-def _stmt_names(stmt: Stmt) -> Set[str]:
-    """Every variable name a statement mentions (reads and writes)."""
-    names: Set[str] = set(stmt_assigned_vars(stmt))
-    for expr in _stmt_exprs(stmt):
-        names |= _expr_names(expr)
-    return names
-
-
-def _stmt_exprs(stmt: Stmt):
-    from repro.lang.ast import ArrayAssign, Assign, If, LocalDecl, While
-
-    if isinstance(stmt, Assign):
-        yield stmt.value
-    elif isinstance(stmt, LocalDecl):
-        yield stmt.init
-    elif isinstance(stmt, ArrayAssign):
-        yield stmt.index
-        yield stmt.value
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While):
-        yield stmt.cond
-        if stmt.invariant is not None:
-            yield stmt.invariant
-    for child in stmt.children():
-        yield from _stmt_exprs(child)
-
-
 def _guard_preserved(body: Stmt, guard: Expr, solver: Solver) -> bool:
     """Does executing *body* provably leave *guard*'s truth value unchanged?
 
@@ -237,7 +206,7 @@ def _guard_preserved(body: Stmt, guard: Expr, solver: Solver) -> bool:
     computed (array assignments before scalarization) and loop havoc that
     defeats the equivalence both answer conservatively False.
     """
-    if not stmt_assigned_vars(body) & _expr_names(guard):
+    if not stmt_effects(body).writes & expr_reads(guard):
         return True  # the body touches nothing the guard reads
     try:
         transformed = weakest_precondition(body, guard)
@@ -283,21 +252,15 @@ def _segments_independent(guard_a: Expr, body_a: Stmt,
     # condition, never to the notifying segment, so they are left unrenamed
     # on both sides (they stay universally quantified) and both sides'
     # occurrences of one predicate remain structurally comparable.
-    locals_b = (_stmt_names(body_b) | _expr_names(guard_b)) - shared_names
+    locals_b = guarded_effects(guard_b, body_b).names - shared_names
     body_b = rename_stmt_locals(body_b, locals_b, _OTHER)
     guard_b = rename_thread_locals(guard_b, locals_b, _OTHER)
     # Cheap syntactic disjointness: once the locals are apart, segments
     # whose writes touch nothing the other side mentions commute without
     # any solver work.
-    names_a = _stmt_names(body_a) | _expr_names(guard_a)
-    for predicate, _conditional, _broadcast in notifications_a:
-        names_a |= _expr_names(predicate)
-    names_b = _stmt_names(body_b) | _expr_names(guard_b)
-    for predicate, _conditional, _broadcast in notifications_b:
-        names_b |= _expr_names(predicate)
-    writes_a = set(stmt_assigned_vars(body_a))
-    writes_b = set(stmt_assigned_vars(body_b))
-    if not (writes_a & names_b) and not (writes_b & names_a):
+    effects_a = guarded_effects(guard_a, body_a, (n[0] for n in notifications_a))
+    effects_b = guarded_effects(guard_b, body_b, (n[0] for n in notifications_b))
+    if effects_a.disjoint_from(effects_b):
         return True
     # Locals are disjoint after renaming, so comparing *every* assigned
     # variable across the two orders captures both the shared state and each
@@ -358,7 +321,7 @@ def _notifications_equivalent(own_body: Stmt,
             continue
         # A CCR that assigns a local sharing its name with a waiter-side
         # predicate variable would conflate the two identities below.
-        if stmt_assigned_vars(own_body) & (_expr_names(predicate) - shared_names):
+        if stmt_effects(own_body).writes & (expr_reads(predicate) - shared_names):
             return False
         try:
             composed = weakest_precondition(own_body, predicate)
@@ -378,7 +341,7 @@ def _notifications_equivalent(own_body: Stmt,
 def _never_falsifies(body: Stmt, predicate: Expr, solver: Solver) -> bool:
     """``valid(predicate => wp(body, predicate))`` — the body may enable the
     predicate but never disable it."""
-    if not stmt_assigned_vars(body) & _expr_names(predicate):
+    if not stmt_effects(body).writes & expr_reads(predicate):
         return True
     try:
         transformed = weakest_precondition(body, predicate)
@@ -390,7 +353,7 @@ def _never_falsifies(body: Stmt, predicate: Expr, solver: Solver) -> bool:
 def _ccr_notifications(ccr) -> Tuple[NotificationSpec, ...]:
     """The placed notifications of an explicit CCR, structurally."""
     return tuple((n.predicate, n.conditional, n.broadcast)
-                 for n in getattr(ccr, "notifications", ()))
+                 for n in ccr.notifications)
 
 
 def methods_semantically_independent(method_a, method_b, shared_names: frozenset,
@@ -501,10 +464,10 @@ def calls_semantically_independent(method_a, args_a, method_b, args_b,
     if binding_a is None or binding_b is None:
         return False
     for ccr in method_a.ccrs:
-        if stmt_assigned_vars(ccr.body) & set(binding_a):
+        if stmt_effects(ccr.body).writes & set(binding_a):
             return False
     for ccr in method_b.ccrs:
-        if stmt_assigned_vars(ccr.body) & set(binding_b):
+        if stmt_effects(ccr.body).writes & set(binding_b):
             return False
     # Notification predicates are *waiter-side* formulas (§6): their
     # thread-local variables belong to whichever thread sleeps on the
@@ -542,7 +505,7 @@ def semantic_independence_for_explicit(
     shared = frozenset(decl.name for decl in explicit.fields)
     matrix: Dict[Tuple[str, str], bool] = {}
     with obs.tracer().span("commute.matrix", cat="commute",
-                           monitor=getattr(explicit, "name", "?")):
+                           monitor=explicit.name):
         for method_a in explicit.methods:
             for method_b in explicit.methods:
                 pair = (method_a.name, method_b.name)

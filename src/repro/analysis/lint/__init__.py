@@ -21,13 +21,10 @@ from repro.analysis.lint.checks import (
     lint_result,
 )
 from repro.analysis.lint.dataflow import (
-    EffectSummary,
-    expr_reads,
     heap_store_effects,
     method_effects,
     obligation_map,
     segment_effects,
-    stmt_effects,
 )
 from repro.analysis.lint.report import (
     ADVISORY,
@@ -37,6 +34,7 @@ from repro.analysis.lint.report import (
     LintReport,
     merge_reports,
 )
+from repro.lang.effects import EffectSummary, expr_reads, stmt_effects
 
 __all__ = [
     "ADVISORY",

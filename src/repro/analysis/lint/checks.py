@@ -22,7 +22,7 @@ and ``wait-in-non-loop`` shapes in emitted cooperative code.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from repro import obs
 from repro.logic import build
@@ -30,21 +30,19 @@ from repro.logic.free_vars import ordered_free_vars
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.analysis.hoare import HoareTriple, check_triple
-from repro.analysis.lint.dataflow import (
-    EffectSummary,
-    expr_reads,
-    iter_ccrs,
-    monitor_guards,
-    obligation_map,
-    segment_effects,
-)
+from repro.lang.effects import EffectSummary, expr_reads
+from repro.analysis.lint.dataflow import obligation_map, segment_effects
 from repro.analysis.lint.report import ADVISORY, ERROR, LintFinding, LintReport
 from repro.analysis.renaming import rename_thread_locals
 from repro.smt.solver import Solver
 
+if TYPE_CHECKING:  # the placement package imports this one
+    from repro.placement.pipeline import ExpressoResult
+    from repro.placement.target import ExplicitCCR, ExplicitMonitor
 
-def _field_names(monitor: object) -> FrozenSet[str]:
-    return frozenset(decl.name for decl in getattr(monitor, "fields", ()))
+
+def _field_names(monitor: ExplicitMonitor) -> FrozenSet[str]:
+    return frozenset(decl.name for decl in monitor.fields)
 
 
 def _guard_locals(guard: Expr, fields: FrozenSet[str]) -> FrozenSet[str]:
@@ -58,7 +56,7 @@ def _short(predicate: Expr) -> str:
     return text if len(text) <= 48 else text[:45] + "..."
 
 
-def can_enable(invariant: Expr, ccr: object, predicate: Expr,
+def can_enable(invariant: Expr, ccr: ExplicitCCR, predicate: Expr,
                fields: FrozenSet[str], solver: Solver) -> bool:
     """May executing *ccr* wake a thread blocked on *predicate*?
 
@@ -84,18 +82,18 @@ def can_enable(invariant: Expr, ccr: object, predicate: Expr,
     return not ok
 
 
-def check_missing_signals(explicit: object, solver: Solver,
+def check_missing_signals(explicit: ExplicitMonitor, solver: Solver,
                           effects: Dict[str, EffectSummary]) -> List[LintFinding]:
     """Obligations with no covering placed notification that the SMT
     confirmation cannot discharge."""
     fields = _field_names(explicit)
-    invariant = getattr(explicit, "invariant", build.TRUE)
+    invariant = explicit.invariant
     findings: List[LintFinding] = []
     obligations = obligation_map(explicit, effects)
-    for method, ccr in iter_ccrs(explicit):
+    for method, ccr in explicit.ccrs():
         for predicate in obligations[ccr.label]:
             covered = any(note.predicate == predicate
-                          for note in getattr(ccr, "notifications", ()))
+                          for note in ccr.notifications)
             if covered:
                 continue
             if not can_enable(invariant, ccr, predicate, fields, solver):
@@ -109,14 +107,14 @@ def check_missing_signals(explicit: object, solver: Solver,
     return findings
 
 
-def check_dead_signals(explicit: object,
+def check_dead_signals(explicit: ExplicitMonitor,
                        effects: Dict[str, EffectSummary]) -> List[LintFinding]:
     """Placed notifications whose segment writes nothing their predicate reads."""
     fields = _field_names(explicit)
     findings: List[LintFinding] = []
-    for method, ccr in iter_ccrs(explicit):
+    for method, ccr in explicit.ccrs():
         summary = effects[ccr.label]
-        for note in getattr(ccr, "notifications", ()):
+        for note in ccr.notifications:
             predicate_fields = expr_reads(note.predicate) & fields
             if summary.field_writes(fields) & predicate_fields:
                 continue
@@ -129,12 +127,12 @@ def check_dead_signals(explicit: object,
     return findings
 
 
-def check_dead_guards(explicit: object, solver: Solver) -> List[LintFinding]:
+def check_dead_guards(explicit: ExplicitMonitor, solver: Solver) -> List[LintFinding]:
     """Guards no state can ever satisfy (SMT-unsat predicates)."""
     findings: List[LintFinding] = []
-    for guard in monitor_guards(explicit):
+    for guard in explicit.guards():
         if solver.check_sat(guard).is_unsat:
-            waiters = sorted(ccr.label for _m, ccr in iter_ccrs(explicit)
+            waiters = sorted(ccr.label for _m, ccr in explicit.ccrs()
                              if ccr.guard == guard)
             findings.append(LintFinding(
                 check="dead-guard", severity=ERROR,
@@ -145,13 +143,13 @@ def check_dead_guards(explicit: object, solver: Solver) -> List[LintFinding]:
     return findings
 
 
-def check_naked_notifies(explicit: object,
+def check_naked_notifies(explicit: ExplicitMonitor,
                          effects: Dict[str, EffectSummary]) -> List[LintFinding]:
     """Segments that notify without changing any shared state."""
     fields = _field_names(explicit)
     findings: List[LintFinding] = []
-    for method, ccr in iter_ccrs(explicit):
-        notes = getattr(ccr, "notifications", ())
+    for method, ccr in explicit.ccrs():
+        notes = ccr.notifications
         if not notes:
             continue
         if effects[ccr.label].field_writes(fields):
@@ -164,17 +162,17 @@ def check_naked_notifies(explicit: object,
     return findings
 
 
-def check_unused_fields(explicit: object,
+def check_unused_fields(explicit: ExplicitMonitor,
                         effects: Dict[str, EffectSummary]) -> List[LintFinding]:
     """Fields no guard, body, or notification predicate ever mentions."""
     mentioned: set = set()
-    for _method, ccr in iter_ccrs(explicit):
+    for _method, ccr in explicit.ccrs():
         mentioned |= effects[ccr.label].names
         mentioned |= expr_reads(ccr.guard)
-        for note in getattr(ccr, "notifications", ()):
+        for note in ccr.notifications:
             mentioned |= expr_reads(note.predicate)
     findings: List[LintFinding] = []
-    for decl in getattr(explicit, "fields", ()):
+    for decl in explicit.fields:
         if decl.name in mentioned:
             continue
         findings.append(LintFinding(
@@ -184,10 +182,10 @@ def check_unused_fields(explicit: object,
     return findings
 
 
-def check_unreachable_methods(explicit: object, solver: Solver) -> List[LintFinding]:
+def check_unreachable_methods(explicit: ExplicitMonitor, solver: Solver) -> List[LintFinding]:
     """Methods whose entry guard is unsatisfiable even alone."""
     findings: List[LintFinding] = []
-    for method in getattr(explicit, "methods", ()):
+    for method in explicit.methods:
         if not method.ccrs:
             continue
         entry = method.ccrs[0]
@@ -241,7 +239,7 @@ def check_coop_waits(source: str) -> List[LintFinding]:
 # ---------------------------------------------------------------------------
 
 
-def lint_explicit(explicit: object, solver: Optional[Solver] = None,
+def lint_explicit(explicit: ExplicitMonitor, solver: Optional[Solver] = None,
                   coop_source: Optional[str] = None) -> LintReport:
     """Run every check against a placed monitor.
 
@@ -263,10 +261,10 @@ def lint_explicit(explicit: object, solver: Optional[Solver] = None,
     findings.extend(check_unreachable_methods(explicit, solver))
     if coop_source is not None:
         findings.extend(check_coop_waits(coop_source))
-    return LintReport(monitor=getattr(explicit, "name", "?"),
+    return LintReport(monitor=explicit.name,
                       findings=tuple(findings))
 
 
-def lint_result(result: object, solver: Optional[Solver] = None) -> LintReport:
+def lint_result(result: ExpressoResult, solver: Optional[Solver] = None) -> LintReport:
     """Lint a pipeline :class:`~repro.placement.pipeline.ExpressoResult`."""
     return lint_explicit(result.explicit, solver=solver)

@@ -1,11 +1,11 @@
-"""May-read / may-write effect summaries for monitor statements and guards.
+"""Monitor-level effect summaries for the lint layer.
 
-The lint layer's substrate: a flow-insensitive AST dataflow that computes,
-per statement / guard / method, the set of variable names the code may read
-and may write.  Field-level projections of these sets drive the
-signal-obligation map (every segment that may change a guard's valuation owes
-a notification on that condition), the dead-signal/naked-notify smells, and
-the static independence pre-filter in
+The lint layer's substrate.  Statement and expression effects come from the
+one effect walker, :func:`repro.lang.effects.stmt_effects`; this module
+lifts them to segments, methods and whole monitors.  Field-level projections
+of the summaries drive the signal-obligation map (every segment that may
+change a guard's valuation owes a notification on that condition), the
+dead-signal/naked-notify smells, and the static independence pre-filter in
 :mod:`repro.analysis.commutativity`.
 
 Array stores are handled both before and after scalarization: a
@@ -19,118 +19,20 @@ through the same effect walk as everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr
-from repro.lang.arrays import cell_name
-from repro.lang.ast import (
-    ArrayAssign,
-    Assign,
-    If,
-    LocalDecl,
-    Seq,
-    Skip,
-    Stmt,
-    While,
+from repro.lang.effects import (
+    EMPTY_EFFECTS,
+    EffectSummary,
+    expr_reads,
+    guarded_effects,
+    stmt_effects,
 )
 from repro.analysis.alias import PointsToAnalysis, expand_store_with_analysis
 
-
-@dataclass(frozen=True)
-class EffectSummary:
-    """May-read / may-write name sets of one piece of code.
-
-    ``summarizable`` is False when the code contains constructs forward
-    symbolic execution cannot summarize (loops, unscalarized array stores);
-    the commutativity pre-filter refuses to decide such pairs statically so
-    its verdicts stay exactly those of the symbolic path.
-    """
-
-    reads: FrozenSet[str]
-    writes: FrozenSet[str]
-    summarizable: bool = True
-
-    @property
-    def names(self) -> FrozenSet[str]:
-        """Everything the code mentions (reads and writes)."""
-        return self.reads | self.writes
-
-    def field_writes(self, fields: FrozenSet[str]) -> FrozenSet[str]:
-        return self.writes & fields
-
-    def disjoint_from(self, other: "EffectSummary") -> bool:
-        """Neither side writes anything the other mentions."""
-        return not (self.writes & other.names) and not (other.writes & self.names)
-
-    def union(self, other: "EffectSummary") -> "EffectSummary":
-        return EffectSummary(self.reads | other.reads,
-                             self.writes | other.writes,
-                             self.summarizable and other.summarizable)
-
-
-EMPTY_EFFECTS = EffectSummary(frozenset(), frozenset())
-
-
-def expr_reads(expr: Expr) -> FrozenSet[str]:
-    """The variable names an expression may read."""
-    return frozenset(var.name for var in ordered_free_vars(expr))
-
-
-def stmt_effects(stmt: Stmt,
-                 array_sizes: Optional[Mapping[str, int]] = None) -> EffectSummary:
-    """The may-read/may-write summary of a statement.
-
-    *array_sizes* maps pre-scalarization array field names to their declared
-    sizes so an ``ArrayAssign`` can be attributed to every cell scalar it may
-    target; without it the write is attributed to the bare array name only.
-    """
-    reads: set = set()
-    writes: set = set()
-    summarizable = _collect_effects(stmt, reads, writes, array_sizes or {})
-    return EffectSummary(frozenset(reads), frozenset(writes), summarizable)
-
-
-def _collect_effects(stmt: Stmt, reads: set, writes: set,
-                     array_sizes: Mapping[str, int]) -> bool:
-    summarizable = True
-    if isinstance(stmt, Skip):
-        return True
-    if isinstance(stmt, Assign):
-        writes.add(stmt.target)
-        reads.update(expr_reads(stmt.value))
-        return True
-    if isinstance(stmt, LocalDecl):
-        writes.add(stmt.name)
-        reads.update(expr_reads(stmt.init))
-        return True
-    if isinstance(stmt, ArrayAssign):
-        writes.add(stmt.array)
-        for index in range(array_sizes.get(stmt.array, 0)):
-            writes.add(cell_name(stmt.array, index))
-        reads.update(expr_reads(stmt.index))
-        reads.update(expr_reads(stmt.value))
-        return False  # symbolic execution rejects unscalarized stores
-    if isinstance(stmt, Seq):
-        for child in stmt.stmts:
-            summarizable &= _collect_effects(child, reads, writes, array_sizes)
-        return summarizable
-    if isinstance(stmt, If):
-        reads.update(expr_reads(stmt.cond))
-        summarizable &= _collect_effects(stmt.then, reads, writes, array_sizes)
-        summarizable &= _collect_effects(stmt.orelse, reads, writes, array_sizes)
-        return summarizable
-    if isinstance(stmt, While):
-        reads.update(expr_reads(stmt.cond))
-        if stmt.invariant is not None:
-            reads.update(expr_reads(stmt.invariant))
-        _collect_effects(stmt.body, reads, writes, array_sizes)
-        return False  # loops defeat forward symbolic execution
-    # Unknown statement type: claim nothing, decide nothing statically.
-    for child in stmt.children():
-        _collect_effects(child, reads, writes, array_sizes)
-    return False
+if TYPE_CHECKING:  # the placement package imports this one
+    from repro.placement.target import ExplicitMethod, ExplicitMonitor
 
 
 def heap_store_effects(owner: str, fld: str, value: Expr,
@@ -152,47 +54,14 @@ def heap_store_effects(owner: str, fld: str, value: Expr,
 # ---------------------------------------------------------------------------
 
 
-def _monitor_array_sizes(monitor: object) -> Dict[str, int]:
-    sizes: Dict[str, int] = {}
-    for decl in getattr(monitor, "fields", ()):
-        if getattr(decl, "array_size", None) is not None:
-            sizes[decl.name] = decl.array_size
-    return sizes
-
-
-def iter_ccrs(monitor: object) -> List[Tuple[object, object]]:
-    """``(method, ccr)`` pairs of an implicit :class:`~repro.lang.ast.Monitor`
-    or a placed :class:`~repro.placement.target.ExplicitMonitor`."""
-    pairs: List[Tuple[object, object]] = []
-    for method in getattr(monitor, "methods", ()):
-        for ccr in method.ccrs:
-            pairs.append((method, ccr))
-    return pairs
-
-
-def monitor_guards(monitor: object) -> List[Expr]:
-    """The distinct non-trivial guard predicates, in declaration order."""
-    from repro.logic import build
-
-    seen: List[Expr] = []
-    for _method, ccr in iter_ccrs(monitor):
-        if ccr.guard == build.TRUE:
-            continue
-        if ccr.guard not in seen:
-            seen.append(ccr.guard)
-    return seen
-
-
-def segment_effects(monitor: object) -> Dict[str, EffectSummary]:
+def segment_effects(monitor: ExplicitMonitor) -> Dict[str, EffectSummary]:
     """Per-CCR body summaries, keyed by CCR label."""
-    sizes = _monitor_array_sizes(monitor)
-    return {ccr.label: stmt_effects(ccr.body, sizes)
-            for _method, ccr in iter_ccrs(monitor)}
+    sizes = {decl.name: decl.array_size for decl in monitor.fields
+             if decl.array_size is not None}
+    return {ccr.label: stmt_effects(ccr.body, sizes) for _method, ccr in monitor.ccrs()}
 
 
-def method_effects(method: object,
-                   array_sizes: Optional[Mapping[str, int]] = None,
-                   include_notifications: bool = True) -> EffectSummary:
+def method_effects(method: ExplicitMethod) -> EffectSummary:
     """One method's combined effects: guards, bodies, placed notifications.
 
     Guard and notification-predicate reads are included because the
@@ -201,16 +70,12 @@ def method_effects(method: object,
     """
     summary = EMPTY_EFFECTS
     for ccr in method.ccrs:
-        summary = summary.union(stmt_effects(ccr.body, array_sizes))
-        summary = summary.union(EffectSummary(expr_reads(ccr.guard), frozenset()))
-        if include_notifications:
-            for notification in getattr(ccr, "notifications", ()):
-                summary = summary.union(
-                    EffectSummary(expr_reads(notification.predicate), frozenset()))
+        summary = summary.union(guarded_effects(
+            ccr.guard, ccr.body, (n.predicate for n in ccr.notifications)))
     return summary
 
 
-def obligation_map(monitor: object,
+def obligation_map(monitor: ExplicitMonitor,
                    effects: Optional[Dict[str, EffectSummary]] = None
                    ) -> Dict[str, Tuple[Expr, ...]]:
     """The signal-obligation map: which guards each segment may enable.
@@ -222,13 +87,13 @@ def obligation_map(monitor: object,
     obligation either by a covering placed notification or by the same
     can-enable Hoare triple Algorithm 1 used to omit one.
     """
-    fields = frozenset(decl.name for decl in getattr(monitor, "fields", ()))
+    fields = frozenset(decl.name for decl in monitor.fields)
     if effects is None:
         effects = segment_effects(monitor)
     obligations: Dict[str, Tuple[Expr, ...]] = {}
-    for _method, ccr in iter_ccrs(monitor):
+    for _method, ccr in monitor.ccrs():
         owed = tuple(
-            guard for guard in monitor_guards(monitor)
+            guard for guard in monitor.guards()
             if effects[ccr.label].field_writes(fields) & expr_reads(guard)
         )
         obligations[ccr.label] = owed

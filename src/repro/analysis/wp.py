@@ -47,8 +47,8 @@ from repro.lang.ast import (
     Skip,
     Stmt,
     While,
-    stmt_assigned_vars,
 )
+from repro.lang.effects import stmt_effects, stmt_exprs
 
 _HAVOC_COUNTER = itertools.count()
 
@@ -95,7 +95,7 @@ def _wp(stmt: Stmt, post: Expr) -> Expr:
 
 
 def _wp_while(stmt: While, post: Expr) -> Expr:
-    assigned = stmt_assigned_vars(stmt.body)
+    assigned = stmt_effects(stmt.body).writes
     havoc_map = _havoc_map(stmt, post, assigned)
 
     def havoc(expr: Expr) -> Expr:
@@ -119,27 +119,10 @@ def _wp_while(stmt: While, post: Expr) -> Expr:
 
 def _havoc_map(stmt: While, post: Expr, assigned: FrozenSet[str]) -> Dict[Var, Expr]:
     """Fresh variables for every assigned name, preserving each variable's sort."""
-    relevant = [post, stmt.cond, *_expressions_of(stmt.body)]
-    if stmt.invariant is not None:
-        relevant.append(stmt.invariant)
     suffix = next(_HAVOC_COUNTER)
     return {var: Var(f"{var.name}!havoc{suffix}", var.var_sort)
-            for expr in relevant for var in ordered_free_vars(expr) if var.name in assigned}
-
-
-def _expressions_of(stmt: Stmt):
-    if isinstance(stmt, (Assign,)):
-        yield stmt.value
-    elif isinstance(stmt, LocalDecl):
-        yield stmt.init
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While):
-        yield stmt.cond
-        if stmt.invariant is not None:
-            yield stmt.invariant
-    for child in stmt.children():
-        yield from _expressions_of(child)
+            for expr in (post, *stmt_exprs(stmt))
+            for var in ordered_free_vars(expr) if var.name in assigned}
 
 
 def _substitution_for(post: Expr, target: str, value: Expr) -> Dict[Var, Expr]:

@@ -28,6 +28,7 @@ from repro.codegen.pystmt import stmt_to_python
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import BOOL, Expr, INT
 from repro.lang.ast import Monitor, Skip
+from repro.lang.effects import stmt_effects
 from repro.placement.target import ExplicitCCR, ExplicitMonitor, Notification
 
 
@@ -300,13 +301,11 @@ def _notification_lines(notification: Notification, field_names: FrozenSet[str],
 
 def _method_local_names(monitor: Monitor, method) -> List[str]:
     """Non-parameter thread-local names assigned anywhere in *method*."""
-    from repro.lang.ast import stmt_assigned_vars
-
     field_names = set(monitor.field_names())
     params = set(method.param_names())
     names: List[str] = []
     for ccr in method.ccrs:
-        for name in sorted(stmt_assigned_vars(ccr.body)):
+        for name in sorted(stmt_effects(ccr.body).writes):
             if name not in field_names and name not in params and name not in names:
                 names.append(name)
     return names

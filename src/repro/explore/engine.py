@@ -63,20 +63,11 @@ from repro.explore.strategies import (
     make_strategy,
 )
 from repro.explore.trace import render_trace
-from repro.lang.ast import (
-    ArrayAssign,
-    Assign,
-    If,
-    LocalDecl,
-    Monitor,
-    Stmt,
-    While,
-    stmt_assigned_vars,
-)
+from repro.lang.ast import Monitor
 from repro.lang.arrays import cell_name
+from repro.lang.effects import EMPTY_EFFECTS, expr_reads, guarded_effects, stmt_effects
 from repro.logic import TRUE
 from repro.logic.evaluate import EvaluationError, evaluate
-from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.substitute import rename_vars
 from repro.logic.terms import INT, Var
@@ -96,36 +87,14 @@ _COOP_CLASS_CACHE: Dict[Tuple, type] = {}
 # ---------------------------------------------------------------------------
 
 
-def _expr_fields(expr, fields: frozenset) -> Set[str]:
-    return {var.name for var in ordered_free_vars(expr) if var.name in fields}
-
-
-def _stmt_reads(stmt: Stmt, fields: frozenset) -> Set[str]:
-    """Shared fields read anywhere inside *stmt*."""
-    reads: Set[str] = set()
-    if isinstance(stmt, Assign):
-        reads |= _expr_fields(stmt.value, fields)
-    elif isinstance(stmt, ArrayAssign):
-        reads |= _expr_fields(stmt.index, fields)
-        reads |= _expr_fields(stmt.value, fields)
-    elif isinstance(stmt, LocalDecl):
-        reads |= _expr_fields(stmt.init, fields)
-    elif isinstance(stmt, If):
-        reads |= _expr_fields(stmt.cond, fields)
-    elif isinstance(stmt, While):
-        reads |= _expr_fields(stmt.cond, fields)
-    for child in stmt.children():
-        reads |= _stmt_reads(child, fields)
-    return reads
-
-
 def footprints_for_explicit(explicit: ExplicitMonitor) -> Dict[str, MethodFootprint]:
     """Per-method shared-field/condition-variable footprints of a placement.
 
     The footprint over-approximates everything the *compiled* method can
-    touch: guard evaluations and conditional-notification predicates count as
-    reads, placed notifications as signals on their condition variable, and
-    non-trivial guards as waits.  Mutants produced by
+    touch: guard evaluations, body reads (loop invariants included) and
+    conditional-notification predicates count as reads, placed notifications
+    as signals on their condition variable, and non-trivial guards as waits.
+    Mutants produced by
     :meth:`ExplicitMonitor.without_notification` get footprints from their
     own (reduced) notification sets, so independence reflects the mutant's
     actual behaviour.
@@ -134,27 +103,20 @@ def footprints_for_explicit(explicit: ExplicitMonitor) -> Dict[str, MethodFootpr
     cond_of = {guard: name for guard, name in explicit.condition_vars}
     footprints: Dict[str, MethodFootprint] = {}
     for method in explicit.methods:
-        reads: Set[str] = set()
-        writes: Set[str] = set()
+        effects = EMPTY_EFFECTS
         waits: Set[str] = set()
         signals: Set[str] = set()
         for ccr in method.ccrs:
-            reads |= _expr_fields(ccr.guard, fields)
-            reads |= _stmt_reads(ccr.body, fields)
-            writes |= set(stmt_assigned_vars(ccr.body)) & fields
-            if ccr.guard != TRUE:
-                cond = cond_of.get(ccr.guard)
-                if cond is not None:
-                    waits.add(cond)
-            for notification in ccr.notifications:
-                cond = cond_of.get(notification.predicate)
-                if cond is None:
-                    continue  # the code generator drops these too
-                signals.add(cond)
-                if notification.conditional:
-                    reads |= _expr_fields(notification.predicate, fields)
+            # The code generator drops notifications without a condition
+            # variable, so they neither signal nor read.
+            placed = [n for n in ccr.notifications if n.predicate in cond_of]
+            effects = effects.union(guarded_effects(
+                ccr.guard, ccr.body, [n.predicate for n in placed if n.conditional]))
+            if ccr.guard != TRUE and ccr.guard in cond_of:
+                waits.add(cond_of[ccr.guard])
+            signals.update(cond_of[n.predicate] for n in placed)
         footprints[method.name] = MethodFootprint(
-            frozenset(reads), frozenset(writes),
+            effects.reads & fields, effects.writes & fields,
             frozenset(waits), frozenset(signals))
     return footprints
 
@@ -224,11 +186,9 @@ class SegmentRefiner:
             if guard is None:
                 self._wait_footprints[key] = None
             else:
-                reads = frozenset(
-                    var.name for var in ordered_free_vars(guard)
-                    if var.name in self.fields)
                 self._wait_footprints[key] = MethodFootprint(
-                    reads, frozenset(), frozenset({key}), frozenset())
+                    expr_reads(guard) & self.fields, frozenset(),
+                    frozenset({key}), frozenset())
         return self._wait_footprints[key]
 
     def executed(self, run, event_index: int) -> Optional[MethodFootprint]:
@@ -445,7 +405,7 @@ def _index_params(explicit: ExplicitMonitor, monitor: Monitor, calls,
             continue
         assigned = set()
         for ccr in method.ccrs + other.ccrs:
-            assigned |= stmt_assigned_vars(ccr.body)
+            assigned |= stmt_effects(ccr.body).writes
         positions = {
             position: param.name
             for position, param in enumerate(method.params)

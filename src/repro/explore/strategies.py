@@ -23,7 +23,9 @@ its recorded choice list in :class:`ScheduleStrategy`.
 
 The POR machinery at the bottom of the module defines *when two scheduling
 choices commute*: each monitor method gets a static :class:`MethodFootprint`
-(shared fields read/written, condition variables waited-on/signalled) and two
+(shared fields read/written, condition variables waited-on/signalled; the
+field sets are :func:`repro.lang.effects.stmt_effects`, the one effect
+walker, projected onto the fields) and two
 enabled grant choices are independent exactly when neither footprint writes
 the other's read/write set and their condition-variable signal sets don't
 touch (sleepers are kept tid-sorted by the scheduler, so two threads merely

@@ -114,24 +114,6 @@ def seq(*stmts: Stmt) -> Stmt:
     return Seq(tuple(flat))
 
 
-def stmt_assigned_vars(stmt: Stmt) -> frozenset:
-    """Names assigned anywhere inside *stmt* (fields, locals, array cells)."""
-    names: set = set()
-    _collect_assigned(stmt, names)
-    return frozenset(names)
-
-
-def _collect_assigned(stmt: Stmt, out: set) -> None:
-    if isinstance(stmt, Assign):
-        out.add(stmt.target)
-    elif isinstance(stmt, LocalDecl):
-        out.add(stmt.name)
-    elif isinstance(stmt, ArrayAssign):
-        out.add(stmt.array)
-    for child in stmt.children():
-        _collect_assigned(child, out)
-
-
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
@@ -254,9 +236,11 @@ class Monitor:
 
     def thread_local_names(self, method: MethodDecl) -> frozenset:
         """Parameter and local-variable names of *method* (thread-local, §3.1/§4.2)."""
+        from repro.lang.effects import stmt_effects  # effects builds on this module
+
         names = set(method.param_names())
         for ccr in method.ccrs:
-            for name in stmt_assigned_vars(ccr.body):
+            for name in stmt_effects(ccr.body).writes:
                 if name not in self.field_names():
                     names.add(name)
         return frozenset(names)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.logic import build
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang.ast import FieldDecl, Param, Stmt
@@ -97,6 +98,16 @@ class ExplicitMonitor:
             if method.name == name:
                 return method
         raise KeyError(name)
+
+    def ccrs(self) -> Tuple[Tuple[ExplicitMethod, ExplicitCCR], ...]:
+        """Every CCR with its enclosing method, as :meth:`Monitor.ccrs`."""
+        return tuple((method, ccr) for method in self.methods for ccr in method.ccrs)
+
+    def guards(self) -> Tuple[Expr, ...]:
+        """The distinct non-trivial guards in declaration order, as
+        :meth:`Monitor.guards`."""
+        return tuple(dict.fromkeys(
+            ccr.guard for _method, ccr in self.ccrs() if ccr.guard != build.TRUE))
 
     def total_notifications(self) -> int:
         """Total number of placed notifications (a code-quality metric)."""

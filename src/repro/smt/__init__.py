@@ -24,7 +24,7 @@ Architecture (classic lazy DPLL(T)):
    :class:`~repro.smt.solver.Solver` with ``check_sat`` / ``check_valid``.
 """
 
-from repro.smt.solver import Solver, SatResult, SatStatus, check_valid, check_sat, get_model
+from repro.smt.solver import Solver, SatResult, SatStatus
 from repro.smt.qe import (
     QuantifierEliminationError,
     QuantifierEliminator,
@@ -36,9 +36,6 @@ __all__ = [
     "Solver",
     "SatResult",
     "SatStatus",
-    "check_valid",
-    "check_sat",
-    "get_model",
     "eliminate_exists",
     "eliminate_forall",
     "QuantifierEliminationError",

@@ -41,8 +41,8 @@ without a single query.  Both go through
 :meth:`repro.smt.solver.Solver.memoized`, which applies the same rule as
 above: a procedure in which any query returned UNKNOWN is not stored.
 
-The cache is shared freely: per-solver, per-pipeline, or process-global (see
-:data:`repro.smt.solver.SHARED_CACHE`).  Every table is bounded by
+The cache is shared freely: per-solver, per-pipeline, or across a whole
+suite or campaign.  Every table is bounded by
 ``max_entries`` with FIFO eviction, which is enough for compile-shaped
 workloads where the working set is the current benchmark's VC family.
 

@@ -550,35 +550,3 @@ def _result(hyps: Tuple[Expr, ...], formula: Expr, entry: CachedResult) -> SatRe
         else:
             model[var.name] = int((entry.theory_model or {}).get(var.name, 0))
     return SatResult(SatStatus.SAT, model)
-
-
-# -- module-level convenience wrappers --------------------------------------
-
-#: Process-wide result cache shared by the convenience wrappers and any
-#: caller that wants cross-pipeline memoization (e.g. batch suite compiles).
-SHARED_CACHE = FormulaCache()
-
-
-def _fresh_solver() -> Solver:
-    """A stats-isolated solver for one wrapper call.
-
-    Each call gets its own counters (no cross-caller contamination — the
-    old module-level singleton accumulated query counts across unrelated
-    callers) while still sharing the process-wide formula cache.
-    """
-    return Solver(cache=SHARED_CACHE)
-
-
-def check_sat(formula: Expr) -> SatResult:
-    """Module-level satisfiability check using a fresh stats-isolated solver."""
-    return _fresh_solver().check_sat(formula)
-
-
-def check_valid(formula: Expr) -> bool:
-    """Module-level validity check using a fresh stats-isolated solver."""
-    return _fresh_solver().check_valid(formula)
-
-
-def get_model(formula: Expr) -> Optional[Model]:
-    """Module-level model query using a fresh stats-isolated solver."""
-    return _fresh_solver().get_model(formula)

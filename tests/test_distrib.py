@@ -658,6 +658,14 @@ class TestCooperation:
         store_path = str(tmp_path / "campaign.sqlite3")
         lease = ["--store", store_path, "--lease-ttl", "1.0",
                  "--heartbeat-interval", "0.3"]
+        # The driver alone stalls a few seconds on its first evaluation of
+        # one bootstrap entry, its heartbeat holding the lease, so the other
+        # bootstrap units are left for the helper; otherwise the driver can
+        # drain the whole campaign before the helper's first claim.
+        plan = tmp_path / "driver-plan.json"
+        plan.write_text(json.dumps(FaultPlan([FaultRule(
+            "fuzz.candidate", action="hang", match="gen-7-0", at=(0,),
+            seconds=3.0)]).to_dict()))
         helper_trace = tmp_path / "helper.json"
         helper = multiprocessing.Process(target=cli_main, args=(
             ["fuzz", "--helper", "--helper-wait", "15", "--trace",
@@ -665,11 +673,14 @@ class TestCooperation:
         helper.start()
         try:
             driver_trace = tmp_path / "driver.json"
-            assert cli_main(
-                ["fuzz", "--budget", "60", "--seed", "7", "--per-run-budget",
-                 "10", "--threads", "2", "--ops", "2", "--batch-size", "4",
-                 "--bootstrap", "4", "--json", "--trace", str(driver_trace)]
-                + lease) == 0
+            # --fault-plan installs process-wide; injected() restores the
+            # previous plan afterwards.
+            with injected(FaultPlan()):
+                assert cli_main(
+                    ["fuzz", "--budget", "60", "--seed", "7", "--per-run-budget",
+                     "10", "--threads", "2", "--ops", "2", "--batch-size", "4",
+                     "--bootstrap", "4", "--json", "--trace", str(driver_trace),
+                     "--fault-plan", str(plan)] + lease) == 0
         finally:
             helper.join(timeout=60)
             if helper.is_alive():

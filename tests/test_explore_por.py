@@ -33,8 +33,11 @@ from repro.explore.engine import index_symmetry
 from repro.explore.strategies import footprints_independent
 from repro.harness.report import render_explore_table
 from repro.harness.saturation import expresso_result
-from repro.lang import load_monitor
+from repro.lang import Assign, FieldDecl, While, load_monitor
+from repro.logic import INT, TRUE
+from repro.logic.build import ge, gt, i, sub, v
 from repro.placement.pipeline import ExpressoPipeline
+from repro.placement.target import ExplicitCCR, ExplicitMethod, ExplicitMonitor
 from repro.explore.strategies import FirstStrategy, RandomStrategy, ScheduleStrategy
 
 
@@ -59,6 +62,20 @@ class TestFootprints:
         assert "count" in footprints["put"].writes
         assert "count" in footprints["take"].reads
         assert not footprints_independent(footprints["put"], footprints["take"])
+
+    def test_loop_invariant_fields_are_read(self):
+        """A ``while`` invariant is evaluated, so its fields are footprint
+        reads even when neither the condition nor the body mentions them."""
+        loop = While(gt(v("n"), i(0)), Assign("n", sub(v("n"), i(1))),
+                     invariant=ge(v("floor"), i(0)))
+        explicit = ExplicitMonitor(
+            name="Loop",
+            fields=(FieldDecl("n", INT, i(0)), FieldDecl("floor", INT, i(0))),
+            methods=(ExplicitMethod("drain", (), (ExplicitCCR(TRUE, loop, "drain#0"),)),),
+            condition_vars=(), invariant=TRUE)
+        footprint = footprints_for_explicit(explicit)["drain"]
+        assert footprint.reads == {"n", "floor"}
+        assert footprint.writes == {"n"}
 
     def test_disjoint_footprints_are_independent(self):
         a = MethodFootprint(frozenset({"x"}), frozenset({"x"}),

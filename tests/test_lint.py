@@ -76,14 +76,28 @@ class TestDataflow:
         assert not effects.summarizable
         assert "n" in effects.reads and "n" in effects.writes
 
+    def test_while_invariant_is_read(self):
+        stmt = While(gt(v("n"), i(0)), Assign("n", build.sub(v("n"), i(1))),
+                     invariant=ge(v("floor"), i(0)))
+        effects = stmt_effects(stmt)
+        assert effects.reads == {"n", "floor"}
+        assert effects.writes == {"n"}
+        assert not effects.summarizable
+
+    def test_array_assign_without_sizes_writes_the_array_name(self):
+        effects = stmt_effects(ArrayAssign("slots", v("head"), v("item")))
+        assert effects.writes == {"slots"}
+        assert effects.reads == {"head", "item"}
+        assert not effects.summarizable
+
     def test_array_assign_writes_all_declared_cells(self):
         from repro.lang.arrays import cell_name
 
         stmt = ArrayAssign("slots", v("head"), v("item"))
         effects = stmt_effects(stmt, array_sizes={"slots": 2})
         assert not effects.summarizable
-        assert {"slots", cell_name("slots", 0), cell_name("slots", 1)} <= effects.writes
-        assert {"head", "item"} <= effects.reads
+        assert effects.writes == {"slots", cell_name("slots", 0), cell_name("slots", 1)}
+        assert effects.reads == {"head", "item"}
 
     def test_disjointness_requires_no_write_read_overlap(self):
         a = EffectSummary(frozenset({"x"}), frozenset({"y"}))

@@ -28,7 +28,7 @@ from repro.logic import (
     evaluate,
     parse_formula,
 )
-from repro.smt import Solver, SatStatus, check_sat, check_valid, get_model
+from repro.smt import Solver, SatStatus
 from repro.smt.cache import FormulaCache
 
 
@@ -153,31 +153,36 @@ class TestValidity:
 
 
 class TestModuleLevelHelpers:
+    """One-off queries build a ``Solver()``: the module has no wrappers."""
+
     def test_check_sat_wrapper(self):
-        assert check_sat(ge(x, i(0))).is_sat
+        assert Solver().check_sat(ge(x, i(0))).is_sat
 
     def test_check_valid_wrapper(self):
-        assert check_valid(lor(p, lnot(p)))
+        assert Solver().check_valid(lor(p, lnot(p)))
 
     def test_get_model_wrapper(self):
-        model = get_model(land(eq(x, i(3)), p))
+        model = Solver().get_model(land(eq(x, i(3)), p))
         assert model == {"x": 3, "p": True}
 
     def test_get_model_unsat_returns_none(self):
-        assert get_model(FALSE) is None
+        assert Solver().get_model(FALSE) is None
 
     def test_wrapper_statistics_isolation(self):
-        """Regression: the old module-level singleton accumulated statistics
-        across unrelated callers, contaminating per-compile query counts."""
+        """Regression: a module-level solver accumulated statistics across
+        unrelated callers, contaminating per-compile query counts."""
         from repro.smt import solver as solver_module
 
-        assert not hasattr(solver_module, "_DEFAULT_SOLVER")
+        for name in ("_DEFAULT_SOLVER", "SHARED_CACHE", "check_sat",
+                     "check_valid", "get_model"):
+            assert not hasattr(solver_module, name)
         own = Solver()
         own.check_valid(lor(p, lnot(p)))
         queries_before = own.snapshot_statistics()
-        check_valid(lor(q, lnot(q)))
-        check_sat(ge(x, i(0)))
-        get_model(land(eq(x, i(1)), q))
+        other = Solver()
+        other.check_valid(lor(q, lnot(q)))
+        other.check_sat(ge(x, i(0)))
+        other.get_model(land(eq(x, i(1)), q))
         assert own.snapshot_statistics() == queries_before
 
 
