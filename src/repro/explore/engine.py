@@ -53,7 +53,13 @@ from repro.codegen.python_gen import (
 )
 from repro.explore.oracle import OracleCache, OracleVerdict, check_run
 from repro.explore.reduce import ddmin
-from repro.explore.scheduler import Decision, ProgramSymmetry, RunResult, run_schedule
+from repro.explore.scheduler import (
+    Checkpoint,
+    Decision,
+    ProgramSymmetry,
+    RunResult,
+    run_schedule,
+)
 from repro.explore.strategies import (
     DporStrategy,
     FirstStrategy,
@@ -854,19 +860,37 @@ def _explore_sampling(monitor, coop_class, programs, outcome: ExplorationResult,
                 return
 
 
+def _branch_points(run: RunResult,
+                   start: Optional[Checkpoint]) -> List[Optional[Checkpoint]]:
+    """Per fresh decision of *run*, the deepest checkpoint at or before it.
+
+    A sibling of decision *k* restarts there and fast-forwards the rest of
+    its prefix.  Signal decisions (mid-segment) and unrestorable grant
+    decisions have no checkpoint of their own and fall back to an earlier
+    one: the run's, or *start*, the one the run itself started from (None
+    is the root).
+    """
+    points: List[Optional[Checkpoint]] = []
+    for offset in range(len(run.decisions)):
+        start = run.checkpoints.get(offset, start)
+        points.append(start)
+    return points
+
+
 def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult,
                        budget: int, max_steps: int, stop_on_failure: bool,
                        minimize: bool, oracle: OracleCache,
                        seen: set, witness: bool = False) -> None:
-    stack: List[Tuple[int, ...]] = [()]
+    stack: List[Tuple[Tuple[int, ...], Optional[Checkpoint]]] = [((), None)]
     tracer = obs.tracer()
     first = FirstStrategy()
     while stack and outcome.schedules_run < budget:
-        prefix = stack.pop()
+        prefix, checkpoint = stack.pop()
         instance = coop_class()
         with tracer.span("schedule", cat="explore", depth=len(prefix)) as span:
             run = run_schedule(instance, programs, first, max_steps,
-                               fingerprints=True, prefix=prefix)
+                               fingerprints=True, prefix=prefix,
+                               checkpoint=checkpoint)
             verdict = oracle.judge(run, instance)
             span.set(outcome=run.outcome, ok=verdict.ok, kind=verdict.kind or "")
         _tally(outcome, run, verdict)
@@ -892,11 +916,13 @@ def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult
             seen.add(fingerprint)
         choices = run.choices
         base = len(run.prefix)
+        points = _branch_points(run, checkpoint)
         for offset in range(limit - 1, -1, -1):
             decision = run.decisions[offset]
             for alternative in range(len(decision.candidates)):
                 if alternative != decision.chosen:
-                    stack.append(choices[:base + offset] + (alternative,))
+                    stack.append((choices[:base + offset] + (alternative,),
+                                  points[offset]))
         if verdict.is_failure:
             _record_failure(outcome, monitor, coop_class, programs, run, verdict,
                             "dfs", None, max_steps, minimize, witness)
@@ -961,7 +987,7 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                  outcome: ExplorationResult,
                  refiner: Optional[SegmentRefiner] = None,
                  values: Optional[ValueIndependence] = None,
-                 programs=None) -> None:
+                 programs=None, checkpoint: Optional[Checkpoint] = None) -> None:
     """Push the non-redundant sibling prefixes of one DPOR run.
 
     Only the run's fresh decisions are expanded: the replayed prefix's
@@ -969,7 +995,8 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
     are pushed so pops follow exploration order (shallowest node first,
     ascending alternatives), and each sibling's sleep set accumulates the
     siblings explored before it — the classic sleep-set discipline adapted
-    to the worklist DFS.
+    to the worklist DFS.  Each entry carries its branch point's checkpoint
+    (:func:`_branch_points`; *checkpoint* is the one the run started from).
 
     When the scheduler recorded symmetry classes (wake-order
     canonicalization), alternatives whose class matches the chosen candidate
@@ -981,10 +1008,12 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
     choices = run.choices
     base = len(run.prefix)
     tracer = obs.tracer()
-    entries: List[Tuple[Tuple[int, ...], frozenset]] = []
+    points = _branch_points(run, checkpoint)
+    entries: List[Tuple[Tuple[int, ...], frozenset, Optional[Checkpoint]]] = []
     for offset, decision in enumerate(run.decisions):
         node_sleep = sleeps[offset]
         child_prefix = choices[:base + offset]
+        point = points[offset]
         sym = decision.sym_classes
         explored_classes = {sym[decision.chosen]} if sym else None
         if decision.kind != "grant":
@@ -1003,7 +1032,7 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                                            provenance="symmetry")
                         continue
                     explored_classes.add(sym[alternative])
-                entries.append((child_prefix + (alternative,), node_sleep))
+                entries.append((child_prefix + (alternative,), node_sleep, point))
             continue
         chosen_tid = decision.candidates[decision.chosen]
         chosen_method = decision.methods[decision.chosen]
@@ -1041,7 +1070,8 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                                    provenance="backtrack")
                     obs.registry().inc("explore.skipped.backtrack")
                 continue
-            entries.append((child_prefix + (alternative,), frozenset(cumulative)))
+            entries.append((child_prefix + (alternative,), frozenset(cumulative),
+                            point))
             cumulative.add((tid, method,
                             _call_args(programs, decision, alternative),
                             refiner.pending_wait_key(decision, alternative)
@@ -1095,16 +1125,24 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                 return (_values is not None
                         and _values.independent(entry_method, entry_args,
                                                 method, args))
-    stack: List[Tuple[Tuple[int, ...], frozenset]] = [((), frozenset())]
+    stack: List[Tuple[Tuple[int, ...], frozenset, Optional[Checkpoint]]] = [
+        ((), frozenset(), None)]
     symmetry_table = (index_symmetry(programs, coop_class, monitor)
                       if symmetry else None)
+    # Decisions keep the raw fingerprint (the segment refiner evaluates
+    # guards against its un-renamed fields); visited states are keyed modulo
+    # the symmetry group.  A raw fingerprint probed before is answered
+    # without canonicalizing it again: its key is in *seen* already.
+    canonical = (symmetry_table.canonical if symmetry_table is not None
+                 and len(symmetry_table.automorphisms) > 1 else None)
+    answered: set = set()
 
     def probe(fingerprint: tuple) -> bool:
-        # Decisions keep the raw fingerprint (the segment refiner evaluates
-        # guards against its un-renamed fields); visited states are keyed
-        # modulo the symmetry group.
-        if symmetry_table is not None:
-            fingerprint = symmetry_table.canonical(fingerprint)
+        if canonical is not None:
+            if fingerprint in answered:
+                return True
+            answered.add(fingerprint)
+            fingerprint = canonical(fingerprint)
         if fingerprint in seen:
             return True
         seen.add(fingerprint)
@@ -1118,12 +1156,13 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
     while stack and outcome.schedules_run < budget and not stopped:
         if outcome.pruned + outcome.por_skipped >= work_cap:
             break
-        prefix, sleep = stack.pop()
+        prefix, sleep, checkpoint = stack.pop()
         strategy = DporStrategy(sleep, independence, checker=checker)
         instance = coop_class()
         run = run_schedule(instance, programs, strategy, max_steps,
                            fingerprints=True, prefix=prefix,
-                           merge_probe=probe, symmetry=symmetry_table)
+                           merge_probe=probe, symmetry=symmetry_table,
+                           checkpoint=checkpoint)
         if run.outcome == "merged":
             outcome.pruned += 1
             if tracer.enabled:
@@ -1144,7 +1183,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                          kind=verdict.kind or "")
             _tally(outcome, run, verdict)
         _expand_dpor(run, strategy, stack, independence, outcome,
-                     refiner, values, programs)
+                     refiner, values, programs, checkpoint)
         if verdict.is_failure:
             _record_failure(outcome, monitor, coop_class, programs, run, verdict,
                             "dfs", None, max_steps, minimize, witness)

@@ -25,7 +25,7 @@ For exhaustive exploration the scheduler can fingerprint the global state
 pointer and local variables) at every grant decision; the DFS driver uses the
 fingerprints to prune schedules that re-enter an already-explored state.
 
-Three hot-path refinements keep systematic exploration cheap:
+Four hot-path refinements keep systematic exploration cheap:
 
 * **incremental fingerprints** — per-thread frame snapshots are cached and
   only recomputed for threads that actually advanced since the previous
@@ -39,6 +39,13 @@ Three hot-path refinements keep systematic exploration cheap:
   the strategy observes that segment as if it had chosen it, and the result
   records only the divergent suffix (``RunResult.prefix`` holds the
   replayed choices, ``decisions``/``events`` start at the hand-off);
+* **restore** (``checkpoint``) — a fingerprinting run also saves a
+  :class:`Checkpoint` at each fresh grant decision whose state is
+  restorable (scalar fields; no thread has committed, signalled or
+  broadcast in its current operation).  A sibling run restores its branch
+  point's checkpoint on a fresh instance and fast-forwards only the prefix
+  choices made after it (states without a checkpoint fall back to an
+  earlier one, or to the root);
 * **merge probing** (``merge_probe``) — the DFS can hand the scheduler a
   membership probe over already-visited states; a run whose divergent suffix
   immediately re-enters a visited state is cut off with outcome ``merged``
@@ -57,9 +64,13 @@ on.  Decisions keep the un-renamed fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.explore.strategies import AbortRun, Strategy, _session_registry
+from repro.runtime.explicit_support import GuardWaiters, MonitorMetrics
 
 #: One thread's program: a list of ``(method name, positional args)`` pairs.
 ThreadProgram = Sequence[Tuple[str, tuple]]
@@ -69,8 +80,7 @@ class SchedulerError(RuntimeError):
     """A generated coop monitor violated the scheduler protocol."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One rendered step of a virtual execution."""
 
     kind: str                      # grant | commit | wait | signal | broadcast | release
@@ -84,8 +94,7 @@ class TraceEvent:
     args: Tuple = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One recorded scheduling choice (only choices with >1 candidate)."""
 
     kind: str                      # 'grant' | 'signal'
@@ -115,14 +124,38 @@ class Decision:
     resumes: Tuple[Optional[str], ...] = ()
 
 
+class Checkpoint(NamedTuple):
+    """The state at a grant decision, as :meth:`CoopScheduler._restore` needs it.
+
+    ``threads`` holds, per thread, ``(op_index, status, wait_key,
+    resume_key, segments)``.  ``segments`` lists the scalar field values at
+    the start of each segment of the thread's current operation, all of them
+    guard checks (empty for a thread that has not started one); ``order``
+    lists the threads with segments in the order they started their
+    operations.
+    """
+
+    depth: int                     # prefix choices applied before the decision
+    fields: tuple                  # the scalar field values, in layout order
+    metrics: dict                  # the ``metrics`` record's attributes
+    threads: Tuple[tuple, ...]
+    order: Tuple[int, ...]
+    commits: Tuple[Tuple[int, str], ...]
+    steps: int
+
+
 @dataclass
 class RunResult:
     """Everything one scheduled execution produced.
 
     A fast-forwarded run records only its suffix: ``prefix`` holds the
-    replayed choices, and ``events``/``decisions`` start where the last of
-    them was applied (``Decision.event_index`` counts from there).
-    ``commits`` and ``steps`` always cover the whole run.
+    applied prefix choices, restored from a checkpoint or replayed, and
+    ``events``/``decisions`` start where the last of them was applied
+    (``Decision.event_index`` counts from there).  ``commits`` and
+    ``steps`` always cover the whole run.
+
+    ``checkpoints`` maps the offset of each fresh grant decision whose state
+    was restorable (fingerprinting runs only) to its :class:`Checkpoint`.
     """
 
     outcome: str                               # completed | deadlock | merged |
@@ -134,6 +167,7 @@ class RunResult:
     steps: int = 0
     error: Optional[str] = None
     prefix: List[int] = field(default_factory=list)
+    checkpoints: Dict[int, Checkpoint] = field(default_factory=dict)
 
     @property
     def choices(self) -> Tuple[int, ...]:
@@ -144,7 +178,7 @@ class RunResult:
 
 class _VirtualThread:
     __slots__ = ("tid", "program", "op_index", "frame", "status", "wait_key",
-                 "resume_key")
+                 "resume_key", "segments", "started")
 
     def __init__(self, tid: int, program: ThreadProgram):
         self.tid = tid
@@ -157,6 +191,40 @@ class _VirtualThread:
         #: operation completes — i.e. whether a grant would *resume* the
         #: thread mid-method rather than start the operation fresh.
         self.resume_key: Optional[str] = None
+        #: The field values at the start of each segment of the current
+        #: operation while all of them are guard checks, else None (always
+        #: None when the scheduler takes no checkpoints).
+        self.segments: Optional[tuple] = None
+        #: When the current operation's first segment began (a counter).
+        self.started = 0
+
+
+# -- checkpoint layouts ------------------------------------------------------
+
+#: Instance attribute types a checkpoint saves by value.
+_SCALARS = (int, bool, str, float, type(None))
+
+#: Per coop class, the names of its scalar attributes, or None unless the
+#: class has a ``metrics`` record and every other attribute is a scalar or a
+#: :class:`GuardWaiters` registry (the automatic runtimes' ``_rt`` is not).
+_LAYOUTS: "WeakKeyDictionary[type, Optional[Tuple[str, ...]]]" = WeakKeyDictionary()
+
+
+def _restorable_layout(instance) -> Optional[Tuple[str, ...]]:
+    """The checkpoint layout of *instance*'s class, decided once per class."""
+    cls = type(instance)
+    layout = _LAYOUTS.get(cls, False)
+    if layout is False:
+        layout = None
+        state = vars(instance)
+        if isinstance(state.get("metrics"), MonitorMetrics) and all(
+                name == "metrics" or type(value) in _SCALARS
+                or isinstance(value, GuardWaiters)
+                for name, value in state.items()):
+            layout = tuple(name for name, value in state.items()
+                           if type(value) in _SCALARS)
+        _LAYOUTS[cls] = layout
+    return layout
 
 
 # -- state fingerprinting ----------------------------------------------------
@@ -306,9 +374,11 @@ class ProgramSymmetry:
             image_groups: List[tuple] = [()] * len(groups)
             for index, entries in enumerate(groups):
                 params = self._op_params[index]
-                image_groups[automorphism.groups[index]] = tuple(sorted(
-                    (_rename_entry(entry, sigma, params[entry[2]])
-                     for entry in entries), key=repr))
+                images = [_rename_entry(entry, sigma, params[entry[2]])
+                          for entry in entries]
+                image_groups[automorphism.groups[index]] = (
+                    tuple(sorted(images, key=repr)) if len(images) > 1
+                    else tuple(images))
             image = (tuple((name, values[sources.get(name, name)])
                            for name, _value in shared), tuple(image_groups))
             text = repr(image)
@@ -355,7 +425,9 @@ class CoopScheduler:
 
     *prefix* is a choice list to replay before the strategy takes over (the
     DFS passes the path to a backtrack point); it is fast-forwarded, see
-    :meth:`_fast_forward`.
+    :meth:`_fast_forward`.  *checkpoint*, a :class:`Checkpoint` some run
+    took after applying ``prefix[:checkpoint.depth]`` (shorter than
+    *prefix*), moves the fast-forward's start there (:meth:`_restore`).
 
     *merge_probe* is consulted with every fresh fingerprint; returning True
     means the state was already explored elsewhere and the run is cut off
@@ -372,7 +444,8 @@ class CoopScheduler:
                  strategy: Strategy, max_steps: int = 20_000,
                  fingerprints: bool = False, prefix: Sequence[int] = (),
                  merge_probe: Optional[Callable[[tuple], bool]] = None,
-                 symmetry: Optional[ProgramSymmetry] = None):
+                 symmetry: Optional[ProgramSymmetry] = None,
+                 checkpoint: Optional[Checkpoint] = None):
         self.instance = instance
         self.strategy = strategy
         self.max_steps = max_steps
@@ -393,14 +466,25 @@ class CoopScheduler:
         #: fingerprints), exist only while tracing, and so stay out of the
         #: exploration-result surface, which neither may change.
         self._metrics = _session_registry()
+        self.checkpoint = checkpoint
+        #: The scalar attributes a checkpoint saves; None turns segment
+        #: tracking and checkpoints off.  Only fingerprinting runs (the DFS)
+        #: take checkpoints.
+        self._layout = (_restorable_layout(instance)
+                        if fingerprints or checkpoint is not None else None)
+        self._state = vars(instance) if self._layout is not None else None
+        self._starts = count()
 
     # -- public entry point ---------------------------------------------------
 
     def run(self) -> RunResult:
         result = self.result
         try:
-            for thread in self.threads:
-                self._advance_to_acquire(thread)
+            if self.checkpoint is not None:
+                self._restore(self.checkpoint)
+            else:
+                for thread in self.threads:
+                    self._advance_to_acquire(thread)
             if self.prefix:
                 self._fast_forward()
             self._loop()
@@ -441,6 +525,9 @@ class CoopScheduler:
                 if self.merge_probe is not None and self.merge_probe(fingerprint):
                     result.outcome = "merged"
                     return
+                if self._layout is not None and all(
+                        t.segments is not None for t in self.threads):
+                    result.checkpoints[len(result.decisions)] = self._checkpoint()
             self._grant(contenders[self._choose(
                 "grant", tuple(t.tid for t in contenders), fingerprint,
                 tuple(t.program[t.op_index][0] for t in contenders),
@@ -451,7 +538,10 @@ class CoopScheduler:
     def _fast_forward(self) -> None:
         """Replay ``self.prefix`` at raw generator speed, then hand off.
 
-        Every prefix choice but the last is applied by this loop, which only
+        The replay starts at the root, or after ``prefix[:depth]`` when the
+        run was restored from a checkpoint (``RunResult.prefix`` then holds
+        those choices already).  Every remaining prefix choice but the last
+        is applied by this loop, which only
         steps generators, moves lock, wait and wake state, counts steps
         toward ``max_steps`` and appends commits (so oracle keys stay
         whole).  It records no fingerprints, symmetry classes, decisions,
@@ -465,7 +555,8 @@ class CoopScheduler:
         segment exactly as if it had chosen it, and recording starts with
         its event.  A run that ends before the last choice point returns
         early and leaves the outcome to :meth:`_loop`; the step limit is
-        checked where :meth:`_loop` checks it, between segments.
+        checked where :meth:`_loop` checks it, between segments.  The loop
+        keeps the segment records later checkpoints of the run need.
         """
         result = self.result
         threads = self.threads
@@ -486,6 +577,8 @@ class CoopScheduler:
                     return
                 thread = contenders[index]
             self.owner = thread
+            if thread.segments is not None:
+                self._begin_segment(thread)
             frame = thread.frame
             while True:
                 result.steps += 1
@@ -502,6 +595,7 @@ class CoopScheduler:
                     break
                 kind = op[0]
                 if kind == "commit":
+                    thread.segments = None
                     commits.append((thread.tid, op[1]))
                 elif kind == "wait":
                     self.owner = None
@@ -509,6 +603,7 @@ class CoopScheduler:
                     thread.wait_key = op[1]
                     break
                 elif kind == "signal" or kind == "broadcast":
+                    thread.segments = None
                     key = op[1]
                     woken = [t for t in threads
                              if t.status == "waiting" and t.wait_key == key]
@@ -535,6 +630,7 @@ class CoopScheduler:
                         continue
                     thread.status = "acquiring"
                     thread.resume_key = None
+                    thread.segments = None
                     break
                 else:
                     raise SchedulerError(f"unknown scheduler op {op!r}")
@@ -542,6 +638,8 @@ class CoopScheduler:
     def _grant(self, thread: _VirtualThread) -> None:
         """Hand the free lock to *thread* and run its segment."""
         self.owner = thread
+        if thread.segments is not None:
+            self._begin_segment(thread)
         method_name, method_args = thread.program[thread.op_index]
         args = tuple(method_args)
         if self._observe is not None:
@@ -591,11 +689,14 @@ class CoopScheduler:
                     self._observe_extent(key if pure else None)
                 return
             if kind == "commit":
+                thread.segments = None
                 result.commits.append((thread.tid, op[1]))
                 result.events.append(TraceEvent("commit", thread.tid, label=op[1]))
             elif kind == "signal":
+                thread.segments = None
                 self._wake(thread, op[1], broadcast=False)
             elif kind == "broadcast":
+                thread.segments = None
                 self._wake(thread, op[1], broadcast=True)
             elif kind == "release":
                 if self.owner is not thread:
@@ -613,6 +714,7 @@ class CoopScheduler:
                     continue
                 thread.status = "acquiring"
                 thread.resume_key = None
+                thread.segments = None
                 if self._observe_extent is not None:
                     self._observe_extent(None)
                 return
@@ -706,6 +808,7 @@ class CoopScheduler:
         """Start *thread*'s next operation, pausing at its first acquire."""
         self._frame_cache.pop(thread.tid, None)
         thread.resume_key = None
+        thread.segments = () if self._layout is not None else None
         while thread.op_index < len(thread.program):
             method_name, args = thread.program[thread.op_index]
             generator = getattr(self.instance, method_name)(*args)
@@ -722,6 +825,75 @@ class CoopScheduler:
             return
         thread.frame = None
         thread.status = "done"
+
+    # -- checkpoints ------------------------------------------------------------
+
+    def _begin_segment(self, thread: _VirtualThread) -> None:
+        """Record the field values a segment of *thread* starts from."""
+        segments = thread.segments
+        if not segments:
+            thread.started = next(self._starts)
+        state = self._state
+        thread.segments = segments + (tuple([state[name] for name in self._layout]),)
+
+    def _checkpoint(self) -> Checkpoint:
+        """Save the current grant-decision state (every thread restorable)."""
+        result = self.result
+        threads = self.threads
+        state = self._state
+        return Checkpoint(
+            len(result.prefix) + len(result.decisions),
+            tuple([state[name] for name in self._layout]),
+            dict(vars(state["metrics"])),
+            tuple((t.op_index, t.status, t.wait_key, t.resume_key, t.segments)
+                  for t in threads),
+            tuple(t.tid for t in sorted((t for t in threads if t.segments),
+                                        key=attrgetter("started"))),
+            tuple(result.commits), result.steps)
+
+    def _restore(self, checkpoint: Checkpoint) -> None:
+        """Rebuild *checkpoint*'s state on this scheduler's fresh instance.
+
+        Threads without segments start their operation as usual.  Each other
+        thread gets a new generator for its current operation and is driven
+        through its recorded segments, the fields set to each segment's start
+        values first; rebuilding them in operation-start order recreates the
+        frames and the :class:`GuardWaiters` registrations in their original
+        order.  A segment runs alone under the lock, so its path depends only
+        on the fields at its start, the call's arguments and its own locals;
+        guard checks never read the registries.  Then the fields, metrics,
+        commits, steps and applied prefix are set from the checkpoint.
+        """
+        threads = self.threads
+        for thread, saved in zip(threads, checkpoint.threads):
+            thread.op_index = saved[0]
+            if not saved[4]:
+                self._advance_to_acquire(thread)
+        state = self._state
+        layout = self._layout
+        for tid in checkpoint.order:
+            thread = threads[tid]
+            _op_index, status, wait_key, resume_key, segments = checkpoint.threads[tid]
+            self._advance_to_acquire(thread)
+            for values in segments:
+                state.update(zip(layout, values))
+                for op in thread.frame:
+                    if op[0] == "wait":
+                        break
+                else:
+                    raise SchedulerError(
+                        f"thread {thread.tid} finished a restored guard check")
+            thread.status = status
+            thread.wait_key = wait_key
+            thread.resume_key = resume_key
+            thread.segments = segments
+            thread.started = next(self._starts)
+        state.update(zip(layout, checkpoint.fields))
+        vars(state["metrics"]).update(checkpoint.metrics)
+        result = self.result
+        result.commits = list(checkpoint.commits)
+        result.steps = checkpoint.steps
+        result.prefix = list(self.prefix[:checkpoint.depth])
 
     def _fingerprint(self) -> tuple:
         """A hashable snapshot of the global state at a grant point.
@@ -748,6 +920,7 @@ class CoopScheduler:
             # deterministic textual key rather than structurally.
             return (shared, tuple(
                 tuple(sorted((threads[tid] for tid in group), key=repr))
+                if len(group) > 1 else (threads[group[0]],)
                 for group in self.symmetry.groups))
         return (shared, tuple(threads))
 
@@ -756,8 +929,10 @@ def run_schedule(instance, programs: Sequence[ThreadProgram], strategy: Strategy
                  max_steps: int = 20_000, fingerprints: bool = False,
                  prefix: Sequence[int] = (),
                  merge_probe: Optional[Callable[[tuple], bool]] = None,
-                 symmetry: Optional[ProgramSymmetry] = None) -> RunResult:
+                 symmetry: Optional[ProgramSymmetry] = None,
+                 checkpoint: Optional[Checkpoint] = None) -> RunResult:
     """Convenience wrapper: build a scheduler and run it to completion."""
     return CoopScheduler(instance, programs, strategy, max_steps,
                          fingerprints=fingerprints, prefix=prefix,
-                         merge_probe=merge_probe, symmetry=symmetry).run()
+                         merge_probe=merge_probe, symmetry=symmetry,
+                         checkpoint=checkpoint).run()

@@ -1,12 +1,14 @@
-"""Fast-forward replay against the full-recording replay it replaced.
+"""Restore and fast-forward replay against the full-recording replay.
 
-The DFS hands the scheduler the choice prefix of a backtrack point.  The
-scheduler fast-forwards every prefix choice but the last, applies the last
-through its ordinary path, and records only the suffix.  The reference below
-is the replay the scheduler did before: the whole prefix goes through the
-ordinary recording loop, every decision is recorded, fingerprints and merge
-probes start at ``len(prefix)``, and the strategy is shown nothing before
-the last prefix choice.
+The DFS hands the scheduler the choice prefix of a backtrack point and the
+checkpoint of its branch point, when one was taken.  The scheduler restores
+the checkpoint, fast-forwards every remaining prefix choice but the last,
+applies the last through its ordinary path, and records only the suffix.
+The reference below is the replay the scheduler did before either existed:
+the whole prefix goes through the ordinary recording loop from the initial
+state, every decision is recorded, fingerprints and merge probes start at
+``len(prefix)``, and the strategy is shown nothing before the last prefix
+choice.
 
 Every run the engine makes during DFS explorations of the suite and of all
 notification-deletion mutants (3 threads x 2 ops) is executed both ways.
@@ -14,11 +16,12 @@ From the first fresh decision on the two must agree on outcome, steps, the
 full commit list, the waiting set, the fresh decisions (with event indices
 relative to the hand-off), the events, the merge-probe queries and the
 strategy's sleep sets.  Counterexamples recorded without minimization must
-render the reference's full trace and witness.
+render the reference's full trace and witness.  Restored states must
+fingerprint as recorded, and classes or states a checkpoint cannot hold
+must fall back to replay with unchanged results.
 """
 
 import copy
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -35,6 +38,7 @@ from repro.explore.scheduler import CoopScheduler, ProgramSymmetry
 from repro.explore.strategies import DporStrategy, FirstStrategy, RandomStrategy
 from repro.explore.trace import render_trace
 from repro.harness.saturation import expresso_result
+from repro.runtime.explicit_support import GuardWaiters
 from repro.semantics.equivalence import counterexample_witness
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,7 @@ def _handoff_event(run, reference, prefix):
 
 
 def _differences(run, reference, prefix, start):
-    fresh = [dataclasses.replace(decision, event_index=decision.event_index - start)
+    fresh = [decision._replace(event_index=decision.event_index - start)
              for decision in reference.decisions[len(prefix):]]
     pairs = {
         "outcome": (run.outcome, reference.outcome),
@@ -153,19 +157,54 @@ def _differences(run, reference, prefix, start):
     return [name for name, (mine, theirs) in pairs.items() if mine != theirs]
 
 
+def _restorable_offsets(reference, prefix_length):
+    """The fresh grant decisions where no thread is inside an operation
+    that has committed, signalled or broadcast — where checkpoints belong.
+
+    Read off the reference's full event log: generated operations end with
+    their ``release`` event.
+    """
+    offsets = set()
+    dirty = set()
+    events = iter(reference.events)
+    position = 0
+    for index, decision in enumerate(reference.decisions):
+        for event in events:
+            if position == decision.event_index:
+                break
+            position += 1
+            if event.kind in ("commit", "signal", "broadcast"):
+                dirty.add(event.thread)
+            elif event.kind == "release":
+                dirty.discard(event.thread)
+        position += 1
+        if index >= prefix_length and decision.kind == "grant" and not dirty:
+            offsets.add(index - prefix_length)
+        if decision.kind == "signal":
+            dirty.add(reference.events[decision.event_index].thread)
+    return offsets
+
+
 class Checker:
     """Stands in for ``engine.run_schedule``: runs both ways and compares."""
 
     def __init__(self):
         self.mismatches = []
         self.handoffs = Counter()
+        #: Hand-offs reached from a checkpoint, and prefix runs that
+        #: replayed more than their last choice (from the root or from an
+        #: earlier checkpoint).
+        self.restored = 0
+        self.fallbacks = 0
+        #: Runs that started from a checkpoint or took one.
+        self.checkpointed = 0
         #: Per full choice list, the first reference run and whether the
         #: run under test was fast-forwarded (failure checks).
         self.references = {}
 
     def run_schedule(self, instance, programs, strategy, max_steps=20_000,
                      fingerprints=False, prefix=(), merge_probe=None,
-                     symmetry=None):
+                     symmetry=None, checkpoint=None):
         reference_strategy = _clone(strategy)
         answers = []
 
@@ -177,7 +216,7 @@ class Checker:
         run = scheduler.run_schedule(
             instance, programs, strategy, max_steps, fingerprints=fingerprints,
             prefix=prefix, merge_probe=recording_probe if merge_probe else None,
-            symmetry=symmetry)
+            symmetry=symmetry, checkpoint=checkpoint)
 
         replayed = iter(answers)
         probed = []
@@ -194,7 +233,21 @@ class Checker:
             symmetry=symmetry).run()
         self.compare(run, reference, prefix, strategy, reference_strategy,
                      [fingerprint for fingerprint, _answer in answers], probed)
+        if fingerprints and scheduler._restorable_layout(instance) is not None:
+            taken = {offset for offset in run.checkpoints
+                     if offset < len(run.decisions)}
+            depths = {checkpoint.depth - len(run.prefix) - offset
+                      for offset, checkpoint in run.checkpoints.items()}
+            if (taken != _restorable_offsets(reference, len(prefix))
+                    or depths - {0}):
+                self.mismatches.append((tuple(prefix), ["checkpoints"]))
         self.references.setdefault(reference.choices, (reference, bool(prefix)))
+        if checkpoint is not None and len(run.prefix) == len(prefix):
+            self.restored += 1
+        if prefix and (checkpoint is None or checkpoint.depth < len(prefix) - 1):
+            self.fallbacks += 1
+        if checkpoint is not None or run.checkpoints:
+            self.checkpointed += 1
         return run
 
     def compare(self, run, reference, prefix, strategy, reference_strategy,
@@ -235,6 +288,10 @@ class TestSuite:
         # signal decision in the middle of a segment.
         assert checker.handoffs["grant"] > 100
         assert checker.handoffs["signal"] > 0
+        # Most runs restored their branch point; some replayed from an
+        # earlier one or from the root.
+        assert checker.restored > 100
+        assert checker.fallbacks > 0
 
 
 class TestMutants:
@@ -264,6 +321,7 @@ class TestMutants:
                         compiled.monitor, mutant, programs, reference,
                         verdict), (site, por)
         assert checker.mismatches == []
+        assert checker.restored > 0
         # Wherever mutants fail, most counterexamples come from
         # fast-forwarded runs.
         assert failures[True] >= failures[False]
@@ -327,3 +385,167 @@ def test_a_prefix_longer_than_the_run_ends_inside_the_fast_forward():
     assert run.prefix == list(complete.choices)
     assert run.events == [] and run.decisions == []
     assert run.commits == complete.commits and run.steps == complete.steps
+
+
+def _restore_points(coop_class, programs):
+    """(prefix, checkpoint) whose hand-off is a grant / a signal decision.
+
+    The grant prefix restarts at its own branch point; the signal prefix
+    restarts at an earlier grant decision and replays the segment up to
+    the signal.
+    """
+    found = {}
+    symmetry = ProgramSymmetry(programs)
+    for seed in range(200):
+        run = scheduler.run_schedule(coop_class(), programs, RandomStrategy(seed),
+                                     fingerprints=True, symmetry=symmetry)
+        point = None
+        for offset, decision in enumerate(run.decisions):
+            point = run.checkpoints.get(offset, point)
+            if (point is not None and point.depth >= 2
+                    and decision.kind not in found
+                    and (decision.kind == "signal" or offset in run.checkpoints)):
+                alternative = (decision.chosen + 1) % len(decision.candidates)
+                found[decision.kind] = (run.choices[:offset] + (alternative,), point)
+        if len(found) == 2:
+            return found
+    raise AssertionError("no restorable signal decision found")
+
+
+@pytest.mark.parametrize("kind", ["grant", "signal"])
+def test_step_limit_after_a_restore(kind):
+    spec = get_benchmark("Sleeping Barber")
+    _reference, coop_class = coop_monitor_and_class(spec, "expresso")
+    programs = spec.workload(3, 2)
+    prefix, checkpoint = _restore_points(coop_class, programs)[kind]
+    symmetry = ProgramSymmetry(programs)
+    full = scheduler.run_schedule(coop_class(), programs, FirstStrategy(),
+                                  prefix=prefix)
+    checker = Checker()
+    outcomes = Counter()
+    # A checkpoint is taken below the run's step limit, so limits from
+    # there on strike after the restore.
+    for max_steps in range(checkpoint.steps + 1, full.steps + 2):
+        run = scheduler.run_schedule(coop_class(), programs, FirstStrategy(),
+                                     max_steps, fingerprints=True, prefix=prefix,
+                                     symmetry=symmetry, checkpoint=checkpoint)
+        reference = ReferenceScheduler(coop_class(), programs, FirstStrategy(),
+                                       max_steps, fingerprints=True,
+                                       prefix=prefix, symmetry=symmetry).run()
+        checker.compare(run, reference, prefix, None, None)
+        outcomes[run.outcome, len(run.prefix) == len(prefix)] += 1
+    assert checker.mismatches == []
+    assert outcomes["step-limit", True]
+    if kind == "signal":
+        # The replayed grant segment before the signal hand-off.
+        assert outcomes["step-limit", False]
+    assert outcomes[full.outcome, True]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: exact restores, and the states and classes that fall back
+# ---------------------------------------------------------------------------
+
+
+def _registries(instance):
+    return {name: list(value._snapshots) for name, value in vars(instance).items()
+            if isinstance(value, GuardWaiters)}
+
+
+def test_every_suite_checkpoint_restores_the_recorded_state(monkeypatch):
+    saved = {}
+    take = CoopScheduler._checkpoint
+
+    def recording_checkpoint(self):
+        checkpoint = take(self)
+        saved[id(checkpoint)] = (_registries(self.instance),
+                                 copy.copy(self.instance.metrics))
+        return checkpoint
+
+    runs = []
+    real_run_schedule = engine.run_schedule
+
+    def capturing_run_schedule(instance, programs, strategy, *args, **kwargs):
+        run = real_run_schedule(instance, programs, strategy, *args, **kwargs)
+        runs.append((type(instance), programs, kwargs.get("symmetry"), run))
+        return run
+
+    monkeypatch.setattr(CoopScheduler, "_checkpoint", recording_checkpoint)
+    monkeypatch.setattr(engine, "run_schedule", capturing_run_schedule)
+    for name in sorted(ALL_BENCHMARKS):
+        assert explore_benchmark(get_benchmark(name), "expresso", threads=3,
+                                 ops=3, **DFS).ok, name
+    checked = registered = 0
+    for coop_class, programs, symmetry, run in runs:
+        for offset, checkpoint in run.checkpoints.items():
+            if offset == len(run.decisions):    # the sleep set cut the choice
+                continue
+            restored = CoopScheduler(coop_class(), programs, FirstStrategy(),
+                                     fingerprints=True, symmetry=symmetry,
+                                     checkpoint=checkpoint)
+            restored._restore(checkpoint)
+            registries, metrics = saved[id(checkpoint)]
+            assert restored._fingerprint() == run.decisions[offset].fingerprint
+            assert _registries(restored.instance) == registries
+            assert restored.instance.metrics == metrics
+            checked += 1
+            registered += any(registries.values())
+    assert checked > 1000
+    # Some restores re-registered waiter snapshots (Dining Philosophers,
+    # the parameterized buffer, Round Robin, Ticketed Readers-Writers).
+    assert registered > 0
+
+
+def _explore_both_ways(monkeypatch, spec, discipline, por):
+    checker = Checker()
+    monkeypatch.setattr(engine, "run_schedule", checker.run_schedule)
+    result = explore_benchmark(spec, discipline, threads=3, ops=2, por=por, **DFS)
+    counts = (result.schedules_run, result.pruned, result.por_skipped,
+              result.symmetry_skipped, result.distinct_states)
+    return checker, result, counts
+
+
+#: (schedules_run, pruned, por_skipped, symmetry_skipped, distinct_states)
+#: at 3 threads x 2 ops, measured before checkpoints existed.
+_AUTOSYNCH_READERS_WRITERS = {True: (43, 221, 0, 30, 214),
+                              False: (501, 422, 0, 0, 368)}
+_TICKETED_READERS_WRITERS = {True: (24, 123, 0, 22, 126),
+                             False: (301, 253, 0, 0, 230)}
+
+
+@pytest.mark.parametrize("por", [True, False], ids=["dpor", "plain"])
+def test_an_automatic_runtime_class_replays_from_the_root(monkeypatch, por):
+    # The runtime object behind an AutoSynch class is not restorable state.
+    checker, result, counts = _explore_both_ways(
+        monkeypatch, get_benchmark("Readers-Writers"), "autosynch", por)
+    assert result.exhausted and result.ok
+    assert counts == _AUTOSYNCH_READERS_WRITERS[por]
+    assert checker.mismatches == []
+    assert checker.checkpointed == 0 and checker.fallbacks > 0
+
+
+@pytest.mark.parametrize("por", [True, False], ids=["dpor", "plain"])
+def test_a_thread_between_two_ccrs_falls_back(monkeypatch, por):
+    # enterReader and enterWriter take a ticket in one CCR and wait for it
+    # in the next: a state with a thread in between has no checkpoint.
+    spec = get_benchmark("Ticketed Readers-Writers")
+    multi = [method.name for method in expresso_result(spec).explicit.methods
+             if len(method.ccrs) > 1]
+    assert multi
+    unrestorable = 0
+    real_run_schedule = scheduler.run_schedule
+
+    def counting_run_schedule(*args, **kwargs):
+        nonlocal unrestorable
+        run = real_run_schedule(*args, **kwargs)
+        unrestorable += sum(1 for offset, decision in enumerate(run.decisions)
+                            if decision.kind == "grant"
+                            and offset not in run.checkpoints)
+        return run
+
+    monkeypatch.setattr(scheduler, "run_schedule", counting_run_schedule)
+    checker, result, counts = _explore_both_ways(monkeypatch, spec, "expresso", por)
+    assert result.exhausted and result.ok
+    assert counts == _TICKETED_READERS_WRITERS[por]
+    assert checker.mismatches == []
+    assert unrestorable > 0 and checker.restored > 0 and checker.fallbacks > 0
