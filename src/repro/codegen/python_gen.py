@@ -5,13 +5,20 @@ discipline) or a plain :class:`~repro.lang.ast.Monitor` (for the automatic
 ones), the generators emit a self-contained Python class whose methods take
 the monitor's parameters and perform real ``threading`` synchronization:
 
-* :func:`generate_python_explicit` — condition variable per waited-on guard,
+* :func:`generate_python_explicit` — a
+  :class:`~repro.runtime.explicit_support.Condvar` per waited-on guard,
   statically placed (conditional/unconditional, signal/broadcast)
   notifications; guards with thread-local variables use the §6 waiter-snapshot
   table (:class:`repro.runtime.explicit_support.GuardWaiters`);
 * :func:`generate_python_implicit` — the naive broadcast-everything runtime;
 * :func:`generate_python_autosynch` — the AutoSynch-style predicate-tagging
   runtime.
+
+Threaded classes wait and notify through
+:class:`~repro.runtime.explicit_support.Condvar`, never
+``threading.Condition``; with ``coop=True`` the generators emit generator
+methods for the cooperative scheduler instead, which import no condition
+variable at all.
 
 Every generated class exposes ``metrics`` (a
 :class:`~repro.runtime.explicit_support.MonitorMetrics`) so the harness can
@@ -78,17 +85,20 @@ def materialize_class(source: str, class_name: str):
     return namespace[class_name]
 
 
-_MODULE_PREAMBLE = [
-    '"""Auto-generated monitor code — do not edit by hand."""',
-    "import threading",
-    "",
-    "from repro.runtime.explicit_support import GuardWaiters, MonitorMetrics",
-    "from repro.runtime.implicit import ImplicitRuntime",
-    "from repro.runtime.autosynch import AutoSynchRuntime",
-    "from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime",
-    "",
-    "",
-]
+def _module_preamble(coop: bool) -> List[str]:
+    """The generated module's header; only threaded classes import Condvar."""
+    support = "GuardWaiters, MonitorMetrics" if coop else "Condvar, GuardWaiters, MonitorMetrics"
+    return [
+        '"""Auto-generated monitor code — do not edit by hand."""',
+        "import threading",
+        "",
+        f"from repro.runtime.explicit_support import {support}",
+        "from repro.runtime.implicit import ImplicitRuntime",
+        "from repro.runtime.autosynch import AutoSynchRuntime",
+        "from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime",
+        "",
+        "",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def generate_python_explicit(explicit: ExplicitMonitor, class_name: Optional[str
     field_names = _field_names(explicit.fields)
     guard_vars = {guard: name for guard, name in explicit.condition_vars}
 
-    lines: List[str] = list(_MODULE_PREAMBLE)
+    lines: List[str] = _module_preamble(coop)
     if coop and footprints is not None:
         lines.insert(-2, "from repro.explore.strategies import MethodFootprint")
     lines.append(f"class {class_name}:")
@@ -195,7 +205,7 @@ def generate_python_explicit(explicit: ExplicitMonitor, class_name: Optional[str
     lines.extend(_field_init_lines(explicit.fields, field_names, 2))
     for guard, cond_name in explicit.condition_vars:
         if not coop:
-            lines.append(f"        self._{cond_name} = threading.Condition(self._lock)")
+            lines.append(f"        self._{cond_name} = Condvar(self._lock)")
         if _guard_locals(guard, field_names):
             lines.append(f"        self._{cond_name}_waiters = GuardWaiters()")
     lines.append("")
@@ -314,7 +324,7 @@ def _method_local_names(monitor: Monitor, method) -> List[str]:
 def _generate_runtime_class(monitor: Monitor, runtime_class: str, class_name: str,
                             coop: bool = False) -> str:
     field_names = _field_names(monitor.fields)
-    lines: List[str] = list(_MODULE_PREAMBLE)
+    lines: List[str] = _module_preamble(coop)
     lines.append(f"class {class_name}:")
     lines.append(f'    """{runtime_class}-backed automatic monitor for {monitor.name}."""')
     lines.append("")

@@ -13,14 +13,22 @@ logic (paper §7):
 * **Naive implicit** — :class:`~repro.runtime.implicit.ImplicitRuntime`,
   broadcast-everything automatic signalling (the classic baseline the paper
   cites as 10-50x slower than explicit signals).
+
+All three wait and notify through one condition variable,
+:class:`~repro.runtime.explicit_support.Condvar`: a FIFO queue of per-waiter
+locks whose ``notify`` on an empty queue costs one test, like Java's
+``Condition.signal()`` on an empty wait set, so the disciplines are compared
+on their signalling decisions rather than on ``threading.Condition``'s
+bookkeeping.  The cooperative twins in :mod:`repro.runtime.coop` yield
+scheduler operations instead and use no OS primitive.
 """
 
-from repro.runtime.explicit_support import GuardWaiters, MonitorMetrics
+from repro.runtime.explicit_support import Condvar, GuardWaiters, MonitorMetrics
 from repro.runtime.autosynch import AutoSynchRuntime
 from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime
 from repro.runtime.implicit import ImplicitRuntime
 
 __all__ = [
-    "GuardWaiters", "MonitorMetrics", "AutoSynchRuntime", "ImplicitRuntime",
+    "Condvar", "GuardWaiters", "MonitorMetrics", "AutoSynchRuntime", "ImplicitRuntime",
     "CoopAutoSynchRuntime", "CoopImplicitRuntime",
 ]

@@ -8,7 +8,9 @@ relevant part for the paper's comparison: no spurious wake-ups, but every
 monitor exit pays run-time predicate evaluations proportional to the number
 of waiters, plus the bookkeeping of the waiter structures.
 
-This class reproduces that behaviour with per-waiter condition variables:
+This class reproduces that behaviour with per-waiter condition variables
+(:class:`~repro.runtime.explicit_support.Condvar`, the one every threaded
+discipline uses):
 ``execute`` blocks the caller until its predicate holds and, after running
 the body, wakes precisely the waiters whose predicates now hold.
 """
@@ -19,13 +21,13 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.runtime.explicit_support import MonitorMetrics
+from repro.runtime.explicit_support import Condvar, MonitorMetrics
 
 
 @dataclass
 class _Waiter:
     predicate: Callable[[], bool]
-    condition: threading.Condition
+    condition: Condvar
     admitted: bool = False
 
 
@@ -43,7 +45,7 @@ class AutoSynchRuntime:
             self.metrics.operations += 1
             self.metrics.predicate_evaluations += 1
             if not guard():
-                waiter = _Waiter(guard, threading.Condition(self.lock))
+                waiter = _Waiter(guard, Condvar(self.lock))
                 self._waiters.append(waiter)
                 self.metrics.waits += 1
                 while True:

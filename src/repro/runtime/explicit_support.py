@@ -1,5 +1,9 @@
 """Support classes for generated explicit-signal monitors.
 
+:class:`Condvar` is the condition variable of every threaded discipline:
+the generated explicit-signal monitors (Expresso's and the hand-written
+placements) and both automatic runtimes wait and notify through it.
+
 :class:`GuardWaiters` is the run-time data structure of paper §6
 ("Instrumentation for predicates with local variables"): it tracks, for one
 waited-on guard, the thread-local variable snapshots of every blocked thread,
@@ -13,9 +17,10 @@ broadcasts); the saturation harness reads it after each run.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Dict, List, Optional
+from _thread import allocate_lock
+from collections import deque
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Deque, Dict, List, Optional
 
 
 @dataclass
@@ -45,6 +50,69 @@ class MonitorMetrics:
             else:
                 value = 0
             setattr(self, spec.name, value)
+
+
+class Condvar:
+    """A Mesa condition variable over a monitor lock the caller holds.
+
+    Waiters park in FIFO order, each on a private lock that a notifier
+    releases.  Unlike :class:`threading.Condition` it never probes whether
+    the caller owns the monitor lock (every call site runs inside it), and
+    a notify with no waiter is one empty-deque test: the cost of Java's
+    ``Condition.signal()`` on an empty wait set, which the paper's
+    measurements assume.  ``notify`` pops the oldest waiter in O(1) where
+    ``threading.Condition`` copies or scans its waiter deque.  Callers
+    re-check their predicate after every wake-up, as Mesa semantics
+    require.
+    """
+
+    __slots__ = ("_lock", "_waiters")
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self._waiters: Deque = deque()
+
+    def wait(self) -> None:
+        """Release the monitor lock, park until notified, then re-acquire it."""
+        waiter = allocate_lock()
+        waiter.acquire()
+        self._waiters.append(waiter)
+        try:
+            self._lock.release()
+        except RuntimeError:
+            # Not holding the monitor lock: nothing parked, so drop the entry.
+            self._discard(waiter)
+            raise
+        try:
+            waiter.acquire()
+        except BaseException:
+            # Interrupted while parked (a signal handler raised).
+            self._lock.acquire()
+            self._discard(waiter)
+            raise
+        self._lock.acquire()
+
+    def _discard(self, waiter) -> None:
+        """Remove a waiter that is leaving by exception; keep its wake-up alive."""
+        try:
+            self._waiters.remove(waiter)
+        except ValueError:
+            # A notifier already popped it: pass that wake-up on.
+            self.notify()
+
+    def notify(self) -> None:
+        """Wake the oldest waiter, if any."""
+        if self._waiters:
+            self._waiters.popleft().release()
+
+    def notify_all(self) -> None:
+        """Wake every waiter."""
+        waiters = self._waiters
+        while waiters:
+            waiters.popleft().release()
+
+    def __len__(self) -> int:
+        return len(self._waiters)
 
 
 class GuardWaiters:

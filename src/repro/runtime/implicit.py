@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from repro.runtime.explicit_support import MonitorMetrics
+from repro.runtime.explicit_support import Condvar, MonitorMetrics
 
 
 class ImplicitRuntime:
@@ -20,12 +20,12 @@ class ImplicitRuntime:
 
     def __init__(self, metrics: Optional[MonitorMetrics] = None):
         self.lock = threading.Lock()
-        self._condition = threading.Condition(self.lock)
+        self._condition = Condvar(self.lock)
         self.metrics = metrics or MonitorMetrics()
 
     def execute(self, guard: Callable[[], bool], body: Callable[[], None]) -> None:
         """Run ``waituntil (guard) { body }`` with implicit signalling."""
-        with self._condition:
+        with self.lock:
             self.metrics.operations += 1
             self.metrics.predicate_evaluations += 1
             satisfied = guard()
