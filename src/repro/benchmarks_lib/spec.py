@@ -15,13 +15,14 @@ one benchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.lang import load_monitor
 from repro.lang.ast import Monitor
-from repro.placement.algorithm import PlacementResult
-from repro.placement.instrument import instrument
-from repro.placement.target import ExplicitMonitor, Notification
+from repro.logic import TRUE
+
+if TYPE_CHECKING:
+    from repro.placement.target import ExplicitMonitor
 
 #: One thread's operation sequence: a list of (method name, positional args).
 ThreadOps = List[Tuple[str, tuple]]
@@ -73,6 +74,10 @@ class BenchmarkSpec:
 
     def handwritten_explicit(self) -> ExplicitMonitor:
         """The hand-written explicit-signal monitor as an ExplicitMonitor."""
+        from repro.placement.algorithm import PlacementResult
+        from repro.placement.instrument import instrument
+        from repro.placement.target import Notification
+
         monitor = self.monitor()
         notifications: Dict[str, List[Notification]] = {
             ccr.label: [] for _m, ccr in monitor.ccrs()
@@ -84,7 +89,7 @@ class BenchmarkSpec:
             )
         result = PlacementResult(
             monitor=monitor,
-            invariant=_true(),
+            invariant=TRUE,
             notifications={label: tuple(notes) for label, notes in notifications.items()},
             decisions=(),
         )
@@ -93,12 +98,6 @@ class BenchmarkSpec:
     def workload(self, threads: int, ops_per_thread: Optional[int] = None) -> Workload:
         """A balanced workload for *threads* threads."""
         return self.make_workload(threads, ops_per_thread or self.default_ops_per_thread)
-
-
-def _true():
-    from repro.logic import TRUE
-
-    return TRUE
 
 
 def shuffle_workload(workload: Workload, seed: int) -> Workload:

@@ -42,12 +42,16 @@ Usage examples::
     expresso watch --store campaign.sqlite3 --ticks 5 --now 0  # deterministic
     expresso report --store campaign.sqlite3 --profile prof.json --out report/
     expresso stitch driver-trace.json helper-trace.json --out stitched.json
+
+Each subparser carries its handler (``set_defaults(handler=...)``), and each
+handler imports what it runs.  Parsing argv loads no other ``repro`` module,
+so ``--help``, ``list``, ``status``, ``watch``, ``report`` and ``stitch``
+start without loading the compiler.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -55,22 +59,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence
 
-from repro import obs
-from repro.benchmarks_lib import ALL_BENCHMARKS, FIGURE8_BENCHMARKS, FIGURE9_BENCHMARKS
-from repro.benchmarks_lib.registry import get_benchmark
-from repro.codegen import generate_java, generate_python_explicit
-from repro.harness.compile_time import measure_compile_times
-from repro.harness.report import (
-    figure_report,
-    render_explore_table,
-    render_figure_table,
-    render_mutation_table,
-    render_table1,
-    speedup_summary,
-)
-from repro.lang.pretty import pretty_monitor
-from repro.logic.pretty import pretty
-from repro.placement.pipeline import ExpressoPipeline
+
+class _UsageError(Exception):
+    """A mistake in the command line or its inputs: :func:`main` prints
+    ``error: MESSAGE`` and exits 2, the usage-error code every command
+    shares."""
 
 
 def _positive_int(text: str) -> int:
@@ -140,43 +133,135 @@ def _add_distrib_args(cmd: argparse.ArgumentParser) -> None:
                           "(default: 30)")
 
 
-def _resolve_benchmarks(names: Sequence[str]):
-    """Registry specs for *names*; ``(specs, exit_code)``.
+def _add_json_arg(cmd: argparse.ArgumentParser) -> None:
+    """``--json`` of explore, fuzz, mutate, profile and lint."""
+    cmd.add_argument("--json", action="store_true",
+                     help="emit machine-readable JSON instead of text")
 
-    An unknown name prints ``error: unknown benchmark ...`` and yields exit
-    code 2, the usage-error code every command shares.
+
+def _add_shape_args(cmd: argparse.ArgumentParser) -> None:
+    """The virtual workload of one explored schedule (explore, mutate)."""
+    cmd.add_argument("--threads", type=_positive_int, default=3,
+                     help="virtual threads per schedule (default: 3)")
+    cmd.add_argument("--ops", type=_positive_int, default=2,
+                     help="operations per virtual thread (default: 2)")
+
+
+def _add_max_steps_arg(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--max-steps", type=_positive_int, default=20_000,
+                     help="per-schedule step bound (default: 20000)")
+
+
+def _add_path_arg(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("path", help="path to the implicit-signal monitor source")
+
+
+def _add_monitor_targets(cmd: argparse.ArgumentParser, verb: str) -> None:
+    """The monitors profile and lint work on; :func:`_monitor_targets`
+    resolves them."""
+    cmd.add_argument("paths", nargs="*",
+                     help="implicit-signal monitor source files")
+    cmd.add_argument("--benchmark", action="append", default=None,
+                     help=f"registry benchmark to {verb} (repeatable)")
+    cmd.add_argument("--suite", action="store_true",
+                     help=f"{verb} every registry benchmark")
+
+
+def _resolve_benchmarks(names: Optional[Sequence[str]]):
+    """Registry specs for *names*, or the whole suite when there are none.
+
+    An unknown name is a usage error: ``error: unknown benchmark ...``.
     """
+    from repro.benchmarks_lib import ALL_BENCHMARKS, get_benchmark
+
     try:
-        return [get_benchmark(name) for name in names], None
+        return [get_benchmark(name) for name in names or ALL_BENCHMARKS]
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return None, 2
+        raise _UsageError(exc.args[0]) from None
 
 
-def _distrib_from_args(args):
-    """Build the DistribConfig from CLI flags; ``(config, exit_code)``."""
-    from repro.distrib import DistribConfig
+def _read_sources(paths: Sequence[str]) -> List[tuple]:
+    """``(stem, source)`` per monitor source file; an unreadable one is a
+    usage error: ``error: cannot read PATH: ...``."""
+    targets = []
+    for path in paths:
+        try:
+            targets.append((Path(path).stem, Path(path).read_text()))
+        except OSError as exc:
+            raise _UsageError(f"cannot read {path}: {exc}") from None
+    return targets
 
-    store = getattr(args, "store", None)
-    if getattr(args, "helper", False) and not store:
-        print("error: --helper needs --store (the shared campaign store to "
-              "work)", file=sys.stderr)
-        return None, 2
+
+def _compile(pipeline, name: str, source: str):
+    """*pipeline*'s result for *source*; a source that fails to compile is
+    a usage error: ``error: cannot compile NAME: ...``."""
+    try:
+        return pipeline.compile(source)
+    except Exception as exc:
+        raise _UsageError(f"cannot compile {name}: {exc}") from None
+
+
+def _monitor_targets(args, default_suite: bool = False) -> List[tuple]:
+    """``(name, source)`` per monitor of the profile/lint target group:
+    every path, then every registry benchmark (``--suite``, or nothing
+    named at all when *default_suite*) or each ``--benchmark``."""
+    targets = _read_sources(args.paths)
+    if args.suite or args.benchmark or (default_suite and not targets):
+        names = None if args.suite else args.benchmark
+        targets.extend((spec.name, spec.source)
+                       for spec in _resolve_benchmarks(names))
+    return targets
+
+
+def _campaign_preamble(args):
+    """What explore, fuzz and mutate do first; ``(distrib, exit_code)``.
+
+    Installs ``--fault-plan`` process-wide (the dispatcher ships it to every
+    pool worker) and builds the DistribConfig from the flags.  With
+    ``--helper`` the command works the shared store until the driver
+    finishes, and *exit_code* is set: the command is done.  A traced helper
+    records one ``distrib.unit`` span per unit it evaluated, which
+    ``expresso stitch`` merges with the driver's trace.
+    """
+    from repro.distrib import DistribConfig, run_helper
+
+    if args.fault_plan:
+        from repro.resilience import FaultPlan, install_plan
+
+        try:
+            install_plan(FaultPlan.from_file(args.fault_plan))
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot load fault plan {args.fault_plan}: "
+                              f"{exc}") from None
+    helper = getattr(args, "helper", False)
+    if helper and not args.store:
+        raise _UsageError("--helper needs --store (the shared campaign store "
+                          "to work)")
     lease = ({"lease_ttl": args.lease_ttl,
               "heartbeat_interval": args.heartbeat_interval}
              if hasattr(args, "lease_ttl") else {})
     try:
-        return DistribConfig(store_path=store, deadline=args.job_deadline,
-                             max_attempts=args.job_retries, **lease), None
+        distrib = DistribConfig(store_path=getattr(args, "store", None),
+                                deadline=args.job_deadline,
+                                max_attempts=args.job_retries, **lease)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+        raise _UsageError(str(exc)) from None
+    if not helper:
+        return distrib, None
+    with _traced(args):
+        completed = run_helper(args.store, distrib,
+                               wait_for_store=args.helper_wait)
+    print(f"helper finished: {completed} unit(s) completed",
+          file=sys.stderr)
+    return distrib, 0
 
 
 @contextmanager
 def _traced(args) -> Iterator[None]:
     """One observability session around a command's run; with ``--trace``
     it records, and the trace is written once the run returns."""
+    from repro import obs
+
     with obs.observe(trace=bool(args.trace)) as session:
         yield
     if args.trace:
@@ -184,21 +269,18 @@ def _traced(args) -> Iterator[None]:
         print(f"trace written to {args.trace}", file=sys.stderr)
 
 
-def _run_helper_mode(args, distrib) -> int:
-    """`--helper`: work the shared store until the driver finishes.
+def _store_snapshot(args):
+    """The read-only snapshot of ``--store`` at ``--now`` (status, report);
+    its warnings go to stderr."""
+    from repro.obs import console
 
-    With ``--trace`` the helper records its own flight recording — one
-    ``distrib.unit`` span per unit it evaluated — which ``expresso stitch``
-    merges with the driver's trace into a single cross-process timeline.
-    """
-    from repro.distrib import run_helper
-
-    with _traced(args):
-        completed = run_helper(args.store, distrib,
-                               wait_for_store=args.helper_wait)
-    print(f"helper finished: {completed} unit(s) completed",
-          file=sys.stderr)
-    return 0
+    try:
+        snapshot = console.snapshot_at(args.store, now=args.now)
+    except console.ConsoleError as error:
+        raise _UsageError(str(error)) from None
+    for warning in snapshot["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
+    return snapshot
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compile_cmd = sub.add_parser("compile", help="compile a monitor to explicit-signal code")
-    compile_cmd.add_argument("path", help="path to the implicit-signal monitor source")
+    compile_cmd.set_defaults(handler=_cmd_compile)
+    _add_path_arg(compile_cmd)
     compile_cmd.add_argument("--emit", choices=("java", "python", "dsl"), default="java",
                              help="output language (default: java)")
     compile_cmd.add_argument("--lazy-broadcast", action="store_true",
@@ -229,17 +312,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "soundly (default: no budget)")
 
     explain_cmd = sub.add_parser("explain", help="show invariant and placement decisions")
-    explain_cmd.add_argument("path", help="path to the implicit-signal monitor source")
+    explain_cmd.set_defaults(handler=_cmd_explain)
+    _add_path_arg(explain_cmd)
 
     bench_cmd = sub.add_parser("bench", help="reproduce the paper's figures and tables")
+    bench_cmd.set_defaults(handler=_cmd_bench)
     bench_cmd.add_argument("--figure", choices=("8", "9"), help="reproduce one figure")
     bench_cmd.add_argument("--table", choices=("1",), help="reproduce Table 1")
     bench_cmd.add_argument("--summary", action="store_true",
                            help="print the aggregate speedup summary")
     bench_cmd.add_argument("--benchmark", help="restrict to a single benchmark by name")
-    bench_cmd.add_argument("--threads", type=int, nargs="+",
+    bench_cmd.add_argument("--threads", type=_positive_int, nargs="+",
                            help="thread ladder override (default: per-benchmark)")
-    bench_cmd.add_argument("--ops", type=int, default=None,
+    bench_cmd.add_argument("--ops", type=_positive_int, default=None,
                            help="operations per thread (default: per-benchmark)")
     bench_cmd.add_argument("--workers", type=_positive_int, default=1,
                            help="compile the Table 1 suite on N processes "
@@ -252,6 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explore_cmd = sub.add_parser(
         "explore", help="systematically explore schedules of compiled monitors")
+    explore_cmd.set_defaults(handler=_cmd_explore)
     explore_cmd.add_argument("--benchmark", action="append", default=None,
                              help="benchmark to explore (repeatable; default: all)")
     explore_cmd.add_argument("--discipline", default="expresso",
@@ -263,14 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="exploration strategy (default: random)")
     explore_cmd.add_argument("--schedules", type=_positive_int, default=200,
                              help="schedule budget per benchmark (default: 200)")
-    explore_cmd.add_argument("--threads", type=_positive_int, default=3,
-                             help="virtual threads per schedule (default: 3)")
-    explore_cmd.add_argument("--ops", type=_positive_int, default=2,
-                             help="operations per virtual thread (default: 2)")
+    _add_shape_args(explore_cmd)
     explore_cmd.add_argument("--seed", type=int, default=0,
                              help="base seed for random/pct walks (default: 0)")
-    explore_cmd.add_argument("--max-steps", type=_positive_int, default=20_000,
-                             help="per-schedule step bound (default: 20000)")
+    _add_max_steps_arg(explore_cmd)
     explore_cmd.add_argument("--keep-going", action="store_true",
                              help="keep exploring after the first divergence")
     explore_cmd.add_argument("--workers", type=_positive_int, default=1,
@@ -299,13 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a deterministic Chrome-trace-event "
                                   "JSON flight recording (per-schedule spans "
                                   "with prune provenance; shard-merged)")
-    explore_cmd.add_argument("--json", action="store_true",
-                             help="emit machine-readable JSON instead of text")
+    _add_json_arg(explore_cmd)
     _add_resilience_args(explore_cmd)
     _add_distrib_args(explore_cmd)
 
     fuzz_cmd = sub.add_parser(
         "fuzz", help="coverage-guided fuzzing campaign over generated monitors")
+    fuzz_cmd.set_defaults(handler=_cmd_fuzz)
     fuzz_cmd.add_argument("--budget", type=_positive_int, default=2000,
                           help="total judged-schedule budget (default: 2000)")
     fuzz_cmd.add_argument("--seed", type=int, default=0,
@@ -333,8 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("dfs", "random", "pct"),
                           help="per-candidate exploration strategy "
                                "(default: dfs)")
-    fuzz_cmd.add_argument("--max-steps", type=_positive_int, default=20_000,
-                          help="per-schedule step bound (default: 20000)")
+    _add_max_steps_arg(fuzz_cmd)
     fuzz_cmd.add_argument("--trace", metavar="FILE", default=None,
                           help="write a deterministic Chrome-trace-event "
                                "JSON flight recording of the whole campaign")
@@ -346,62 +427,49 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="roll --corpus-dir back to its last valid "
                                "journal record (truncate torn tail, drop "
                                "stale tmp files, rewrite state), then resume")
-    fuzz_cmd.add_argument("--json", action="store_true",
-                          help="emit machine-readable JSON instead of text")
+    _add_json_arg(fuzz_cmd)
     _add_resilience_args(fuzz_cmd)
     _add_distrib_args(fuzz_cmd)
 
     mutate_cmd = sub.add_parser(
         "mutate", help="drop every placed notification; each must be caught")
+    mutate_cmd.set_defaults(handler=_cmd_mutate)
     mutate_cmd.add_argument("--benchmark", action="append", default=None,
                             help="benchmark to mutate (repeatable; default: all)")
-    mutate_cmd.add_argument("--threads", type=_positive_int, default=3,
-                            help="virtual threads per schedule (default: 3)")
-    mutate_cmd.add_argument("--ops", type=_positive_int, default=2,
-                            help="operations per virtual thread (default: 2)")
+    _add_shape_args(mutate_cmd)
     mutate_cmd.add_argument("--schedules", type=_positive_int, default=20_000,
                             help="DFS budget per mutant (default: 20000)")
     mutate_cmd.add_argument("--workers", type=_positive_int, default=None,
                             help="process-pool size (default: one per CPU)")
-    mutate_cmd.add_argument("--json", action="store_true",
-                            help="emit machine-readable JSON instead of text")
+    _add_json_arg(mutate_cmd)
     _add_resilience_args(mutate_cmd)
 
     profile_cmd = sub.add_parser(
         "profile", help="profile SMT solver time by phase, caller site and "
                         "formula hash across compiles")
-    profile_cmd.add_argument("paths", nargs="*",
-                             help="implicit-signal monitor source files")
-    profile_cmd.add_argument("--benchmark", action="append", default=None,
-                             help="registry benchmark to profile (repeatable)")
-    profile_cmd.add_argument("--suite", action="store_true",
-                             help="profile every registry benchmark")
+    profile_cmd.set_defaults(handler=_cmd_profile)
+    _add_monitor_targets(profile_cmd, "profile")
     profile_cmd.add_argument("--top", type=_positive_int, default=10,
                              help="hot-query table size (default: 10)")
     profile_cmd.add_argument("--trace", metavar="FILE", default=None,
                              help="also write the session's Chrome-trace-"
                                   "event JSON (with real timestamps)")
-    profile_cmd.add_argument("--json", action="store_true",
-                             help="emit machine-readable JSON instead of text")
+    _add_json_arg(profile_cmd)
 
     lint_cmd = sub.add_parser(
         "lint", help="statically analyze monitors: placement cross-check, "
                      "concurrency smells, coop-emission shapes")
-    lint_cmd.add_argument("paths", nargs="*",
-                          help="implicit-signal monitor source files")
-    lint_cmd.add_argument("--benchmark", action="append", default=None,
-                          help="registry benchmark to lint (repeatable)")
-    lint_cmd.add_argument("--suite", action="store_true",
-                          help="lint every registry benchmark")
+    lint_cmd.set_defaults(handler=_cmd_lint)
+    _add_monitor_targets(lint_cmd, "lint")
     lint_cmd.add_argument("--smt-timeout", type=_positive_float, default=None,
                           metavar="SECONDS",
                           help="per-SMT-query budget; UNKNOWN verdicts "
                                "suppress the affected advisory rather than "
                                "report an unproven one (default: no budget)")
-    lint_cmd.add_argument("--json", action="store_true",
-                          help="emit machine-readable JSON instead of text")
+    _add_json_arg(lint_cmd)
 
     list_cmd = sub.add_parser("list", help="list the built-in benchmarks")
+    list_cmd.set_defaults(handler=_cmd_list)
     list_cmd.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON (external tooling "
                                "and the report generator consume this)")
@@ -409,6 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     status_cmd = sub.add_parser(
         "status", help="one-shot read-only snapshot of a shared campaign "
                        "store (units, leases, worker health, progress)")
+    status_cmd.set_defaults(handler=_cmd_status)
     status_cmd.add_argument("--store", metavar="PATH", required=True,
                             help="the campaign store to inspect (opened "
                                  "read-only; never binds or repairs)")
@@ -424,6 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "watch", help="poll a campaign store's status; nonzero exit when "
                       "the anomaly watchdog fires (stalled lease, no "
                       "progress)")
+    watch_cmd.set_defaults(handler=_cmd_watch)
     watch_cmd.add_argument("--store", metavar="PATH", required=True,
                            help="the campaign store to watch (read-only)")
     watch_cmd.add_argument("--interval", type=_positive_float, default=2.0,
@@ -445,6 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report_cmd = sub.add_parser(
         "report", help="write a self-contained HTML+markdown run report "
                        "plus an OpenMetrics textfile")
+    report_cmd.set_defaults(handler=_cmd_report)
     report_cmd.add_argument("--store", metavar="PATH", default=None,
                             help="campaign store to snapshot into the "
                                  "report (read-only)")
@@ -469,6 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stitch_cmd = sub.add_parser(
         "stitch", help="merge driver + helper Chrome traces into one "
                        "pid/unit-keyed timeline with logical clocks")
+    stitch_cmd.set_defaults(handler=_cmd_stitch)
     stitch_cmd.add_argument("traces", nargs="+", metavar="TRACE",
                             help="input trace files, driver first (one pid "
                                  "lane per file)")
@@ -480,35 +552,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pipeline_from_args(args) -> ExpressoPipeline:
-    return ExpressoPipeline(
-        use_commutativity=not getattr(args, "no_commutativity", False),
-        infer_invariant=not getattr(args, "no_invariant", False),
-        smt_timeout=getattr(args, "smt_timeout", None),
-    )
-
-
-def _install_fault_plan(args) -> Optional[int]:
-    """Install --fault-plan process-wide; an exit code on failure."""
-    path = getattr(args, "fault_plan", None)
-    if not path:
-        return None
-    from repro.resilience import FaultPlan, install_plan
-
-    try:
-        plan = FaultPlan.from_file(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load fault plan {path}: {exc}", file=sys.stderr)
-        return 2
-    # The dispatcher ships the installed plan to every pool worker.
-    install_plan(plan)
-    return None
-
-
 def _cmd_compile(args) -> int:
-    source = Path(args.path).read_text()
+    from repro.codegen import generate_java, generate_python_explicit
+    from repro.lang.pretty import pretty_monitor
+    from repro.placement.pipeline import ExpressoPipeline
+
+    ((name, source),) = _read_sources([args.path])
     with _traced(args):
-        result = _pipeline_from_args(args).compile(source)
+        result = _compile(ExpressoPipeline(
+            use_commutativity=not args.no_commutativity,
+            infer_invariant=not args.no_invariant,
+            smt_timeout=args.smt_timeout), name, source)
     if args.emit == "java":
         print(generate_java(result.explicit, lazy_broadcast=args.lazy_broadcast))
     elif args.emit == "python":
@@ -520,8 +574,11 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    source = Path(args.path).read_text()
-    result = ExpressoPipeline().compile(source)
+    from repro.logic.pretty import pretty
+    from repro.placement.pipeline import ExpressoPipeline
+
+    ((name, source),) = _read_sources([args.path])
+    result = _compile(ExpressoPipeline(), name, source)
     print(result.summary())
     print()
     print("placement decisions:")
@@ -538,8 +595,15 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from repro.benchmarks_lib import FIGURE8_BENCHMARKS, FIGURE9_BENCHMARKS
+    from repro.harness import report
+
     ladder = tuple(args.threads) if args.threads else None
     if args.table == "1":
+        import dataclasses
+
+        from repro.harness.compile_time import measure_compile_times
+
         start = time.perf_counter()
         rows = measure_compile_times(workers=args.workers)
         wall = time.perf_counter() - start
@@ -548,30 +612,29 @@ def _cmd_bench(args) -> int:
                               "rows": [dataclasses.asdict(row) for row in rows]},
                              indent=2))
             return 0
-        print(render_table1(rows))
+        print(report.render_table1(rows))
         mode = f"parallel x{args.workers}" if args.workers > 1 else "sequential"
         print(f"\nsuite wall clock: {wall:.2f}s ({mode})")
         return 0
     if args.benchmark:
-        specs, failed = _resolve_benchmarks([args.benchmark])
-        if failed is not None:
-            return failed
+        specs = _resolve_benchmarks([args.benchmark])
     elif args.figure == "8":
         specs = FIGURE8_BENCHMARKS
     elif args.figure == "9":
         specs = FIGURE9_BENCHMARKS
     else:
-        specs = list(ALL_BENCHMARKS.values())
+        specs = _resolve_benchmarks(None)
     all_series = []
     for spec in specs:
-        series = figure_report(spec, thread_ladder=ladder or spec.thread_ladder[:3],
-                               ops_per_thread=args.ops, seed=args.seed)
+        series = report.figure_report(
+            spec, thread_ladder=ladder or spec.thread_ladder[:3],
+            ops_per_thread=args.ops, seed=args.seed)
         all_series.append(series)
         if not args.json:
-            print(render_figure_table(series))
+            print(report.render_figure_table(series))
             print()
     want_summary = args.summary or not (args.figure or args.benchmark)
-    summary = speedup_summary(all_series) if want_summary else {}
+    summary = report.speedup_summary(all_series) if want_summary else {}
     if args.json:
         print(json.dumps({"seed": args.seed,
                           "series": [series.to_dict() for series in all_series],
@@ -618,20 +681,26 @@ def _replay_jobs_from_file(path: str) -> List[dict]:
 
 
 def _cmd_replay(args) -> int:
+    from repro.benchmarks_lib import get_benchmark
     from repro.explore import coop_monitor_and_class, replay_schedule
     from repro.explore.trace import render_trace
 
+    # Every job's benchmark and discipline resolve before the first replay
+    # runs, so a bad file is one usage error rather than a partial run.
+    setups = []
     try:
-        jobs = _replay_jobs_from_file(args.replay)
+        for job in _replay_jobs_from_file(args.replay):
+            spec = get_benchmark(job["benchmark"])
+            monitor, coop_class = coop_monitor_and_class(spec, job["discipline"])
+            setups.append((job, monitor, coop_class,
+                           spec.workload(job["threads"], job["ops"])))
+    except KeyError as exc:  # an unknown benchmark name
+        raise _UsageError(f"cannot replay {args.replay}: {exc.args[0]}") from None
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
-        print(f"error: cannot replay {args.replay}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot replay {args.replay}: {exc}") from None
     any_failure = False
     payload = []
-    for job in jobs:
-        spec = get_benchmark(job["benchmark"])
-        monitor, coop_class = coop_monitor_and_class(spec, job["discipline"])
-        programs = spec.workload(job["threads"], job["ops"])
+    for job, monitor, coop_class, programs in setups:
         run, verdict = replay_schedule(monitor, coop_class, programs,
                                        job["schedule"],
                                        max_steps=args.max_steps)
@@ -658,26 +727,20 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from repro.explore.parallel import parallel_explore_benchmark
-
     if args.replay is not None:
         if args.benchmark:
-            print("error: --replay re-runs recorded schedules; it cannot be "
-                  "combined with --benchmark", file=sys.stderr)
-            return 2
+            raise _UsageError("--replay re-runs recorded schedules; it cannot "
+                              "be combined with --benchmark")
         return _cmd_replay(args)
 
-    failed = _install_fault_plan(args)
-    if failed is not None:
-        return failed
-    distrib, failed = _distrib_from_args(args)
-    if failed is not None:
-        return failed
-    if args.helper:
-        return _run_helper_mode(args, distrib)
-    specs, failed = _resolve_benchmarks(args.benchmark or list(ALL_BENCHMARKS))
-    if failed is not None:
-        return failed
+    distrib, helped = _campaign_preamble(args)
+    if helped is not None:
+        return helped
+    specs = _resolve_benchmarks(args.benchmark)
+
+    from repro.distrib import CampaignStore, mark_active, mark_finished
+    from repro.explore.parallel import parallel_explore_benchmark
+    from repro.harness.report import render_explore_table
 
     # Without --store, one worker (or any dfs run) explores in-process.
     # With --store each shard — a seed block, or a benchmark's whole dfs
@@ -687,8 +750,6 @@ def _cmd_explore(args) -> int:
     # configuration starts fresh.
     cstore = None
     if args.store:
-        from repro.distrib import CampaignStore, mark_active
-
         cstore = CampaignStore(args.store)
         mark_active(cstore, distrib)
 
@@ -707,8 +768,6 @@ def _cmd_explore(args) -> int:
                 mark_active(cstore, distrib)   # refresh the liveness window
     distrib_counters = None
     if cstore is not None:
-        from repro.distrib import mark_finished
-
         distrib_counters = cstore.counters()
         mark_finished(cstore)
     ok = all(result.ok for result in results)
@@ -741,6 +800,14 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    distrib, helped = _campaign_preamble(args)
+    if helped is not None:
+        return helped
+    if (args.resume or args.repair) and not args.corpus_dir:
+        raise _UsageError("--resume/--repair need --corpus-dir (the campaign "
+                          "state to continue from)")
+
+    from repro.distrib import CampaignStore, StoreMismatchError
     from repro.fuzz import (
         CorpusStore,
         CorruptCorpusError,
@@ -749,26 +816,13 @@ def _cmd_fuzz(args) -> int:
     )
     from repro.harness.report import render_fuzz_table
 
-    failed = _install_fault_plan(args)
-    if failed is not None:
-        return failed
-    distrib, failed = _distrib_from_args(args)
-    if failed is not None:
-        return failed
-    if args.helper:
-        return _run_helper_mode(args, distrib)
-    if (args.resume or args.repair) and not args.corpus_dir:
-        print("error: --resume/--repair need --corpus-dir (the campaign "
-              "state to continue from)", file=sys.stderr)
-        return 2
     store = CorpusStore(args.corpus_dir)
     if args.repair:
         try:
             summary = store.repair()
         except CorruptCorpusError as exc:
-            print(f"error: cannot repair corpus at {exc.root}: {exc.detail}",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError(f"cannot repair corpus at {exc.root}: "
+                              f"{exc.detail}") from None
         truncated = "truncated torn tail" if summary["journal_truncated"] \
             else "journal intact"
         restored = summary.get("entries_restored") or []
@@ -783,8 +837,6 @@ def _cmd_fuzz(args) -> int:
             # The shared store gets the same treatment: every row carries a
             # content checksum, so corruption is detected and dropped (a
             # corrupt unit result merely re-runs that unit).
-            from repro.distrib import CampaignStore
-
             cstore = CampaignStore(args.store)
             problems = cstore.verify()
             if problems:
@@ -803,14 +855,11 @@ def _cmd_fuzz(args) -> int:
         max_findings=args.max_findings, workers=args.workers,
         strategy=args.strategy, max_steps=args.max_steps,
         resume=args.resume or args.repair, distrib=distrib)
-    from repro.distrib import StoreMismatchError
-
     try:
         with _traced(args):
             result = run_campaign(config, store)
     except (CorruptCorpusError, StoreMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0 if result.ok else 1
@@ -831,17 +880,12 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    from repro.explore.parallel import mutation_campaign
+    distrib, _helped = _campaign_preamble(args)
+    specs = _resolve_benchmarks(args.benchmark)
 
-    failed = _install_fault_plan(args)
-    if failed is not None:
-        return failed
-    distrib, failed = _distrib_from_args(args)
-    if failed is not None:
-        return failed
-    specs, failed = _resolve_benchmarks(args.benchmark or list(ALL_BENCHMARKS))
-    if failed is not None:
-        return failed
+    from repro.explore.parallel import mutation_campaign
+    from repro.harness.report import render_mutation_table
+
     report = mutation_campaign(specs, threads=args.threads, ops=args.ops,
                                budget=args.schedules, workers=args.workers,
                                distrib=distrib)
@@ -853,37 +897,19 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro import obs
     from repro.harness.report import render_profile_table
+    from repro.placement.pipeline import ExpressoPipeline
     from repro.smt.cache import FormulaCache
 
-    targets: List[tuple] = []  # (name, source)
-    for path in args.paths:
-        try:
-            targets.append((Path(path).stem, Path(path).read_text()))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    if args.suite or not (targets or args.benchmark):
-        # With no explicit target the whole suite is the interesting unit.
-        targets.extend((name, spec.source)
-                       for name, spec in ALL_BENCHMARKS.items())
-    if args.benchmark:
-        specs, failed = _resolve_benchmarks(args.benchmark)
-        if failed is not None:
-            return failed
-        targets.extend((spec.name, spec.source) for spec in specs)
-
+    # With no explicit target the whole suite is the interesting unit.
+    targets = _monitor_targets(args, default_suite=True)
     pipeline = ExpressoPipeline(cache=FormulaCache())
     compiles = []
     with obs.observe(trace=True, profile=True) as session:
         start = time.perf_counter()
         for name, source in targets:
-            try:
-                result = pipeline.compile(source)
-            except Exception as exc:
-                print(f"error: cannot compile {name}: {exc}", file=sys.stderr)
-                return 2
-            compiles.append((name, result))
+            compiles.append((name, _compile(pipeline, name, source)))
         wall = time.perf_counter() - start
     phases, span_seconds = obs.phase_attribution(session.tracer.events)
     coverage = span_seconds / wall if wall > 0 else 0.0
@@ -921,29 +947,16 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.lint import LintReport, check_coop_waits, merge_reports
-    from repro.harness.report import render_lint_table
-    from repro.smt.cache import FormulaCache
-
-    targets: List[tuple] = []  # (name, source)
-    for path in args.paths:
-        try:
-            targets.append((Path(path).stem, Path(path).read_text()))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    if args.suite:
-        targets.extend((name, spec.source)
-                       for name, spec in ALL_BENCHMARKS.items())
-    elif args.benchmark:
-        specs, failed = _resolve_benchmarks(args.benchmark)
-        if failed is not None:
-            return failed
-        targets.extend((spec.name, spec.source) for spec in specs)
+    targets = _monitor_targets(args)
     if not targets:
-        print("error: nothing to lint — give monitor paths, --benchmark, "
-              "or --suite", file=sys.stderr)
-        return 2
+        raise _UsageError("nothing to lint — give monitor paths, --benchmark, "
+                          "or --suite")
+
+    from repro.analysis.lint import LintReport, check_coop_waits, merge_reports
+    from repro.codegen import generate_python_explicit
+    from repro.harness.report import render_lint_table
+    from repro.placement.pipeline import ExpressoPipeline
+    from repro.smt.cache import FormulaCache
 
     # Placement re-derivation dominates lint time; share the formula cache so
     # suite runs amortize the near-duplicate VCs across monitors.
@@ -951,11 +964,7 @@ def _cmd_lint(args) -> int:
                                 smt_timeout=args.smt_timeout)
     reports: List[LintReport] = []
     for name, source in targets:
-        try:
-            result = pipeline.compile(source)
-        except Exception as exc:
-            print(f"error: cannot compile {name}: {exc}", file=sys.stderr)
-            return 2
+        result = _compile(pipeline, name, source)
         findings = list(result.lint_report.findings)
         # The pipeline lints the placed monitor; the coop emission shape
         # check needs generated source, so the CLI adds it here.
@@ -984,7 +993,9 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    if getattr(args, "json", False):
+    from repro.benchmarks_lib import ALL_BENCHMARKS
+
+    if args.json:
         print(json.dumps([{"name": name, "figure": spec.figure,
                            "origin": spec.origin}
                           for name, spec in ALL_BENCHMARKS.items()],
@@ -998,17 +1009,9 @@ def _cmd_list(args) -> int:
 def _cmd_status(args) -> int:
     from repro.obs import console
 
-    try:
-        snapshot = console.snapshot_at(args.store, now=args.now)
-    except console.ConsoleError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    for warning in snapshot["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.json:
-        print(console.snapshot_json(snapshot))
-    else:
-        print(console.render_snapshot(snapshot))
+    snapshot = _store_snapshot(args)
+    print(console.snapshot_json(snapshot) if args.json
+          else console.render_snapshot(snapshot))
     return 0
 
 
@@ -1020,26 +1023,29 @@ def _cmd_watch(args) -> int:
                              interval=args.interval, start=args.now,
                              stall_ticks=args.stall_ticks)
     except console.ConsoleError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(error)) from None
     except KeyboardInterrupt:
         return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.obs import console, report
+def _read_json_object(path: str) -> dict:
+    """A JSON object artifact; a missing, unreadable or malformed file is a
+    usage error: ``error: cannot read PATH: ...``."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise _UsageError(f"cannot read {path}: {exc}") from None
+    if not isinstance(document, dict):
+        raise _UsageError(f"cannot read {path}: not a JSON object")
+    return document
 
-    snapshot = None
-    if args.store:
-        try:
-            snapshot = console.snapshot_at(args.store, now=args.now)
-        except console.ConsoleError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        for warning in snapshot["warnings"]:
-            print(f"warning: {warning}", file=sys.stderr)
-    profile = report.load_json(args.profile) if args.profile else None
-    traces = [report.load_json(path) for path in (args.trace or [])]
+
+def _cmd_report(args) -> int:
+    from repro.obs import report
+
+    snapshot = _store_snapshot(args) if args.store else None
+    profile = _read_json_object(args.profile) if args.profile else None
+    traces = [_read_json_object(path) for path in (args.trace or [])]
     model = report.build_report(snapshot=snapshot, profile=profile,
                                 traces=traces or None,
                                 trace_labels=args.trace, title=args.title)
@@ -1055,14 +1061,12 @@ def _cmd_stitch(args) -> int:
     from repro.obs.validate import validate_trace
 
     if args.label and len(args.label) != len(args.traces):
-        print(f"error: {len(args.traces)} trace(s) but "
-              f"{len(args.label)} label(s)", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{len(args.traces)} trace(s) but "
+                          f"{len(args.label)} label(s)")
     try:
         document = stitch.stitch_files(args.traces, labels=args.label)
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(error)) from None
     errors = validate_trace(document)
     if errors:
         print("error: stitched trace fails schema validation:",
@@ -1079,22 +1083,11 @@ def _cmd_stitch(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "compile": _cmd_compile,
-        "explain": _cmd_explain,
-        "bench": _cmd_bench,
-        "explore": _cmd_explore,
-        "fuzz": _cmd_fuzz,
-        "mutate": _cmd_mutate,
-        "profile": _cmd_profile,
-        "lint": _cmd_lint,
-        "list": _cmd_list,
-        "status": _cmd_status,
-        "watch": _cmd_watch,
-        "report": _cmd_report,
-        "stitch": _cmd_stitch,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,6 @@ leaves a torn file next to the campaign's own artifacts.
 from __future__ import annotations
 
 import html as _html
-import json
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -299,9 +298,3 @@ def write_report(out_dir, model: Dict[str, Any],
     atomic_write_text(paths["openmetrics"],
                       render_openmetrics(model.get("metrics") or {}, gauges))
     return {kind: str(path) for kind, path in paths.items()}
-
-
-def load_json(path) -> Dict[str, Any]:
-    """Load one JSON artifact (trace document or profile output)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

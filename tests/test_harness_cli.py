@@ -1,5 +1,7 @@
 """Tests for the evaluation harness (saturation, compile-time, reports) and CLI."""
 
+import json
+
 import pytest
 
 from repro.benchmarks_lib import get_benchmark
@@ -145,6 +147,60 @@ def test_unknown_benchmark_exits_2(command, capsys):
     assert cli_main([command, "--benchmark", "NoSuchMonitor"]) == 2
     err = capsys.readouterr().err
     assert "error: unknown benchmark 'NoSuchMonitor'" in err
+
+
+@pytest.mark.parametrize("entry, detail", [
+    ({"benchmark": "NoSuchMonitor", "schedule": []},
+     "unknown benchmark 'NoSuchMonitor'"),
+    ({"benchmark": "BoundedBuffer", "discipline": "nosuch", "schedule": []},
+     "unknown discipline 'nosuch'"),
+], ids=["benchmark", "discipline"])
+def test_unknown_replay_target_exits_2(entry, detail, tmp_path, capsys):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(entry))
+    assert cli_main(["explore", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot replay {path}: {detail}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["compile", "explain"])
+class TestUnreadableSource:
+    def test_missing_path_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "missing.mon"
+        assert cli_main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    def test_unparsable_source_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "broken.mon"
+        path.write_text("monitor Broken { int x = ; }")
+        assert cli_main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot compile broken: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "2", "0"],
+                                   ["--ops", "-1"]])
+def test_bench_rejects_non_positive_sizes(flags, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["bench", "--benchmark", "PendingPostQueue", *flags])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: must be >= 1, got {flags[-1]}" in err
+
+
+@pytest.mark.parametrize("flag", ["--profile", "--trace"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "not-an-object"])
+def test_report_rejects_bad_artifacts(flag, content, tmp_path, capsys):
+    path = tmp_path / "artifact.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "report"
+    assert cli_main(["report", flag, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    assert not out.exists()
 
 
 class TestCliSolverCounters:
