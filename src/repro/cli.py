@@ -80,6 +80,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+#: The compiled disciplines ``explore`` schedules.
+_DISCIPLINES = ("expresso", "explicit", "autosynch", "implicit")
+
 #: ``explore --reduction`` levels -> (por, semantic, symmetry).
 _REDUCTIONS = {
     "none": (False, False, False),
@@ -341,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--benchmark", action="append", default=None,
                              help="benchmark to explore (repeatable; default: all)")
     explore_cmd.add_argument("--discipline", default="expresso",
-                             choices=("expresso", "explicit", "autosynch", "implicit"),
+                             choices=_DISCIPLINES,
                              help="which compiled discipline to schedule "
                                   "(default: expresso)")
     explore_cmd.add_argument("--strategy", default="random",
@@ -652,9 +655,12 @@ def _replay_jobs_from_file(path: str) -> List[dict]:
 
     Accepts the full ``explore --json`` document (``{"results": [...]}``), a
     single result object, or a minimal ``{"benchmark", "schedule"}`` object.
-    Each job carries benchmark/discipline/threads/ops context plus one
-    schedule (the minimized one for recorded failures).
+    Each job carries benchmark/discipline/threads/ops context, the
+    benchmark's registry spec and one schedule (the minimized one for
+    recorded failures).  An unknown benchmark or discipline is a ValueError.
     """
+    from repro.benchmarks_lib import get_benchmark
+
     document = json.loads(Path(path).read_text())
     results = (document.get("results", [document])
                if isinstance(document, dict) else list(document))
@@ -668,6 +674,13 @@ def _replay_jobs_from_file(path: str) -> List[dict]:
         }
         if context["benchmark"] is None:
             raise ValueError(f"replay entry without a benchmark name: {result}")
+        if context["discipline"] not in _DISCIPLINES:
+            raise ValueError(f"unknown discipline {context['discipline']!r}; "
+                             f"known: {list(_DISCIPLINES)}")
+        try:
+            context["spec"] = get_benchmark(context["benchmark"])
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         if "schedule" in result:
             jobs.append({**context, "schedule": result["schedule"],
                          "kind": result.get("kind")})
@@ -681,26 +694,19 @@ def _replay_jobs_from_file(path: str) -> List[dict]:
 
 
 def _cmd_replay(args) -> int:
-    from repro.benchmarks_lib import get_benchmark
     from repro.explore import coop_monitor_and_class, replay_schedule
     from repro.explore.trace import render_trace
 
-    # Every job's benchmark and discipline resolve before the first replay
-    # runs, so a bad file is one usage error rather than a partial run.
-    setups = []
     try:
-        for job in _replay_jobs_from_file(args.replay):
-            spec = get_benchmark(job["benchmark"])
-            monitor, coop_class = coop_monitor_and_class(spec, job["discipline"])
-            setups.append((job, monitor, coop_class,
-                           spec.workload(job["threads"], job["ops"])))
-    except KeyError as exc:  # an unknown benchmark name
-        raise _UsageError(f"cannot replay {args.replay}: {exc.args[0]}") from None
+        jobs = _replay_jobs_from_file(args.replay)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise _UsageError(f"cannot replay {args.replay}: {exc}") from None
     any_failure = False
     payload = []
-    for job, monitor, coop_class, programs in setups:
+    for job in jobs:
+        spec = job["spec"]
+        monitor, coop_class = coop_monitor_and_class(spec, job["discipline"])
+        programs = spec.workload(job["threads"], job["ops"])
         run, verdict = replay_schedule(monitor, coop_class, programs,
                                        job["schedule"],
                                        max_steps=args.max_steps)
