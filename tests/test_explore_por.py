@@ -144,27 +144,40 @@ class TestDporSoundness:
                     == _verdict_kinds(por)), (name, site)
 
     def test_suite_reduction_is_at_least_tenfold(self):
-        """The judged-schedule totals of the suite at 3 threads x 3 ops:
-        plain DFS, syntactic DPOR and semantic DPOR (32.0x fewer than plain,
-        2.17x fewer than syntactic; Dining Philosophers' rotations merge its
-        72 judged schedules to 24).  Every search is deterministic, so the
-        totals are pinned exactly."""
-        total_plain = total_syntactic = total_por = 0
-        for name in ALL_BENCHMARKS:
-            spec = get_benchmark(name)
-            kwargs = dict(threads=3, ops=3, strategy="dfs", budget=50_000,
-                          minimize=False, stop_on_failure=False)
-            plain = explore_benchmark(spec, "expresso", por=False, **kwargs)
-            syntactic = explore_benchmark(spec, "expresso", por=True,
-                                          semantic=False, symmetry=False,
-                                          **kwargs)
-            por = explore_benchmark(spec, "expresso", por=True, **kwargs)
-            assert plain.exhausted and syntactic.exhausted and por.exhausted
-            assert plain.ok and syntactic.ok and por.ok
-            total_plain += plain.schedules_run
-            total_syntactic += syntactic.schedules_run
-            total_por += por.schedules_run
-        assert (total_plain, total_syntactic, total_por) == (6274, 426, 196)
+        """The suite's counts at 3 threads x 3 ops for every ``--reduction``
+        level: (judged, pruned, por_skipped, symmetry_skipped,
+        distinct_states).  Semantic DPOR with symmetry judges 32.0x fewer
+        schedules than plain DFS and 2.17x fewer than syntactic DPOR
+        (Dining Philosophers' rotations merge its 72 judged schedules to
+        24).  Every search is deterministic, so the totals are pinned
+        exactly; a change to the dependence relation that moves any of them
+        changes what DPOR explores."""
+        levels = {
+            "none": dict(por=False),
+            "syntactic": dict(por=True, semantic=False, symmetry=False),
+            "semantic": dict(por=True, semantic=True, symmetry=False),
+            "full": dict(por=True, semantic=True, symmetry=True),
+        }
+        totals = {}
+        for level, options in levels.items():
+            total = [0] * 5
+            for name in ALL_BENCHMARKS:
+                result = explore_benchmark(
+                    get_benchmark(name), "expresso", threads=3, ops=3,
+                    strategy="dfs", budget=50_000, minimize=False,
+                    stop_on_failure=False, **options)
+                assert result.exhausted and result.ok, (level, name)
+                counts = (result.schedules_run, result.pruned,
+                          result.por_skipped, result.symmetry_skipped,
+                          result.distinct_states)
+                total = [a + b for a, b in zip(total, counts)]
+            totals[level] = tuple(total)
+        assert totals == {
+            "none": (6274, 5846, 0, 0, 4201),
+            "syntactic": (426, 5759, 70, 0, 4191),
+            "semantic": (415, 5196, 553, 0, 4159),
+            "full": (196, 2124, 236, 285, 1920),
+        }
 
     def test_symmetry_reduction_preserves_verdicts(self):
         """Identical-thread wake orders collapse; verdict sets survive."""
@@ -560,6 +573,88 @@ class TestParallel:
                                    budget=5000, workers=1, minimize=False)
         statuses = {tuple(m["site"]): m["status"] for m in report.mutants}
         assert statuses[("take#0", 0)] == "caught"
+
+    def test_mutate_statuses_and_schedules_are_pinned(self, capsys):
+        """16 caught, 17 benign, 0 survived; each mutant's status and judged
+        schedule count are deterministic, so a change to the class a mutant
+        is explored on, or to the relation it is reduced by, shows here."""
+        rc = cli_main(["mutate", "--threads", "3", "--ops", "2",
+                       "--workers", "1", "--json"])
+        decoded = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (decoded["caught"], decoded["benign"],
+                decoded["survived"]) == (16, 17, 0)
+        assert tuple((m["benchmark"], m["site"][0], m["site"][1], m["status"],
+                      m["schedules_run"])
+                     for m in decoded["mutants"]) == MUTATE_3X2_GOLDEN
+
+    def test_store_worker_rebuild_matches_in_process(self, capsys, tmp_path,
+                                                     monkeypatch):
+        """A --store dfs explore runs each benchmark as a leased unit on a
+        class rebuilt from its shipped source (``_rebuild_class``); its
+        untimed results must equal the in-process run's for the whole
+        suite."""
+        from repro.explore import parallel
+
+        rebuilt = []
+        real = parallel._rebuild_class
+
+        def counting(job):
+            rebuilt.append(job["benchmark"])
+            return real(job)
+
+        monkeypatch.setattr(parallel, "_rebuild_class", counting)
+        args = ["explore", "--strategy", "dfs", "--threads", "3",
+                "--ops", "3", "--json"]
+        documents = []
+        for extra in ([], ["--store", str(tmp_path / "campaign.sqlite3")]):
+            assert cli_main(args + extra) == 0
+            document = json.loads(capsys.readouterr().out)
+            for result in document["results"]:
+                del result["elapsed_seconds"], result["schedules_per_second"]
+            # The store run adds its dispatch counters; results must agree.
+            documents.append((document["ok"], document["results"]))
+        assert sorted(rebuilt) == sorted(ALL_BENCHMARKS)
+        assert documents[1] == documents[0]
+
+
+#: ``mutate --threads 3 --ops 2`` over the suite: per deleted notification,
+#: (benchmark, CCR label, notification index, status, schedules_run).
+MUTATE_3X2_GOLDEN = (
+    ('BoundedBuffer', 'put#0', 0, 'caught', 2),
+    ('BoundedBuffer', 'take#0', 0, 'benign', 4),
+    ('H2O Barrier', 'hydrogen#0', 0, 'caught', 2),
+    ('Sleeping Barber', 'customerArrives#0', 0, 'caught', 2),
+    ('Sleeping Barber', 'cutHair#0', 0, 'caught', 1),
+    ('Round Robin', 'takeTurn#0', 0, 'caught', 1),
+    ('Ticketed Readers-Writers', 'enterReader#1', 0, 'caught', 2),
+    ('Ticketed Readers-Writers', 'exitReader#0', 0, 'caught', 8),
+    ('Ticketed Readers-Writers', 'exitWriter#0', 0, 'caught', 2),
+    ('Ticketed Readers-Writers', 'exitWriter#0', 1, 'benign', 24),
+    ('Parameterized Bounded Buffer', 'put#0', 0, 'benign', 4),
+    ('Parameterized Bounded Buffer', 'put#0', 1, 'caught', 2),
+    ('Parameterized Bounded Buffer', 'take#0', 0, 'benign', 4),
+    ('Parameterized Bounded Buffer', 'take#0', 1, 'benign', 4),
+    ('Dining Philosophers', 'putDown#0', 0, 'caught', 2),
+    ('Readers-Writers', 'exitReader#0', 0, 'caught', 2),
+    ('Readers-Writers', 'exitWriter#0', 0, 'caught', 8),
+    ('Readers-Writers', 'exitWriter#0', 1, 'benign', 24),
+    ('ConcurrencyThrottle', 'afterAccess#0', 0, 'benign', 4),
+    ('PendingPostQueue', 'enqueue#0', 0, 'caught', 2),
+    ('AsyncDispatch', 'dispatch#0', 0, 'benign', 5),
+    ('AsyncDispatch', 'run#0', 0, 'benign', 6),
+    ('AsyncDispatch', 'stop#0', 0, 'benign', 6),
+    ('AsyncDispatch', 'stop#0', 1, 'benign', 6),
+    ('SimpleBlockingDeployment', 'unblock#0', 0, 'caught', 5),
+    ('SimpleDecoder', 'queueInputBuffer#0', 0, 'caught', 2),
+    ('SimpleDecoder', 'decode#0', 0, 'caught', 1),
+    ('SimpleDecoder', 'releaseOutputBuffer#0', 0, 'benign', 4),
+    ('SimpleDecoder', 'release#0', 0, 'benign', 4),
+    ('SimpleDecoder', 'release#0', 1, 'benign', 4),
+    ('SimpleDecoder', 'release#0', 2, 'benign', 4),
+    ('AsyncOperationExecutor', 'enqueueOperation#0', 0, 'benign', 4),
+    ('AsyncOperationExecutor', 'completeOperation#0', 0, 'benign', 4),
+)
 
 
 class TestReplayCli:
