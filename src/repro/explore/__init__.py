@@ -8,6 +8,8 @@ against the implicit-signal reference semantics:
   (every interleaving is a replayable list of recorded choices);
 * :mod:`repro.explore.strategies` — exhaustive DFS extension, seeded random
   walks, and PCT-style priority schedules;
+* :mod:`repro.explore.dependence` — the DPOR dependence relation (method
+  footprints, the SMT matrix, wait entries and value checks);
 * :mod:`repro.explore.oracle`     — the differential oracle (guard
   violations, lost wakeups, state divergence);
 * :mod:`repro.explore.reduce`     — ddmin counterexample reduction;
@@ -19,21 +21,18 @@ coverage-guided campaign in :mod:`repro.fuzz` (``expresso fuzz``); every
 ``expresso explore`` run explores registry benchmarks.
 """
 
+from repro.explore.dependence import Dependence, MethodFootprint, footprints_for_explicit
 from repro.explore.engine import (
     COOP_DISCIPLINES,
     STRATEGIES,
     Counterexample,
     ExplorationResult,
-    SegmentRefiner,
-    ValueIndependence,
     coop_class_for_explicit,
     coop_monitor_and_class,
     explore_benchmark,
     explore_class,
     explore_explicit,
-    footprints_for_explicit,
     replay_schedule,
-    wait_info_for_explicit,
 )
 from repro.explore.oracle import OracleCache, OracleVerdict, ReferenceReplay, check_run
 from repro.explore.parallel import (
@@ -56,8 +55,6 @@ from repro.explore.scheduler import (
 from repro.explore.strategies import (
     DporStrategy,
     FirstStrategy,
-    IndependenceRelation,
-    MethodFootprint,
     PCTStrategy,
     RandomStrategy,
     ScheduleStrategy,
@@ -67,18 +64,19 @@ from repro.explore.strategies import (
 from repro.explore.trace import render_trace
 
 __all__ = [
+    "Dependence", "MethodFootprint", "footprints_for_explicit",
     "COOP_DISCIPLINES", "STRATEGIES",
     "Counterexample", "ExplorationResult",
     "coop_class_for_explicit", "coop_monitor_and_class",
     "explore_benchmark", "explore_class", "explore_explicit",
-    "footprints_for_explicit", "replay_schedule",
+    "replay_schedule",
     "OracleCache", "OracleVerdict", "ReferenceReplay", "check_run",
     "MutationReport", "merge_results", "mutation_campaign",
     "parallel_explore_benchmark", "parallel_explore_class",
     "ddmin",
     "CoopScheduler", "Decision", "ProgramSymmetry", "RunResult", "SchedulerError",
     "TraceEvent", "run_schedule",
-    "DporStrategy", "FirstStrategy", "IndependenceRelation", "MethodFootprint",
+    "DporStrategy", "FirstStrategy",
     "PCTStrategy", "RandomStrategy", "ScheduleStrategy",
     "Strategy", "make_strategy",
     "render_trace",

@@ -14,12 +14,12 @@ Three strategies are supported (see :mod:`repro.explore.strategies`):
 
 * ``dfs`` — exhaustive depth-first enumeration of all scheduling decisions.
   By default it runs with **dynamic partial-order reduction** (``por=True``):
-  sleep sets plus a DPOR-style backtrack filter over grant decisions (two
-  enabled choices commute unless their method footprints touch the same
-  shared fields or condition variables), and an early *merge probe* that
-  cuts a backtracking replay the moment its divergent suffix re-enters an
-  already-visited state — so the engine judges one canonical representative
-  per Mazurkiewicz trace instead of every interleaving.  With
+  sleep sets plus a DPOR-style backtrack filter over grant decisions (the
+  one dependence relation, :class:`~repro.explore.dependence.Dependence`,
+  decides when two enabled choices commute), and an early *merge probe*
+  that cuts a backtracking replay the moment its divergent suffix re-enters
+  an already-visited state — so the engine judges one canonical
+  representative per Mazurkiewicz trace instead of every interleaving.  With
   ``symmetry=True`` visited states merge modulo the workload's symmetry
   group: swaps of identical-program threads and the index automorphisms
   :func:`index_symmetry` proves for array-indexed monitors (a state and its
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
 from repro.analysis.symexec import SymbolicExecutionError, symbolic_execute
@@ -51,6 +51,7 @@ from repro.codegen.python_gen import (
     generate_python_implicit,
     materialize_class,
 )
+from repro.explore.dependence import Dependence, Transition, footprints_for_explicit
 from repro.explore.oracle import OracleCache, OracleVerdict, check_run
 from repro.explore.reduce import ddmin
 from repro.explore.scheduler import (
@@ -63,17 +64,13 @@ from repro.explore.scheduler import (
 from repro.explore.strategies import (
     DporStrategy,
     FirstStrategy,
-    IndependenceRelation,
-    MethodFootprint,
     ScheduleStrategy,
     make_strategy,
 )
 from repro.explore.trace import render_trace
 from repro.lang.ast import Monitor
 from repro.lang.arrays import cell_name
-from repro.lang.effects import EMPTY_EFFECTS, expr_reads, guarded_effects, stmt_effects
-from repro.logic import TRUE
-from repro.logic.evaluate import EvaluationError, evaluate
+from repro.lang.effects import stmt_effects
 from repro.logic.simplify import simplify
 from repro.logic.substitute import rename_vars
 from repro.logic.terms import INT, Var
@@ -86,223 +83,6 @@ COOP_DISCIPLINES: Tuple[str, ...] = ("expresso", "explicit", "autosynch", "impli
 STRATEGIES: Tuple[str, ...] = ("dfs", "random", "pct")
 
 _COOP_CLASS_CACHE: Dict[Tuple, type] = {}
-
-
-# ---------------------------------------------------------------------------
-# Method footprints (the POR independence base)
-# ---------------------------------------------------------------------------
-
-
-def footprints_for_explicit(explicit: ExplicitMonitor) -> Dict[str, MethodFootprint]:
-    """Per-method shared-field/condition-variable footprints of a placement.
-
-    The footprint over-approximates everything the *compiled* method can
-    touch: guard evaluations, body reads (loop invariants included) and
-    conditional-notification predicates count as reads, placed notifications
-    as signals on their condition variable, and non-trivial guards as waits.
-    Mutants produced by
-    :meth:`ExplicitMonitor.without_notification` get footprints from their
-    own (reduced) notification sets, so independence reflects the mutant's
-    actual behaviour.
-    """
-    fields = frozenset(decl.name for decl in explicit.fields)
-    cond_of = {guard: name for guard, name in explicit.condition_vars}
-    footprints: Dict[str, MethodFootprint] = {}
-    for method in explicit.methods:
-        effects = EMPTY_EFFECTS
-        waits: Set[str] = set()
-        signals: Set[str] = set()
-        for ccr in method.ccrs:
-            # The code generator drops notifications without a condition
-            # variable, so they neither signal nor read.
-            placed = [n for n in ccr.notifications if n.predicate in cond_of]
-            effects = effects.union(guarded_effects(
-                ccr.guard, ccr.body, [n.predicate for n in placed if n.conditional]))
-            if ccr.guard != TRUE and ccr.guard in cond_of:
-                waits.add(cond_of[ccr.guard])
-            signals.update(cond_of[n.predicate] for n in placed)
-        footprints[method.name] = MethodFootprint(
-            effects.reads & fields, effects.writes & fields,
-            frozenset(waits), frozenset(signals))
-    return footprints
-
-
-def wait_info_for_explicit(explicit: ExplicitMonitor) -> dict:
-    """Guard metadata for the context-sensitive segment refinement.
-
-    ``conds`` maps condition keys to the guard expressions threads sleep on;
-    ``entry`` maps each method to its first CCR's (condition key, guard,
-    parameter names) when that guard is non-trivial — enough for the DPOR
-    layer to evaluate, against a recorded decision state, whether granting a
-    candidate would merely evaluate its guard and go to sleep.
-    """
-    cond_of = {guard: name for guard, name in explicit.condition_vars}
-    entry: Dict[str, Optional[tuple]] = {}
-    for method in explicit.methods:
-        first = method.ccrs[0] if method.ccrs else None
-        cond = cond_of.get(first.guard) if first is not None else None
-        if first is not None and first.guard != TRUE and cond is not None:
-            entry[method.name] = (cond, first.guard,
-                                  tuple(p.name for p in method.params))
-        else:
-            entry[method.name] = None
-    return {
-        "fields": frozenset(decl.name for decl in explicit.fields),
-        "conds": {name: guard for guard, name in explicit.condition_vars},
-        "entry": entry,
-    }
-
-
-class SegmentRefiner:
-    """Context-sensitive footprint refinement for grant decisions.
-
-    A thread whose guard is false in the decision state does not run its
-    method body — it evaluates the guard and goes to sleep.  That *wait
-    entry* segment reads the guard's fields, waits on one condition, writes
-    nothing and signals nothing, so it commutes with far more than the
-    whole-method footprint suggests ("who blocks first" orders collapse).
-
-    Two sources of refinement, both exact rather than over-approximate:
-
-    * **executed segments** — a grant event immediately followed by the same
-      thread's wait event ran nothing but the guard evaluation;
-    * **pending candidates** — the recorded pre-decision fingerprint carries
-      the shared state, the decision carries each candidate's program
-      position and resume condition, and guards are concretely evaluable
-      (:mod:`repro.logic.evaluate`) whenever their free variables are fields
-      plus the call's own parameters.
-    """
-
-    def __init__(self, coop_class: type, programs):
-        info = getattr(coop_class, "_coop_wait_info", None)
-        self.enabled = bool(info)
-        if not self.enabled:
-            return
-        self.fields: frozenset = info["fields"]
-        self.conds: Dict[str, object] = info["conds"]
-        self.entry: Dict[str, Optional[tuple]] = info["entry"]
-        self.programs = [list(program) for program in programs]
-        self._wait_footprints: Dict[str, Optional[MethodFootprint]] = {}
-        self._guard_vars: Dict[str, frozenset] = {}
-
-    def wait_footprint(self, key: str) -> Optional[MethodFootprint]:
-        """The footprint of "evaluate *key*'s guard and sleep on it"."""
-        if key not in self._wait_footprints:
-            guard = self.conds.get(key)
-            if guard is None:
-                self._wait_footprints[key] = None
-            else:
-                self._wait_footprints[key] = MethodFootprint(
-                    expr_reads(guard) & self.fields, frozenset(),
-                    frozenset({key}), frozenset())
-        return self._wait_footprints[key]
-
-    def executed(self, run, event_index: int) -> Optional[MethodFootprint]:
-        """Refined footprint of the segment behind an executed grant event.
-
-        Only the guard ran when the very next event is the granted thread's
-        own wait — commits, signals and releases all produce events first.
-        *event_index* indexes ``run.events``, which for a fast-forwarded run
-        is its recorded suffix.
-        """
-        if not self.enabled:
-            return None
-        events = run.events
-        follower = events[event_index + 1] if event_index + 1 < len(events) else None
-        if (follower is not None and follower.kind == "wait"
-                and follower.thread == events[event_index].thread):
-            return self.wait_footprint(follower.key)
-        return None
-
-    def pending(self, decision: Decision, index: int) -> Optional[MethodFootprint]:
-        """Refined footprint of a decision candidate, or None for full method."""
-        key = self.pending_wait_key(decision, index)
-        return self.wait_footprint(key) if key is not None else None
-
-    def pending_wait_key(self, decision: Decision, index: int) -> Optional[str]:
-        """The condition a candidate would provably sleep on, or None."""
-        if (not self.enabled or decision.fingerprint is None
-                or not decision.op_indices):
-            return None
-        resume = decision.resumes[index] if decision.resumes else None
-        env: Dict[str, object] = {}
-        if resume is not None:
-            guard = self.conds.get(resume)
-            key = resume
-        else:
-            entry = self.entry.get(decision.methods[index])
-            if entry is None:
-                return None
-            key, guard, params = entry
-            tid = decision.candidates[index]
-            op_index = decision.op_indices[index]
-            if tid >= len(self.programs) or op_index >= len(self.programs[tid]):
-                return None
-            args = self.programs[tid][op_index][1]
-            env.update(zip(params, args))
-        if guard is None:
-            return None
-        # Fingerprint entries are keyed by *attribute* name (dots mangled to
-        # underscores); opaque values froze to None and must not silently
-        # satisfy comparisons, so they stay unbound and trip EvaluationError.
-        shared = dict(decision.fingerprint[0])
-        for field in self.fields:
-            value = shared.get(field.replace(".", "_"))
-            if value is not None:
-                env.setdefault(field, value)
-        try:
-            holds = evaluate(guard, env)
-        except (EvaluationError, TypeError):
-            return None
-        if holds:
-            return None  # the guard passes: the body runs, keep full method
-        return key if self.wait_footprint(key) is not None else None
-
-
-class ValueIndependence:
-    """Value-sensitive independence: SMT checks at concrete call arguments.
-
-    The ROADMAP's value-sensitive item — the exploration-time counterpart of
-    the symbolic matrix.  Two calls whose fully symbolic methods conflict may
-    still commute at the *specific arguments* a workload passes (e.g. two
-    ``putDown`` calls of adjacent philosophers both reset the shared fork to
-    the same value).  Verdicts are memoized per campaign and below that in
-    the solver's :class:`~repro.smt.cache.FormulaCache`, so each distinct
-    (method, args) pair costs at most one round of solver queries per
-    process.  Condition-variable compatibility is still gated syntactically
-    on the (mutant-accurate) footprints.
-    """
-
-    def __init__(self, explicit, relation: IndependenceRelation):
-        self.explicit = explicit
-        self.relation = relation
-        self.shared = frozenset(decl.name for decl in explicit.fields)
-        self._methods = {method.name: method for method in explicit.methods}
-        self._cache: Dict[tuple, bool] = {}
-
-    def independent(self, method_a: str, args_a, method_b: str, args_b) -> bool:
-        from repro.analysis.commutativity import calls_semantically_independent
-        from repro.explore.strategies import condition_vars_compatible
-
-        fp_a = self.relation.footprints.get(method_a)
-        fp_b = self.relation.footprints.get(method_b)
-        if fp_a is None or fp_b is None:
-            return False
-        if not condition_vars_compatible(fp_a, fp_b, allow_shared_signals=True):
-            return False
-        key = (method_a, tuple(args_a), method_b, tuple(args_b))
-        if key[:2] > key[2:]:
-            key = key[2:] + key[:2]
-        verdict = self._cache.get(key)
-        if verdict is None:
-            decl_a = self._methods.get(method_a)
-            decl_b = self._methods.get(method_b)
-            verdict = (decl_a is not None and decl_b is not None
-                       and calls_semantically_independent(
-                           decl_a, tuple(args_a), decl_b, tuple(args_b),
-                           self.shared))
-            self._cache[key] = verdict
-        return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +318,12 @@ def coop_class_for_explicit(explicit: ExplicitMonitor,
 
     footprints = footprints_for_explicit(explicit)
     matrix = None
-    matrix_stats: Dict[str, int] = {}
     if semantic:
         # snapshot/diff isolation: the commutativity module's shared solver
         # accumulates across every class built in the process, so only this
-        # build's own delta is attributed to this class (and to the
-        # ``explore.matrix.*`` registry counters).
-        matrix, matrix_stats = matrix_with_statistics(explicit, solver=solver)
+        # build's own delta lands in the ``explore.matrix.*`` registry
+        # counters.
+        matrix, _delta = matrix_with_statistics(explicit, solver=solver)
     signature = (placement_signature(placement)
                  if placement is not None else None)
     source = generate_python_explicit(explicit, class_name=class_name, coop=True,
@@ -552,16 +331,11 @@ def coop_class_for_explicit(explicit: ExplicitMonitor,
                                       placement=signature)
     cls = materialize_class(source, class_name)
     cls._coop_source = source
-    # AST-bearing artifacts cannot be embedded in source text; parallel
-    # drivers ship them alongside the source (they pickle like the monitor
-    # AST).  ``_coop_explicit`` feeds the value-sensitive independence
-    # checks, ``_coop_wait_info`` the wait-entry refinement.
-    cls._coop_wait_info = wait_info_for_explicit(explicit)
+    # The placement cannot be embedded in source text; parallel drivers ship
+    # it alongside the source (it pickles like the monitor AST).  It feeds
+    # the dependence relation's wait entries and value checks, the index
+    # symmetry and counterexample witnesses.
     cls._coop_explicit = explicit
-    #: This build's own share of the matrix solver work (empty for
-    #: ``semantic=False``) — the per-monitor attribution the cumulative
-    #: module-solver statistics cannot provide.
-    cls._coop_matrix_stats = matrix_stats
     return cls
 
 
@@ -933,11 +707,9 @@ def _explore_dfs_plain(monitor, coop_class, programs, outcome: ExplorationResult
 
 
 def _commutes_past(run: RunResult, decision: Decision, alternative: int,
-                   independence: IndependenceRelation,
-                   refiner: Optional[SegmentRefiner],
-                   values: Optional[ValueIndependence] = None,
-                   programs=None) -> bool:
-    """Does deferring the *alternative* candidate's segment commute with the run?
+                   pending: Transition, dependence: Dependence) -> bool:
+    """Does deferring the *alternative* candidate's *pending* transition
+    commute with the run?
 
     The DPOR backtrack filter: the sibling choice "grant this thread now"
     needs no exploration when every segment the run executed between this
@@ -945,49 +717,28 @@ def _commutes_past(run: RunResult, decision: Decision, alternative: int,
     segment — the two orders reach the same state through equivalent
     (Mazurkiewicz-equal) traces, and the run already covers the canonical
     one.  Truncated runs where the thread never ran again answer
-    conservatively False.
-
-    Independence is consulted per *segment* when the refiner can prove a
-    side is a pure wait entry (guard evaluation + sleep), and per method
-    otherwise; the pending-side refinement is anchored at the decision state
-    and stays valid along the scan because every independent executed
-    segment leaves the guard's fields untouched.  *decision* is one of the
-    run's fresh decisions, so the scan stays inside the recorded suffix.
+    conservatively False.  An executed segment's wait key is the one the
+    scheduler recorded on its grant event.  *decision* is one of the run's
+    fresh decisions, so the scan stays inside the recorded suffix.
     """
     tid = decision.candidates[alternative]
-    method = decision.methods[alternative]
-    pending_fp = refiner.pending(decision, alternative) if refiner else None
-    pending_args = None
-    if values is not None and programs is not None and decision.op_indices:
-        op_index = decision.op_indices[alternative]
-        if tid < len(programs) and op_index < len(programs[tid]):
-            pending_args = programs[tid][op_index][1]
     # events[event_index] is the chosen thread's own grant: the scan starts
     # there so the chosen segment itself is dependence-checked too.
-    for event_index in range(decision.event_index, len(run.events)):
-        event = run.events[event_index]
+    for event in run.events[decision.event_index:]:
         if event.kind != "grant":
             continue
         if event.thread == tid:
             return True
-        executed_fp = refiner.executed(run, event_index) if refiner else None
-        if independence.segment_independent(method, pending_fp,
-                                            event.label, executed_fp):
-            continue
-        if (pending_args is not None
-                and values.independent(method, pending_args,
-                                       event.label, event.args)):
-            continue
-        return False
+        # A grant event's label is the granted method's name.
+        executed = cast(Transition, (event.label, event.args, event.key))
+        if not dependence.independent(pending, executed):
+            return False
     return False
 
 
 def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
-                 independence: IndependenceRelation,
                  outcome: ExplorationResult,
-                 refiner: Optional[SegmentRefiner] = None,
-                 values: Optional[ValueIndependence] = None,
-                 programs=None, checkpoint: Optional[Checkpoint] = None) -> None:
+                 checkpoint: Optional[Checkpoint] = None) -> None:
     """Push the non-redundant sibling prefixes of one DPOR run.
 
     Only the run's fresh decisions are expanded: the replayed prefix's
@@ -1005,6 +756,7 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
     representative per class is branched.
     """
     sleeps = strategy.fresh_sleeps
+    dependence = strategy.dependence
     choices = run.choices
     base = len(run.prefix)
     tracer = obs.tracer()
@@ -1034,19 +786,14 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                     explored_classes.add(sym[alternative])
                 entries.append((child_prefix + (alternative,), node_sleep, point))
             continue
-        chosen_tid = decision.candidates[decision.chosen]
-        chosen_method = decision.methods[decision.chosen]
         asleep = {entry[0] for entry in node_sleep}
         cumulative = set(node_sleep)
-        cumulative.add((chosen_tid, chosen_method,
-                        _call_args(programs, decision, decision.chosen),
-                        refiner.pending_wait_key(decision, decision.chosen)
-                        if refiner else None))
+        cumulative.add((decision.candidates[decision.chosen],)
+                       + dependence.transition(decision, decision.chosen))
         for alternative in range(len(decision.candidates)):
             if alternative == decision.chosen:
                 continue
             tid = decision.candidates[alternative]
-            method = decision.methods[alternative]
             if tid in asleep:
                 # Sleep set: an ancestor's sibling already explores every
                 # trace that starts by running this thread here.
@@ -1062,8 +809,8 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                     tracer.instant("prune", cat="explore",
                                    provenance="symmetry")
                 continue
-            if _commutes_past(run, decision, alternative, independence, refiner,
-                              values, programs):
+            pending = dependence.transition(decision, alternative)
+            if _commutes_past(run, decision, alternative, pending, dependence):
                 outcome.por_skipped += 1
                 if tracer.enabled:
                     tracer.instant("prune", cat="explore",
@@ -1072,24 +819,10 @@ def _expand_dpor(run: RunResult, strategy: DporStrategy, stack: list,
                 continue
             entries.append((child_prefix + (alternative,), frozenset(cumulative),
                             point))
-            cumulative.add((tid, method,
-                            _call_args(programs, decision, alternative),
-                            refiner.pending_wait_key(decision, alternative)
-                            if refiner else None))
+            cumulative.add((tid,) + pending)
             if sym:
                 explored_classes.add(sym[alternative])
     stack.extend(reversed(entries))
-
-
-def _call_args(programs, decision: Decision, index: int) -> tuple:
-    """The concrete arguments of a decision candidate's pending call."""
-    if programs is None or not decision.op_indices:
-        return ()
-    tid = decision.candidates[index]
-    op_index = decision.op_indices[index]
-    if tid < len(programs) and op_index < len(programs[tid]):
-        return tuple(programs[tid][op_index][1])
-    return ()
 
 
 def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
@@ -1097,42 +830,15 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                   minimize: bool, oracle: OracleCache,
                   seen: set, semantic: bool = True, symmetry: bool = True,
                   witness: bool = False) -> None:
-    independence = IndependenceRelation(
-        getattr(coop_class, "_coop_footprints", None),
-        getattr(coop_class, "_coop_semantic", None) if semantic else None)
-    refiner: Optional[SegmentRefiner] = None
-    values: Optional[ValueIndependence] = None
-    checker = None
-    if semantic:
-        candidate = SegmentRefiner(coop_class, programs)
-        refiner = candidate if candidate.enabled else None
-        explicit = getattr(coop_class, "_coop_explicit", None)
-        if explicit is not None:
-            values = ValueIndependence(explicit, independence)
-        if refiner is not None or values is not None:
-            def checker(entry, method, args, extent_key,
-                        _refiner=refiner, _values=values,
-                        _independence=independence):
-                """Context-sensitive sleep-set dependence (see DporStrategy)."""
-                _tid, entry_method, entry_args, entry_key = entry
-                entry_fp = (_refiner.wait_footprint(entry_key)
-                            if _refiner is not None and entry_key else None)
-                extent_fp = (_refiner.wait_footprint(extent_key)
-                             if _refiner is not None and extent_key else None)
-                if _independence.segment_independent(entry_method, entry_fp,
-                                                     method, extent_fp):
-                    return True
-                return (_values is not None
-                        and _values.independent(entry_method, entry_args,
-                                                method, args))
+    dependence = Dependence(coop_class, programs, semantic)
     stack: List[Tuple[Tuple[int, ...], frozenset, Optional[Checkpoint]]] = [
         ((), frozenset(), None)]
     symmetry_table = (index_symmetry(programs, coop_class, monitor)
                       if symmetry else None)
-    # Decisions keep the raw fingerprint (the segment refiner evaluates
-    # guards against its un-renamed fields); visited states are keyed modulo
-    # the symmetry group.  A raw fingerprint probed before is answered
-    # without canonicalizing it again: its key is in *seen* already.
+    # Decisions keep the raw fingerprint (the dependence relation evaluates
+    # wait-entry guards against its un-renamed fields); visited states are
+    # keyed modulo the symmetry group.  A raw fingerprint probed before is
+    # answered without canonicalizing it again: its key is in *seen* already.
     canonical = (symmetry_table.canonical if symmetry_table is not None
                  and len(symmetry_table.automorphisms) > 1 else None)
     answered: set = set()
@@ -1157,7 +863,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
         if outcome.pruned + outcome.por_skipped >= work_cap:
             break
         prefix, sleep, checkpoint = stack.pop()
-        strategy = DporStrategy(sleep, independence, checker=checker)
+        strategy = DporStrategy(sleep, dependence)
         instance = coop_class()
         run = run_schedule(instance, programs, strategy, max_steps,
                            fingerprints=True, prefix=prefix,
@@ -1182,8 +888,7 @@ def _explore_dpor(monitor, coop_class, programs, outcome: ExplorationResult,
                 span.set(outcome=run.outcome, ok=verdict.ok,
                          kind=verdict.kind or "")
             _tally(outcome, run, verdict)
-        _expand_dpor(run, strategy, stack, independence, outcome,
-                     refiner, values, programs, checkpoint)
+        _expand_dpor(run, strategy, stack, outcome, checkpoint)
         if verdict.is_failure:
             _record_failure(outcome, monitor, coop_class, programs, run, verdict,
                             "dfs", None, max_steps, minimize, witness)

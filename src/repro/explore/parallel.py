@@ -24,9 +24,9 @@ configuration collects them instead of exploring again.  Without a store
 the queue lives in a private temp store.
 
 Workers never recompile the monitor: the parent ships the *generated coop
-class source* (plus the reference AST, POR footprints, semantic matrix and
-wait-guard metadata), so a worker only ``exec``s the class definition — no
-SMT recompilation, no placement.
+class source*, which embeds the POR footprints and semantic matrix, plus the
+reference AST and the placement, so a worker only ``exec``s the class
+definition — no SMT recompilation, no placement.
 
 The module also hosts the **mutation campaign**: iterate every placed
 notification of every benchmark (``ExplicitMonitor.notification_sites``),
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.codegen.python_gen import generate_python_explicit, materialize_class
+from repro.codegen.python_gen import materialize_class
 from repro.distrib import (
     CampaignStore,
     DistribConfig,
@@ -53,13 +53,11 @@ from repro.distrib import (
 )
 from repro.explore.engine import (
     ExplorationResult,
+    coop_class_for_explicit,
     coop_monitor_and_class,
     explore_class,
-    footprints_for_explicit,
-    wait_info_for_explicit,
 )
 from repro.lang.ast import Monitor
-from repro.placement.target import ExplicitMonitor
 from repro.resilience.atomic import checksum_payload
 
 
@@ -74,14 +72,7 @@ def default_workers() -> int:
 
 def _rebuild_class(job: dict) -> type:
     cls = materialize_class(job["class_source"], job["class_name"])
-    if job.get("footprints") is not None:
-        cls._coop_footprints = job["footprints"]
-    if job.get("semantic") is not None:
-        cls._coop_semantic = job["semantic"]
-    if job.get("wait_info") is not None:
-        cls._coop_wait_info = job["wait_info"]
-    if job.get("explicit") is not None:
-        cls._coop_explicit = job["explicit"]
+    cls._coop_explicit = job["explicit"]
     return cls
 
 
@@ -100,25 +91,11 @@ def _run_shard(job: dict) -> ExplorationResult:
 def _run_mutant(job: dict) -> dict:
     """Explore one notification-deleted mutant (executed in a pool process).
 
-    The driver computes the semantic matrix *per mutant*: matrix entries may
-    rest on notification-order proofs (the monotone-broadcast rule), so the
-    parent's matrix can overstate independence once a notification is
-    deleted.  The syntactic condition-variable gating additionally uses the
-    mutant's own (reduced) footprints, computed here.
+    The job is a DPOR shard of the mutant's own coop class, which the driver
+    built with its own footprints and semantic matrix (see
+    :func:`mutation_campaign`).
     """
-    mutant: ExplicitMonitor = job["mutant"]
-    source = generate_python_explicit(mutant, class_name="CoopMonitor", coop=True)
-    cls = materialize_class(source, "CoopMonitor")
-    cls._coop_footprints = footprints_for_explicit(mutant)
-    if job.get("semantic") is not None:
-        cls._coop_semantic = job["semantic"]
-    cls._coop_wait_info = wait_info_for_explicit(mutant)
-    cls._coop_explicit = mutant
-    result = explore_class(
-        job["monitor"], cls, job["programs"], strategy="dfs",
-        budget=job["budget"], max_steps=job["max_steps"],
-        stop_on_failure=True, minimize=job["minimize"],
-        benchmark=job["benchmark"], discipline="mutant", por=True)
+    result = _run_shard(job)
     if result.ok and result.exhausted:
         status = "benign"        # proven unobservable within this bound
     elif result.ok:
@@ -234,16 +211,11 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
             minimize=minimize, benchmark=benchmark, discipline=discipline,
             por=por, semantic=semantic, symmetry=symmetry, witness=witness)
     # Explicit coop sources embed footprints/matrix as class-attribute
-    # literals — rebuilding from source restores them, so ship them only
-    # for classes whose source does not (autosynch/implicit runtimes).
+    # literals, so rebuilding from source restores them; the automatic
+    # runtimes have neither.
     base_job = {
         "class_source": source,
         "class_name": coop_class.__name__,
-        "footprints": (None if "_coop_footprints" in source
-                       else getattr(coop_class, "_coop_footprints", None)),
-        "semantic": (None if "_coop_semantic" in source
-                     else getattr(coop_class, "_coop_semantic", None)),
-        "wait_info": getattr(coop_class, "_coop_wait_info", None),
         "explicit": getattr(coop_class, "_coop_explicit", None),
         "monitor": monitor,
         "programs": [list(program) for program in programs],
@@ -394,7 +366,6 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
     carries the dispatch knobs (per-job deadline, attempts); a mutant whose
     worker keeps dying or hanging is reported with status ``error``.
     """
-    from repro.analysis.commutativity import semantic_independence_for_explicit
     from repro.harness.saturation import expresso_result
     from repro.placement.pipeline import ExpressoPipeline
 
@@ -407,19 +378,26 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
         for site in compiled.explicit.notification_sites():
             mutant = compiled.explicit.without_notification(*site)
             # Matrix entries can rest on notification-order proofs (the
-            # monotone-broadcast rule), so each mutant gets its own matrix
-            # in the driver; the shared solver's commute memo makes every
-            # pair the deletion does not touch a cache hit.
+            # monotone-broadcast rule), so each mutant's class gets its own
+            # matrix, built here in the driver; the shared solver's commute
+            # memo makes every pair the deletion does not touch a cache hit.
+            cls = coop_class_for_explicit(mutant)
             jobs.append({
                 "benchmark": spec.name,
                 "site": list(site),
-                "mutant": mutant,
+                "class_source": cls._coop_source,
+                "class_name": cls.__name__,
+                "explicit": mutant,
                 "monitor": compiled.monitor,
                 "programs": programs,
+                "strategy": "dfs",
                 "budget": budget,
+                "seed": 0,
                 "max_steps": max_steps,
+                "stop_on_failure": True,
                 "minimize": minimize,
-                "semantic": semantic_independence_for_explicit(mutant),
+                "discipline": "mutant",
+                "por": True,
             })
     report = MutationReport(threads=threads, ops=ops, budget=budget,
                             workers=workers)

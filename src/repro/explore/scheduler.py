@@ -86,7 +86,9 @@ class TraceEvent(NamedTuple):
     kind: str                      # grant | commit | wait | signal | broadcast | release
     thread: int
     label: Optional[str] = None    # CCR label (commit) or method name (grant)
-    key: Optional[str] = None      # condition key (wait/signal/broadcast)
+    #: The condition key of a wait/signal/broadcast; on a grant, the key the
+    #: segment slept on when it was a pure wait entry (else None).
+    key: Optional[str] = None
     woken: Tuple[int, ...] = ()    # threads woken by a signal/broadcast
     #: The granted operation's call arguments (grant events only) — the
     #: value-sensitive POR layer keys instantiated independence checks on
@@ -652,12 +654,13 @@ class CoopScheduler:
                     segment_start: Optional[int] = None) -> None:
         """Advance *thread* (which holds the lock) until it waits or finishes.
 
-        When the segment ends, the strategy's ``observe_extent`` hook (if
-        any) learns whether it was a *pure wait entry* — the thread only
-        evaluated a guard and went to sleep (exactly one event, the wait,
-        was emitted since *segment_start*, by default the current event
-        count) — which is what lets the context-sensitive sleep-set update
-        keep more deferred transitions asleep.
+        A segment is a *pure wait entry* when the thread only evaluated a
+        guard and went to sleep: its wait is the first event since
+        *segment_start* (by default the current event count, just past the
+        grant).  This is the one place that test is made: the grant event
+        records the wait key, which the DPOR backtrack scan reads, and the
+        strategy's ``observe_extent`` hook (if any) receives it when the
+        segment ends, for the sleep-set update.
         """
         result = self.result
         self._frame_cache.pop(thread.tid, None)
@@ -683,9 +686,13 @@ class CoopScheduler:
                 self.owner = None
                 thread.status = "waiting"
                 thread.wait_key = key
-                result.events.append(TraceEvent("wait", thread.tid, key=key))
+                events = result.events
+                pure = len(events) == segment_start
+                if pure:
+                    # The grant just before the wait: only the guard ran.
+                    events[-1] = events[-1]._replace(key=key)
+                events.append(TraceEvent("wait", thread.tid, key=key))
                 if self._observe_extent is not None:
-                    pure = len(result.events) - segment_start == 1
                     self._observe_extent(key if pure else None)
                 return
             if kind == "commit":

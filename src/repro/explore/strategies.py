@@ -21,24 +21,19 @@ its recorded choice list in :class:`ScheduleStrategy`.
   execute (a sleeping thread's deferred action is removed once a dependent
   segment runs).
 
-The POR machinery at the bottom of the module defines *when two scheduling
-choices commute*: each monitor method gets a static :class:`MethodFootprint`
-(shared fields read/written, condition variables waited-on/signalled; the
-field sets are :func:`repro.lang.effects.stmt_effects`, the one effect
-walker, projected onto the fields) and two
-enabled grant choices are independent exactly when neither footprint writes
-the other's read/write set and their condition-variable signal sets don't
-touch (sleepers are kept tid-sorted by the scheduler, so two threads merely
-*waiting* on the same condition do not conflict).
+When two scheduling choices commute is decided by
+:class:`repro.explore.dependence.Dependence`, the one DPOR dependence
+relation; :class:`DporStrategy` asks it for the sleep-set wake-up.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro import obs
+# Generated coop sources import MethodFootprint from this module.
+from repro.explore.dependence import Dependence, MethodFootprint
 
 
 def _session_registry():
@@ -150,140 +145,18 @@ class ScheduleStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Partial-order reduction: footprints, independence, sleep sets
+# Partial-order reduction: sleep sets
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodFootprint:
-    """The shared-state/condition-variable footprint of one monitor method.
-
-    ``reads``/``writes`` are shared field names (thread-local variables
-    cannot conflict across threads); ``waits``/``signals`` are condition-
-    variable tokens of the compiled class.  Footprints over-approximate the
-    whole method so they stay valid for a thread resuming mid-method after a
-    wakeup.
-    """
-
-    reads: FrozenSet[str]
-    writes: FrozenSet[str]
-    waits: FrozenSet[str]
-    signals: FrozenSet[str]
-
-
-def condition_vars_compatible(a: MethodFootprint, b: MethodFootprint,
-                              allow_shared_signals: bool = False) -> bool:
-    """Neither side signals a condition the other *waits* on.
-
-    A signal aimed at a condition the other segment may sleep on is
-    order-observable regardless of how the method bodies relate: running the
-    signaller first loses the wake-up.  Two segments that merely *wait* on
-    the same condition stay compatible (the scheduler keeps sleeper queues
-    tid-sorted, so arrival order is unobservable).
-
-    Two segments *signalling* the same condition are conservatively
-    incompatible by default — whether a conditional notification fires
-    depends on the state it is evaluated in, which depends on order.  The
-    semantic layer may pass ``allow_shared_signals=True`` once the solver
-    has proved every conditional notification predicate of each side is
-    preserved by the other side's body: then both orders fire the same
-    multiset of notifications against the same sleeper queues, and the
-    per-signal wake decisions are branched by the explorer either way.
-    """
-    if a.signals & b.waits:
-        return False
-    if b.signals & a.waits:
-        return False
-    if not allow_shared_signals and (a.signals & b.signals):
-        return False
-    return True
-
-
-def footprints_independent(a: MethodFootprint, b: MethodFootprint) -> bool:
-    """Do two pending segments commute regardless of order (syntactically)?
-
-    Writes may not touch the other side's reads or writes (the shared state
-    would differ between orders), and the condition-variable sets must be
-    compatible (see :func:`condition_vars_compatible`).
-    """
-    if a.writes & (b.reads | b.writes):
-        return False
-    if b.writes & (a.reads | a.writes):
-        return False
-    return condition_vars_compatible(a, b)
-
-
-class IndependenceRelation:
-    """Pairwise method independence: syntactic footprints plus, when the
-    compile side provides one, the SMT-proven semantic matrix.
-
-    Built from a ``{method name: MethodFootprint}`` mapping and an optional
-    ``{(name, name): bool}`` *semantic* matrix (both attached to generated
-    coop classes).  A pair is independent when its footprints are disjoint
-    — or when the solver proved the bodies commute and preserve each
-    other's guards, provided the condition-variable sets are still
-    compatible (signal interactions are re-checked syntactically because
-    notification mutants change them without changing bodies).  Methods
-    without a footprint are conservatively dependent on everything.
-    """
-
-    def __init__(self, footprints: Optional[Dict[str, MethodFootprint]],
-                 semantic: Optional[Dict[Tuple[str, str], bool]] = None):
-        self.footprints = footprints or {}
-        self.semantic = semantic or {}
-        self._table: Dict[Tuple[str, str], bool] = {}
-        self.semantic_pairs = 0
-        names = sorted(self.footprints)
-        for a in names:
-            for b in names:
-                fp_a, fp_b = self.footprints[a], self.footprints[b]
-                independent = footprints_independent(fp_a, fp_b)
-                if (not independent and self.semantic.get((a, b))
-                        and condition_vars_compatible(
-                            fp_a, fp_b, allow_shared_signals=True)):
-                    independent = True
-                    self.semantic_pairs += 1
-                self._table[(a, b)] = independent
-
-    def independent(self, method_a: str, method_b: str) -> bool:
-        return self._table.get((method_a, method_b), False)
-
-    def segment_independent(self, method_a: str,
-                            refined_a: Optional[MethodFootprint],
-                            method_b: str,
-                            refined_b: Optional[MethodFootprint]) -> bool:
-        """Independence of two *segments*, with optional context refinement.
-
-        ``refined_x`` replaces method ``x``'s whole-method footprint with the
-        footprint of the segment it is actually about to run (the engine
-        passes the wait-entry footprint when the thread's guard provably
-        fails in the decision state).  Refinement only ever adds
-        independence: the method-level verdict is consulted first.
-        """
-        if self.independent(method_a, method_b):
-            return True
-        if refined_a is None and refined_b is None:
-            return False
-        fp_a = refined_a if refined_a is not None else self.footprints.get(method_a)
-        fp_b = refined_b if refined_b is not None else self.footprints.get(method_b)
-        if fp_a is None or fp_b is None:
-            return False
-        return footprints_independent(fp_a, fp_b)
-
-    @property
-    def trivial(self) -> bool:
-        """True when no pair commutes (POR degenerates to plain pruning)."""
-        return not any(self._table.values())
-
-
-#: A sleep-set entry: a deferred (thread id, pending method, call args,
-#: wait key) transition.  ``args`` lets the value-sensitive independence
-#: layer keep a deferred transition asleep past segments its *instantiated*
-#: call commutes with even though the methods conflict symbolically;
-#: ``wait_key`` is non-None when the deferred transition was proven (from
-#: the decision state) to be a pure wait entry on that condition, shrinking
-#: its footprint to the guard reads plus the wait.
-SleepEntry = Tuple[int, str, tuple, Optional[str]]
+#: A sleep-set entry: a deferred thread id and the
+#: :data:`~repro.explore.dependence.Transition` it would run — (tid, pending
+#: method, call args, wait key).  ``args`` lets the value check keep a
+#: deferred transition asleep past segments its *instantiated* call commutes
+#: with even though the methods conflict symbolically; ``wait_key`` is
+#: non-None when the deferred transition was proven (from the decision
+#: state) to be a pure wait entry on that condition.
+SleepEntry = Tuple[int, str, Optional[tuple], Optional[str]]
 
 
 class DporStrategy:
@@ -304,16 +177,9 @@ class DporStrategy:
     the sibling prefixes it pushes.
     """
 
-    def __init__(self, sleep: FrozenSet[SleepEntry],
-                 independence: IndependenceRelation, checker=None):
+    def __init__(self, sleep: FrozenSet[SleepEntry], dependence: Dependence):
         self.sleep: Set[SleepEntry] = set(sleep)
-        self.independence = independence
-        #: Optional context-sensitive dependence test built by the engine:
-        #: ``checker(entry, method, args, extent_key) -> bool`` returns True
-        #: when the executed segment (a pure wait entry on *extent_key* when
-        #: that is non-None) is independent of the sleeping entry.  Falls
-        #: back to the method-level relation when absent.
-        self.checker = checker
+        self.dependence = dependence
         #: The just-granted segment awaiting its extent: (method, args).
         #: Sleep-set wake-ups are applied *after* the segment runs, when its
         #: actual extent (pure wait entry or full method) is known — the
@@ -354,14 +220,9 @@ class DporStrategy:
         self._pending_segment = None
         if pending is None:
             return
-        method, args = pending
-        independent = self.independence.independent
-        checker = self.checker
-        kept = {
-            entry for entry in self.sleep
-            if independent(entry[1], method)
-            or (checker is not None and checker(entry, method, args, wait_key))
-        }
+        segment = pending + (wait_key,)
+        independent = self.dependence.independent
+        kept = {entry for entry in self.sleep if independent(entry[1:], segment)}
         if self._metrics is not None and len(kept) != len(self.sleep):
             self._metrics.inc("explore.strategy.sleep_wakeups",
                               len(self.sleep) - len(kept))

@@ -16,7 +16,8 @@ import pytest
 from repro.benchmarks_lib import ALL_BENCHMARKS, get_benchmark
 from repro.cli import main as cli_main
 from repro.explore import (
-    IndependenceRelation,
+    Decision,
+    Dependence,
     MethodFootprint,
     OracleCache,
     coop_class_for_explicit,
@@ -29,8 +30,8 @@ from repro.explore import (
     parallel_explore_class,
     run_schedule,
 )
+from repro.explore.dependence import footprints_independent
 from repro.explore.engine import index_symmetry
-from repro.explore.strategies import footprints_independent
 from repro.harness.report import render_explore_table
 from repro.harness.saturation import expresso_result
 from repro.lang import Assign, FieldDecl, While, load_monitor
@@ -83,10 +84,11 @@ class TestFootprints:
         b = MethodFootprint(frozenset({"y"}), frozenset({"y"}),
                             frozenset({"cy"}), frozenset({"cy"}))
         assert footprints_independent(a, b)
-        relation = IndependenceRelation({"a": a, "b": b})
-        assert relation.independent("a", "b")
-        assert not relation.independent("a", "a")
-        assert not relation.independent("a", "unknown")
+        relation = Dependence(_coop_stub({"a": a, "b": b}), [])
+        assert relation.independent(("a", None, None), ("b", None, None))
+        assert not relation.independent(("a", None, None), ("a", None, None))
+        assert not relation.independent(("a", None, None),
+                                        ("unknown", None, None))
 
     def test_waiting_on_same_condition_does_not_conflict(self):
         a = MethodFootprint(frozenset({"x"}), frozenset({"x"}),
@@ -101,6 +103,142 @@ class TestFootprints:
         signaller = MethodFootprint(frozenset({"y"}), frozenset({"y"}),
                                     frozenset(), frozenset({"c"}))
         assert not footprints_independent(waiter, signaller)
+
+
+def _coop_stub(footprints, semantic=None, explicit=None):
+    """A stand-in coop class carrying only the relation's inputs."""
+    attributes = {"_coop_footprints": footprints}
+    if semantic is not None:
+        attributes["_coop_semantic"] = semantic
+    if explicit is not None:
+        attributes["_coop_explicit"] = explicit
+    return type("CoopStub", (), attributes)
+
+
+def _footprint(reads=(), writes=(), waits=(), signals=()):
+    return MethodFootprint(frozenset(reads), frozenset(writes),
+                           frozenset(waits), frozenset(signals))
+
+
+class TestDependence:
+    """One hand-built case per rule of the DPOR dependence relation."""
+
+    def test_matrix_entry_needs_compatible_condition_variables(self):
+        both = _footprint(reads={"x"}, writes={"x"}, signals={"c"})
+        waiter = _footprint(reads={"x"}, writes={"x"}, waits={"c"})
+        footprints = {"inc": both, "add": both, "await": waiter}
+        matrix = {(a, b): True for a in footprints for b in footprints}
+        relation = Dependence(_coop_stub(footprints, matrix), [])
+        # Both write x, so only the proof makes them independent; shared
+        # signals are allowed once it holds.
+        assert relation.independent(("inc", None, None), ("add", None, None))
+        # A signal aimed at the other side's wait stays dependent.
+        assert not relation.independent(("inc", None, None),
+                                        ("await", None, None))
+        syntactic = Dependence(_coop_stub(footprints, matrix), [],
+                               semantic=False)
+        assert not syntactic.independent(("inc", None, None),
+                                         ("add", None, None))
+
+    @pytest.fixture
+    def gate(self):
+        """``enter`` waits for ``open`` and bumps ``count``; ``reset``
+        zeroes ``count``; ``unlock`` sets ``open`` and signals."""
+        from repro.placement.target import Notification
+        from repro.logic.build import add
+
+        open_ = v("open", INT)
+        guard = gt(open_, i(0))
+        bump = Assign("count", add(v("count", INT), i(1)))
+        explicit = ExplicitMonitor(
+            name="Gate",
+            fields=(FieldDecl("open", INT, i(0)), FieldDecl("count", INT, i(0))),
+            methods=(
+                ExplicitMethod("enter", (), (ExplicitCCR(guard, bump, "enter#0"),)),
+                ExplicitMethod("reset", (), (ExplicitCCR(
+                    TRUE, Assign("count", i(0)), "reset#0"),)),
+                ExplicitMethod("unlock", (), (ExplicitCCR(
+                    TRUE, Assign("open", i(1)), "unlock#0",
+                    (Notification(guard, False, True),)),)),
+            ),
+            condition_vars=((guard, "enterCond"),), invariant=TRUE)
+        return _coop_stub(footprints_for_explicit(explicit), explicit=explicit)
+
+    _PROGRAMS = [[("enter", ())], [("reset", ())], [("unlock", ())]]
+
+    def test_wait_entry_footprint_replaces_the_method(self, gate):
+        gate = Dependence(gate, self._PROGRAMS)
+        whole = ("enter", (), None)
+        entry = ("enter", (), "enterCond")
+        reset = ("reset", (), None)
+        # Whole methods conflict on count, at any arguments; the wait entry
+        # reads only open.
+        assert not gate.independent(whole, reset)
+        assert gate.independent(entry, reset) and gate.independent(reset, entry)
+        # unlock writes open and signals the entry's condition.
+        assert not gate.independent(entry, ("unlock", (), None))
+
+    def test_pending_wait_key_comes_from_the_decision_state(self, gate):
+        relation = Dependence(gate, self._PROGRAMS)
+
+        def decision(open_value, resumes=(None, None, None)):
+            shared = (("count", 0), ("open", open_value))
+            return Decision("grant", (0, 1, 2), 0, (shared, ()),
+                            ("enter", "reset", "unlock"), op_indices=(0, 0, 0),
+                            resumes=resumes)
+
+        closed = decision(0)
+        assert relation.transition(closed, 0) == ("enter", (), "enterCond")
+        assert relation.transition(closed, 1) == ("reset", (), None)
+        assert relation.transition(decision(1), 0) == ("enter", (), None)
+        resumed = decision(0, resumes=("enterCond", None, None))
+        assert relation.transition(resumed, 0) == ("enter", (), "enterCond")
+        syntactic = Dependence(gate, self._PROGRAMS, semantic=False)
+        assert syntactic.transition(closed, 0) == ("enter", (), None)
+
+    def test_adjacent_put_downs_commute_at_their_arguments(self):
+        """Without the symbolic matrix entry, two adjacent philosophers'
+        ``putDown`` calls still commute at their arguments: both reset the
+        shared fork 1 to false.  Two ``pickUp`` calls of the same fork do
+        not: each disables the other's guard."""
+        compiled = expresso_result(get_benchmark("Dining Philosophers"))
+        explicit = compiled.explicit
+        relation = Dependence(_coop_stub(footprints_for_explicit(explicit),
+                                         explicit=explicit), [])
+        assert relation.independent(("putDown", (0, 1), None),
+                                    ("putDown", (1, 2), None))
+        assert not relation.independent(("putDown", None, None),
+                                        ("putDown", (1, 2), None))
+        assert not relation.independent(("pickUp", (0, 1), None),
+                                        ("pickUp", (1, 2), None))
+
+    def test_relation_is_symmetric_over_the_suite(self):
+        """independent(a, b) == independent(b, a) for every ordered method
+        pair of the suite (129), at every workload argument and wait key."""
+        pairs = 0
+        for name in sorted(ALL_BENCHMARKS):
+            spec = get_benchmark(name)
+            _monitor, coop_class = coop_monitor_and_class(spec, "expresso")
+            programs = spec.workload(3, 3)
+            relation = Dependence(coop_class, programs)
+            footprints = coop_class._coop_footprints
+            transitions = {
+                method: [(method, args, key)
+                         for args in {None} | {tuple(call_args)
+                                               for program in programs
+                                               for called, call_args in program
+                                               if called == method}
+                         for key in {None} | set(footprint.waits)]
+                for method, footprint in footprints.items()}
+            for a in footprints:
+                for b in footprints:
+                    pairs += 1
+                    for left in transitions[a]:
+                        for right in transitions[b]:
+                            assert (relation.independent(left, right)
+                                    == relation.independent(right, left)), \
+                                (name, left, right)
+        assert pairs == 129
 
 
 class TestDporSoundness:
