@@ -26,6 +26,7 @@ from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.benchmarks_lib import ALL_BENCHMARKS, get_benchmark
 from repro.explore import engine, scheduler
 from repro.explore.engine import (
@@ -549,3 +550,50 @@ def test_a_thread_between_two_ccrs_falls_back(monkeypatch, por):
     assert counts == _TICKETED_READERS_WRITERS[por]
     assert checker.mismatches == []
     assert unrestorable > 0 and checker.restored > 0 and checker.fallbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# The work a replay does
+# ---------------------------------------------------------------------------
+
+
+def test_suite_replay_work_is_pinned(monkeypatch):
+    """DPOR over the suite at 3 threads x 3 ops, tallied per run.
+
+    The comparisons above check that a replayed run ends up where the full
+    recording does; they cannot see a replay that does extra work on the
+    way (records events or decisions, fingerprints, walks frames, calls the
+    strategy).  These totals pin that work.  Every search is deterministic
+    and none of them depends on the hash seed.
+    """
+    tally = Counter()
+    real_run_schedule = engine.run_schedule
+
+    def counting_run_schedule(*args, **kwargs):
+        run = real_run_schedule(*args, **kwargs)
+        checkpoint = kwargs.get("checkpoint")
+        tally["runs"] += 1
+        tally["events"] += len(run.events)
+        tally["decisions"] += len(run.decisions)
+        tally["prefix"] += len(run.prefix)
+        tally["restored"] += checkpoint.depth if checkpoint is not None else 0
+        return run
+
+    monkeypatch.setattr(engine, "run_schedule", counting_run_schedule)
+    with obs.observe(trace=True) as session:
+        for name in sorted(ALL_BENCHMARKS):
+            result = explore_benchmark(get_benchmark(name), "expresso",
+                                       threads=3, ops=3, **DFS)
+            assert result.exhausted and result.ok, name
+            tally["judged"] += result.schedules_run
+    counters = session.registry.snapshot()
+    assert dict(tally) == {"runs": 2347, "events": 17497, "decisions": 1925,
+                           "prefix": 23090, "restored": 19293, "judged": 196}
+    assert {name: counters[name] for name in (
+        "explore.scheduler.fingerprints", "explore.scheduler.frame_walks",
+        "explore.scheduler.frame_cache_hits",
+        "explore.strategy.sleep_wakeups")} == {
+        "explore.scheduler.fingerprints": 4044,
+        "explore.scheduler.frame_walks": 7960,
+        "explore.scheduler.frame_cache_hits": 7782,
+        "explore.strategy.sleep_wakeups": 2804}
