@@ -543,7 +543,7 @@ def _minimize(monitor: Monitor, coop_class: type, programs,
 
 
 def _full_recording(coop_class: type, programs, run: RunResult) -> RunResult:
-    """*run* with every event recorded, re-run when it was fast-forwarded.
+    """*run* with every event recorded, re-run when it replayed a prefix.
 
     Replaying the full choice list under the run's own step count stops the
     replay exactly where the run stopped: merge and sleep-set cuts happen
@@ -638,8 +638,8 @@ def _branch_points(run: RunResult,
                    start: Optional[Checkpoint]) -> List[Optional[Checkpoint]]:
     """Per fresh decision of *run*, the deepest checkpoint at or before it.
 
-    A sibling of decision *k* restarts there and fast-forwards the rest of
-    its prefix.  Signal decisions (mid-segment) and unrestorable grant
+    A sibling of decision *k* restarts there and quietly replays the rest
+    of its prefix.  Signal decisions (mid-segment) and unrestorable grant
     decisions have no checkpoint of their own and fall back to an earlier
     one: the run's, or *start*, the one the run itself started from (None
     is the root).

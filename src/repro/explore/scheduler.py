@@ -31,19 +31,21 @@ Four hot-path refinements keep systematic exploration cheap:
   only recomputed for threads that actually advanced since the previous
   fingerprint (between two grant decisions exactly one thread runs), so a
   fingerprint costs one frame walk instead of N;
-* **fast-forward replay** (``prefix``) — when the DFS re-enters a backtrack
+* **quiet replay** (``prefix``) — when the DFS re-enters a backtrack
   point, the parent run already analysed every state of the recorded
-  prefix.  The scheduler replays all prefix choices but the last in a tight
-  loop that only steps generators, moves lock/wait/wake state, counts steps
-  and appends commits.  The last choice goes through the ordinary path, so
-  the strategy observes that segment as if it had chosen it, and the result
+  prefix.  The scheduler applies the prefix choices through its ordinary
+  loop with recording off: segments still step generators, move lock, wait
+  and wake state, count steps and append commits, but make no events,
+  fingerprints, merge probes, checkpoints, symmetry classes, decisions or
+  strategy calls.  Recording resumes as the last choice is applied, so the
+  strategy observes that segment as if it had chosen it, and the result
   records only the divergent suffix (``RunResult.prefix`` holds the
   replayed choices, ``decisions``/``events`` start at the hand-off);
 * **restore** (``checkpoint``) — a fingerprinting run also saves a
   :class:`Checkpoint` at each fresh grant decision whose state is
   restorable (scalar fields; no thread has committed, signalled or
   broadcast in its current operation).  A sibling run restores its branch
-  point's checkpoint on a fresh instance and fast-forwards only the prefix
+  point's checkpoint on a fresh instance and replays only the prefix
   choices made after it (states without a checkpoint fall back to an
   earlier one, or to the root);
 * **merge probing** (``merge_probe``) — the DFS can hand the scheduler a
@@ -150,7 +152,7 @@ class Checkpoint(NamedTuple):
 class RunResult:
     """Everything one scheduled execution produced.
 
-    A fast-forwarded run records only its suffix: ``prefix`` holds the
+    A run given a prefix records only its suffix: ``prefix`` holds the
     applied prefix choices, restored from a checkpoint or replayed, and
     ``events``/``decisions`` start where the last of them was applied
     (``Decision.event_index`` counts from there).  ``commits`` and
@@ -426,10 +428,12 @@ class CoopScheduler:
     """Run one coop monitor instance over per-thread programs under a strategy.
 
     *prefix* is a choice list to replay before the strategy takes over (the
-    DFS passes the path to a backtrack point); it is fast-forwarded, see
-    :meth:`_fast_forward`.  *checkpoint*, a :class:`Checkpoint` some run
-    took after applying ``prefix[:checkpoint.depth]`` (shorter than
-    *prefix*), moves the fast-forward's start there (:meth:`_restore`).
+    DFS passes the path to a backtrack point).  The replay runs through the
+    ordinary loop with recording off until the last prefix choice is
+    applied; a run that ends earlier records nothing.  *checkpoint*, a
+    :class:`Checkpoint` some run took after applying
+    ``prefix[:checkpoint.depth]`` (shorter than *prefix*), moves the
+    replay's start there (:meth:`_restore`).
 
     *merge_probe* is consulted with every fresh fingerprint; returning True
     means the state was already explored elsewhere and the run is cut off
@@ -464,7 +468,7 @@ class CoopScheduler:
         self._observe_extent = getattr(strategy, "observe_extent", None)
         #: Bound only inside an observability session: state-fingerprint and
         #: frame-cache counters land under ``explore.scheduler.*``.  They
-        #: count the scheduler's own work (a fast-forwarded prefix makes no
+        #: count the scheduler's own work (a replayed prefix makes no
         #: fingerprints), exist only while tracing, and so stay out of the
         #: exploration-result surface, which neither may change.
         self._metrics = _session_registry()
@@ -476,6 +480,10 @@ class CoopScheduler:
                         if fingerprints or checkpoint is not None else None)
         self._state = vars(instance) if self._layout is not None else None
         self._starts = count()
+        #: True while prefix choices remain to apply: the run is replaying
+        #: states the run that recorded the prefix analysed already, and
+        #: records, fingerprints and observes nothing.
+        self._replaying = False
 
     # -- public entry point ---------------------------------------------------
 
@@ -487,8 +495,7 @@ class CoopScheduler:
             else:
                 for thread in self.threads:
                     self._advance_to_acquire(thread)
-            if self.prefix:
-                self._fast_forward()
+            self._replaying = len(result.prefix) < len(self.prefix)
             self._loop()
         except SchedulerError:
             raise
@@ -521,6 +528,9 @@ class CoopScheduler:
                 # pre-decision state.
                 self._grant(contenders[0])
                 continue
+            if self._replaying:
+                self._grant(contenders[self._replay_choice(len(contenders))])
+                continue
             fingerprint = None
             if self.fingerprints:
                 fingerprint = self._fingerprint()
@@ -537,135 +547,38 @@ class CoopScheduler:
                 op_indices=tuple(t.op_index for t in contenders),
                 resumes=tuple(t.resume_key for t in contenders))])
 
-    def _fast_forward(self) -> None:
-        """Replay ``self.prefix`` at raw generator speed, then hand off.
-
-        The replay starts at the root, or after ``prefix[:depth]`` when the
-        run was restored from a checkpoint (``RunResult.prefix`` then holds
-        those choices already).  Every remaining prefix choice but the last
-        is applied by this loop, which only
-        steps generators, moves lock, wait and wake state, counts steps
-        toward ``max_steps`` and appends commits (so oracle keys stay
-        whole).  It records no fingerprints, symmetry classes, decisions,
-        events or frame-cache entries and makes no strategy calls: the run
-        that recorded the prefix analysed those states already.
-
-        The last choice is a grant decision or a signal decision in the
-        middle of a segment.  Either way it is applied through the ordinary
-        path (:meth:`_grant`, or :meth:`_deliver` plus the rest of the
-        segment in :meth:`_run_holder`), so the strategy observes that
-        segment exactly as if it had chosen it, and recording starts with
-        its event.  A run that ends before the last choice point returns
-        early and leaves the outcome to :meth:`_loop`; the step limit is
-        checked where :meth:`_loop` checks it, between segments.  The loop
-        keeps the segment records later checkpoints of the run need.
-        """
-        result = self.result
-        threads = self.threads
-        commits = result.commits
-        applied = result.prefix
-        prefix = self.prefix
-        last = len(prefix) - 1
-        while result.steps < self.max_steps:
-            contenders = [t for t in threads if t.status == "acquiring"]
-            if not contenders:
-                return
-            thread = contenders[0]
-            if len(contenders) > 1:
-                index = min(max(prefix[len(applied)], 0), len(contenders) - 1)
-                applied.append(index)
-                if len(applied) > last:
-                    self._grant(contenders[index])
-                    return
-                thread = contenders[index]
-            self.owner = thread
-            if thread.segments is not None:
-                self._begin_segment(thread)
-            frame = thread.frame
-            while True:
-                result.steps += 1
-                try:
-                    op = next(frame)
-                except StopIteration:
-                    if self.owner is thread:
-                        raise SchedulerError(
-                            f"thread {thread.tid} finished an operation while "
-                            f"still holding the monitor lock (missing release "
-                            f"yield)")
-                    thread.op_index += 1
-                    self._advance_to_acquire(thread)
-                    break
-                kind = op[0]
-                if kind == "commit":
-                    thread.segments = None
-                    commits.append((thread.tid, op[1]))
-                elif kind == "wait":
-                    self.owner = None
-                    thread.status = "waiting"
-                    thread.wait_key = op[1]
-                    break
-                elif kind == "signal" or kind == "broadcast":
-                    thread.segments = None
-                    key = op[1]
-                    woken = [t for t in threads
-                             if t.status == "waiting" and t.wait_key == key]
-                    if kind == "signal" and len(woken) > 1:
-                        index = min(max(prefix[len(applied)], 0), len(woken) - 1)
-                        applied.append(index)
-                        if len(applied) > last:
-                            segment_start = len(result.events)
-                            self._deliver(thread, kind, key, [woken[index]])
-                            self._run_holder(thread, segment_start)
-                            return
-                        woken = [woken[index]]
-                    for sleeper in woken:
-                        sleeper.status = "acquiring"
-                        sleeper.wait_key = None
-                        sleeper.resume_key = key
-                elif kind == "release":
-                    if self.owner is not thread:
-                        raise SchedulerError(
-                            f"thread {thread.tid} released a lock it does not hold")
-                    self.owner = None
-                elif kind == "acquire":
-                    if self.owner is thread:
-                        continue
-                    thread.status = "acquiring"
-                    thread.resume_key = None
-                    thread.segments = None
-                    break
-                else:
-                    raise SchedulerError(f"unknown scheduler op {op!r}")
-
     def _grant(self, thread: _VirtualThread) -> None:
         """Hand the free lock to *thread* and run its segment."""
         self.owner = thread
         if thread.segments is not None:
             self._begin_segment(thread)
-        method_name, method_args = thread.program[thread.op_index]
-        args = tuple(method_args)
-        if self._observe is not None:
-            self._observe(thread.tid, method_name, args)
-        self.result.events.append(TraceEvent("grant", thread.tid, label=method_name,
-                                             args=args))
+        if not self._replaying:
+            method_name, method_args = thread.program[thread.op_index]
+            args = tuple(method_args)
+            if self._observe is not None:
+                self._observe(thread.tid, method_name, args)
+            self.result.events.append(TraceEvent("grant", thread.tid,
+                                                 label=method_name, args=args))
         self._run_holder(thread)
 
-    def _run_holder(self, thread: _VirtualThread,
-                    segment_start: Optional[int] = None) -> None:
+    def _run_holder(self, thread: _VirtualThread) -> None:
         """Advance *thread* (which holds the lock) until it waits or finishes.
 
         A segment is a *pure wait entry* when the thread only evaluated a
-        guard and went to sleep: its wait is the first event since
-        *segment_start* (by default the current event count, just past the
-        grant).  This is the one place that test is made: the grant event
+        guard and went to sleep: its wait is the first event since the
+        grant.  This is the one place that test is made: the grant event
         records the wait key, which the DPOR backtrack scan reads, and the
         strategy's ``observe_extent`` hook (if any) receives it when the
         segment ends, for the sleep-set update.
+
+        While replaying, the segment records no events and calls no hooks.
+        A replay that ends at a signal decision in this segment records the
+        rest of it; its signal event comes first, so the segment is not a
+        pure wait entry.
         """
         result = self.result
         self._frame_cache.pop(thread.tid, None)
-        if segment_start is None:
-            segment_start = len(result.events)
+        segment_start = len(result.events)
         while True:
             result.steps += 1
             try:
@@ -677,7 +590,7 @@ class CoopScheduler:
                         f"holding the monitor lock (missing release yield)")
                 thread.op_index += 1
                 self._advance_to_acquire(thread)
-                if self._observe_extent is not None:
+                if self._observe_extent is not None and not self._replaying:
                     self._observe_extent(None)
                 return
             kind = op[0]
@@ -686,6 +599,8 @@ class CoopScheduler:
                 self.owner = None
                 thread.status = "waiting"
                 thread.wait_key = key
+                if self._replaying:
+                    return
                 events = result.events
                 pure = len(events) == segment_start
                 if pure:
@@ -698,7 +613,9 @@ class CoopScheduler:
             if kind == "commit":
                 thread.segments = None
                 result.commits.append((thread.tid, op[1]))
-                result.events.append(TraceEvent("commit", thread.tid, label=op[1]))
+                if not self._replaying:
+                    result.events.append(TraceEvent("commit", thread.tid,
+                                                    label=op[1]))
             elif kind == "signal":
                 thread.segments = None
                 self._wake(thread, op[1], broadcast=False)
@@ -710,7 +627,8 @@ class CoopScheduler:
                     raise SchedulerError(
                         f"thread {thread.tid} released a lock it does not hold")
                 self.owner = None
-                result.events.append(TraceEvent("release", thread.tid))
+                if not self._replaying:
+                    result.events.append(TraceEvent("release", thread.tid))
             elif kind == "acquire":
                 # A mid-method re-acquire: contend again (not emitted by the
                 # current generators, but the protocol allows it).  The
@@ -722,7 +640,7 @@ class CoopScheduler:
                 thread.status = "acquiring"
                 thread.resume_key = None
                 thread.segments = None
-                if self._observe_extent is not None:
+                if self._observe_extent is not None and not self._replaying:
                     self._observe_extent(None)
                 return
             else:
@@ -791,25 +709,35 @@ class CoopScheduler:
         # ``self.threads`` is in tid order, so the sleepers are tid-sorted.
         sleepers = [t for t in self.threads
                     if t.status == "waiting" and t.wait_key == key]
-        kind = "broadcast" if broadcast else "signal"
         if broadcast or len(sleepers) < 2:
             woken = sleepers
+        elif self._replaying:
+            woken = [sleepers[self._replay_choice(len(sleepers))]]
         else:
             woken = [sleepers[self._choose(
                 "signal", tuple(t.tid for t in sleepers), None,
                 sym_classes=self._symmetry_classes(sleepers))]]
-        self._deliver(waker, kind, key, woken)
-
-    def _deliver(self, waker: _VirtualThread, kind: str, key: str,
-                 woken: List[_VirtualThread]) -> None:
-        """Wake *woken* from *key* and record the notification event."""
         for sleeper in woken:
             sleeper.status = "acquiring"
             sleeper.wait_key = None
             sleeper.resume_key = key
-        self.result.events.append(
-            TraceEvent(kind, waker.tid, key=key,
-                       woken=tuple(t.tid for t in woken)))
+        if not self._replaying:
+            self.result.events.append(
+                TraceEvent("broadcast" if broadcast else "signal", waker.tid,
+                           key=key, woken=tuple(t.tid for t in woken)))
+
+    def _replay_choice(self, n: int) -> int:
+        """Apply the next prefix choice among *n* candidates, clamped.
+
+        Replaying ends as the last prefix choice is applied, before its
+        grant or signal is delivered, so that segment is recorded and
+        observed as if the strategy had made the choice.
+        """
+        applied = self.result.prefix
+        index = min(max(self.prefix[len(applied)], 0), n - 1)
+        applied.append(index)
+        self._replaying = len(applied) < len(self.prefix)
+        return index
 
     def _advance_to_acquire(self, thread: _VirtualThread) -> None:
         """Start *thread*'s next operation, pausing at its first acquire."""

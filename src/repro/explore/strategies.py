@@ -16,7 +16,7 @@ its recorded choice list in :class:`ScheduleStrategy`.
 * :class:`ScheduleStrategy` — replay a recorded (or delta-debugged) choice
   list, falling back to a base strategy once the list is exhausted;
 * :class:`DporStrategy` — the partial-order-reduction extension strategy:
-  past the prefix the scheduler fast-forwards, extend with the first
+  past the prefix the scheduler replays, extend with the first
   candidate *not in the sleep set*, maintaining the sleep set as segments
   execute (a sleeping thread's deferred action is removed once a dependent
   segment runs).
@@ -162,15 +162,15 @@ SleepEntry = Tuple[int, str, Optional[tuple], Optional[str]]
 class DporStrategy:
     """Sleep-set-aware extension for the DPOR DFS.
 
-    The scheduler fast-forwards the run's prefix, so this strategy sees only
-    the fresh suffix: the segment of the last prefix choice, then every fresh
-    decision.  It extends every fresh grant decision with the first candidate
-    whose thread is not in the sleep set.  While the suffix executes, the
-    sleep set shrinks: a deferred transition is woken (removed) as soon as a
-    *dependent* segment runs, exactly the classic sleep-set update.  If every
-    enabled candidate is asleep — or the scheduler grants a sleeping thread
-    as sole contender — the whole subtree is provably redundant and the run
-    aborts with outcome ``sleep-set``.
+    The scheduler replays the run's prefix quietly, so this strategy sees
+    only the fresh suffix: the segment of the last prefix choice, then every
+    fresh decision.  It extends every fresh grant decision with the first
+    candidate whose thread is not in the sleep set.  While the suffix
+    executes, the sleep set shrinks: a deferred transition is woken (removed)
+    as soon as a *dependent* segment runs, exactly the classic sleep-set
+    update.  If every enabled candidate is asleep — or the scheduler grants a
+    sleeping thread as sole contender — the whole subtree is provably
+    redundant and the run aborts with outcome ``sleep-set``.
 
     The engine reads ``fresh_sleeps`` afterwards: the sleep set in force at
     each recorded fresh decision, which it needs to seed the sleep sets of

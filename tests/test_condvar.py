@@ -104,13 +104,23 @@ class TestCondvar:
                         reason="needs POSIX signals")
     def test_interrupted_wait_leaves_no_stale_entry(self):
         """A parked wait that a signal handler interrupts re-acquires the
-        lock, drops its entry, and the next notify reaches a real waiter."""
+        lock, drops its entry, and the next notify reaches a real waiter.
+
+        A signal that lands after the waiter has released the GIL but
+        before it blocks runs its handler only once the blocking acquire
+        returns, which never happens here.  So the interrupter re-sends
+        the signal until the handler has run, and the handler raises on
+        its first delivery only."""
 
         class Interrupted(Exception):
             pass
 
+        delivered = threading.Event()
+
         def raise_interrupted(_signum, _frame):
-            raise Interrupted()
+            if not delivered.is_set():
+                delivered.set()
+                raise Interrupted()
 
         lock = threading.Lock()
         cond = Condvar(lock)
@@ -118,7 +128,9 @@ class TestCondvar:
 
         def interrupt_once_parked():
             _until(_parked(lock, cond, 1))
-            signal.pthread_kill(main, signal.SIGUSR1)
+            while not delivered.is_set():
+                signal.pthread_kill(main, signal.SIGUSR1)
+                delivered.wait(0.01)
 
         previous = signal.signal(signal.SIGUSR1, raise_interrupted)
         try:

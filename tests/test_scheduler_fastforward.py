@@ -1,9 +1,9 @@
-"""Restore and fast-forward replay against the full-recording replay.
+"""Restore and quiet replay against the full-recording replay.
 
 The DFS hands the scheduler the choice prefix of a backtrack point and the
 checkpoint of its branch point, when one was taken.  The scheduler restores
-the checkpoint, fast-forwards every remaining prefix choice but the last,
-applies the last through its ordinary path, and records only the suffix.
+the checkpoint, applies every remaining prefix choice with recording off,
+turns recording on as it applies the last, and records only the suffix.
 The reference below is the replay the scheduler did before either existed:
 the whole prefix goes through the ordinary recording loop from the initial
 state, every decision is recorded, fingerprints and merge probes start at
@@ -79,7 +79,7 @@ class _PrefixReplay:
 
 
 class ReferenceScheduler(CoopScheduler):
-    """Full-recording replay: no fast-forward, analysis gated by position."""
+    """Full-recording replay: no quiet replay, analysis gated by position."""
 
     def __init__(self, instance, programs, strategy, max_steps=20_000,
                  fingerprints=False, prefix=(), merge_probe=None, symmetry=None):
@@ -134,7 +134,7 @@ def _clone(strategy):
 
 
 def _handoff_event(run, reference, prefix):
-    """Where the fast-forwarded run's recording starts in the reference."""
+    """Where the replaying run's recording starts in the reference."""
     if not prefix:
         return 0
     if len(run.prefix) < len(prefix):      # ended before the last choice
@@ -200,7 +200,7 @@ class Checker:
         #: Runs that started from a checkpoint or took one.
         self.checkpointed = 0
         #: Per full choice list, the first reference run and whether the
-        #: run under test was fast-forwarded (failure checks).
+        #: run under test replayed a prefix (failure checks).
         self.references = {}
 
     def run_schedule(self, instance, programs, strategy, max_steps=20_000,
@@ -311,10 +311,10 @@ class TestMutants:
                 assert result.exhausted, (site, por)
                 for failure in result.failures:
                     # Recorded without minimization: the trace and witness
-                    # of a fast-forwarded run come from its re-recording and
+                    # of a replaying run come from its re-recording and
                     # must equal the reference's full recording.
-                    reference, fast_forwarded = checker.references[failure.schedule]
-                    failures[fast_forwarded] += 1
+                    reference, replayed = checker.references[failure.schedule]
+                    failures[replayed] += 1
                     verdict = OracleVerdict(False, failure.kind, failure.detail)
                     assert failure.trace == render_trace(reference, programs,
                                                          verdict), (site, por)
@@ -324,7 +324,7 @@ class TestMutants:
         assert checker.mismatches == []
         assert checker.restored > 0
         # Wherever mutants fail, most counterexamples come from
-        # fast-forwarded runs.
+        # runs that replayed a prefix.
         assert failures[True] >= failures[False]
 
 
@@ -368,7 +368,7 @@ def test_step_limit_anywhere_in_a_replay(kind):
         checker.compare(run, reference, prefix, None, None)
         outcomes[run.outcome, len(run.prefix) == len(prefix)] += 1
     assert checker.mismatches == []
-    # The limit struck inside the fast-forward and after the hand-off, and
+    # The limit struck inside the replay and after the hand-off, and
     # the largest limits let the run finish.
     assert outcomes["step-limit", False] and outcomes["step-limit", True]
     assert outcomes[full.outcome, True]
