@@ -27,19 +27,40 @@ The package is organized as a compiler pipeline plus the substrates it needs:
     generation for every table and figure in the paper's evaluation.
 """
 
+import importlib
+import sys
+from typing import Any, Callable, Dict
+
 __all__ = ["ExpressoPipeline", "ExpressoResult", "compile_monitor", "__version__"]
 
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    """Lazily expose the pipeline entry points at the package root.
+def lazy_exports(package: str, exports: Dict[str, str]) -> Callable[[str], Any]:
+    """A PEP 562 ``__getattr__`` for *package*'s re-exports.
 
-    Importing them lazily keeps ``import repro`` cheap for callers that only
-    need the logic/SMT substrates.
+    *exports* maps each submodule to the space-separated names it
+    re-exports.  The first access to a name imports its submodule and binds
+    the name in the package, so ``from package import name`` loads only the
+    submodule that defines it.  A name that is also a submodule's name is
+    imported eagerly instead: importing that submodule later would rebind
+    the package attribute to the module.
     """
-    if name in ("ExpressoPipeline", "ExpressoResult", "compile_monitor"):
-        from repro.placement import pipeline
+    owners = {name: module for module, names in exports.items()
+              for name in names.split()}
+    assert not owners.keys() & exports.keys(), "bind these names eagerly"
 
-        return getattr(pipeline, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    def __getattr__(name: str) -> Any:
+        if name not in owners:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{owners[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+# Importing the pipeline lazily keeps ``import repro`` cheap for callers that
+# only need the logic/SMT substrates.
+__getattr__ = lazy_exports(__name__, {
+    "placement.pipeline": "ExpressoPipeline ExpressoResult compile_monitor"})

@@ -14,22 +14,23 @@ What a statement reads and writes is answered in one place for all of them:
 the effect walker :func:`repro.lang.effects.stmt_effects` (and
 :func:`~repro.lang.effects.stmt_exprs`, the expressions it evaluates), which
 commutativity, lint and ``wp`` share with codegen and exploration.
+
+Every name below is imported from its submodule on first use
+(:func:`repro.lazy_exports`), so importing the package loads none of them.
 """
 
-from repro.analysis.wp import weakest_precondition
-from repro.analysis.hoare import HoareTriple, check_triple
-from repro.analysis.renaming import rename_thread_locals, renamed_copy
-from repro.analysis.symexec import symbolic_execute, SymbolicState, SymbolicExecutionError
-from repro.analysis.commutativity import (
-    bodies_commute,
-    calls_semantically_independent,
-    ccr_commutes_with_all,
-    methods_semantically_independent,
-    segments_semantically_independent,
-    semantic_independence_for_explicit,
-)
-from repro.analysis.abduction import abduce, AbductionResult
-from repro.analysis.invariants import infer_monitor_invariant, InvariantInferenceResult
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "wp": "weakest_precondition",
+    "hoare": "HoareTriple check_triple",
+    "renaming": "rename_thread_locals renamed_copy",
+    "symexec": "symbolic_execute SymbolicState SymbolicExecutionError",
+    "commutativity": "bodies_commute calls_semantically_independent ccr_commutes_with_all "
+                     "methods_semantically_independent segments_semantically_independent "
+                     "semantic_independence_for_explicit",
+    "abduction": "abduce AbductionResult",
+    "invariants": "infer_monitor_invariant InvariantInferenceResult"})
 
 __all__ = [
     "weakest_precondition",

@@ -12,14 +12,16 @@ rewrite memo, where it is kept per statement and postcondition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang.ast import Stmt
 from repro.lang.pretty import pretty_stmt
 from repro.analysis.wp import weakest_precondition
-from repro.smt.solver import Solver
+
+if TYPE_CHECKING:
+    from repro.smt.solver import Solver
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,9 @@ class HoareTriple:
 
 def check_triple(triple: HoareTriple, solver: Optional[Solver] = None) -> bool:
     """Return True iff *triple* is valid (conservatively False on solver UNKNOWN)."""
-    solver = solver or Solver()
+    if solver is None:
+        from repro.smt.solver import Solver
+
+        solver = Solver()
     goal = weakest_precondition(triple.stmt, triple.post, solver.rewrite_memo())
     return solver.check_valid(goal, hyps=(triple.pre,))

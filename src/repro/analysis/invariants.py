@@ -38,19 +38,19 @@ and ``iterations`` are those of the textbook loop
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import obs
 from repro.logic import build
 from repro.logic.evaluate import truth_value
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Expr, INT, Var
 from repro.lang.ast import Monitor
-from repro.analysis.abduction import abduce
 from repro.analysis.hoare import HoareTriple
 from repro.analysis.wp import weakest_precondition
-from repro.smt.solver import Model, Solver
+
+if TYPE_CHECKING:
+    from repro.smt.solver import Model, Solver
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,9 @@ def infer_monitor_invariant(monitor: Monitor,
         from repro.placement.algorithm import generate_placement_triples
 
         triples = generate_placement_triples(monitor, build.TRUE)
+    from repro.analysis.abduction import abduce
+    from repro.smt.solver import Solver
+
     solver = solver or Solver()
     memo = solver.rewrite_memo()
     shared_names = frozenset(monitor.field_names())
@@ -118,6 +121,8 @@ def infer_monitor_invariant(monitor: Monitor,
         # UNKNOWN drops the candidate — a weaker (but still sound) invariant.
         ok = solver.check_valid(goal, hyps=hyps)
         if not ok and solver.consume_unknown() is not None:
+            from repro import obs
+
             obs.registry().inc("degraded.invariants")
             obs.tracer().instant("degraded.invariants", cat="smt")
         return ok

@@ -10,6 +10,10 @@ one benchmark:
 * a saturation-workload generator producing balanced per-thread operation
   sequences (so every run terminates);
 * the thread ladder over which the figure sweeps.
+
+A spec parses its monitor, and so loads the language front end, only when
+asked for it: listing the benchmarks loads neither ``repro.lang`` nor
+``repro.logic``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.lang import load_monitor
-from repro.lang.ast import Monitor
-from repro.logic import TRUE
-
 if TYPE_CHECKING:
+    from repro.lang.ast import Monitor
     from repro.placement.target import ExplicitMonitor
 
 #: One thread's operation sequence: a list of (method name, positional args).
@@ -61,6 +62,8 @@ class BenchmarkSpec:
     def monitor(self) -> Monitor:
         """The parsed and checked implicit-signal monitor."""
         if self._monitor_cache is None:
+            from repro.lang import load_monitor
+
             self._monitor_cache = load_monitor(self.source)
         return self._monitor_cache
 
@@ -74,6 +77,7 @@ class BenchmarkSpec:
 
     def handwritten_explicit(self) -> ExplicitMonitor:
         """The hand-written explicit-signal monitor as an ExplicitMonitor."""
+        from repro.logic import TRUE
         from repro.placement.algorithm import PlacementResult
         from repro.placement.instrument import instrument
         from repro.placement.target import Notification

@@ -6,15 +6,18 @@
 * :mod:`repro.codegen.python_gen` — executable Python classes for three
   signalling disciplines (Expresso placement, naive implicit broadcast,
   AutoSynch-style runtime), used by the performance harness.
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`), so running generated Python classes never
+loads the Java emitter.
 """
 
-from repro.codegen.java_gen import generate_java
-from repro.codegen.python_gen import (
-    generate_python_explicit,
-    generate_python_implicit,
-    generate_python_autosynch,
-    materialize_class,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "java_gen": "generate_java",
+    "python_gen": "generate_python_explicit generate_python_implicit "
+                  "generate_python_autosynch materialize_class"})
 
 __all__ = [
     "generate_java",

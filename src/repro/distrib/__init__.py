@@ -24,22 +24,18 @@ Fault sites (see :mod:`repro.resilience.faults`): ``store.read`` and
 ``store.write`` (token = ``"<op>"`` or ``"<op>:<unit id>"``), ``lease.renew``
 (token = unit id) and ``worker.heartbeat`` (token = unit id) — every failure
 mode above is deterministically injectable.
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`): reading a store loads no work queue, and the
+queue imports the process pool only when it starts one.
 """
 
-from repro.distrib.store import (
-    CampaignStore,
-    StoreMismatchError,
-    private_store,
-)
-from repro.distrib.queue import (
-    DistribConfig,
-    JobFailure,
-    WorkQueue,
-    mark_active,
-    mark_finished,
-    queue_map,
-    run_helper,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "store": "CampaignStore StoreMismatchError private_store",
+    "queue": "DistribConfig JobFailure WorkQueue mark_active mark_finished "
+             "queue_map run_helper"})
 
 __all__ = [
     "CampaignStore", "StoreMismatchError", "private_store",

@@ -62,17 +62,20 @@ import pickle
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.distrib.store import CampaignStore, private_store
 from repro.resilience import faults
 from repro.resilience.atomic import checksum_text
 from repro.resilience.faults import fault_check
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -581,6 +584,8 @@ def _run_pool(queue: WorkQueue, batch: str, workers: int) -> None:
     returned a lease nor settled a unit raises instead of respawning
     forever.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     store, config = queue.store, queue.config
     plan = faults.active_plan()
     spec = {"store_path": str(store.path), "batch": batch, "config": config,

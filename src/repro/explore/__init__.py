@@ -19,49 +19,29 @@ against the implicit-signal reference semantics:
 Generated monitors are fuzzed through the whole compile pipeline by the
 coverage-guided campaign in :mod:`repro.fuzz` (``expresso fuzz``); every
 ``expresso explore`` run explores registry benchmarks.
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`): exploring through the engine
+(:func:`explore_class`, :func:`explore_benchmark`) loads no campaign layer
+(:mod:`repro.explore.parallel` and :mod:`repro.distrib`).
 """
 
-from repro.explore.dependence import Dependence, MethodFootprint, footprints_for_explicit
-from repro.explore.engine import (
-    COOP_DISCIPLINES,
-    STRATEGIES,
-    Counterexample,
-    ExplorationResult,
-    coop_class_for_explicit,
-    coop_monitor_and_class,
-    explore_benchmark,
-    explore_class,
-    explore_explicit,
-    replay_schedule,
-)
-from repro.explore.oracle import OracleCache, OracleVerdict, ReferenceReplay, check_run
-from repro.explore.parallel import (
-    MutationReport,
-    merge_results,
-    mutation_campaign,
-    parallel_explore_benchmark,
-    parallel_explore_class,
-)
-from repro.explore.reduce import ddmin
-from repro.explore.scheduler import (
-    CoopScheduler,
-    Decision,
-    ProgramSymmetry,
-    RunResult,
-    SchedulerError,
-    TraceEvent,
-    run_schedule,
-)
-from repro.explore.strategies import (
-    DporStrategy,
-    FirstStrategy,
-    PCTStrategy,
-    RandomStrategy,
-    ScheduleStrategy,
-    Strategy,
-    make_strategy,
-)
-from repro.explore.trace import render_trace
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "dependence": "Dependence MethodFootprint footprints_for_explicit",
+    "engine": "COOP_DISCIPLINES STRATEGIES Counterexample ExplorationResult "
+              "coop_class_for_explicit coop_monitor_and_class explore_benchmark "
+              "explore_class explore_explicit replay_schedule",
+    "oracle": "OracleCache OracleVerdict ReferenceReplay check_run",
+    "parallel": "MutationReport merge_results mutation_campaign "
+                "parallel_explore_benchmark parallel_explore_class",
+    "reduce": "ddmin",
+    "scheduler": "CoopScheduler Decision ProgramSymmetry RunResult SchedulerError "
+                 "TraceEvent run_schedule",
+    "strategies": "DporStrategy FirstStrategy PCTStrategy RandomStrategy "
+                  "ScheduleStrategy Strategy make_strategy",
+    "trace": "render_trace"})
 
 __all__ = [
     "Dependence", "MethodFootprint", "footprints_for_explicit",

@@ -62,6 +62,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+# Every campaign compiles: load now the compiler parts the pipeline imports
+# on first use, so the campaign's own run imports nothing.
+from repro.analysis import abduction, commutativity  # noqa: F401
+from repro.analysis.lint import checks  # noqa: F401
 from repro.distrib import (
     CampaignStore,
     DistribConfig,
@@ -80,7 +84,9 @@ from repro.fuzz.corpus import (
 from repro.fuzz.coverage import CoverageMap, coverage_fingerprint, run_features, state_shape
 from repro.fuzz.generate import balanced_workload, derive_seed, roles_from_json, roles_to_json
 from repro.fuzz.mutate import CROSSOVER_OPERATORS, OPERATORS, apply_operator
+from repro.placement.pipeline import ExpressoPipeline
 from repro.resilience import fault_check
+from repro.smt.cache import FormulaCache
 
 
 @dataclass
@@ -206,9 +212,6 @@ _WORKER_PIPELINE = None
 def _worker_pipeline():
     global _WORKER_PIPELINE
     if _WORKER_PIPELINE is None:
-        from repro.placement.pipeline import ExpressoPipeline
-        from repro.smt.cache import FormulaCache
-
         _WORKER_PIPELINE = ExpressoPipeline(cache=FormulaCache())
     return _WORKER_PIPELINE
 

@@ -8,22 +8,21 @@
   with the computed notifications (Figure 7);
 * :mod:`repro.placement.pipeline` — the end-to-end Expresso pipeline
   (parse → infer invariant → place signals → instrument → generate code).
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`), except :func:`instrument`, whose submodule
+shares its name.  None of these modules loads the solver until a compile
+runs.
 """
 
-from repro.placement.target import (
-    ExplicitCCR,
-    ExplicitMethod,
-    ExplicitMonitor,
-    Notification,
-)
-from repro.placement.algorithm import (
-    PlacementDecision,
-    PlacementResult,
-    generate_placement_triples,
-    place_signals,
-)
+from repro import lazy_exports
 from repro.placement.instrument import instrument
-from repro.placement.pipeline import ExpressoPipeline, ExpressoResult, compile_monitor
+
+__getattr__ = lazy_exports(__name__, {
+    "target": "ExplicitCCR ExplicitMethod ExplicitMonitor Notification",
+    "algorithm": "PlacementDecision PlacementResult generate_placement_triples "
+                 "place_signals",
+    "pipeline": "ExpressoPipeline ExpressoResult compile_monitor"})
 
 __all__ = [
     "Notification", "ExplicitCCR", "ExplicitMethod", "ExplicitMonitor",

@@ -18,18 +18,18 @@ of Example 4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.logic import build
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr
 from repro.lang.ast import CCR, MethodDecl, Monitor, seq
 from repro.analysis.hoare import HoareTriple, check_triple
-from repro.analysis.commutativity import ccr_commutes_with_all
 from repro.analysis.renaming import rename_stmt_locals, rename_thread_locals
 from repro.placement.target import Notification
-from repro.smt.solver import Solver
+
+if TYPE_CHECKING:
+    from repro.smt.solver import Solver
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,10 @@ def place_signals(monitor: Monitor, invariant: Expr,
                   solver: Optional[Solver] = None,
                   use_commutativity: bool = True) -> PlacementResult:
     """Run Algorithm 1 (with the §4.2 renaming and optional §4.3 improvement)."""
+    from repro import obs
+    from repro.analysis.commutativity import ccr_commutes_with_all
+    from repro.smt.solver import Solver
+
     solver = solver or Solver()
     notifications: Dict[str, List[Notification]] = {
         ccr.label: [] for _method, ccr in monitor.ccrs()
@@ -165,6 +169,8 @@ def _proved(triple: HoareTriple, solver: Solver) -> bool:
     """
     ok = check_triple(triple, solver)
     if not ok and solver.consume_unknown() is not None:
+        from repro import obs
+
         obs.registry().inc("degraded.placement")
         obs.tracer().instant("degraded.placement", cat="smt",
                              triple=triple.purpose)

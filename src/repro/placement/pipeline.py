@@ -10,27 +10,40 @@ implicit-signal monitor source text and produces:
 
 plus timing and solver statistics, which the evaluation harness uses to
 reproduce the paper's Table 1 (compilation times).
+
+Loading this module loads what an :class:`ExpressoResult` holds, not what
+computes it: the solver, abduction, commutativity, the lint checks and the
+observability layer are imported by the first compile, so reading a
+pickled result or running a generated monitor loads none of them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
-from repro import obs
 from repro.logic import build
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang import load_monitor
 from repro.lang.ast import Monitor
 from repro.analysis.invariants import InvariantInferenceResult, infer_monitor_invariant
-from repro.analysis.lint import LintReport, lint_explicit
 from repro.placement.algorithm import PlacementResult, place_signals
 from repro.placement.instrument import instrument
 from repro.placement.target import ExplicitMonitor
-from repro.smt.cache import FormulaCache
-from repro.smt.solver import Solver
+
+if TYPE_CHECKING:
+    from repro.analysis.lint import LintReport
+    from repro.smt.cache import FormulaCache
+    from repro.smt.solver import Solver
+
+
+def lint_explicit(explicit: ExplicitMonitor, solver: Solver) -> LintReport:
+    """:func:`repro.analysis.lint.lint_explicit`, whose checks load on first use."""
+    from repro.analysis.lint import checks
+
+    return checks.lint_explicit(explicit, solver=solver)
 
 
 @dataclass(frozen=True)
@@ -146,10 +159,15 @@ class ExpressoPipeline:
 
     def compile(self, source: Union[str, Monitor]) -> ExpressoResult:
         """Compile implicit-signal monitor source (or a parsed monitor)."""
+        from repro import obs
+
         start = time.perf_counter()
         tracer = obs.tracer()
         solver = self._solver
         if solver is None:
+            from repro.smt.cache import FormulaCache
+            from repro.smt.solver import Solver
+
             cache = self._cache if self._cache is not None else FormulaCache()
             solver = Solver(cache=cache, timeout_seconds=self.smt_timeout)
         stats_before = solver.snapshot_statistics()

@@ -13,17 +13,21 @@ This package is the executable counterpart of the paper's formal model:
 * :mod:`repro.semantics.equivalence` — bounded differential checking of
   Definition 3.4, used to cross-validate the placement algorithm on small
   thread/step budgets.
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`): the exploration oracle's state interpreter
+loads no trace enumerator.
 """
 
-from repro.semantics.state import MonitorState, execute_statement
-from repro.semantics.traces import Event, trace_is_well_formed, thread_projection
-from repro.semantics.implicit import ImplicitSemantics, TraceOutcome
-from repro.semantics.explicit import ExplicitSemantics
-from repro.semantics.equivalence import (
-    EquivalenceReport,
-    check_bounded_equivalence,
-    enumerate_feasible_traces,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "state": "MonitorState execute_statement",
+    "traces": "Event trace_is_well_formed thread_projection",
+    "implicit": "ImplicitSemantics TraceOutcome",
+    "explicit": "ExplicitSemantics",
+    "equivalence": "EquivalenceReport check_bounded_equivalence "
+                   "enumerate_feasible_traces"})
 
 __all__ = [
     "MonitorState", "execute_statement",

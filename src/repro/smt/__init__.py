@@ -22,15 +22,17 @@ Architecture (classic lazy DPLL(T)):
    branch-and-bound;
 5. :mod:`repro.smt.solver` ties these together and exposes
    :class:`~repro.smt.solver.Solver` with ``check_sat`` / ``check_valid``.
+
+The names below are imported from their submodules on first use
+(:func:`repro.lazy_exports`), so a solver loads no quantifier elimination.
 """
 
-from repro.smt.solver import Solver, SatResult, SatStatus
-from repro.smt.qe import (
-    QuantifierEliminationError,
-    QuantifierEliminator,
-    eliminate_exists,
-    eliminate_forall,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "solver": "Solver SatResult SatStatus",
+    "qe": "eliminate_exists eliminate_forall QuantifierEliminationError "
+          "QuantifierEliminator"})
 
 __all__ = [
     "Solver",

@@ -2,7 +2,8 @@
 
 Parsing argv loads nothing beyond `repro` and `repro.cli`, and the commands
 that compile nothing (`list`, `status`, `watch`, `report`, `stitch`) load
-no compiler package.  Each case runs in a fresh interpreter and reads
+no compiler package; `list` loads no monitor front end either, and
+`status` no work queue.  Each case runs in a fresh interpreter and reads
 `sys.modules` once the command has returned.
 """
 
@@ -97,6 +98,22 @@ def test_console_commands_load_no_compiler(argv, artifacts):
     code, modules = _run(*(arg.format(root=artifacts) for arg in argv))
     assert code == 0
     assert _compiler_modules(modules) == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["list"], ("repro.lang", "repro.logic")),
+    (["status", "--store", "{root}/campaign.sqlite3", "--now", "0"],
+     ("repro.distrib.queue",)),
+], ids=["list", "status"])
+def test_console_commands_load_no_front_end_or_work_queue(argv, absent,
+                                                          artifacts):
+    """`list` parses no monitor, and `status` reads a store without the
+    work queue (and its process pool)."""
+    code, modules = _run(*(arg.format(root=artifacts) for arg in argv))
+    assert code == 0
+    assert [name for name in modules
+            if any(name == package or name.startswith(package + ".")
+                   for package in absent)] == []
 
 
 def test_compile_loads_the_compiler(tmp_path):
