@@ -85,17 +85,19 @@ def materialize_class(source: str, class_name: str):
     return namespace[class_name]
 
 
-def _module_preamble(coop: bool) -> List[str]:
-    """The generated module's header; only threaded classes import Condvar."""
+def _module_preamble(coop: bool, runtimes: bool) -> List[str]:
+    """The generated module's header: only threaded classes import
+    ``threading`` and Condvar, only automatic-signal classes the runtimes."""
     support = "GuardWaiters, MonitorMetrics" if coop else "Condvar, GuardWaiters, MonitorMetrics"
     return [
         '"""Auto-generated monitor code — do not edit by hand."""',
-        "import threading",
+        *([] if coop else ["import threading"]),
         "",
         f"from repro.runtime.explicit_support import {support}",
-        "from repro.runtime.implicit import ImplicitRuntime",
-        "from repro.runtime.autosynch import AutoSynchRuntime",
-        "from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime",
+        *(["from repro.runtime.implicit import ImplicitRuntime",
+           "from repro.runtime.autosynch import AutoSynchRuntime",
+           "from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime"]
+          if runtimes else []),
         "",
         "",
     ]
@@ -121,15 +123,6 @@ def _footprints_literal(footprints: Dict) -> List[str]:
             f"        {name!r}: MethodFootprint("
             f"{_frozenset_literal(fp.reads)}, {_frozenset_literal(fp.writes)}, "
             f"{_frozenset_literal(fp.waits)}, {_frozenset_literal(fp.signals)}),")
-    lines.append("    }")
-    return lines
-
-
-def _semantic_literal(semantic: Dict) -> List[str]:
-    """Source lines for a ``_coop_semantic`` class attribute (sorted, stable)."""
-    lines = ["    _coop_semantic = {"]
-    for pair in sorted(semantic):
-        lines.append(f"        {pair!r}: {semantic[pair]!r},")
     lines.append("    }")
     return lines
 
@@ -160,7 +153,6 @@ def _placement_literal(signature: Tuple[Tuple, ...]) -> List[str]:
 
 def generate_python_explicit(explicit: ExplicitMonitor, class_name: Optional[str] = None,
                              coop: bool = False, footprints: Optional[Dict] = None,
-                             semantic: Optional[Dict] = None,
                              placement: Optional[Tuple[Tuple, ...]] = None) -> str:
     """Generate an explicit-signal monitor class from a placed monitor.
 
@@ -172,17 +164,17 @@ def generate_python_explicit(explicit: ExplicitMonitor, class_name: Optional[str
     CCR body, so the exploration engine controls every interleaving and the
     differential oracle can replay the commit order.
 
-    *footprints* (``{method: MethodFootprint}``) and *semantic* (the
-    SMT-proven method-pair independence matrix) are emitted as class
-    attributes of coop classes, so parallel workers that rebuild the class
-    from shipped source inherit the partial-order-reduction metadata without
-    re-running any analysis.
+    *footprints* (``{method: MethodFootprint}``) and *placement* (the
+    :func:`placement_signature`) are emitted as class attributes of coop
+    classes, so parallel workers that rebuild the class from shipped source
+    inherit the partial-order-reduction metadata without re-running any
+    analysis.
     """
     class_name = class_name or f"{explicit.name}Explicit"
     field_names = _field_names(explicit.fields)
     guard_vars = {guard: name for guard, name in explicit.condition_vars}
 
-    lines: List[str] = _module_preamble(coop)
+    lines: List[str] = _module_preamble(coop, runtimes=False)
     if coop and footprints is not None:
         lines.insert(-2, "from repro.explore.strategies import MethodFootprint")
     lines.append(f"class {class_name}:")
@@ -191,12 +183,9 @@ def generate_python_explicit(explicit: ExplicitMonitor, class_name: Optional[str
     lines.append("")
     if coop and footprints is not None:
         lines.extend(_footprints_literal(footprints))
-    if coop and semantic is not None:
-        lines.extend(_semantic_literal(semantic))
     if coop and placement is not None:
         lines.extend(_placement_literal(placement))
-    if coop and (footprints is not None or semantic is not None
-                 or placement is not None):
+    if coop and (footprints is not None or placement is not None):
         lines.append("")
     lines.append("    def __init__(self):")
     if not coop:
@@ -324,7 +313,7 @@ def _method_local_names(monitor: Monitor, method) -> List[str]:
 def _generate_runtime_class(monitor: Monitor, runtime_class: str, class_name: str,
                             coop: bool = False) -> str:
     field_names = _field_names(monitor.fields)
-    lines: List[str] = _module_preamble(coop)
+    lines: List[str] = _module_preamble(coop, runtimes=True)
     lines.append(f"class {class_name}:")
     lines.append(f'    """{runtime_class}-backed automatic monitor for {monitor.name}."""')
     lines.append("")

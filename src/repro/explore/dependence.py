@@ -17,17 +17,19 @@ through :meth:`Dependence.independent`:
   past the segment that just ran?
 
 The relation is built once per exploration from the coop class
-(``_coop_footprints``, ``_coop_semantic`` and ``_coop_explicit``, the last
-two only for semantic reduction) and the workload programs.  Its rules are
-tried in order; the first that holds proves the pair independent, and a pair
-no rule covers is dependent.
+(``_coop_footprints``, ``_coop_explicit`` and the ``_coop_semantic`` memo,
+the last two only for semantic reduction) and the workload programs.  Its
+rules are tried in order; the first that holds proves the pair independent,
+and a pair no rule covers is dependent.
 
 1. **Method table.**  Two methods are independent when their
    :class:`MethodFootprint` s are disjoint (:func:`footprints_independent`),
-   or when the compile-side SMT matrix (the paper's §4.3 ``Comm`` check)
-   proved their bodies commute and preserve each other's guards and
-   notification predicates, and :func:`condition_vars_compatible` still
-   holds with shared signals allowed.
+   or when the SMT matrix entry (the paper's §4.3 ``Comm`` check) proves
+   their bodies commute and preserve each other's guards and notification
+   predicates, and :func:`condition_vars_compatible` still holds with
+   shared signals allowed.  An entry is proven when DPOR first consults it
+   and memoized in the class's ``_coop_semantic``, which a caller needing
+   the whole matrix (the fuzz campaign's coverage) may fill beforehand.
 2. **Wait entries.**  A side with a wait key is a guard evaluation that
    fails and sleeps: it reads the guard's fields, waits on one condition,
    writes nothing and signals nothing.  Its footprint replaces the whole
@@ -207,17 +209,23 @@ class Dependence:
                  semantic: bool = True) -> None:
         self._footprints: Dict[str, MethodFootprint] = dict(
             getattr(coop_class, "_coop_footprints", None) or {})
-        matrix: Dict[Tuple[str, str], bool] = (
-            getattr(coop_class, "_coop_semantic", None) or {}) if semantic else {}
-        self._table: Dict[Tuple[str, str], bool] = {}
-        for a, fp_a in self._footprints.items():
-            for b, fp_b in self._footprints.items():
-                self._table[(a, b)] = footprints_independent(fp_a, fp_b) or (
-                    matrix.get((a, b), False) and condition_vars_compatible(
-                        fp_a, fp_b, allow_shared_signals=True))
-        # Wait entries and value checks read the placement itself.
+        # Wait entries, matrix proofs and value checks read the placement.
         explicit: Optional[ExplicitMonitor] = (
             getattr(coop_class, "_coop_explicit", None) if semantic else None)
+        matrix: Optional[Dict[Tuple[str, str], bool]] = (
+            getattr(coop_class, "_coop_semantic", None) if semantic else None)
+        if matrix is None and explicit is not None:
+            matrix = {}
+            setattr(coop_class, "_coop_semantic", matrix)
+        self._matrix: Dict[Tuple[str, str], bool] = matrix if matrix is not None else {}
+        #: Per ordered method pair: True, False, or None until its matrix
+        #: entry is consulted (conflicting footprints, compatible waits).
+        self._table: Dict[Tuple[str, str], Optional[bool]] = {
+            (a, b): True if footprints_independent(fp_a, fp_b) else (
+                None if matrix is not None and condition_vars_compatible(
+                    fp_a, fp_b, allow_shared_signals=True) else False)
+            for a, fp_a in self._footprints.items()
+            for b, fp_b in self._footprints.items()}
         self._programs = programs
         self._fields: FrozenSet[str] = frozenset()
         self._guards: Dict[str, Expr] = {}
@@ -243,7 +251,11 @@ class Dependence:
         """Do transitions *a* and *b* commute?  Symmetric in its arguments."""
         method_a, args_a, key_a = a
         method_b, args_b, key_b = b
-        if self._table.get((method_a, method_b), False):
+        verdict = self._table.get((method_a, method_b), False)
+        if verdict is None:
+            verdict = self._table[(method_a, method_b)] = self._matrix_entry(
+                (method_a, method_b))
+        if verdict:
             return True
         if not self._methods:
             return False
@@ -267,6 +279,19 @@ class Dependence:
                 args = tuple(self._programs[tid][op_index][1])
         return (decision.methods[index], args,
                 self._pending_wait_key(decision, index, args))
+
+    def _matrix_entry(self, pair: Tuple[str, str]) -> bool:
+        """Rule 1's entry: :func:`methods_semantically_independent` in the
+        placement's method order on the shared solver, proven once per class
+        (a class without a placement answers from the entries it carries)."""
+        if pair not in self._matrix and self._methods:
+            from repro.analysis.commutativity import methods_semantically_independent
+
+            first, second = sorted(pair, key=list(self._methods).index)
+            self._matrix[pair] = self._matrix[(pair[1], pair[0])] = (
+                methods_semantically_independent(
+                    self._methods[first], self._methods[second], self._fields))
+        return self._matrix.get(pair, False)
 
     def _segment_footprint(self, method: str,
                            key: Optional[str]) -> Optional[MethodFootprint]:

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
-from repro.analysis.symexec import SymbolicExecutionError, symbolic_execute
 from repro.codegen.pyexpr import python_identifier
 from repro.codegen.python_gen import (
     generate_python_autosynch,
@@ -53,7 +52,6 @@ from repro.codegen.python_gen import (
 )
 from repro.explore.dependence import Dependence, Transition, footprints_for_explicit
 from repro.explore.oracle import OracleCache, OracleVerdict, check_run
-from repro.explore.reduce import ddmin
 from repro.explore.scheduler import (
     Checkpoint,
     Decision,
@@ -67,7 +65,6 @@ from repro.explore.strategies import (
     ScheduleStrategy,
     make_strategy,
 )
-from repro.explore.trace import render_trace
 from repro.lang.ast import Monitor
 from repro.lang.arrays import cell_name
 from repro.lang.effects import stmt_effects
@@ -248,6 +245,7 @@ class _Equivariance:
             _instantiate_stmt,
             _param_binding,
         )
+        from repro.analysis.symexec import SymbolicExecutionError, symbolic_execute
 
         key = (owner, method.name, args)
         if key not in self._summaries:
@@ -298,43 +296,30 @@ def _renamed(expr, cells: Dict[str, str]):
 
 def coop_class_for_explicit(explicit: ExplicitMonitor,
                             class_name: str = "CoopMonitor",
-                            solver=None, semantic: bool = True,
                             placement=None) -> type:
     """Materialize the scheduler-targeting class for a placed monitor.
 
-    Both reduction artifacts — the syntactic per-method footprints and the
-    SMT-proven semantic-independence matrix — are computed here and *emitted
-    into the generated source* as class attributes, so parallel workers that
+    The syntactic per-method footprints are computed here and *emitted into
+    the generated source* as a class attribute, so parallel workers that
     rebuild the class from shipped source inherit them without re-running
-    any analysis.  ``semantic=False`` skips the matrix (a full round of
-    solver queries) for callers whose exploration cannot consult it —
-    plain enumeration, syntactic-only DPOR, sampling strategies.  *solver*
-    optionally reuses a caller's (cached) solver for the commutativity
-    queries; by default the commutativity module's shared solver memoizes
-    verdicts across every class built in the process.
+    any analysis.  No SMT query runs here: the semantic-independence
+    entries are proven by the exploration's
+    :class:`~repro.explore.dependence.Dependence` on first consult and
+    memoized on the class (``_coop_semantic``).
     """
-    from repro.analysis.commutativity import matrix_with_statistics
     from repro.codegen.python_gen import placement_signature
 
-    footprints = footprints_for_explicit(explicit)
-    matrix = None
-    if semantic:
-        # snapshot/diff isolation: the commutativity module's shared solver
-        # accumulates across every class built in the process, so only this
-        # build's own delta lands in the ``explore.matrix.*`` registry
-        # counters.
-        matrix, _delta = matrix_with_statistics(explicit, solver=solver)
     signature = (placement_signature(placement)
                  if placement is not None else None)
     source = generate_python_explicit(explicit, class_name=class_name, coop=True,
-                                      footprints=footprints, semantic=matrix,
+                                      footprints=footprints_for_explicit(explicit),
                                       placement=signature)
     cls = materialize_class(source, class_name)
     cls._coop_source = source
     # The placement cannot be embedded in source text; parallel drivers ship
     # it alongside the source (it pickles like the monitor AST).  It feeds
-    # the dependence relation's wait entries and value checks, the index
-    # symmetry and counterexample witnesses.
+    # the dependence relation's matrix entries, wait entries and value
+    # checks, the index symmetry and counterexample witnesses.
     cls._coop_explicit = explicit
     return cls
 
@@ -342,38 +327,30 @@ def coop_class_for_explicit(explicit: ExplicitMonitor,
 def coop_monitor_and_class(spec, discipline: str,
                            pipeline=None) -> Tuple[Monitor, type]:
     """(reference monitor AST, coop class) for one benchmark/discipline pair."""
-    from repro.harness.saturation import expresso_result
-    from repro.placement.pipeline import ExpressoPipeline
+    from repro.placement.pipeline import ExpressoPipeline, expresso_result
 
-    pipeline = pipeline if pipeline is not None else ExpressoPipeline()
-    key = (spec.name, discipline, pipeline.config_key())
-    if discipline == "expresso":
-        result = expresso_result(spec, pipeline)
-        reference = result.monitor
-        if key not in _COOP_CLASS_CACHE:
-            _COOP_CLASS_CACHE[key] = coop_class_for_explicit(result.explicit)
-    elif discipline == "explicit":
-        reference = spec.monitor()
-        if key not in _COOP_CLASS_CACHE:
-            _COOP_CLASS_CACHE[key] = coop_class_for_explicit(spec.handwritten_explicit())
-    elif discipline == "autosynch":
-        reference = spec.monitor()
-        if key not in _COOP_CLASS_CACHE:
-            source = generate_python_autosynch(reference, "CoopMonitor", coop=True)
-            _COOP_CLASS_CACHE[key] = materialize_class(source, "CoopMonitor")
-            _COOP_CLASS_CACHE[key]._coop_source = source
-    elif discipline == "implicit":
-        reference = spec.monitor()
-        if key not in _COOP_CLASS_CACHE:
-            source = generate_python_implicit(reference, "CoopMonitor", coop=True)
-            _COOP_CLASS_CACHE[key] = materialize_class(source, "CoopMonitor")
-            _COOP_CLASS_CACHE[key]._coop_source = source
-    else:
+    if discipline not in COOP_DISCIPLINES:
         raise ValueError(f"unknown discipline {discipline!r}; "
                          f"expected one of {COOP_DISCIPLINES}")
-    # The automatic runtimes broadcast on every exit, so no two of their
-    # segments commute; they get no footprints (POR degrades to merge
-    # probing, which is discipline-agnostic).
+    pipeline = pipeline if pipeline is not None else ExpressoPipeline()
+    key = (spec.name, discipline, pipeline.config_key())
+    expresso = discipline == "expresso"
+    reference = expresso_result(spec, pipeline).monitor if expresso else spec.monitor()
+    if key in _COOP_CLASS_CACHE:
+        return reference, _COOP_CLASS_CACHE[key]
+    if discipline in ("expresso", "explicit"):
+        _COOP_CLASS_CACHE[key] = coop_class_for_explicit(
+            expresso_result(spec, pipeline).explicit if expresso
+            else spec.handwritten_explicit())
+    else:
+        # The automatic runtimes broadcast on every exit, so no two of their
+        # segments commute; they get no footprints (POR degrades to merge
+        # probing, which is discipline-agnostic).
+        generate = (generate_python_autosynch if discipline == "autosynch"
+                    else generate_python_implicit)
+        source = generate(reference, "CoopMonitor", coop=True)
+        _COOP_CLASS_CACHE[key] = materialize_class(source, "CoopMonitor")
+        _COOP_CLASS_CACHE[key]._coop_source = source
     return reference, _COOP_CLASS_CACHE[key]
 
 
@@ -530,6 +507,7 @@ def _minimize(monitor: Monitor, coop_class: type, programs,
               schedule: Tuple[int, ...], kind: str,
               max_steps: int) -> Tuple[Tuple[int, ...], RunResult, OracleVerdict]:
     """ddmin the schedule, then rerun the minimum for its trace."""
+    from repro.explore.reduce import ddmin
 
     def reproduces(candidate: Tuple[int, ...]) -> bool:
         _result, verdict = replay_schedule(monitor, coop_class, programs,
@@ -563,6 +541,8 @@ def _record_failure(outcome: ExplorationResult, monitor, coop_class, programs,
                     run: RunResult, verdict: OracleVerdict, strategy_name: str,
                     seed: Optional[int], max_steps: int, minimize: bool,
                     witness: bool = False) -> None:
+    from repro.explore.trace import render_trace
+
     schedule = run.choices
     if minimize:
         minimized, min_run, min_verdict = _minimize(
@@ -909,7 +889,8 @@ def explore_class(monitor: Monitor, coop_class: type, programs,
 
     ``por`` selects partial-order reduction for the ``dfs`` strategy
     (sampling strategies ignore it); under POR, ``semantic`` additionally
-    consults the compile-side SMT-proven independence matrix and
+    consults the SMT-proven independence matrix, whose entries the first
+    exploration to need them proves and memoizes on the class, and
     ``symmetry`` collapses provably interchangeable wake/grant alternatives
     to one representative and merges visited states with their images
     under the workload's symmetry group.
@@ -978,21 +959,8 @@ def _stable_hash(fingerprint: tuple) -> int:
 
 def explore_explicit(explicit: ExplicitMonitor, reference: Monitor, programs,
                      **kwargs) -> ExplorationResult:
-    """Explore an arbitrary placed monitor (mutants, hand-edited placements).
-
-    The semantic matrix is only built when the requested configuration can
-    consult it (DFS with ``por`` and ``semantic`` both on).
-    """
-    import inspect
-
-    defaults = inspect.signature(explore_class).parameters
-
-    def option(name: str):
-        return kwargs.get(name, defaults[name].default)
-
-    wants_semantic = (option("strategy") == "dfs"
-                      and option("por") and option("semantic"))
-    coop_class = coop_class_for_explicit(explicit, semantic=wants_semantic,
+    """Explore an arbitrary placed monitor (mutants, hand-edited placements)."""
+    coop_class = coop_class_for_explicit(explicit,
                                          placement=kwargs.pop("placement", None))
     kwargs.setdefault("benchmark", reference.name)
     kwargs.setdefault("discipline", "explicit")

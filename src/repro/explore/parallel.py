@@ -24,9 +24,10 @@ configuration collects them instead of exploring again.  Without a store
 the queue lives in a private temp store.
 
 Workers never recompile the monitor: the parent ships the *generated coop
-class source*, which embeds the POR footprints and semantic matrix, plus the
-reference AST and the placement, so a worker only ``exec``s the class
-definition — no SMT recompilation, no placement.
+class source*, which embeds the POR footprints, plus the reference AST and
+the placement, so a worker only ``exec``s the class definition — no SMT
+recompilation, no placement.  Each shard proves the matrix entries its DPOR
+consults from the shipped placement; no entry travels between processes.
 
 The module also hosts the **mutation campaign**: iterate every placed
 notification of every benchmark (``ExplicitMonitor.notification_sites``),
@@ -92,8 +93,8 @@ def _run_mutant(job: dict) -> dict:
     """Explore one notification-deleted mutant (executed in a pool process).
 
     The job is a DPOR shard of the mutant's own coop class, which the driver
-    built with its own footprints and semantic matrix (see
-    :func:`mutation_campaign`).
+    built with the mutant's footprints (see :func:`mutation_campaign`); the
+    shard proves its matrix entries against the mutant.
     """
     result = _run_shard(job)
     if result.ok and result.exhausted:
@@ -210,9 +211,8 @@ def parallel_explore_class(monitor: Monitor, coop_class: type, programs,
             seed=seed, max_steps=max_steps, stop_on_failure=stop_on_failure,
             minimize=minimize, benchmark=benchmark, discipline=discipline,
             por=por, semantic=semantic, symmetry=symmetry, witness=witness)
-    # Explicit coop sources embed footprints/matrix as class-attribute
-    # literals, so rebuilding from source restores them; the automatic
-    # runtimes have neither.
+    # Explicit coop sources embed footprints as a class-attribute literal,
+    # so rebuilding from source restores them; automatic runtimes have none.
     base_job = {
         "class_source": source,
         "class_name": coop_class.__name__,
@@ -359,15 +359,15 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
     """Drop every placed notification across *specs*; each must be detected.
 
     Compilation (SMT) happens once per benchmark in the driver; workers only
-    exec mutant class sources and explore.  Uses DPOR DFS so small bounds
-    exhaust — a surviving mutant is then either *benign* (search exhausted:
-    the signal is unobservable under this workload bound) or a genuine
-    detection gap (``survived``), which fails the campaign.  *distrib*
-    carries the dispatch knobs (per-job deadline, attempts); a mutant whose
-    worker keeps dying or hanging is reported with status ``error``.
+    exec mutant class sources and explore, proving the matrix entries their
+    DPOR consults.  Uses DPOR DFS so small bounds exhaust — a surviving
+    mutant is then either *benign* (search exhausted: the signal is
+    unobservable under this workload bound) or a genuine detection gap
+    (``survived``), which fails the campaign.  *distrib* carries the
+    dispatch knobs (per-job deadline, attempts); a mutant whose worker keeps
+    dying or hanging is reported with status ``error``.
     """
-    from repro.harness.saturation import expresso_result
-    from repro.placement.pipeline import ExpressoPipeline
+    from repro.placement.pipeline import ExpressoPipeline, expresso_result
 
     pipeline = pipeline if pipeline is not None else ExpressoPipeline()
     workers = workers or default_workers()
@@ -378,9 +378,9 @@ def mutation_campaign(specs, threads: int = 3, ops: int = 2,
         for site in compiled.explicit.notification_sites():
             mutant = compiled.explicit.without_notification(*site)
             # Matrix entries can rest on notification-order proofs (the
-            # monotone-broadcast rule), so each mutant's class gets its own
-            # matrix, built here in the driver; the shared solver's commute
-            # memo makes every pair the deletion does not touch a cache hit.
+            # monotone-broadcast rule), so each mutant's shard proves its own
+            # entries against the mutant; the shared solver's commute memo
+            # makes every pair the deletion does not touch a cache hit.
             cls = coop_class_for_explicit(mutant)
             jobs.append({
                 "benchmark": spec.name,

@@ -62,10 +62,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-# Every campaign compiles: load now the compiler parts the pipeline imports
-# on first use, so the campaign's own run imports nothing.
+# Every campaign compiles, explores and minimizes: load now what the pipeline
+# and the engine import on first use, so the campaign's run imports nothing.
 from repro.analysis import abduction, commutativity  # noqa: F401
 from repro.analysis.lint import checks  # noqa: F401
+from repro.lang import check, lexer, parser  # noqa: F401
 from repro.distrib import (
     CampaignStore,
     DistribConfig,
@@ -74,7 +75,7 @@ from repro.distrib import (
     mark_finished,
     queue_map,
 )
-from repro.explore import engine
+from repro.explore import engine, reduce, trace  # noqa: F401
 from repro.fuzz.corpus import (
     CorpusEntry,
     CorpusStore,
@@ -239,9 +240,14 @@ def _evaluate_candidate_inner(job: dict) -> dict:
     except Exception as exc:
         return {**base, "error": f"compile: {type(exc).__name__}: {exc}"}
     try:
-        semantic = job["strategy"] == "dfs"
         coop_class = engine.coop_class_for_explicit(
-            compiled.explicit, semantic=semantic, placement=compiled.placement)
+            compiled.explicit, placement=compiled.placement)
+        # The coverage's matrix axis reads every entry, so a DFS candidate
+        # proves the whole matrix and its exploration reads it from the memo.
+        matrix = None
+        if job["strategy"] == "dfs":
+            matrix, _delta = commutativity.matrix_with_statistics(compiled.explicit)
+            coop_class._coop_semantic = matrix
         # The codegen hook embedded the placement signature in the class;
         # read it back so coverage extraction and any worker that rebuilds
         # the class from source consume the same artifact.
@@ -254,14 +260,12 @@ def _evaluate_candidate_inner(job: dict) -> dict:
             seed=job["explore_seed"], max_steps=job["max_steps"],
             stop_on_failure=True, minimize=True,
             benchmark=job["name"], discipline="fuzz",
-            por=True, semantic=semantic, symmetry=True,
+            por=True, semantic=matrix is not None, symmetry=True,
             state_shape=state_shape, witness=True)
     except Exception as exc:
         return {**base, "error": f"explore: {type(exc).__name__}: {exc}"}
-    features = run_features(
-        result, explicit=compiled.explicit,
-        matrix=getattr(coop_class, "_coop_semantic", None),
-        placement_signature=signature)
+    features = run_features(result, explicit=compiled.explicit, matrix=matrix,
+                            placement_signature=signature)
     outcome = {
         "entry_id": job["entry_id"],
         "features": {axis: sorted(values) for axis, values in features.items()},

@@ -29,7 +29,7 @@ from repro.codegen.python_gen import (
     generate_python_implicit,
     materialize_class,
 )
-from repro.placement.pipeline import ExpressoPipeline
+from repro.placement.pipeline import ExpressoPipeline, expresso_result
 
 #: The disciplines compared in Figures 8 and 9 (plus the naive baseline).
 DISCIPLINES: Tuple[str, ...] = ("expresso", "explicit", "autosynch", "implicit")
@@ -57,21 +57,8 @@ class SaturationMeasurement:
         return (self.elapsed_seconds * 1000.0) / self.operations
 
 
-# Both caches are keyed on the *pipeline configuration* as well as the
-# benchmark: a monitor compiled with one configuration (say the
-# ``use_commutativity=False`` ablation) must never be served to runs with
-# another, or the measured discipline would silently change.
+# Keyed by benchmark, discipline and configuration, like :func:`expresso_result`.
 _CLASS_CACHE: Dict[Tuple[str, str, Tuple], type] = {}
-_PIPELINE_CACHE: Dict[Tuple[str, Tuple], object] = {}
-
-
-def expresso_result(spec: BenchmarkSpec, pipeline: Optional[ExpressoPipeline] = None):
-    """Compile *spec* with the Expresso pipeline (cached per benchmark/config)."""
-    pipeline = pipeline if pipeline is not None else ExpressoPipeline()
-    key = (spec.name, pipeline.config_key())
-    if key not in _PIPELINE_CACHE:
-        _PIPELINE_CACHE[key] = pipeline.compile(spec.monitor())
-    return _PIPELINE_CACHE[key]
 
 
 def build_monitor_class(spec: BenchmarkSpec, discipline: str,

@@ -11,29 +11,22 @@ The concrete syntax is Java-like; the abstract syntax mirrors the paper:
 
 The frontend produces a :class:`repro.lang.ast.Monitor` whose guards and
 expressions are :mod:`repro.logic` terms, ready for the analyses.
+
+Names resolve on first use (:func:`repro.lazy_exports`): code that only
+holds a parsed monitor loads no lexer, parser or checker.
 """
 
-from repro.lang.ast import (
-    Assign,
-    ArrayAssign,
-    CCR,
-    FieldDecl,
-    If,
-    LocalDecl,
-    MethodDecl,
-    Monitor,
-    Param,
-    Seq,
-    Skip,
-    Stmt,
-    While,
-    seq,
-)
-from repro.lang.lexer import LexError, Token, tokenize
-from repro.lang.parser import MonitorParseError, parse_monitor
-from repro.lang.check import MonitorCheckError, check_monitor
-from repro.lang.arrays import scalarize_monitor
-from repro.lang.pretty import pretty_monitor, pretty_stmt
+from repro import lazy_exports
+from repro.lang.ast import Monitor
+
+__getattr__ = lazy_exports(__name__, {
+    "ast": "Assign ArrayAssign CCR FieldDecl If LocalDecl MethodDecl Param Seq "
+           "Skip Stmt While seq",
+    "lexer": "LexError Token tokenize",
+    "parser": "MonitorParseError parse_monitor",
+    "check": "MonitorCheckError check_monitor",
+    "arrays": "scalarize_monitor",
+    "pretty": "pretty_monitor pretty_stmt"})
 
 __all__ = [
     "Monitor", "FieldDecl", "MethodDecl", "Param", "CCR",
@@ -53,6 +46,10 @@ def load_monitor(source: str) -> Monitor:
     This is the one-call frontend used by the pipeline, the examples and the
     benchmark registry.
     """
+    from repro.lang.arrays import scalarize_monitor
+    from repro.lang.check import check_monitor
+    from repro.lang.parser import parse_monitor
+
     monitor = parse_monitor(source)
     monitor = scalarize_monitor(monitor)
     check_monitor(monitor)

@@ -30,17 +30,18 @@ unit of a traced session in whichever process claims it and hands the
 events and counters back through :func:`absorb`.
 
 With no session open every hook is a no-op costing one attribute check —
-the exploration hot loop stays within the benchmarked budget.
+the exploration hot loop stays within the benchmarked budget.  Code that
+never profiles loads no :mod:`repro.obs.profile` (:func:`repro.lazy_exports`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
+from repro import lazy_exports
 from repro.obs.metrics import MetricsRegistry, SOLVER_METRIC_NAMES
-from repro.obs.profile import SmtProfiler, formula_fingerprint
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -50,6 +51,12 @@ from repro.obs.trace import (
     trace_document,
     write_trace,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.profile import SmtProfiler
+
+__getattr__ = lazy_exports(__name__, {
+    "profile": "SmtProfiler formula_fingerprint"})
 
 __all__ = [
     "MetricsRegistry",
@@ -124,11 +131,13 @@ def observe(trace: bool = False, profile: bool = False) -> Iterator[ObsSession]:
     campaign keeps the inner instruments for the inner run only.
     """
     global _SESSION
-    session = ObsSession(
-        tracer=Tracer() if trace else NULL_TRACER,
-        registry=MetricsRegistry(),
-        profiler=SmtProfiler() if profile else None,
-    )
+    profiler: Optional[SmtProfiler] = None
+    if profile:
+        from repro.obs.profile import SmtProfiler
+
+        profiler = SmtProfiler()
+    session = ObsSession(tracer=Tracer() if trace else NULL_TRACER,
+                         registry=MetricsRegistry(), profiler=profiler)
     saved, _SESSION = _SESSION, session
     try:
         yield session

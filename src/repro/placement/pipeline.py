@@ -240,3 +240,17 @@ class ExpressoPipeline:
 def compile_monitor(source: Union[str, Monitor], **kwargs) -> ExpressoResult:
     """One-call convenience wrapper around :class:`ExpressoPipeline`."""
     return ExpressoPipeline(**kwargs).compile(source)
+
+
+# Keyed by benchmark and configuration: a monitor compiled by one pipeline
+# (say the ``use_commutativity=False`` ablation) is never served to another.
+_RESULT_CACHE: Dict[Tuple[str, Tuple], ExpressoResult] = {}
+
+
+def expresso_result(spec, pipeline: Optional[ExpressoPipeline] = None) -> ExpressoResult:
+    """Compile a benchmark spec's monitor (cached per benchmark/config)."""
+    pipeline = pipeline if pipeline is not None else ExpressoPipeline()
+    key = (spec.name, pipeline.config_key())
+    if key not in _RESULT_CACHE:
+        _RESULT_CACHE[key] = pipeline.compile(spec.monitor())
+    return _RESULT_CACHE[key]

@@ -21,12 +21,18 @@ locks whose ``notify`` on an empty queue costs one test, like Java's
 on their signalling decisions rather than on ``threading.Condition``'s
 bookkeeping.  The cooperative twins in :mod:`repro.runtime.coop` yield
 scheduler operations instead and use no OS primitive.
+
+Names resolve on first use (:func:`repro.lazy_exports`): a generated
+explicit-signal class loads only :mod:`repro.runtime.explicit_support`.
 """
 
-from repro.runtime.explicit_support import Condvar, GuardWaiters, MonitorMetrics
-from repro.runtime.autosynch import AutoSynchRuntime
-from repro.runtime.coop import CoopAutoSynchRuntime, CoopImplicitRuntime
-from repro.runtime.implicit import ImplicitRuntime
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "explicit_support": "Condvar GuardWaiters MonitorMetrics",
+    "autosynch": "AutoSynchRuntime",
+    "coop": "CoopAutoSynchRuntime CoopImplicitRuntime",
+    "implicit": "ImplicitRuntime"})
 
 __all__ = [
     "Condvar", "GuardWaiters", "MonitorMetrics", "AutoSynchRuntime", "ImplicitRuntime",

@@ -203,8 +203,10 @@ class TestDependence:
         not: each disables the other's guard."""
         compiled = expresso_result(get_benchmark("Dining Philosophers"))
         explicit = compiled.explicit
+        # Withhold the symbolic entry the relation would otherwise prove.
+        withheld = {("putDown", "putDown"): False}
         relation = Dependence(_coop_stub(footprints_for_explicit(explicit),
-                                         explicit=explicit), [])
+                                         withheld, explicit), [])
         assert relation.independent(("putDown", (0, 1), None),
                                     ("putDown", (1, 2), None))
         assert not relation.independent(("putDown", None, None),
@@ -239,6 +241,76 @@ class TestDependence:
                                     == relation.independent(right, left)), \
                                 (name, left, right)
         assert pairs == 129
+
+
+def _placements_for_the_lazy_matrix():
+    """(label, placement): the suite's Expresso and hand-written placements,
+    every notification-deletion mutant and 24 generated monitors."""
+    from repro.fuzz.generate import random_monitor
+
+    for name in sorted(ALL_BENCHMARKS):
+        spec = get_benchmark(name)
+        explicit = expresso_result(spec).explicit
+        yield name, explicit
+        yield f"{name}/hand-written", spec.handwritten_explicit()
+        for site in explicit.notification_sites():
+            yield f"{name}/{site}", explicit.without_notification(*site)
+    pipeline = ExpressoPipeline()
+    for seed in (1717, 2026):
+        for index in range(12):
+            yield (f"random_monitor({seed}, {index})",
+                   pipeline.compile(random_monitor(seed, index).source).explicit)
+
+
+class TestLazyMatrix:
+    def test_every_proven_entry_equals_the_full_matrix(self, monkeypatch):
+        """The dependence relation proves exactly the entries DPOR may
+        consult (conflicting footprints, compatible condition variables),
+        once per pair and in method order, each equal to
+        ``semantic_independence_for_explicit``'s entry."""
+        import repro.analysis.commutativity as commutativity
+        from repro.explore.dependence import condition_vars_compatible
+        from repro.smt.cache import FormulaCache
+        from repro.smt.solver import Solver
+
+        proofs = []
+        real = commutativity.methods_semantically_independent
+
+        def recording(method_a, method_b, shared_names, solver=None):
+            proofs.append((method_a.name, method_b.name))
+            return real(method_a, method_b, shared_names, solver)
+
+        monkeypatch.setattr(commutativity, "methods_semantically_independent",
+                            recording)
+        reference_solver = Solver(cache=FormulaCache())
+        placements = mutants = proven = 0
+        for label, explicit in _placements_for_the_lazy_matrix():
+            placements += 1
+            mutants += "/(" in label
+            coop_class = coop_class_for_explicit(explicit)
+            relation = Dependence(coop_class, [])
+            footprints = coop_class._coop_footprints
+            proofs.clear()
+            for a in footprints:
+                for b in footprints:
+                    relation.independent((a, None, None), (b, None, None))
+            entries = coop_class._coop_semantic
+            names = [method.name for method in explicit.methods]
+            assert all(names.index(a) <= names.index(b) for a, b in proofs), label
+            assert len(proofs) == len({frozenset(pair) for pair in entries}), label
+            assert set(entries) == {
+                (a, b) for a, fp_a in footprints.items()
+                for b, fp_b in footprints.items()
+                if not footprints_independent(fp_a, fp_b)
+                and condition_vars_compatible(fp_a, fp_b, allow_shared_signals=True)
+            }, label
+            matrix = commutativity.semantic_independence_for_explicit(
+                explicit, reference_solver)
+            for pair, verdict in entries.items():
+                assert verdict == matrix[pair], (label, pair)
+            proven += len(entries)
+        assert (placements, mutants) == (14 + 14 + 33 + 24, 33)
+        assert proven > 0
 
 
 class TestDporSoundness:
@@ -667,30 +739,45 @@ class TestParallel:
         assert not result.ok
         assert result.failures[0].kind == "lost-wakeup"
 
-    def test_mutation_campaign_recomputes_matrices_per_mutant(
-            self, buffer_spec, monkeypatch):
+    def test_mutation_campaign_recomputes_matrices_per_mutant(self, monkeypatch):
         """Matrix entries may rest on notification-order proofs (the
-        monotone-broadcast rule), so the driver must not ship the parent's
-        matrix to notification-deletion mutants."""
+        monotone-broadcast rule), so no parent matrix may reach a
+        notification-deletion mutant: every entry a mutant's exploration
+        proves is proven against that mutant."""
         import repro.analysis.commutativity as commutativity
+        from repro.explore import dependence
 
-        real = commutativity.semantic_independence_for_explicit
-        matrix_subjects = []
+        explorations = []   # (placement, entries it started with, proofs)
+        real_init = dependence.Dependence.__init__
+        real_proof = commutativity.methods_semantically_independent
 
-        def counting(explicit, solver=None):
-            matrix_subjects.append(explicit)
-            return real(explicit, solver=solver)
+        def recording_init(relation, coop_class, programs, semantic=True):
+            explorations.append((coop_class._coop_explicit,
+                                 getattr(coop_class, "_coop_semantic", None), []))
+            real_init(relation, coop_class, programs, semantic)
 
-        monkeypatch.setattr(commutativity, "semantic_independence_for_explicit",
-                            counting)
-        report = mutation_campaign([buffer_spec], threads=2, ops=2,
-                                   budget=2000, workers=1, minimize=False)
+        def recording_proof(method_a, method_b, shared_names, solver=None):
+            explorations[-1][2].append((method_a, method_b))
+            return real_proof(method_a, method_b, shared_names, solver)
+
+        monkeypatch.setattr(dependence.Dependence, "__init__", recording_init)
+        monkeypatch.setattr(commutativity, "methods_semantically_independent",
+                            recording_proof)
+        # Each Readers-Writers mutant's DPOR consults matrix entries at 2x2
+        # (BoundedBuffer's workload never runs one method twice at once).
+        spec = get_benchmark("Readers-Writers")
+        report = mutation_campaign([spec], threads=2, ops=2, budget=2000,
+                                   workers=1, minimize=False)
         assert report.ok
-        sites = list(expresso_result(buffer_spec).explicit.notification_sites())
-        assert len(matrix_subjects) == len(sites)
-        mutated = {len(subject.notification_sites())
-                   for subject in matrix_subjects}
-        assert mutated == {len(sites) - 1}   # every matrix saw the *mutant*
+        sites = list(expresso_result(spec).explicit.notification_sites())
+        assert len(explorations) == len(sites)
+        for explicit, shipped, proofs in explorations:
+            assert len(explicit.notification_sites()) == len(sites) - 1
+            assert shipped is None
+            assert proofs
+            for pair in proofs:
+                assert all(any(method is own for own in explicit.methods)
+                           for method in pair)
 
     def test_mutation_campaign_catches_or_proves_benign(self, buffer_spec):
         report = mutation_campaign([buffer_spec], threads=3, ops=2,

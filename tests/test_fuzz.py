@@ -166,7 +166,7 @@ class TestCoverage:
     def test_sampling_strategies_export_state_shapes(self):
         spec = get_benchmark("BoundedBuffer")
         compiled = expresso_result(spec)
-        coop_class = coop_class_for_explicit(compiled.explicit, semantic=False)
+        coop_class = coop_class_for_explicit(compiled.explicit)
         result = explore_class(compiled.monitor, coop_class,
                                spec.workload(2, 2), strategy="random",
                                budget=20, seed=0, minimize=False,
@@ -450,7 +450,7 @@ class TestPlacementHook:
     def test_coop_class_embeds_placement_signature(self):
         spec = get_benchmark("BoundedBuffer")
         compiled = expresso_result(spec)
-        coop_class = coop_class_for_explicit(compiled.explicit, semantic=False,
+        coop_class = coop_class_for_explicit(compiled.explicit,
                                              placement=compiled.placement)
         assert coop_class._coop_placement
         assert "_coop_placement" in coop_class._coop_source

@@ -35,7 +35,7 @@ _RANDOM_DIGEST = (
 GOLDEN = {
     "explore-dfs": (
         _EXPLORE + ["--strategy", "dfs", "--schedules", "200"],
-        "1d8773bc6c95c6194b4f12951217aab235239fb18876e946d89ee5a64589e24d"),
+        "3928ba1d99cc57473803aa271e89de0ea9370cec293de770893543a4b94c3f49"),
     "explore-random-w1": (
         _RANDOM + ["--workers", "1"],
         _RANDOM_DIGEST),
