@@ -108,7 +108,6 @@ consecution, so the abducer only has to be useful, never complete.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import build
@@ -118,12 +117,13 @@ from repro.logic.memo import RewriteMemo
 from repro.logic.nnf import atoms_of, ordered_atoms
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, Le, Lt, Ne, Var
+from repro.record import record
 from repro.smt.linear import linearize
 from repro.smt.qe import QuantifierEliminator
 from repro.smt.solver import Model, Solver
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbductionResult:
     """The candidates produced for one abduction query."""
 

@@ -17,12 +17,12 @@ presence of potential aliasing between ``x`` and ``y``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.logic import build
 from repro.logic.terms import Expr, INT, Sort, Var
 from repro.lang.ast import Assign, If, Skip, Stmt, seq
+from repro.record import record
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ from repro.lang.ast import Assign, If, Skip, Stmt, seq
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Alloc:
     """``target = new Obj()`` — *site* is a unique allocation-site label."""
 
@@ -38,7 +38,7 @@ class Alloc:
     site: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Copy:
     """``target = source`` between reference variables."""
 
@@ -46,7 +46,7 @@ class Copy:
     source: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldWrite:
     """``target.field = source`` (source is a reference variable)."""
 
@@ -55,7 +55,7 @@ class FieldWrite:
     source: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldRead:
     """``target = source.field``."""
 

@@ -11,7 +11,6 @@ rewrite memo, where it is kept per statement and postcondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.logic.pretty import pretty
@@ -19,12 +18,13 @@ from repro.logic.terms import Expr
 from repro.lang.ast import Stmt
 from repro.lang.pretty import pretty_stmt
 from repro.analysis.wp import weakest_precondition
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.smt.solver import Solver
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HoareTriple:
     """``{pre} stmt {post}`` with an optional human-readable purpose tag."""
 
@@ -32,6 +32,13 @@ class HoareTriple:
     stmt: Stmt
     post: Expr
     purpose: str = ""
+
+    def __init__(self, pre: Expr, stmt: Stmt, post: Expr, purpose: str = "") -> None:
+        # Spelled out: a fuzz pass builds ~4,200 (see ``repro.record``).
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "stmt", stmt)
+        object.__setattr__(self, "post", post)
+        object.__setattr__(self, "purpose", purpose)
 
     def describe(self) -> str:
         """Single-line rendering used in reports and error messages."""

@@ -37,7 +37,6 @@ and ``iterations`` are those of the textbook loop
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import build
@@ -48,12 +47,13 @@ from repro.logic.terms import BoolConst, Expr, INT, Var
 from repro.lang.ast import Monitor
 from repro.analysis.hoare import HoareTriple
 from repro.analysis.wp import weakest_precondition
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.smt.solver import Model, Solver
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvariantInferenceResult:
     """The inferred invariant together with provenance information."""
 

@@ -12,8 +12,9 @@ collection for one monitor.  Severities split into:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.record import record
 
 ERROR = "error"
 ADVISORY = "advisory"
@@ -30,7 +31,7 @@ CHECKS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LintFinding:
     """One check firing at one site."""
 
@@ -60,7 +61,7 @@ class LintFinding:
         return payload
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LintReport:
     """All findings for one monitor, in deterministic check/site order."""
 

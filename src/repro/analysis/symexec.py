@@ -13,7 +13,7 @@ and callers treat the pair conservatively as non-commuting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Mapping, Optional
 
 from repro.logic import build
@@ -31,13 +31,14 @@ from repro.lang.ast import (
     Stmt,
     While,
 )
+from repro.record import record
 
 
 class SymbolicExecutionError(ValueError):
     """Raised when a statement cannot be summarized (contains a loop)."""
 
 
-@dataclass
+@record
 class SymbolicState:
     """A mapping from variable names to their symbolic values.
 

@@ -18,8 +18,10 @@ asked for it: listing the benchmarks loads neither ``repro.lang`` nor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.lang.ast import Monitor
@@ -31,7 +33,7 @@ ThreadOps = List[Tuple[str, tuple]]
 Workload = List[ThreadOps]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HandPlacement:
     """A hand-written notification: emitted by *ccr_label*, waking the threads
     blocked on the guard of *wait_method*'s first waituntil."""
@@ -42,7 +44,7 @@ class HandPlacement:
     broadcast: bool
 
 
-@dataclass
+@record
 class BenchmarkSpec:
     """One paper benchmark (source, hand-written placement, workload)."""
 

@@ -64,12 +64,12 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, wait
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.distrib.store import CampaignStore, private_store
+from repro.record import record
 from repro.resilience import faults
 from repro.resilience.atomic import checksum_text
 from repro.resilience.faults import fault_check
@@ -78,7 +78,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 
-@dataclass
+@record
 class DistribConfig:
     """Dispatch knobs (``--store/--lease-ttl/--heartbeat-interval``,
     ``--job-deadline/--job-retries``)."""
@@ -105,7 +105,7 @@ class DistribConfig:
         return min(max(self.heartbeat_interval / 2, 0.02), 1.0)
 
 
-@dataclass
+@record
 class JobFailure:
     """A job the dispatcher gave up on — returned in place of its result."""
 
@@ -121,7 +121,7 @@ class JobFailure:
                 "quarantined": self.quarantined, **extra}
 
 
-@dataclass
+@record
 class _Recorded:
     """A traced unit's result with the events and counters it recorded."""
 
@@ -130,7 +130,7 @@ class _Recorded:
     metrics: Dict[str, int]
 
 
-@dataclass
+@record
 class Claim:
     """One leased work unit (attempt is 0-based: prior lease count)."""
 

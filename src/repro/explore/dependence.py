@@ -89,7 +89,6 @@ reach the same state and pass the same guards.  Per rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.lang.effects import EMPTY_EFFECTS, expr_reads, guarded_effects
@@ -97,6 +96,7 @@ from repro.logic import TRUE
 from repro.logic.evaluate import EvaluationError, Value, evaluate
 from repro.logic.terms import Expr
 from repro.placement.target import ExplicitMethod, ExplicitMonitor
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.explore.scheduler import Decision
@@ -105,7 +105,7 @@ if TYPE_CHECKING:
 Transition = Tuple[str, Optional[tuple], Optional[str]]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodFootprint:
     """The shared-state/condition-variable footprint of one monitor method.
 

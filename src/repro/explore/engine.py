@@ -39,7 +39,7 @@ once, however many schedules revisit them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
@@ -50,6 +50,7 @@ from repro.codegen.python_gen import (
     generate_python_implicit,
     materialize_class,
 )
+from repro.record import record
 from repro.explore.dependence import Dependence, Transition, footprints_for_explicit
 from repro.explore.oracle import OracleCache, OracleVerdict, check_run
 from repro.explore.scheduler import (
@@ -359,7 +360,7 @@ def coop_monitor_and_class(spec, discipline: str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Counterexample:
     """A failing schedule, minimized and rendered for replay."""
 
@@ -391,7 +392,7 @@ class Counterexample:
         return record
 
 
-@dataclass
+@record
 class ExplorationResult:
     """Aggregate outcome of one exploration campaign.
 

@@ -28,22 +28,28 @@ instrumentation and Python emission — against Definition 3.4's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.pyexpr import python_identifier
 from repro.lang.ast import Monitor
 from repro.logic.evaluate import evaluate
+from repro.record import record
 from repro.semantics.state import MonitorState, Value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleVerdict:
     """The oracle's judgement of one scheduled run."""
 
     ok: bool
     kind: Optional[str] = None     # guard-violation | lost-wakeup | state-divergence
     detail: str = ""               # | step-limit | error | stall (ok=True) | None
+
+    def __init__(self, ok: bool, kind: Optional[str] = None, detail: str = "") -> None:
+        # Spelled out: an explore pass builds ~2,300 (see ``repro.record``).
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def is_failure(self) -> bool:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -52,6 +52,7 @@ from repro.distrib import (
     private_store,
     queue_map,
 )
+from repro.record import record
 from repro.explore.engine import (
     ExplorationResult,
     coop_class_for_explicit,
@@ -296,7 +297,7 @@ def parallel_explore_benchmark(spec, discipline: str = "expresso",
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class MutationReport:
     """Outcome of a notification-deletion sweep over benchmark placements."""
 

@@ -65,13 +65,14 @@ on.  Decisions keep the un-renamed fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import count
 from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.explore.strategies import AbortRun, Strategy, _session_registry
+from repro.record import record
 from repro.runtime.explicit_support import GuardWaiters, MonitorMetrics
 
 #: One thread's program: a list of ``(method name, positional args)`` pairs.
@@ -148,7 +149,7 @@ class Checkpoint(NamedTuple):
     steps: int
 
 
-@dataclass
+@record
 class RunResult:
     """Everything one scheduled execution produced.
 
@@ -172,6 +173,23 @@ class RunResult:
     error: Optional[str] = None
     prefix: List[int] = field(default_factory=list)
     checkpoints: Dict[int, Checkpoint] = field(default_factory=dict)
+
+    def __init__(self, outcome: str, commits: Optional[List[Tuple[int, str]]] = None,
+                 events: Optional[List[TraceEvent]] = None,
+                 decisions: Optional[List[Decision]] = None,
+                 waiting: Optional[Dict[int, str]] = None, steps: int = 0,
+                 error: Optional[str] = None, prefix: Optional[List[int]] = None,
+                 checkpoints: Optional[Dict[int, Checkpoint]] = None) -> None:
+        # Spelled out: an explore pass builds ~2,300 (see ``repro.record``).
+        self.outcome = outcome
+        self.commits = [] if commits is None else commits
+        self.events = [] if events is None else events
+        self.decisions = [] if decisions is None else decisions
+        self.waiting = {} if waiting is None else waiting
+        self.steps = steps
+        self.error = error
+        self.prefix = [] if prefix is None else prefix
+        self.checkpoints = {} if checkpoints is None else checkpoints
 
     @property
     def choices(self) -> Tuple[int, ...]:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -75,6 +75,7 @@ from repro.distrib import (
     mark_finished,
     queue_map,
 )
+from repro.record import record
 from repro.explore import engine, reduce, trace  # noqa: F401
 from repro.fuzz.corpus import (
     CorpusEntry,
@@ -90,7 +91,7 @@ from repro.resilience import fault_check
 from repro.smt.cache import FormulaCache
 
 
-@dataclass
+@record
 class FuzzConfig:
     """Campaign knobs (all deterministic inputs)."""
 
@@ -130,7 +131,7 @@ class FuzzConfig:
                 "max_steps": self.max_steps}
 
 
-@dataclass
+@record
 class FuzzCampaignResult:
     """Everything one campaign invocation produced (timing kept out of
     :meth:`to_dict` so artifacts stay byte-stable)."""

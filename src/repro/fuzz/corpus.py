@@ -49,6 +49,7 @@ from repro.fuzz.generate import (
     roles_from_json,
     roles_to_json,
 )
+from repro.record import record
 from repro.fuzz.mutate import Candidate, apply_operator
 from repro.resilience import Journal, atomic_write_text
 from repro.resilience.atomic import json_text
@@ -68,7 +69,7 @@ class CorruptCorpusError(RuntimeError):
         super().__init__(f"corrupt corpus at {self.root}: {detail}")
 
 
-@dataclasses.dataclass
+@record
 class CorpusEntry:
     """One corpus seed: a monitor candidate plus provenance and coverage."""
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.benchmarks_lib.spec import ThreadOps, Workload
+from repro.record import record
 
 #: One role op spec: (method name, call args, repeated per workload op?).
 OpSpec = Tuple[str, Tuple, bool]
@@ -82,7 +82,7 @@ def roles_from_json(data: Sequence) -> Tuple[RoleSpec, ...]:
         for role in data)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratedMonitor:
     """A generated monitor plus its balanced workload roles (all data)."""
 

@@ -28,9 +28,10 @@ from repro.lang import load_monitor
 from repro.lang.ast import CCR, MethodDecl, Monitor, Seq
 from repro.lang.pretty import pretty_monitor
 from repro.logic.terms import Expr, Ge, Gt, IntConst, Le, Lt
+from repro.record import record
 
 
-@dataclasses.dataclass(frozen=True)
+@record(frozen=True)
 class Candidate:
     """A fuzzing input: monitor source, workload roles, and bounds."""
 

@@ -18,7 +18,7 @@ cache effectiveness lands in the Table 1 output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 # Every Table 1 row compiles: load now the compiler parts the pipeline
@@ -28,9 +28,10 @@ from repro.analysis.lint import checks  # noqa: F401
 from repro.benchmarks_lib.registry import ALL_BENCHMARKS
 from repro.benchmarks_lib.spec import BenchmarkSpec
 from repro.placement.pipeline import ExpressoPipeline
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompileTimeRow:
     """One row of Table 1."""
 

@@ -10,7 +10,7 @@ reproduction adds), the Table 1 compilation times, and the headline
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.benchmarks_lib.spec import BenchmarkSpec
@@ -20,9 +20,10 @@ from repro.harness.saturation import (
     SaturationMeasurement,
     sweep_thread_ladder,
 )
+from repro.record import record
 
 
-@dataclass
+@record
 class FigureSeries:
     """One benchmark's plot: ms/op per (discipline, thread count)."""
 

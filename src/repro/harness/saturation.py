@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.benchmarks_lib.spec import BenchmarkSpec, Workload
@@ -29,6 +28,7 @@ from repro.codegen.python_gen import (
     generate_python_implicit,
     materialize_class,
 )
+from repro.record import record
 from repro.placement.pipeline import ExpressoPipeline, expresso_result
 
 #: The disciplines compared in Figures 8 and 9 (plus the naive baseline).
@@ -39,7 +39,7 @@ class SaturationTimeout(RuntimeError):
     """Raised when a workload fails to finish (a lost wake-up would hang it)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SaturationMeasurement:
     """One (benchmark, discipline, thread count) measurement."""
 

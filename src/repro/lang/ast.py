@@ -8,11 +8,12 @@ analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import build
 from repro.logic.terms import BOOL, Expr, INT, Sort
+from repro.record import record
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +21,7 @@ from repro.logic.terms import BOOL, Expr, INT, Sort
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stmt:
     """Base class for statements."""
 
@@ -28,12 +29,12 @@ class Stmt:
         return ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Skip(Stmt):
     """The no-op statement."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Stmt):
     """``target = value`` where *target* is a field, parameter, or local."""
 
@@ -41,7 +42,7 @@ class Assign(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrayAssign(Stmt):
     """``array[index] = value`` on a fixed-size array field (pre-scalarization)."""
 
@@ -50,7 +51,7 @@ class ArrayAssign(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalDecl(Stmt):
     """Declaration of a method-local variable with an initializer."""
 
@@ -59,7 +60,7 @@ class LocalDecl(Stmt):
     init: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq(Stmt):
     """Sequential composition of two or more statements."""
 
@@ -69,7 +70,7 @@ class Seq(Stmt):
         return self.stmts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If(Stmt):
     """Conditional statement with an optional else branch (``Skip`` if absent)."""
 
@@ -81,7 +82,7 @@ class If(Stmt):
         return (self.then, self.orelse)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Stmt):
     """Loop with an optional user-supplied invariant annotation.
 
@@ -119,7 +120,7 @@ def seq(*stmts: Stmt) -> Stmt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl:
     """A shared monitor field.
 
@@ -140,7 +141,7 @@ class FieldDecl:
         return self.array_size is not None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     """A method parameter (thread-local by definition, §3.1)."""
 
@@ -148,7 +149,7 @@ class Param:
     sort: Sort
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CCR:
     """A conditional critical region ``waituntil (guard) { body }``."""
 
@@ -162,7 +163,7 @@ class CCR:
         return self.guard == build.TRUE
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodDecl:
     """An ``atomic`` monitor method: a parameter list plus a CCR sequence."""
 
@@ -174,7 +175,7 @@ class MethodDecl:
         return tuple(param.name for param in self.params)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Monitor:
     """An implicit-signal monitor: fields, named constants, and atomic methods."""
 

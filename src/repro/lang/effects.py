@@ -15,16 +15,16 @@ declaration or array store targets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.logic.free_vars import ordered_free_vars
 from repro.logic.terms import Expr
 from repro.lang.arrays import cell_name
 from repro.lang.ast import ArrayAssign, Assign, If, LocalDecl, Seq, Skip, Stmt, While
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EffectSummary:
     """May-read / may-write name sets of one piece of code.
 
@@ -37,6 +37,13 @@ class EffectSummary:
     reads: FrozenSet[str]
     writes: FrozenSet[str]
     summarizable: bool = True
+
+    def __init__(self, reads: FrozenSet[str], writes: FrozenSet[str],
+                 summarizable: bool = True) -> None:
+        # Spelled out: a fuzz pass builds ~9,300 (see ``repro.record``).
+        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "writes", writes)
+        object.__setattr__(self, "summarizable", summarizable)
 
     @property
     def names(self) -> FrozenSet[str]:

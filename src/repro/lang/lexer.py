@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, List
+
+from repro.record import record
 
 
 class LexError(ValueError):
     """Raised on characters the lexer does not understand."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     """A lexical token with source position (1-based line/column)."""
 
@@ -19,6 +20,13 @@ class Token:
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        # Spelled out: a compile pass builds ~1,000 (see ``repro.record``).
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"

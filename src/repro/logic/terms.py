@@ -35,9 +35,11 @@ import enum
 import inspect
 import sys
 import threading
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, dataclass_transform
+
+from repro.record import declare_fields
 
 
 class Sort(enum.Enum):
@@ -133,8 +135,10 @@ def _sweep() -> None:
 @dataclass_transform(eq_default=False, frozen_default=True)
 def node_class(cls):
     """Make *cls* a frozen, slotted dataclass node whose children are its
-    ``Expr`` fields in order, or its one ``Tuple[Expr, ...]`` field."""
-    cls = dataclass(frozen=True, eq=False, slots=True, init=False)(cls)
+    ``Expr`` fields in order, or its one ``Tuple[Expr, ...]`` field.  It
+    gets no method of its own: ``Expr`` constructs, prints and guards every
+    node."""
+    cls = declare_fields(cls, init=False, eq=False, frozen=True, slots=True)
     specs = fields(cls)
     cls._signature = inspect.Signature([
         inspect.Parameter(spec.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
@@ -189,6 +193,17 @@ class Expr:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        # The dataclass format; a node cannot contain itself.
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------

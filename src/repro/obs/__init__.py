@@ -37,7 +37,7 @@ never profiles loads no :mod:`repro.obs.profile` (:func:`repro.lazy_exports`).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 from repro import lazy_exports
@@ -51,6 +51,7 @@ from repro.obs.trace import (
     trace_document,
     write_trace,
 )
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.obs.profile import SmtProfiler
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class ObsSession:
     """The instruments active inside one :func:`observe` block."""
 

@@ -17,7 +17,6 @@ of Example 4.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import build
@@ -27,12 +26,13 @@ from repro.lang.ast import CCR, MethodDecl, Monitor, seq
 from repro.analysis.hoare import HoareTriple, check_triple
 from repro.analysis.renaming import rename_stmt_locals, rename_thread_locals
 from repro.placement.target import Notification
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.smt.solver import Solver
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlacementDecision:
     """The decision for one (CCR, guard) pair, with the triples that justify it."""
 
@@ -50,7 +50,7 @@ class PlacementDecision:
         return Notification(self.predicate, self.conditional, self.broadcast)
 
 
-@dataclass
+@record
 class PlacementResult:
     """Output of :func:`place_signals`: notifications per CCR plus provenance."""
 

@@ -20,7 +20,7 @@ pickled result or running a generated monitor loads none of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from repro.logic import build
@@ -32,6 +32,7 @@ from repro.analysis.invariants import InvariantInferenceResult, infer_monitor_in
 from repro.placement.algorithm import PlacementResult, place_signals
 from repro.placement.instrument import instrument
 from repro.placement.target import ExplicitMonitor
+from repro.record import record
 
 if TYPE_CHECKING:
     from repro.analysis.lint import LintReport
@@ -46,7 +47,7 @@ def lint_explicit(explicit: ExplicitMonitor, solver: Solver) -> LintReport:
     return checks.lint_explicit(explicit, solver=solver)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpressoResult:
     """Everything the pipeline produced for one monitor."""
 

@@ -9,16 +9,16 @@ means the notification is unconditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.logic import build
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang.ast import FieldDecl, Param, Stmt
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Notification:
     """A placed notification ``(predicate, conditional, broadcast)``.
 
@@ -41,7 +41,7 @@ class Notification:
         return f"{kind}[{self.marker}]({pretty(self.predicate)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitCCR:
     """A target-language ``waituntil(guard){body; signal(S1); broadcast(S2)}``."""
 
@@ -61,7 +61,7 @@ class ExplicitCCR:
         return tuple(n for n in self.notifications if n.broadcast)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitMethod:
     """An explicit-signal monitor method."""
 
@@ -70,7 +70,7 @@ class ExplicitMethod:
     ccrs: Tuple[ExplicitCCR, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitMonitor:
     """An explicit-signal monitor: the output of the placement algorithm.
 

@@ -66,9 +66,11 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.record import record
 
 #: Environment variable naming a JSON fault-plan file, read by a process
 #: that has no plan installed explicitly (``--fault-plan`` installs one, and
@@ -91,7 +93,7 @@ class InjectedCrash(BaseException):
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultRule:
     """One deterministic trigger: fire *action* at *site*.
 
@@ -128,7 +130,7 @@ class FaultRule:
                    seconds=data.get("seconds", 3600.0))
 
 
-@dataclass
+@record
 class FaultPlan:
     """A deterministic set of fault rules plus per-site occurrence state."""
 

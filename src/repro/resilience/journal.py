@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.record import record
 from repro.resilience.atomic import atomic_write_text, checksum_payload
 from repro.resilience.faults import fault_check
 
 
-@dataclass
+@record
 class JournalReplay:
     """The outcome of replaying a journal file."""
 

@@ -18,13 +18,13 @@ the body, wakes precisely the waiters whose predicates now hold.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.record import record
 from repro.runtime.explicit_support import Condvar, MonitorMetrics
 
 
-@dataclass
+@record
 class _Waiter:
     predicate: Callable[[], bool]
     condition: Condvar

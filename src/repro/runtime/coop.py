@@ -23,9 +23,9 @@ runtimes so the two can be compared under identical schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from repro.record import record
 from repro.runtime.explicit_support import MonitorMetrics
 
 #: A scheduler operation yielded by a cooperative monitor method.
@@ -67,7 +67,7 @@ class CoopImplicitRuntime:
         yield ("release",)
 
 
-@dataclass
+@record
 class _CoopWaiter:
     predicate: Callable[[], bool]
     admitted: bool = False

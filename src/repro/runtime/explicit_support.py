@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from collections import deque
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from typing import Callable, Deque, Dict, List, Optional
 
+from repro.record import record
 
-@dataclass
+
+@record
 class MonitorMetrics:
     """Counters shared by all runtimes; thread-safe under the monitor lock."""
 
@@ -34,6 +36,18 @@ class MonitorMetrics:
     signals: int = 0
     broadcasts: int = 0
     predicate_evaluations: int = 0
+
+    def __init__(self, operations: int = 0, waits: int = 0, wakeups: int = 0,
+                 spurious_wakeups: int = 0, signals: int = 0, broadcasts: int = 0,
+                 predicate_evaluations: int = 0) -> None:
+        # Spelled out: an explore pass builds ~2,300 (see ``repro.record``).
+        self.operations = operations
+        self.waits = waits
+        self.wakeups = wakeups
+        self.spurious_wakeups = spurious_wakeups
+        self.signals = signals
+        self.broadcasts = broadcasts
+        self.predicate_evaluations = predicate_evaluations
 
     # snapshot/reset are derived from the dataclass fields so that adding a
     # counter can never desynchronize them.

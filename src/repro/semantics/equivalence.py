@@ -17,18 +17,19 @@ implicit monitor would have woken — the bug class signal placement must avoid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.ast import Monitor
 from repro.placement.target import ExplicitMonitor
+from repro.record import record
 from repro.semantics.explicit import ExplicitSemantics
 from repro.semantics.implicit import Configuration, ImplicitSemantics, TraceOutcome
 from repro.semantics.state import MonitorState, Value
 from repro.semantics.traces import Event
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThreadPlan:
     """What one thread intends to do: run *methods* in order with given locals."""
 
@@ -40,7 +41,7 @@ class ThreadPlan:
         return dict(self.locals)
 
 
-@dataclass
+@record
 class EquivalenceReport:
     """Outcome of a bounded equivalence check."""
 

@@ -13,17 +13,17 @@ Configurations are ``(σ, B, N)`` where ``B`` is the set of blocked
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import CCR, Monitor
+from repro.record import record
 from repro.semantics.state import MonitorState
 from repro.semantics.traces import Event
 
 Pair = Tuple[int, str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Configuration:
     """An immutable ``(σ, B, N)`` configuration."""
 
@@ -32,7 +32,7 @@ class Configuration:
     notified: FrozenSet[Pair]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceOutcome:
     """Result of replaying a trace from an initial state."""
 

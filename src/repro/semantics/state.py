@@ -8,8 +8,8 @@ statements concretely; it is the ⇓ relation of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple, Union
+from dataclasses import field
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.logic.evaluate import evaluate
 from repro.logic.terms import BOOL, Expr, INT
@@ -24,6 +24,7 @@ from repro.lang.ast import (
     Stmt,
     While,
 )
+from repro.record import record
 
 Value = Union[int, bool]
 
@@ -36,12 +37,18 @@ class InterpretationError(RuntimeError):
     """Raised when a statement cannot be executed concretely."""
 
 
-@dataclass
+@record
 class MonitorState:
     """σ: shared-variable valuation plus per-thread local valuations."""
 
     shared: Dict[str, Value] = field(default_factory=dict)
     locals: Dict[int, Dict[str, Value]] = field(default_factory=dict)
+
+    def __init__(self, shared: Optional[Dict[str, Value]] = None,
+                 locals: Optional[Dict[int, Dict[str, Value]]] = None) -> None:
+        # Spelled out: an explore pass builds ~6,000 (see ``repro.record``).
+        self.shared = {} if shared is None else shared
+        self.locals = {} if locals is None else locals
 
     @staticmethod
     def initial(monitor: Monitor) -> "MonitorState":

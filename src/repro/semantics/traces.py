@@ -13,13 +13,13 @@ A trace is *syntactically well-formed* when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.lang.ast import MethodDecl, Monitor
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Event:
     """A monitor event ``(thread, ccr_label, entered)``."""
 

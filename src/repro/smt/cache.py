@@ -53,16 +53,16 @@ so a cache shared by several solvers reports each one's own share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.logic.terms import Expr
+from repro.record import record
 
 #: The procedure memos every cache keeps.
 PROCEDURE_TABLES = ("commute", "abduce")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CachedResult:
     """The solver-independent ingredients of a satisfiability answer.
 
@@ -75,6 +75,13 @@ class CachedResult:
     status_sat: bool
     theory_model: Optional[Dict[str, int]] = None
     bool_values: Optional[Dict[str, bool]] = None
+
+    def __init__(self, status_sat: bool, theory_model: Optional[Dict[str, int]] = None,
+                 bool_values: Optional[Dict[str, bool]] = None) -> None:
+        # Spelled out: a compile pass builds ~700 (see ``repro.record``).
+        object.__setattr__(self, "status_sat", status_sat)
+        object.__setattr__(self, "theory_model", theory_model)
+        object.__setattr__(self, "bool_values", bool_values)
 
 
 class FormulaCache:

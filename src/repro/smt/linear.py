@@ -8,7 +8,6 @@ Fourier–Motzkin, branch-and-bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -24,18 +23,24 @@ from repro.logic.terms import (
     Sub,
     Var,
 )
+from repro.record import record
 
 
 class NonLinearError(ValueError):
     """Raised when an integer term is not linear (e.g. a product of variables)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinExpr:
     """An immutable linear expression ``constant + sum(coeffs[name] * name)``."""
 
     coeffs: Tuple[Tuple[str, int], ...]
     constant: int = 0
+
+    def __init__(self, coeffs: Tuple[Tuple[str, int], ...], constant: int = 0) -> None:
+        # Spelled out: a compile pass builds ~14,000 (see ``repro.record``).
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "constant", constant)
 
     @staticmethod
     def of(coeffs: Mapping[str, int], constant: int = 0) -> "LinExpr":
@@ -152,11 +157,15 @@ def linearize(expr: Expr) -> LinExpr:
     raise NonLinearError(f"cannot linearize node {type(expr).__name__}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Constraint:
     """A normalized constraint ``expr <= 0`` (non-strict, integer semantics)."""
 
     expr: LinExpr
+
+    def __init__(self, expr: LinExpr) -> None:
+        # Spelled out: a compile pass builds ~1,100 (see ``repro.record``).
+        object.__setattr__(self, "expr", expr)
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         return self.expr.evaluate(assignment) <= 0

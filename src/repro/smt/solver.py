@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
 from typing import (
     Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
 )
@@ -83,6 +82,7 @@ from repro.logic.memo import RewriteMemo
 from repro.logic.terms import (
     BOOL, Expr, Implies, Not, Var, contains_quantifier,
 )
+from repro.record import record
 from repro.smt.cache import CachedResult, FormulaCache
 from repro.smt.cnf import AtomTable, encode
 from repro.smt.intfeas import IntegerFeasibilityUnknown, integer_feasible
@@ -116,12 +116,17 @@ class SatStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SatResult:
     """Outcome of a satisfiability query."""
 
     status: SatStatus
     model: Optional[Model] = None
+
+    def __init__(self, status: SatStatus, model: Optional[Model] = None) -> None:
+        # Spelled out: a compile pass builds ~1,000 (see ``repro.record``).
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "model", model)
 
     @property
     def is_sat(self) -> bool:
