@@ -113,10 +113,9 @@ def _init(cls: type, specs: Tuple[dataclasses.Field, ...], frozen: bool) -> Call
     defaults = [spec.default for spec in specs]
     factories = {index: spec.default_factory for index, spec in enumerate(specs)
                  if spec.default_factory is not MISSING}
-    # needs[k]: the fields from k on without a plain default (required
-    # ones, and those a factory builds).
-    needs = [tuple(index for index in range(start, count) if defaults[index] is MISSING)
-             for start in range(count + 1)]
+    # The fields without a plain default: required ones, and those a
+    # factory builds.
+    needs = tuple(index for index, default in enumerate(defaults) if default is MISSING)
     assign = object.__setattr__ if frozen else setattr
     post_init = hasattr(cls, "__post_init__")
 
@@ -133,7 +132,7 @@ def _init(cls: type, specs: Tuple[dataclasses.Field, ...], frozen: bool) -> Call
             if index < given:
                 raise TypeError(f"__init__() got multiple values for argument {name!r}")
             values[index] = value
-        for index in needs[given]:
+        for index in needs:
             if values[index] is MISSING:
                 if index not in factories:
                     raise TypeError(f"__init__() missing required argument: "

@@ -26,6 +26,8 @@ from repro.runtime.explicit_support import Condvar, MonitorMetrics
 
 @record
 class _Waiter:
+    """A thread waiting in the runtime until its predicate holds."""
+
     predicate: Callable[[], bool]
     condition: Condvar
     admitted: bool = False

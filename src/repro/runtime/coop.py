@@ -69,6 +69,8 @@ class CoopImplicitRuntime:
 
 @record
 class _CoopWaiter:
+    """A cooperative thread waiting until its predicate holds."""
+
     predicate: Callable[[], bool]
     admitted: bool = False
 
