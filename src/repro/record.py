@@ -22,7 +22,8 @@ field names, with the rules of the methods ``@dataclass`` would write:
 A method the class body defines is kept, as ``@dataclass`` keeps it.  A
 class built thousands of times per pass writes its own ``__init__``: a
 closure ``__init__`` takes ``*args, **kwargs`` and sets the fields in a
-loop, which costs about 0.3 us per call more than a spelled-out one.
+loop, which costs 1.5 to 6 times a spelled-out one, the most when it
+binds defaults or keywords.
 ``InitVar``, ``kw_only`` and ``init=False`` fields are not supported.
 """
 
