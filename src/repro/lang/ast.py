@@ -8,7 +8,6 @@ analysis).
 
 from __future__ import annotations
 
-from dataclasses import field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import build
