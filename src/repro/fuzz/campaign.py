@@ -56,6 +56,7 @@ failing.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import field
@@ -85,8 +86,9 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.coverage import CoverageMap, coverage_fingerprint, run_features, state_shape
 from repro.fuzz.generate import balanced_workload, derive_seed, roles_from_json, roles_to_json
-from repro.fuzz.mutate import CROSSOVER_OPERATORS, OPERATORS, apply_operator
-from repro.placement.pipeline import ExpressoPipeline
+from repro.fuzz import mutate
+from repro.fuzz.mutate import CROSSOVER_OPERATORS, OPERATORS, apply_operator, remember
+from repro.placement.pipeline import ExpressoPipeline, ExpressoResult
 from repro.resilience import fault_check
 from repro.smt.cache import FormulaCache
 
@@ -210,6 +212,14 @@ class FuzzCampaignResult:
 #: determinism is unaffected.
 _WORKER_PIPELINE = None
 
+#: Campaign-scoped reuse, keyed by content and released with the pipeline
+#: (``mutate._PARSED`` holds the parses): per distinct source its pipeline
+#: result and coop class (whose ``_coop_semantic`` memo keeps the DFS
+#: matrix), and per distinct DFS job its outcome.  Each table holds at most
+#: ``mutate.REUSE_LIMIT`` entries.
+_PROGRAMS: Dict[str, Tuple[ExpressoResult, type]] = {}
+_OUTCOMES: Dict[str, dict] = {}
+
 
 def _worker_pipeline():
     global _WORKER_PIPELINE
@@ -218,17 +228,41 @@ def _worker_pipeline():
     return _WORKER_PIPELINE
 
 
+def _outcome_key(job: dict) -> Optional[str]:
+    """The reuse key of a DFS job: every field but its id and seed, which
+    DPOR never reads.  Sampling strategies walk by the seed: no key."""
+    if job["strategy"] != "dfs":
+        return None
+    return json.dumps({name: value for name, value in job.items()
+                       if name not in ("entry_id", "explore_seed")},
+                      sort_keys=True)
+
+
 def _evaluate_candidate(job: dict) -> dict:
     """Compile + explore one candidate and extract its coverage (pool job).
 
     In a traced campaign the work queue records each candidate in a session
     of its own, wherever it runs; the ``fuzz.candidate`` span is its root.
+    A DFS job equal to an earlier one but for its id and seed gets that
+    job's outcome, unless the outcome has failures or an error; any other
+    job of an already-compiled source explores the program compiled first.
+    The span's ``reused`` names which of the two happened, if any.
     """
     fault_check("fuzz.candidate", token=job["entry_id"])
     with obs.tracer().span("fuzz.candidate", cat="fuzz",
                            entry=job["entry_id"]) as span:
-        outcome = _evaluate_candidate_inner(job)
-        span.set(ok=outcome.get("ok", False), error="error" in outcome)
+        key = _outcome_key(job)
+        outcome = _OUTCOMES.get(key)
+        if outcome is not None:
+            outcome, reused = {**outcome, "entry_id": job["entry_id"]}, "outcome"
+        else:
+            reused = "compile" if _PROGRAMS.get(job["source"]) else ""
+            outcome = _evaluate_candidate_inner(job)
+            if (key is not None and "error" not in outcome
+                    and not outcome["failures"]):
+                remember(_OUTCOMES, key, outcome)
+        span.set(ok=outcome.get("ok", False), error="error" in outcome,
+                 reused=reused)
     return outcome
 
 
@@ -236,19 +270,33 @@ def _evaluate_candidate_inner(job: dict) -> dict:
     # The engine's entry points are looked up on the module at call time, so
     # instrumentation that wraps them as module attributes sees every call.
     base = {"entry_id": job["entry_id"], "schedules_run": 0}
+    source = job["source"]
+    program = _PROGRAMS.get(source)
+    if program is None:
+        try:
+            # A mutant's validation already parsed its text; a text nobody
+            # parsed yet is parsed inside the compile.
+            compiled = _worker_pipeline().compile(
+                mutate._PARSED.get(source) or source)
+        except Exception as exc:
+            return {**base, "error": f"compile: {type(exc).__name__}: {exc}"}
     try:
-        compiled = _worker_pipeline().compile(job["source"])
-    except Exception as exc:
-        return {**base, "error": f"compile: {type(exc).__name__}: {exc}"}
-    try:
-        coop_class = engine.coop_class_for_explicit(
-            compiled.explicit, placement=compiled.placement)
-        # The coverage's matrix axis reads every entry, so a DFS candidate
-        # proves the whole matrix and its exploration reads it from the memo.
+        if program is None:
+            program = (compiled, engine.coop_class_for_explicit(
+                compiled.explicit, placement=compiled.placement))
+            remember(_PROGRAMS, source, program)
+        compiled, coop_class = program
+        # The coverage's matrix axis reads every entry, so the first DFS
+        # candidate of a class proves the whole matrix and every exploration
+        # reads it from the class's memo.  Only this proof creates the memo
+        # here: sampling strategies explore without it.
         matrix = None
         if job["strategy"] == "dfs":
-            matrix, _delta = commutativity.matrix_with_statistics(compiled.explicit)
-            coop_class._coop_semantic = matrix
+            matrix = getattr(coop_class, "_coop_semantic", None)
+            if matrix is None:
+                matrix, _delta = commutativity.matrix_with_statistics(
+                    compiled.explicit)
+                coop_class._coop_semantic = matrix
         # The codegen hook embedded the placement signature in the class;
         # read it back so coverage extraction and any worker that rebuilds
         # the class from source consume the same artifact.
@@ -357,8 +405,11 @@ def run_campaign(config: FuzzConfig,
         # Candidates evaluated in this process (``workers=1``, or this
         # process's own share of a work queue) filled the worker pipeline's
         # formula cache; release it with the campaign instead of pinning it
-        # for the life of the process.  Pool workers exit with theirs.
+        # for the life of the process.  Pool workers exit with theirs.  The
+        # reuse tables go with it.
         _WORKER_PIPELINE = None
+        for table in (mutate._PARSED, _PROGRAMS, _OUTCOMES):
+            table.clear()
 
 
 def _run_campaign(config: FuzzConfig,

@@ -13,7 +13,9 @@ text — and re-serialize through :func:`~repro.lang.pretty.pretty_monitor`,
 which round-trips through the parser; CCR labels are re-assigned on re-parse,
 so transforms never have to maintain them.  Every result is validated by a
 full parse + check before it is returned: an operator either yields a
-well-formed monitor or ``None``.
+well-formed monitor or ``None``.  Every parse goes through
+:func:`parse_source`, once per source text, so the campaign worker compiles
+a mutant from the monitor its validation already built.
 """
 
 from __future__ import annotations
@@ -59,11 +61,33 @@ THREAD_RANGE = (2, 4)
 OPS_RANGE = (1, 3)
 
 
-def _parse(candidate: Candidate) -> Optional[Monitor]:
-    try:
-        return load_monitor(candidate.source)
-    except Exception:
-        return None
+#: Entries one campaign reuse table holds before it is emptied.
+REUSE_LIMIT = 128
+
+#: Checked monitors by source text, shared by the operators and the campaign
+#: worker.  Monitors are frozen, so a hit is as good as a parse;
+#: ``run_campaign`` empties the table when it returns.
+_PARSED: Dict[str, Monitor] = {}
+
+
+def remember(table: dict, key, value) -> None:
+    """Store one reuse-table entry, emptying the table at ``REUSE_LIMIT``."""
+    if len(table) >= REUSE_LIMIT:
+        table.clear()
+    table[key] = value
+
+
+def parse_source(source: str) -> Optional[Monitor]:
+    """The checked monitor *source* loads to (``None`` if it does not load),
+    parsed once per text."""
+    monitor = _PARSED.get(source)
+    if monitor is None:
+        try:
+            monitor = load_monitor(source)
+        except Exception:
+            return None
+        remember(_PARSED, source, monitor)
+    return monitor
 
 
 def _emit(candidate: Candidate, monitor: Monitor,
@@ -74,9 +98,7 @@ def _emit(candidate: Candidate, monitor: Monitor,
     name = f"{monitor.name}{suffix}" if suffix else monitor.name
     monitor = dataclasses.replace(monitor, name=_legal_name(name))
     source = pretty_monitor(monitor)
-    try:
-        load_monitor(source)
-    except Exception:
+    if parse_source(source) is None:
         return None
     live_roles = _prune_roles(roles, monitor)
     if not live_roles:
@@ -124,7 +146,7 @@ def clone_method(candidate: Candidate, rng: random.Random,
     The clone contends on the same guards/fields as the original, so it
     multiplies waiter diversity without changing the state space's fields.
     """
-    monitor = _parse(candidate)
+    monitor = parse_source(candidate.source)
     if monitor is None or len(monitor.methods) >= MAX_METHODS:
         return None
     method = rng.choice(monitor.methods)
@@ -145,7 +167,7 @@ def clone_method(candidate: Candidate, rng: random.Random,
 def add_method(candidate: Candidate, rng: random.Random,
                mate: Optional[Candidate] = None) -> Optional[Candidate]:
     """Graft a freshly instantiated generator family onto the monitor."""
-    monitor = _parse(candidate)
+    monitor = parse_source(candidate.source)
     if monitor is None or len(monitor.methods) >= MAX_METHODS - 1:
         return None
     if len(monitor.fields) >= MAX_FIELDS - 1:
@@ -159,9 +181,8 @@ def add_method(candidate: Candidate, rng: random.Random,
     if not trimmed.endswith("}"):
         return None
     source = trimmed[:-1] + "\n".join(lines) + "\n}"
-    try:
-        merged = load_monitor(source)
-    except Exception:
+    merged = parse_source(source)
+    if merged is None:
         return None
     return _emit(candidate, merged, tuple(candidate.roles) + tuple(family_roles),
                  "Ad")
@@ -182,7 +203,7 @@ def _fresh_tag(monitor: Monitor) -> int:
 def drop_method(candidate: Candidate, rng: random.Random,
                 mate: Optional[Candidate] = None) -> Optional[Candidate]:
     """Remove one method (and the role ops that called it)."""
-    monitor = _parse(candidate)
+    monitor = parse_source(candidate.source)
     if monitor is None or len(monitor.methods) < 2:
         return None
     victim = rng.choice(monitor.methods)
@@ -215,7 +236,7 @@ def _rewrite_guard_constant(guard: Expr, delta: int) -> Optional[Expr]:
 
 def _mutate_guards(candidate: Candidate, rng: random.Random,
                    delta_of, suffix: str) -> Optional[Candidate]:
-    monitor = _parse(candidate)
+    monitor = parse_source(candidate.source)
     if monitor is None:
         return None
     editable: List[Tuple[int, int]] = []
@@ -273,7 +294,7 @@ def permute_statements(candidate: Candidate, rng: random.Random,
     A swap that moves a local's use before its declaration fails the
     validating re-parse and the operator answers ``None``.
     """
-    monitor = _parse(candidate)
+    monitor = parse_source(candidate.source)
     if monitor is None:
         return None
     sites: List[Tuple[int, int]] = []
@@ -313,8 +334,8 @@ def splice(candidate: Candidate, rng: random.Random,
     """
     if mate is None:
         return None
-    monitor = _parse(candidate)
-    mate_monitor = _parse(mate)
+    monitor = parse_source(candidate.source)
+    mate_monitor = parse_source(mate.source)
     if monitor is None or mate_monitor is None:
         return None
     if (len(monitor.methods) + len(mate_monitor.methods) > MAX_METHODS
@@ -323,9 +344,8 @@ def splice(candidate: Candidate, rng: random.Random,
     mate_names = list(mate_monitor.field_names())
     mate_names += [method.name for method in mate_monitor.methods]
     renamed_source = _rename_identifiers(mate.source, mate_names, "s")
-    try:
-        renamed = load_monitor(renamed_source)
-    except Exception:
+    renamed = parse_source(renamed_source)
+    if renamed is None:
         return None
     ours = set(monitor.field_names()) | {m.name for m in monitor.methods}
     theirs = set(renamed.field_names()) | {m.name for m in renamed.methods}

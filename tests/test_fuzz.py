@@ -329,11 +329,110 @@ class TestCampaign:
                 store_path=str(tmp_path / f"{name}.sqlite3")))
             result = run_campaign(config, CorpusStore(str(tmp_path / name)))
             assert campaign_module._WORKER_PIPELINE is None
+            for table in _reuse_tables():
+                assert not table
             assert result.monitors > 0 and result.distrib is not None
             record = result.to_dict()
             record.pop("distrib")
             records.append(record)
         assert records[0] == records[1]
+
+    def test_each_distinct_program_is_evaluated_once(self, monkeypatch):
+        """e2ebench's campaign parses, compiles, materializes and explores
+        each distinct thing once (its 48 candidates have 36 distinct sources
+        and 45 distinct DFS jobs), with the result of a campaign that
+        reuses nothing; so does a sampling campaign, which reuses compiles
+        only."""
+        import repro.fuzz.campaign as campaign_module
+        from repro.explore import engine
+        from repro.lang import parser
+
+        counts = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(parser, "parse_monitor")
+        count(ExpressoPipeline, "compile")
+        count(engine, "coop_class_for_explicit")
+        count(engine, "explore_class")
+        config = FuzzConfig(seed=2026, budget=400, per_run_budget=40,
+                            bootstrap=4, batch_size=4, workers=1)
+        reused = run_campaign(config).to_dict()
+        assert reused["monitors"] == 48
+        assert counts.pop("parse_monitor") <= 45
+        assert counts == {"compile": 36, "coop_class_for_explicit": 36,
+                          "explore_class": 45}
+
+        counts.clear()
+        small = FuzzConfig(seed=1, budget=120, per_run_budget=20,
+                           bootstrap=2, batch_size=3, workers=1,
+                           strategy="random")
+        reused_small = run_campaign(small).to_dict()
+        assert counts["compile"] < counts["explore_class"] \
+            == reused_small["monitors"]
+
+        class NeverHit(dict):
+            def get(self, key, default=None):
+                return default
+
+        import repro.fuzz.mutate as mutate_module
+
+        monkeypatch.setattr(mutate_module, "_PARSED", NeverHit())
+        for name in ("_PROGRAMS", "_OUTCOMES"):
+            monkeypatch.setattr(campaign_module, name, NeverHit())
+        assert run_campaign(config).to_dict() == reused
+        assert run_campaign(small).to_dict() == reused_small
+
+    def test_outcome_reuse_skips_failures_errors_and_sampling(self, monkeypatch):
+        """Only a clean DFS outcome is handed to a later job, under that
+        job's own id; the tables stay within ``REUSE_LIMIT``."""
+        import repro.fuzz.campaign as campaign_module
+        import repro.fuzz.mutate as mutate_module
+
+        monkeypatch.setattr(campaign_module, "_OUTCOMES", {})
+        calls = []
+
+        def evaluate(outcome):
+            def inner(job):
+                calls.append(job["entry_id"])
+                return {**outcome, "entry_id": job["entry_id"]}
+            monkeypatch.setattr(campaign_module, "_evaluate_candidate_inner",
+                                inner)
+
+        entry = entry_from_generated(3, 0)
+        dfs = FuzzConfig(seed=3, strategy="dfs")
+        first = campaign_module._entry_job(entry, dfs)
+        second = {**first, "entry_id": "other", "explore_seed": 1}
+        clean = {"schedules_run": 2, "ok": True, "failures": []}
+        for outcome, runs in ((clean, 1),
+                              ({**clean, "failures": [{"kind": "stall"}]}, 2),
+                              ({"schedules_run": 0, "error": "explore: X"}, 2)):
+            campaign_module._OUTCOMES.clear()
+            calls.clear()
+            evaluate(outcome)
+            assert campaign_module._evaluate_candidate(first)["entry_id"] == "gen-3-0"
+            assert campaign_module._evaluate_candidate(second)["entry_id"] == "other"
+            assert len(calls) == runs
+        calls.clear()
+        evaluate(clean)
+        random_job = campaign_module._entry_job(
+            entry, dataclasses.replace(dfs, strategy="random"))
+        for _ in range(2):
+            campaign_module._evaluate_candidate(random_job)
+        assert len(calls) == 2
+
+        monkeypatch.setattr(mutate_module, "REUSE_LIMIT", 2)
+        table = {}
+        for key in range(5):
+            mutate_module.remember(table, key, key)
+            assert len(table) <= 2 and table[key] == key
 
     def test_campaign_resumes_from_a_persisted_corpus(self, tmp_path):
         store = CorpusStore(str(tmp_path))
@@ -342,6 +441,15 @@ class TestCampaign:
         assert resumed.corpus_size >= first.corpus_size
         meta = _last_checkpoint(tmp_path)["meta"]
         assert meta["rounds_completed"] >= first.rounds
+
+
+def _reuse_tables():
+    """The campaign's content-keyed reuse tables."""
+    import repro.fuzz.campaign as campaign_module
+    import repro.fuzz.mutate as mutate_module
+
+    return (mutate_module._PARSED, campaign_module._PROGRAMS,
+            campaign_module._OUTCOMES)
 
 
 def _last_checkpoint(root) -> dict:

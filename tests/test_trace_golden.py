@@ -50,7 +50,7 @@ GOLDEN = {
         ["fuzz", "--budget", "60", "--seed", "5", "--workers", "1",
          "--bootstrap", "4", "--batch-size", "4", "--per-run-budget", "30",
          "--json"],
-        "460cb31b0f5439dfab7087ce8aaab3971be95fd9feddc847c03624f09a49af90"),
+        "f017d003fa9c765782a4c3bf72e4bb37675cb0067f31c106daf6e97908f585a5"),
     "compile": (
         ["compile", "{tmp}/BoundedBuffer.mon"],
         "1e8286767a562ea35e68abf3559929dc00a26fa0e2d90440aaadd62fb771eba1"),
